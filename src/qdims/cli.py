@@ -20,7 +20,7 @@ from .empirical import (
     write_fit_csv,
     write_spectrum_csv,
 )
-from .errors import ConfigError
+from .errors import BranchBudgetError, ConfigError, DepthCapError
 from .harness import (
     ExperimentConfig,
     build_measure,
@@ -195,6 +195,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (BranchBudgetError, DepthCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

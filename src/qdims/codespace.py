@@ -135,6 +135,21 @@ class BranchingProfile:
         depth = depth or max(self.max_depth, other.max_depth)
         return all(self.size(k) == other.size(k) for k in range(1, depth + 1))
 
+    def depth_within(self, budget: int, limit: int | None = None) -> int:
+        """Deepest level whose full word tree holds at most ``budget`` words.
+
+        The result never exceeds ``max_depth``, nor ``limit`` when given; it
+        is 0 when even the first level is over budget.
+        """
+        limit = self.max_depth if limit is None else min(limit, self.max_depth)
+        depth, total = 0, 1
+        while depth < limit:
+            total *= self.size(depth + 1)
+            if total > budget:
+                break
+            depth += 1
+        return depth
+
     def validate_letters(self, letters: Sequence[int]) -> None:
         for j, letter in enumerate(letters, start=1):
             n = self.size(j)

@@ -230,16 +230,6 @@ def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> Critic
     return affine_series_dimension(system, measure, q)
 
 
-def _separation_depth(system, budget: int = 4096) -> int:
-    depth, total = 0, 1
-    while depth < system.max_depth:
-        total *= system.profile.size(depth + 1)
-        if total > budget:
-            break
-        depth += 1
-    return max(depth, 1)
-
-
 def claim_for(system, scheme, q: float, ssc_holds: bool) -> str:
     """Label which kind of statement backs the theory/empirical comparison.
 
@@ -298,7 +288,8 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     theory = {q: theoretical_exponents(system, measure, q) for q in config.q_values}
 
     n_real = config.realizations if _is_randomized(base_scheme) else 1
-    sep_depth = _separation_depth(system)
+    # certify as deep as a tree of at most 4096 words reaches, and at least one level
+    sep_depth = max(system.profile.depth_within(4096), 1)
     resolution = min(config.scales)
 
     default_tol = (DEFAULT_TOLERANCE_SIMILAR

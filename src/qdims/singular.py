@@ -46,33 +46,24 @@ class SingularSpectrum:
 def singular_values(matrix) -> SingularSpectrum:
     """Singular values of a square nonsingular matrix, largest first.
 
-    Computed from the symmetric eigendecomposition of ``T^t T``. Raises
-    ``SingularMatrixError`` when the matrix is numerically singular or its
-    condition estimate exceeds ``CONDITION_LIMIT``.
+    Computed by :func:`batched_log_singular_values` on a one-matrix stack.
+    Raises ``SingularMatrixError`` when the matrix is numerically singular or
+    its condition estimate exceeds ``CONDITION_LIMIT``.
     """
     T = np.asarray(matrix, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("matrix entries must be finite")
-    eigs = np.linalg.eigvalsh(T.T @ T)
-    eigs = eigs[::-1]
-    if eigs[0] <= 0.0 or eigs[-1] <= 0.0:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = batched_log_singular_values(T[None])[0]
+    if not np.all(np.isfinite(logs)):
         raise SingularMatrixError("matrix is numerically singular")
-    vals = np.sqrt(eigs)
-    if vals[0] / vals[-1] > CONDITION_LIMIT:
+    condition = np.exp(logs[0] - logs[-1])
+    if condition > CONDITION_LIMIT:
         raise SingularMatrixError(
-            f"condition estimate {vals[0] / vals[-1]:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            f"condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    logs = np.log(vals)
-    # anchor the smallest value through the determinant: the leading values
-    # are well conditioned, so this pins the product identity exactly and
-    # sharpens the smallest value, which squaring T^t T smears the most
-    sign, logdet = np.linalg.slogdet(T)
-    if sign == 0.0:
-        raise SingularMatrixError("matrix is numerically singular")
-    logs[-1] = logdet - logs[:-1].sum()
-    logs = -np.sort(-logs)  # anchoring can flip a near-tie by an epsilon
     vals = np.exp(logs)
     vals.setflags(write=False)
     logs.setflags(write=False)
@@ -82,12 +73,14 @@ def singular_values(matrix) -> SingularSpectrum:
 def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
     """Log singular values for a stack of matrices, sorted nonincreasing.
 
-    Same determinant anchoring as :func:`singular_values`, vectorized over
-    the leading axes.
+    The smallest value is anchored through the determinant: the leading
+    values are well conditioned, so this pins the product identity exactly
+    and sharpens the smallest value, the one an SVD resolves worst.
     """
     logs = np.log(np.linalg.svd(mats, compute_uv=False))
     _, logdet = np.linalg.slogdet(mats)
     logs[..., -1] = logdet - logs[..., :-1].sum(axis=-1)
+    # anchoring can flip a near-tie by an epsilon
     return -np.sort(-logs, axis=-1)
 
 
@@ -143,7 +136,6 @@ def word_spectrum(system, word: Word) -> SingularSpectrum:
     """
     system.profile.validate_letters(word.letters)
     d = system.ambient_dim
-    U = np.eye(d)
     V = np.eye(d)
     logs = np.zeros(d)
     log_det = 0.0
@@ -155,7 +147,7 @@ def word_spectrum(system, word: Word) -> SingularSpectrum:
         log_det += step_det
         top = logs.max()
         C = np.exp(logs - top)[:, None] * (V.T @ T)
-        u2, sv, vt = np.linalg.svd(C)
+        _, sv, vt = np.linalg.svd(C)
         if sv[-1] <= 0.0:
             raise SingularMatrixError(
                 f"product along {word.letters[:level]} is numerically singular"
@@ -163,7 +155,6 @@ def word_spectrum(system, word: Word) -> SingularSpectrum:
         logs = np.log(sv) + top
         logs[-1] = log_det - logs[:-1].sum()
         logs = -np.sort(-logs)
-        U = U @ u2
         V = vt.T
     vals = np.exp(logs)
     vals.setflags(write=False)

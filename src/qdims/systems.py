@@ -205,11 +205,6 @@ class AffineSystem:
     def linear_maps(self, k: int) -> np.ndarray:
         return self._matrices.at(k)
 
-    @property
-    def operator_norm_bound(self) -> float:
-        """sup of matrix operator norms over the table (equals alpha_+)."""
-        return self.alpha_upper
-
     def __repr__(self):
         return (f"AffineSystem(dim={self.ambient_dim}, levels={len(self._matrices.head)}, "
                 f"alpha in [{self.alpha_lower:.4g}, {self.alpha_upper:.4g}])")

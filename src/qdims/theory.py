@@ -9,6 +9,17 @@ ways: a closed form for stationary similarity tables, truncated per-level
 product limits, truncated cut-set limits, and level-sum limits built on the
 singular value function for affine tables.
 
+Apart from the closed form, every solver finds the root in s of a growth
+trend of moment sums, and they share one core to do it:
+
+- ``_root_of_increasing`` bisects an increasing trend and reports its bracket;
+- ``_envelope_roots`` turns the upper and lower envelope trends of the
+  product or cut-set sums into the lower and upper exponents, with the
+  orientation for q below or above 1 decided in one place;
+- ``_level_spectra`` enumerates or samples the words of an affine table and
+  returns their log singular values and log masses per level;
+- ``_level_rate`` fits the growth rate in k of the affine level sums.
+
 Boundedness of a limsup/liminf cannot be decided numerically, so the solvers
 substitute the sign of the asymptotic growth trend over a trailing window of
 depths, and report the bisection bracket they achieved. For stationary
@@ -182,6 +193,26 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     return 0.5 * (lo + hi), (lo, hi)
 
 
+def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
+    """Lower/upper exponents and their brackets from a family of moment sums.
+
+    ``seq(s)`` returns the log moment sums over increasing depths or finer
+    scales, and the root of its upper and of its lower envelope trend is
+    bisected. For q >= 1 the trend rises with s and the upper-envelope root
+    is the lower exponent; for q < 1 the trend falls (its sign is flipped so
+    the root finder sees one orientation) and the roles swap. Stationary
+    inputs have one exact trend, so both exponents become the midpoint.
+    """
+    rising = q > 1 or abs(q - 1.0) < Q_ONE_TOL
+    sign = 1.0 if rising else -1.0
+    roots = [_root_of_increasing(lambda s, m=mode: sign * _envelope_trend(seq(s), m), xtol)
+             for mode in ("limsup", "liminf")]
+    (lower, br_lower), (upper, br_upper) = roots if rising else roots[::-1]
+    if stationary:
+        lower = upper = 0.5 * (lower + upper)
+    return lower, upper, {"lower": br_lower, "upper": br_upper}
+
+
 def _padded(levels: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     width = max(len(v) for v in levels)
     out = np.full((len(levels), width), -np.inf)
@@ -247,26 +278,7 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
         else:
             bounds_note = {"lower": "one-sided (lower bound)", "upper": "exact"}
 
-    # the trend rises with s for q >= 1 and falls for q < 1; flipping the
-    # sign keeps the root finder on one orientation
-    sign = 1.0 if (q > 1 or abs(q - 1.0) < Q_ONE_TOL) else -1.0
-
-    def trend(mode):
-        def f(s):
-            return sign * _envelope_trend(seq(s), mode)
-        return f
-
-    root_limsup, br_limsup = _root_of_increasing(trend("limsup"), xtol)
-    root_liminf, br_liminf = _root_of_increasing(trend("liminf"), xtol)
-
-    if q > 1 or abs(q - 1.0) < Q_ONE_TOL:
-        lower, upper = root_limsup, root_liminf
-        brackets = {"lower": br_limsup, "upper": br_liminf}
-    else:
-        lower, upper = root_liminf, root_limsup
-        brackets = {"lower": br_liminf, "upper": br_limsup}
-    if stationary:
-        lower = upper = 0.5 * (lower + upper)
+    lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
 
     diag = {
         "depth": depth,
@@ -332,8 +344,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
             f"only {len(grids)} usable cut-set scales under the word budget"
         )
 
-    entropy_mode = abs(q - 1.0) < Q_ONE_TOL
-    if entropy_mode:
+    if abs(q - 1.0) < Q_ONE_TOL:
         a = np.array([(np.exp(lp) * lp).sum() for _, (lc, lp) in grids])
         b = np.array([(np.exp(lp) * lc).sum() for _, (lc, lp) in grids])
 
@@ -345,24 +356,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
         def seq(s):
             return np.array([_logsumexp(s * (1.0 - q) * lc + qlp) for lc, qlp in packed])
 
-    sign = 1.0 if (q > 1 or entropy_mode) else -1.0
-
-    def trend(mode):
-        def f(s):
-            return sign * _envelope_trend(seq(s), mode)
-        return f
-
-    root_limsup, br_limsup = _root_of_increasing(trend("limsup"), xtol)
-    root_liminf, br_liminf = _root_of_increasing(trend("liminf"), xtol)
-
-    if q > 1 or entropy_mode:
-        lower, upper = root_limsup, root_liminf
-        brackets = {"lower": br_limsup, "upper": br_liminf}
-    else:
-        lower, upper = root_liminf, root_limsup
-        brackets = {"lower": br_liminf, "upper": br_limsup}
-    if stationary:
-        lower = upper = 0.5 * (lower + upper)
+    lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
 
     diag = {
         "scales": [r for r, _ in grids],
@@ -380,69 +374,37 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 # ---------------------------------------------------------------------------
 
 
-def _auto_depth(profile, cap: int, requested: int | None) -> int:
-    total = 1
-    depth = 0
-    while depth < 10_000:
-        total *= profile.size(depth + 1)
-        if total > cap:
-            break
-        depth += 1
-        if requested is not None and depth >= requested:
-            break
-    if depth < 2:
-        raise BranchBudgetError("enumeration cap too small for even two levels")
-    return depth
+def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
+                   keep_from: int, size: int | None = None, seed: int = 0):
+    """Log singular values and log masses of words, per kept level.
 
-
-def _enumerate_level_spectra(system: AffineSystem, measure: BernoulliMeasure,
-                             depth: int, keep_from: int):
-    """Log singular values and log masses for every word, per kept level.
-
-    Products are renormalized entry-wise each level with the magnitude
-    carried separately, so deep products cannot underflow; spectra come from
-    one batched SVD per level.
+    With ``size`` unset every word is enumerated; otherwise ``size`` words
+    are drawn from the measure, one letter per level. Each level extends the
+    words by (parent, letter) index pairs: all pairs when enumerating, one
+    drawn letter per row when sampling. Products are renormalized
+    entry-wise each level with the magnitude carried separately, so deep
+    products cannot underflow; spectra come from one batched SVD per level.
     """
     d = system.ambient_dim
-    mats = np.eye(d)[None, :, :]
-    log_scale = np.zeros(1)
-    log_p = np.zeros(1)
+    rng = None if size is None else np.random.default_rng(seed)
+    rows = 1 if size is None else size
+    mats = np.broadcast_to(np.eye(d), (rows, d, d))
+    log_scale = np.zeros(rows)
+    log_p = np.zeros(rows)
     out = {}
     for k in range(1, depth + 1):
         level = system.linear_maps(k)
-        lp = measure.log_probs(k)
-        mats = np.einsum("wij,njk->wnik", mats, level).reshape(-1, d, d)
-        log_scale = (log_scale[:, None] + np.zeros(len(level))[None, :]).ravel()
-        log_p = (log_p[:, None] + lp[None, :]).ravel()
+        if rng is None:
+            parent, letter = np.divmod(np.arange(len(log_p) * len(level)), len(level))
+        else:
+            parent, letter = slice(None), rng.choice(len(level), size=size, p=measure.probs(k))
+        mats = mats[parent] @ level[letter]
+        log_p = log_p[parent] + measure.log_probs(k)[letter]
         norms = np.abs(mats).max(axis=(1, 2))
         mats = mats / norms[:, None, None]
-        log_scale = log_scale + np.log(norms)
+        log_scale = log_scale[parent] + np.log(norms)
         if k >= keep_from:
-            logs = batched_log_singular_values(mats)
-            out[k] = (logs + log_scale[:, None], log_p.copy())
-    return out
-
-
-def _sample_level_spectra(system: AffineSystem, measure: BernoulliMeasure,
-                          depth: int, keep_from: int, size: int, seed: int):
-    d = system.ambient_dim
-    rng = np.random.default_rng(seed)
-    mats = np.broadcast_to(np.eye(d), (size, d, d)).copy()
-    log_scale = np.zeros(size)
-    log_p = np.zeros(size)
-    out = {}
-    for k in range(1, depth + 1):
-        p = measure.probs(k)
-        letters = rng.choice(len(p), size=size, p=p)
-        level = system.linear_maps(k)[letters]
-        mats = np.einsum("nij,njk->nik", mats, level)
-        log_p = log_p + measure.log_probs(k)[letters]
-        norms = np.abs(mats).max(axis=(1, 2))
-        mats = mats / norms[:, None, None]
-        log_scale = log_scale + np.log(norms)
-        if k >= keep_from:
-            logs = batched_log_singular_values(mats)
-            out[k] = (logs + log_scale[:, None], log_p.copy())
+            out[k] = (batched_log_singular_values(mats) + log_scale[:, None], log_p)
     return out
 
 
@@ -454,6 +416,17 @@ def _level_sum_log(log_alpha: np.ndarray, log_p: np.ndarray, s: float, q: float,
         term = term + (q - 1.0) * log_p
         return float(_logsumexp(term) - np.log(len(log_p)))
     return float(_logsumexp(term + q * log_p))
+
+
+def _level_rate(spectra: dict, q: float, sampled: bool = False):
+    """Slope in k of the fitted log level sums, as a function of s."""
+    ks = np.array(sorted(spectra))
+
+    def rate(s: float) -> float:
+        logs = np.array([_level_sum_log(*spectra[k], s, q, sampled) for k in ks])
+        return float(np.polyfit(ks, logs, 1)[0])
+
+    return rate
 
 
 def _near_integer_guard(root: float, diag: dict) -> float:
@@ -484,7 +457,9 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     if not measure.profile().matches(system.profile, depth=system.max_depth):
         raise ValueError("measure branching does not match the system")
     cap = min(level_cap, ENUMERATION_CAP)
-    enum_depth = _auto_depth(system.profile, cap, depth)
+    enum_depth = system.profile.depth_within(cap, depth)
+    if enum_depth < 2:
+        raise BranchBudgetError("enumeration cap too small for even two levels")
     sampled = depth is not None and depth > enum_depth
     if sampled and not sampling:
         raise BranchBudgetError(
@@ -492,21 +467,13 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
         )
     K = depth if (sampled and depth is not None) else enum_depth
     keep_from = max(2, K // 2)
-    if sampled:
-        spectra = _sample_level_spectra(system, measure, K, keep_from, sample_size, seed)
-    else:
-        spectra = _enumerate_level_spectra(system, measure, K, keep_from)
-
-    ks = np.array(sorted(spectra))
-
-    def rate(s: float) -> float:
-        logs = np.array([_level_sum_log(*spectra[k], s, q, sampled) for k in ks])
-        return float(np.polyfit(ks, logs, 1)[0])
-
+    spectra = _level_spectra(system, measure, K, keep_from,
+                             size=sample_size if sampled else None, seed=seed)
+    rate = _level_rate(spectra, q, sampled)
     root, bracket = _root_of_increasing(rate, XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
     diag = {
         "depth": int(K),
-        "window": (int(ks[0]), int(ks[-1])),
+        "window": (int(keep_from), int(K)),
         "bracket": bracket,
         "mode": "sampled" if sampled else "exact",
     }
@@ -533,12 +500,12 @@ def stationary_affine_dimension(matrices, probs, q: float, depth: int | None = N
     measure = BernoulliMeasure([probs])
     if q < 1.0 - Q_ONE_TOL:
         raise ValueError(f"the stationary affine solver needs q >= 1, got {q}")
-    cap = min(level_cap, ENUMERATION_CAP)
-    K = _auto_depth(system.profile, cap, depth)
+    K = system.profile.depth_within(min(level_cap, ENUMERATION_CAP), depth)
+    if K < 2:
+        raise BranchBudgetError("enumeration cap too small for even two levels")
 
     if abs(q - 1.0) < Q_ONE_TOL:
-        spectra = _enumerate_level_spectra(system, measure, K, keep_from=K)
-        log_alpha, log_p = spectra[K]
+        log_alpha, log_p = _level_spectra(system, measure, K, keep_from=K)[K]
         w = np.exp(log_p)
         ent = float(w @ log_p)
 
@@ -547,29 +514,21 @@ def stationary_affine_dimension(matrices, probs, q: float, depth: int | None = N
 
         root, bracket = _root_of_increasing(h, 1e-8)
         diag = {"depth": int(K), "bracket": bracket, "mode": "entropy"}
-        root = _near_integer_guard(root, diag)
-        return CriticalExponents(q=q, lower=root, upper=root,
-                                 method="affine-k-limit", diagnostics=diag)
+    else:
+        keep_from = max(2, K // 2)
+        spectra = _level_spectra(system, measure, K, keep_from)
 
-    keep_from = max(2, K // 2)
-    spectra = _enumerate_level_spectra(system, measure, K, keep_from)
-    ks = np.array(sorted(spectra))
+        def rate_last(s: float) -> float:
+            return _level_sum_log(*spectra[K], s, q, False) / K
 
-    def rate(s: float) -> float:
-        logs = np.array([_level_sum_log(*spectra[k], s, q, False) for k in ks])
-        return float(np.polyfit(ks, logs, 1)[0])
-
-    def rate_last(s: float) -> float:
-        return _level_sum_log(*spectra[K], s, q, False) / K
-
-    root, bracket = _root_of_increasing(rate, 1e-7)
-    root_single, _ = _root_of_increasing(rate_last, 1e-7)
-    diag = {
-        "depth": int(K),
-        "window": (int(ks[0]), int(ks[-1])),
-        "bracket": bracket,
-        "single_level_root": float(root_single),
-    }
+        root, bracket = _root_of_increasing(_level_rate(spectra, q), 1e-7)
+        root_single, _ = _root_of_increasing(rate_last, 1e-7)
+        diag = {
+            "depth": int(K),
+            "window": (int(keep_from), int(K)),
+            "bracket": bracket,
+            "single_level_root": float(root_single),
+        }
     root = _near_integer_guard(root, diag)
     return CriticalExponents(q=q, lower=root, upper=root,
                              method="affine-k-limit", diagnostics=diag)

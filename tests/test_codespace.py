@@ -84,6 +84,18 @@ class TestBranchingProfile:
         with pytest.raises(InvalidWordError):
             prof.validate_letters((3, 1))
 
+    def test_depth_within_budget(self):
+        # 3**12 = 531441 <= 2**20 < 3**13
+        assert BranchingProfile.from_sizes([3]).depth_within(2**20) == 12
+        # running products 2, 6, 12, ..., 2592, 7776
+        assert BranchingProfile.from_sizes([2, 3]).depth_within(4096) == 9
+        assert BranchingProfile.from_sizes([5]).depth_within(4) == 0
+
+    def test_depth_within_caps(self):
+        assert BranchingProfile.from_sizes([2], max_depth=5).depth_within(2**20) == 5
+        assert BranchingProfile.from_sizes([2]).depth_within(2**20, 3) == 3
+        assert BranchingProfile.from_sizes([2], max_depth=5).depth_within(2**20, 8) == 5
+
 
 class TestBernoulliMeasure:
     def test_rejects_bad_sum(self):

@@ -273,3 +273,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "holds_at_depth=true" in out
         assert "0.333333" in out
+
+    def test_word_budget_error_exits_with_message(self, tmp_path, capsys):
+        # 2**18 words exceed the separation check's budget
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["check-separation", "--config", cfg, "--depth", "18"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qdims.codespace import BernoulliMeasure
-from qdims.errors import InsufficientScalesError
+from qdims.codespace import BernoulliMeasure, Word
+from qdims.errors import BranchBudgetError, InsufficientScalesError
+from qdims.singular import word_product
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
+    _level_spectra,
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
@@ -267,12 +271,53 @@ class TestAffineSeriesDimension:
         assert abs(sampled.value - exact.value) < 0.05
 
     def test_budget_error_without_sampling_flag(self):
-        from qdims.errors import BranchBudgetError
-
         system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
         measure = BernoulliMeasure([[0.5, 0.5]])
         with pytest.raises(BranchBudgetError):
             affine_series_dimension(system, measure, 2, depth=30, level_cap=2**10)
+
+    def test_budget_error_below_two_levels(self):
+        mats = [np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]
+        measure = BernoulliMeasure([[0.5, 0.5]])
+        with pytest.raises(BranchBudgetError):
+            affine_series_dimension(AffineSystem([mats]), measure, 2, level_cap=3)
+        with pytest.raises(BranchBudgetError):
+            affine_series_dimension(AffineSystem([mats], max_depth=1), measure, 2)
+
+
+def rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+class TestLevelSpectra:
+    # two alternating levels of rotated, anisotropic maps
+    SYSTEM = AffineSystem([
+        [0.45 * rotation(0.3) @ np.diag([1.0, 0.6]), 0.4 * rotation(1.1)],
+        [0.35 * rotation(0.7), 0.42 * rotation(0.2) @ np.diag([1.0, 0.7]),
+         0.3 * rotation(2.5) @ np.diag([0.5, 1.0])],
+    ])
+    MEASURE = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+
+    def test_enumeration_matches_direct_svd(self):
+        spectra = _level_spectra(self.SYSTEM, self.MEASURE, 3, keep_from=1)
+        assert sorted(spectra) == [1, 2, 3]
+        for k, (log_alpha, log_p) in spectra.items():
+            sizes = [self.SYSTEM.profile.size(j) for j in range(1, k + 1)]
+            words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
+            assert log_alpha.shape == (len(words), 2)
+            direct = np.log([np.linalg.svd(word_product(self.SYSTEM, Word(w)),
+                                           compute_uv=False) for w in words])
+            assert np.allclose(log_alpha, direct, rtol=0, atol=1e-12)
+            assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sampling_repeats_for_a_seed(self):
+        first = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
+        again = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
+        assert sorted(first) == sorted(again) == [3, 4, 5, 6]
+        for k in first:
+            assert first[k][0].shape == (500, 2)
+            assert np.array_equal(first[k][0], again[k][0])
+            assert np.array_equal(first[k][1], again[k][1])
 
 
 def dominant_diagonal_oracle(t, p, q, s_hi=2.0):
