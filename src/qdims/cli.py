@@ -20,7 +20,7 @@ from .empirical import (
     write_fit_csv,
     write_spectrum_csv,
 )
-from .errors import BranchBudgetError, ConfigError, DepthCapError
+from .errors import BranchBudgetError, ConfigError, DepthCapError, InsufficientScalesError
 from .harness import (
     ExperimentConfig,
     build_measure,
@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BranchBudgetError, DepthCapError) as exc:
+    except (BranchBudgetError, DepthCapError, InsufficientScalesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,6 @@ Identical configs (seed included) produce byte-identical report files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -93,19 +92,25 @@ class ExperimentConfig:
                 scales_t = tuple(base**-e for e in range(lo, hi + 1))
             else:
                 scales_t = tuple(float(s) for s in scales)
+            if not scales_t or any(s <= 0 for s in scales_t):
+                raise ConfigError("scales must be a non-empty list of positive sizes")
             q_values = tuple(float(q) for q in raw["q"])
             if any(q <= 0 for q in q_values):
                 raise ConfigError("q grid entries must be positive")
+            samples = int(raw.get("samples", 100_000))
+            realizations = int(raw.get("realizations", 1))
+            if samples < 1 or realizations < 1:
+                raise ConfigError("samples and realizations must be at least 1")
             return cls(
                 system=dict(raw["system"]),
                 translations=dict(raw["translations"]),
                 measure=dict(raw["measure"]),
                 q_values=q_values,
                 scales=scales_t,
-                samples=int(raw.get("samples", 100_000)),
+                samples=samples,
                 depth=None if raw.get("depth") is None else int(raw["depth"]),
                 seed=int(raw.get("seed", 0)),
-                realizations=int(raw.get("realizations", 1)),
+                realizations=realizations,
                 tolerance=None if raw.get("tolerance") is None else float(raw["tolerance"]),
                 schema_version=version,
             )
@@ -195,18 +200,7 @@ def build_scheme(config: ExperimentConfig, system):
 
 def realize_scheme(scheme, base_seed: int, realization: int):
     """Concrete scheme for one realization; deterministic in its index."""
-    seed = base_seed + REALIZATION_SEED_STRIDE * (realization + 1)
-    if isinstance(scheme, RandomBoxTranslations):
-        return dataclasses.replace(scheme, seed=scheme.seed + seed)
-    if isinstance(scheme, FiniteTranslationSet) and scheme.jitter_radius > 0:
-        return scheme.realize(seed)
-    return scheme
-
-
-def _is_randomized(scheme) -> bool:
-    return isinstance(scheme, RandomBoxTranslations) or (
-        isinstance(scheme, FiniteTranslationSet) and scheme.jitter_radius > 0
-    )
+    return scheme.realize(base_seed + REALIZATION_SEED_STRIDE * (realization + 1))
 
 
 def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> CriticalExponents:
@@ -230,6 +224,13 @@ def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> Critic
     return affine_series_dimension(system, measure, q)
 
 
+# randomized translation kind -> (claim, largest supported q, operator-norm limit)
+_RANDOM_CLAIMS = {
+    "random-box": ("as-equality:random-translations", float("inf"), float("inf")),
+    "finite-set": ("as-equality:finite-translations", 2.0, 0.5),
+}
+
+
 def claim_for(system, scheme, q: float, ssc_holds: bool) -> str:
     """Label which kind of statement backs the theory/empirical comparison.
 
@@ -241,20 +242,14 @@ def claim_for(system, scheme, q: float, ssc_holds: bool) -> str:
     """
     if system.kind == "similar" and ssc_holds:
         return "equality:similar+ssc"
-    if isinstance(scheme, RandomBoxTranslations):
-        if q > 1.0 + Q_ONE_TOL:
-            return "as-equality:random-translations"
-        if abs(q - 1.0) <= Q_ONE_TOL and system.stationary:
-            return "as-equality:random-translations"
+    if not scheme.randomized:
         return "upper-bound"
-    if isinstance(scheme, FiniteTranslationSet) and scheme.jitter_radius > 0:
-        norm_ok = system.contraction_bound < 0.5
-        q_ok = (1.0 + Q_ONE_TOL < q <= 2.0) or (
-            abs(q - 1.0) <= Q_ONE_TOL and system.stationary
-        )
-        if norm_ok and q_ok:
-            return "as-equality:finite-translations"
-        return "upper-bound"
+    claim, q_max, norm_limit = _RANDOM_CLAIMS[scheme.kind]
+    q_ok = (1.0 + Q_ONE_TOL < q <= q_max) or (
+        abs(q - 1.0) <= Q_ONE_TOL and system.stationary
+    )
+    if q_ok and system.contraction_bound < norm_limit:
+        return claim
     return "upper-bound"
 
 
@@ -287,13 +282,13 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
 
     theory = {q: theoretical_exponents(system, measure, q) for q in config.q_values}
 
-    n_real = config.realizations if _is_randomized(base_scheme) else 1
+    n_real = config.realizations if base_scheme.randomized else 1
     # certify as deep as a tree of at most 4096 words reaches, and at least one level
     sep_depth = max(system.profile.depth_within(4096), 1)
     resolution = min(config.scales)
 
     default_tol = (DEFAULT_TOLERANCE_SIMILAR
-                   if system.kind == "similar" and not _is_randomized(base_scheme)
+                   if system.kind == "similar" and not base_scheme.randomized
                    else DEFAULT_TOLERANCE_AFFINE)
     tolerance = config.tolerance if config.tolerance is not None else default_tol
 
@@ -366,7 +361,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         "separation": separations,
         "translation_kind": base_scheme.kind,
     }
-    if isinstance(base_scheme, FiniteTranslationSet):
+    if base_scheme.kind == "finite-set":
         meta["operator_norm_bound"] = float(system.contraction_bound)
         meta["norm_below_half"] = bool(system.contraction_bound < 0.5)
     return ComparisonReport(rows=tuple(rows), meta=meta)

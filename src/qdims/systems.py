@@ -6,12 +6,26 @@ of levels plus a cycling tail. A translation scheme attaches an offset vector
 to every finite word, which fixes the address-to-point projection: the point
 of an address is the series of translated partial compositions.
 
-Systems and schemes are immutable; sampling is deterministic given a seed.
+Every translation scheme offers the same six members, and projection,
+sampling, separation checks and the experiment harness use nothing else:
+
+- ``kind``: the config name of the scheme family;
+- ``randomized``: whether the scheme stands for a random family whose
+  statements hold almost surely, so that runs need several realizations;
+- ``realize(seed)``: one concrete member of the family (itself if fixed);
+- ``offsets(letters)``: for an ``(n, depth)`` letter array, yields for
+  j = 1..depth the ``(n, d)`` offsets of every row's length-j prefix;
+- ``translation(prefix)``: the offset of one word, by the same rule;
+- ``sup_norm()``: a bound on the norm of every offset.
+
+A new scheme needs these members and nothing else. Systems and schemes are
+immutable; sampling is deterministic given a seed.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
 
@@ -251,6 +265,10 @@ class ExplicitTranslations:
         object.__setattr__(self, "table", norm)
 
     kind = "explicit"
+    randomized = False
+
+    def realize(self, seed: int) -> "ExplicitTranslations":
+        return self
 
     def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
         try:
@@ -260,8 +278,9 @@ class ExplicitTranslations:
                 f"no translation stored for prefix {tuple(prefix)}"
             ) from None
 
-    def batch(self, letters: np.ndarray, upto: int) -> np.ndarray:
-        return np.stack([self.translation(tuple(row[:upto])) for row in letters])
+    def offsets(self, letters: np.ndarray):
+        for j in range(1, letters.shape[1] + 1):
+            yield np.stack([self.translation(tuple(row[:j])) for row in letters])
 
     def sup_norm(self) -> float:
         if not self.table:
@@ -290,39 +309,34 @@ class RandomBoxTranslations:
         object.__setattr__(self, "high", hi)
 
     kind = "random-box"
+    randomized = True
 
     @property
     def dim(self) -> int:
         return len(self.low)
 
-    def _chain_start(self, n: int) -> np.ndarray:
-        return np.full(n, _mix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)), dtype=np.uint64)
+    def realize(self, seed: int) -> "RandomBoxTranslations":
+        return dataclasses.replace(self, seed=self.seed + seed)
 
-    def _chain_step(self, state: np.ndarray, letters_col: np.ndarray) -> np.ndarray:
-        return _mix64(state ^ (letters_col.astype(np.uint64) * _LETTER_SALT))
-
-    def _vectors(self, state: np.ndarray) -> np.ndarray:
-        d = self.dim
-        cols = []
+    def offsets(self, letters: np.ndarray):
+        # the hash chain folds in one letter per level; each axis salts the
+        # chain state before the final mix
+        state = np.full(len(letters), _mix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)),
+                        dtype=np.uint64)
         with np.errstate(over="ignore"):
-            salts = [np.uint64(axis + 1) * _AXIS_SALT for axis in range(d)]
-            for axis in range(d):
-                u = _unit_float(_mix64(state + salts[axis]))
-                cols.append(self.low[axis] + u * (self.high[axis] - self.low[axis]))
-        return np.stack(cols, axis=-1)
+            salts = np.arange(1, self.dim + 1, dtype=np.uint64) * _AXIS_SALT
+        span = self.high - self.low
+        for col in letters.T:
+            state = _mix64(state ^ (col.astype(np.uint64) * _LETTER_SALT))
+            yield self.low + _unit_float(_mix64(state[:, None] + salts)) * span
 
     def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        state = self._chain_start(1)
-        for letter in prefix:
-            state = self._chain_step(state, np.asarray([letter]))
-        return self._vectors(state)[0]
+        *_, last = self.offsets(np.asarray([prefix]))
+        return last[0]
 
     def sup_norm(self) -> float:
         corners = np.array(list(_iter_product(*zip(self.low, self.high))))
         return float(np.linalg.norm(corners, axis=1).max())
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.low + self.high)
 
 
 @dataclass(frozen=True)
@@ -359,6 +373,10 @@ class FiniteTranslationSet:
     kind = "finite-set"
 
     @property
+    def randomized(self) -> bool:
+        return self.jitter_radius > 0
+
+    @property
     def tau(self) -> int:
         return self.vectors.shape[0]
 
@@ -366,15 +384,20 @@ class FiniteTranslationSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def index_for(self, prefix: tuple[int, ...]) -> int:
-        if self.assignment is not None:
-            hit = self.assignment.get(tuple(prefix))
-            if hit is not None:
-                return hit
-        return (prefix[-1] - 1) % self.tau + 1
+    def _indices(self, letters: np.ndarray, j: int) -> np.ndarray:
+        """0-based vector index of every row's length-``j`` prefix."""
+        idx = (letters[:, j - 1] - 1) % self.tau
+        for key, hit in (self.assignment or {}).items():
+            if len(key) == j:
+                idx[(letters[:, :j] == key).all(axis=1)] = hit - 1
+        return idx
+
+    def offsets(self, letters: np.ndarray):
+        for j in range(1, letters.shape[1] + 1):
+            yield self.vectors[self._indices(letters, j)]
 
     def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        return self.vectors[self.index_for(prefix) - 1]
+        return self.vectors[self._indices(np.asarray([prefix]), len(prefix))[0]]
 
     def sup_norm(self) -> float:
         return float(np.linalg.norm(self.vectors, axis=1).max()) + self.jitter_radius
@@ -385,15 +408,15 @@ class FiniteTranslationSet:
             return self
         rng = np.random.default_rng(seed)
         d = self.dim
-        offsets = np.empty_like(self.vectors)
+        shifts = np.empty_like(self.vectors)
         for i in range(self.tau):
             while True:
                 cand = rng.uniform(-1.0, 1.0, size=d)
                 if cand @ cand <= 1.0:
                     break
-            offsets[i] = cand * self.jitter_radius
+            shifts[i] = cand * self.jitter_radius
         return FiniteTranslationSet(
-            vectors=self.vectors + offsets,
+            vectors=self.vectors + shifts,
             assignment=self.assignment,
             jitter_radius=0.0,
         )
@@ -477,22 +500,6 @@ def _draw_letters(measure: BernoulliMeasure, count: int, depth: int,
     return letters
 
 
-def _batch_translations(scheme, letters: np.ndarray, upto: int,
-                        state) -> tuple[np.ndarray, object]:
-    """Offsets for every row's prefix of length ``upto``; state threads the hash chain."""
-    if isinstance(scheme, RandomBoxTranslations):
-        state = scheme._chain_step(state, letters[:, upto - 1])
-        return scheme._vectors(state), state
-    if isinstance(scheme, FiniteTranslationSet):
-        if scheme.assignment:
-            out = np.stack([scheme.translation(tuple(row[:upto])) for row in letters])
-        else:
-            idx = (letters[:, upto - 1] - 1) % scheme.tau
-            out = scheme.vectors[idx]
-        return out, state
-    return scheme.batch(letters, upto), state
-
-
 def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
                    depth: int | None = None, seed: int = 0,
                    target_resolution: float | None = None) -> AttractorSample:
@@ -516,20 +523,17 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
 
     d = system.ambient_dim
     x = np.zeros((count, d))
-    state = scheme._chain_start(count) if isinstance(scheme, RandomBoxTranslations) else None
 
     scalar_path = system.kind == "similar" and not system.has_rotations
     if scalar_path:
         scale = np.ones(count)
-        for j in range(1, depth + 1):
-            offs, state = _batch_translations(scheme, letters, j, state)
+        for j, offs in enumerate(scheme.offsets(letters), start=1):
             x += scale[:, None] * offs
             if j < depth:
                 scale *= system.ratios_at(j)[letters[:, j - 1] - 1]
     else:
         M = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-        for j in range(1, depth + 1):
-            offs, state = _batch_translations(scheme, letters, j, state)
+        for j, offs in enumerate(scheme.offsets(letters), start=1):
             x += np.einsum("nij,nj->ni", M, offs)
             if j < depth:
                 maps = system.linear_maps(j)[letters[:, j - 1] - 1]

@@ -21,7 +21,12 @@ from qdims.harness import (
     run_experiment,
     theoretical_exponents,
 )
-from qdims.systems import FiniteTranslationSet, RandomBoxTranslations, SimilarSystem
+from qdims.systems import (
+    ExplicitTranslations,
+    FiniteTranslationSet,
+    RandomBoxTranslations,
+    SimilarSystem,
+)
 
 CANTOR_CONFIG = {
     "schema_version": 1,
@@ -61,6 +66,17 @@ class TestConfig:
         raw = dict(CANTOR_CONFIG, scales=[0.25, 0.125])
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.scales == (0.25, 0.125)
+
+    @pytest.mark.parametrize("override", [
+        {"samples": 0},
+        {"realizations": 0},
+        {"scales": []},
+        {"scales": [0.25, 0.0]},
+        {"scales": {"base": 2, "min_exp": 10, "max_exp": 4}},
+    ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range"])
+    def test_degenerate_sizes_rejected(self, override):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -156,6 +172,23 @@ class TestClaims:
         assert claim_for(small, scheme, 2, False) == "as-equality:finite-translations"
         assert claim_for(big, scheme, 2, False) == "upper-bound"
         assert claim_for(small, scheme, 3, False) == "upper-bound"
+
+    def test_q_one_needs_a_stationary_system(self):
+        stationary = SimilarSystem([[0.4, 0.4]])
+        varying = SimilarSystem([[0.4, 0.4], [0.3, 0.3]])
+        box = RandomBoxTranslations(low=[0.0], high=[1.0], seed=0)
+        jittered = FiniteTranslationSet(vectors=[[0.0], [1.0]], jitter_radius=0.1)
+        assert claim_for(stationary, box, 1, False) == "as-equality:random-translations"
+        assert claim_for(stationary, jittered, 1, False) == "as-equality:finite-translations"
+        assert claim_for(varying, box, 1, False) == "upper-bound"
+        assert claim_for(varying, jittered, 1, False) == "upper-bound"
+
+    def test_fixed_translations_only_bound_from_above(self):
+        system = SimilarSystem([[0.4, 0.4]])
+        explicit = ExplicitTranslations({(1,): [0.0], (2,): [1.0]})
+        fixed = FiniteTranslationSet(vectors=[[0.0], [1.0]])
+        for scheme in (explicit, fixed):
+            assert claim_for(system, scheme, 2, False) == "upper-bound"
 
 
 class TestRunExperiment:
@@ -278,5 +311,20 @@ class TestCli:
         # 2**18 words exceed the separation check's budget
         cfg = self._write_config(tmp_path)
         assert cli_main(["check-separation", "--config", cfg, "--depth", "18"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_invalid_config_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, samples=0)))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_too_few_scales_exits_with_message(self, tmp_path, capsys):
+        # one point occupies one cell at every scale, so no scale is usable
+        points = tmp_path / "points.csv"
+        points.write_text("0.5,1.0\n")
+        assert cli_main(["estimate", str(points), "--q", "2", "--scales", "4:10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,35 @@ def interval_system():
     return (SimilarSystem([[0.5, 0.5]]),
             FiniteTranslationSet(vectors=[[0.0], [0.5]]),
             BernoulliMeasure([[0.5, 0.5]]))
+
+
+def skewed_affine_system():
+    # 2-D, non-diagonal, three maps
+    return AffineSystem([[np.array([[0.3, 0.1], [-0.05, 0.25]]),
+                          np.array([[0.2, -0.1], [0.12, 0.35]]),
+                          np.array([[0.28, 0.0], [0.1, 0.2]])]])
+
+
+# overrides at prefix lengths 1, 2 and 3
+ASSIGNMENT = {(1,): 2, (2,): 3, (3, 1): 1, (2, 2): 2, (1, 3, 2): 3, (2, 1, 1): 1}
+
+
+def complete_table(depth, dim=2, letters=3, seed=0):
+    rng = np.random.default_rng(seed)
+    table = {}
+    for length in range(1, depth + 1):
+        for prefix in itertools.product(range(1, letters + 1), repeat=length):
+            table[prefix] = rng.normal(size=dim)
+    return table
+
+
+def drawn_letters(count, depth, p, seed):
+    # the letters sample_measure draws for these arguments
+    rng = np.random.default_rng(seed)
+    letters = np.empty((count, depth), dtype=np.int64)
+    for k in range(depth):
+        letters[:, k] = rng.choice(len(p), size=count, p=p) + 1
+    return letters
 
 
 class TestSystems:
@@ -203,6 +234,58 @@ class TestTranslationSchemes:
         assert np.any(shift > 0)
         assert np.array_equal(real.vectors, base.realize(5).vectors)
 
+    def test_random_box_translation_pinned(self):
+        # recorded values of the splitmix64 chain for this seed and word; any
+        # drift in the chain, the letter salt or the per-axis salts shows here
+        scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
+        assert scheme.translation((1, 2, 1)).tolist() == [1.2502207743167977,
+                                                          0.1437498937254731]
+
+    def test_random_box_offsets_match_translation(self):
+        scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=4)
+        letters = drawn_letters(7, 5, [0.5, 0.5], seed=1)
+        for j, offs in enumerate(scheme.offsets(letters), start=1):
+            for row, off in zip(letters, offs):
+                assert np.array_equal(off, scheme.translation(tuple(row[:j])))
+
+    def test_finite_set_offsets_follow_documented_rule(self):
+        scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]],
+                                      assignment=ASSIGNMENT)
+        letters = np.array(list(itertools.product((1, 2, 3), repeat=4)))
+        levels = list(scheme.offsets(letters))
+        assert len(levels) == 4
+        for j, offs in enumerate(levels, start=1):
+            for row, off in zip(letters, offs):
+                prefix = tuple(int(x) for x in row[:j])
+                index = ASSIGNMENT.get(prefix, (prefix[-1] - 1) % 3 + 1)
+                assert np.array_equal(off, scheme.vectors[index - 1])
+                assert np.array_equal(off, scheme.translation(prefix))
+
+    def test_realize_and_randomized(self):
+        explicit = ExplicitTranslations({(1,): [0.0], (2,): [1.0]})
+        assert not explicit.randomized
+        assert explicit.realize(5) is explicit
+
+        box = RandomBoxTranslations(low=[0.0], high=[1.0], seed=9)
+        assert box.randomized
+        real = box.realize(5)
+        assert real.seed == 14 and real.randomized
+        assert np.array_equal(real.low, box.low) and np.array_equal(real.high, box.high)
+        assert np.array_equal(real.translation((1, 2)),
+                              RandomBoxTranslations(low=[0.0], high=[1.0],
+                                                    seed=14).translation((1, 2)))
+
+        fixed = FiniteTranslationSet(vectors=[[0.0], [0.5]])
+        assert not fixed.randomized
+        assert fixed.realize(5) is fixed
+
+        jittered = FiniteTranslationSet(vectors=[[0.0], [0.5]], assignment={(1,): 2},
+                                        jitter_radius=0.1)
+        assert jittered.randomized
+        real = jittered.realize(5)
+        assert not real.randomized
+        assert real.assignment == jittered.assignment
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -264,6 +347,21 @@ class TestSampling:
         for i in range(6):
             pt, _ = project_word(system, scheme, Word(tuple(letters[i])), depth=9)
             assert np.allclose(pt, s.points[i], atol=1e-12)
+
+    @pytest.mark.parametrize("scheme", [
+        RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9),
+        FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]],
+                             assignment=ASSIGNMENT),
+        ExplicitTranslations(complete_table(6)),
+    ], ids=lambda scheme: scheme.kind)
+    def test_sampling_matches_projection(self, scheme):
+        system = skewed_affine_system()
+        p = [0.2, 0.5, 0.3]
+        s = sample_measure(system, scheme, BernoulliMeasure([p]), count=40, depth=6, seed=11)
+        letters = drawn_letters(40, 6, p, seed=11)
+        for i in range(40):
+            pt, _ = project_word(system, scheme, Word(tuple(letters[i])))
+            assert np.allclose(pt, s.points[i], rtol=0.0, atol=1e-12)
 
     def test_explicit_scheme_sampling_matches_finite_set(self):
         # table reproducing the last-letter rule must sample identically
