@@ -52,13 +52,12 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if getattr(args, "q", None):
-        updates["q_values"] = _parse_q_list(args.q)
+        updates["q"] = list(_parse_q_list(args.q))
     if getattr(args, "tolerance", None) is not None:
         updates["tolerance"] = args.tolerance
     if updates:
-        import dataclasses
-
-        config = dataclasses.replace(config, **updates)
+        # through from_dict, so overrides get the same checks as the file
+        config = ExperimentConfig.from_dict({**config.to_dict(), **updates})
     return config
 
 

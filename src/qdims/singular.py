@@ -6,6 +6,11 @@ singular values: for ``m - 1 < s <= m`` it is
 dimension it continues as ``det**(s/d)``. It is continuous, strictly
 decreasing in ``s`` for contractions, and submultiplicative over matrix
 products. Everything here is a pure function.
+
+Stacks of 2x2 matrices, the shape every planar level table produces, take a
+closed form instead of a batched LAPACK SVD: the largest singular value is a
+sum of two hypotenuses, which stays accurate when the two values nearly tie,
+and the smallest follows from the determinant. Larger matrices use LAPACK.
 """
 
 from __future__ import annotations
@@ -76,7 +81,19 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
     The smallest value is anchored through the determinant: the leading
     values are well conditioned, so this pins the product identity exactly
     and sharpens the smallest value, the one an SVD resolves worst.
+
+    For ``T = [[a, b], [c, d]]`` the values come in closed form:
+    ``sigma_1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2`` and
+    ``sigma_2 = |ad - bc| / sigma_1``. The sum of two nonnegative terms loses
+    no precision as ``sigma_1`` approaches ``sigma_2``, where the textbook
+    ``sqrt(|T|_F**4 - 4 det**2)`` cancels. Clamping ``sigma_2`` at
+    ``sigma_1`` keeps the output nonincreasing when the two tie.
     """
+    if mats.shape[-2:] == (2, 2):
+        a, b, c, d = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
+        log_top = np.log(0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b)))
+        log_low = np.log(np.abs(a * d - b * c)) - log_top
+        return np.stack([log_top, np.minimum(log_low, log_top)], axis=-1)
     logs = np.log(np.linalg.svd(mats, compute_uv=False))
     _, logdet = np.linalg.slogdet(mats)
     logs[..., -1] = logdet - logs[..., :-1].sum(axis=-1)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
 
@@ -619,12 +620,22 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     rotated systems is conservative. Strong separation needs sibling sets
     pairwise disjoint, the open-set variant allows touching, and the gap
     variant reports the worst sibling gap relative to the parent diameter.
+    Raises ``BranchBudgetError`` before any work when the word tree down to
+    ``depth`` holds more than ``budget`` words at some level.
     """
     kind = kind.lower()
     if kind not in ("ssc", "osc", "gsc"):
         raise ValueError(f"unknown separation kind {kind!r}")
     if depth < 1 or depth > system.max_depth:
         raise ValueError(f"depth must lie in 1..{system.max_depth}")
+
+    fits = system.profile.depth_within(budget, depth)
+    if fits < depth:
+        level = fits + 1
+        total = math.prod(system.profile.size(k) for k in range(1, level + 1))
+        raise BranchBudgetError(
+            f"separation check needs {total} words at depth {level}, over budget {budget}"
+        )
 
     d = system.ambient_dim
     holds = True
@@ -634,15 +645,9 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     parents: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = [
         ((), np.eye(d), np.zeros(d))
     ]
-    total = 1
     for level in range(1, depth + 1):
         maps = system.linear_maps(level)
         n = len(maps)
-        total *= n
-        if total > budget:
-            raise BranchBudgetError(
-                f"separation check needs {total} words at depth {level}, over budget {budget}"
-            )
         children: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
         for letters, M, t in parents:
             parent_diam = _parallelepiped_diameter(M)

@@ -321,6 +321,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, q", [("theory", "-1"), ("compare", "0,-1")])
+    def test_invalid_q_override_exits_with_message(self, tmp_path, capsys, command, q):
+        cfg = self._write_config(tmp_path)
+        assert cli_main([command, "--config", cfg, "--q", q, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.csv").exists()
+
     def test_too_few_scales_exits_with_message(self, tmp_path, capsys):
         # one point occupies one cell at every scale, so no scale is usable
         points = tmp_path / "points.csv"

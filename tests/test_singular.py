@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qdims.codespace import EMPTY_WORD, Word
 from qdims.errors import SingularMatrixError
 from qdims.singular import (
+    batched_log_singular_values,
     singular_value_envelope,
     singular_value_function,
     singular_values,
@@ -71,6 +72,62 @@ class TestSingularValues:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrixError):
             singular_values(np.array([[0.5, 0.0], [0.5, 0.0]]))
+
+
+def lapack_logs(mats):
+    return np.log(np.linalg.svd(mats, compute_uv=False))
+
+
+def closed_form_stacks():
+    """Named 2x2 stacks for the closed form; the last holds condition numbers to 1e10.
+
+    Ill-conditioned cases are column-scaled or upper-triangular, where the LAPACK
+    reference itself keeps full relative accuracy in the smallest value.
+    """
+    rng = np.random.default_rng(29)
+    scalings = [np.diag([1.0, 10.0**-k]) for k in range(0, 11)]
+    return {
+        "diagonal": np.array([np.diag(v) for v in ([0.5, 0.2], [0.2, 0.5], [-0.3, 0.3],
+                                                  [0.7, -0.7], [1.0, 1e-10])]),
+        "upper": np.array([[[0.5, 0.3], [0.0, 0.2]], [[-0.4, 0.9], [0.0, 0.1]],
+                           [[1.0, 0.7], [0.0, 1e-10]], [[1e-10, 1.0], [0.0, 1.0]]]),
+        "lower": np.array([[[0.5, 0.0], [0.3, 0.2]], [[-0.4, 0.0], [0.9, 0.1]],
+                           [[1.0, 0.0], [0.7, 1e-10]]]),
+        "scaled rotation": np.array([r * rotation(t) for r in (0.3, 0.5, 0.9)
+                                     for t in (0.3, 1.2, 2.8, -0.7)]),
+        "near tie": np.array([rotation(0.4) @ np.diag([0.5, 0.5 - 10.0**-k]) @ rotation(t)
+                              for k in (4, 6, 8, 10) for t in (0.0, 1.3)]),
+        "random contraction": np.array([random_contraction(rng, 2) for _ in range(200)]),
+        "condition to 1e10": np.array([rotation(t) @ D for D in scalings
+                                       for t in (0.3, 1.1, -2.0)]),
+    }
+
+
+class TestBatchedLogSingularValues:
+    @pytest.mark.parametrize("name", list(closed_form_stacks()))
+    def test_closed_form_matches_lapack(self, name):
+        mats = closed_form_stacks()[name]
+        logs = batched_log_singular_values(mats)
+        assert logs.shape == mats.shape[:-1]
+        assert np.abs(logs - lapack_logs(mats)).max() < 1e-12
+        assert np.all(logs[:, 1] <= logs[:, 0])
+
+    def test_equal_values_stay_nonincreasing(self):
+        mats = closed_form_stacks()["scaled rotation"]
+        logs = batched_log_singular_values(mats)
+        assert np.all(np.diff(logs, axis=-1) <= 0.0)
+        assert np.abs(logs[:, 0] - logs[:, 1]).max() < 1e-15
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (5, 3, 3)])
+    def test_leading_axes_and_lapack_path(self, shape):
+        rng = np.random.default_rng(31)
+        d = shape[-1]
+        mats = np.array([random_contraction(rng, d) for _ in range(int(np.prod(shape[:-2])))])
+        mats = mats.reshape(shape)
+        logs = batched_log_singular_values(mats)
+        assert logs.shape == shape[:-1]
+        assert np.abs(logs - lapack_logs(mats)).max() < 1e-12
+        assert np.all(np.diff(logs, axis=-1) <= 0.0)
 
 
 class TestSingularValueFunction:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdims.codespace import BernoulliMeasure, Word
-from qdims.errors import IncompleteSchemeError
+from qdims.errors import BranchBudgetError, IncompleteSchemeError
 from qdims.systems import (
     AffineSystem,
     AttractorSample,
@@ -439,6 +439,17 @@ class TestSeparation:
         assert not rep.holds_at_depth
         assert rep.witness == (Word((1,)), Word((2,)))
         assert rep.worst_gap_ratio < 0
+
+    def test_budget_error_before_any_word(self):
+        system, scheme, _ = cantor_system()
+
+        class Untouchable:
+            def translation(self, prefix):
+                raise AssertionError(f"translation of {prefix} asked for over budget")
+
+        with pytest.raises(BranchBudgetError, match="needs 16 words at depth 4"):
+            check_separation(system, Untouchable(), depth=5, budget=15)
+        assert check_separation(system, scheme, depth=3, budget=15).depth == 3
 
     def test_depth_validation(self):
         system, scheme, _ = cantor_system()

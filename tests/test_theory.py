@@ -320,6 +320,30 @@ class TestLevelSpectra:
             assert np.array_equal(first[k][1], again[k][1])
 
 
+class TestAffineSolverPinned:
+    # two alternating levels of three rotated, anisotropic maps
+    SYSTEM = AffineSystem([
+        [rotation(np.pi / 6) @ np.diag([0.50, 0.30]),
+         rotation(-np.pi / 5) @ np.diag([0.45, 0.35]),
+         rotation(np.pi / 3) @ np.diag([0.40, 0.25])],
+        [rotation(np.pi / 4) @ np.diag([0.55, 0.20]),
+         rotation(-np.pi / 7) @ np.diag([0.35, 0.30]),
+         rotation(2 * np.pi / 5) @ np.diag([0.50, 0.40])],
+    ])
+    MEASURE = BernoulliMeasure([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
+
+    @pytest.mark.parametrize("q, value, bracket", [
+        (1.5, 1.07958984375, (1.0791015625, 1.080078125)),
+        (3.0, 1.02001953125, (1.01953125, 1.0205078125)),
+    ])
+    def test_depth_8_matches_recorded_values(self, q, value, bracket):
+        # values recorded on the LAPACK SVD path; the 2x2 closed form must not move them
+        ce = affine_series_dimension(self.SYSTEM, self.MEASURE, q, depth=8)
+        assert ce.value == value
+        assert ce.diagnostics["bracket"] == bracket
+        assert ce.diagnostics["window"] == (4, 8)
+
+
 def dominant_diagonal_oracle(t, p, q, s_hi=2.0):
     """Root of the factorized level equation for consistently dominant diagonals."""
     t = np.asarray(t, float)
