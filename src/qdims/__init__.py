@@ -29,6 +29,7 @@ from .empirical import (
     ball_moment_integral,
     entropy_sum,
     estimate_dimension,
+    estimate_spectrum,
     fit_dimension,
     moment_sum,
 )

@@ -14,12 +14,7 @@ import argparse
 import os
 import sys
 
-from .empirical import (
-    default_scales,
-    estimate_dimension,
-    write_fit_csv,
-    write_spectrum_csv,
-)
+from .empirical import estimate_spectrum, write_fit_csv, write_spectrum_csv
 from .errors import BranchBudgetError, ConfigError, DepthCapError, InsufficientScalesError
 from .harness import (
     ExperimentConfig,
@@ -36,14 +31,31 @@ from .theory import clamp_dimension
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    try:
+        q_values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"--q must be comma-separated numbers, got {text!r}") from None
+    if not q_values or not all(q > 0 for q in q_values):
+        raise ConfigError(f"--q needs one or more positive entries, got {text!r}")
+    return q_values
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(2.0**-e for e in range(int(lo), int(hi) + 1))
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    """Dyadic sizes from ``MIN:MAX`` exponents, or a comma list of sizes.
+
+    An empty exponent range gives an empty tuple, which the estimator rejects.
+    """
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            return tuple(2.0**-e for e in range(int(lo), int(hi) + 1))
+        scales = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(f"--scales must be MIN:MAX or comma-separated sizes, "
+                          f"got {text!r}") from None
+    if not all(r > 0 for r in scales):
+        raise ConfigError(f"--scales must be positive sizes, got {text!r}")
+    return scales
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -101,16 +113,15 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    sample = load_sample_csv(args.sample)
     q_values = _parse_q_list(args.q) if args.q else (0.5, 1.0, 2.0, 3.0)
-    scales = _parse_scales(args.scales) if args.scales else default_scales()
+    scales = _parse_scales(args.scales) if args.scales is not None else None
+    sample = load_sample_csv(args.sample)
     all_records = []
     fits = []
-    for q in q_values:
-        records, est = estimate_dimension(sample, q, scales)
+    for records, est in estimate_spectrum(sample, q_values, scales):
         all_records.extend(records)
         fits.append(est)
-        print(f"q={q:g}: D={est.dimension:.4f} +- {est.stderr:.4f} "
+        print(f"q={est.q:g}: D={est.dimension:.4f} +- {est.stderr:.4f} "
               f"({est.n_scales} scales in [{est.r_fine:g}, {est.r_coarse:g}])")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -34,6 +34,7 @@ __all__ = [
     "SpectrumEstimate",
     "fit_dimension",
     "estimate_dimension",
+    "estimate_spectrum",
     "default_scales",
     "write_spectrum_csv",
     "write_fit_csv",
@@ -271,27 +272,33 @@ class ScaleRecord:
     included: bool
 
 
-def scale_records(sample, q: float, scales=None) -> list[ScaleRecord]:
-    """Moment (or entropy) sums per scale, coarse to fine.
+def _scale_pyramid(sample, scales) -> list[tuple[float, MeshAccumulator]]:
+    """``(r, accumulator)`` per scale, fine to coarse, from one finest binning.
 
-    Consecutive scales related by an integer factor reuse the finer binning
-    through exact cell-index coarsening.
+    Consecutive scales related by an integer factor coarsen the finer
+    accumulator by exact cell-index arithmetic; only a non-integer step bins
+    the sample again. ``None`` means the default scales; an empty sequence
+    raises ``InsufficientScalesError``.
     """
-    scales = sorted(scales or default_scales())
-    n = len(sample.points)
-    accs: dict[float, MeshAccumulator] = {}
+    scales = sorted(default_scales() if scales is None else scales)
+    if not scales:
+        raise InsufficientScalesError("no scales given")
     acc = MeshAccumulator.from_sample(sample, scales[0])
-    accs[scales[0]] = acc
+    pyramid = [(scales[0], acc)]
     for prev, cur in zip(scales, scales[1:]):
         factor = cur / prev
         if abs(factor - round(factor)) < 1e-9:
             acc = acc.coarsen(int(round(factor)))
         else:
             acc = MeshAccumulator.from_sample(sample, cur)
-        accs[cur] = acc
+        pyramid.append((cur, acc))
+    return pyramid
+
+
+def _records(pyramid, n: int, q: float) -> list[ScaleRecord]:
+    # coarse to fine
     out = []
-    for r in sorted(scales, reverse=True):
-        acc = accs[r]
+    for r, acc in reversed(pyramid):
         cells = len(acc)
         occupancy = n / max(cells, 1)
         value = acc.entropy() if abs(q - 1.0) < 1e-12 else acc.moment(q)
@@ -299,6 +306,11 @@ def scale_records(sample, q: float, scales=None) -> list[ScaleRecord]:
                                occupancy=occupancy,
                                included=occupancy >= OCCUPANCY_MIN))
     return out
+
+
+def scale_records(sample, q: float, scales=None) -> list[ScaleRecord]:
+    """Moment (or entropy) sums per scale, coarse to fine."""
+    return _records(_scale_pyramid(sample, scales), len(sample.points), q)
 
 
 @dataclass(frozen=True)
@@ -390,10 +402,24 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
     )
 
 
+def estimate_spectrum(sample, q_values, scales=None):
+    """``(records, fit)`` for every moment order, in the order of ``q_values``.
+
+    Every q reads one scale pyramid, so the sample is binned once when
+    consecutive scales are related by integer factors.
+    """
+    pyramid = _scale_pyramid(sample, scales)
+    out = []
+    for q in q_values:
+        records = _records(pyramid, len(sample.points), q)
+        out.append((records, fit_dimension(records, q)))
+    return out
+
+
 def estimate_dimension(sample, q: float, scales=None):
-    """Records plus fit for one moment order; the common entry point."""
-    records = scale_records(sample, q, scales)
-    return records, fit_dimension(records, q)
+    """Records plus fit for one moment order."""
+    [result] = estimate_spectrum(sample, (q,), scales)
+    return result
 
 
 def write_spectrum_csv(records: list[ScaleRecord], path) -> None:

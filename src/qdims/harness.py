@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 
 from .codespace import BernoulliMeasure
-from .empirical import default_scales, estimate_dimension
+from .empirical import default_scales, estimate_spectrum
 from .errors import BranchBudgetError, ConfigError
 from .systems import (
     AffineSystem,
@@ -314,13 +314,11 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         if i == 0:
             resolved_depth = sample.meta["depth"]
             truncation_bound = sample.meta["truncation_bound"]
-        per_q = {}
-        for q in config.q_values:
-            _, est = estimate_dimension(sample, q, config.scales)
-            # the claim depends on the scheme family (randomized or not),
-            # while the separation certificate is per realization
-            per_q[q] = (est, claim_for(system, base_scheme, q, ssc_holds))
-        estimates.append(per_q)
+        spectrum = estimate_spectrum(sample, config.q_values, config.scales)
+        # the claim depends on the scheme family (randomized or not),
+        # while the separation certificate is per realization
+        estimates.append({q: (est, claim_for(system, base_scheme, q, ssc_holds))
+                          for q, (_, est) in zip(config.q_values, spectrum)})
 
     rows = []
     for q in config.q_values:

@@ -494,7 +494,8 @@ class AttractorSample:
 
 def _draw_letters(measure: BernoulliMeasure, count: int, depth: int,
                   rng: np.random.Generator) -> np.ndarray:
-    letters = np.empty((count, depth), dtype=np.int64)
+    # Fortran order keeps each level's letters in one contiguous column
+    letters = np.empty((count, depth), dtype=np.int64, order="F")
     for k in range(1, depth + 1):
         p = measure.probs(k)
         letters[:, k - 1] = rng.choice(len(p), size=count, p=p) + 1
@@ -535,10 +536,9 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     else:
         M = np.broadcast_to(np.eye(d), (count, d, d)).copy()
         for j, offs in enumerate(scheme.offsets(letters), start=1):
-            x += np.einsum("nij,nj->ni", M, offs)
+            x += (M @ offs[:, :, None])[:, :, 0]
             if j < depth:
-                maps = system.linear_maps(j)[letters[:, j - 1] - 1]
-                M = np.einsum("nij,njk->nik", M, maps)
+                M = M @ system.linear_maps(j)[letters[:, j - 1] - 1]
 
     a = system.contraction_bound
     bound = scheme.sup_norm() * a**depth / (1.0 - a)
@@ -586,29 +586,23 @@ class SeparationReport:
     witness: tuple[Word, Word] | None
 
 
-def _box_of(M: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # image of the unit cube under x -> M x + t, as an axis-aligned box
-    lo = t + np.minimum(M, 0.0).sum(axis=1)
-    hi = t + np.maximum(M, 0.0).sum(axis=1)
-    return lo, hi
-
-
-def _parallelepiped_diameter(M: np.ndarray) -> float:
-    d = M.shape[0]
-    best = 0.0
+def _parallelepiped_diameters(M: np.ndarray) -> np.ndarray:
+    # diameter of the image of the unit cube under each matrix of an (m, d, d) stack
+    d = M.shape[-1]
+    best = np.zeros(len(M))
     for signs in _iter_product((-1.0, 1.0), repeat=d - 1):
-        v = M[:, 0] + sum(s * M[:, j + 1] for j, s in enumerate(signs))
-        best = max(best, float(np.linalg.norm(v)))
+        v = M[:, :, 0] + sum(s * M[:, :, j + 1] for j, s in enumerate(signs))
+        best = np.maximum(best, np.sqrt((v * v).sum(axis=-1)))
     return best
 
 
-def _signed_gap(lo1, hi1, lo2, hi2) -> float:
+def _signed_gaps(lo1, hi1, lo2, hi2) -> np.ndarray:
     # positive: Euclidean distance between the boxes; negative: they overlap
     # on every axis by at least |value| (so the interiors intersect)
     sep = np.maximum(lo1 - hi2, lo2 - hi1)
-    if np.any(sep > 0.0):
-        return float(np.linalg.norm(np.maximum(sep, 0.0)))
-    return float(sep.max())
+    apart = np.maximum(sep, 0.0)
+    return np.where((sep > 0.0).any(axis=-1), np.sqrt((apart * apart).sum(axis=-1)),
+                    sep.max(axis=-1))
 
 
 def check_separation(system, scheme, depth: int, kind: str = "ssc",
@@ -620,8 +614,9 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     rotated systems is conservative. Strong separation needs sibling sets
     pairwise disjoint, the open-set variant allows touching, and the gap
     variant reports the worst sibling gap relative to the parent diameter.
-    Raises ``BranchBudgetError`` before any work when the word tree down to
-    ``depth`` holds more than ``budget`` words at some level.
+    The witness is the first sibling pair, in word order, that attains the
+    worst ratio. Raises ``BranchBudgetError`` before any work when the word
+    tree down to ``depth`` holds more than ``budget`` words at some level.
     """
     kind = kind.lower()
     if kind not in ("ssc", "osc", "gsc"):
@@ -642,38 +637,38 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     worst_ratio = np.inf
     witness = None
 
-    parents: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = [
-        ((), np.eye(d), np.zeros(d))
-    ]
+    # one row per word of the current level, in word order: letters, the
+    # linear part M and the offset t of the word's map x -> M x + t
+    words = np.empty((1, 0), dtype=np.int64)
+    M = np.eye(d)[None]
+    t = np.zeros((1, d))
     for level in range(1, depth + 1):
         maps = system.linear_maps(level)
         n = len(maps)
-        children: list[tuple[tuple[int, ...], np.ndarray, np.ndarray]] = []
-        for letters, M, t in parents:
-            parent_diam = _parallelepiped_diameter(M)
-            boxes = []
-            for j in range(1, n + 1):
-                offset = np.asarray(scheme.translation(letters + (j,)), dtype=float)
-                t_child = t + M @ offset
-                M_child = M @ maps[j - 1]
-                boxes.append((letters + (j,), M_child, t_child))
-            children.extend(boxes)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    li, hi_ = _box_of(boxes[i][1], boxes[i][2])
-                    lj, hj = _box_of(boxes[j][1], boxes[j][2])
-                    gap = _signed_gap(li, hi_, lj, hj)
-                    ratio = gap / parent_diam if parent_diam > 0 else np.inf
-                    if ratio < worst_ratio:
-                        worst_ratio = ratio
-                        witness = (Word(boxes[i][0]), Word(boxes[j][0]))
-                    if kind == "ssc" and gap <= 0.0:
-                        holds = False
-                    elif kind == "osc" and gap < 0.0:
-                        holds = False
-                    elif kind == "gsc" and gap <= 0.0:
-                        holds = False
-        parents = children
+        parent_diam = _parallelepiped_diameters(M)
+        child = np.tile(np.arange(1, n + 1), len(words))
+        words = np.column_stack([np.repeat(words, n, axis=0), child])
+        *_, offsets = scheme.offsets(words)
+        M = np.repeat(M, n, axis=0)
+        t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
+        M = M @ maps[child - 1]
+        # axis-aligned box of each child's image of the unit cube, by parent
+        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        i, j = np.triu_indices(n, 1)
+        gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
+        ratios = np.full_like(gaps, np.inf)
+        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
+        first = int(np.argmin(ratios))
+        if ratios.flat[first] < worst_ratio:
+            worst_ratio = ratios.flat[first]
+            parent, pair = divmod(first, len(i))
+            witness = (Word(tuple(words[parent * n + i[pair]].tolist())),
+                       Word(tuple(words[parent * n + j[pair]].tolist())))
+        # osc allows touching siblings; ssc and gsc need a positive gap
+        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
+        if failed.any():
+            holds = False
 
     return SeparationReport(
         kind=kind,

@@ -10,6 +10,7 @@ from qdims.empirical import (
     default_scales,
     entropy_sum,
     estimate_dimension,
+    estimate_spectrum,
     fit_dimension,
     moment_sum,
     scale_records,
@@ -221,3 +222,44 @@ class TestScaleRecordsAndFit:
         assert spec.read_text().splitlines()[0] == "q,r,sum,cells"
         assert fits.read_text().splitlines()[0].startswith("q,dimension,stderr")
         assert len(spec.read_text().splitlines()) == len(records) + 1
+
+
+class TestEstimateSpectrum:
+    @pytest.mark.parametrize("d, scales", [
+        (1, tuple(2.0**-e for e in range(3, 11))),
+        (2, tuple(2.0**-e for e in range(2, 8))),
+        (1, (0.3, 0.1, 0.05, 0.02, 0.01, 0.004)),
+        (2, (0.4, 0.15, 0.1, 0.05, 0.03, 0.02)),
+    ], ids=["1d-dyadic", "2d-dyadic", "1d-non-dyadic", "2d-non-dyadic"])
+    def test_matches_per_q_estimates_exactly(self, d, scales):
+        s = uniform_sample(40_000, d=d, seed=12)
+        q_values = (0.5, 1.0, 2.0, 3.0)
+        spectrum = estimate_spectrum(s, q_values, scales)
+        assert len(spectrum) == len(q_values)
+        for q, (records, est) in zip(q_values, spectrum):
+            ref_records, ref_est = estimate_dimension(s, q, scales)
+            assert records == ref_records
+            assert records == scale_records(s, q, scales)
+            assert est == ref_est
+
+    def test_bins_once_for_dyadic_scales(self, monkeypatch):
+        calls = []
+        original = MeshAccumulator.from_sample.__func__
+
+        def counting(cls, sample, r):
+            calls.append(r)
+            return original(cls, sample, r)
+
+        monkeypatch.setattr(MeshAccumulator, "from_sample", classmethod(counting))
+        s = uniform_sample(40_000, d=2, seed=13)
+        estimate_spectrum(s, (0.5, 1.0, 2.0), tuple(2.0**-e for e in range(1, 6)))
+        assert calls == [2.0**-5]
+
+    def test_default_scales_only_for_none(self):
+        s = uniform_sample(20_000, seed=14)
+        [(records, _)] = estimate_spectrum(s, (2.0,))
+        assert [rec.r for rec in records] == list(default_scales())
+        with pytest.raises(InsufficientScalesError):
+            estimate_spectrum(s, (2.0,), ())
+        with pytest.raises(InsufficientScalesError):
+            scale_records(s, 2.0, [])

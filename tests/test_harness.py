@@ -224,6 +224,23 @@ class TestRunExperiment:
             "affine-k-limit[as-equality:finite-translations]"
         }
 
+    def test_bins_once_per_realization(self, monkeypatch):
+        from qdims.empirical import MeshAccumulator
+
+        calls = []
+        original = MeshAccumulator.from_sample.__func__
+
+        def counting(cls, sample, r):
+            calls.append(r)
+            return original(cls, sample, r)
+
+        monkeypatch.setattr(MeshAccumulator, "from_sample", classmethod(counting))
+        raw = dict(CANTOR_CONFIG, q=[0.5, 1, 2, 3], samples=20_000, realizations=3,
+                   translations={"kind": "random-box", "low": [0.0], "high": [2.0]})
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        assert report.meta["realizations"] == 3 and len(report.rows) == 12
+        assert calls == [2.0**-10] * 3
+
     def test_mismatched_measure(self):
         raw = dict(CANTOR_CONFIG, measure={"p": [[0.5, 0.25, 0.25]]})
         cfg = ExperimentConfig.from_dict(raw)
@@ -336,3 +353,37 @@ class TestCli:
         assert cli_main(["estimate", str(points), "--q", "2", "--scales", "4:10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["theory", "--q", "a"],
+        ["compare", "--q", "1,,x"],
+        ["estimate", "--q", "a"],
+        ["estimate", "--q", "0"],
+        ["estimate", "--q", "2,-1"],
+        ["estimate", "--scales", "x"],
+        ["estimate", "--scales", "4:x"],
+        ["estimate", "--scales", "0.5,-0.25"],
+    ], ids=["theory-q", "compare-q", "estimate-q", "estimate-q-zero",
+            "estimate-q-negative", "estimate-scales", "estimate-scales-range",
+            "estimate-scales-negative"])
+    def test_unparsable_lists_exit_with_config_error(self, tmp_path, capsys, argv):
+        if argv[0] == "estimate":
+            points = tmp_path / "points.csv"
+            points.write_text("0.25,0.5\n0.75,0.5\n")
+            argv = ["estimate", str(points)] + argv[1:]
+        else:
+            argv = argv[:1] + ["--config", self._write_config(tmp_path),
+                               "--out", str(tmp_path)] + argv[1:]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_empty_scale_range_exits_with_message(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        points = str(tmp_path / "points.csv")
+        capsys.readouterr()
+        assert cli_main(["estimate", points, "--q", "2", "--scales", "12:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -84,12 +85,12 @@ class TestSystems:
 
     def test_similar_diameter_is_ratio_product(self):
         from qdims.singular import word_product
-        from qdims.systems import _parallelepiped_diameter
+        from qdims.systems import _parallelepiped_diameters
 
         system = SimilarSystem([[0.5, 0.25], [0.4, 0.6]], ambient_dim=2)
         for letters in [(1,), (2, 1), (1, 2), (2, 2)]:
             w = Word(letters)
-            diam = _parallelepiped_diameter(word_product(system, w))
+            [diam] = _parallelepiped_diameters(word_product(system, w)[None])
             assert diam == pytest.approx(system.ratio_product(w) * np.sqrt(2), rel=1e-12)
 
 
@@ -447,6 +448,9 @@ class TestSeparation:
             def translation(self, prefix):
                 raise AssertionError(f"translation of {prefix} asked for over budget")
 
+            def offsets(self, letters):
+                raise AssertionError(f"offsets of {letters.shape} asked for over budget")
+
         with pytest.raises(BranchBudgetError, match="needs 16 words at depth 4"):
             check_separation(system, Untouchable(), depth=5, budget=15)
         assert check_separation(system, scheme, depth=3, budget=15).depth == 3
@@ -457,3 +461,115 @@ class TestSeparation:
             check_separation(system, scheme, depth=0)
         with pytest.raises(ValueError):
             check_separation(system, scheme, depth=10, kind="weird")
+
+
+def rotation(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return [[c, -s], [s, c]]
+
+
+def rotated_similar_system():
+    system = SimilarSystem([[0.3, 0.3, 0.3]], ambient_dim=2,
+                           rotations=[[rotation(0.5), rotation(-1.0), rotation(2.0)]])
+    return system, FiniteTranslationSet(vectors=[[0.0, 0.0], [0.65, 0.1], [0.2, 0.7]])
+
+
+def report_values(rep):
+    witness = None if rep.witness is None else tuple(w.letters for w in rep.witness)
+    return rep.holds_at_depth, rep.worst_gap_ratio, witness
+
+
+class TestSeparationPinned:
+    """Verdicts, worst ratios and witnesses recorded from the per-word certificate."""
+
+    CANTOR = {
+        1: (0.3333333333333333, ((1,), (2,))),
+        2: (0.3333333333333333, ((1,), (2,))),
+        3: (0.3333333333333328, ((2, 1, 1), (2, 1, 2))),
+        4: (0.3333333333333318, ((2, 1, 2, 1), (2, 1, 2, 2))),
+        5: (0.3333333333333318, ((2, 1, 2, 1), (2, 1, 2, 2))),
+        6: (0.3333333333333296, ((1, 2, 1, 1, 1, 1), (1, 2, 1, 1, 1, 2))),
+    }
+
+    @pytest.mark.parametrize("kind", ["ssc", "osc", "gsc"])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_cantor(self, kind, depth):
+        system, scheme, _ = cantor_system()
+        ratio, witness = self.CANTOR[depth]
+        rep = check_separation(system, scheme, depth=depth, kind=kind)
+        assert report_values(rep) == (True, pytest.approx(ratio, rel=1e-12), witness)
+
+    @pytest.mark.parametrize("kind", ["ssc", "osc", "gsc"])
+    def test_rotated_similarity(self, kind):
+        rep = check_separation(*rotated_similar_system(), depth=5, kind=kind)
+        assert report_values(rep) == (True, pytest.approx(0.01385003838587017, rel=1e-12),
+                                      ((1, 2, 2, 2, 1), (1, 2, 2, 2, 3)))
+
+    @pytest.mark.parametrize("system, scheme, kind, ratio, witness", [
+        (AffineSystem([[np.diag([0.45, 0.40]), np.diag([0.42, 0.38]), np.diag([0.40, 0.35])]]),
+         RandomBoxTranslations(low=[0.0, 0.0], high=[1.0, 1.0], seed=1_001_003), "ssc",
+         -0.214985368167382, ((2, 2, 3, 1), (2, 2, 3, 2))),
+        (skewed_affine_system(), RandomBoxTranslations(low=[0, 0], high=[1, 1], seed=4), "gsc",
+         -0.17963669530858864, ((3, 1, 2, 3, 1), (3, 1, 2, 3, 3))),
+    ], ids=["diagonal", "skewed"])
+    def test_random_box_affine(self, system, scheme, kind, ratio, witness):
+        rep = check_separation(system, scheme, depth=5, kind=kind)
+        assert report_values(rep) == (False, pytest.approx(ratio, rel=1e-12), witness)
+
+    @pytest.mark.parametrize("kind", ["ssc", "osc"])
+    def test_level_varying_branching(self, kind):
+        system = SimilarSystem([[0.4, 0.4], [0.3, 0.3, 0.3], [0.2, 0.2]])
+        scheme = FiniteTranslationSet(vectors=[[0.0], [0.6], [0.35]])
+        rep = check_separation(system, scheme, depth=3, kind=kind)
+        assert report_values(rep) == (False, pytest.approx(-0.050000000000000044, rel=1e-12),
+                                      ((1, 2), (1, 3)))
+
+    def test_certifies_through_offsets_alone(self):
+        system, scheme = rotated_similar_system()
+
+        class OffsetsOnly:
+            def offsets(self, letters):
+                return scheme.offsets(letters)
+
+            def translation(self, prefix):
+                raise AssertionError(f"per-word translation of {prefix} asked for")
+
+        for kind in ("ssc", "gsc"):
+            assert (report_values(check_separation(system, OffsetsOnly(), depth=5, kind=kind))
+                    == report_values(check_separation(system, scheme, depth=5, kind=kind)))
+
+
+def points_digest(sample):
+    return hashlib.sha256(np.ascontiguousarray(sample.points).tobytes()).hexdigest()
+
+
+class TestSamplingPinned:
+    """Sampled points recorded from the einsum-based sampler."""
+
+    def test_scalar_path(self):
+        system, scheme, _ = cantor_system()
+        s = sample_measure(system, scheme, BernoulliMeasure([[0.75, 0.25]]), count=20_000, seed=5)
+        assert points_digest(s) == (
+            "5210d48264ec9f72ebf11ae7ee99a704b2b8e077fe541c25774e1d9f9bd2c71c")
+
+    def test_matrix_path_diagonal(self):
+        system = AffineSystem([[np.diag([0.45, 0.40]), np.diag([0.42, 0.38]),
+                                np.diag([0.40, 0.35])]])
+        scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [0.5, 0.3], [0.25, 0.6]],
+                                      jitter_radius=0.35).realize(3)
+        s = sample_measure(system, scheme, BernoulliMeasure([[0.2, 0.5, 0.3]]),
+                           count=20_000, seed=4)
+        assert points_digest(s) == (
+            "b2e78362b7899b2279e02b2793597036e16509a9cafb6f99ffe5adbb02e94028")
+
+    def test_matrix_path_rotated(self):
+        # matrix-stack products may round differently from einsum by a few ulp
+        scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
+        s = sample_measure(skewed_affine_system(), scheme, BernoulliMeasure([[0.2, 0.5, 0.3]]),
+                           count=200, seed=11)
+        expected = [[0.9305056008702073, -0.5201351954979766],
+                    [0.7593203478131242, -0.3807696330917192],
+                    [0.6628758533162076, 0.23644591884594032],
+                    [0.7926928918200745, -0.41002547067763684],
+                    [0.7409309125897482, 0.31839444566567526]]
+        assert np.allclose(s.points[::40], expected, rtol=0.0, atol=1e-12)
