@@ -28,9 +28,9 @@ def main() -> int:
 
     for name in ("cantor", "uniform"):
         config = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, f"{name}.json"))
-        import dataclasses
-
-        config = dataclasses.replace(config, seed=args.seed, samples=args.samples)
+        # through from_dict, so overrides get the same checks as the file
+        config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed,
+                                             "samples": args.samples})
         report = run_experiment(config)
         paths = emit_report(report, args.out, stem=name)
         print(f"{name}:")

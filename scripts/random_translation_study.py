@@ -29,12 +29,11 @@ def main() -> int:
     parser.add_argument("--realizations", type=int, default=5)
     args = parser.parse_args()
 
-    import dataclasses
-
     for name in ("affine_random_box", "affine_finite_gamma"):
         config = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, f"{name}.json"))
-        config = dataclasses.replace(config, seed=args.seed,
-                                     realizations=args.realizations)
+        # through from_dict, so overrides get the same checks as the file
+        config = ExperimentConfig.from_dict({**config.to_dict(), "seed": args.seed,
+                                             "realizations": args.realizations})
         report = run_experiment(config)
         paths = emit_report(report, args.out, stem=name)
         print(f"{name} (norm bound {report.meta.get('operator_norm_bound', 'n/a')}):")

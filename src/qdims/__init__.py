@@ -5,10 +5,11 @@ The package splits into:
 - ``codespace``: words, cylinder masses, cut sets over the address tree
 - ``systems``: similarity/affine systems, translation schemes, sampling,
   separation certificates
-- ``singular``: singular values of matrix products, the singular value
-  function, envelope bounds
-- ``theory``: critical exponents of moment sums (closed form, product,
-  cut-set, and affine level-sum solvers)
+- ``singular``: singular values of matrix products and the singular value
+  function
+- ``theory``: critical exponents of moment sums (closed form, product and
+  cut-set solvers for similarity tables, one level-sum solver for affine
+  tables)
 - ``empirical``: mesh-cube moment sums and log-log dimension fits
 - ``harness``/``cli``: experiment configs, comparison reports, subcommands
 """
@@ -42,7 +43,6 @@ from .harness import (
 )
 from .singular import (
     SingularSpectrum,
-    singular_value_envelope,
     singular_value_function,
     singular_values,
     word_product,

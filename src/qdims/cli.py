@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     p_sep = sub.add_parser("check-separation", help="finite-depth separation certificate")
     common(p_sep)
     p_sep.add_argument("--depth", type=int, default=5)
-    p_sep.add_argument("--kind", choices=["ssc", "osc", "gsc"], default="ssc")
+    p_sep.add_argument("--kind", choices=["ssc", "osc"], default="ssc")
     p_sep.set_defaults(func=_cmd_check_separation)
 
     args = parser.parse_args(argv)

@@ -35,7 +35,6 @@ from .theory import (
     affine_series_dimension,
     clamp_dimension,
     product_dimension,
-    stationary_affine_dimension,
     stationary_dimension,
 )
 
@@ -95,8 +94,8 @@ class ExperimentConfig:
             if not scales_t or any(s <= 0 for s in scales_t):
                 raise ConfigError("scales must be a non-empty list of positive sizes")
             q_values = tuple(float(q) for q in raw["q"])
-            if any(q <= 0 for q in q_values):
-                raise ConfigError("q grid entries must be positive")
+            if not q_values or any(q <= 0 for q in q_values):
+                raise ConfigError("q grid must be a non-empty list of positive entries")
             samples = int(raw.get("samples", 100_000))
             realizations = int(raw.get("realizations", 1))
             if samples < 1 or realizations < 1:
@@ -211,16 +210,10 @@ def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> Critic
             return CriticalExponents(q=q, lower=val, upper=val, method="closed-form",
                                      diagnostics={"stationary": True})
         return product_dimension(system, measure, q)
-    if system.stationary and measure.stationary:
-        if q < 1.0 - Q_ONE_TOL:
-            raise ConfigError(
-                f"affine exponents are only solvable for q >= 1 (got q={q})"
-            )
-        return stationary_affine_dimension(system.linear_maps(1), measure.probs(1), q)
-    if q <= 1.0 + Q_ONE_TOL:
-        raise ConfigError(
-            f"level-varying affine exponents are only solvable for q > 1 (got q={q})"
-        )
+    if q < 1.0 - Q_ONE_TOL or (q <= 1.0 + Q_ONE_TOL
+                               and not (system.stationary and measure.stationary)):
+        raise ConfigError(f"affine exponents are only solvable for q > 1, or q = 1 "
+                          f"on a stationary table (got q={q})")
     return affine_series_dimension(system, measure, q)
 
 

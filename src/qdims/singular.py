@@ -29,7 +29,6 @@ __all__ = [
     "svf_log",
     "word_product",
     "word_spectrum",
-    "singular_value_envelope",
     "within_envelope",
 ]
 
@@ -179,21 +178,13 @@ def word_spectrum(system, word: Word) -> SingularSpectrum:
     return SingularSpectrum(values=vals, log_values=logs)
 
 
-def singular_value_envelope(system) -> tuple[float, float]:
-    """(smallest, largest) extreme singular values over the stored level table."""
-    lo = np.inf
-    hi = 0.0
-    for mats in system.matrix_schedule.distinct_entries():
-        for T in mats:
-            spec = singular_values(T)
-            hi = max(hi, float(spec.values[0]))
-            lo = min(lo, float(spec.values[-1]))
-    return lo, hi
-
-
 def within_envelope(system, word: Word, s: float) -> bool:
-    """Check ``alpha_-**(s k) <= svf(product) <= alpha_+**(s k)`` for ``word``."""
-    lo, hi = singular_value_envelope(system)
+    """Check ``alpha_-**(s k) <= svf(product) <= alpha_+**(s k)`` for ``word``.
+
+    ``alpha_-`` and ``alpha_+`` are the affine system's extreme singular
+    values over its level table.
+    """
+    lo, hi = system.alpha_lower, system.alpha_upper
     k = len(word)
     val = svf_log(word_spectrum(system, word).log_values, s)
     slack = 1e-9 * max(1.0, abs(val))

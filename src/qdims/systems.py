@@ -157,15 +157,6 @@ class SimilarSystem:
             return c[:, None, None] * np.eye(d)[None, :, :]
         return c[:, None, None] * self._rotations.at(k)
 
-    @property
-    def matrix_schedule(self) -> LevelSchedule:
-        # materialized on demand; only used by envelope-style inspection
-        levels = len(self._ratios.head)
-        tail_len = len(self._ratios.tail)
-        head = tuple(self.linear_maps(k) for k in range(1, levels + 1))
-        tail = tuple(self.linear_maps(levels + 1 + i) for i in range(tail_len))
-        return LevelSchedule(head=head, tail=tail)
-
     def __repr__(self):
         return (f"SimilarSystem(dim={self.ambient_dim}, levels={len(self._ratios.head)}, "
                 f"c in [{self.c_lower:.4g}, {self.c_upper:.4g}])")
@@ -204,10 +195,6 @@ class AffineSystem:
         )
 
     kind = "affine"
-
-    @property
-    def matrix_schedule(self) -> LevelSchedule:
-        return self._matrices
 
     @property
     def stationary(self) -> bool:
@@ -611,15 +598,15 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
 
     Basic sets are tracked as images of the unit reference cube; affine
     images use their axis-aligned bounding boxes, so a "holds" verdict for
-    rotated systems is conservative. Strong separation needs sibling sets
-    pairwise disjoint, the open-set variant allows touching, and the gap
-    variant reports the worst sibling gap relative to the parent diameter.
-    The witness is the first sibling pair, in word order, that attains the
+    rotated systems is conservative. Strong separation (``ssc``) needs sibling
+    sets pairwise disjoint and the open-set variant (``osc``) allows touching;
+    both report the worst sibling gap relative to the parent diameter. The
+    witness is the first sibling pair, in word order, that attains the
     worst ratio. Raises ``BranchBudgetError`` before any work when the word
     tree down to ``depth`` holds more than ``budget`` words at some level.
     """
     kind = kind.lower()
-    if kind not in ("ssc", "osc", "gsc"):
+    if kind not in ("ssc", "osc"):
         raise ValueError(f"unknown separation kind {kind!r}")
     if depth < 1 or depth > system.max_depth:
         raise ValueError(f"depth must lie in 1..{system.max_depth}")
@@ -665,7 +652,7 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
             parent, pair = divmod(first, len(i))
             witness = (Word(tuple(words[parent * n + i[pair]].tolist())),
                        Word(tuple(words[parent * n + j[pair]].tolist())))
-        # osc allows touching siblings; ssc and gsc need a positive gap
+        # osc allows touching siblings; ssc needs a positive gap
         failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
         if failed.any():
             holds = False

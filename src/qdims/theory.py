@@ -6,8 +6,11 @@ exponent; that exponent (one per moment order q) is the theoretical value of
 the generalized q-dimension of the projected measure under the separation
 conditions certified elsewhere. This module computes those exponents four
 ways: a closed form for stationary similarity tables, truncated per-level
-product limits, truncated cut-set limits, and level-sum limits built on the
-singular value function for affine tables.
+product limits, truncated cut-set limits, and, for affine tables, one
+level-sum solver built on the singular value function. A stationary affine
+table is the one-level case of that solver (``stationary_affine_dimension``
+only builds such a table) and the only affine case that admits q = 1,
+through an entropy rate.
 
 Apart from the closed form, every solver finds the root in s of a growth
 trend of moment sums, and they share one core to do it:
@@ -18,7 +21,8 @@ trend of moment sums, and they share one core to do it:
   orientation for q below or above 1 decided in one place;
 - ``_level_spectra`` enumerates or samples the words of an affine table and
   returns their log singular values and log masses per level;
-- ``_level_rate`` fits the growth rate in k of the affine level sums.
+- ``_level_rate`` fits the growth rate in k of the affine level sums, and
+  ``_entropy_rate`` is its q = 1 counterpart.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the solvers
 substitute the sign of the asymptotic growth trend over a trailing window of
@@ -436,24 +440,50 @@ def _near_integer_guard(root: float, diag: dict) -> float:
     return root
 
 
+def _entropy_rate(log_alpha: np.ndarray, log_p: np.ndarray, k: int):
+    """Entropy-against-contraction rate of level ``k``, as a function of s.
+
+    ``h_k(s) = (1/k) sum_u p_u log(p_u / svf(T_u, s))`` over every word of
+    the level is continuous and strictly increasing in s.
+    """
+    w = np.exp(log_p)
+    ent = float(w @ log_p)
+
+    def rate(s: float) -> float:
+        return (ent - float(w @ svf_log(log_alpha, s))) / k
+
+    return rate
+
+
 def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
                             q: float, depth: int | None = None,
                             level_cap: int = 2**20, sampling: bool = False,
                             sample_size: int = 10**6, seed: int = 0) -> CriticalExponents:
-    """Critical exponent from the summed level series of an affine table, q > 1.
+    """Critical exponent from the level sums of an affine table, q >= 1.
 
-    The level-k sum ``A_k(s) = sum_u svf(T_u, s)**(1-q) p_u**q`` has a
-    geometric-like growth rate in k; the root of the fitted rate over a
-    trailing window of levels locates the exponent where the full series
-    over k switches between convergent and divergent.
+    For q > 1 the level-k sum ``A_k(s) = sum_u svf(T_u, s)**(1-q) p_u**q``
+    has a geometric-like growth rate in k; the root of the fitted rate over
+    a trailing window of levels locates the exponent where the full series
+    over k switches between convergent and divergent. At q = 1, allowed only
+    when the table and the measure are both stationary, the exponent is the
+    root of the entropy-against-contraction rate of the deepest enumerated
+    level.
+
+    A stationary table and measure make the per-level terms exact, so the
+    roots are bisected to 1e-7 (1e-8 at q = 1), and for q > 1 the root of
+    the deepest level's sum alone, a bound from superadditivity, is kept as
+    the ``single_level_root`` diagnostic.
 
     Exhaustive enumeration is used while the tree fits under ``level_cap``
     words; beyond that the per-level sums are estimated by importance
     sampling under the measure when ``sampling`` is set, and the Monte Carlo
     error is carried in the diagnostics.
     """
-    if q <= 1.0 + Q_ONE_TOL:
-        raise ValueError(f"the series form needs q > 1, got {q}")
+    stationary = system.stationary and measure.stationary
+    entropy = abs(q - 1.0) < Q_ONE_TOL
+    if q < 1.0 - Q_ONE_TOL or (q <= 1.0 + Q_ONE_TOL and not stationary):
+        raise ValueError(f"affine exponents need q > 1, or q = 1 on a stationary "
+                         f"table and measure; got {q}")
     if not measure.profile().matches(system.profile, depth=system.max_depth):
         raise ValueError("measure branching does not match the system")
     cap = min(level_cap, ENUMERATION_CAP)
@@ -465,70 +495,38 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
         raise BranchBudgetError(
             f"depth {depth} needs more than {cap} words; enable sampling to estimate"
         )
-    K = depth if (sampled and depth is not None) else enum_depth
-    keep_from = max(2, K // 2)
+    if sampled and entropy:
+        raise ValueError("the q = 1 entropy rate needs every word; it is not sampled")
+    K = depth if sampled else enum_depth
+    keep_from = K if entropy else max(2, K // 2)
     spectra = _level_spectra(system, measure, K, keep_from,
                              size=sample_size if sampled else None, seed=seed)
-    rate = _level_rate(spectra, q, sampled)
-    root, bracket = _root_of_increasing(rate, XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
+    if stationary:
+        xtol = 1e-8 if entropy else 1e-7
+    else:
+        xtol = XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED
+    rate = _entropy_rate(*spectra[K], K) if entropy else _level_rate(spectra, q, sampled)
+    root, bracket = _root_of_increasing(rate, xtol)
     diag = {
         "depth": int(K),
-        "window": (int(keep_from), int(K)),
         "bracket": bracket,
-        "mode": "sampled" if sampled else "exact",
+        "mode": "sampled" if sampled else "entropy" if entropy else "exact",
     }
+    if not entropy:
+        diag["window"] = (int(keep_from), int(K))
     if sampled:
         diag["sample_size"] = sample_size
+    if stationary and not entropy:
+        single, _ = _root_of_increasing(
+            lambda s: _level_sum_log(*spectra[K], s, q, sampled) / K, xtol)
+        diag["single_level_root"] = float(single)
     root = _near_integer_guard(root, diag)
     return CriticalExponents(q=q, lower=root, upper=root,
                              method="affine-k-limit", diagnostics=diag)
 
 
-def stationary_affine_dimension(matrices, probs, q: float, depth: int | None = None,
+def stationary_affine_dimension(matrices, probs, q: float,
                                 level_cap: int = 2**20) -> CriticalExponents:
-    """Critical exponent for one repeated affine level, q >= 1.
-
-    For q > 1 the exponent solves ``lim_k A_k(s)**(1/k) = 1`` with
-    ``A_k(s) = sum_u svf(T_u, s)**(1-q) p_u**q``; the rate is fitted over a
-    trailing window of exactly enumerated levels, and the single-level
-    bound from superadditivity is kept as a diagnostic bracket. At q = 1
-    the exponent is the root of the entropy-against-contraction rate
-    ``h_K(s) = (1/K) sum_u p_u log(svf(T_u, s)**(-1) p_u)``, which is
-    strictly increasing and continuous in s.
-    """
-    system = AffineSystem([matrices])
-    measure = BernoulliMeasure([probs])
-    if q < 1.0 - Q_ONE_TOL:
-        raise ValueError(f"the stationary affine solver needs q >= 1, got {q}")
-    K = system.profile.depth_within(min(level_cap, ENUMERATION_CAP), depth)
-    if K < 2:
-        raise BranchBudgetError("enumeration cap too small for even two levels")
-
-    if abs(q - 1.0) < Q_ONE_TOL:
-        log_alpha, log_p = _level_spectra(system, measure, K, keep_from=K)[K]
-        w = np.exp(log_p)
-        ent = float(w @ log_p)
-
-        def h(s: float) -> float:
-            return (ent - float(w @ svf_log(log_alpha, s))) / K
-
-        root, bracket = _root_of_increasing(h, 1e-8)
-        diag = {"depth": int(K), "bracket": bracket, "mode": "entropy"}
-    else:
-        keep_from = max(2, K // 2)
-        spectra = _level_spectra(system, measure, K, keep_from)
-
-        def rate_last(s: float) -> float:
-            return _level_sum_log(*spectra[K], s, q, False) / K
-
-        root, bracket = _root_of_increasing(_level_rate(spectra, q), 1e-7)
-        root_single, _ = _root_of_increasing(rate_last, 1e-7)
-        diag = {
-            "depth": int(K),
-            "window": (int(keep_from), int(K)),
-            "bracket": bracket,
-            "single_level_root": float(root_single),
-        }
-    root = _near_integer_guard(root, diag)
-    return CriticalExponents(q=q, lower=root, upper=root,
-                             method="affine-k-limit", diagnostics=diag)
+    """:func:`affine_series_dimension` for one repeated affine level, q >= 1."""
+    return affine_series_dimension(AffineSystem([matrices]), BernoulliMeasure([probs]), q,
+                                   level_cap=level_cap)

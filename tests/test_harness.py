@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from qdims.harness import (
     ComparisonReport,
     ExperimentConfig,
     ReportRow,
+    build_measure,
     build_scheme,
     build_system,
     claim_for,
@@ -27,6 +30,8 @@ from qdims.systems import (
     RandomBoxTranslations,
     SimilarSystem,
 )
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 CANTOR_CONFIG = {
     "schema_version": 1,
@@ -73,7 +78,9 @@ class TestConfig:
         {"scales": []},
         {"scales": [0.25, 0.0]},
         {"scales": {"base": 2, "min_exp": 10, "max_exp": 4}},
-    ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range"])
+        {"q": []},
+    ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range",
+            "empty-q"])
     def test_degenerate_sizes_rejected(self, override):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
@@ -145,6 +152,29 @@ class TestTheorySelection:
         system = build_system(cfg)
         with pytest.raises(ConfigError):
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
+
+    def test_level_varying_affine_rejects_q_one(self):
+        system = build_system(ExperimentConfig.from_dict(dict(
+            CANTOR_CONFIG, system={"kind": "affine",
+                                   "matrices": [[[[0.4, 0.0], [0.0, 0.3]]] * 2,
+                                                [[[0.3, 0.0], [0.0, 0.4]]] * 2]})))
+        with pytest.raises(ConfigError):
+            theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
+
+    @pytest.mark.parametrize("q, value, bracket", [
+        (1.0, 1.2432214058935642, (1.243221402168274, 1.2432214096188545)),
+        (1.5, 1.242259830236435, (1.2422598004341125, 1.2422598600387573)),
+        (2.0, 1.2413042485713959, (1.2413042187690735, 1.2413042783737183)),
+        (3.0, 1.2394133508205414, (1.239413321018219, 1.2394133806228638)),
+    ])
+    def test_affine_config_matches_recorded_values(self, q, value, bracket):
+        # recorded while stationary affine tables had a solver of their own
+        config = ExperimentConfig.from_file(
+            os.path.join(REPO, "configs", "affine_finite_gamma.json"))
+        ce = theoretical_exponents(build_system(config), build_measure(config), q)
+        assert ce.method == "affine-k-limit"
+        assert (ce.value, ce.lower, ce.upper) == (value, value, value)
+        assert ce.diagnostics["bracket"] == bracket
 
 
 class TestClaims:
@@ -319,10 +349,17 @@ class TestCli:
     def test_check_separation_subcommand(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["check-separation", "--config", cfg, "--depth", "4",
-                         "--kind", "gsc"]) == 0
+                         "--kind", "ssc"]) == 0
         out = capsys.readouterr().out
         assert "holds_at_depth=true" in out
         assert "0.333333" in out
+
+    def test_gap_kind_is_not_a_choice(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check-separation", "--config", cfg, "--kind", "gsc"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gsc'" in capsys.readouterr().err
 
     def test_word_budget_error_exits_with_message(self, tmp_path, capsys):
         # 2**18 words exceed the separation check's budget
@@ -337,6 +374,14 @@ class TestCli:
         assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_empty_q_grid_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, q=[])))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("command, q", [("theory", "-1"), ("compare", "0,-1")])
     def test_invalid_q_override_exits_with_message(self, tmp_path, capsys, command, q):
@@ -387,3 +432,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestScripts:
+    def test_script_overrides_are_checked_like_the_config_file(self, tmp_path):
+        script = os.path.join(REPO, "scripts", "random_translation_study.py")
+        proc = subprocess.run([sys.executable, script, "--realizations", "0",
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "ConfigError: samples and realizations must be at least 1" in proc.stderr
+        assert "UnboundLocalError" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []

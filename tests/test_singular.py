@@ -7,7 +7,6 @@ from qdims.codespace import EMPTY_WORD, Word
 from qdims.errors import SingularMatrixError
 from qdims.singular import (
     batched_log_singular_values,
-    singular_value_envelope,
     singular_value_function,
     singular_values,
     svf_log,
@@ -202,7 +201,7 @@ class TestWordProduct:
         w = Word(tuple([1, 2] * 100))
         spec = word_spectrum(system, w)
         assert np.all(np.isfinite(spec.log_values))
-        lo, hi = singular_value_envelope(system)
+        lo, hi = system.alpha_lower, system.alpha_upper
         assert 200 * np.log(lo) - 1e-6 <= spec.log_values[0] <= 200 * np.log(hi) + 1e-6
 
 
@@ -210,11 +209,11 @@ class TestEnvelope:
     def test_single_matrix(self):
         T = np.diag([0.5, 0.2])
         system = AffineSystem([[T, T]])
-        assert singular_value_envelope(system) == pytest.approx((0.2, 0.5))
+        assert (system.alpha_lower, system.alpha_upper) == pytest.approx((0.2, 0.5))
 
     def test_table_sup_inf(self):
         system = AffineSystem([[np.diag([0.5, 0.2]), np.diag([0.4, 0.3])]])
-        assert singular_value_envelope(system) == pytest.approx((0.2, 0.5))
+        assert (system.alpha_lower, system.alpha_upper) == pytest.approx((0.2, 0.5))
 
     def test_envelope_bounds_random_words(self):
         rng = np.random.default_rng(17)
@@ -231,7 +230,7 @@ class TestEnvelope:
         rng = np.random.default_rng(23)
         mats = [random_contraction(rng, 2, top=0.8) for _ in range(2)]
         system = AffineSystem([mats])
-        _, a_plus = singular_value_envelope(system)
+        a_plus = system.alpha_upper
         for _ in range(50):
             k = int(rng.integers(1, 10))
             w = Word(tuple(int(x) for x in rng.integers(1, 3, size=k)))

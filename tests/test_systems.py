@@ -422,11 +422,9 @@ class TestSampleCsv:
 class TestSeparation:
     def test_cantor_gap_ratio(self):
         system, scheme, _ = cantor_system()
-        rep = check_separation(system, scheme, depth=5, kind="gsc")
+        rep = check_separation(system, scheme, depth=5, kind="ssc")
         assert rep.holds_at_depth
         assert rep.worst_gap_ratio == pytest.approx(1 / 3, abs=1e-9)
-        ssc = check_separation(system, scheme, depth=5, kind="ssc")
-        assert ssc.holds_at_depth
 
     def test_touching_intervals(self):
         system, scheme, _ = interval_system()
@@ -461,6 +459,8 @@ class TestSeparation:
             check_separation(system, scheme, depth=0)
         with pytest.raises(ValueError):
             check_separation(system, scheme, depth=10, kind="weird")
+        with pytest.raises(ValueError):
+            check_separation(system, scheme, depth=3, kind="gsc")
 
 
 def rotation(angle):
@@ -491,7 +491,7 @@ class TestSeparationPinned:
         6: (0.3333333333333296, ((1, 2, 1, 1, 1, 1), (1, 2, 1, 1, 1, 2))),
     }
 
-    @pytest.mark.parametrize("kind", ["ssc", "osc", "gsc"])
+    @pytest.mark.parametrize("kind", ["ssc", "osc"])
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_cantor(self, kind, depth):
         system, scheme, _ = cantor_system()
@@ -499,7 +499,7 @@ class TestSeparationPinned:
         rep = check_separation(system, scheme, depth=depth, kind=kind)
         assert report_values(rep) == (True, pytest.approx(ratio, rel=1e-12), witness)
 
-    @pytest.mark.parametrize("kind", ["ssc", "osc", "gsc"])
+    @pytest.mark.parametrize("kind", ["ssc", "osc"])
     def test_rotated_similarity(self, kind):
         rep = check_separation(*rotated_similar_system(), depth=5, kind=kind)
         assert report_values(rep) == (True, pytest.approx(0.01385003838587017, rel=1e-12),
@@ -509,7 +509,7 @@ class TestSeparationPinned:
         (AffineSystem([[np.diag([0.45, 0.40]), np.diag([0.42, 0.38]), np.diag([0.40, 0.35])]]),
          RandomBoxTranslations(low=[0.0, 0.0], high=[1.0, 1.0], seed=1_001_003), "ssc",
          -0.214985368167382, ((2, 2, 3, 1), (2, 2, 3, 2))),
-        (skewed_affine_system(), RandomBoxTranslations(low=[0, 0], high=[1, 1], seed=4), "gsc",
+        (skewed_affine_system(), RandomBoxTranslations(low=[0, 0], high=[1, 1], seed=4), "ssc",
          -0.17963669530858864, ((3, 1, 2, 3, 1), (3, 1, 2, 3, 3))),
     ], ids=["diagonal", "skewed"])
     def test_random_box_affine(self, system, scheme, kind, ratio, witness):
@@ -534,7 +534,7 @@ class TestSeparationPinned:
             def translation(self, prefix):
                 raise AssertionError(f"per-word translation of {prefix} asked for")
 
-        for kind in ("ssc", "gsc"):
+        for kind in ("ssc", "osc"):
             assert (report_values(check_separation(system, OffsetsOnly(), depth=5, kind=kind))
                     == report_values(check_separation(system, scheme, depth=5, kind=kind)))
 

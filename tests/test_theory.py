@@ -236,10 +236,43 @@ class TestAffineSeriesDimension:
         assert ce.value == pytest.approx(oracle_root, abs=0.05)
 
     def test_rejects_q_at_most_one(self):
-        system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
+        # q = 1 needs a stationary table; a level-varying one is solvable for q > 1 only
+        system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])],
+                               [np.diag([0.35, 0.3]), np.diag([0.3, 0.35])]])
         measure = BernoulliMeasure([[0.5, 0.5]])
+        for q in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                affine_series_dimension(system, measure, q)
+
+    def test_rejects_q_below_one_on_a_stationary_table(self):
+        system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
         with pytest.raises(ValueError):
-            affine_series_dimension(system, measure, 1.0)
+            affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
+
+    def test_q_one_on_a_stationary_table_matches_recorded_value(self):
+        # recorded from the separate stationary solver this one replaced
+        system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
+        ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0,
+                                     level_cap=2**16)
+        assert ce.value == 1.2922386415302753
+        assert ce.diagnostics["bracket"] == (1.292238637804985, 1.2922386452555656)
+        assert ce.diagnostics["mode"] == "entropy"
+
+    def test_q_one_is_not_sampled(self):
+        system = AffineSystem([[np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]])
+        with pytest.raises(ValueError):
+            affine_series_dimension(system, BernoulliMeasure([[0.6, 0.4]]), 1.0, depth=18,
+                                    level_cap=2**10, sampling=True, sample_size=1_000)
+
+    def test_single_level_root_only_for_stationary_inputs(self):
+        mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
+        measure = BernoulliMeasure([[0.6, 0.4]])
+        stationary = affine_series_dimension(AffineSystem([mats]), measure, 2,
+                                             level_cap=2**12)
+        varying = affine_series_dimension(AffineSystem([mats, mats[::-1]]), measure, 2,
+                                          level_cap=2**12)
+        assert stationary.diagnostics["single_level_root"] >= stationary.value - 1e-6
+        assert "single_level_root" not in varying.diagnostics
 
     def test_alternating_scalar_levels_match_hand_value(self):
         # odd levels contract by 1/2, even by 1/4; the same two-level average
