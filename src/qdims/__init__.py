@@ -2,7 +2,8 @@
 
 The package splits into:
 
-- ``codespace``: words, cylinder masses, cut sets over the address tree
+- ``codespace``: words, level schedules, Bernoulli measures and the scale
+  cut-set enumerator over the address tree
 - ``systems``: similarity/affine systems, translation schemes, sampling,
   separation certificates
 - ``singular``: singular values of matrix products and the singular value
@@ -17,22 +18,16 @@ The package splits into:
 from .codespace import (
     BernoulliMeasure,
     BranchingProfile,
-    CutSet,
     LevelSchedule,
     Word,
-    common_prefix,
-    cylinder_mass,
-    scale_cut_set,
 )
 from .empirical import (
     MeshAccumulator,
     SpectrumEstimate,
     ball_moment_integral,
-    entropy_sum,
     estimate_dimension,
     estimate_spectrum,
     fit_dimension,
-    moment_sum,
 )
 from .harness import (
     ComparisonReport,
@@ -64,7 +59,6 @@ from .theory import (
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
-    lq_spectrum,
     product_dimension,
     stationary_affine_dimension,
     stationary_dimension,

@@ -148,6 +148,8 @@ def _cmd_compare(args) -> int:
 def _cmd_check_separation(args) -> int:
     config = _load_config(args)
     system = build_system(config)
+    if not 1 <= args.depth <= system.max_depth:
+        raise ConfigError(f"--depth must lie in 1..{system.max_depth}, got {args.depth}")
     scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
     report = check_separation(system, scheme, depth=args.depth, kind=args.kind)
     witness = None

@@ -1,9 +1,9 @@
 """Symbolic address space for level-varying contraction systems.
 
 Addresses are finite words over a tree whose branching count may change from
-level to level. Per-level probability vectors induce cylinder masses, and a
-cut set is a prefix-free family of finite words whose cylinders cover every
-infinite address.
+level to level. Per-level probability vectors give a Bernoulli measure on
+infinite addresses, and ``scale_cut_set_masses`` lists the scale cut sets of
+per-level contraction ratios as arrays of log ratios and log masses.
 
 All types here are immutable after construction and all operations are pure,
 so they are safe to share across worker threads or processes.
@@ -20,35 +20,34 @@ from .errors import BranchBudgetError, DepthCapError, InvalidWordError
 
 __all__ = [
     "PROB_SUM_TOL",
-    "COVER_TOL",
+    "TIE_TOL",
     "DEFAULT_MAX_DEPTH",
     "LevelSchedule",
     "BranchingProfile",
     "Word",
-    "EMPTY_WORD",
-    "common_prefix",
     "BernoulliMeasure",
-    "cylinder_mass",
-    "CutSet",
-    "scale_cut_set",
     "scale_cut_set_masses",
-    "is_prefix_free",
 ]
 
 PROB_SUM_TOL = 1e-12
-COVER_TOL = 1e-10
+# relative gap under which a cumulative ratio counts as tied with the scale
+TIE_TOL = 1e-12
 
 # With contraction ratios capped at 0.99 this depth reaches scales near
 # 0.99**64; anything finer should fail loudly rather than spin.
 DEFAULT_MAX_DEPTH = 64
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _read_only_vector(entry) -> np.ndarray:
     arr = np.array(entry, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("level entry must be a nonempty 1-D vector")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -174,40 +173,6 @@ class Word:
     def __getitem__(self, i):
         return self.letters[i]
 
-    @property
-    def parent(self) -> "Word":
-        if not self.letters:
-            raise InvalidWordError("the empty word has no parent")
-        return Word(self.letters[:-1])
-
-    def extended(self, letter: int) -> "Word":
-        return Word(self.letters + (int(letter),))
-
-    def is_prefix_of(self, other: "Word") -> bool:
-        return self.letters == other.letters[: len(self.letters)]
-
-
-EMPTY_WORD = Word(())
-
-
-def common_prefix(u: Word, v: Word) -> Word:
-    """Longest word that is a prefix of both ``u`` and ``v``."""
-    out = []
-    for a, b in zip(u.letters, v.letters):
-        if a != b:
-            break
-        out.append(a)
-    return Word(tuple(out))
-
-
-def is_prefix_free(words: Sequence[Word]) -> bool:
-    """True when no word in the family is a prefix of another."""
-    seen = sorted(w.letters for w in words)
-    for a, b in zip(seen, seen[1:]):
-        if b[: len(a)] == a:
-            return False
-    return True
-
 
 class BernoulliMeasure:
     """Product measure on infinite addresses from per-level probability vectors.
@@ -230,8 +195,8 @@ class BernoulliMeasure:
                 )
         self._schedule = schedule
         self._logs = LevelSchedule(
-            head=tuple(_frozen(np.log(v)) for v in schedule.head),
-            tail=tuple(_frozen(np.log(v)) for v in schedule.tail),
+            head=tuple(_read_only(np.log(v)) for v in schedule.head),
+            tail=tuple(_read_only(np.log(v)) for v in schedule.tail),
         )
 
     @property
@@ -259,83 +224,23 @@ class BernoulliMeasure:
         return f"BernoulliMeasure(levels={len(self._schedule.head)}, stationary={self.stationary})"
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def cylinder_mass(measure: BernoulliMeasure, word: Word) -> float:
-    """Mass of the cylinder of ``word``; the empty word has mass 1."""
-    measure.profile().validate_letters(word.letters)
-    mass = 1.0
-    for k, letter in enumerate(word.letters, start=1):
-        mass *= float(measure.probs(k)[letter - 1])
-    return mass
-
-
-@dataclass(frozen=True)
-class CutSet:
-    """Prefix-free covering family of words, with its generating scale."""
-
-    words: tuple[Word, ...]
-    r: float
-    s: float | None = None
-
-    def __len__(self):
-        return len(self.words)
-
-    def __iter__(self):
-        return iter(self.words)
-
-
-def scale_cut_set(ratios: LevelSchedule, r: float, s: float | None = None,
-                  max_depth: int = DEFAULT_MAX_DEPTH) -> CutSet:
-    """Words where the cumulative contraction ratio first drops to <= r.
-
-    A word ``u`` belongs to the cut set exactly when ``c_u <= r < c_parent``,
-    with ``c_u`` the product of per-letter ratios along ``u``. Ties
-    ``c_u == r`` include the word. Every member then satisfies
-    ``c_min * r < c_u <= r`` where ``c_min`` is the smallest ratio in play.
-    For similarity tables the membership does not depend on the moment
-    exponent; ``s`` is recorded on the result for bookkeeping only.
-
-    Raises ``DepthCapError`` (carrying the offending branch) if a branch
-    stays above ``r`` beyond ``max_depth`` levels.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"r must lie in (0, 1), got {r}")
-    out: list[Word] = []
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        letters, c = stack.pop()
-        level = len(letters) + 1
-        if level > max_depth:
-            raise DepthCapError(
-                f"cut-set expansion exceeded max_depth={max_depth} at branch {letters}",
-                word=Word(letters),
-                depth=max_depth,
-            )
-        vec = ratios.at(level)
-        # reversed push keeps the DFS output in lexicographic order
-        for j in range(len(vec), 0, -1):
-            child_c = c * float(vec[j - 1])
-            child = letters + (j,)
-            if child_c <= r:
-                out.append(Word(child))
-            else:
-                stack.append((child, child_c))
-    out.sort(key=lambda w: w.letters)
-    return CutSet(words=tuple(out), r=float(r), s=s)
-
-
 def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
                          r: float, max_depth: int = DEFAULT_MAX_DEPTH,
                          budget: int = 4_000_000) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cut-set enumeration returning ``(log c_u, log p_u)`` arrays.
+    """Scale cut set at ``r`` as arrays ``(log c_u, log p_u)``, one entry per word.
 
-    Same membership rule as :func:`scale_cut_set` but words are never
-    materialized, which keeps moment-sum evaluation cheap for fine scales.
-    The word order is level-major and deterministic.
+    A word ``u`` belongs to the cut set exactly when ``c_u <= r < c_parent``,
+    with ``c_u`` the product of per-letter ratios along ``u`` and ``p_u`` its
+    cylinder mass. Ties ``c_u == r`` include the word; a relative gap under
+    ``TIE_TOL`` counts as a tie, so rounding in the log sums cannot split
+    one. Every member then satisfies ``c_min * r < c_u <= r`` (up to that
+    tie tolerance), where ``c_min`` is the smallest ratio in play. Words are
+    never materialized, which keeps moment-sum evaluation cheap for fine
+    scales; the order is level-major and deterministic.
+
+    Raises ``DepthCapError`` if a branch stays above ``r`` beyond
+    ``max_depth`` levels and ``BranchBudgetError`` if the cut set together
+    with the open frontier exceeds ``budget`` words.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
@@ -355,7 +260,7 @@ def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
             )
         child_c = (front_c[:, None] + lc[None, :]).ravel()
         child_p = (front_p[:, None] + lp[None, :]).ravel()
-        hit = child_c <= log_r
+        hit = child_c <= log_r + TIE_TOL
         done_c.append(child_c[hit])
         done_p.append(child_p[hit])
         total += int(hit.sum())

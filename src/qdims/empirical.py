@@ -22,15 +22,11 @@ import numpy as np
 from .errors import InsufficientScalesError
 
 __all__ = [
-    "MASS_TOL",
     "OCCUPANCY_MIN",
     "MeshAccumulator",
-    "moment_sum",
-    "entropy_sum",
     "BallMomentResult",
     "ball_moment_integral",
     "ScaleRecord",
-    "scale_records",
     "SpectrumEstimate",
     "fit_dimension",
     "estimate_dimension",
@@ -40,7 +36,6 @@ __all__ = [
     "write_fit_csv",
 ]
 
-MASS_TOL = 1e-12
 OCCUPANCY_MIN = 10.0
 LOCAL_SLOPE_SPREAD = 0.1
 
@@ -169,18 +164,6 @@ class MeshAccumulator:
         return float((m * np.log(m)).sum())
 
 
-def moment_sum(sample, r: float, q: float) -> float:
-    """``sum nu(Q)**q`` over occupied mesh cubes; q = 0 counts cells."""
-    if q == 1:
-        raise ValueError("q = 1 needs the entropy sum, not a moment sum")
-    return MeshAccumulator.from_sample(sample, r).moment(q)
-
-
-def entropy_sum(sample, r: float) -> float:
-    """``sum nu(Q) log nu(Q)`` over occupied mesh cubes (natural log, <= 0)."""
-    return MeshAccumulator.from_sample(sample, r).entropy()
-
-
 @dataclass(frozen=True)
 class BallMomentResult:
     value: float
@@ -278,11 +261,14 @@ def _scale_pyramid(sample, scales) -> list[tuple[float, MeshAccumulator]]:
     Consecutive scales related by an integer factor coarsen the finer
     accumulator by exact cell-index arithmetic; only a non-integer step bins
     the sample again. ``None`` means the default scales; an empty sequence
-    raises ``InsufficientScalesError``.
+    or a repeated size raises ``InsufficientScalesError``.
     """
     scales = sorted(default_scales() if scales is None else scales)
     if not scales:
         raise InsufficientScalesError("no scales given")
+    repeated = [a for a, b in zip(scales, scales[1:]) if a == b]
+    if repeated:
+        raise InsufficientScalesError(f"scale size {repeated[0]!r} appears more than once")
     acc = MeshAccumulator.from_sample(sample, scales[0])
     pyramid = [(scales[0], acc)]
     for prev, cur in zip(scales, scales[1:]):
@@ -306,11 +292,6 @@ def _records(pyramid, n: int, q: float) -> list[ScaleRecord]:
                                occupancy=occupancy,
                                included=occupancy >= OCCUPANCY_MIN))
     return out
-
-
-def scale_records(sample, q: float, scales=None) -> list[ScaleRecord]:
-    """Moment (or entropy) sums per scale, coarse to fine."""
-    return _records(_scale_pyramid(sample, scales), len(sample.points), q)
 
 
 @dataclass(frozen=True)

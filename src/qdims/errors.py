@@ -8,13 +8,11 @@ class InvalidWordError(ValueError):
 class DepthCapError(RuntimeError):
     """Cut-set expansion hit the enumeration depth cap.
 
-    Carries the offending branch (when known) and the depth at which the
-    expansion was abandoned.
+    Carries the depth at which the expansion was abandoned.
     """
 
-    def __init__(self, message, word=None, depth=None):
+    def __init__(self, message, depth=None):
         super().__init__(message)
-        self.word = word
         self.depth = depth
 
 

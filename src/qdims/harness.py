@@ -100,6 +100,9 @@ class ExperimentConfig:
             realizations = int(raw.get("realizations", 1))
             if samples < 1 or realizations < 1:
                 raise ConfigError("samples and realizations must be at least 1")
+            depth = None if raw.get("depth") is None else int(raw["depth"])
+            if depth is not None and depth < 1:
+                raise ConfigError(f"sampling depth must be at least 1, got {depth}")
             return cls(
                 system=dict(raw["system"]),
                 translations=dict(raw["translations"]),
@@ -107,7 +110,7 @@ class ExperimentConfig:
                 q_values=q_values,
                 scales=scales_t,
                 samples=samples,
-                depth=None if raw.get("depth") is None else int(raw["depth"]),
+                depth=depth,
                 seed=int(raw.get("seed", 0)),
                 realizations=realizations,
                 tolerance=None if raw.get("tolerance") is None else float(raw["tolerance"]),

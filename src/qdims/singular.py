@@ -29,7 +29,6 @@ __all__ = [
     "svf_log",
     "word_product",
     "word_spectrum",
-    "within_envelope",
 ]
 
 CONDITION_LIMIT = 1e14
@@ -177,15 +176,3 @@ def word_spectrum(system, word: Word) -> SingularSpectrum:
     logs.setflags(write=False)
     return SingularSpectrum(values=vals, log_values=logs)
 
-
-def within_envelope(system, word: Word, s: float) -> bool:
-    """Check ``alpha_-**(s k) <= svf(product) <= alpha_+**(s k)`` for ``word``.
-
-    ``alpha_-`` and ``alpha_+`` are the affine system's extreme singular
-    values over its level table.
-    """
-    lo, hi = system.alpha_lower, system.alpha_upper
-    k = len(word)
-    val = svf_log(word_spectrum(system, word).log_values, s)
-    slack = 1e-9 * max(1.0, abs(val))
-    return (s * k * np.log(lo) - slack) <= val <= (s * k * np.log(hi) + slack)

@@ -38,6 +38,7 @@ from .codespace import (
     BranchingProfile,
     LevelSchedule,
     Word,
+    _read_only,
 )
 from .errors import BranchBudgetError, IncompleteSchemeError
 from .singular import singular_values
@@ -59,11 +60,6 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _matrix_level(entry) -> np.ndarray:
@@ -140,14 +136,6 @@ class SimilarSystem:
 
     def log_ratios_at(self, k: int) -> np.ndarray:
         return self._log_ratios.at(k)
-
-    def ratio_product(self, word: Word) -> float:
-        """Cumulative contraction ratio c_u along the word."""
-        self.profile.validate_letters(word.letters)
-        out = 1.0
-        for k, letter in enumerate(word.letters, start=1):
-            out *= float(self.ratios_at(k)[letter - 1])
-        return out
 
     def linear_maps(self, k: int) -> np.ndarray:
         """Stack of d x d linear parts for level k."""
@@ -502,6 +490,8 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if depth is not None and depth < 1:
+        raise ValueError(f"sampling depth must be at least 1, got {depth}")
     if not measure.profile().matches(system.profile, depth=system.max_depth):
         raise ValueError("measure branching does not match the system")
     resolution = target_resolution if target_resolution is not None else 2.0**-12

@@ -50,7 +50,6 @@ __all__ = [
     "cutset_dimension",
     "affine_series_dimension",
     "stationary_affine_dimension",
-    "lq_spectrum",
     "clamp_dimension",
 ]
 
@@ -82,21 +81,10 @@ class CriticalExponents:
     def value(self) -> float:
         return 0.5 * (self.lower + self.upper)
 
-    @property
-    def bracket_width(self) -> float:
-        return self.upper - self.lower
-
 
 def clamp_dimension(value: float, ambient_dim: int) -> float:
     """Dimensions of projected measures never exceed the ambient dimension."""
     return min(float(value), float(ambient_dim))
-
-
-def lq_spectrum(d_q: float, q: float) -> float:
-    """Moment-scaling exponent tau = (1 - q) * D_q; undefined at q = 1."""
-    if abs(q - 1.0) < Q_ONE_TOL:
-        raise ValueError("the q = 1 spectrum value needs a derivative, not supported")
-    return (1.0 - q) * float(d_q)
 
 
 # ---------------------------------------------------------------------------

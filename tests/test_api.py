@@ -1,0 +1,63 @@
+"""The public surface: module ``__all__`` lists, package re-exports, removed names."""
+
+import importlib
+import inspect
+import types
+
+import pytest
+
+import qdims
+
+MODULES = ["codespace", "empirical", "harness", "singular", "systems", "theory"]
+
+# word-object twins and test-only wrappers that the package no longer carries
+REMOVED = {
+    "codespace": ["scale_cut_set", "CutSet", "cylinder_mass", "is_prefix_free",
+                  "common_prefix", "EMPTY_WORD", "COVER_TOL"],
+    "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL"],
+    "theory": ["lq_spectrum"],
+    "singular": ["within_envelope"],
+}
+REMOVED_MEMBERS = [
+    ("codespace", "Word", "parent"),
+    ("codespace", "Word", "extended"),
+    ("codespace", "Word", "is_prefix_of"),
+    ("theory", "CriticalExponents", "bracket_width"),
+    ("systems", "SimilarSystem", "ratio_product"),
+]
+
+
+def _module(name):
+    return importlib.import_module(f"qdims.{name}")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = _module(name)
+    missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
+    assert missing == []
+
+
+def test_package_reexports_are_public_in_their_module():
+    for name, obj in vars(qdims).items():
+        if name.startswith("_") or isinstance(obj, types.ModuleType):
+            continue
+        home = importlib.import_module(obj.__module__)
+        assert name in home.__all__, f"qdims.{name} is not in {obj.__module__}.__all__"
+
+
+@pytest.mark.parametrize("module_name, name",
+                         [(m, n) for m, names in REMOVED.items() for n in names])
+def test_removed_names_are_gone(module_name, name):
+    assert not hasattr(qdims, name)
+    assert not hasattr(_module(module_name), name)
+
+
+@pytest.mark.parametrize("module_name, owner, member", REMOVED_MEMBERS)
+def test_removed_members_are_gone(module_name, owner, member):
+    assert not hasattr(getattr(_module(module_name), owner), member)
+
+
+def test_depth_cap_error_carries_depth_only():
+    params = list(inspect.signature(qdims.errors.DepthCapError).parameters)
+    assert params == ["message", "depth"]

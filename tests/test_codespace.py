@@ -1,68 +1,62 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdims.codespace import (
-    EMPTY_WORD,
+    TIE_TOL,
     BernoulliMeasure,
     BranchingProfile,
     LevelSchedule,
     Word,
-    common_prefix,
-    cylinder_mass,
-    is_prefix_free,
-    scale_cut_set,
     scale_cut_set_masses,
 )
 from qdims.errors import DepthCapError, InvalidWordError
 
 
-def brute_force_cut_set(level_ratios, r, depth_cap=30):
-    """Independent oracle: full tree expansion keeping c_u <= r < c_parent."""
+def brute_force_cut_set(level_ratios, level_probs, r, depth_cap=30):
+    """Independent oracle: full tree expansion keeping c_u <= r < c_parent.
+
+    Products are formed directly rather than as log sums; ratios within a
+    relative ``TIE_TOL`` of ``r`` count as ties. Returns ``(letters, log c_u, log p_u)`` for every member, sorted by letters.
+    """
     out = []
 
-    def walk(letters, c):
+    def walk(letters, c, p):
         level = len(letters) + 1
         assert level <= depth_cap
-        for j, cj in enumerate(level_ratios(level), start=1):
-            child_c = c * cj
-            if child_c <= r:
-                out.append(letters + (j,))
+        for j, (cj, pj) in enumerate(zip(level_ratios(level), level_probs(level)), start=1):
+            child, child_c, child_p = letters + (j,), c * cj, p * pj
+            if child_c <= r * (1.0 + TIE_TOL):
+                out.append((child, math.log(child_c), math.log(child_p)))
             else:
-                walk(letters + (j,), child_c)
+                walk(child, child_c, child_p)
 
-    walk((), 1.0)
+    walk((), 1.0, 1.0)
     return sorted(out)
 
 
+def cut_set_and_oracle(levels_c, levels_p, r):
+    """``scale_cut_set_masses`` output after checking it against the oracle.
+
+    Returns ``(log_c, log_p, oracle words)``.
+    """
+    sched = LevelSchedule.build(levels_c)
+    measure = BernoulliMeasure(levels_p)
+    log_c, log_p = scale_cut_set_masses(sched, measure, r)
+    oracle = brute_force_cut_set(sched.at, measure.probs, r)
+    assert len(log_c) == len(log_p) == len(oracle)
+    assert np.allclose(np.sort(log_c), sorted(c for _, c, _ in oracle), rtol=0, atol=1e-10)
+    assert np.allclose(np.sort(log_p), sorted(p for _, _, p in oracle), rtol=0, atol=1e-10)
+    return log_c, log_p, [letters for letters, _, _ in oracle]
+
+
 class TestWord:
-    def test_parent_and_length(self):
-        w = Word((1, 2, 1))
-        assert len(w) == 3
-        assert w.parent == Word((1, 2))
-        assert w.extended(3) == Word((1, 2, 1, 3))
-
     def test_empty_word(self):
-        assert len(EMPTY_WORD) == 0
-        with pytest.raises(InvalidWordError):
-            EMPTY_WORD.parent
-
-    def test_prefix_relation(self):
-        assert Word((1, 2)).is_prefix_of(Word((1, 2, 1)))
-        assert not Word((2,)).is_prefix_of(Word((1, 2)))
-
-
-class TestCommonPrefix:
-    def test_shared_prefix(self):
-        assert common_prefix(Word((1, 2, 1)), Word((1, 2, 2))) == Word((1, 2))
-
-    def test_disjoint_first_letter(self):
-        assert common_prefix(Word((1, 1, 1)), Word((2, 1, 1))) == EMPTY_WORD
-
-    def test_identical(self):
-        w = Word((2, 1, 2))
-        assert common_prefix(w, w) == w
+        assert len(Word()) == 0
+        assert tuple(Word()) == ()
 
 
 class TestBranchingProfile:
@@ -114,70 +108,64 @@ class TestBernoulliMeasure:
 
 class TestCylinderMass:
     def test_uniform_product(self):
-        m = BernoulliMeasure([[0.5, 0.5]])
-        assert cylinder_mass(m, Word((1, 2, 1))) == pytest.approx(1 / 8, abs=1e-15)
-
-    def test_empty_word(self):
-        m = BernoulliMeasure([[0.5, 0.5]])
-        assert cylinder_mass(m, EMPTY_WORD) == 1.0
+        _, log_p, _ = cut_set_and_oracle([[0.5, 0.5]], [[0.5, 0.5]], 0.125)
+        assert np.allclose(np.exp(log_p), 1 / 8, rtol=0, atol=1e-15)
 
     def test_direct_product(self):
-        m = BernoulliMeasure([[0.75, 0.25], [0.5, 0.5]])
-        assert cylinder_mass(m, Word((2, 1))) == pytest.approx(1 / 8, abs=1e-15)
-
-    def test_letter_out_of_range(self):
-        m = BernoulliMeasure([[0.5, 0.5]])
-        with pytest.raises(InvalidWordError):
-            cylinder_mass(m, Word((3,)))
+        _, log_p, _ = cut_set_and_oracle([[0.5, 0.5]], [[0.75, 0.25], [0.5, 0.5]], 0.25)
+        assert np.allclose(np.sort(np.exp(log_p)), [1 / 8, 1 / 8, 3 / 8, 3 / 8],
+                           rtol=0, atol=1e-15)
 
     def test_multiplicative_on_stationary_profile(self):
+        sched = LevelSchedule.build([[0.5, 0.5, 0.5]])
         m = BernoulliMeasure([[0.3, 0.25, 0.45]])
-        u, v = (2, 3), (1, 3, 2)
-        full = cylinder_mass(m, Word(u + v))
-        assert full == pytest.approx(
-            cylinder_mass(m, Word(u)) * cylinder_mass(m, Word(v)), rel=1e-12
-        )
+        _, u = scale_cut_set_masses(sched, m, 0.5**2)
+        _, v = scale_cut_set_masses(sched, m, 0.5**3)
+        _, full = scale_cut_set_masses(sched, m, 0.5**5)
+        assert np.allclose(np.sort(full), np.sort((u[:, None] + v[None, :]).ravel()),
+                           rtol=0, atol=1e-12)
 
 
 class TestScaleCutSet:
     def test_binary_two_levels(self):
-        sched = LevelSchedule.build([[0.5, 0.5]])
-        cs = scale_cut_set(sched, 0.3)
-        assert sorted(w.letters for w in cs) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        log_c, _, words = cut_set_and_oracle([[0.5, 0.5]], [[0.5, 0.5]], 0.3)
+        assert words == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert np.allclose(log_c, np.log(0.25))
 
     def test_tie_includes_word(self):
-        sched = LevelSchedule.build([[0.5, 0.5]])
-        cs = scale_cut_set(sched, 0.5)
-        assert sorted(w.letters for w in cs) == [(1,), (2,)]
+        log_c, _, words = cut_set_and_oracle([[0.5, 0.5]], [[0.5, 0.5]], 0.5)
+        assert words == [(1,), (2,)]
+        assert np.all(log_c == np.log(0.5))
+
+    def test_tie_split_by_rounding_includes_word(self):
+        # 0.2**3 rounds above 0.008 both as a product and as a log sum
+        log_c, _, words = cut_set_and_oracle([[0.2, 0.2]], [[0.5, 0.5]], 0.008)
+        assert len(words) == 8 and {len(w) for w in words} == {3}
+        assert np.allclose(log_c, np.log(0.008))
 
     def test_mixed_levels_against_oracle(self):
-        sched = LevelSchedule.build([[0.5, 0.25], [0.5, 0.5]])
-        cs = scale_cut_set(sched, 0.2)
-        expected = [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1), (2, 2)]
-        assert sorted(w.letters for w in cs) == expected
-        assert brute_force_cut_set(sched.at, 0.2) == expected
+        _, _, words = cut_set_and_oracle([[0.5, 0.25], [0.5, 0.5]],
+                                         [[0.7, 0.3], [0.4, 0.6]], 0.2)
+        assert words == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1), (2, 2)]
 
     def test_r_above_all_ratios_gives_depth_one(self):
-        sched = LevelSchedule.build([[0.5, 0.5]])
-        cs = scale_cut_set(sched, 0.9)
-        assert sorted(w.letters for w in cs) == [(1,), (2,)]
+        log_c, _, words = cut_set_and_oracle([[0.5, 0.5]], [[0.5, 0.5]], 0.9)
+        assert words == [(1,), (2,)]
+        assert np.allclose(log_c, np.log(0.5))
 
     def test_depth_cap(self):
         sched = LevelSchedule.build([[0.9, 0.9]])
         with pytest.raises(DepthCapError) as err:
-            scale_cut_set(sched, 1e-4, max_depth=5)
-        assert err.value.word is not None
+            scale_cut_set_masses(sched, BernoulliMeasure([[0.5, 0.5]]), 1e-4, max_depth=5)
+        assert err.value.depth == 5
 
     def test_member_bound(self):
-        sched = LevelSchedule.build([[0.5, 0.25], [0.4, 0.6]])
         r = 0.09
-        cs = scale_cut_set(sched, r)
+        log_c, _, _ = cut_set_and_oracle([[0.5, 0.25], [0.4, 0.6]],
+                                         [[0.5, 0.5], [0.2, 0.8]], r)
         c_min = 0.25
-        for w in cs:
-            c_u = 1.0
-            for k, letter in enumerate(w.letters, start=1):
-                c_u *= float(sched.at(k)[letter - 1])
-            assert c_min * r < c_u <= r
+        assert np.all(np.log(c_min * r) < log_c)
+        assert np.all(log_c <= np.log(r) + TIE_TOL)
 
 
 @st.composite
@@ -199,29 +187,17 @@ class TestCutSetProperties:
     @settings(max_examples=40, deadline=None)
     @given(ratio_prob_tables())
     def test_antichain_and_cover(self, table):
-        levels_c, levels_p, r = table
-        sched = LevelSchedule.build(levels_c)
-        measure = BernoulliMeasure(levels_p)
-        cs = scale_cut_set(sched, r)
-        assert is_prefix_free(cs.words)
-        total = sum(cylinder_mass(measure, w) for w in cs)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        _, log_p, words = cut_set_and_oracle(*table)
+        assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-10)
+        # sorted order puts any prefix directly before one of its extensions
+        for a, b in zip(words, words[1:]):
+            assert b[: len(a)] != a
 
     @settings(max_examples=40, deadline=None)
     @given(ratio_prob_tables())
     def test_vectorized_masses_match_word_enumeration(self, table):
         levels_c, levels_p, r = table
-        sched = LevelSchedule.build(levels_c)
-        measure = BernoulliMeasure(levels_p)
-        cs = scale_cut_set(sched, r)
-        log_c, log_p = scale_cut_set_masses(sched, measure, r)
-        assert len(log_c) == len(cs)
-        masses = sorted(cylinder_mass(measure, w) for w in cs)
-        assert np.allclose(sorted(np.exp(log_p)), masses, rtol=1e-10)
-        ratios = []
-        for w in cs:
-            c_u = 1.0
-            for k, letter in enumerate(w.letters, start=1):
-                c_u *= float(sched.at(k)[letter - 1])
-            ratios.append(c_u)
-        assert np.allclose(sorted(np.exp(log_c)), sorted(ratios), rtol=1e-10)
+        log_c, _, _ = cut_set_and_oracle(levels_c, levels_p, r)
+        c_min = min(min(c) for c in levels_c)
+        assert np.all(np.log(c_min * r) < log_c)
+        assert np.all(log_c <= np.log(r) + TIE_TOL)

@@ -8,12 +8,9 @@ from qdims.empirical import (
     MeshAccumulator,
     ball_moment_integral,
     default_scales,
-    entropy_sum,
     estimate_dimension,
     estimate_spectrum,
     fit_dimension,
-    moment_sum,
-    scale_records,
     write_fit_csv,
     write_spectrum_csv,
 )
@@ -93,32 +90,31 @@ class TestMomentSums:
     def test_point_mass_every_scale(self):
         s = point_sample([[0.3]] * 5)
         for r in (0.5, 0.1, 0.01):
+            acc = MeshAccumulator.from_sample(s, r)
             for q in (0.0, 0.5, 2.0, 3.0):
-                assert moment_sum(s, r, q) == pytest.approx(1.0, abs=1e-12)
+                assert acc.moment(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_half_cells(self):
         s = point_sample([[0.1], [0.9]])
-        assert moment_sum(s, 0.5, 2) == pytest.approx(0.5, abs=1e-15)
+        assert MeshAccumulator.from_sample(s, 0.5).moment(2) == pytest.approx(0.5, abs=1e-15)
 
     def test_lebesgue_oracle(self):
         s = uniform_sample(10**6, seed=1)
         r = 2.0**-7
-        assert moment_sum(s, r, 2) == pytest.approx(r, rel=0.01)
-
-    def test_q_one_rejected(self):
-        with pytest.raises(ValueError):
-            moment_sum(point_sample([[0.0]]), 0.5, 1)
+        assert MeshAccumulator.from_sample(s, r).moment(2) == pytest.approx(r, rel=0.01)
 
     def test_entropy_point_mass(self):
-        assert entropy_sum(point_sample([[0.2]] * 3), 0.5) == 0.0
+        assert MeshAccumulator.from_sample(point_sample([[0.2]] * 3), 0.5).entropy() == 0.0
 
     def test_entropy_two_cells(self):
         s = point_sample([[0.1], [0.9]])
-        assert entropy_sum(s, 0.5) == pytest.approx(-np.log(2), abs=1e-12)
+        assert MeshAccumulator.from_sample(s, 0.5).entropy() == pytest.approx(-np.log(2),
+                                                                              abs=1e-12)
 
     def test_entropy_lebesgue(self):
         s = uniform_sample(10**6, seed=2)
-        assert entropy_sum(s, 2.0**-7) == pytest.approx(-7 * np.log(2), rel=0.02)
+        assert MeshAccumulator.from_sample(s, 2.0**-7).entropy() == pytest.approx(
+            -7 * np.log(2), rel=0.02)
 
 
 class TestBallIntegral:
@@ -174,7 +170,7 @@ class TestScaleRecordsAndFit:
 
     def test_occupancy_flag_excludes_sparse_scales(self):
         s = uniform_sample(10_000, seed=7)
-        records = scale_records(s, 2, tuple(2.0**-e for e in range(4, 13)))
+        [(records, _)] = estimate_spectrum(s, (2,), tuple(2.0**-e for e in range(4, 13)))
         finest = min(records, key=lambda rec: rec.r)
         assert not finest.included
         coarsest = max(records, key=lambda rec: rec.r)
@@ -213,8 +209,7 @@ class TestScaleRecordsAndFit:
 
     def test_csv_writers(self, tmp_path):
         s = uniform_sample(5000, seed=10)
-        records = scale_records(s, 2, tuple(2.0**-e for e in range(3, 8)))
-        est = fit_dimension(records, 2)
+        [(records, est)] = estimate_spectrum(s, (2,), tuple(2.0**-e for e in range(3, 8)))
         spec = tmp_path / "spectrum.csv"
         fits = tmp_path / "fits.csv"
         write_spectrum_csv(records, spec)
@@ -239,7 +234,6 @@ class TestEstimateSpectrum:
         for q, (records, est) in zip(q_values, spectrum):
             ref_records, ref_est = estimate_dimension(s, q, scales)
             assert records == ref_records
-            assert records == scale_records(s, q, scales)
             assert est == ref_est
 
     def test_bins_once_for_dyadic_scales(self, monkeypatch):
@@ -262,4 +256,9 @@ class TestEstimateSpectrum:
         with pytest.raises(InsufficientScalesError):
             estimate_spectrum(s, (2.0,), ())
         with pytest.raises(InsufficientScalesError):
-            scale_records(s, 2.0, [])
+            estimate_dimension(s, 2.0, [])
+
+    def test_repeated_scale_rejected(self):
+        s = uniform_sample(20_000, seed=15)
+        with pytest.raises(InsufficientScalesError, match="more than once"):
+            estimate_spectrum(s, (2.0,), (0.25, 0.25, 0.125, 0.0625, 0.03125, 0.015625))

@@ -79,8 +79,10 @@ class TestConfig:
         {"scales": [0.25, 0.0]},
         {"scales": {"base": 2, "min_exp": 10, "max_exp": 4}},
         {"q": []},
+        {"depth": 0},
+        {"depth": -3},
     ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range",
-            "empty-q"])
+            "empty-q", "depth-zero", "depth-negative"])
     def test_degenerate_sizes_rejected(self, override):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
@@ -354,6 +356,14 @@ class TestCli:
         assert "holds_at_depth=true" in out
         assert "0.333333" in out
 
+    @pytest.mark.parametrize("depth", ["0", "65"])
+    def test_check_separation_depth_out_of_range(self, tmp_path, capsys, depth):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["check-separation", "--config", cfg, "--depth", depth]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "1..64" in err
+
     def test_gap_kind_is_not_a_choice(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -398,6 +408,26 @@ class TestCli:
         assert cli_main(["estimate", str(points), "--q", "2", "--scales", "4:10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_repeated_config_scales_exit_with_message(self, tmp_path, capsys):
+        # base 1 turns every exponent into the same size 1.0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, samples=2000,
+                                        scales={"base": 1, "min_exp": 4, "max_exp": 12})))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than once" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_repeated_estimate_scales_exit_with_message(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("0.25,0.5\n0.75,0.5\n")
+        assert cli_main(["estimate", str(points), "--q", "2", "--scales",
+                         "0.25,0.25,0.125,0.0625,0.03125,0.015625"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "more than once" in err
 
     @pytest.mark.parametrize("argv", [
         ["theory", "--q", "a"],

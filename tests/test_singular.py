@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdims.codespace import EMPTY_WORD, Word
+from qdims.codespace import Word
 from qdims.errors import SingularMatrixError
 from qdims.singular import (
     batched_log_singular_values,
     singular_value_function,
     singular_values,
     svf_log,
-    within_envelope,
     word_product,
     word_spectrum,
 )
@@ -20,6 +19,15 @@ from qdims.systems import AffineSystem
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def within_envelope(system, word, s):
+    """Check ``alpha_-**(s k) <= svf(product) <= alpha_+**(s k)`` for ``word``."""
+    lo, hi = system.alpha_lower, system.alpha_upper
+    k = len(word)
+    val = svf_log(word_spectrum(system, word).log_values, s)
+    slack = 1e-9 * max(1.0, abs(val))
+    return (s * k * np.log(lo) - slack) <= val <= (s * k * np.log(hi) + slack)
 
 
 def charpoly_singular_values(T):
@@ -182,7 +190,7 @@ class TestWordProduct:
         self.system = AffineSystem([[np.diag([0.5, 0.2]), np.diag([0.3, 0.4])]])
 
     def test_empty_word_identity(self):
-        assert np.allclose(word_product(self.system, EMPTY_WORD), np.eye(2))
+        assert np.allclose(word_product(self.system, Word()), np.eye(2))
 
     def test_commuting_diagonals(self):
         got = word_product(self.system, Word((1, 2)))

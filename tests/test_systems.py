@@ -91,7 +91,8 @@ class TestSystems:
         for letters in [(1,), (2, 1), (1, 2), (2, 2)]:
             w = Word(letters)
             [diam] = _parallelepiped_diameters(word_product(system, w)[None])
-            assert diam == pytest.approx(system.ratio_product(w) * np.sqrt(2), rel=1e-12)
+            c_u = np.prod([system.ratios_at(k)[j - 1] for k, j in enumerate(letters, 1)])
+            assert diam == pytest.approx(c_u * np.sqrt(2), rel=1e-12)
 
 
 class TestRotationParts:
@@ -308,6 +309,12 @@ class TestSampling:
         ks = np.max(np.maximum(np.abs(np.arange(1, n + 1) / n - x),
                                np.abs(x - np.arange(n) / n)))
         assert ks < 0.01
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_depth_below_one_rejected(self, depth):
+        system, scheme, measure = cantor_system()
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            sample_measure(system, scheme, measure, count=10, depth=depth)
 
     def test_point_mass_degenerate(self):
         # two identical maps with identical translations: one fixed point

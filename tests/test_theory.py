@@ -12,7 +12,6 @@ from qdims.theory import (
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
-    lq_spectrum,
     product_dimension,
     stationary_affine_dimension,
     stationary_dimension,
@@ -115,7 +114,7 @@ class TestCutsetDimension:
         ce = cutset_dimension(system, measure, 2)
         expect = np.log(1.6) / LOG3
         width = max(ce.diagnostics["brackets"]["lower"][1]
-                    - ce.diagnostics["brackets"]["lower"][0], ce.bracket_width)
+                    - ce.diagnostics["brackets"]["lower"][0], ce.upper - ce.lower)
         assert width < 0.01
         assert ce.value == pytest.approx(expect, abs=0.005)
 
@@ -462,20 +461,6 @@ class TestNearIntegerGuard:
 
 
 class TestSpectrumAndClamp:
-    def test_lq_spectrum_arithmetic(self):
-        assert lq_spectrum(0.5, 2) == pytest.approx(-0.5)
-
-    def test_q_zero_returns_support_exponent(self):
-        assert lq_spectrum(0.63, 0) == pytest.approx(0.63)
-
-    def test_cantor_value(self):
-        d2 = stationary_dimension([1 / 3, 1 / 3], [0.75, 0.25], 2)
-        assert lq_spectrum(d2, 2) == pytest.approx(-np.log(1.6) / LOG3, abs=1e-9)
-
-    def test_q_one_rejected(self):
-        with pytest.raises(ValueError):
-            lq_spectrum(0.5, 1)
-
     def test_clamp(self):
         assert clamp_dimension(1.4, 1) == 1.0
         assert clamp_dimension(0.8, 1) == 0.8
