@@ -24,7 +24,6 @@ immutable; sampling is deterministic given a seed.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -255,8 +254,9 @@ class ExplicitTranslations:
             ) from None
 
     def offsets(self, letters: np.ndarray):
+        rows = letters.tolist()
         for j in range(1, letters.shape[1] + 1):
-            yield np.stack([self.translation(tuple(row[:j])) for row in letters])
+            yield np.stack([self.translation(tuple(row[:j])) for row in rows])
 
     def sup_norm(self) -> float:
         if not self.table:
@@ -360,20 +360,21 @@ class FiniteTranslationSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def _indices(self, letters: np.ndarray, j: int) -> np.ndarray:
-        """0-based vector index of every row's length-``j`` prefix."""
-        idx = (letters[:, j - 1] - 1) % self.tau
+    def _level_offsets(self, letters: np.ndarray, j: int) -> np.ndarray:
+        """Vector of every row's length-``j`` prefix."""
+        # 0-based, reduced mod tau by the wrapping take below
+        idx = letters[:, j - 1].astype(np.intp) - 1
         for key, hit in (self.assignment or {}).items():
             if len(key) == j:
                 idx[(letters[:, :j] == key).all(axis=1)] = hit - 1
-        return idx
+        return np.take(self.vectors, idx, axis=0, mode="wrap")
 
     def offsets(self, letters: np.ndarray):
         for j in range(1, letters.shape[1] + 1):
-            yield self.vectors[self._indices(letters, j)]
+            yield self._level_offsets(letters, j)
 
     def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        return self.vectors[self._indices(np.asarray([prefix]), len(prefix))[0]]
+        return self._level_offsets(np.asarray([prefix]), len(prefix))[0]
 
     def sup_norm(self) -> float:
         return float(np.linalg.norm(self.vectors, axis=1).max()) + self.jitter_radius
@@ -469,12 +470,37 @@ class AttractorSample:
 
 def _draw_letters(measure: BernoulliMeasure, count: int, depth: int,
                   rng: np.random.Generator) -> np.ndarray:
-    # Fortran order keeps each level's letters in one contiguous column
-    letters = np.empty((count, depth), dtype=np.int64, order="F")
+    """Letters 1..m per address and level, the draws of ``rng.choice(m, p=p)``.
+
+    ``rng.choice`` draws ``u = rng.random(count)`` and returns the number of
+    entries of ``cdf = p.cumsum() / cdf[-1]`` at or below ``u``. Counting them
+    directly gives the same letters from the same stream. Letters are stored
+    in the smallest unsigned type that holds the largest one: ``uint8`` while
+    no level has more than 255 letters.
+    """
+    cdfs = []
     for k in range(1, depth + 1):
-        p = measure.probs(k)
-        letters[:, k - 1] = rng.choice(len(p), size=count, p=p) + 1
+        cdf = measure.probs(k).cumsum()
+        cdf /= cdf[-1]
+        # u < 1 = cdf[-1], so the last entry never counts
+        cdfs.append(cdf[:-1])
+    dtype = np.min_scalar_type(max(len(cdf) for cdf in cdfs) + 1)
+    # Fortran order keeps each level's letters in one contiguous column
+    letters = np.ones((count, depth), dtype=dtype, order="F")
+    u = np.empty(count)
+    for column, cdf in zip(letters.T, cdfs):
+        rng.random(out=u)
+        for edge in cdf:
+            column += u >= edge
     return letters
+
+
+def _checked_offsets(scheme, letters: np.ndarray, d: int):
+    for offs in scheme.offsets(letters):
+        if offs.shape != (len(letters), d):
+            raise ValueError(f"translation scheme yields offsets of shape {offs.shape}, "
+                             f"not ({len(letters)}, {d}) for a {d}-dimensional system")
+        yield offs
 
 
 def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
@@ -486,7 +512,15 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     level k with probability p_{k,j}) and projects each through ``depth``
     series terms. Identical (seed, parameters) produce bit-identical output.
     A depth too shallow for ``target_resolution`` sets a warning flag in the
-    metadata instead of failing.
+    metadata instead of failing. Raises ``ValueError`` when the scheme's
+    offsets do not have the system's dimension.
+
+    The linear parts are composed on one of two paths, chosen from
+    ``system.linear_maps`` alone. When every level the sample uses is
+    diagonal (similarities without rotation among them), each address keeps
+    the diagonal of its product as a length-d scale vector; otherwise it
+    keeps the full d x d product. Both give the same bits on diagonal maps,
+    because a zero off-diagonal entry adds an exact zero to every sum.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -502,20 +536,23 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
 
     d = system.ambient_dim
     x = np.zeros((count, d))
-
-    scalar_path = system.kind == "similar" and not system.has_rotations
-    if scalar_path:
-        scale = np.ones(count)
-        for j, offs in enumerate(scheme.offsets(letters), start=1):
-            x += scale[:, None] * offs
+    offsets = _checked_offsets(scheme, letters, d)
+    # the last level's linear parts never act on an offset
+    maps = [system.linear_maps(j) for j in range(1, depth)]
+    off_diagonal = ~np.eye(d, dtype=bool)
+    if not any(L[:, off_diagonal].any() for L in maps):
+        diagonals = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
+        scale = np.ones((count, d))
+        for j, offs in enumerate(offsets, start=1):
+            x += scale * offs
             if j < depth:
-                scale *= system.ratios_at(j)[letters[:, j - 1] - 1]
+                scale *= np.take(diagonals[j - 1], letters[:, j - 1] - 1, axis=0)
     else:
         M = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-        for j, offs in enumerate(scheme.offsets(letters), start=1):
+        for j, offs in enumerate(offsets, start=1):
             x += (M @ offs[:, :, None])[:, :, 0]
             if j < depth:
-                M = M @ system.linear_maps(j)[letters[:, j - 1] - 1]
+                M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
 
     a = system.contraction_bound
     bound = scheme.sup_norm() * a**depth / (1.0 - a)
@@ -531,12 +568,27 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     return AttractorSample(points=x, weights=weights, meta=meta)
 
 
+_CSV_BLOCK_ROWS = 4096
+
+
 def save_sample_csv(sample: AttractorSample, path) -> None:
-    """Headerless rows x_1,...,x_d,weight in canonical (generation) order."""
+    """Headerless rows x_1,...,x_d,weight in canonical (generation) order.
+
+    The bytes are those ``csv.writer`` writes for ``repr`` of every value:
+    fields joined by ``","`` and every row ended by ``"\\r\\n"``. Rows are
+    formatted and written in fixed-size blocks, so memory does not grow with
+    the sample, and each distinct weight of a block is formatted once.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for pt, w in zip(sample.points, sample.weights):
-            writer.writerow([repr(float(v)) for v in pt] + [repr(float(w))])
+        for start in range(0, len(sample), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            # distinct by bits, so -0.0 and 0.0 keep their own text
+            bits, which = np.unique(sample.weights[block].view(np.uint64),
+                                    return_inverse=True)
+            texts = [repr(w) for w in bits.view(np.float64).tolist()]
+            columns = [map(repr, col) for col in sample.points[block].T.tolist()]
+            columns.append(map(texts.__getitem__, which.tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def load_sample_csv(path) -> AttractorSample:

@@ -1,12 +1,17 @@
+import csv
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdims import systems
 from qdims.codespace import BernoulliMeasure, Word
 from qdims.errors import BranchBudgetError, IncompleteSchemeError
 from qdims.systems import (
+    _draw_letters,
     AffineSystem,
     AttractorSample,
     ExplicitTranslations,
@@ -54,13 +59,32 @@ def complete_table(depth, dim=2, letters=3, seed=0):
     return table
 
 
-def drawn_letters(count, depth, p, seed):
-    # the letters sample_measure draws for these arguments
+def choice_letters(measure, count, depth, seed):
+    # reference draws: one rng.choice per level, in level order
     rng = np.random.default_rng(seed)
     letters = np.empty((count, depth), dtype=np.int64)
-    for k in range(depth):
-        letters[:, k] = rng.choice(len(p), size=count, p=p) + 1
+    for k in range(1, depth + 1):
+        p = measure.probs(k)
+        letters[:, k - 1] = rng.choice(len(p), size=count, p=p) + 1
     return letters
+
+
+def drawn_letters(count, depth, p, seed):
+    # the letters sample_measure draws for these arguments
+    return choice_letters(BernoulliMeasure([p]), count, depth, seed)
+
+
+def matrix_stack_points(system, scheme, letters):
+    # the general sampling loop, which composes full d x d products
+    count, depth = letters.shape
+    d = system.ambient_dim
+    x = np.zeros((count, d))
+    M = np.broadcast_to(np.eye(d), (count, d, d)).copy()
+    for j, offs in enumerate(scheme.offsets(letters), start=1):
+        x += (M @ offs[:, :, None])[:, :, 0]
+        if j < depth:
+            M = M @ system.linear_maps(j)[letters[:, j - 1] - 1]
+    return x
 
 
 class TestSystems:
@@ -348,10 +372,7 @@ class TestSampling:
         scheme = RandomBoxTranslations(low=[0, 0], high=[1, 1], seed=21)
         measure = BernoulliMeasure([[0.5, 0.5]])
         s = sample_measure(system, scheme, measure, count=6, depth=9, seed=13)
-        rng = np.random.default_rng(13)
-        letters = np.empty((6, 9), dtype=np.int64)
-        for k in range(9):
-            letters[:, k] = rng.choice(2, size=6, p=[0.5, 0.5]) + 1
+        letters = drawn_letters(6, 9, [0.5, 0.5], seed=13)
         for i in range(6):
             pt, _ = project_word(system, scheme, Word(tuple(letters[i])), depth=9)
             assert np.allclose(pt, s.points[i], atol=1e-12)
@@ -390,6 +411,47 @@ class TestSampling:
         b = sample_measure(system, finite, measure, count=500, depth=depth, seed=9)
         assert np.array_equal(a.points, b.points)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 2, 3]), st.booleans())
+    def test_diagonal_path_matches_matrix_stack(self, seed, d, similar):
+        # level-varying diagonal tables, reflections included for affine maps
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 5, size=rng.integers(1, 4)).tolist()
+        probs = [rng.dirichlet(np.ones(m)) for m in sizes]
+        if similar:
+            system = SimilarSystem([rng.uniform(0.05, 0.95, m) for m in sizes], ambient_dim=d)
+        else:
+            system = AffineSystem([[np.diag(rng.uniform(0.05, 0.95, d) * rng.choice([-1, 1], d))
+                                    for _ in range(m)] for m in sizes])
+        scheme = FiniteTranslationSet(vectors=rng.normal(size=(max(sizes), d)))
+        count, depth, sample_seed = 50, int(rng.integers(1, 9)), int(rng.integers(2**31))
+        s = sample_measure(system, scheme, BernoulliMeasure(probs), count=count,
+                           depth=depth, seed=sample_seed)
+        letters = choice_letters(BernoulliMeasure(probs), count, depth, sample_seed)
+        assert s.points.tobytes() == matrix_stack_points(system, scheme, letters).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans())
+    def test_letters_match_rng_choice(self, seed, wide):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 12, size=rng.integers(1, 5)).tolist()
+        if wide:
+            sizes.insert(int(rng.integers(len(sizes) + 1)), 256)
+        measure = BernoulliMeasure([rng.dirichlet(np.ones(m)) for m in sizes])
+        count, depth = 300, len(sizes) + 2
+        letters = _draw_letters(measure, count, depth, np.random.default_rng(seed))
+        assert letters.dtype == (np.uint16 if wide else np.uint8)
+        assert np.array_equal(letters, choice_letters(measure, count, depth, seed))
+
+    @pytest.mark.parametrize("system", [
+        SimilarSystem([[0.3, 0.4]], ambient_dim=2),
+        AffineSystem([[np.diag([0.3, 0.2]), np.diag([0.4, 0.25])]]),
+    ], ids=["similar", "affine"])
+    def test_offsets_of_wrong_dimension_rejected(self, system):
+        scheme = FiniteTranslationSet(vectors=[[0.0], [0.5]])
+        with pytest.raises(ValueError, match=r"offsets of shape \(10, 1\)"):
+            sample_measure(system, scheme, BernoulliMeasure([[0.5, 0.5]]), count=10, seed=0)
+
     def test_resolution_warning_flag(self):
         system, scheme, measure = cantor_system()
         s = sample_measure(system, scheme, measure, count=10, depth=2,
@@ -420,6 +482,35 @@ class TestSampleCsv:
         save_sample_csv(s, p1)
         save_sample_csv(s, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["equal", "non-uniform"])
+    @pytest.mark.parametrize("rows", [40, systems._CSV_BLOCK_ROWS + 7],
+                             ids=["short", "over-one-block"])
+    def test_bytes_match_csv_writer(self, tmp_path, d, uniform, rows):
+        rng = np.random.default_rng(d)
+        values = np.array([-0.0, 0.0, 1e-07, 1e16, 1 / 3])
+        points = np.where(rng.random((rows, d)) < 0.5, rng.choice(values, (rows, d)),
+                          rng.normal(size=(rows, d)))
+        if uniform:
+            weights = np.full(rows, 1.0 / rows)
+        else:
+            # a few repeated weights, plus zeros of both signs
+            weights = rng.integers(1, 4, rows) / 2.0
+            weights[:2] = [-0.0, 0.0]
+            weights /= weights.sum()
+        sample = AttractorSample(points=points, weights=weights)
+        path, oracle = tmp_path / "points.csv", tmp_path / "oracle.csv"
+        save_sample_csv(sample, path)
+        with open(oracle, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            for pt, w in zip(sample.points, sample.weights):
+                writer.writerow([repr(float(v)) for v in pt] + [repr(float(w))])
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == hashlib.sha256(oracle.read_bytes()).hexdigest())
+        back = load_sample_csv(path)
+        assert back.points.tobytes() == sample.points.tobytes()
+        assert back.weights.tobytes() == sample.weights.tobytes()
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -551,7 +642,11 @@ def points_digest(sample):
 
 
 class TestSamplingPinned:
-    """Sampled points recorded from the einsum-based sampler."""
+    """Sampled points recorded from earlier versions of the sampler.
+
+    The similarity and diagonal digests pin the diagonal path bit for bit;
+    the skewed points pin the general matrix path.
+    """
 
     def test_scalar_path(self):
         system, scheme, _ = cantor_system()
@@ -570,7 +665,8 @@ class TestSamplingPinned:
             "b2e78362b7899b2279e02b2793597036e16509a9cafb6f99ffe5adbb02e94028")
 
     def test_matrix_path_rotated(self):
-        # matrix-stack products may round differently from einsum by a few ulp
+        # recorded before the sampler composed matrix stacks with matmul,
+        # which may round differently by a few ulp
         scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
         s = sample_measure(skewed_affine_system(), scheme, BernoulliMeasure([[0.2, 0.5, 0.3]]),
                            count=200, seed=11)
