@@ -81,9 +81,9 @@ def _cmd_theory(args) -> int:
     for q in config.q_values:
         ce = theoretical_exponents(system, measure, q)
         clamped = ce.value > system.ambient_dim
-        print(f"q={q:g}: d={ce.value:.6f} "
-              f"(clamped to {clamp_dimension(ce.value, system.ambient_dim):.6f}) "
-              f"[{ce.method}]")
+        note = (f" (clamped to {clamp_dimension(ce.value, system.ambient_dim):.6f})"
+                if clamped else "")
+        print(f"q={q:g}: d={ce.value:.6f}{note} [{ce.method}]")
         lines.append(",".join([repr(float(q)), repr(ce.value), ce.method,
                                repr(ce.lower), repr(ce.upper),
                                "true" if clamped else "false"]))

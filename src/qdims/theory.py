@@ -19,10 +19,14 @@ trend of moment sums, and they share one core to do it:
 - ``_envelope_roots`` turns the upper and lower envelope trends of the
   product or cut-set sums into the lower and upper exponents, with the
   orientation for q below or above 1 decided in one place;
-- ``_level_spectra`` enumerates or samples the words of an affine table and
-  returns their log singular values and log masses per level;
-- ``_level_rate`` fits the growth rate in k of the affine level sums, and
-  ``_entropy_rate`` is its q = 1 counterpart.
+- ``_level_spectra`` enumerates the words of an affine table by broadcasting
+  every parent product against the level's maps (or samples one word per
+  row) and returns their log singular values and log masses per level;
+- ``_segment_coefficients`` writes each level's ``svf_log`` as
+  ``base + s * slope`` on the integer segment of s being probed, so the level
+  sums behind ``_level_rate`` (the fitted slope in k), the single-level root
+  and the q = 1 ``_entropy_rate`` are each one pass over the words per
+  evaluation.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the solvers
 substitute the sign of the asymptotic growth trend over a trailing window of
@@ -370,12 +374,13 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int, size: int | None = None, seed: int = 0):
     """Log singular values and log masses of words, per kept level.
 
-    With ``size`` unset every word is enumerated; otherwise ``size`` words
-    are drawn from the measure, one letter per level. Each level extends the
-    words by (parent, letter) index pairs: all pairs when enumerating, one
-    drawn letter per row when sampling. Products are renormalized
-    entry-wise each level with the magnitude carried separately, so deep
-    products cannot underflow; spectra come from one batched SVD per level.
+    With ``size`` unset every word is enumerated: each level multiplies every
+    parent product by every map of the level in one broadcast, so words stay
+    parent-major with the newest letter varying fastest. Otherwise ``size``
+    words are drawn from the measure, one letter per row and level. Products
+    are divided by their largest entry each level with the magnitude carried
+    separately, so deep products cannot underflow; spectra come from one
+    batched SVD per level.
     """
     d = system.ambient_dim
     rng = None if size is None else np.random.default_rng(seed)
@@ -387,36 +392,99 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     for k in range(1, depth + 1):
         level = system.linear_maps(k)
         if rng is None:
-            parent, letter = np.divmod(np.arange(len(log_p) * len(level)), len(level))
+            mats = (mats[:, None] @ level).reshape(-1, d, d)
+            log_p = (log_p[:, None] + measure.log_probs(k)).ravel()
+            log_scale = np.repeat(log_scale, len(level))
         else:
-            parent, letter = slice(None), rng.choice(len(level), size=size, p=measure.probs(k))
-        mats = mats[parent] @ level[letter]
-        log_p = log_p[parent] + measure.log_probs(k)[letter]
-        norms = np.abs(mats).max(axis=(1, 2))
-        mats = mats / norms[:, None, None]
-        log_scale = log_scale[parent] + np.log(norms)
+            letter = rng.choice(len(level), size=size, p=measure.probs(k))
+            mats = mats @ level[letter]
+            log_p = log_p + measure.log_probs(k)[letter]
+        # a running maximum over the d*d entry columns; reducing over the two
+        # short trailing axes at once is several times slower
+        entries = np.abs(mats).reshape(len(mats), -1)
+        norms = entries[:, 0].copy()
+        for j in range(1, entries.shape[1]):
+            np.maximum(norms, entries[:, j], out=norms)
+        mats /= norms[:, None, None]
+        log_scale += np.log(norms)
         if k >= keep_from:
             out[k] = (batched_log_singular_values(mats) + log_scale[:, None], log_p)
     return out
 
 
-def _level_sum_log(log_alpha: np.ndarray, log_p: np.ndarray, s: float, q: float,
-                   sampled: bool) -> float:
-    term = (1.0 - q) * svf_log(log_alpha, s)
-    if sampled:
-        # E_mu[svf**(1-q) p**(q-1)] estimated over words drawn from the measure
-        term = term + (q - 1.0) * log_p
-        return float(_logsumexp(term) - np.log(len(log_p)))
-    return float(_logsumexp(term + q * log_p))
+def _segment_coefficients(levels, fold):
+    """Coefficients of each level's ``svf_log`` on the segment of s in use.
+
+    ``svf_log(log_alpha, s)`` is affine in s on every segment [m - 1, m] with
+    m <= d, and on [d, inf) it is ``s * svf_log(log_alpha, d) / d``. So on the
+    segment holding s it equals ``base + s * slope``, with both read off
+    ``svf_log`` at two integer points of the segment. The returned function
+    maps s to ``[fold(i, base, slope) for each level i]``. Only the current
+    segment is kept, and any s in its closed interval reuses it: bisection
+    probes 0, 1 and 2 and then halves [1, 2], so a root in there costs two
+    segments.
+    """
+    d = levels[0].shape[-1]
+    span, coeffs = (1.0, 0.0), None
+
+    def at(s: float) -> list:
+        nonlocal span, coeffs
+        if not span[0] <= s <= span[1]:
+            lo = min(max(int(np.ceil(s)) - 1, 0), d)
+            span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
+            for i, log_alpha in enumerate(levels):
+                base = svf_log(log_alpha, lo)
+                slope = svf_log(log_alpha, lo + 1)
+                slope -= base
+                base -= lo * slope
+                coeffs.append(fold(i, base, slope))
+        return coeffs
+
+    return at
+
+
+def _level_sums(spectra: dict, q: float, sampled: bool):
+    """Log level sums at the kept levels, in increasing k, as a function of s.
+
+    Enumerated levels give ``log sum_u svf(T_u, s)**(1-q) p_u**q``. Sampled
+    words were drawn from the measure, so the same sum is estimated as the
+    mean of ``svf(T_u, s)**(1-q) p_u**(q-1)``. Every term is
+    ``base + s * slope`` on the current segment of s, so an evaluation is one
+    pass over each level's words.
+    """
+    log_alpha, log_p = zip(*(spectra[k] for k in sorted(spectra)))
+    mass = q - 1.0 if sampled else q
+    log_n = [np.log(len(lp)) if sampled else 0.0 for lp in log_p]
+
+    def fold(i, base, slope):
+        base *= 1.0 - q
+        base += mass * log_p[i]
+        slope *= 1.0 - q
+        return base, slope
+
+    coefficients = _segment_coefficients(log_alpha, fold)
+
+    def sums(s: float) -> np.ndarray:
+        out = np.empty(len(log_p))
+        for i, (base, slope) in enumerate(coefficients(s)):
+            t = slope * s
+            t += base
+            top = t.max()
+            t -= top
+            np.exp(t, out=t)
+            out[i] = np.log(t.sum()) + top - log_n[i]
+        return out
+
+    return sums
 
 
 def _level_rate(spectra: dict, q: float, sampled: bool = False):
     """Slope in k of the fitted log level sums, as a function of s."""
     ks = np.array(sorted(spectra))
+    sums = _level_sums(spectra, q, sampled)
 
     def rate(s: float) -> float:
-        logs = np.array([_level_sum_log(*spectra[k], s, q, sampled) for k in ks])
-        return float(np.polyfit(ks, logs, 1)[0])
+        return float(np.polyfit(ks, sums(s), 1)[0])
 
     return rate
 
@@ -436,9 +504,13 @@ def _entropy_rate(log_alpha: np.ndarray, log_p: np.ndarray, k: int):
     """
     w = np.exp(log_p)
     ent = float(w @ log_p)
+    # affine in s on each segment: two dot products per segment, not per call
+    coefficients = _segment_coefficients(
+        [log_alpha], lambda _, base, slope: (float(w @ base), float(w @ slope)))
 
     def rate(s: float) -> float:
-        return (ent - float(w @ svf_log(log_alpha, s))) / k
+        ((base, slope),) = coefficients(s)
+        return (ent - (base + s * slope)) / k
 
     return rate
 
@@ -505,8 +577,8 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     if sampled:
         diag["sample_size"] = sample_size
     if stationary and not entropy:
-        single, _ = _root_of_increasing(
-            lambda s: _level_sum_log(*spectra[K], s, q, sampled) / K, xtol)
+        deepest = _level_sums({K: spectra[K]}, q, sampled)
+        single, _ = _root_of_increasing(lambda s: float(deepest(s)[0]) / K, xtol)
         diag["single_level_root"] = float(single)
     root = _near_integer_guard(root, diag)
     return CriticalExponents(q=q, lower=root, upper=root,

@@ -331,6 +331,18 @@ class TestCli:
         assert "closed-form" in out
         assert (tmp_path / "theory.csv").exists()
 
+    def test_theory_notes_a_clamp_only_on_clamped_rows(self, tmp_path, capsys):
+        # overlapping maps: the q = 0.25 exponent exceeds the ambient dimension
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1, "ratios": [[0.6, 0.6]]},
+                   translations={"kind": "finite-set", "vectors": [[0.0], [0.4]]},
+                   measure={"p": [[0.9, 0.1]]}, q=[0.25, 3])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["theory", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["q=0.25: d=1.120816 (clamped to 1.000000) [closed-form]",
+                         "q=3: d=0.308041 [closed-form]"]
+
     def test_sample_then_estimate(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -5,10 +5,12 @@ import pytest
 
 from qdims.codespace import BernoulliMeasure, Word
 from qdims.errors import BranchBudgetError, InsufficientScalesError
-from qdims.singular import word_product
+from qdims.singular import svf_log, word_product
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
+    _entropy_rate,
     _level_spectra,
+    _level_sums,
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
@@ -321,35 +323,143 @@ def rotation(theta):
     return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
 
 
+def rotation3(axis, theta):
+    """Rotation of R^3 by ``theta`` about coordinate ``axis``."""
+    out = np.eye(3)
+    plane = [a for a in range(3) if a != axis]
+    out[np.ix_(plane, plane)] = rotation(theta)
+    return out
+
+
+# two alternating levels of rotated, anisotropic maps
+PLANAR_TABLE = AffineSystem([
+    [0.45 * rotation(0.3) @ np.diag([1.0, 0.6]), 0.4 * rotation(1.1)],
+    [0.35 * rotation(0.7), 0.42 * rotation(0.2) @ np.diag([1.0, 0.7]),
+     0.3 * rotation(2.5) @ np.diag([0.5, 1.0])],
+])
+# the same branching in R^3, where spectra take the LAPACK path
+SPATIAL_TABLE = AffineSystem([
+    [0.5 * rotation3(2, 0.4) @ np.diag([1.0, 0.7, 0.5]),
+     0.45 * rotation3(0, 1.0) @ np.diag([0.6, 1.0, 0.8])],
+    [0.4 * rotation3(1, 0.3), 0.35 * rotation3(2, 2.0) @ np.diag([1.0, 0.5, 0.8]),
+     0.3 * rotation3(0, 0.9) @ rotation3(1, -0.6) @ np.diag([1.0, 0.9, 0.6])],
+])
+TABLE_MEASURE = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+
+
 class TestLevelSpectra:
-    # two alternating levels of rotated, anisotropic maps
-    SYSTEM = AffineSystem([
-        [0.45 * rotation(0.3) @ np.diag([1.0, 0.6]), 0.4 * rotation(1.1)],
-        [0.35 * rotation(0.7), 0.42 * rotation(0.2) @ np.diag([1.0, 0.7]),
-         0.3 * rotation(2.5) @ np.diag([0.5, 1.0])],
-    ])
-    MEASURE = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+    SYSTEM = PLANAR_TABLE
+    MEASURE = TABLE_MEASURE
 
     def test_enumeration_matches_direct_svd(self):
-        spectra = _level_spectra(self.SYSTEM, self.MEASURE, 3, keep_from=1)
-        assert sorted(spectra) == [1, 2, 3]
-        for k, (log_alpha, log_p) in spectra.items():
-            sizes = [self.SYSTEM.profile.size(j) for j in range(1, k + 1)]
-            words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
-            assert log_alpha.shape == (len(words), 2)
-            direct = np.log([np.linalg.svd(word_product(self.SYSTEM, Word(w)),
-                                           compute_uv=False) for w in words])
-            assert np.allclose(log_alpha, direct, rtol=0, atol=1e-12)
-            assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
+        for system in (PLANAR_TABLE, SPATIAL_TABLE):
+            d = system.ambient_dim
+            spectra = _level_spectra(system, self.MEASURE, 3, keep_from=1)
+            assert sorted(spectra) == [1, 2, 3]
+            for k, (log_alpha, log_p) in spectra.items():
+                sizes = [system.profile.size(j) for j in range(1, k + 1)]
+                words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
+                assert log_alpha.shape == (len(words), d)
+                direct = np.log([np.linalg.svd(word_product(system, Word(w)),
+                                               compute_uv=False) for w in words])
+                assert np.allclose(log_alpha, direct, rtol=0, atol=1e-12)
+                assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
+
+    # recorded from the index-gather version of _level_spectra: rows 0, 1, 2
+    # and 499 of the depth-6 draws (size 500, seed 4), then the column sums
+    # and the row-index-weighted sums of all 500 rows
+    SAMPLED = {
+        3: ([[-3.0365542680742457, -3.7297014486341906], [-3.256910788729424, -4.059864032885461],
+             [-2.600050684950902, -3.4320478743471203], [-3.0365542680742457, -3.7297014486341906]],
+            [-2.525728644308255, -1.7147984280919266, -2.6310891599660815, -2.525728644308255],
+            [-1476.7219296832875, -1819.2745340729173], -1196.8477899810575,
+            [-368638.4498748912, -454639.74684695], -297386.6571866797),
+        4: ([[-4.303624943985255, -5.5637235619349985], [-4.151946131355749, -5.256504769607314],
+             [-3.6498728094495805, -4.481869998845799], [-4.303624943985255, -5.5637235619349985]],
+            [-3.2188758248682006, -2.9187712324178627, -4.240527072400182, -3.2188758248682006],
+            [-2071.652599047015, -2529.3575263946836], -1706.9874828383158,
+            [-517350.7115471249, -632653.918683908], -423475.7195075813),
+        5: ([[-5.2199156758594105, -6.480014293809154], [-4.952294438709577, -6.563997478455018],
+             [-4.566163541323735, -5.398160730719953], [-5.2199156758594105, -6.480014293809154]],
+            [-4.135166556742355, -3.4295968561838537, -5.156817804274337, -4.135166556742355],
+            [-2554.1847135144267, -3043.216673565318], -2047.1425023159172,
+            [-637467.9248826898, -760094.6053507752], -509878.8795688784),
+        6: ([[-6.5725297008654735, -8.228493058014907], [-5.834578210209868, -7.773389786302907],
+             [-5.799098112975984, -7.266318948279521], [-6.2697378003580875, -7.529836418307831]],
+            [-4.828313737302301, -4.63356966050979, -5.8499649848342825, -5.744604469176456],
+            [-3154.5399028516413, -3729.8171995111375], -2572.1535679144777,
+            [-786434.8090450559, -930751.5278187738], -642707.648837026),
+    }
 
     def test_sampling_repeats_for_a_seed(self):
         first = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
         again = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
         assert sorted(first) == sorted(again) == [3, 4, 5, 6]
+        index = np.arange(500)
         for k in first:
             assert first[k][0].shape == (500, 2)
             assert np.array_equal(first[k][0], again[k][0])
             assert np.array_equal(first[k][1], again[k][1])
+            # recorded values: a change in the draws or in the products fails
+            log_alpha, log_p = first[k]
+            rows, masses, sums, mass_sum, weighted, mass_weighted = self.SAMPLED[k]
+            rows_at = [0, 1, 2, 499]
+            assert np.allclose(log_alpha[rows_at], rows, rtol=0, atol=1e-12)
+            assert np.array_equal(log_p[rows_at], masses)
+            assert np.allclose(log_alpha.sum(axis=0), sums, rtol=1e-12, atol=0)
+            assert log_p.sum() == pytest.approx(mass_sum, rel=1e-12)
+            assert np.allclose(index @ log_alpha, weighted, rtol=1e-12, atol=0)
+            assert index @ log_p == pytest.approx(mass_weighted, rel=1e-12)
+
+
+def direct_level_sum(log_alpha, log_p, s, q, sampled):
+    """The level sum straight from ``svf_log``, as a log-sum-exp."""
+    terms = (1.0 - q) * svf_log(log_alpha, s) + (q - 1.0 if sampled else q) * log_p
+    top = terms.max()
+    total = np.log(np.exp(terms - top).sum()) + top
+    return total - np.log(len(log_p)) if sampled else total
+
+
+class TestLevelSums:
+    S_GRID = (0.0, 0.3, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0)
+
+    @staticmethod
+    def spectra(system, sampled):
+        if sampled:
+            return _level_spectra(system, TABLE_MEASURE, 5, keep_from=2, size=300, seed=2)
+        return _level_spectra(system, TABLE_MEASURE, 4, keep_from=2)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["enumerated", "sampled"])
+    @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
+    def test_segment_sums_match_direct_logsumexp(self, system, sampled):
+        spectra = self.spectra(system, sampled)
+        for q in (1.5, 3.0):
+            sums = _level_sums(spectra, q, sampled)
+            for s in self.S_GRID:
+                want = [direct_level_sum(*spectra[k], s, q, sampled) for k in sorted(spectra)]
+                assert np.allclose(sums(s), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
+    def test_sweeping_segments_up_and_down_repeats_floats(self, system):
+        # off the integers every s has one segment, so its value cannot
+        # depend on the segments built before it
+        spectra = self.spectra(system, False)
+        grid = (0.3, 0.7, 1.2, 1.8, 2.4, 2.9, 3.5, 7.0)
+        sums = _level_sums(spectra, 2.0, False)
+        up = [sums(s) for s in grid]
+        down = [sums(s) for s in grid[::-1]][::-1]
+        fresh = [_level_sums(spectra, 2.0, False)(s) for s in grid]
+        for a, b, c in zip(up, down, fresh):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
+    def test_entropy_rate_matches_direct_form(self, system):
+        log_alpha, log_p = self.spectra(system, False)[4]
+        w = np.exp(log_p)
+        rate = _entropy_rate(log_alpha, log_p, 4)
+        for s in self.S_GRID:
+            want = (w @ log_p - w @ svf_log(log_alpha, s)) / 4
+            assert rate(s) == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestAffineSolverPinned:
@@ -374,6 +484,23 @@ class TestAffineSolverPinned:
         assert ce.value == value
         assert ce.diagnostics["bracket"] == bracket
         assert ce.diagnostics["window"] == (4, 8)
+
+    # one repeated level of two non-diagonal maps, roots between 1 and 2
+    STATIONARY = AffineSystem([[rotation(np.pi / 6) @ np.diag([0.8, 0.5]),
+                                np.array([[0.6, 0.2], [0.1, 0.7]])]])
+    STATIONARY_MEASURE = BernoulliMeasure([[0.6, 0.4]])
+
+    @pytest.mark.parametrize("q, value, bracket, single", [
+        (1.0, 1.539859864860773, (1.5398598611354828, 1.5398598685860634), None),
+        (2.0, 1.461082547903061, (1.4610825181007385, 1.4610825777053833), 1.4872741401195526),
+    ], ids=["q_one", "single_level_root"])
+    def test_stationary_extras_match_recorded_values(self, q, value, bracket, single):
+        ce = affine_series_dimension(self.STATIONARY, self.STATIONARY_MEASURE, q,
+                                     level_cap=2**14)
+        assert ce.value == value
+        assert ce.diagnostics["bracket"] == bracket
+        assert ce.diagnostics["depth"] == 14
+        assert ce.diagnostics.get("single_level_root") == single
 
 
 def dominant_diagonal_oracle(t, p, q, s_hi=2.0):
