@@ -72,6 +72,11 @@ class LevelSchedule:
             raise ValueError("tail pattern must be nonempty when given")
         return cls(head=head_t, tail=tail_t)
 
+    def map(self, fn: Callable) -> "LevelSchedule":
+        """The schedule of ``fn(entry)``, level for level."""
+        return LevelSchedule(head=tuple(fn(e) for e in self.head),
+                             tail=tuple(fn(e) for e in self.tail))
+
     def at(self, k: int) -> np.ndarray:
         """Entry for 1-based level ``k``."""
         if k < 1:
@@ -194,10 +199,7 @@ class BernoulliMeasure:
                     f"probability vector sums to {vec.sum()!r}, not 1 within {PROB_SUM_TOL}"
                 )
         self._schedule = schedule
-        self._logs = LevelSchedule(
-            head=tuple(_read_only(np.log(v)) for v in schedule.head),
-            tail=tuple(_read_only(np.log(v)) for v in schedule.tail),
-        )
+        self._logs = schedule.map(lambda v: _read_only(np.log(v)))
 
     @property
     def schedule(self) -> LevelSchedule:
@@ -214,11 +216,8 @@ class BernoulliMeasure:
         return self._logs.at(k)
 
     def profile(self, max_depth: int = DEFAULT_MAX_DEPTH) -> BranchingProfile:
-        return BranchingProfile(
-            head=tuple(len(v) for v in self._schedule.head),
-            tail=tuple(len(v) for v in self._schedule.tail),
-            max_depth=max_depth,
-        )
+        sizes = self._schedule.map(len)
+        return BranchingProfile(sizes.head, sizes.tail, max_depth)
 
     def __repr__(self):
         return f"BernoulliMeasure(levels={len(self._schedule.head)}, stationary={self.stationary})"

@@ -103,6 +103,12 @@ class ExperimentConfig:
             depth = None if raw.get("depth") is None else int(raw["depth"])
             if depth is not None and depth < 1:
                 raise ConfigError(f"sampling depth must be at least 1, got {depth}")
+            seed = int(raw.get("seed", 0))
+            if seed < 0:
+                raise ConfigError(f"seed must be non-negative, got {seed}")
+            tolerance = None if raw.get("tolerance") is None else float(raw["tolerance"])
+            if tolerance is not None and not 0.0 <= tolerance < float("inf"):
+                raise ConfigError(f"tolerance must be finite and non-negative, got {tolerance}")
             return cls(
                 system=dict(raw["system"]),
                 translations=dict(raw["translations"]),
@@ -111,9 +117,9 @@ class ExperimentConfig:
                 scales=scales_t,
                 samples=samples,
                 depth=depth,
-                seed=int(raw.get("seed", 0)),
+                seed=seed,
                 realizations=realizations,
-                tolerance=None if raw.get("tolerance") is None else float(raw["tolerance"]),
+                tolerance=tolerance,
                 schema_version=version,
             )
         except KeyError as exc:
@@ -213,11 +219,10 @@ def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> Critic
             return CriticalExponents(q=q, lower=val, upper=val, method="closed-form",
                                      diagnostics={"stationary": True})
         return product_dimension(system, measure, q)
-    if q < 1.0 - Q_ONE_TOL or (q <= 1.0 + Q_ONE_TOL
-                               and not (system.stationary and measure.stationary)):
-        raise ConfigError(f"affine exponents are only solvable for q > 1, or q = 1 "
-                          f"on a stationary table (got q={q})")
-    return affine_series_dimension(system, measure, q)
+    try:
+        return affine_series_dimension(system, measure, q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # randomized translation kind -> (claim, largest supported q, operator-norm limit)

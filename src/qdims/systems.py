@@ -101,15 +101,9 @@ class SimilarSystem:
                     if not np.allclose(O @ O.T, np.eye(d), atol=1e-10):
                         raise ValueError("rotation parts must be orthogonal")
             self._rotations = sched
-        self.profile = BranchingProfile(
-            head=tuple(len(v) for v in self._ratios.head),
-            tail=tuple(len(v) for v in self._ratios.tail),
-            max_depth=self.max_depth,
-        )
-        self._log_ratios = LevelSchedule(
-            head=tuple(_read_only(np.log(v)) for v in self._ratios.head),
-            tail=tuple(_read_only(np.log(v)) for v in self._ratios.tail),
-        )
+        sizes = self._ratios.map(len)
+        self.profile = BranchingProfile(sizes.head, sizes.tail, self.max_depth)
+        self._log_ratios = self._ratios.map(lambda v: _read_only(np.log(v)))
 
     kind = "similar"
 
@@ -175,11 +169,8 @@ class AffineSystem:
             )
         self.alpha_lower = lo
         self.alpha_upper = hi
-        self.profile = BranchingProfile(
-            head=tuple(len(m) for m in self._matrices.head),
-            tail=tuple(len(m) for m in self._matrices.tail),
-            max_depth=self.max_depth,
-        )
+        sizes = self._matrices.map(len)
+        self.profile = BranchingProfile(sizes.head, sizes.tail, self.max_depth)
 
     kind = "affine"
 

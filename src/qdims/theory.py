@@ -7,32 +7,31 @@ the generalized q-dimension of the projected measure under the separation
 conditions certified elsewhere. This module computes those exponents four
 ways: a closed form for stationary similarity tables, truncated per-level
 product limits, truncated cut-set limits, and, for affine tables, one
-level-sum solver built on the singular value function. A stationary affine
-table is the one-level case of that solver (``stationary_affine_dimension``
-only builds such a table) and the only affine case that admits q = 1,
-through an entropy rate.
+level-sum solver built on the singular value function, whose one-level case
+(``stationary_affine_dimension``) is the only affine case that admits q = 1.
 
-Apart from the closed form, every solver finds the root in s of a growth
-trend of moment sums, and they share one core to do it:
+Every solver bisects an increasing function of s built from moment sums, and
+they share one core:
 
-- ``_root_of_increasing`` bisects an increasing trend and reports its bracket;
+- ``_root_of_increasing`` bisects and reports its bracket (to adjacent
+  floats at ``xtol=0``, as the closed form asks);
+- ``_moment_sums`` evaluates the similarity sums, or their entropy form at
+  q = 1, for consecutive word groups at once: one group for the closed form,
+  one per level for the product limit, one per grid scale for the cut set;
 - ``_envelope_roots`` turns the upper and lower envelope trends of the
   product or cut-set sums into the lower and upper exponents, with the
   orientation for q below or above 1 decided in one place;
-- ``_level_spectra`` enumerates the words of an affine table by broadcasting
-  every parent product against the level's maps (or samples one word per
-  row) and returns their log singular values and log masses per level;
+- ``_level_spectra`` enumerates (or samples) the words of an affine table
+  and returns their log singular values and log masses per level;
 - ``_segment_coefficients`` writes each level's ``svf_log`` as
-  ``base + s * slope`` on the integer segment of s being probed, so the level
-  sums behind ``_level_rate`` (the fitted slope in k), the single-level root
-  and the q = 1 ``_entropy_rate`` are each one pass over the words per
-  evaluation.
+  ``base + s * slope`` on the integer segment of s being probed, so the
+  affine level sums (``_level_rate``, the single-level root, and the q = 1
+  ``_entropy_rate``) are one pass over the words per evaluation.
 
-Boundedness of a limsup/liminf cannot be decided numerically, so the solvers
-substitute the sign of the asymptotic growth trend over a trailing window of
-depths, and report the bisection bracket they achieved. For stationary
-inputs the trend is exact (per-level terms are constant), which is why the
-stationary tolerances are far tighter than the truncated ones.
+Boundedness of a limsup/liminf cannot be decided numerically, so the
+truncated solvers substitute the sign of the growth trend over a trailing
+window of depths and report the bisection bracket they achieved. Stationary
+inputs make the trend exact, hence their far tighter tolerances.
 """
 
 from __future__ import annotations
@@ -100,9 +99,9 @@ def stationary_dimension(ratios, probs, q: float) -> float:
     """Critical exponent for one repeated similarity level.
 
     For q != 1 this is the unique d with ``sum c_i**(d (1-q)) p_i**q = 1``
-    (the map d -> sum is strictly monotone); at q = 1 it is the entropy
-    ratio ``sum p log p / sum p log c``. The root is bisected until the
-    residual drops below 1e-12.
+    (the map d -> sum is strictly monotone), bisected on the log of the sum
+    down to adjacent floats; at q = 1 it is the entropy ratio
+    ``sum p log p / sum p log c``.
     """
     c = np.asarray(ratios, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -118,35 +117,14 @@ def stationary_dimension(ratios, probs, q: float) -> float:
     log_p = np.log(p)
     if abs(q - 1.0) < Q_ONE_TOL:
         return float((p @ log_p) / (p @ log_c))
-
-    def f(d: float) -> float:
-        return float(np.exp(d * (1.0 - q) * log_c + q * log_p).sum()) - 1.0
-
-    increasing = q > 1.0
-    lo, hi = 0.0, 1.0
-    f_lo = f(lo)
-    if (f_lo > 0) == increasing:
-        return 0.0
-    while (f(hi) > 0) != increasing:
-        hi *= 2.0
-        if hi > 1024:
-            raise RuntimeError("failed to bracket the stationary root")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) < 1e-13 and hi - lo < 1e-12:
-            return mid
-        if (f_mid > 0) == increasing:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    sums = _moment_sums(log_c, log_p, [len(c)], q)
+    sign = 1.0 if q > 1.0 else -1.0
+    root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=1024.0)
+    return root
 
 
 # ---------------------------------------------------------------------------
-# trend machinery
+# shared core: trends, root finding, similarity moment sums
 # ---------------------------------------------------------------------------
 
 
@@ -168,7 +146,10 @@ def _envelope_trend(values: np.ndarray, mode: str) -> float:
 
 
 def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
-    """Root of a continuous increasing function on s >= 0, with its bracket."""
+    """Root of a continuous increasing function on s >= 0, with its bracket.
+
+    Stops at a bracket no wider than ``xtol``, or at adjacent floats.
+    """
     lo = 0.0
     if f(lo) >= 0.0:
         return 0.0, (0.0, 0.0)
@@ -182,6 +163,8 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
             )
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if f(mid) <= 0.0:
             lo = mid
         else:
@@ -209,19 +192,33 @@ def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
     return lower, upper, {"lower": br_lower, "upper": br_upper}
 
 
-def _padded(levels: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(len(v) for v in levels)
-    out = np.full((len(levels), width), -np.inf)
-    for i, v in enumerate(levels):
-        out[i, : len(v)] = v
-    return out, np.isfinite(out)
+def _moment_sums(log_c: np.ndarray, log_p: np.ndarray, sizes, q: float):
+    """Log moment sums of consecutive word groups, as a function of s.
 
+    ``log_c`` and ``log_p`` hold the log ratios and log masses of every word,
+    group after group, with ``sizes[i] >= 1`` words in group i. The returned
+    function maps s to ``log sum_u c_u**(s(1-q)) p_u**q`` per group; at q = 1,
+    where those sums vanish, to their derivative in q instead, the entropy
+    form ``sum_u p_u log p_u - s sum_u p_u log c_u``.
+    """
+    sizes = np.asarray(sizes)
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    if abs(q - 1.0) < Q_ONE_TOL:
+        p = np.exp(log_p)
+        ent = np.add.reduceat(p * log_p, starts)
+        lya = np.add.reduceat(p * log_c, starts)
+        return lambda s: ent - s * lya
+    coeff = (1.0 - q) * log_c
+    q_log_p = q * log_p
 
-def _logsumexp(a: np.ndarray, axis=-1) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    out = np.log(np.exp(a - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-    return out
+    def sums(s: float) -> np.ndarray:
+        t = s * coeff + q_log_p
+        top = np.maximum.reduceat(t, starts)
+        t -= np.repeat(top, sizes)
+        np.exp(t, out=t)
+        return np.log(np.add.reduceat(t, starts)) + top
+
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -248,33 +245,18 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
     stationary = system.ratio_schedule.stationary and measure.stationary
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
 
-    log_c, c_mask = _padded([system.log_ratios_at(k) for k in range(1, depth + 1)])
-    log_p, _ = _padded([measure.log_probs(k) for k in range(1, depth + 1)])
+    levels = range(1, depth + 1)
+    log_c = [system.log_ratios_at(k) for k in levels]
+    sums = _moment_sums(np.concatenate(log_c),
+                        np.concatenate([measure.log_probs(k) for k in levels]),
+                        [len(v) for v in log_c], q)
 
-    if abs(q - 1.0) < Q_ONE_TOL:
-        p = np.where(c_mask, np.exp(log_p), 0.0)
-        ent = (p * np.where(c_mask, log_p, 0.0)).sum(axis=1)
-        lya = (p * np.where(c_mask, log_c, 0.0)).sum(axis=1)
-        cum_ent = np.cumsum(ent)
-        cum_lya = np.cumsum(lya)
+    bounds_note = {"lower": "one-sided (lower bound)", "upper": "one-sided (upper bound)"}
+    if abs(q - 1.0) >= Q_ONE_TOL:
+        bounds_note["lower" if q > 1 else "upper"] = "exact"
 
-        def seq(s):
-            return cum_ent - s * cum_lya
-
-        bounds_note = {"lower": "one-sided (lower bound)", "upper": "one-sided (upper bound)"}
-    else:
-        q_log_p = np.where(c_mask, q * log_p, -np.inf)
-        coeff = np.where(c_mask, (1.0 - q) * log_c, 0.0)
-
-        def seq(s):
-            return np.cumsum(_logsumexp(np.where(c_mask, s * coeff + q_log_p, -np.inf), axis=1))
-
-        if q > 1:
-            bounds_note = {"lower": "exact", "upper": "one-sided (upper bound)"}
-        else:
-            bounds_note = {"lower": "one-sided (lower bound)", "upper": "exact"}
-
-    lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
+    lower, upper, brackets = _envelope_roots(lambda s: np.cumsum(sums(s)), q, xtol,
+                                             stationary)
 
     diag = {
         "depth": depth,
@@ -340,23 +322,14 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
             f"only {len(grids)} usable cut-set scales under the word budget"
         )
 
-    if abs(q - 1.0) < Q_ONE_TOL:
-        a = np.array([(np.exp(lp) * lp).sum() for _, (lc, lp) in grids])
-        b = np.array([(np.exp(lp) * lc).sum() for _, (lc, lp) in grids])
-
-        def seq(s):
-            return a - s * b
-    else:
-        packed = [(lc, q * lp) for _, (lc, lp) in grids]
-
-        def seq(s):
-            return np.array([_logsumexp(s * (1.0 - q) * lc + qlp) for lc, qlp in packed])
-
+    log_c, log_p = zip(*(logs for _, logs in grids))
+    sizes = [len(v) for v in log_c]
+    seq = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), sizes, q)
     lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
 
     diag = {
         "scales": [r for r, _ in grids],
-        "words": [len(lc) for _, (lc, _) in grids],
+        "words": sizes,
         "stationary": stationary,
         "xtol": xtol,
         "brackets": brackets,

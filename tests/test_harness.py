@@ -81,8 +81,13 @@ class TestConfig:
         {"q": []},
         {"depth": 0},
         {"depth": -3},
+        {"seed": -1},
+        {"tolerance": -1},
+        {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
     ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range",
-            "empty-q", "depth-zero", "depth-negative"])
+            "empty-q", "depth-zero", "depth-negative", "seed-negative", "tolerance-negative",
+            "tolerance-nan", "tolerance-inf"])
     def test_degenerate_sizes_rejected(self, override):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
@@ -404,6 +409,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("command, option", [("sample", "--seed"), ("compare", "--tolerance")])
+    def test_negative_override_exits_with_message(self, tmp_path, capsys, command, option):
+        cfg = self._write_config(tmp_path)
+        assert cli_main([command, "--config", cfg, option, "-1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
     @pytest.mark.parametrize("command, q", [("theory", "-1"), ("compare", "0,-1")])
     def test_invalid_q_override_exits_with_message(self, tmp_path, capsys, command, q):

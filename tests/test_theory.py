@@ -11,6 +11,7 @@ from qdims.theory import (
     _entropy_rate,
     _level_spectra,
     _level_sums,
+    _moment_sums,
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
@@ -73,6 +74,45 @@ class TestStationaryDimension:
         d1 = stationary_dimension(c, p, 1.0)
         assert stationary_dimension(c, p, 1.0 + 1e-8) == pytest.approx(d1, abs=1e-12)
         assert stationary_dimension(c, p, 1.0 - 1e-8) == pytest.approx(d1, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+    def test_uniform_interval_is_exactly_one(self, q):
+        assert stationary_dimension([0.5, 0.5], [0.5, 0.5], q) == 1.0
+
+    def test_slow_contraction_brackets_past_512_to_adjacent_floats(self):
+        # log 2 / -log 0.999: the bracket doubles to 1024, and the bisection
+        # ends on adjacent floats rather than at a tolerance
+        assert stationary_dimension([0.999, 0.999], [0.5, 0.5], 0.5) == 692.8005491785002
+
+
+class TestMomentSums:
+    SIZES = (1, 2, 3, 600)
+
+    @staticmethod
+    def groups():
+        rng = np.random.default_rng(11)
+        log_c = [np.log(rng.uniform(0.05, 0.95, n)) for n in TestMomentSums.SIZES]
+        log_p = []
+        for n in TestMomentSums.SIZES:
+            p = rng.uniform(0.1, 1.0, n)
+            log_p.append(np.log(p / p.sum()))
+        return log_c, log_p
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
+    def test_matches_per_group_log_sum(self, q):
+        log_c, log_p = self.groups()
+        sums = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), self.SIZES, q)
+        for s in (0.0, 0.4, 1.0, 2.5):
+            want = [np.log(np.sum(np.exp(s * (1 - q) * lc + q * lp)))
+                    for lc, lp in zip(log_c, log_p)]
+            np.testing.assert_allclose(sums(s), want, rtol=0, atol=1e-12)
+
+    def test_q_one_gives_entropy_form(self):
+        log_c, log_p = self.groups()
+        sums = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), self.SIZES, 1.0)
+        for s in (0.0, 0.4, 1.0, 2.5):
+            want = [np.exp(lp) @ lp - s * (np.exp(lp) @ lc) for lc, lp in zip(log_c, log_p)]
+            np.testing.assert_allclose(sums(s), want, rtol=0, atol=1e-12)
 
 
 class TestProductDimension:
