@@ -15,7 +15,13 @@ import os
 import sys
 
 from .empirical import estimate_spectrum, write_fit_csv, write_spectrum_csv
-from .errors import BranchBudgetError, ConfigError, DepthCapError, InsufficientScalesError
+from .errors import (
+    BranchBudgetError,
+    ConfigError,
+    DepthCapError,
+    IndeterminateTrendError,
+    InsufficientScalesError,
+)
 from .harness import (
     ExperimentConfig,
     build_measure,
@@ -208,7 +214,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BranchBudgetError, DepthCapError, InsufficientScalesError) as exc:
+    except (BranchBudgetError, DepthCapError, IndeterminateTrendError,
+            InsufficientScalesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,19 +84,39 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
     ``sigma_1 = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2`` and
     ``sigma_2 = |ad - bc| / sigma_1``. The sum of two nonnegative terms loses
     no precision as ``sigma_1`` approaches ``sigma_2``, where the textbook
-    ``sqrt(|T|_F**4 - 4 det**2)`` cancels. Clamping ``sigma_2`` at
-    ``sigma_1`` keeps the output nonincreasing when the two tie.
+    ``sqrt(|T|_F**4 - 4 det**2)`` cancels; clamping ``sigma_2`` at ``sigma_1``
+    keeps the output nonincreasing when they tie. Each hypotenuse is taken as
+    ``sqrt(x*x + y*y)``, several times faster than ``np.hypot``: with
+    ``sigma_1`` in [2**-256, 2**256] no square overflows (no entry exceeds
+    ``sigma_1``) and ``det`` stays normal below condition 2**510; other rows
+    are redone after an exact power-of-two scaling.
     """
     if mats.shape[-2:] == (2, 2):
-        a, b, c, d = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
-        log_top = np.log(0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, c + b)))
-        log_low = np.log(np.abs(a * d - b * c)) - log_top
-        return np.stack([log_top, np.minimum(log_low, log_top)], axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            top, det = _top_and_det(mats)
+        outside = ~((top >= 2.0**-256) & (top <= 2.0**256))
+        if outside.any():
+            _, exps = np.frexp(np.abs(mats[outside]).max(axis=(-2, -1)))
+            top[outside], det[outside] = _top_and_det(np.ldexp(mats[outside], -exps[:, None, None]))
+        logs = np.empty(top.shape + (2,))
+        log_top = np.log(top, out=logs[..., 0])
+        det = np.log(np.abs(det, out=det), out=det)
+        np.minimum(np.subtract(det, log_top, out=det), log_top, out=logs[..., 1])
+        if outside.any():
+            logs[outside] += (exps * np.log(2.0))[:, None]
+        return logs
     logs = np.log(np.linalg.svd(mats, compute_uv=False))
     _, logdet = np.linalg.slogdet(mats)
     logs[..., -1] = logdet - logs[..., :-1].sum(axis=-1)
     # anchoring can flip a near-tie by an epsilon
     return -np.sort(-logs, axis=-1)
+
+
+def _top_and_det(mats: np.ndarray):
+    """Largest singular value and determinant of a stack of 2x2 matrices."""
+    a, b, c, d = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
+    top = 0.5 * (np.sqrt((a + d) ** 2 + (c - b) ** 2) + np.sqrt((a - d) ** 2 + (c + b) ** 2))
+    return np.asarray(top), np.asarray(a * d - b * c)  # arrays even for one bare matrix
 
 
 def svf_log(log_values: np.ndarray, s: float) -> np.ndarray:

@@ -10,11 +10,11 @@ product limits, truncated cut-set limits, and, for affine tables, one
 level-sum solver built on the singular value function, whose one-level case
 (``stationary_affine_dimension``) is the only affine case that admits q = 1.
 
-Every solver bisects an increasing function of s built from moment sums, and
-they share one core:
+Every solver finds the root of an increasing function of s built from moment
+sums, and they share one core:
 
-- ``_root_of_increasing`` bisects and reports its bracket (to adjacent
-  floats at ``xtol=0``, as the closed form asks);
+- ``_root_of_increasing`` closes a sign-change bracket by Illinois steps and
+  reports it (to adjacent floats at ``xtol=0``, as the closed form asks);
 - ``_moment_sums`` evaluates the similarity sums, or their entropy form at
   q = 1, for consecutive word groups at once: one group for the closed form,
   one per level for the product limit, one per grid scale for the cut set;
@@ -30,7 +30,7 @@ they share one core:
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers substitute the sign of the growth trend over a trailing
-window of depths and report the bisection bracket they achieved. Stationary
+window of depths and report the sign-change bracket they reach. Stationary
 inputs make the trend exact, hence their far tighter tolerances.
 """
 
@@ -99,9 +99,9 @@ def stationary_dimension(ratios, probs, q: float) -> float:
     """Critical exponent for one repeated similarity level.
 
     For q != 1 this is the unique d with ``sum c_i**(d (1-q)) p_i**q = 1``
-    (the map d -> sum is strictly monotone), bisected on the log of the sum
-    down to adjacent floats; at q = 1 it is the entropy ratio
-    ``sum p log p / sum p log c``.
+    (the map d -> sum is strictly monotone), solved on the log of the sum to
+    adjacent floats under twice its bound ``log sum p**q / ((q-1) log c_max)``
+    (exact for equal ratios); at q = 1 it is ``sum p log p / sum p log c``.
     """
     c = np.asarray(ratios, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -119,7 +119,8 @@ def stationary_dimension(ratios, probs, q: float) -> float:
         return float((p @ log_p) / (p @ log_c))
     sums = _moment_sums(log_c, log_p, [len(c)], q)
     sign = 1.0 if q > 1.0 else -1.0
-    root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=1024.0)
+    cap = 2.0 * max(1.0, float(np.log(np.sum(p**q)) / ((q - 1.0) * log_c.max())))
+    root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=cap)
     return root
 
 
@@ -148,28 +149,43 @@ def _envelope_trend(values: np.ndarray, mode: str) -> float:
 def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     """Root of a continuous increasing function on s >= 0, with its bracket.
 
-    Stops at a bracket no wider than ``xtol``, or at adjacent floats.
+    Doubles ``hi`` from ``hi0`` (``lo`` follows) until f turns positive, then
+    closes the bracket ``f(lo) <= 0 < f(hi)`` by Illinois steps (Dowell and
+    Jarratt, BIT 11, 1971) aimed ``xtol/2`` beyond the estimate, away from the
+    end that moved last, and held that far inside (one float spacing at
+    ``xtol=0``), so the far end closes. A plain halving follows two steps that
+    fail to halve the bracket and replaces any that could end more than two
+    evaluations behind plain bisection. Stops at width ``xtol`` or adjacent floats.
     """
-    lo = 0.0
-    if f(lo) >= 0.0:
+    lo, f_lo = 0.0, f(0.0)
+    if f_lo >= 0.0:
         return 0.0, (0.0, 0.0)
     hi = hi0
-    while f(hi) <= 0.0:
-        hi *= 2.0
+    while (f_hi := f(hi)) <= 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > cap:
             raise IndeterminateTrendError(
-                "trend never turned positive; sum appears bounded for all s",
-                bracket_lower=lo, bracket_upper=cap,
-            )
+                f"f <= 0 at every probe up to s = {lo:g} and the next doubling passes "
+                f"the cap {cap:g}: no sign change bracketed in [0, {cap:g}]",
+                bracket_lower=lo, bracket_upper=cap)
+    # hi moved last; free steps while the bracket fits a budget halved per step
+    budget, side, fails = 2.0 * (hi - lo), 1, 0
     while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
+        width, mid = hi - lo, 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) <= 0.0:
-            lo = mid
+        inset = max(0.5 * xtol, np.spacing(hi))
+        x = mid
+        if fails < 2 and 2.0 * inset < width <= budget:
+            x = min(hi - inset, max(lo + inset, lo - f_lo * width / (f_hi - f_lo) - side * inset))
+        budget *= 0.5
+        # Illinois: an end that moves twice in a row halves the value kept at the other
+        if (fx := f(x)) <= 0.0:
+            lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side < 0 else 1.0), -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi), (lo, hi)
+            hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side > 0 else 1.0), 1
+        fails = fails + 1 if hi - lo > 0.5 * width else 0
+    return float(0.5 * (lo + hi)), (float(lo), float(hi))
 
 
 def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
@@ -177,7 +193,7 @@ def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
 
     ``seq(s)`` returns the log moment sums over increasing depths or finer
     scales, and the root of its upper and of its lower envelope trend is
-    bisected. For q >= 1 the trend rises with s and the upper-envelope root
+    found. For q >= 1 the trend rises with s and the upper-envelope root
     is the lower exponent; for q < 1 the trend falls (its sign is flipped so
     the root finder sees one orientation) and the roles swap. Stationary
     inputs have one exact trend, so both exponents become the midpoint.
@@ -236,7 +252,7 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
     lower-envelope root only bounds the upper exponent from above; for
     0 < q < 1 the roles swap; at q = 1 the entropy sums give one-sided
     bounds in both directions. Stationary tables make every level identical,
-    so both envelopes coincide and the bisection is exact to its tolerance.
+    so both envelopes coincide and the root is exact to its tolerance.
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -296,7 +312,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
     """Critical exponents straight from cut-set moment sums over a scale grid.
 
     Evaluates ``sum_u c_u**(s(1-q)) p_u**q`` over the cut set at every grid
-    scale and bisects s against the growth trend across scales: for q > 1 a
+    scale and solves for s against the growth trend across scales: for q > 1 a
     growing sequence means s is too large. Accepts q = 0, where the sums
     count contraction only and the root is the support's box exponent.
     """
@@ -347,41 +363,45 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int, size: int | None = None, seed: int = 0):
     """Log singular values and log masses of words, per kept level.
 
-    With ``size`` unset every word is enumerated: each level multiplies every
-    parent product by every map of the level in one broadcast, so words stay
-    parent-major with the newest letter varying fastest. Otherwise ``size``
-    words are drawn from the measure, one letter per row and level. Products
-    are divided by their largest entry each level with the magnitude carried
-    separately, so deep products cannot underflow; spectra come from one
-    batched SVD per level.
+    With ``size`` unset every word is enumerated, parent-major with the newest
+    letter varying fastest; otherwise ``size`` words are drawn from the
+    measure, one letter per row and level. Products live entry-major in one
+    ``(d, d, words)`` buffer built in place, column by column; the batched SVD
+    reads its ``.T`` view, each product transposed (same singular values), with
+    no copy. Products are divided by their largest entry each level with the
+    magnitude carried separately, so deep products cannot underflow.
     """
     d = system.ambient_dim
     rng = None if size is None else np.random.default_rng(seed)
     rows = 1 if size is None else size
-    mats = np.broadcast_to(np.eye(d), (rows, d, d))
-    log_scale = np.zeros(rows)
-    log_p = np.zeros(rows)
+    prods = np.broadcast_to(np.eye(d)[:, :, None], (d, d, rows))
+    log_scale, log_p = np.zeros(rows), np.zeros(rows)
     out = {}
     for k in range(1, depth + 1):
         level = system.linear_maps(k)
         if rng is None:
-            mats = (mats[:, None] @ level).reshape(-1, d, d)
+            right = level.transpose(1, 2, 0)
             log_p = (log_p[:, None] + measure.log_probs(k)).ravel()
             log_scale = np.repeat(log_scale, len(level))
         else:
             letter = rng.choice(len(level), size=size, p=measure.probs(k))
-            mats = mats @ level[letter]
+            right = level.transpose(1, 2, 0)[:, :, None, letter]
             log_p = log_p + measure.log_probs(k)[letter]
-        # a running maximum over the d*d entry columns; reducing over the two
-        # short trailing axes at once is several times slower
-        entries = np.abs(mats).reshape(len(mats), -1)
-        norms = entries[:, 0].copy()
-        for j in range(1, entries.shape[1]):
-            np.maximum(norms, entries[:, j], out=norms)
-        mats /= norms[:, None, None]
+        n = prods.shape[-1]
+        nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(len(log_p))
+        # letter l of parent u lands at u*m + l: one strided column per letter
+        for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
+            np.multiply(prods[i, t], right[t, j, l], out=tmp[:n] if t else nxt[i, j, :, l])
+            if t:
+                nxt[i, j, :, l] += tmp[:n]
+        prods = nxt.reshape(d, d, -1)
+        norms = np.abs(prods[0, 0])
+        for entry in prods.reshape(d * d, -1)[1:]:
+            np.maximum(norms, np.abs(entry, out=tmp), out=norms)
+        prods /= norms
         log_scale += np.log(norms)
         if k >= keep_from:
-            out[k] = (batched_log_singular_values(mats) + log_scale[:, None], log_p)
+            out[k] = (batched_log_singular_values(prods.T) + log_scale[:, None], log_p)
     return out
 
 
@@ -393,9 +413,9 @@ def _segment_coefficients(levels, fold):
     segment holding s it equals ``base + s * slope``, with both read off
     ``svf_log`` at two integer points of the segment. The returned function
     maps s to ``[fold(i, base, slope) for each level i]``. Only the current
-    segment is kept, and any s in its closed interval reuses it: bisection
-    probes 0, 1 and 2 and then halves [1, 2], so a root in there costs two
-    segments.
+    segment is kept, and any s in its closed interval reuses it: the root
+    finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in there
+    costs two segments.
     """
     d = levels[0].shape[-1]
     span, coeffs = (1.0, 0.0), None
@@ -503,7 +523,7 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     level.
 
     A stationary table and measure make the per-level terms exact, so the
-    roots are bisected to 1e-7 (1e-8 at q = 1), and for q > 1 the root of
+    roots are solved to 1e-7 (1e-8 at q = 1), and for q > 1 the root of
     the deepest level's sum alone, a bound from superadditivity, is kept as
     the ``single_level_root`` diagnostic.
 

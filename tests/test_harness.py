@@ -168,20 +168,30 @@ class TestTheorySelection:
         with pytest.raises(ConfigError):
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
 
-    @pytest.mark.parametrize("q, value, bracket", [
-        (1.0, 1.2432214058935642, (1.243221402168274, 1.2432214096188545)),
-        (1.5, 1.242259830236435, (1.2422598004341125, 1.2422598600387573)),
-        (2.0, 1.2413042485713959, (1.2413042187690735, 1.2413042783737183)),
-        (3.0, 1.2394133508205414, (1.239413321018219, 1.2394133806228638)),
-    ])
-    def test_affine_config_matches_recorded_values(self, q, value, bracket):
-        # recorded while stationary affine tables had a solver of their own
+    # recorded with the Illinois root finder; each row keeps the bisected value
+    # and bracket recorded while stationary affine tables had a solver of their
+    # own, which the new root must stay within xtol of
+    @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket, xtol", [
+        (1.0, 1.2432214024671935, (1.2432213974671977, 1.2432214074671892),
+         1.2432214058935642, (1.243221402168274, 1.2432214096188545), 1e-8),
+        (1.5, 1.242259869658417, (1.242259824493583, 1.242259914823251),
+         1.242259830236435, (1.2422598004341125, 1.2422598600387573), 1e-7),
+        (2.0, 1.2413042933583116, (1.2413042481365046, 1.2413043385801186),
+         1.2413042485713959, (1.2413042187690735, 1.2413042783737183), 1e-7),
+        (3.0, 1.2394133983039772, (1.2394133529694047, 1.2394134436385498),
+         1.2394133508205414, (1.239413321018219, 1.2394133806228638), 1e-7),
+    ], ids=["1.0-1.2432214058935642-bracket0", "1.5-1.242259830236435-bracket1",
+            "2.0-1.2413042485713959-bracket2", "3.0-1.2394133508205414-bracket3"])
+    def test_affine_config_matches_recorded_values(self, q, value, bracket, bisected,
+                                                   bisected_bracket, xtol):
         config = ExperimentConfig.from_file(
             os.path.join(REPO, "configs", "affine_finite_gamma.json"))
         ce = theoretical_exponents(build_system(config), build_measure(config), q)
         assert ce.method == "affine-k-limit"
         assert (ce.value, ce.lower, ce.upper) == (value, value, value)
         assert ce.diagnostics["bracket"] == bracket
+        assert abs(value - bisected) <= xtol
+        assert bracket[0] <= bisected_bracket[1] and bisected_bracket[0] <= bracket[1]
 
 
 class TestClaims:
@@ -409,6 +419,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "report.csv").exists()
+
+    def test_unresolved_root_exits_with_message(self, tmp_path, capsys):
+        # the product limit's doubling passes its cap before the trend turns positive
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1,
+                                          "ratios": [[0.9995, 0.9995], [0.9994, 0.9994]]},
+                   measure={"p": [[0.5, 0.5]]}, q=[2])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(["theory", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "cap 512" in err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_slow_uniform_contraction_solves_past_the_old_cap(self, tmp_path, capsys):
+        with open(os.path.join(REPO, "configs", "uniform.json")) as fh:
+            raw = dict(json.load(fh), q=[2])
+        raw["system"] = dict(raw["system"], ratios=[[0.9995, 0.9995]])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["theory", "--config", str(path), "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "theory.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == pytest.approx(np.log(2) / -np.log(0.9995), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("command, option", [("sample", "--seed"), ("compare", "--tolerance")])
     def test_negative_override_exits_with_message(self, tmp_path, capsys, command, option):

@@ -125,7 +125,20 @@ class TestBatchedLogSingularValues:
         assert np.all(np.diff(logs, axis=-1) <= 0.0)
         assert np.abs(logs[:, 0] - logs[:, 1]).max() < 1e-15
 
-    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (5, 3, 3)])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scales_shift_the_logs(self, scale):
+        # squares of these entries leave the float range; rows are rescaled
+        # exactly, so the logs shift by log(scale) with no overflow warning
+        mats = np.concatenate(list(closed_form_stacks().values()))
+        want = batched_log_singular_values(mats)
+        mixed = mats.copy()
+        mixed[::2] *= scale
+        got = batched_log_singular_values(mixed)
+        want[::2] += np.log(scale)
+        assert np.abs(got - want).max() < 1e-12
+        assert np.all(got[:, 1] <= got[:, 0])
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (5, 3, 3), (2, 2), (3, 3)])
     def test_leading_axes_and_lapack_path(self, shape):
         rng = np.random.default_rng(31)
         d = shape[-1]

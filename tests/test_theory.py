@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bisect_increasing
 
 from qdims.codespace import BernoulliMeasure, Word
-from qdims.errors import BranchBudgetError, InsufficientScalesError
+from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
 from qdims.singular import svf_log, word_product
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
@@ -12,6 +16,7 @@ from qdims.theory import (
     _level_spectra,
     _level_sums,
     _moment_sums,
+    _root_of_increasing,
     affine_series_dimension,
     clamp_dimension,
     cutset_dimension,
@@ -79,10 +84,73 @@ class TestStationaryDimension:
     def test_uniform_interval_is_exactly_one(self, q):
         assert stationary_dimension([0.5, 0.5], [0.5, 0.5], q) == 1.0
 
+    def test_equal_ratios_reach_the_cap_bound(self):
+        # the root log 2 / -log c equals the bound log sum p**q / ((q-1) log c_max),
+        # past the fixed cap of 1024 that once ended this in an error
+        got = stationary_dimension([0.9995, 0.9995], [0.5, 0.5], 2.0)
+        assert got == pytest.approx(LOG2 / -np.log(0.9995), rel=1e-12, abs=0)
+
     def test_slow_contraction_brackets_past_512_to_adjacent_floats(self):
         # log 2 / -log 0.999: the bracket doubles to 1024, and the bisection
         # ends on adjacent floats rather than at a tolerance
         assert stationary_dimension([0.999, 0.999], [0.5, 0.5], 0.5) == 692.8005491785002
+
+
+def _ramps(starts, widths, heights):
+    """-sum(heights)/2 plus one clipped ramp per height; flat between ramps."""
+    edges = list(itertools.accumulate(starts))
+    half = sum(heights) / 2.0
+
+    def f(s):
+        return sum(h * min(max((s - a) / w, 0.0), 1.0)
+                   for a, w, h in zip(edges, widths, heights)) - half
+
+    return f
+
+
+INCREASING = st.one_of(
+    st.builds(lambda a, r: lambda s: a * (s - r),
+              st.floats(1e-3, 1e3), st.floats(0.01, 300.0)),
+    st.builds(lambda b, r: lambda s: (s - r) * (s - r) * (s - r) + b * (s - r),
+              st.floats(0.0, 10.0), st.floats(0.01, 300.0)),
+    st.builds(lambda k, r: lambda s: math.exp(min(k * (s - r), 700.0)) - 1.0,
+              st.floats(1.0, 200.0), st.floats(0.01, 300.0)),
+    # integer heights can sum to exactly zero on a plateau
+    st.integers(1, 4).flatmap(lambda n: st.builds(
+        _ramps, st.lists(st.floats(0.01, 50.0), min_size=n, max_size=n),
+        st.lists(st.floats(1e-3, 20.0), min_size=n, max_size=n),
+        st.lists(st.integers(1, 3), min_size=n, max_size=n))),
+)
+
+
+class TestRootOfIncreasing:
+    @settings(max_examples=300, deadline=None)
+    @given(f=INCREASING, xtol=st.sampled_from([0.0, 1e-8, 1e-3]))
+    def test_matches_bisection_oracle(self, f, xtol):
+        evaluations = 0
+
+        def counted(s):
+            nonlocal evaluations
+            evaluations += 1
+            return np.float64(f(s))
+
+        root, (lo, hi) = _root_of_increasing(counted, xtol)
+        _, oracle_bracket, oracle_evaluations = bisect_increasing(f, xtol)
+        assert type(root) is float and type(lo) is float and type(hi) is float
+        assert f(lo) <= 0.0 < f(hi)
+        if xtol == 0.0:
+            assert hi == math.nextafter(lo, math.inf)
+            assert (lo, hi) == oracle_bracket
+        else:
+            assert hi - lo <= xtol
+        assert evaluations <= oracle_evaluations + 2
+
+    def test_unbracketed_root_names_the_cap_and_the_bracket(self):
+        with pytest.raises(IndeterminateTrendError) as exc:
+            _root_of_increasing(lambda s: -1.0, 1e-3, cap=100.0)
+        assert "s = 64" in str(exc.value) and "cap 100" in str(exc.value)
+        assert "[0, 100]" in str(exc.value) and "trend" not in str(exc.value)
+        assert (exc.value.bracket_lower, exc.value.bracket_upper) == (64.0, 100.0)
 
 
 class TestMomentSums:
@@ -291,13 +359,18 @@ class TestAffineSeriesDimension:
             affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
 
     def test_q_one_on_a_stationary_table_matches_recorded_value(self):
-        # recorded from the separate stationary solver this one replaced
+        # recorded with the Illinois root finder; the bisected value and bracket
+        # recorded from the separate stationary solver this one replaced stay
+        # within xtol = 1e-8 of it
         system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
         ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0,
                                      level_cap=2**16)
-        assert ce.value == 1.2922386415302753
-        assert ce.diagnostics["bracket"] == (1.292238637804985, 1.2922386452555656)
+        assert ce.value == 1.2922386464811146
+        assert ce.diagnostics["bracket"] == (1.292238643981113, 1.292238648981116)
         assert ce.diagnostics["mode"] == "entropy"
+        bisected, (lo, hi) = 1.2922386415302753, (1.292238637804985, 1.2922386452555656)
+        assert abs(ce.value - bisected) <= 1e-8
+        assert ce.diagnostics["bracket"][0] <= hi and lo <= ce.diagnostics["bracket"][1]
 
     def test_q_one_is_not_sampled(self):
         system = AffineSystem([[np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]])
@@ -404,6 +477,61 @@ class TestLevelSpectra:
                                                compute_uv=False) for w in words])
                 assert np.allclose(log_alpha, direct, rtol=0, atol=1e-12)
                 assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @staticmethod
+    def random_table(rng, d, sizes, special=()):
+        """Level-varying contractions from random orthogonal factors (some reflect)."""
+        def orthogonal():
+            return np.linalg.qr(rng.normal(size=(d, d)))[0]
+        levels = [[orthogonal() @ np.diag(rng.uniform(0.2, 0.7, d)) @ orthogonal()
+                   for _ in range(m)] for m in sizes]
+        for k, mat in enumerate(special):
+            levels[k][0] = mat
+        return AffineSystem(levels)
+
+    @staticmethod
+    def direct_logs(system, words):
+        return np.log([np.linalg.svd(word_product(system, Word(w)), compute_uv=False)
+                       for w in words])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_enumerated_spectra_match_svd_of_word_products(self, seed):
+        # a reflection, and a near-tie whose two singular values differ by 1e-12
+        reflection = rotation(0.3) @ np.diag([0.6, -0.35])
+        near_tie = rotation(0.7) @ np.diag([0.5, 0.5 * (1 + 1e-12)])
+        rng = np.random.default_rng(seed)
+        system = self.random_table(rng, 2, [3, 2, 3, 2], special=[reflection, near_tie])
+        assert np.linalg.det(reflection) < 0
+        measure = BernoulliMeasure([[0.2, 0.3, 0.5], [0.6, 0.4]])
+        spectra = _level_spectra(system, measure, 4, keep_from=1)
+        for k, (log_alpha, log_p) in spectra.items():
+            words = list(itertools.product(*(range(1, n + 1) for n in [3, 2, 3, 2][:k])))
+            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+            want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
+            assert np.allclose(log_p, want, rtol=0, atol=1e-12)
+
+    def test_enumerated_3x3_spectra_match_svd_of_word_products(self):
+        system = self.random_table(np.random.default_rng(7), 3, [2, 3, 2])
+        measure = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+        spectra = _level_spectra(system, measure, 3, keep_from=2)
+        assert sorted(spectra) == [2, 3]
+        for k, (log_alpha, _) in spectra.items():
+            words = list(itertools.product(*(range(1, n + 1) for n in [2, 3, 2][:k])))
+            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+
+    def test_sampled_spectra_match_svd_of_the_drawn_words(self):
+        system = self.random_table(np.random.default_rng(3), 2, [2, 3])
+        measure = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+        spectra = _level_spectra(system, measure, 5, keep_from=2, size=200, seed=11)
+        # the same draws, one letter per row and level, in level order
+        rng = np.random.default_rng(11)
+        letters = np.array([rng.choice(system.profile.size(k), size=200, p=measure.probs(k))
+                            for k in range(1, 6)]).T + 1
+        for k, (log_alpha, log_p) in spectra.items():
+            words = [tuple(row[:k]) for row in letters]
+            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+            want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
+            assert np.allclose(log_p, want, rtol=0, atol=1e-12)
 
     # recorded from the index-gather version of _level_spectra: rows 0, 1, 2
     # and 499 of the depth-6 draws (size 500, seed 4), then the column sums
@@ -514,33 +642,53 @@ class TestAffineSolverPinned:
     ])
     MEASURE = BernoulliMeasure([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]])
 
-    @pytest.mark.parametrize("q, value, bracket", [
-        (1.5, 1.07958984375, (1.0791015625, 1.080078125)),
-        (3.0, 1.02001953125, (1.01953125, 1.0205078125)),
-    ])
-    def test_depth_8_matches_recorded_values(self, q, value, bracket):
-        # values recorded on the LAPACK SVD path; the 2x2 closed form must not move them
+    @staticmethod
+    def assert_near_bisection(ce, bisected, bisected_bracket, xtol):
+        """The bisected value and bracket of the previous root finder agree."""
+        lo, hi = ce.diagnostics["bracket"]
+        assert abs(ce.value - bisected) <= xtol
+        assert lo <= bisected_bracket[1] and bisected_bracket[0] <= hi
+
+    # recorded with the Illinois root finder; the bisected values, recorded on
+    # the LAPACK SVD path and kept by the 2x2 closed form, stay within xtol
+    @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket", [
+        (1.5, 1.0792959056481228, (1.078799696677636, 1.0797921146186096),
+         1.07958984375, (1.0791015625, 1.080078125)),
+        (3.0, 1.0201658004058554, (1.0196805401388727, 1.0206510606728383),
+         1.02001953125, (1.01953125, 1.0205078125)),
+    ], ids=["1.5-1.07958984375-bracket0", "3.0-1.02001953125-bracket1"])
+    def test_depth_8_matches_recorded_values(self, q, value, bracket, bisected,
+                                             bisected_bracket):
         ce = affine_series_dimension(self.SYSTEM, self.MEASURE, q, depth=8)
         assert ce.value == value
         assert ce.diagnostics["bracket"] == bracket
         assert ce.diagnostics["window"] == (4, 8)
+        self.assert_near_bisection(ce, bisected, bisected_bracket, 1e-3)
 
     # one repeated level of two non-diagonal maps, roots between 1 and 2
     STATIONARY = AffineSystem([[rotation(np.pi / 6) @ np.diag([0.8, 0.5]),
                                 np.array([[0.6, 0.2], [0.1, 0.7]])]])
     STATIONARY_MEASURE = BernoulliMeasure([[0.6, 0.4]])
 
-    @pytest.mark.parametrize("q, value, bracket, single", [
-        (1.0, 1.539859864860773, (1.5398598611354828, 1.5398598685860634), None),
-        (2.0, 1.461082547903061, (1.4610825181007385, 1.4610825777053833), 1.4872741401195526),
+    @pytest.mark.parametrize("q, value, bracket, single, bisected, bisected_bracket, xtol", [
+        (1.0, 1.539859866747121, (1.539859861747121, 1.539859871747121), None,
+         1.539859864860773, (1.5398598611354828, 1.5398598685860634), 1e-8),
+        (2.0, 1.461082523775981, (1.4610824916539138, 1.461082555898048),
+         1.4872741826418436,
+         1.461082547903061, (1.4610825181007385, 1.4610825777053833), 1e-7),
     ], ids=["q_one", "single_level_root"])
-    def test_stationary_extras_match_recorded_values(self, q, value, bracket, single):
+    def test_stationary_extras_match_recorded_values(self, q, value, bracket, single,
+                                                     bisected, bisected_bracket, xtol):
         ce = affine_series_dimension(self.STATIONARY, self.STATIONARY_MEASURE, q,
                                      level_cap=2**14)
         assert ce.value == value
         assert ce.diagnostics["bracket"] == bracket
         assert ce.diagnostics["depth"] == 14
         assert ce.diagnostics.get("single_level_root") == single
+        self.assert_near_bisection(ce, bisected, bisected_bracket, xtol)
+        if single is not None:
+            # bisected: 1.4872741401195526
+            assert abs(single - 1.4872741401195526) <= xtol
 
 
 def dominant_diagonal_oracle(t, p, q, s_hi=2.0):
