@@ -21,6 +21,7 @@ from .errors import (
     DepthCapError,
     IndeterminateTrendError,
     InsufficientScalesError,
+    SampleError,
 )
 from .harness import (
     ExperimentConfig,
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (BranchBudgetError, DepthCapError, IndeterminateTrendError,
-            InsufficientScalesError) as exc:
+            InsufficientScalesError, SampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,10 @@ scale in log coordinates. Scales whose expected cell occupancy falls under
 a floor are flagged and excluded from fits: moment sums for q > 1 are biased
 upward at scales the sample cannot resolve.
 
-Binning merges cells in canonical (sorted key) order, so results do not
-depend on how point blocks are split across workers.
+Binning counts cells in their bounding cube when it is small and sorts them
+otherwise, with the same bits either way, and merges them in canonical
+(lexicographic) order, so results do not depend on how point blocks are
+split across workers.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
 
 OCCUPANCY_MIN = 10.0
 LOCAL_SLOPE_SPREAD = 0.1
+_CELL_LIMIT = 2.0**61  # |cell index| bound of add(); keeps cube offsets in int64
 
 
 def default_scales() -> tuple[float, ...]:
@@ -63,7 +66,10 @@ class MeshAccumulator:
 
     The cube of a point x is (floor(x_1/r), ..., floor(x_d/r)); the mesh is
     anchored at the origin with no averaging over origins. Total mass is
-    conserved through binning to within accumulation roundoff.
+    conserved through binning to within accumulation roundoff. Cells are
+    keyed by row-major offset in the cube their extreme indices span, then
+    counted when it holds at most ``max(n, 2**16)`` cells and sorted
+    otherwise, with the same order and the same bits either way.
     """
 
     def __init__(self, r: float, ambient_dim: int):
@@ -92,30 +98,42 @@ class MeshAccumulator:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        idx = np.floor(pts / self.r).astype(np.int64)
-        self._pending.append((idx, np.asarray(weights, dtype=float)))
+        idx = pts / self.r
+        np.floor(idx, out=idx)
+        if idx.size and not (idx.min() >= -_CELL_LIMIT and idx.max() < _CELL_LIMIT):
+            # NaN fails both comparisons; argmin finds the first row that fails
+            bad = np.argmin(((idx >= -_CELL_LIMIT) & (idx < _CELL_LIMIT)).all(axis=1))
+            raise ValueError(f"point {bad} {pts[bad].tolist()} is not finite or "
+                             f"beyond 2**61 cells of side {self.r}")
+        self._pending.append((idx.astype(np.int64), np.asarray(weights, dtype=float)))
         self._cells = None
         self._masses = None
 
     def _merge(self, cells: np.ndarray, weights: np.ndarray):
         if len(cells) == 0:
             return cells.reshape(0, self.ambient_dim), weights[:0]
-        key = _pack_keys(cells)
-        if key is not None:
-            uniq, inverse = np.unique(key, return_inverse=True)
-            masses = np.bincount(inverse, weights=weights, minlength=len(uniq))
-            d = cells.shape[1]
-            bits = 62 // d
-            offset = np.int64(1) << (bits - 1)
-            mask = (np.int64(1) << bits) - np.int64(1)
-            out = np.empty((len(uniq), d), dtype=np.int64)
-            for axis in range(d - 1, -1, -1):
-                out[:, axis] = (uniq & mask) - offset
-                uniq = uniq >> bits
-            return out, masses
-        uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-        masses = np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
-        return uniq, masses
+        # the cube spanned by the extreme indices takes two contiguous
+        # reductions, where per-axis bounds take 2 d strided ones
+        lo = int(cells.min())
+        side = int(cells.max()) - lo + 1
+        d = cells.shape[1]
+        size = side**d
+        if size > 2**62:
+            uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
+            return uniq, np.bincount(inverse.ravel(), weights=weights, minlength=len(uniq))
+        # row-major offsets, which sort as the cells do lexicographically
+        key = cells[:, 0] - lo
+        for axis in range(1, d):
+            key *= side
+            key += cells[:, axis]
+            key -= lo
+        if size <= max(len(cells), 2**16):
+            occupied = np.flatnonzero(np.bincount(key, minlength=size))
+            masses = np.bincount(key, weights=weights, minlength=size)[occupied]
+        else:
+            occupied, inverse = np.unique(key, return_inverse=True)
+            masses = np.bincount(inverse, weights=weights, minlength=len(occupied))
+        return np.column_stack(np.unravel_index(occupied, (side,) * d)) + lo, masses
 
     def _finalize(self) -> None:
         if self._cells is not None:

@@ -41,5 +41,9 @@ class IndeterminateTrendError(RuntimeError):
         self.bracket_upper = bracket_upper
 
 
+class SampleError(ValueError):
+    """A sample file cannot be read or does not hold a finite weighted sample."""
+
+
 class ConfigError(ValueError):
     """An experiment configuration is inconsistent or unsupported."""

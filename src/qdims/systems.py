@@ -39,7 +39,7 @@ from .codespace import (
     Word,
     _read_only,
 )
-from .errors import BranchBudgetError, IncompleteSchemeError
+from .errors import BranchBudgetError, IncompleteSchemeError, SampleError
 from .singular import singular_values
 
 __all__ = [
@@ -203,20 +203,16 @@ _LETTER_SALT = np.uint64(0xD6E8FEB86659FD93)
 _AXIS_SALT = np.uint64(0xA0761D6478BD642F)
 
 
-def _mix64(x):
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a uint64 array; returns ``x``."""
     with np.errstate(over="ignore"):
-        x = np.asarray(x, dtype=np.uint64)
-        x = (x + _GOLDEN).astype(np.uint64)
+        x += _GOLDEN
         x ^= x >> np.uint64(30)
-        x = (x * _MIX1).astype(np.uint64)
+        x *= _MIX1
         x ^= x >> np.uint64(27)
-        x = (x * _MIX2).astype(np.uint64)
+        x *= _MIX2
         x ^= x >> np.uint64(31)
     return x
-
-
-def _unit_float(x) -> np.ndarray:
-    return (np.asarray(x, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -287,15 +283,26 @@ class RandomBoxTranslations:
 
     def offsets(self, letters: np.ndarray):
         # the hash chain folds in one letter per level; each axis salts the
-        # chain state before the final mix
-        state = np.full(len(letters), _mix64(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)),
-                        dtype=np.uint64)
+        # chain state before the final mix, whose top 53 bits give the float
+        n = len(letters)
+        state = _mix64(np.full(n, self.seed & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
         with np.errstate(over="ignore"):
             salts = np.arange(1, self.dim + 1, dtype=np.uint64) * _AXIS_SALT
         span = self.high - self.low
+        letter = np.empty(n, dtype=np.uint64)
+        bits = np.empty((n, self.dim), dtype=np.uint64)
         for col in letters.T:
-            state = _mix64(state ^ (col.astype(np.uint64) * _LETTER_SALT))
-            yield self.low + _unit_float(_mix64(state[:, None] + salts)) * span
+            letter[:] = col
+            with np.errstate(over="ignore"):
+                letter *= _LETTER_SALT
+            state ^= letter
+            np.add(_mix64(state)[:, None], salts, out=bits)
+            _mix64(bits)
+            bits >>= np.uint64(11)
+            out = np.multiply(bits, 2.0**-53)
+            out *= span
+            out += self.low
+            yield out
 
     def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
         *_, last = self.offsets(np.asarray([prefix]))
@@ -447,7 +454,7 @@ class AttractorSample:
         if len(w) != len(pts):
             raise ValueError("weights must align with points")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {WEIGHT_SUM_TOL}")
+            raise ValueError(f"weights sum to {float(w.sum())!r}, not 1 within {WEIGHT_SUM_TOL}")
         object.__setattr__(self, "points", _read_only(pts.copy()))
         object.__setattr__(self, "weights", _read_only(w.copy()))
 
@@ -583,11 +590,25 @@ def save_sample_csv(sample: AttractorSample, path) -> None:
 
 
 def load_sample_csv(path) -> AttractorSample:
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Sample from headerless ``x_1,...,x_d,weight`` rows.
+
+    Raises ``SampleError`` when the file cannot be read or parsed, has fewer
+    than two columns, holds a non-finite value, or its weights do not sum to 1.
+    """
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise SampleError(f"cannot read sample {path}: {exc}") from None
     if rows.shape[1] < 2:
-        raise ValueError("sample rows need at least one coordinate and a weight")
-    return AttractorSample(points=rows[:, :-1], weights=rows[:, -1],
-                           meta={"source": str(path)})
+        raise SampleError(f"{path}: rows need at least one coordinate and a weight")
+    if not np.isfinite(rows).all():
+        bad = np.argmin(np.isfinite(rows).all(axis=1))
+        raise SampleError(f"{path}: row {bad + 1} holds a non-finite value")
+    try:
+        return AttractorSample(points=rows[:, :-1], weights=rows[:, -1],
+                               meta={"source": str(path)})
+    except ValueError as exc:
+        raise SampleError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 
 def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     """Plain bisection for the root of an increasing f on s >= 0.
@@ -35,3 +39,60 @@ def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
         else:
             hi = mid
     return 0.5 * (lo + hi), (lo, hi), evaluations
+
+
+def group_sums(keys, values, d):
+    """``(cells, sums)``: values summed per key in input order, keys sorted.
+
+    Cells are a ``(k, d)`` int64 array in lexicographic order.
+    """
+    sums = {}
+    for key, value in zip(keys, values):
+        sums[key] = sums.get(key, 0.0) + value
+    ordered = sorted(sums)
+    return (np.array(ordered, dtype=np.int64).reshape(len(ordered), d),
+            np.array([sums[key] for key in ordered], dtype=float))
+
+
+def mesh_bins(points, weights, r):
+    """Mesh cells ``floor(x / r)`` of ``(n, d)`` points and their masses,
+    summed in point order."""
+    keys = [tuple(math.floor(v / r) for v in row) for row in points.tolist()]
+    return group_sums(keys, np.asarray(weights, dtype=float).tolist(), points.shape[1])
+
+
+def random_box_offsets(scheme, letters):
+    """Per-level offsets of a ``RandomBoxTranslations`` by the out-of-place chain.
+
+    Every step of splitmix64's finalizer makes a new array, as the package's
+    first version did; the package mixes in place and must match it bit for bit.
+    """
+    golden = np.uint64(0x9E3779B97F4A7C15)
+    mix1, mix2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+    letter_salt, axis_salt = np.uint64(0xD6E8FEB86659FD93), np.uint64(0xA0761D6478BD642F)
+
+    def mix64(x):
+        with np.errstate(over="ignore"):
+            x = np.asarray(x, dtype=np.uint64)
+            x = (x + golden).astype(np.uint64)
+            x ^= x >> np.uint64(30)
+            x = (x * mix1).astype(np.uint64)
+            x ^= x >> np.uint64(27)
+            x = (x * mix2).astype(np.uint64)
+            x ^= x >> np.uint64(31)
+        return x
+
+    def unit_float(x):
+        return (np.asarray(x, dtype=np.uint64) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    state = np.full(len(letters), mix64(np.uint64(scheme.seed & 0xFFFFFFFFFFFFFFFF)),
+                    dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        salts = np.arange(1, scheme.dim + 1, dtype=np.uint64) * axis_salt
+    span = scheme.high - scheme.low
+    out = []
+    for col in np.asarray(letters).T:
+        with np.errstate(over="ignore"):
+            state = mix64(state ^ (col.astype(np.uint64) * letter_salt))
+        out.append(scheme.low + unit_float(mix64(state[:, None] + salts)) * span)
+    return out

@@ -61,3 +61,8 @@ def test_removed_members_are_gone(module_name, owner, member):
 def test_depth_cap_error_carries_depth_only():
     params = list(inspect.signature(qdims.errors.DepthCapError).parameters)
     assert params == ["message", "depth"]
+
+
+def test_sample_error_is_a_value_error():
+    # callers that caught the loader's ValueError keep working
+    assert issubclass(qdims.errors.SampleError, ValueError)

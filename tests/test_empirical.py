@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import group_sums, mesh_bins
 
 from qdims.codespace import BernoulliMeasure
 from qdims.empirical import (
@@ -84,6 +85,73 @@ class TestMeshAccumulator:
         w /= w.sum()
         acc = MeshAccumulator.from_points(pts, w, r)
         assert acc.total_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_points_rejected(self):
+        with pytest.raises(ValueError, match=r"point 1 \[nan\] is not finite"):
+            MeshAccumulator.from_points([[0.1], [np.nan], [np.inf]], [0.2, 0.3, 0.5], 0.25)
+        acc = MeshAccumulator(0.5, 2)
+        with pytest.raises(ValueError, match=r"point 2 \[0.0, -inf\]"):
+            acc.add(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, -np.inf]]), np.full(3, 1 / 3))
+        assert len(acc) == 0
+
+    def test_points_beyond_the_packed_range_rejected(self):
+        limit = 2.0**61
+        acc = MeshAccumulator.from_points([[-limit * 0.25], [(limit - 1024) * 0.25]],
+                                          [0.5, 0.5], 0.25)
+        assert acc.cells().ravel().tolist() == [-2**61, 2**61 - 1024]
+        for far in (limit * 0.25, -(limit + 2048) * 0.25):
+            with pytest.raises(ValueError, match="point 1 .* beyond 2\\*\\*61 cells"):
+                MeshAccumulator.from_points([[0.0], [far]], [0.5, 0.5], 0.25)
+
+
+@st.composite
+def binning_cases(draw):
+    """Points whose cell cubes fall on both sides of the counting threshold.
+
+    Spreads of 3 and 300 cells per axis stay under ``2**16`` cells in 1-D,
+    300 and 70,000 cross it in 2-D and 1-D, and ``2**40`` takes 2-D and 3-D
+    past the ``2**62`` cells that int64 offsets hold. Rows repeat, some
+    weights are zero, and the points are added in random chunks.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(0, 80))
+    spread = draw(st.sampled_from([3, 300, 70_000, 2**40]))
+    r = draw(st.sampled_from([0.5, 0.1, 0.07]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = (rng.integers(-spread, spread + 1, size=(n, d)) + rng.random((n, d))) * r
+    if n:
+        pts[rng.random(n) < 0.3] = pts[rng.integers(0, n)]
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    cuts = np.sort(rng.integers(0, n + 1, size=draw(st.integers(0, 4))))
+    return pts, w, r, np.split(np.arange(n), cuts)
+
+
+class TestBinningOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(binning_cases())
+    def test_cells_and_masses_match_point_order_sums(self, case):
+        pts, w, r, chunks = case
+        acc = MeshAccumulator(r, pts.shape[1])
+        for chunk in chunks:
+            acc.add(pts[chunk], w[chunk])
+        cells, masses = mesh_bins(pts, w, r)
+        assert acc.cells().dtype == np.int64 and acc.cells().shape == cells.shape
+        assert np.array_equal(acc.cells(), cells)
+        assert acc.masses().tobytes() == masses.tobytes()
+        # coarsening sums the fine masses in fine-cell order
+        coarse_cells, coarse_masses = group_sums(
+            [tuple(c // 3 for c in cell) for cell in cells.tolist()], masses.tolist(),
+            pts.shape[1])
+        coarse = acc.coarsen(3)
+        assert coarse.cells().shape == coarse_cells.shape
+        assert np.array_equal(coarse.cells(), coarse_cells)
+        assert coarse.masses().tobytes() == coarse_masses.tobytes()
+
+    def test_zero_weight_cell_is_kept(self):
+        acc = MeshAccumulator.from_points([[0.1], [0.6], [0.7]], [0.0, 0.5, 0.5], 0.25)
+        assert acc.cells().ravel().tolist() == [0, 2]
+        assert acc.masses().tolist() == [0.0, 1.0]
 
 
 class TestMomentSums:
@@ -248,6 +316,16 @@ class TestEstimateSpectrum:
         s = uniform_sample(40_000, d=2, seed=13)
         estimate_spectrum(s, (0.5, 1.0, 2.0), tuple(2.0**-e for e in range(1, 6)))
         assert calls == [2.0**-5]
+
+    def test_small_boxes_are_counted_not_sorted(self, monkeypatch):
+        s = uniform_sample(10**5, seed=16)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", refuse)
+        [(_, est)] = estimate_spectrum(s, (2.0,))
+        assert est.dimension == pytest.approx(1.0, abs=0.02)
 
     def test_default_scales_only_for_none(self):
         s = uniform_sample(20_000, seed=14)

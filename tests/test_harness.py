@@ -468,6 +468,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n0.25\n", "at least one coordinate and a weight"),
+        ("0.1,0.2\n0.3,0.2\n", "weights sum to 0.4"),
+        ("0.1,0.5\nnan,0.5\n", "row 2 holds a non-finite value"),
+        (None, "not found"),
+    ], ids=["one-column", "weight-sum", "nan-row", "missing"])
+    def test_malformed_sample_exits_with_message(self, tmp_path, capsys, text, message):
+        points = tmp_path / "points.csv"
+        if text is not None:
+            points.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main(["estimate", str(points), "--q", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not out.exists()
+
     def test_repeated_config_scales_exit_with_message(self, tmp_path, capsys):
         # base 1 turns every exponent into the same size 1.0
         path = tmp_path / "cfg.json"

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_box_offsets
 
 from qdims import systems
 from qdims.codespace import BernoulliMeasure, Word
-from qdims.errors import BranchBudgetError, IncompleteSchemeError
+from qdims.errors import BranchBudgetError, IncompleteSchemeError, SampleError
 from qdims.systems import (
     _draw_letters,
     AffineSystem,
@@ -274,6 +275,19 @@ class TestTranslationSchemes:
             for row, off in zip(letters, offs):
                 assert np.array_equal(off, scheme.translation(tuple(row[:j])))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 9, -3])
+    def test_random_box_offsets_match_out_of_place_chain(self, d, seed):
+        scheme = RandomBoxTranslations(low=-0.5 * np.arange(1, d + 1),
+                                       high=np.arange(1, d + 1) / 3, seed=seed)
+        letters = drawn_letters(500, 15, [0.2, 0.3, 0.5], seed=d)
+        got = list(scheme.offsets(letters))
+        want = random_box_offsets(scheme, letters)
+        assert len(got) == len(want) == 15
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (500, d)
+            assert (a == b).all() and a.tobytes() == b.tobytes()
+
     def test_finite_set_offsets_follow_documented_rule(self):
         scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]],
                                       assignment=ASSIGNMENT)
@@ -511,6 +525,20 @@ class TestSampleCsv:
         back = load_sample_csv(path)
         assert back.points.tobytes() == sample.points.tobytes()
         assert back.weights.tobytes() == sample.weights.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\n0.25\n", "at least one coordinate and a weight"),
+        ("0.1,0.2\n0.3,0.2\n", "weights sum to 0.4, not 1"),
+        ("0.1,0.5\nnan,0.5\n", "row 2 holds a non-finite value"),
+        ("0.1,0.5\n0.3\n", "cannot read sample"),
+        (None, "cannot read sample"),
+    ], ids=["one-column", "weight-sum", "nan-row", "ragged", "missing"])
+    def test_malformed_file_raises_sample_error(self, tmp_path, text, message):
+        path = tmp_path / "points.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SampleError, match=message):
+            load_sample_csv(path)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
