@@ -59,6 +59,9 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
+# rows per sampling chunk and per CSV block; neither changes any value
+_SAMPLE_CHUNK_ROWS = 16384
+_CSV_BLOCK_ROWS = 4096
 
 
 def _matrix_level(entry) -> np.ndarray:
@@ -440,7 +443,12 @@ def default_sampling_depth(system, scheme, resolution: float) -> int:
 
 @dataclass(frozen=True)
 class AttractorSample:
-    """Weighted point cloud standing in for the projected measure."""
+    """Weighted point cloud standing in for the projected measure.
+
+    Raises ``ValueError`` unless every point and weight is finite, every
+    weight is non-negative and the weights sum to 1; the message names the
+    first row (1-based) with a non-finite value or a negative weight.
+    """
 
     points: np.ndarray
     weights: np.ndarray
@@ -453,6 +461,12 @@ class AttractorSample:
         w = np.asarray(self.weights, dtype=float).ravel()
         if len(w) != len(pts):
             raise ValueError("weights must align with points")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            finite = np.isfinite(pts).all(axis=1) & np.isfinite(w)
+            raise ValueError(f"row {np.argmin(finite) + 1} holds a non-finite value")
+        if (w < 0.0).any():
+            row = np.argmax(w < 0.0)
+            raise ValueError(f"row {row + 1} has negative weight {float(w[row])!r}")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {float(w.sum())!r}, not 1 within {WEIGHT_SUM_TOL}")
         object.__setattr__(self, "points", _read_only(pts.copy()))
@@ -466,15 +480,19 @@ class AttractorSample:
         return len(self.points)
 
 
-def _draw_letters(measure: BernoulliMeasure, count: int, depth: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Letters 1..m per address and level, the draws of ``rng.choice(m, p=p)``.
+def _letter_chunks(measure: BernoulliMeasure, count: int, depth: int, seed: int):
+    """Letters 1..m per address and level, in chunks of ``_SAMPLE_CHUNK_ROWS`` rows.
 
-    ``rng.choice`` draws ``u = rng.random(count)`` and returns the number of
-    entries of ``cdf = p.cumsum() / cdf[-1]`` at or below ``u``. Counting them
-    directly gives the same letters from the same stream. Letters are stored
-    in the smallest unsigned type that holds the largest one: ``uint8`` while
-    no level has more than 255 letters.
+    Yields ``(start, letters)``, with ``letters`` of shape ``(n, depth)`` for
+    rows ``start`` to ``start + n``. Level k (0-based) reads the PCG64 stream
+    of ``default_rng(seed)`` advanced by ``k * count`` doubles, so row i's
+    letter comes from double ``k * count + i`` of that one stream, whatever
+    the chunk size: these are the draws of ``rng.choice(m, p=p)`` made level
+    by level. ``choice`` draws ``u = rng.random(count)`` and returns the
+    number of entries of ``cdf = p.cumsum() / cdf[-1]`` at or below ``u``;
+    counting them directly gives the same letters. Letters are stored in the
+    smallest unsigned type that holds the largest one: ``uint8`` while no
+    level has more than 255 letters.
     """
     cdfs = []
     for k in range(1, depth + 1):
@@ -483,14 +501,20 @@ def _draw_letters(measure: BernoulliMeasure, count: int, depth: int,
         # u < 1 = cdf[-1], so the last entry never counts
         cdfs.append(cdf[:-1])
     dtype = np.min_scalar_type(max(len(cdf) for cdf in cdfs) + 1)
-    # Fortran order keeps each level's letters in one contiguous column
-    letters = np.ones((count, depth), dtype=dtype, order="F")
-    u = np.empty(count)
-    for column, cdf in zip(letters.T, cdfs):
-        rng.random(out=u)
-        for edge in cdf:
-            column += u >= edge
-    return letters
+    # seeded constructors only: an unseeded PCG64 would read OS entropy
+    streams = [np.random.Generator(np.random.PCG64(seed).advance(k * count))
+               for k in range(depth)]
+    u = np.empty(min(count, _SAMPLE_CHUNK_ROWS))
+    for start in range(0, count, _SAMPLE_CHUNK_ROWS):
+        n = min(_SAMPLE_CHUNK_ROWS, count - start)
+        draws = u[:n]
+        # Fortran order keeps each level's letters in one contiguous column
+        letters = np.ones((n, depth), dtype=dtype, order="F")
+        for column, cdf, stream in zip(letters.T, cdfs, streams):
+            stream.random(out=draws)
+            for edge in cdf:
+                column += draws >= edge
+        yield start, letters
 
 
 def _checked_offsets(scheme, letters: np.ndarray, d: int):
@@ -513,12 +537,22 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     metadata instead of failing. Raises ``ValueError`` when the scheme's
     offsets do not have the system's dimension.
 
+    Addresses are drawn and projected in chunks of ``_SAMPLE_CHUNK_ROWS``
+    rows, each written into its slice of the output. Every level draws from
+    its own PCG64 stream, advanced to that level's place in the single
+    stream of ``default_rng(seed)``, and every step of the projection acts on
+    each row alone, so the points have the same bits for any chunk size.
+    Beyond the ``(count, d)`` points and their weights, memory is
+    O(chunk x depth) for the letters and O(chunk x d x d) for the products.
+
     The linear parts are composed on one of two paths, chosen from
     ``system.linear_maps`` alone. When every level the sample uses is
     diagonal (similarities without rotation among them), each address keeps
     the diagonal of its product as a length-d scale vector; otherwise it
     keeps the full d x d product. Both give the same bits on diagonal maps,
-    because a zero off-diagonal entry adds an exact zero to every sum.
+    because a zero off-diagonal entry adds an exact zero to every sum. A
+    diagonal level whose maps all share one diagonal multiplies every row by
+    it, with no lookup by letter.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -529,28 +563,33 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     resolution = target_resolution if target_resolution is not None else 2.0**-12
     if depth is None:
         depth = default_sampling_depth(system, scheme, resolution)
-    rng = np.random.default_rng(seed)
-    letters = _draw_letters(measure, count, depth, rng)
 
     d = system.ambient_dim
-    x = np.zeros((count, d))
-    offsets = _checked_offsets(scheme, letters, d)
     # the last level's linear parts never act on an offset
     maps = [system.linear_maps(j) for j in range(1, depth)]
     off_diagonal = ~np.eye(d, dtype=bool)
-    if not any(L[:, off_diagonal].any() for L in maps):
-        diagonals = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
-        scale = np.ones((count, d))
-        for j, offs in enumerate(offsets, start=1):
-            x += scale * offs
-            if j < depth:
-                scale *= np.take(diagonals[j - 1], letters[:, j - 1] - 1, axis=0)
-    else:
-        M = np.broadcast_to(np.eye(d), (count, d, d)).copy()
-        for j, offs in enumerate(offsets, start=1):
-            x += (M @ offs[:, :, None])[:, :, 0]
-            if j < depth:
-                M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
+    diagonal = not any(L[:, off_diagonal].any() for L in maps)
+    if diagonal:
+        maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
+        maps = [D[0] if (D == D[0]).all() else D for D in maps]
+    x = np.zeros((count, d))
+    for start, letters in _letter_chunks(measure, count, depth, seed):
+        n = len(letters)
+        xs = x[start:start + n]
+        offsets = _checked_offsets(scheme, letters, d)
+        if diagonal:
+            scale = np.ones((n, d))
+            for j, offs in enumerate(offsets, start=1):
+                xs += scale * offs
+                if j < depth:
+                    D = maps[j - 1]
+                    scale *= D if D.ndim == 1 else np.take(D, letters[:, j - 1] - 1, axis=0)
+        else:
+            M = np.broadcast_to(np.eye(d), (n, d, d)).copy()
+            for j, offs in enumerate(offsets, start=1):
+                xs += (M @ offs[:, :, None])[:, :, 0]
+                if j < depth:
+                    M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
 
     a = system.contraction_bound
     bound = scheme.sup_norm() * a**depth / (1.0 - a)
@@ -564,9 +603,6 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     }
     weights = np.full(count, 1.0 / count)
     return AttractorSample(points=x, weights=weights, meta=meta)
-
-
-_CSV_BLOCK_ROWS = 4096
 
 
 def save_sample_csv(sample: AttractorSample, path) -> None:
@@ -593,7 +629,8 @@ def load_sample_csv(path) -> AttractorSample:
     """Sample from headerless ``x_1,...,x_d,weight`` rows.
 
     Raises ``SampleError`` when the file cannot be read or parsed, has fewer
-    than two columns, holds a non-finite value, or its weights do not sum to 1.
+    than two columns, or holds rows that ``AttractorSample`` rejects: a
+    non-finite value, a negative weight, or weights that do not sum to 1.
     """
     try:
         rows = np.loadtxt(path, delimiter=",", ndmin=2)
@@ -601,9 +638,6 @@ def load_sample_csv(path) -> AttractorSample:
         raise SampleError(f"cannot read sample {path}: {exc}") from None
     if rows.shape[1] < 2:
         raise SampleError(f"{path}: rows need at least one coordinate and a weight")
-    if not np.isfinite(rows).all():
-        bad = np.argmin(np.isfinite(rows).all(axis=1))
-        raise SampleError(f"{path}: row {bad + 1} holds a non-finite value")
     try:
         return AttractorSample(points=rows[:, :-1], weights=rows[:, -1],
                                meta={"source": str(path)})

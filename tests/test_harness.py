@@ -472,8 +472,9 @@ class TestCli:
         ("0.5\n0.25\n", "at least one coordinate and a weight"),
         ("0.1,0.2\n0.3,0.2\n", "weights sum to 0.4"),
         ("0.1,0.5\nnan,0.5\n", "row 2 holds a non-finite value"),
+        ("0.1,1.5\n0.9,-0.5\n", "row 2 has negative weight -0.5"),
         (None, "not found"),
-    ], ids=["one-column", "weight-sum", "nan-row", "missing"])
+    ], ids=["one-column", "weight-sum", "nan-row", "negative-weight", "missing"])
     def test_malformed_sample_exits_with_message(self, tmp_path, capsys, text, message):
         points = tmp_path / "points.csv"
         if text is not None:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from qdims import systems
 from qdims.codespace import BernoulliMeasure, Word
 from qdims.errors import BranchBudgetError, IncompleteSchemeError, SampleError
 from qdims.systems import (
-    _draw_letters,
+    _letter_chunks,
     AffineSystem,
     AttractorSample,
     ExplicitTranslations,
@@ -445,17 +446,64 @@ class TestSampling:
         assert s.points.tobytes() == matrix_stack_points(system, scheme, letters).tobytes()
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.booleans())
-    def test_letters_match_rng_choice(self, seed, wide):
+    @given(st.integers(0, 2**31 - 1), st.booleans(), st.sampled_from([7, 128, 300]))
+    def test_letters_match_rng_choice(self, seed, wide, chunk_rows):
+        # 300 rows: chunks of 7 and 128 end short, one chunk of 300 does not
         rng = np.random.default_rng(seed)
         sizes = rng.integers(2, 12, size=rng.integers(1, 5)).tolist()
         if wide:
             sizes.insert(int(rng.integers(len(sizes) + 1)), 256)
         measure = BernoulliMeasure([rng.dirichlet(np.ones(m)) for m in sizes])
         count, depth = 300, len(sizes) + 2
-        letters = _draw_letters(measure, count, depth, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows)
+            chunks = list(_letter_chunks(measure, count, depth, seed))
+        starts = [start for start, _ in chunks]
+        assert starts == list(range(0, count, chunk_rows))
+        letters = np.concatenate([block for _, block in chunks])
         assert letters.dtype == (np.uint16 if wide else np.uint8)
         assert np.array_equal(letters, choice_letters(measure, count, depth, seed))
+
+    @pytest.mark.parametrize("path", ["diagonal", "matrix", "random-box"])
+    def test_points_do_not_depend_on_chunk_size(self, monkeypatch, path):
+        # 1003 rows: not a multiple of 7 or 1000; level-varying branching,
+        # with one similarity level of equal ratios
+        probs = [[0.2, 0.5, 0.3], [0.6, 0.4], [0.1, 0.3, 0.6]]
+        if path == "diagonal":
+            system = SimilarSystem([[0.3, 0.25, 0.4], [0.4, 0.4], [0.35, 0.3, 0.2]],
+                                   ambient_dim=2)
+            scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [0.5, 0.3], [0.25, 0.6]],
+                                          assignment=ASSIGNMENT)
+        else:
+            shear = np.array([[0.2, 0.1], [-0.1, 0.3]])
+            system = AffineSystem([skewed_affine_system().linear_maps(1),
+                                   [shear, shear.T]])
+            scheme = (FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])
+                      if path == "matrix"
+                      else RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9))
+            probs = [probs[0], probs[1]]
+        measure = BernoulliMeasure(probs)
+        count, depth, seed = 1003, 8, 17
+        digests = set()
+        for chunk_rows in (1, 7, 1000, count, 4 * count):
+            monkeypatch.setattr(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows)
+            s = sample_measure(system, scheme, measure, count=count, depth=depth, seed=seed)
+            digests.add(points_digest(s))
+        assert len(digests) == 1
+        letters = choice_letters(measure, count, depth, seed)
+        assert s.points.tobytes() == matrix_stack_points(system, scheme, letters).tobytes()
+
+    def test_memory_bounded_by_chunk_not_count(self):
+        # depth-200 letters for 200k rows alone would take 40 MB; the points
+        # and weights with their copies take 6.4 MB
+        system, scheme, measure = cantor_system()
+        tracemalloc.start()
+        try:
+            sample_measure(system, scheme, measure, count=200_000, depth=200, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("system", [
         SimilarSystem([[0.3, 0.4]], ambient_dim=2),
@@ -530,9 +578,10 @@ class TestSampleCsv:
         ("0.5\n0.25\n", "at least one coordinate and a weight"),
         ("0.1,0.2\n0.3,0.2\n", "weights sum to 0.4, not 1"),
         ("0.1,0.5\nnan,0.5\n", "row 2 holds a non-finite value"),
+        ("0.1,1.5\n0.9,-0.5\n", "row 2 has negative weight -0.5"),
         ("0.1,0.5\n0.3\n", "cannot read sample"),
         (None, "cannot read sample"),
-    ], ids=["one-column", "weight-sum", "nan-row", "ragged", "missing"])
+    ], ids=["one-column", "weight-sum", "nan-row", "negative-weight", "ragged", "missing"])
     def test_malformed_file_raises_sample_error(self, tmp_path, text, message):
         path = tmp_path / "points.csv"
         if text is not None:
@@ -543,6 +592,20 @@ class TestSampleCsv:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             AttractorSample(points=np.zeros((3, 1)), weights=[0.5, 0.5, 0.5])
+
+    def test_negative_weight_rejected(self):
+        # sums to 1, but would bin to the cell masses [1.5, -0.5]
+        with pytest.raises(ValueError, match="row 2 has negative weight -0.5"):
+            AttractorSample(points=[[0.1], [0.9]], weights=[1.5, -0.5])
+
+    @pytest.mark.parametrize("points, weights, row", [
+        ([[0.1], [np.nan]], [0.5, 0.5], 2),
+        ([[0.1, np.inf], [0.2, 0.3]], [0.5, 0.5], 1),
+        ([[0.1], [0.2], [0.3]], [0.5, 0.5, np.nan], 3),
+    ], ids=["nan-point", "inf-point", "nan-weight"])
+    def test_non_finite_row_rejected(self, points, weights, row):
+        with pytest.raises(ValueError, match=f"row {row} holds a non-finite value"):
+            AttractorSample(points=points, weights=weights)
 
 
 class TestSeparation:
