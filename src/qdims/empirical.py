@@ -178,8 +178,9 @@ class MeshAccumulator:
         return float((m**q).sum())
 
     def entropy(self) -> float:
+        """``sum m log m`` over the cells, with ``0 log 0 = 0`` for zero-mass cells."""
         m = self.masses()
-        return float((m * np.log(m)).sum())
+        return float((m * np.log(m, out=np.zeros_like(m), where=m > 0.0)).sum())
 
 
 @dataclass(frozen=True)

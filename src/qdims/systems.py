@@ -447,7 +447,8 @@ class AttractorSample:
 
     Raises ``ValueError`` unless every point and weight is finite, every
     weight is non-negative and the weights sum to 1; the message names the
-    first row (1-based) with a non-finite value or a negative weight.
+    first row (1-based) with a non-finite value or a negative weight. Writable
+    inputs are copied; read-only float arrays are kept as they are.
     """
 
     points: np.ndarray
@@ -469,8 +470,8 @@ class AttractorSample:
             raise ValueError(f"row {row + 1} has negative weight {float(w[row])!r}")
         if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {float(w.sum())!r}, not 1 within {WEIGHT_SUM_TOL}")
-        object.__setattr__(self, "points", _read_only(pts.copy()))
-        object.__setattr__(self, "weights", _read_only(w.copy()))
+        object.__setattr__(self, "points", _read_only(pts.copy() if pts.flags.writeable else pts))
+        object.__setattr__(self, "weights", _read_only(w.copy() if w.flags.writeable else w))
 
     @property
     def ambient_dim(self) -> int:
@@ -601,8 +602,9 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
         "resolution": float(resolution),
         "resolution_warning": bool(bound > resolution),
     }
-    weights = np.full(count, 1.0 / count)
-    return AttractorSample(points=x, weights=weights, meta=meta)
+    # handed over read-only, so the sample keeps them without a copy
+    weights = _read_only(np.full(count, 1.0 / count))
+    return AttractorSample(points=_read_only(x), weights=weights, meta=meta)
 
 
 def save_sample_csv(sample: AttractorSample, path) -> None:

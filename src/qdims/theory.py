@@ -13,20 +13,21 @@ level-sum solver built on the singular value function, whose one-level case
 Every solver finds the root of an increasing function of s built from moment
 sums, and they share one core:
 
+- ``_moment_sums`` evaluates the moment sums of word groups at once, or
+  their entropy form at q = 1: one group for the closed form and for the
+  deepest affine level, one per distinct level entry for the product limit,
+  one per grid scale for the cut set, one per kept level for the affine
+  level rate. Every word enters as its log singular values, so a similarity
+  ratio c is the one-column spectrum ``log c`` (``svf(c O, s) = c**s``), and
+  each group's ``svf_log`` is written as ``base + s * slope`` on the integer
+  segment of s being probed, so an evaluation is one pass over the words;
 - ``_root_of_increasing`` closes a sign-change bracket by Illinois steps and
   reports it (to adjacent floats at ``xtol=0``, as the closed form asks);
-- ``_moment_sums`` evaluates the similarity sums, or their entropy form at
-  q = 1, for consecutive word groups at once: one group for the closed form,
-  one per level for the product limit, one per grid scale for the cut set;
 - ``_envelope_roots`` turns the upper and lower envelope trends of the
   product or cut-set sums into the lower and upper exponents, with the
   orientation for q below or above 1 decided in one place;
 - ``_level_spectra`` enumerates (or samples) the words of an affine table
-  and returns their log singular values and log masses per level;
-- ``_segment_coefficients`` writes each level's ``svf_log`` as
-  ``base + s * slope`` on the integer segment of s being probed, so the
-  affine level sums (``_level_rate``, the single-level root, and the q = 1
-  ``_entropy_rate``) are one pass over the words per evaluation.
+  and returns their log singular values and log masses per level.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers substitute the sign of the growth trend over a trailing
@@ -117,7 +118,7 @@ def stationary_dimension(ratios, probs, q: float) -> float:
     log_p = np.log(p)
     if abs(q - 1.0) < Q_ONE_TOL:
         return float((p @ log_p) / (p @ log_c))
-    sums = _moment_sums(log_c, log_p, [len(c)], q)
+    sums = _moment_sums([(log_c[:, None], log_p)], q)
     sign = 1.0 if q > 1.0 else -1.0
     cap = 2.0 * max(1.0, float(np.log(np.sum(p**q)) / ((q - 1.0) * log_c.max())))
     root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=cap)
@@ -208,31 +209,70 @@ def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
     return lower, upper, {"lower": br_lower, "upper": br_upper}
 
 
-def _moment_sums(log_c: np.ndarray, log_p: np.ndarray, sizes, q: float):
-    """Log moment sums of consecutive word groups, as a function of s.
+def _moment_sums(groups, q: float, sampled: bool = False):
+    """Log moment sums of word groups, one value per group, as a function of s.
 
-    ``log_c`` and ``log_p`` hold the log ratios and log masses of every word,
-    group after group, with ``sizes[i] >= 1`` words in group i. The returned
-    function maps s to ``log sum_u c_u**(s(1-q)) p_u**q`` per group; at q = 1,
-    where those sums vanish, to their derivative in q instead, the entropy
-    form ``sum_u p_u log p_u - s sum_u p_u log c_u``.
+    Each group is ``(log_alpha, log_p)``: the ``(n, d)`` log singular values,
+    nonincreasing along each row, and the ``(n,)`` log masses of its words; a
+    similarity ratio c enters as the one-column spectrum ``log c``. The
+    returned function maps s to ``log sum_u svf(T_u, s)**(1-q) p_u**q`` per
+    group. Sampled words were drawn from the measure, so their sum is
+    estimated as the log mean of ``svf(T_u, s)**(1-q) p_u**(q-1)``. At q = 1,
+    where the sums vanish, it maps s to their derivative in q instead, the
+    entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
+
+    ``svf_log(log_alpha, s)`` is affine in s on every segment [m - 1, m] with
+    m <= d, and on [d, inf) it is ``s * svf_log(log_alpha, d) / d``. So on the
+    segment holding s it equals ``base + s * slope``, with both read off
+    ``svf_log`` at two integer points of the segment. Only the current
+    segment is kept, and any s in its closed interval reuses it: the root
+    finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in there
+    costs two segments. One column has the same coefficients, ``base = 0``
+    and ``slope = log c``, on both of its segments.
     """
-    sizes = np.asarray(sizes)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    if abs(q - 1.0) < Q_ONE_TOL:
-        p = np.exp(log_p)
-        ent = np.add.reduceat(p * log_p, starts)
-        lya = np.add.reduceat(p * log_c, starts)
-        return lambda s: ent - s * lya
-    coeff = (1.0 - q) * log_c
-    q_log_p = q * log_p
+    log_alpha, log_p = zip(*groups)
+    d = log_alpha[0].shape[-1]
+    entropy = abs(q - 1.0) < Q_ONE_TOL
+    mass = q - 1.0 if sampled else q
+    log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
+    if entropy:
+        w = [np.exp(lp) for lp in log_p]
+        ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
+    span, coeffs = (1.0, 0.0), None
+
+    def segment(s: float):
+        nonlocal span, coeffs
+        if not span[0] <= s <= span[1]:
+            lo = min(max(int(np.ceil(s)) - 1, 0), d)
+            span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
+            for i, la in enumerate(log_alpha):
+                base = svf_log(la, lo)
+                slope = svf_log(la, lo + 1)
+                slope -= base
+                base -= lo * slope
+                if entropy:
+                    coeffs.append((w[i] @ base, w[i] @ slope))
+                else:
+                    base *= 1.0 - q
+                    base += mass * log_p[i]
+                    slope *= 1.0 - q
+                    coeffs.append((base, slope))
+            if entropy:
+                coeffs = np.array(coeffs).T
+        return coeffs
 
     def sums(s: float) -> np.ndarray:
-        t = s * coeff + q_log_p
-        top = np.maximum.reduceat(t, starts)
-        t -= np.repeat(top, sizes)
-        np.exp(t, out=t)
-        return np.log(np.add.reduceat(t, starts)) + top
+        if entropy:
+            base, slope = segment(s)
+            return ent - (base + s * slope)
+        tops, totals = np.empty(len(log_p)), np.empty(len(log_p))
+        for i, (base, slope) in enumerate(segment(s)):
+            t = slope * s
+            t += base
+            tops[i] = top = np.maximum.reduce(t)
+            t -= top
+            totals[i] = np.add.reduce(np.exp(t, out=t))
+        return np.log(totals) + tops - log_n
 
     return sums
 
@@ -261,18 +301,20 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
     stationary = system.ratio_schedule.stationary and measure.stationary
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
 
-    levels = range(1, depth + 1)
-    log_c = [system.log_ratios_at(k) for k in levels]
-    sums = _moment_sums(np.concatenate(log_c),
-                        np.concatenate([measure.log_probs(k) for k in levels]),
-                        [len(v) for v in log_c], q)
+    # a level-varying table repeats a few distinct entries: sum each once
+    groups, level_group = {}, []
+    for k in range(1, depth + 1):
+        log_c, log_p = system.log_ratios_at(k), measure.log_probs(k)
+        group = groups.setdefault((log_c.tobytes(), log_p.tobytes()), (len(groups), log_c, log_p))
+        level_group.append(group[0])
+    sums = _moment_sums([(log_c[:, None], log_p) for _, log_c, log_p in groups.values()], q)
 
     bounds_note = {"lower": "one-sided (lower bound)", "upper": "one-sided (upper bound)"}
     if abs(q - 1.0) >= Q_ONE_TOL:
         bounds_note["lower" if q > 1 else "upper"] = "exact"
 
-    lower, upper, brackets = _envelope_roots(lambda s: np.cumsum(sums(s)), q, xtol,
-                                             stationary)
+    lower, upper, brackets = _envelope_roots(lambda s: np.cumsum(sums(s)[level_group]), q,
+                                             xtol, stationary)
 
     diag = {
         "depth": depth,
@@ -338,14 +380,12 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
             f"only {len(grids)} usable cut-set scales under the word budget"
         )
 
-    log_c, log_p = zip(*(logs for _, logs in grids))
-    sizes = [len(v) for v in log_c]
-    seq = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), sizes, q)
+    seq = _moment_sums([(log_c[:, None], log_p) for _, (log_c, log_p) in grids], q)
     lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
 
     diag = {
         "scales": [r for r, _ in grids],
-        "words": sizes,
+        "words": [len(log_p) for _, (_, log_p) in grids],
         "stationary": stationary,
         "xtol": xtol,
         "brackets": brackets,
@@ -405,76 +445,10 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     return out
 
 
-def _segment_coefficients(levels, fold):
-    """Coefficients of each level's ``svf_log`` on the segment of s in use.
-
-    ``svf_log(log_alpha, s)`` is affine in s on every segment [m - 1, m] with
-    m <= d, and on [d, inf) it is ``s * svf_log(log_alpha, d) / d``. So on the
-    segment holding s it equals ``base + s * slope``, with both read off
-    ``svf_log`` at two integer points of the segment. The returned function
-    maps s to ``[fold(i, base, slope) for each level i]``. Only the current
-    segment is kept, and any s in its closed interval reuses it: the root
-    finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in there
-    costs two segments.
-    """
-    d = levels[0].shape[-1]
-    span, coeffs = (1.0, 0.0), None
-
-    def at(s: float) -> list:
-        nonlocal span, coeffs
-        if not span[0] <= s <= span[1]:
-            lo = min(max(int(np.ceil(s)) - 1, 0), d)
-            span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
-            for i, log_alpha in enumerate(levels):
-                base = svf_log(log_alpha, lo)
-                slope = svf_log(log_alpha, lo + 1)
-                slope -= base
-                base -= lo * slope
-                coeffs.append(fold(i, base, slope))
-        return coeffs
-
-    return at
-
-
-def _level_sums(spectra: dict, q: float, sampled: bool):
-    """Log level sums at the kept levels, in increasing k, as a function of s.
-
-    Enumerated levels give ``log sum_u svf(T_u, s)**(1-q) p_u**q``. Sampled
-    words were drawn from the measure, so the same sum is estimated as the
-    mean of ``svf(T_u, s)**(1-q) p_u**(q-1)``. Every term is
-    ``base + s * slope`` on the current segment of s, so an evaluation is one
-    pass over each level's words.
-    """
-    log_alpha, log_p = zip(*(spectra[k] for k in sorted(spectra)))
-    mass = q - 1.0 if sampled else q
-    log_n = [np.log(len(lp)) if sampled else 0.0 for lp in log_p]
-
-    def fold(i, base, slope):
-        base *= 1.0 - q
-        base += mass * log_p[i]
-        slope *= 1.0 - q
-        return base, slope
-
-    coefficients = _segment_coefficients(log_alpha, fold)
-
-    def sums(s: float) -> np.ndarray:
-        out = np.empty(len(log_p))
-        for i, (base, slope) in enumerate(coefficients(s)):
-            t = slope * s
-            t += base
-            top = t.max()
-            t -= top
-            np.exp(t, out=t)
-            out[i] = np.log(t.sum()) + top - log_n[i]
-        return out
-
-    return sums
-
-
 def _level_rate(spectra: dict, q: float, sampled: bool = False):
     """Slope in k of the fitted log level sums, as a function of s."""
     ks = np.array(sorted(spectra))
-    sums = _level_sums(spectra, q, sampled)
+    sums = _moment_sums([spectra[k] for k in ks], q, sampled)
 
     def rate(s: float) -> float:
         return float(np.polyfit(ks, sums(s), 1)[0])
@@ -487,25 +461,6 @@ def _near_integer_guard(root: float, diag: dict) -> float:
         diag["near_integer"] = True
         return root + 1e-9
     return root
-
-
-def _entropy_rate(log_alpha: np.ndarray, log_p: np.ndarray, k: int):
-    """Entropy-against-contraction rate of level ``k``, as a function of s.
-
-    ``h_k(s) = (1/k) sum_u p_u log(p_u / svf(T_u, s))`` over every word of
-    the level is continuous and strictly increasing in s.
-    """
-    w = np.exp(log_p)
-    ent = float(w @ log_p)
-    # affine in s on each segment: two dot products per segment, not per call
-    coefficients = _segment_coefficients(
-        [log_alpha], lambda _, base, slope: (float(w @ base), float(w @ slope)))
-
-    def rate(s: float) -> float:
-        ((base, slope),) = coefficients(s)
-        return (ent - (base + s * slope)) / k
-
-    return rate
 
 
 def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
@@ -558,7 +513,12 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
         xtol = 1e-8 if entropy else 1e-7
     else:
         xtol = XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED
-    rate = _entropy_rate(*spectra[K], K) if entropy else _level_rate(spectra, q, sampled)
+    deepest = _moment_sums([spectra[K]], q, sampled)
+
+    def per_level(s: float) -> float:
+        return float(deepest(s)[0]) / K
+
+    rate = per_level if entropy else _level_rate(spectra, q, sampled)
     root, bracket = _root_of_increasing(rate, xtol)
     diag = {
         "depth": int(K),
@@ -570,8 +530,7 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     if sampled:
         diag["sample_size"] = sample_size
     if stationary and not entropy:
-        deepest = _level_sums({K: spectra[K]}, q, sampled)
-        single, _ = _root_of_increasing(lambda s: float(deepest(s)[0]) / K, xtol)
+        single, _ = _root_of_increasing(per_level, xtol)
         diag["single_level_root"] = float(single)
     root = _near_integer_guard(root, diag)
     return CriticalExponents(q=q, lower=root, upper=root,

@@ -153,6 +153,12 @@ class TestBinningOracle:
         assert acc.cells().ravel().tolist() == [0, 2]
         assert acc.masses().tolist() == [0.0, 1.0]
 
+    def test_zero_mass_cell_adds_nothing_to_entropy(self):
+        acc = MeshAccumulator.from_points([[0.1], [0.6], [0.7], [0.9]],
+                                          [0.0, 0.25, 0.25, 0.5], 0.25)
+        assert acc.masses().tolist() == [0.0, 0.5, 0.5]
+        assert acc.entropy() == 2 * (0.5 * np.log(0.5))
+
 
 class TestMomentSums:
     def test_point_mass_every_scale(self):
@@ -326,6 +332,21 @@ class TestEstimateSpectrum:
         monkeypatch.setattr(np, "unique", refuse)
         [(_, est)] = estimate_spectrum(s, (2.0,))
         assert est.dimension == pytest.approx(1.0, abs=0.02)
+
+    def test_zero_weight_point_alone_in_its_cell(self):
+        # 0 log 0 = 0: the empty-mass cell leaves every sum as it was, and
+        # it still counts as occupied
+        base = uniform_sample(20_000, seed=17)
+        s = AttractorSample(points=np.vstack([base.points, [[5.0]]]),
+                            weights=np.append(base.weights, 0.0))
+        q_values = (0.5, 1.0, 2.0)
+        for (records, est), (ref_records, ref_est) in zip(estimate_spectrum(s, q_values),
+                                                          estimate_spectrum(base, q_values)):
+            assert np.isfinite(est.dimension)
+            assert est.dimension == pytest.approx(ref_est.dimension, rel=1e-9)
+            assert [rec.cells for rec in records] == [rec.cells + 1 for rec in ref_records]
+            for rec, ref in zip(records, ref_records):
+                assert rec.value == pytest.approx(ref.value, rel=1e-12)
 
     def test_default_scales_only_for_none(self):
         s = uniform_sample(20_000, seed=14)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -25,10 +26,12 @@ from qdims.harness import (
     theoretical_exponents,
 )
 from qdims.systems import (
+    AttractorSample,
     ExplicitTranslations,
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    save_sample_csv,
 )
 
 REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -368,6 +371,21 @@ class TestCli:
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "q,r,sum,cells"
 
+    def test_estimate_with_a_zero_weight_point(self, tmp_path, capsys):
+        # the zero-weight point sits alone in its cell at every scale
+        n = 20_000
+        points = np.vstack([np.random.default_rng(18).uniform(0, 1, (n, 1)), [[5.0]]])
+        sample = AttractorSample(points=points, weights=np.append(np.full(n, 1.0 / n), 0.0))
+        path = tmp_path / "points.csv"
+        save_sample_csv(sample, path)
+        assert cli_main(["estimate", str(path), "--q", "0.5,1,2",
+                         "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "fits.csv") as fh:
+            fits = list(csv.DictReader(fh))
+        assert [float(row["q"]) for row in fits] == [0.5, 1.0, 2.0]
+        for row in fits:
+            assert float(row["dimension"]) == pytest.approx(1.0, abs=0.02)
+
     def test_compare_subcommand(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path),
@@ -551,4 +569,28 @@ class TestScripts:
         assert proc.returncode != 0
         assert "ConfigError: samples and realizations must be at least 1" in proc.stderr
         assert "UnboundLocalError" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    # smoke runs: an API change that breaks a script fails here; the rows'
+    # verdicts depend on the sample size and are not checked
+    def test_cantor_comparison_writes_both_reports(self, tmp_path):
+        script = os.path.join(REPO, "scripts", "cantor_comparison.py")
+        proc = subprocess.run([sys.executable, script, "--samples", "20000",
+                               "--out", str(tmp_path)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cantor.csv", "cantor.txt", "uniform.csv", "uniform.txt"]
+        for name in ("cantor", "uniform"):
+            rows = parse_report_csv(tmp_path / f"{name}.csv")
+            assert [row.q for row in rows] == [0.5, 1.0, 2.0, 3.0]
+
+    def test_overlap_upper_bound_runs(self, tmp_path):
+        script = os.path.join(REPO, "scripts", "overlap_upper_bound.py")
+        proc = subprocess.run([sys.executable, script, "--trials", "1", "--samples", "20000"],
+                              capture_output=True, text=True, timeout=300, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("trial 0: ")
+        assert lines[1].startswith("worst excess over the clamped exponent: ")
         assert list(tmp_path.iterdir()) == []

@@ -495,7 +495,7 @@ class TestSampling:
 
     def test_memory_bounded_by_chunk_not_count(self):
         # depth-200 letters for 200k rows alone would take 40 MB; the points
-        # and weights with their copies take 6.4 MB
+        # and weights take 3.2 MB and the peak, 8.4 MB, falls inside a chunk
         system, scheme, measure = cantor_system()
         tracemalloc.start()
         try:
@@ -606,6 +606,31 @@ class TestSampleCsv:
     def test_non_finite_row_rejected(self, points, weights, row):
         with pytest.raises(ValueError, match=f"row {row} holds a non-finite value"):
             AttractorSample(points=points, weights=weights)
+
+    def test_writable_inputs_are_copied(self):
+        points, weights = np.array([[0.1], [0.9]]), np.array([0.25, 0.75])
+        sample = AttractorSample(points=points, weights=weights)
+        points[0, 0], weights[0] = 0.5, 0.5
+        assert sample.points.ravel().tolist() == [0.1, 0.9]
+        assert sample.weights.tolist() == [0.25, 0.75]
+        assert not (sample.points.flags.writeable or sample.weights.flags.writeable)
+
+    def test_sample_measure_hands_over_without_a_copy(self, monkeypatch):
+        system, scheme, measure = cantor_system()
+        want = sample_measure(system, scheme, measure, count=3000, seed=2)
+        kept = {}
+        original = AttractorSample.__post_init__
+
+        def recording(self):
+            kept["points"], kept["weights"] = self.points, self.weights
+            original(self)
+
+        monkeypatch.setattr(AttractorSample, "__post_init__", recording)
+        s = sample_measure(system, scheme, measure, count=3000, seed=2)
+        assert np.shares_memory(s.points, kept["points"])
+        assert np.shares_memory(s.weights, kept["weights"])
+        assert s.points.tobytes() == want.points.tobytes()
+        assert s.weights.tobytes() == want.weights.tobytes()
 
 
 class TestSeparation:

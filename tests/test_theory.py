@@ -12,9 +12,7 @@ from qdims.errors import BranchBudgetError, IndeterminateTrendError, Insufficien
 from qdims.singular import svf_log, word_product
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
-    _entropy_rate,
     _level_spectra,
-    _level_sums,
     _moment_sums,
     _root_of_increasing,
     affine_series_dimension,
@@ -169,7 +167,7 @@ class TestMomentSums:
     @pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
     def test_matches_per_group_log_sum(self, q):
         log_c, log_p = self.groups()
-        sums = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), self.SIZES, q)
+        sums = _moment_sums([(lc[:, None], lp) for lc, lp in zip(log_c, log_p)], q)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.log(np.sum(np.exp(s * (1 - q) * lc + q * lp)))
                     for lc, lp in zip(log_c, log_p)]
@@ -177,10 +175,26 @@ class TestMomentSums:
 
     def test_q_one_gives_entropy_form(self):
         log_c, log_p = self.groups()
-        sums = _moment_sums(np.concatenate(log_c), np.concatenate(log_p), self.SIZES, 1.0)
+        sums = _moment_sums([(lc[:, None], lp) for lc, lp in zip(log_c, log_p)], 1.0)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.exp(lp) @ lp - s * (np.exp(lp) @ lc) for lc, lp in zip(log_c, log_p)]
             np.testing.assert_allclose(sums(s), want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), n=st.integers(1, 40), seed=st.integers(0, 2**16),
+           q=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
+           s=st.floats(0.0, 6.0), sampled=st.booleans())
+    def test_ratio_column_matches_spectrum_of_scaled_isometry(self, d, n, seed, q, s,
+                                                              sampled):
+        # svf(c O, s) = c**s for every s >= 0: the d equal singular values of
+        # c O and the one column log c give the same sums
+        rng = np.random.default_rng(seed)
+        log_c = np.log(rng.uniform(0.05, 0.95, n))
+        p = rng.uniform(0.1, 1.0, n)
+        log_p = np.log(p / p.sum())
+        column = _moment_sums([(log_c[:, None], log_p)], q, sampled)
+        spectrum = _moment_sums([(np.repeat(log_c[:, None], d, axis=1), log_p)], q, sampled)
+        np.testing.assert_allclose(column(s), spectrum(s), rtol=0, atol=1e-11)
 
 
 class TestProductDimension:
@@ -208,6 +222,19 @@ class TestProductDimension:
         for q in (1.0 + 1e-4, 1.0 - 1e-4):
             near = product_dimension(system, measure, q).value
             assert abs(near - at_one) < 1e-3
+
+    def test_explicit_head_matches_cycling_tail(self):
+        # 200 equal-valued but distinct level arrays index the same sums as
+        # the two-entry table they spell out
+        ratios, probs = [[0.5, 0.4], [0.2, 0.3, 0.25]], [[0.6, 0.4], [0.2, 0.3, 0.5]]
+        cycling = SimilarSystem(ratios), BernoulliMeasure(probs)
+        head = (SimilarSystem([np.array(ratios[k % 2]) for k in range(200)]),
+                BernoulliMeasure([np.array(probs[k % 2]) for k in range(200)]))
+        for q in (0.5, 1.0, 2.0, 3.0):
+            want = product_dimension(*cycling, q)
+            got = product_dimension(*head, q)
+            assert (got.lower, got.upper) == (want.lower, want.upper)
+            assert got.diagnostics["brackets"] == want.diagnostics["brackets"]
 
     def test_one_sided_flags_for_nonstationary(self):
         system = SimilarSystem([[0.5, 0.5], [0.25, 0.25]])
@@ -602,7 +629,7 @@ class TestLevelSums:
     def test_segment_sums_match_direct_logsumexp(self, system, sampled):
         spectra = self.spectra(system, sampled)
         for q in (1.5, 3.0):
-            sums = _level_sums(spectra, q, sampled)
+            sums = _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
             for s in self.S_GRID:
                 want = [direct_level_sum(*spectra[k], s, q, sampled) for k in sorted(spectra)]
                 assert np.allclose(sums(s), want, rtol=0, atol=1e-12)
@@ -613,10 +640,11 @@ class TestLevelSums:
         # depend on the segments built before it
         spectra = self.spectra(system, False)
         grid = (0.3, 0.7, 1.2, 1.8, 2.4, 2.9, 3.5, 7.0)
-        sums = _level_sums(spectra, 2.0, False)
+        groups = [spectra[k] for k in sorted(spectra)]
+        sums = _moment_sums(groups, 2.0)
         up = [sums(s) for s in grid]
         down = [sums(s) for s in grid[::-1]][::-1]
-        fresh = [_level_sums(spectra, 2.0, False)(s) for s in grid]
+        fresh = [_moment_sums(groups, 2.0)(s) for s in grid]
         for a, b, c in zip(up, down, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -624,10 +652,10 @@ class TestLevelSums:
     def test_entropy_rate_matches_direct_form(self, system):
         log_alpha, log_p = self.spectra(system, False)[4]
         w = np.exp(log_p)
-        rate = _entropy_rate(log_alpha, log_p, 4)
+        sums = _moment_sums([(log_alpha, log_p)], 1.0)
         for s in self.S_GRID:
             want = (w @ log_p - w @ svf_log(log_alpha, s)) / 4
-            assert rate(s) == pytest.approx(want, rel=0, abs=1e-12)
+            assert sums(s)[0] / 4 == pytest.approx(want, rel=0, abs=1e-12)
 
 
 class TestAffineSolverPinned:
