@@ -42,8 +42,8 @@ def _parse_q_list(text: str) -> tuple[float, ...]:
         q_values = tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"--q must be comma-separated numbers, got {text!r}") from None
-    if not q_values or not all(q > 0 for q in q_values):
-        raise ConfigError(f"--q needs one or more positive entries, got {text!r}")
+    if not q_values or not all(0 < q < float("inf") for q in q_values):
+        raise ConfigError(f"--q needs one or more positive finite entries, got {text!r}")
     return q_values
 
 

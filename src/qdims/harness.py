@@ -94,8 +94,8 @@ class ExperimentConfig:
             if not scales_t or any(s <= 0 for s in scales_t):
                 raise ConfigError("scales must be a non-empty list of positive sizes")
             q_values = tuple(float(q) for q in raw["q"])
-            if not q_values or any(q <= 0 for q in q_values):
-                raise ConfigError("q grid must be a non-empty list of positive entries")
+            if not q_values or not all(0 < q < float("inf") for q in q_values):
+                raise ConfigError("q grid must be a non-empty list of positive finite entries")
             samples = int(raw.get("samples", 100_000))
             realizations = int(raw.get("realizations", 1))
             if samples < 1 or realizations < 1:

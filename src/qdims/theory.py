@@ -43,7 +43,7 @@ import numpy as np
 
 from .codespace import BernoulliMeasure, scale_cut_set_masses
 from .errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
-from .singular import batched_log_singular_values, svf_log
+from .singular import batched_log_singular_values, log_singular_prefix
 from .systems import AffineSystem, SimilarSystem
 
 __all__ = [
@@ -112,13 +112,13 @@ def stationary_dimension(ratios, probs, q: float) -> float:
         raise ValueError("ratios must lie strictly in (0, 1)")
     if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probs must be strictly positive and sum to 1")
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     log_c = np.log(c)
     log_p = np.log(p)
     if abs(q - 1.0) < Q_ONE_TOL:
         return float((p @ log_p) / (p @ log_c))
-    sums = _moment_sums([(log_c[:, None], log_p)], q)
+    sums = _moment_sums([(log_c[None], log_p)], q)
     sign = 1.0 if q > 1.0 else -1.0
     cap = 2.0 * max(1.0, float(np.log(np.sum(p**q)) / ((q - 1.0) * log_c.max())))
     root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=cap)
@@ -154,9 +154,11 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     closes the bracket ``f(lo) <= 0 < f(hi)`` by Illinois steps (Dowell and
     Jarratt, BIT 11, 1971) aimed ``xtol/2`` beyond the estimate, away from the
     end that moved last, and held that far inside (one float spacing at
-    ``xtol=0``), so the far end closes. A plain halving follows two steps that
-    fail to halve the bracket and replaces any that could end more than two
-    evaluations behind plain bisection. Stops at width ``xtol`` or adjacent floats.
+    ``xtol=0``), so the far end closes. Two steps that fail to halve the
+    bracket are followed by Dekker's secant through the last two points if
+    both moved the same end, else by a plain halving; so is any step that
+    could end more than two evaluations behind plain bisection. Stops at
+    width ``xtol`` or adjacent floats.
     """
     lo, f_lo = 0.0, f(0.0)
     if f_lo >= 0.0:
@@ -169,21 +171,31 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
                 f"f <= 0 at every probe up to s = {lo:g} and the next doubling passes "
                 f"the cap {cap:g}: no sign change bracketed in [0, {cap:g}]",
                 bracket_lower=lo, bracket_upper=cap)
-    # hi moved last; free steps while the bracket fits a budget halved per step
-    budget, side, fails = 2.0 * (hi - lo), 1, 0
+    # a free step needs the bracket within twice the width bisection would
+    # have reached (xtol times a power of two), so halving from it costs at
+    # most two evaluations more; hi moved last, and prev is the point the end
+    # that moved last held before, if it moved twice running
+    budget = 2.0 * (hi - lo)
+    if xtol > 0.0:
+        budget = 2.0 * xtol * 2.0 ** np.ceil(np.log2((hi - lo) / xtol))
+    side, fails, prev = 1, 0, None
     while hi - lo > xtol:
         width, mid = hi - lo, 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
         inset = max(0.5 * xtol, np.spacing(hi))
         x = mid
-        if fails < 2 and 2.0 * inset < width <= budget:
-            x = min(hi - inset, max(lo + inset, lo - f_lo * width / (f_hi - f_lo) - side * inset))
+        if 2.0 * inset < width <= budget and (fails < 2 or fails == 2 and prev):
+            end = (lo, f_lo) if side < 0 else (hi, f_hi)
+            (a, f_a), (b, f_b) = ((lo, f_lo), (hi, f_hi)) if fails < 2 else (prev, end)
+            x = min(hi - inset, max(lo + inset, a - f_a * (b - a) / (f_b - f_a) - side * inset))
         budget *= 0.5
         # Illinois: an end that moves twice in a row halves the value kept at the other
         if (fx := f(x)) <= 0.0:
+            prev = (lo, f_lo) if side < 0 and fx != f_lo else None
             lo, f_lo, f_hi, side = x, fx, f_hi * (0.5 if side < 0 else 1.0), -1
         else:
+            prev = (hi, f_hi) if side > 0 and fx != f_hi else None
             hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side > 0 else 1.0), 1
         fails = fails + 1 if hi - lo > 0.5 * width else 0
     return float(0.5 * (lo + hi)), (float(lo), float(hi))
@@ -212,32 +224,33 @@ def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
 def _moment_sums(groups, q: float, sampled: bool = False):
     """Log moment sums of word groups, one value per group, as a function of s.
 
-    Each group is ``(log_alpha, log_p)``: the ``(n, d)`` log singular values,
-    nonincreasing along each row, and the ``(n,)`` log masses of its words; a
-    similarity ratio c enters as the one-column spectrum ``log c``. The
-    returned function maps s to ``log sum_u svf(T_u, s)**(1-q) p_u**q`` per
+    Each group is ``(prefix, log_p)``: the ``(d, n)`` prefix sums of its words'
+    log singular values, row m - 1 holding ``svf_log`` at s = m, and the
+    ``(n,)`` log masses; a similarity ratio c enters as the one row ``log c``.
+    The returned function maps s to ``log sum_u svf(T_u, s)**(1-q) p_u**q`` per
     group. Sampled words were drawn from the measure, so their sum is
     estimated as the log mean of ``svf(T_u, s)**(1-q) p_u**(q-1)``. At q = 1,
     where the sums vanish, it maps s to their derivative in q instead, the
     entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
 
-    ``svf_log(log_alpha, s)`` is affine in s on every segment [m - 1, m] with
-    m <= d, and on [d, inf) it is ``s * svf_log(log_alpha, d) / d``. So on the
-    segment holding s it equals ``base + s * slope``, with both read off
-    ``svf_log`` at two integer points of the segment. Only the current
-    segment is kept, and any s in its closed interval reuses it: the root
-    finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in there
-    costs two segments. One column has the same coefficients, ``base = 0``
-    and ``slope = log c``, on both of its segments.
+    ``svf_log`` is affine in s on every segment [m - 1, m] with m <= d, with
+    ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` read off
+    two rows (``P_0 = 0``), and on [d, inf) it is ``s * P_d / d``. Only the
+    current segment is kept, and any s in its closed interval reuses it: the
+    root finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in
+    there costs two segments. The entropy form is linear in ``svf_log``, so
+    there each row is first weighted down to one number.
     """
-    log_alpha, log_p = zip(*groups)
-    d = log_alpha[0].shape[-1]
+    prefix, log_p = zip(*groups)
+    d = len(prefix[0])
     entropy = abs(q - 1.0) < Q_ONE_TOL
-    mass = q - 1.0 if sampled else q
     log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
     if entropy:
         w = [np.exp(lp) for lp in log_p]
         ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
+        prefix = [np.array([wi @ row for row in pre]) for wi, pre in zip(w, prefix)]
+    else:
+        mass_terms = [(q - 1.0 if sampled else q) * lp for lp in log_p]
     span, coeffs = (1.0, 0.0), None
 
     def segment(s: float):
@@ -245,18 +258,17 @@ def _moment_sums(groups, q: float, sampled: bool = False):
         if not span[0] <= s <= span[1]:
             lo = min(max(int(np.ceil(s)) - 1, 0), d)
             span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
-            for i, la in enumerate(log_alpha):
-                base = svf_log(la, lo)
-                slope = svf_log(la, lo + 1)
-                slope -= base
-                base -= lo * slope
-                if entropy:
-                    coeffs.append((w[i] @ base, w[i] @ slope))
+            for i, pre in enumerate(prefix):
+                if lo == d:
+                    slope, base = pre[-1] / d, 0.0
+                elif lo:
+                    slope = pre[lo] - pre[lo - 1]
+                    base = pre[lo - 1] - lo * slope
                 else:
-                    base *= 1.0 - q
-                    base += mass * log_p[i]
-                    slope *= 1.0 - q
-                    coeffs.append((base, slope))
+                    slope, base = pre[0], 0.0
+                if not entropy:
+                    slope, base = (1.0 - q) * slope, (1.0 - q) * base + mass_terms[i]
+                coeffs.append((base, slope))
             if entropy:
                 coeffs = np.array(coeffs).T
         return coeffs
@@ -294,8 +306,8 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
     bounds in both directions. Stationary tables make every level identical,
     so both envelopes coincide and the root is exact to its tolerance.
     """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
     if not measure.profile().matches(system.profile, depth=depth):
         raise ValueError("measure branching does not match the system")
     stationary = system.ratio_schedule.stationary and measure.stationary
@@ -307,7 +319,7 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
         log_c, log_p = system.log_ratios_at(k), measure.log_probs(k)
         group = groups.setdefault((log_c.tobytes(), log_p.tobytes()), (len(groups), log_c, log_p))
         level_group.append(group[0])
-    sums = _moment_sums([(log_c[:, None], log_p) for _, log_c, log_p in groups.values()], q)
+    sums = _moment_sums([(log_c[None], log_p) for _, log_c, log_p in groups.values()], q)
 
     bounds_note = {"lower": "one-sided (lower bound)", "upper": "one-sided (upper bound)"}
     if abs(q - 1.0) >= Q_ONE_TOL:
@@ -358,8 +370,8 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
     growing sequence means s is too large. Accepts q = 0, where the sums
     count contraction only and the root is the support's box exponent.
     """
-    if q < 0:
-        raise ValueError(f"q must be nonnegative, got {q}")
+    if not 0 <= q < np.inf:
+        raise ValueError(f"q must be nonnegative and finite, got {q}")
     stationary = system.ratio_schedule.stationary and measure.stationary
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
 
@@ -380,7 +392,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
             f"only {len(grids)} usable cut-set scales under the word budget"
         )
 
-    seq = _moment_sums([(log_c[:, None], log_p) for _, (log_c, log_p) in grids], q)
+    seq = _moment_sums([(log_c[None], log_p) for _, (log_c, log_p) in grids], q)
     lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
 
     diag = {
@@ -401,47 +413,57 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 
 def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int, size: int | None = None, seed: int = 0):
-    """Log singular values and log masses of words, per kept level.
+    """Prefix sums of log singular values and log masses of words, per kept level.
 
-    With ``size`` unset every word is enumerated, parent-major with the newest
-    letter varying fastest; otherwise ``size`` words are drawn from the
-    measure, one letter per row and level. Products live entry-major in one
-    ``(d, d, words)`` buffer built in place, column by column; the batched SVD
-    reads its ``.T`` view, each product transposed (same singular values), with
-    no copy. Products are divided by their largest entry each level with the
-    magnitude carried separately, so deep products cannot underflow.
+    Each kept level k maps to ``(prefix, log_p)``: row m - 1 of the ``(d,
+    words)`` array ``prefix`` is ``log(sigma_1 ... sigma_m)`` of every word's
+    product (``svf_log`` at s = m). With ``size`` unset every word is
+    enumerated, parent-major with the newest letter varying fastest;
+    otherwise ``size`` words are drawn from the measure, one letter per row
+    and level. The last row, the log |det|, is the running sum of the
+    letters' log |det|, carried like ``log_p``. The leading rows come from the
+    products, which live entry-major in one ``(d, d, words)`` buffer built in
+    place, column by column (the SVD reads its ``.T`` view: each product
+    transposed, same singular values). ``floor``, the sum of each level's
+    smallest letter log singular value, bounds every product's log sigma_1
+    from below; only when it falls under -256 log 2 is each product divided by
+    a power of two near its largest entry (exact), carried in ``log_scale``.
     """
     d = system.ambient_dim
     rng = None if size is None else np.random.default_rng(seed)
     rows = 1 if size is None else size
     prods = np.broadcast_to(np.eye(d)[:, :, None], (d, d, rows))
-    log_scale, log_p = np.zeros(rows), np.zeros(rows)
-    out = {}
+    log_scale, log_det, log_p = 0.0, np.zeros(rows), np.zeros(rows)
+    floor, out = 0.0, {}
     for k in range(1, depth + 1):
         level = system.linear_maps(k)
+        floor += batched_log_singular_values(level)[:, -1].min()
+        letter_det = np.linalg.slogdet(level)[1]
         if rng is None:
             right = level.transpose(1, 2, 0)
             log_p = (log_p[:, None] + measure.log_probs(k)).ravel()
-            log_scale = np.repeat(log_scale, len(level))
+            log_det = (log_det[:, None] + letter_det).ravel()
+            log_scale = np.repeat(log_scale, len(level)) if np.ndim(log_scale) else log_scale
         else:
             letter = rng.choice(len(level), size=size, p=measure.probs(k))
             right = level.transpose(1, 2, 0)[:, :, None, letter]
             log_p = log_p + measure.log_probs(k)[letter]
+            log_det = log_det + letter_det[letter]
         n = prods.shape[-1]
-        nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(len(log_p))
+        nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(n)
         # letter l of parent u lands at u*m + l: one strided column per letter
         for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
-            np.multiply(prods[i, t], right[t, j, l], out=tmp[:n] if t else nxt[i, j, :, l])
+            np.multiply(prods[i, t], right[t, j, l], out=tmp if t else nxt[i, j, :, l])
             if t:
-                nxt[i, j, :, l] += tmp[:n]
+                nxt[i, j, :, l] += tmp
         prods = nxt.reshape(d, d, -1)
-        norms = np.abs(prods[0, 0])
-        for entry in prods.reshape(d * d, -1)[1:]:
-            np.maximum(norms, np.abs(entry, out=tmp), out=norms)
-        prods /= norms
-        log_scale += np.log(norms)
+        if floor < -256.0 * np.log(2.0):
+            _, exps = np.frexp(np.abs(prods).max(axis=(0, 1)))
+            prods *= np.ldexp(1.0, -exps)
+            log_scale = log_scale + exps * np.log(2.0)
+            floor = -np.log(2.0)
         if k >= keep_from:
-            out[k] = (batched_log_singular_values(prods.T) + log_scale[:, None], log_p)
+            out[k] = (log_singular_prefix(prods.T, log_det, log_scale), log_p)
     return out
 
 
@@ -489,8 +511,8 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     """
     stationary = system.stationary and measure.stationary
     entropy = abs(q - 1.0) < Q_ONE_TOL
-    if q < 1.0 - Q_ONE_TOL or (q <= 1.0 + Q_ONE_TOL and not stationary):
-        raise ValueError(f"affine exponents need q > 1, or q = 1 on a stationary "
+    if not 1.0 - Q_ONE_TOL <= q < np.inf or (q <= 1.0 + Q_ONE_TOL and not stationary):
+        raise ValueError(f"affine exponents need a finite q > 1, or q = 1 on a stationary "
                          f"table and measure; got {q}")
     if not measure.profile().matches(system.profile, depth=system.max_depth):
         raise ValueError("measure branching does not match the system")

@@ -88,9 +88,11 @@ class TestConfig:
         {"tolerance": -1},
         {"tolerance": float("nan")},
         {"tolerance": float("inf")},
+        {"q": [2, float("inf")]},
+        {"q": [float("nan")]},
     ], ids=["samples", "realizations", "empty-scales", "zero-scale", "empty-scale-range",
             "empty-q", "depth-zero", "depth-negative", "seed-negative", "tolerance-negative",
-            "tolerance-nan", "tolerance-inf"])
+            "tolerance-nan", "tolerance-inf", "q-inf", "q-nan"])
     def test_degenerate_sizes_rejected(self, override):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
@@ -171,17 +173,18 @@ class TestTheorySelection:
         with pytest.raises(ConfigError):
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
 
-    # recorded with the Illinois root finder; each row keeps the bisected value
+    # recorded with the Illinois-Dekker root finder on prefix-sum spectra; each
+    # row keeps the bisected value
     # and bracket recorded while stationary affine tables had a solver of their
     # own, which the new root must stay within xtol of
     @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket, xtol", [
-        (1.0, 1.2432214024671935, (1.2432213974671977, 1.2432214074671892),
+        (1.0, 1.2432214024671964, (1.2432213974671964, 1.2432214074671963),
          1.2432214058935642, (1.243221402168274, 1.2432214096188545), 1e-8),
-        (1.5, 1.242259869658417, (1.242259824493583, 1.242259914823251),
+        (1.5, 1.2422598663576916, (1.2422598244935832, 1.2422599082217998),
          1.242259830236435, (1.2422598004341125, 1.2422598600387573), 1e-7),
-        (2.0, 1.2413042933583116, (1.2413042481365046, 1.2413043385801186),
+        (2.0, 1.241304236866551, (1.241304211866488, 1.241304261866614),
          1.2413042485713959, (1.2413042187690735, 1.2413042783737183), 1e-7),
-        (3.0, 1.2394133983039772, (1.2394133529694047, 1.2394134436385498),
+        (3.0, 1.2394133342697722, (1.2394133092686594, 1.2394133592708847),
          1.2394133508205414, (1.239413321018219, 1.2394133806228638), 1e-7),
     ], ids=["1.0-1.2432214058935642-bracket0", "1.5-1.242259830236435-bracket1",
             "2.0-1.2413042485713959-bracket2", "3.0-1.2394133508205414-bracket3"])
@@ -430,6 +433,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["theory", "compare"])
+    def test_overflowing_q_in_the_file_exits_with_message(self, tmp_path, capsys, command):
+        # JSON reads 1e400 as inf; the closed form used to print d=0.000000
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, q=[2])).replace('"q": [2]',
+                                                                        '"q": [1e400]'))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: ") and "finite" in captured.err
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_empty_q_grid_exits_with_message(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(CANTOR_CONFIG, q=[])))
@@ -534,9 +549,14 @@ class TestCli:
         ["estimate", "--scales", "x"],
         ["estimate", "--scales", "4:x"],
         ["estimate", "--scales", "0.5,-0.25"],
+        ["theory", "--q", "inf"],
+        ["compare", "--q", "2,inf"],
+        ["estimate", "--q", "inf"],
+        ["estimate", "--q", "nan"],
     ], ids=["theory-q", "compare-q", "estimate-q", "estimate-q-zero",
             "estimate-q-negative", "estimate-scales", "estimate-scales-range",
-            "estimate-scales-negative"])
+            "estimate-scales-negative", "theory-q-inf", "compare-q-inf", "estimate-q-inf",
+            "estimate-q-nan"])
     def test_unparsable_lists_exit_with_config_error(self, tmp_path, capsys, argv):
         if argv[0] == "estimate":
             points = tmp_path / "points.csv"

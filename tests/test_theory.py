@@ -9,7 +9,7 @@ from oracles import bisect_increasing
 
 from qdims.codespace import BernoulliMeasure, Word
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
-from qdims.singular import svf_log, word_product
+from qdims.singular import svf_log, word_product, word_spectrum
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
     _level_spectra,
@@ -71,6 +71,12 @@ class TestStationaryDimension:
             stationary_dimension([0.5, 0.5], [0.5, 0.5], 0.0)
         with pytest.raises(ValueError):
             stationary_dimension([0.5, 0.5], [0.5, 0.5], -1.0)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_nonfinite_q(self, q):
+        # inf used to return 0.0; the true D_inf of this measure is log 0.75 / log(1/3)
+        with pytest.raises(ValueError, match="finite"):
+            stationary_dimension([1 / 3, 1 / 3], [0.75, 0.25], q)
 
     def test_near_one_routes_to_entropy_form(self):
         c, p = [0.3, 0.45], [0.4, 0.6]
@@ -167,7 +173,7 @@ class TestMomentSums:
     @pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
     def test_matches_per_group_log_sum(self, q):
         log_c, log_p = self.groups()
-        sums = _moment_sums([(lc[:, None], lp) for lc, lp in zip(log_c, log_p)], q)
+        sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], q)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.log(np.sum(np.exp(s * (1 - q) * lc + q * lp)))
                     for lc, lp in zip(log_c, log_p)]
@@ -175,7 +181,7 @@ class TestMomentSums:
 
     def test_q_one_gives_entropy_form(self):
         log_c, log_p = self.groups()
-        sums = _moment_sums([(lc[:, None], lp) for lc, lp in zip(log_c, log_p)], 1.0)
+        sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], 1.0)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.exp(lp) @ lp - s * (np.exp(lp) @ lc) for lc, lp in zip(log_c, log_p)]
             np.testing.assert_allclose(sums(s), want, rtol=0, atol=1e-12)
@@ -186,18 +192,25 @@ class TestMomentSums:
            s=st.floats(0.0, 6.0), sampled=st.booleans())
     def test_ratio_column_matches_spectrum_of_scaled_isometry(self, d, n, seed, q, s,
                                                               sampled):
-        # svf(c O, s) = c**s for every s >= 0: the d equal singular values of
-        # c O and the one column log c give the same sums
+        # svf(c O, s) = c**s for every s >= 0: the prefix sums m log c of the
+        # d equal singular values of c O and the one row log c give the same sums
         rng = np.random.default_rng(seed)
         log_c = np.log(rng.uniform(0.05, 0.95, n))
         p = rng.uniform(0.1, 1.0, n)
         log_p = np.log(p / p.sum())
-        column = _moment_sums([(log_c[:, None], log_p)], q, sampled)
-        spectrum = _moment_sums([(np.repeat(log_c[:, None], d, axis=1), log_p)], q, sampled)
-        np.testing.assert_allclose(column(s), spectrum(s), rtol=0, atol=1e-11)
+        row = _moment_sums([(log_c[None], log_p)], q, sampled)
+        prefix = np.cumsum(np.repeat(log_c[None], d, axis=0), axis=0)
+        spectrum = _moment_sums([(prefix, log_p)], q, sampled)
+        np.testing.assert_allclose(row(s), spectrum(s), rtol=0, atol=1e-11)
 
 
 class TestProductDimension:
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_nonfinite_q(self, q):
+        system = SimilarSystem([[1 / 3, 1 / 3]])
+        with pytest.raises(ValueError, match="finite"):
+            product_dimension(system, BernoulliMeasure([[0.75, 0.25]]), q, depth=20)
+
     def test_matches_closed_form_on_stationary(self):
         system = SimilarSystem([[1 / 3, 1 / 3]])
         measure = BernoulliMeasure([[0.75, 0.25]])
@@ -267,6 +280,12 @@ class TestCutsetDimension:
         measure = BernoulliMeasure([[0.75, 0.25]])
         ce = cutset_dimension(system, measure, 0)
         assert ce.value == pytest.approx(LOG2 / LOG3, abs=1e-4)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_nonfinite_q(self, q):
+        system = SimilarSystem([[1 / 3, 1 / 3]])
+        with pytest.raises(ValueError, match="finite"):
+            cutset_dimension(system, BernoulliMeasure([[0.75, 0.25]]), q)
 
     def test_rejects_grid_above_c_lower(self):
         system = SimilarSystem([[1 / 3, 1 / 3]])
@@ -338,6 +357,12 @@ def mixed_family_dp_log_sum(s, q, k):
 
 
 class TestAffineSeriesDimension:
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_nonfinite_q(self, q):
+        system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
+        with pytest.raises(ValueError, match="finite"):
+            affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), q)
+
     def test_scalar_matrices_reduce_to_similarity_form(self):
         c = np.array([0.4, 0.3])
         p = np.array([0.5, 0.5])
@@ -386,14 +411,14 @@ class TestAffineSeriesDimension:
             affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
 
     def test_q_one_on_a_stationary_table_matches_recorded_value(self):
-        # recorded with the Illinois root finder; the bisected value and bracket
-        # recorded from the separate stationary solver this one replaced stay
-        # within xtol = 1e-8 of it
+        # recorded with the Illinois-Dekker root finder on prefix-sum spectra;
+        # the bisected value and bracket recorded from the separate stationary
+        # solver this one replaced stay within xtol = 1e-8 of it
         system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
         ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0,
                                      level_cap=2**16)
-        assert ce.value == 1.2922386464811146
-        assert ce.diagnostics["bracket"] == (1.292238643981113, 1.292238648981116)
+        assert ce.value == 1.2922386439811122
+        assert ce.diagnostics["bracket"] == (1.2922386389811122, 1.292238648981112)
         assert ce.diagnostics["mode"] == "entropy"
         bisected, (lo, hi) = 1.2922386415302753, (1.292238637804985, 1.2922386452555656)
         assert abs(ce.value - bisected) <= 1e-8
@@ -496,13 +521,13 @@ class TestLevelSpectra:
             d = system.ambient_dim
             spectra = _level_spectra(system, self.MEASURE, 3, keep_from=1)
             assert sorted(spectra) == [1, 2, 3]
-            for k, (log_alpha, log_p) in spectra.items():
+            for k, (prefix, log_p) in spectra.items():
                 sizes = [system.profile.size(j) for j in range(1, k + 1)]
                 words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
-                assert log_alpha.shape == (len(words), d)
+                assert prefix.shape == (d, len(words)) and prefix.flags.c_contiguous
                 direct = np.log([np.linalg.svd(word_product(system, Word(w)),
                                                compute_uv=False) for w in words])
-                assert np.allclose(log_alpha, direct, rtol=0, atol=1e-12)
+                assert np.allclose(prefix, np.cumsum(direct, axis=1).T, rtol=0, atol=1e-12)
                 assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
@@ -517,9 +542,11 @@ class TestLevelSpectra:
         return AffineSystem(levels)
 
     @staticmethod
-    def direct_logs(system, words):
-        return np.log([np.linalg.svd(word_product(system, Word(w)), compute_uv=False)
+    def direct_prefix(system, words):
+        """``np.cumsum`` of the direct SVD logs, one row per prefix length."""
+        logs = np.log([np.linalg.svd(word_product(system, Word(w)), compute_uv=False)
                        for w in words])
+        return np.cumsum(logs, axis=1).T
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_enumerated_spectra_match_svd_of_word_products(self, seed):
@@ -531,9 +558,9 @@ class TestLevelSpectra:
         assert np.linalg.det(reflection) < 0
         measure = BernoulliMeasure([[0.2, 0.3, 0.5], [0.6, 0.4]])
         spectra = _level_spectra(system, measure, 4, keep_from=1)
-        for k, (log_alpha, log_p) in spectra.items():
+        for k, (prefix, log_p) in spectra.items():
             words = list(itertools.product(*(range(1, n + 1) for n in [3, 2, 3, 2][:k])))
-            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+            assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
             want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
             assert np.allclose(log_p, want, rtol=0, atol=1e-12)
 
@@ -542,9 +569,9 @@ class TestLevelSpectra:
         measure = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
         spectra = _level_spectra(system, measure, 3, keep_from=2)
         assert sorted(spectra) == [2, 3]
-        for k, (log_alpha, _) in spectra.items():
+        for k, (prefix, _) in spectra.items():
             words = list(itertools.product(*(range(1, n + 1) for n in [2, 3, 2][:k])))
-            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+            assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
 
     def test_sampled_spectra_match_svd_of_the_drawn_words(self):
         system = self.random_table(np.random.default_rng(3), 2, [2, 3])
@@ -554,15 +581,16 @@ class TestLevelSpectra:
         rng = np.random.default_rng(11)
         letters = np.array([rng.choice(system.profile.size(k), size=200, p=measure.probs(k))
                             for k in range(1, 6)]).T + 1
-        for k, (log_alpha, log_p) in spectra.items():
+        for k, (prefix, log_p) in spectra.items():
             words = [tuple(row[:k]) for row in letters]
-            assert np.abs(log_alpha - self.direct_logs(system, words)).max() < 1e-12
+            assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
             want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
             assert np.allclose(log_p, want, rtol=0, atol=1e-12)
 
-    # recorded from the index-gather version of _level_spectra: rows 0, 1, 2
-    # and 499 of the depth-6 draws (size 500, seed 4), then the column sums
-    # and the row-index-weighted sums of all 500 rows
+    # recorded from the index-gather version of _level_spectra, as log
+    # singular values: rows 0, 1, 2 and 499 of the depth-6 draws (size 500,
+    # seed 4), then the column sums and the row-index-weighted sums of all
+    # 500 rows; compared through their prefix sums
     SAMPLED = {
         3: ([[-3.0365542680742457, -3.7297014486341906], [-3.256910788729424, -4.059864032885461],
              [-2.600050684950902, -3.4320478743471203], [-3.0365542680742457, -3.7297014486341906]],
@@ -586,30 +614,66 @@ class TestLevelSpectra:
             [-786434.8090450559, -930751.5278187738], -642707.648837026),
     }
 
+    def test_deep_sampled_spectra_survive_repeated_rescaling(self):
+        # sigma_1 of a depth-600 word is at most 0.25**600 (about 1e-361), so the
+        # products must be rescaled; the floor of 600 log 0.2 crosses -256 log 2
+        # five times
+        rng = np.random.default_rng(5)
+        levels = [[rotation(t) @ np.diag([0.25, 0.2]) @ rotation(u) for t, u in
+                   rng.uniform(-np.pi, np.pi, (2, 2))] for _ in range(3)]
+        system, depth = AffineSystem(levels), 600
+        measure = BernoulliMeasure([[0.5, 0.5]] * 3)
+        assert depth * np.log(0.2) < -5 * 256 * np.log(2)
+        spectra = _level_spectra(system, measure, depth, keep_from=depth - 1, size=12, seed=3)
+        rng = np.random.default_rng(3)
+        letters = np.array([rng.choice(2, size=12, p=measure.probs(k))
+                            for k in range(1, depth + 1)]).T + 1
+        for k, (prefix, _) in spectra.items():
+            want = [np.cumsum(word_spectrum(system, Word(tuple(row[:k]))).log_values)
+                    for row in letters]
+            assert np.isfinite(prefix).all()
+            assert np.abs(prefix - np.array(want).T).max() < 1e-9
+
+    def test_log_det_is_the_sum_of_letter_log_dets(self):
+        # per-letter condition 1e4: the depth-8 products reach condition 1e32,
+        # where a*d - b*c of the product cancels to noise or to zero
+        mats = [rotation(0.3) @ np.diag([0.6, 0.6e-4]) @ rotation(1.1),
+                rotation(-0.8) @ np.diag([0.5, 0.5e-4]) @ rotation(0.4)]
+        letter = np.linalg.slogdet(np.array(mats))[1]
+        spectra = _level_spectra(AffineSystem([mats]), BernoulliMeasure([[0.5, 0.5]]), 8,
+                                 keep_from=8)
+        want = [letter[list(w)].sum() for w in itertools.product(range(2), repeat=8)]
+        assert np.abs(spectra[8][0][1] - want).max() < 1e-12
+
     def test_sampling_repeats_for_a_seed(self):
         first = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
         again = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
         assert sorted(first) == sorted(again) == [3, 4, 5, 6]
         index = np.arange(500)
         for k in first:
-            assert first[k][0].shape == (500, 2)
+            assert first[k][0].shape == (2, 500)
             assert np.array_equal(first[k][0], again[k][0])
             assert np.array_equal(first[k][1], again[k][1])
             # recorded values: a change in the draws or in the products fails
-            log_alpha, log_p = first[k]
+            prefix, log_p = first[k]
             rows, masses, sums, mass_sum, weighted, mass_weighted = self.SAMPLED[k]
             rows_at = [0, 1, 2, 499]
-            assert np.allclose(log_alpha[rows_at], rows, rtol=0, atol=1e-12)
+            assert np.allclose(prefix[:, rows_at], np.cumsum(rows, axis=1).T, rtol=0, atol=1e-12)
             assert np.array_equal(log_p[rows_at], masses)
-            assert np.allclose(log_alpha.sum(axis=0), sums, rtol=1e-12, atol=0)
+            assert np.allclose(prefix.sum(axis=1), np.cumsum(sums), rtol=1e-12, atol=0)
             assert log_p.sum() == pytest.approx(mass_sum, rel=1e-12)
-            assert np.allclose(index @ log_alpha, weighted, rtol=1e-12, atol=0)
+            assert np.allclose(prefix @ index, np.cumsum(weighted), rtol=1e-12, atol=0)
             assert index @ log_p == pytest.approx(mass_weighted, rel=1e-12)
 
 
-def direct_level_sum(log_alpha, log_p, s, q, sampled):
+def log_values(prefix):
+    """The ``(n, d)`` log singular values whose prefix sums are ``prefix``."""
+    return np.diff(prefix, axis=0, prepend=0.0).T
+
+
+def direct_level_sum(prefix, log_p, s, q, sampled):
     """The level sum straight from ``svf_log``, as a log-sum-exp."""
-    terms = (1.0 - q) * svf_log(log_alpha, s) + (q - 1.0 if sampled else q) * log_p
+    terms = (1.0 - q) * svf_log(log_values(prefix), s) + (q - 1.0 if sampled else q) * log_p
     top = terms.max()
     total = np.log(np.exp(terms - top).sum()) + top
     return total - np.log(len(log_p)) if sampled else total
@@ -650,11 +714,11 @@ class TestLevelSums:
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
     def test_entropy_rate_matches_direct_form(self, system):
-        log_alpha, log_p = self.spectra(system, False)[4]
+        prefix, log_p = self.spectra(system, False)[4]
         w = np.exp(log_p)
-        sums = _moment_sums([(log_alpha, log_p)], 1.0)
+        sums = _moment_sums([(prefix, log_p)], 1.0)
         for s in self.S_GRID:
-            want = (w @ log_p - w @ svf_log(log_alpha, s)) / 4
+            want = (w @ log_p - w @ svf_log(log_values(prefix), s)) / 4
             assert sums(s)[0] / 4 == pytest.approx(want, rel=0, abs=1e-12)
 
 
@@ -693,16 +757,17 @@ class TestAffineSolverPinned:
         assert ce.diagnostics["window"] == (4, 8)
         self.assert_near_bisection(ce, bisected, bisected_bracket, 1e-3)
 
-    # one repeated level of two non-diagonal maps, roots between 1 and 2
+    # one repeated level of two non-diagonal maps, roots between 1 and 2;
+    # values recorded with the Illinois-Dekker root finder on prefix-sum spectra
     STATIONARY = AffineSystem([[rotation(np.pi / 6) @ np.diag([0.8, 0.5]),
                                 np.array([[0.6, 0.2], [0.1, 0.7]])]])
     STATIONARY_MEASURE = BernoulliMeasure([[0.6, 0.4]])
 
     @pytest.mark.parametrize("q, value, bracket, single, bisected, bisected_bracket, xtol", [
-        (1.0, 1.539859866747121, (1.539859861747121, 1.539859871747121), None,
+        (1.0, 1.539859866747121, (1.539859861747121, 1.5398598717471208), None,
          1.539859864860773, (1.5398598611354828, 1.5398598685860634), 1e-8),
-        (2.0, 1.461082523775981, (1.4610824916539138, 1.461082555898048),
-         1.4872741826418436,
+        (2.0, 1.461082506275953, (1.461082481274168, 1.461082531277738),
+         1.487274131380421,
          1.461082547903061, (1.4610825181007385, 1.4610825777053833), 1e-7),
     ], ids=["q_one", "single_level_root"])
     def test_stationary_extras_match_recorded_values(self, q, value, bracket, single,
