@@ -88,13 +88,25 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
     ``sigma_2 = |ad - bc| / sigma_1``. The sum of two nonnegative terms loses
     no precision as ``sigma_1`` approaches ``sigma_2``, where the textbook
     ``sqrt(|T|_F**4 - 4 det**2)`` cancels; clamping ``sigma_2`` at ``sigma_1``
-    keeps the output nonincreasing when they tie.
+    keeps the output nonincreasing when they tie. Each hypotenuse is taken as
+    ``sqrt(x*x + y*y)``, several times faster than ``np.hypot``: with
+    ``sigma_1`` in [2**-256, 2**256] no square overflows (no entry exceeds
+    ``sigma_1``) and ``det`` stays normal below condition 2**510; other rows
+    are redone after an exact power-of-two scaling.
     """
     if mats.shape[-2:] == (2, 2):
-        logs = np.empty(mats.shape[:-2] + (2,))
-        log_top, log_det = _log_closed_form(mats, det=True)
-        logs[..., 0] = log_top
-        np.minimum(np.subtract(log_det, log_top, out=log_det), log_top, out=logs[..., 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            top, det = _top_and_det(mats)
+        outside = ~((top >= 2.0**-256) & (top <= 2.0**256))
+        if outside.any():
+            _, exps = np.frexp(np.abs(mats[outside]).max(axis=(-2, -1)))
+            top[outside], det[outside] = _top_and_det(np.ldexp(mats[outside], -exps[:, None, None]))
+        logs = np.empty(top.shape + (2,))
+        log_top = np.log(top, out=logs[..., 0])
+        det = np.log(np.abs(det, out=det), out=det)
+        np.minimum(np.subtract(det, log_top, out=det), log_top, out=logs[..., 1])
+        if outside.any():
+            logs[outside] += (exps * np.log(2.0))[:, None]
         return logs
     logs = np.log(np.linalg.svd(mats, compute_uv=False))
     _, logdet = np.linalg.slogdet(mats)
@@ -106,18 +118,18 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
 def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0) -> np.ndarray:
     """Prefix sums ``log(sigma_1 * ... * sigma_m)``, m = 1..d, of ``exp(log_scale) * mats``.
 
-    Takes a stack of d x d matrices and returns one contiguous row per m, shape
-    ``(d,) + mats.shape[:-2]``. The last row is the caller's ``log_det``, which
-    a product's factors give more exactly than any factorization of the
-    product. So only the leading d - 1 values are computed: ``sigma_1`` alone
-    in closed form for 2x2 stacks, the leading values of a batched SVD for
-    larger ones. Row d - 1 is then raised where needed, so that the
-    increments, the log singular values, stay nonincreasing.
+    Returns one contiguous row per m, shape ``(d,) + mats.shape[:-2]``. The
+    last row is the caller's ``log_det``, which a product's factors give more
+    exactly than any factorization of the product, so only the leading d - 1
+    values are computed: ``sigma_1`` alone by the closed form of
+    :func:`batched_log_singular_values` for 2x2 stacks (the caller keeps it
+    in [2**-256, 2**256]), a batched SVD otherwise. Row d - 1 is raised where
+    needed so the increments, the log singular values, stay nonincreasing.
     """
     d = mats.shape[-1]
     out = np.empty((d,) + mats.shape[:-2])
     if d == 2:
-        out[0] = _log_closed_form(mats)[0]
+        np.log(_top_and_det(mats, det=False)[0], out=out[0])
     elif d > 2:
         logs = np.log(np.linalg.svd(mats, compute_uv=False)[..., :-1])
         out[:-1] = np.moveaxis(np.cumsum(logs, axis=-1), -1, 0)
@@ -125,43 +137,15 @@ def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0) ->
         out[:-1] += np.multiply.outer(np.arange(1.0, d), log_scale)
     out[-1] = log_det
     if d > 1:
-        half = 0.5 * (out[-1] + out[-3]) if d > 2 else 0.5 * out[-1]
-        np.maximum(out[-2], half, out=out[-2])
+        np.maximum(out[-2], 0.5 * (out[-1] + out[-3] if d > 2 else out[-1]), out=out[-2])
     return out
 
 
-def _log_closed_form(mats: np.ndarray, det: bool = False):
-    """``log sigma_1`` and, if asked, ``log |det|`` of a stack of 2x2 matrices.
-
-    Each hypotenuse is taken as ``sqrt(x*x + y*y)``, several times faster than
-    ``np.hypot``: with ``sigma_1`` in [2**-256, 2**256] no square overflows
-    (no entry exceeds ``sigma_1``) and ``det`` stays normal below condition
-    2**510; other rows are redone after an exact power-of-two scaling.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        top, dets = _top_and_det(mats, det)
-    outside = None
-    if not (top.min(initial=1.0) >= 2.0**-256 and top.max(initial=1.0) <= 2.0**256):
-        outside = ~((top >= 2.0**-256) & (top <= 2.0**256))
-        _, exps = np.frexp(np.abs(mats[outside]).max(axis=(-2, -1)))
-        top[outside], scaled_det = _top_and_det(np.ldexp(mats[outside], -exps[:, None, None]), det)
-        if det:
-            dets[outside] = scaled_det
-    log_top = np.log(top, out=top)
-    log_det = np.log(np.abs(dets, out=dets), out=dets) if det else None
-    if outside is not None:
-        shift = exps * np.log(2.0)
-        log_top[outside] += shift
-        if det:
-            log_det[outside] += 2.0 * shift
-    return log_top, log_det
-
-
-def _top_and_det(mats: np.ndarray, det: bool):
-    """Largest singular value and (if asked) determinant of a stack of 2x2 matrices."""
+def _top_and_det(mats: np.ndarray, det: bool = True):
+    """Largest singular value and (unless ``det`` is false) determinant of a
+    stack of 2x2 matrices, as arrays even for one bare matrix."""
     a, b, c, d = (mats[..., i, j] for i in (0, 1) for j in (0, 1))
     top = 0.5 * (np.sqrt((a + d) ** 2 + (c - b) ** 2) + np.sqrt((a - d) ** 2 + (c + b) ** 2))
-    # arrays even for one bare matrix
     return np.asarray(top), np.asarray(a * d - b * c) if det else None
 
 

@@ -17,17 +17,18 @@ sums, and they share one core:
   their entropy form at q = 1: one group for the closed form and for the
   deepest affine level, one per distinct level entry for the product limit,
   one per grid scale for the cut set, one per kept level for the affine
-  level rate. Every word enters as its log singular values, so a similarity
-  ratio c is the one-column spectrum ``log c`` (``svf(c O, s) = c**s``), and
-  each group's ``svf_log`` is written as ``base + s * slope`` on the integer
-  segment of s being probed, so an evaluation is one pass over the words;
-- ``_root_of_increasing`` closes a sign-change bracket by Illinois steps and
-  reports it (to adjacent floats at ``xtol=0``, as the closed form asks);
+  level rate. Every word enters as the prefix sums of its log singular
+  values (``svf_log`` at s = 1..d), so a similarity ratio c is the one row
+  ``log c`` (``svf(c O, s) = c**s``), and on the integer segment of s being
+  probed ``svf_log`` is ``base + s * slope`` from two rows;
+- ``_root_of_increasing`` closes a sign-change bracket by Illinois and
+  Dekker steps (to adjacent floats at ``xtol=0``, as the closed form asks);
 - ``_envelope_roots`` turns the upper and lower envelope trends of the
   product or cut-set sums into the lower and upper exponents, with the
   orientation for q below or above 1 decided in one place;
 - ``_level_spectra`` enumerates (or samples) the words of an affine table
-  and returns their log singular values and log masses per level.
+  and returns, per level, their prefix sums, the last one (log |det|)
+  carried from the letters, and their log masses.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers substitute the sign of the growth trend over a trailing
@@ -171,13 +172,10 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
                 f"f <= 0 at every probe up to s = {lo:g} and the next doubling passes "
                 f"the cap {cap:g}: no sign change bracketed in [0, {cap:g}]",
                 bracket_lower=lo, bracket_upper=cap)
-    # a free step needs the bracket within twice the width bisection would
-    # have reached (xtol times a power of two), so halving from it costs at
-    # most two evaluations more; hi moved last, and prev is the point the end
-    # that moved last held before, if it moved twice running
-    budget = 2.0 * (hi - lo)
-    if xtol > 0.0:
-        budget = 2.0 * xtol * 2.0 ** np.ceil(np.log2((hi - lo) / xtol))
+    # free steps while the bracket is at most twice what bisection would have
+    # left (xtol times a power of two at xtol > 0); prev is the previous point
+    # of the end that moved last, if it moved twice running (hi moved last)
+    budget = 2.0 * (xtol * 2.0 ** np.ceil(np.log2((hi - lo) / xtol)) if xtol else hi - lo)
     side, fails, prev = 1, 0, None
     while hi - lo > xtol:
         width, mid = hi - lo, 0.5 * (lo + hi)
@@ -233,24 +231,21 @@ def _moment_sums(groups, q: float, sampled: bool = False):
     where the sums vanish, it maps s to their derivative in q instead, the
     entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
 
-    ``svf_log`` is affine in s on every segment [m - 1, m] with m <= d, with
-    ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` read off
-    two rows (``P_0 = 0``), and on [d, inf) it is ``s * P_d / d``. Only the
-    current segment is kept, and any s in its closed interval reuses it: the
-    root finder probes 0, 1 and 2 and then stays inside [1, 2], so a root in
-    there costs two segments. The entropy form is linear in ``svf_log``, so
-    there each row is first weighted down to one number.
+    On a segment [m - 1, m] with m <= d, ``svf_log`` is ``base + s * slope``
+    with ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` (``P_0
+    = 0``); on [d, inf) it is ``s * P_d / d``. Only the current segment is
+    kept: the root finder probes 0, 1 and 2 and then stays inside [1, 2], so a
+    root in there costs two. The entropy form weighs each row down to a number.
     """
     prefix, log_p = zip(*groups)
     d = len(prefix[0])
     entropy = abs(q - 1.0) < Q_ONE_TOL
     log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
+    mass = [(q - 1.0 if sampled else q) * lp for lp in log_p]
     if entropy:
         w = [np.exp(lp) for lp in log_p]
         ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
         prefix = [np.array([wi @ row for row in pre]) for wi, pre in zip(w, prefix)]
-    else:
-        mass_terms = [(q - 1.0 if sampled else q) * lp for lp in log_p]
     span, coeffs = (1.0, 0.0), None
 
     def segment(s: float):
@@ -259,23 +254,17 @@ def _moment_sums(groups, q: float, sampled: bool = False):
             lo = min(max(int(np.ceil(s)) - 1, 0), d)
             span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
             for i, pre in enumerate(prefix):
-                if lo == d:
-                    slope, base = pre[-1] / d, 0.0
-                elif lo:
-                    slope = pre[lo] - pre[lo - 1]
-                    base = pre[lo - 1] - lo * slope
-                else:
-                    slope, base = pre[0], 0.0
+                below = pre[lo - 1] if lo else 0.0
+                slope = pre[-1] / d if lo == d else pre[lo] - below
+                base = below - lo * slope if lo < d else 0.0
                 if not entropy:
-                    slope, base = (1.0 - q) * slope, (1.0 - q) * base + mass_terms[i]
+                    slope, base = (1.0 - q) * slope, (1.0 - q) * base + mass[i]
                 coeffs.append((base, slope))
-            if entropy:
-                coeffs = np.array(coeffs).T
         return coeffs
 
     def sums(s: float) -> np.ndarray:
         if entropy:
-            base, slope = segment(s)
+            base, slope = np.array(segment(s)).T
             return ent - (base + s * slope)
         tops, totals = np.empty(len(log_p)), np.empty(len(log_p))
         for i, (base, slope) in enumerate(segment(s)):
@@ -415,41 +404,38 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int, size: int | None = None, seed: int = 0):
     """Prefix sums of log singular values and log masses of words, per kept level.
 
-    Each kept level k maps to ``(prefix, log_p)``: row m - 1 of the ``(d,
-    words)`` array ``prefix`` is ``log(sigma_1 ... sigma_m)`` of every word's
-    product (``svf_log`` at s = m). With ``size`` unset every word is
-    enumerated, parent-major with the newest letter varying fastest;
-    otherwise ``size`` words are drawn from the measure, one letter per row
-    and level. The last row, the log |det|, is the running sum of the
-    letters' log |det|, carried like ``log_p``. The leading rows come from the
-    products, which live entry-major in one ``(d, d, words)`` buffer built in
-    place, column by column (the SVD reads its ``.T`` view: each product
-    transposed, same singular values). ``floor``, the sum of each level's
-    smallest letter log singular value, bounds every product's log sigma_1
-    from below; only when it falls under -256 log 2 is each product divided by
-    a power of two near its largest entry (exact), carried in ``log_scale``.
+    Level k maps to ``(prefix, log_p)``, row m - 1 of the ``(d, words)``
+    ``prefix`` holding ``log(sigma_1 ... sigma_m)`` (``svf_log`` at s = m).
+    With ``size`` unset every word is enumerated, parent-major with the newest
+    letter varying fastest; otherwise ``size`` words are drawn from the
+    measure, one letter per row and level. The last row sums the letters' log
+    |det|, carried like ``log_p``; the others come from the products, kept
+    entry-major in one ``(d, d, words)`` buffer (the SVD reads its ``.T``
+    view). ``floor``, the sum of the levels' least letter log singular value,
+    bounds every log sigma_1 from below; only under -256 log 2 are products
+    rescaled, by exact powers of two carried in ``log_scale``.
     """
     d = system.ambient_dim
     rng = None if size is None else np.random.default_rng(seed)
     rows = 1 if size is None else size
     prods = np.broadcast_to(np.eye(d)[:, :, None], (d, d, rows))
-    log_scale, log_det, log_p = 0.0, np.zeros(rows), np.zeros(rows)
-    floor, out = 0.0, {}
+    # rows: log p and log |det| of every word
+    log_scale, carried, floor, out = 0.0, np.zeros((2, rows)), 0.0, {}
     for k in range(1, depth + 1):
-        level = system.linear_maps(k)
+        level, n = system.linear_maps(k), prods.shape[-1]
         floor += batched_log_singular_values(level)[:, -1].min()
-        letter_det = np.linalg.slogdet(level)[1]
+        terms = np.array([measure.log_probs(k), np.linalg.slogdet(level)[1]])
         if rng is None:
             right = level.transpose(1, 2, 0)
-            log_p = (log_p[:, None] + measure.log_probs(k)).ravel()
-            log_det = (log_det[:, None] + letter_det).ravel()
+            carried, parents = np.empty((2, n, len(level))), carried
+            for l in range(len(level)):
+                np.add(parents, terms[:, l, None], out=carried[:, :, l])
+            carried = carried.reshape(2, -1)
             log_scale = np.repeat(log_scale, len(level)) if np.ndim(log_scale) else log_scale
         else:
             letter = rng.choice(len(level), size=size, p=measure.probs(k))
             right = level.transpose(1, 2, 0)[:, :, None, letter]
-            log_p = log_p + measure.log_probs(k)[letter]
-            log_det = log_det + letter_det[letter]
-        n = prods.shape[-1]
+            carried = carried + terms[:, letter]
         nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(n)
         # letter l of parent u lands at u*m + l: one strided column per letter
         for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
@@ -463,19 +449,8 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
             log_scale = log_scale + exps * np.log(2.0)
             floor = -np.log(2.0)
         if k >= keep_from:
-            out[k] = (log_singular_prefix(prods.T, log_det, log_scale), log_p)
+            out[k] = (log_singular_prefix(prods.T, carried[1], log_scale), carried[0])
     return out
-
-
-def _level_rate(spectra: dict, q: float, sampled: bool = False):
-    """Slope in k of the fitted log level sums, as a function of s."""
-    ks = np.array(sorted(spectra))
-    sums = _moment_sums([spectra[k] for k in ks], q, sampled)
-
-    def rate(s: float) -> float:
-        return float(np.polyfit(ks, sums(s), 1)[0])
-
-    return rate
 
 
 def _near_integer_guard(root: float, diag: dict) -> float:
@@ -531,17 +506,19 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     keep_from = K if entropy else max(2, K // 2)
     spectra = _level_spectra(system, measure, K, keep_from,
                              size=sample_size if sampled else None, seed=seed)
-    if stationary:
-        xtol = 1e-8 if entropy else 1e-7
-    else:
-        xtol = XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED
+    xtol = ((1e-8 if entropy else 1e-7) if stationary
+            else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
     deepest = _moment_sums([spectra[K]], q, sampled)
+    kept = None if entropy else _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
 
     def per_level(s: float) -> float:
         return float(deepest(s)[0]) / K
 
-    rate = per_level if entropy else _level_rate(spectra, q, sampled)
-    root, bracket = _root_of_increasing(rate, xtol)
+    def rate(s: float) -> float:
+        """Slope in k of the fitted log level sums."""
+        return float(np.polyfit(sorted(spectra), kept(s), 1)[0])
+
+    root, bracket = _root_of_increasing(per_level if entropy else rate, xtol)
     diag = {
         "depth": int(K),
         "bracket": bracket,
