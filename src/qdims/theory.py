@@ -449,7 +449,8 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
             log_scale = log_scale + exps * np.log(2.0)
             floor = -np.log(2.0)
         if k >= keep_from:
-            out[k] = (log_singular_prefix(prods.T, carried[1], log_scale), carried[0])
+            # a copy, so the spent log |det| row is not kept alive with log p
+            out[k] = (log_singular_prefix(prods.T, carried[1], log_scale), carried[0].copy())
     return out
 
 
