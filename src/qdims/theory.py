@@ -44,7 +44,8 @@ import numpy as np
 
 from .codespace import BernoulliMeasure, scale_cut_set_masses
 from .errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
-from .singular import batched_log_singular_values, log_singular_prefix
+# svf_log is no longer called here but stays reachable as qdims.theory.svf_log
+from .singular import batched_log_singular_values, log_singular_prefix, svf_log  # noqa: F401
 from .systems import AffineSystem, SimilarSystem
 
 __all__ = [
@@ -409,8 +410,8 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     With ``size`` unset every word is enumerated, parent-major with the newest
     letter varying fastest; otherwise ``size`` words are drawn from the
     measure, one letter per row and level. The last row sums the letters' log
-    |det|, carried like ``log_p``; the others come from the products, kept
-    entry-major in one ``(d, d, words)`` buffer (the SVD reads its ``.T``
+    |det|, carried with ``log_p`` in ``carried``; the rest come from products
+    kept entry-major in one ``(d, d, words)`` buffer (the SVD reads its ``.T``
     view). ``floor``, the sum of the levels' least letter log singular value,
     bounds every log sigma_1 from below; only under -256 log 2 are products
     rescaled, by exact powers of two carried in ``log_scale``.
@@ -419,7 +420,6 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     rng = None if size is None else np.random.default_rng(seed)
     rows = 1 if size is None else size
     prods = np.broadcast_to(np.eye(d)[:, :, None], (d, d, rows))
-    # rows: log p and log |det| of every word
     log_scale, carried, floor, out = 0.0, np.zeros((2, rows)), 0.0, {}
     for k in range(1, depth + 1):
         level, n = system.linear_maps(k), prods.shape[-1]

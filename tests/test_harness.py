@@ -174,9 +174,9 @@ class TestTheorySelection:
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
 
     # recorded with the Illinois-Dekker root finder on prefix-sum spectra; each
-    # row keeps the bisected value
-    # and bracket recorded while stationary affine tables had a solver of their
-    # own, which the new root must stay within xtol of
+    # row keeps the bisected value and bracket recorded while stationary affine
+    # tables had a solver of their own, which the new root must stay within
+    # xtol of
     @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket, xtol", [
         (1.0, 1.2432214024671964, (1.2432213974671964, 1.2432214074671963),
          1.2432214058935642, (1.243221402168274, 1.2432214096188545), 1e-8),
