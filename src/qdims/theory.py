@@ -44,7 +44,7 @@ import numpy as np
 
 from .codespace import BernoulliMeasure, scale_cut_set_masses
 from .errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
-# svf_log is no longer called here but stays reachable as qdims.theory.svf_log
+# svf_log is re-exported: the benchmark's trace sites reach it as qdims.theory.svf_log
 from .singular import batched_log_singular_values, log_singular_prefix, svf_log  # noqa: F401
 from .systems import AffineSystem, SimilarSystem
 
