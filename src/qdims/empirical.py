@@ -11,7 +11,14 @@ upward at scales the sample cannot resolve.
 Binning counts cells in their bounding cube when it is small and sorts them
 otherwise, with the same bits either way, and merges them in canonical
 (lexicographic) order, so results do not depend on how point blocks are
-split across workers.
+split across workers. Points arrive in blocks, and an accumulator folds its
+pending blocks into its merged cells once the pending rows reach
+``max(cells, _FOLD_ROWS)``. A fold sums each cell's partial mass first and
+then the new rows in order, which is the chain of additions of one sum over
+all the points, so the bits do not depend on where folds fall either.
+Binning memory is thus O(cells + _FOLD_ROWS) however many points stream
+through, and ``run_experiment`` bins its sample block by block as it is
+drawn.
 """
 
 from __future__ import annotations
@@ -41,10 +48,17 @@ __all__ = [
 OCCUPANCY_MIN = 10.0
 LOCAL_SLOPE_SPREAD = 0.1
 _CELL_LIMIT = 2.0**61  # |cell index| bound of add(); keeps cube offsets in int64
+# pending rows an accumulator always lets gather before it folds them in
+_FOLD_ROWS = 2**16
 
 
 def default_scales() -> tuple[float, ...]:
     return tuple(2.0**-e for e in range(4, 13))
+
+
+def _check_q(q) -> None:
+    if not np.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
 
 
 def _pack_keys(cells: np.ndarray) -> np.ndarray | None:
@@ -70,6 +84,15 @@ class MeshAccumulator:
     keyed by row-major offset in the cube their extreme indices span, then
     counted when it holds at most ``max(n, 2**16)`` cells and sorted
     otherwise, with the same order and the same bits either way.
+
+    ``add`` keeps its blocks pending until their rows reach the number of
+    cells merged so far, or ``_FOLD_ROWS`` if that is more, then folds them
+    into the merged cells: the merged cells go first, their masses as
+    weights, then the pending rows. Each cell's mass is then the same chain
+    of additions, in point order from 0.0, as one sum over every point
+    added, so the cells and mass bits do not depend on how the points were
+    split into blocks, and memory stays O(cells + _FOLD_ROWS) for any
+    number of points.
     """
 
     def __init__(self, r: float, ambient_dim: int):
@@ -78,8 +101,9 @@ class MeshAccumulator:
         self.r = float(r)
         self.ambient_dim = int(ambient_dim)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
-        self._cells: np.ndarray | None = None
-        self._masses: np.ndarray | None = None
+        self._pending_rows = 0
+        self._cells = np.empty((0, self.ambient_dim), dtype=np.int64)
+        self._masses = np.empty(0)
 
     @classmethod
     def from_points(cls, points, weights, r: float) -> "MeshAccumulator":
@@ -98,6 +122,12 @@ class MeshAccumulator:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        w = np.asarray(weights, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
+            raise ValueError(f"points of shape {pts.shape} do not have dimension "
+                             f"{self.ambient_dim}")
+        if w.shape != (len(pts),):
+            raise ValueError(f"{len(pts)} points need as many weights, got shape {w.shape}")
         idx = pts / self.r
         np.floor(idx, out=idx)
         if idx.size and not (idx.min() >= -_CELL_LIMIT and idx.max() < _CELL_LIMIT):
@@ -105,9 +135,10 @@ class MeshAccumulator:
             bad = np.argmin(((idx >= -_CELL_LIMIT) & (idx < _CELL_LIMIT)).all(axis=1))
             raise ValueError(f"point {bad} {pts[bad].tolist()} is not finite or "
                              f"beyond 2**61 cells of side {self.r}")
-        self._pending.append((idx.astype(np.int64), np.asarray(weights, dtype=float)))
-        self._cells = None
-        self._masses = None
+        self._pending.append((idx.astype(np.int64), w))
+        self._pending_rows += len(w)
+        if self._pending_rows >= max(len(self._masses), _FOLD_ROWS):
+            self._fold()
 
     def _merge(self, cells: np.ndarray, weights: np.ndarray):
         if len(cells) == 0:
@@ -135,23 +166,21 @@ class MeshAccumulator:
             masses = np.bincount(inverse, weights=weights, minlength=len(occupied))
         return np.column_stack(np.unravel_index(occupied, (side,) * d)) + lo, masses
 
-    def _finalize(self) -> None:
-        if self._cells is not None:
-            return
+    def _fold(self) -> None:
         if not self._pending:
-            self._cells = np.empty((0, self.ambient_dim), dtype=np.int64)
-            self._masses = np.empty(0)
             return
-        cells = np.concatenate([c for c, _ in self._pending])
-        weights = np.concatenate([w for _, w in self._pending])
+        cells = np.concatenate([self._cells, *(c for c, _ in self._pending)])
+        weights = np.concatenate([self._masses, *(w for _, w in self._pending)])
+        self._pending = []
+        self._pending_rows = 0
         self._cells, self._masses = self._merge(cells, weights)
 
     def cells(self) -> np.ndarray:
-        self._finalize()
+        self._fold()
         return self._cells
 
     def masses(self) -> np.ndarray:
-        self._finalize()
+        self._fold()
         return self._masses
 
     @property
@@ -165,13 +194,14 @@ class MeshAccumulator:
         """Accumulator at scale ``factor * r``; exact cell-index arithmetic."""
         if int(factor) != factor or factor < 1:
             raise ValueError("factor must be a positive integer")
-        self._finalize()
+        self._fold()
         out = MeshAccumulator(self.r * factor, self.ambient_dim)
         cells, masses = self._merge(self._cells // int(factor), self._masses)
         out._cells, out._masses = cells, masses
         return out
 
     def moment(self, q: float) -> float:
+        _check_q(q)
         m = self.masses()
         if q == 0:
             return float(len(m))
@@ -274,13 +304,15 @@ class ScaleRecord:
     included: bool
 
 
-def _scale_pyramid(sample, scales) -> list[tuple[float, MeshAccumulator]]:
-    """``(r, accumulator)`` per scale, fine to coarse, from one finest binning.
+def _scale_pyramid(blocks, ambient_dim: int, scales) -> list[tuple[float, MeshAccumulator]]:
+    """``(r, accumulator)`` per scale, fine to coarse, from one pass over ``blocks``.
 
-    Consecutive scales related by an integer factor coarsen the finer
-    accumulator by exact cell-index arithmetic; only a non-integer step bins
-    the sample again. ``None`` means the default scales; an empty sequence
-    or a repeated size raises ``InsufficientScalesError``.
+    ``blocks`` yields ``(start, points, weights)``. The base scales, the
+    finest and each one a non-integer step above the scale below it, are
+    planned first and every block is binned into each of them as it comes;
+    the other scales coarsen the scale below by exact cell-index arithmetic.
+    ``None`` means the default scales; an empty sequence or a repeated size
+    raises ``InsufficientScalesError``.
     """
     scales = sorted(default_scales() if scales is None else scales)
     if not scales:
@@ -288,15 +320,16 @@ def _scale_pyramid(sample, scales) -> list[tuple[float, MeshAccumulator]]:
     repeated = [a for a, b in zip(scales, scales[1:]) if a == b]
     if repeated:
         raise InsufficientScalesError(f"scale size {repeated[0]!r} appears more than once")
-    acc = MeshAccumulator.from_sample(sample, scales[0])
-    pyramid = [(scales[0], acc)]
-    for prev, cur in zip(scales, scales[1:]):
-        factor = cur / prev
-        if abs(factor - round(factor)) < 1e-9:
-            acc = acc.coarsen(int(round(factor)))
-        else:
-            acc = MeshAccumulator.from_sample(sample, cur)
-        pyramid.append((cur, acc))
+    factors = [None] + [cur / prev for prev, cur in zip(scales, scales[1:])]
+    bases = {r: MeshAccumulator(r, ambient_dim) for r, factor in zip(scales, factors)
+             if factor is None or abs(factor - round(factor)) >= 1e-9}
+    for _, points, weights in blocks:
+        for acc in bases.values():
+            acc.add(points, weights)
+    pyramid = []
+    for r, factor in zip(scales, factors):
+        acc = bases[r] if r in bases else acc.coarsen(int(round(factor)))
+        pyramid.append((r, acc))
     return pyramid
 
 
@@ -348,12 +381,14 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
     q = 1) over the longest run of at least four usable scales whose local
     slopes spread by less than 0.1; if no run qualifies, the full usable
     range is used and flagged. The spread of local slopes is the visible
-    proxy for a gap between the lower and upper scaling limits.
+    proxy for a gap between the lower and upper scaling limits. A
+    non-finite q raises ``ValueError``.
     """
     if q is None:
         if not records:
             raise InsufficientScalesError("no records given")
         q = records[0].q
+    _check_q(q)
     usable = [rec for rec in records if rec.included]
     usable.sort(key=lambda rec: -rec.r)
     if len(usable) < 4:
@@ -402,18 +437,28 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
     )
 
 
+def _stream_spectrum(blocks, count: int, ambient_dim: int, q_values, scales=None):
+    """``estimate_spectrum`` of the ``count`` points that ``blocks`` yields."""
+    for q in q_values:
+        _check_q(q)
+    pyramid = _scale_pyramid(blocks, ambient_dim, scales)
+    out = []
+    for q in q_values:
+        records = _records(pyramid, count, q)
+        out.append((records, fit_dimension(records, q)))
+    return out
+
+
 def estimate_spectrum(sample, q_values, scales=None):
     """``(records, fit)`` for every moment order, in the order of ``q_values``.
 
     Every q reads one scale pyramid, so the sample is binned once when
-    consecutive scales are related by integer factors.
+    consecutive scales are related by integer factors. The sample enters the
+    pyramid as a stream of one block. Raises ``ValueError`` for a non-finite
+    q before any binning.
     """
-    pyramid = _scale_pyramid(sample, scales)
-    out = []
-    for q in q_values:
-        records = _records(pyramid, len(sample.points), q)
-        out.append((records, fit_dimension(records, q)))
-    return out
+    return _stream_spectrum([(0, sample.points, sample.weights)], len(sample),
+                            sample.ambient_dim, q_values, scales)
 
 
 def estimate_dimension(sample, q: float, scales=None):

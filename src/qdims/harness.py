@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 
 from .codespace import BernoulliMeasure
-from .empirical import default_scales, estimate_spectrum
+from .empirical import _stream_spectrum, default_scales
 from .errors import BranchBudgetError, ConfigError
 from .systems import (
     AffineSystem,
@@ -26,8 +26,8 @@ from .systems import (
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    _sample_stream,
     check_separation,
-    sample_measure,
 )
 from .theory import (
     Q_ONE_TOL,
@@ -309,13 +309,16 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         except BranchBudgetError:
             separations.append({"realization": i, "holds_at_depth": None})
             ssc_holds = False
-        sample = sample_measure(system, scheme, measure, count=config.samples,
-                                depth=config.depth, seed=config.seed + i,
-                                target_resolution=resolution)
+        # each block of the sample is binned as it is drawn, so the whole
+        # point cloud never exists at once
+        sampling, blocks = _sample_stream(system, scheme, measure, count=config.samples,
+                                          depth=config.depth, seed=config.seed + i,
+                                          target_resolution=resolution)
         if i == 0:
-            resolved_depth = sample.meta["depth"]
-            truncation_bound = sample.meta["truncation_bound"]
-        spectrum = estimate_spectrum(sample, config.q_values, config.scales)
+            resolved_depth = sampling["depth"]
+            truncation_bound = sampling["truncation_bound"]
+        spectrum = _stream_spectrum(blocks, config.samples, system.ambient_dim,
+                                    config.q_values, config.scales)
         # the claim depends on the scheme family (randomized or not),
         # while the separation certificate is per realization
         estimates.append({q: (est, claim_for(system, base_scheme, q, ssc_holds))

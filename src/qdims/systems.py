@@ -526,34 +526,15 @@ def _checked_offsets(scheme, letters: np.ndarray, d: int):
         yield offs
 
 
-def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
+def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
                    depth: int | None = None, seed: int = 0,
-                   target_resolution: float | None = None) -> AttractorSample:
-    """Monte Carlo sample of the projected measure.
+                   target_resolution: float | None = None):
+    """``(meta, blocks)`` of the sample that ``sample_measure`` returns.
 
-    Draws ``count`` i.i.d. addresses from the Bernoulli measure (letter j at
-    level k with probability p_{k,j}) and projects each through ``depth``
-    series terms. Identical (seed, parameters) produce bit-identical output.
-    A depth too shallow for ``target_resolution`` sets a warning flag in the
-    metadata instead of failing. Raises ``ValueError`` when the scheme's
-    offsets do not have the system's dimension.
-
-    Addresses are drawn and projected in chunks of ``_SAMPLE_CHUNK_ROWS``
-    rows, each written into its slice of the output. Every level draws from
-    its own PCG64 stream, advanced to that level's place in the single
-    stream of ``default_rng(seed)``, and every step of the projection acts on
-    each row alone, so the points have the same bits for any chunk size.
-    Beyond the ``(count, d)`` points and their weights, memory is
-    O(chunk x depth) for the letters and O(chunk x d x d) for the products.
-
-    The linear parts are composed on one of two paths, chosen from
-    ``system.linear_maps`` alone. When every level the sample uses is
-    diagonal (similarities without rotation among them), each address keeps
-    the diagonal of its product as a length-d scale vector; otherwise it
-    keeps the full d x d product. Both give the same bits on diagonal maps,
-    because a zero off-diagonal entry adds an exact zero to every sum. A
-    diagonal level whose maps all share one diagonal multiplies every row by
-    it, with no lookup by letter.
+    The arguments are checked and the depth and truncation meta resolved at
+    once; ``blocks`` then yields ``(start, points, weights)`` for rows
+    ``start`` to ``start + n``, one chunk of ``_SAMPLE_CHUNK_ROWS`` rows at a
+    time, so no ``(count, d)`` array need exist.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -564,7 +545,21 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     resolution = target_resolution if target_resolution is not None else 2.0**-12
     if depth is None:
         depth = default_sampling_depth(system, scheme, resolution)
+    a = system.contraction_bound
+    bound = scheme.sup_norm() * a**depth / (1.0 - a)
+    meta = {
+        "count": int(count),
+        "depth": int(depth),
+        "seed": int(seed),
+        "truncation_bound": float(bound),
+        "resolution": float(resolution),
+        "resolution_warning": bool(bound > resolution),
+    }
+    return meta, _sample_blocks(system, scheme, measure, count, depth, seed)
 
+
+def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
+                   depth: int, seed: int):
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
     maps = [system.linear_maps(j) for j in range(1, depth)]
@@ -573,10 +568,9 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     if diagonal:
         maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
         maps = [D[0] if (D == D[0]).all() else D for D in maps]
-    x = np.zeros((count, d))
     for start, letters in _letter_chunks(measure, count, depth, seed):
         n = len(letters)
-        xs = x[start:start + n]
+        xs = np.zeros((n, d))
         offsets = _checked_offsets(scheme, letters, d)
         if diagonal:
             scale = np.ones((n, d))
@@ -591,20 +585,50 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
                 xs += (M @ offs[:, :, None])[:, :, 0]
                 if j < depth:
                     M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
+        yield start, xs, np.full(n, 1.0 / count)
 
-    a = system.contraction_bound
-    bound = scheme.sup_norm() * a**depth / (1.0 - a)
-    meta = {
-        "count": int(count),
-        "depth": int(depth),
-        "seed": int(seed),
-        "truncation_bound": float(bound),
-        "resolution": float(resolution),
-        "resolution_warning": bool(bound > resolution),
-    }
+
+def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
+                   depth: int | None = None, seed: int = 0,
+                   target_resolution: float | None = None) -> AttractorSample:
+    """Monte Carlo sample of the projected measure.
+
+    Draws ``count`` i.i.d. addresses from the Bernoulli measure (letter j at
+    level k with probability p_{k,j}) and projects each through ``depth``
+    series terms. Identical (seed, parameters) produce bit-identical output.
+    A depth too shallow for ``target_resolution`` sets a warning flag in the
+    metadata instead of failing. Raises ``ValueError`` when the scheme's
+    offsets do not have the system's dimension.
+
+    The sample is the blocks of one block generator, ``_sample_stream``,
+    written into their slices of the output; ``run_experiment`` bins the
+    same blocks as they come and never holds the whole sample. Addresses are
+    drawn and projected in chunks of ``_SAMPLE_CHUNK_ROWS`` rows. Every
+    level draws from its own PCG64 stream, advanced to that level's place in
+    the single stream of ``default_rng(seed)``, and every step of the
+    projection acts on each row alone, so the points have the same bits for
+    any chunk size. Beyond the ``(count, d)`` points and their weights,
+    memory is O(chunk x depth) for the letters and O(chunk x d x d) for the
+    products.
+
+    The linear parts are composed on one of two paths, chosen from
+    ``system.linear_maps`` alone. When every level the sample uses is
+    diagonal (similarities without rotation among them), each address keeps
+    the diagonal of its product as a length-d scale vector; otherwise it
+    keeps the full d x d product. Both give the same bits on diagonal maps,
+    because a zero off-diagonal entry adds an exact zero to every sum. A
+    diagonal level whose maps all share one diagonal multiplies every row by
+    it, with no lookup by letter.
+    """
+    meta, blocks = _sample_stream(system, scheme, measure, count, depth, seed,
+                                  target_resolution)
+    x = np.empty((count, system.ambient_dim))
+    weights = np.empty(count)
+    for start, points, w in blocks:
+        x[start:start + len(w)] = points
+        weights[start:start + len(w)] = w
     # handed over read-only, so the sample keeps them without a copy
-    weights = _read_only(np.full(count, 1.0 / count))
-    return AttractorSample(points=_read_only(x), weights=weights, meta=meta)
+    return AttractorSample(points=_read_only(x), weights=_read_only(weights), meta=meta)
 
 
 def save_sample_csv(sample: AttractorSample, path) -> None:

@@ -1,9 +1,13 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import group_sums, mesh_bins
 
+from qdims import empirical
 from qdims.codespace import BernoulliMeasure
 from qdims.empirical import (
     MeshAccumulator,
@@ -103,6 +107,25 @@ class TestMeshAccumulator:
             with pytest.raises(ValueError, match="point 1 .* beyond 2\\*\\*61 cells"):
                 MeshAccumulator.from_points([[0.0], [far]], [0.5, 0.5], 0.25)
 
+    def test_weights_must_match_the_point_rows(self):
+        # taken as given, these blocks would lose the cell of 0.3 and shift
+        # the masses of the rest
+        acc = MeshAccumulator(0.1, 1)
+        with pytest.raises(ValueError, match=r"3 points need as many weights, got shape \(2,\)"):
+            acc.add([[0.1], [0.2], [0.3]], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"1 points need as many weights, got shape \(2,\)"):
+            acc.add([[0.4]], [0.25, 0.25])
+        assert len(acc) == 0
+
+    def test_points_must_have_the_accumulator_dimension(self):
+        acc = MeshAccumulator(0.25, 2)
+        with pytest.raises(ValueError, match=r"shape \(3, 1\) do not have dimension 2"):
+            acc.add([0.1, 0.2, 0.3], np.full(3, 1 / 3))
+        with pytest.raises(ValueError, match=r"shape \(2, 3\) do not have dimension 2"):
+            acc.add(np.zeros((2, 3)), np.full(2, 0.5))
+        acc.add([[0.1, 0.2]], [1.0])
+        assert acc.cells().tolist() == [[0, 0]] and acc.masses().tolist() == [1.0]
+
 
 @st.composite
 def binning_cases(draw):
@@ -111,7 +134,9 @@ def binning_cases(draw):
     Spreads of 3 and 300 cells per axis stay under ``2**16`` cells in 1-D,
     300 and 70,000 cross it in 2-D and 1-D, and ``2**40`` takes 2-D and 3-D
     past the ``2**62`` cells that int64 offsets hold. Rows repeat, some
-    weights are zero, and the points are added in random chunks.
+    weights are zero, and the points are added in random chunks. The fold
+    floor ranges from a fold on nearly every ``add`` to none before the
+    first read.
     """
     d = draw(st.sampled_from([1, 2, 3]))
     n = draw(st.integers(0, 80))
@@ -124,17 +149,19 @@ def binning_cases(draw):
     w = rng.random(n)
     w[rng.random(n) < 0.2] = 0.0
     cuts = np.sort(rng.integers(0, n + 1, size=draw(st.integers(0, 4))))
-    return pts, w, r, np.split(np.arange(n), cuts)
+    fold_rows = draw(st.sampled_from([1, 3, 16, 2**16]))
+    return pts, w, r, np.split(np.arange(n), cuts), fold_rows
 
 
 class TestBinningOracle:
     @settings(max_examples=300, deadline=None)
     @given(binning_cases())
     def test_cells_and_masses_match_point_order_sums(self, case):
-        pts, w, r, chunks = case
+        pts, w, r, chunks, fold_rows = case
         acc = MeshAccumulator(r, pts.shape[1])
-        for chunk in chunks:
-            acc.add(pts[chunk], w[chunk])
+        with mock.patch.object(empirical, "_FOLD_ROWS", fold_rows):
+            for chunk in chunks:
+                acc.add(pts[chunk], w[chunk])
         cells, masses = mesh_bins(pts, w, r)
         assert acc.cells().dtype == np.int64 and acc.cells().shape == cells.shape
         assert np.array_equal(acc.cells(), cells)
@@ -293,6 +320,32 @@ class TestScaleRecordsAndFit:
         assert len(spec.read_text().splitlines()) == len(records) + 1
 
 
+@pytest.mark.parametrize("q", [np.inf, np.nan], ids=["inf", "nan"])
+class TestNonFiniteQ:
+    def test_estimate_spectrum_rejects_it_before_binning(self, q, monkeypatch, capfd):
+        def refuse(*args):
+            raise AssertionError("points binned")
+
+        monkeypatch.setattr(MeshAccumulator, "add", refuse)
+        with pytest.raises(ValueError, match="q must be finite"):
+            estimate_spectrum(uniform_sample(2000, seed=18), [2.0, q],
+                              tuple(2.0**-e for e in range(3, 8)))
+        assert capfd.readouterr().err == ""
+
+    def test_moment_rejects_it(self, q):
+        acc = MeshAccumulator.from_sample(uniform_sample(100, seed=19), 0.25)
+        with pytest.raises(ValueError, match="q must be finite"):
+            acc.moment(q)
+
+    def test_fit_dimension_rejects_it(self, q):
+        s = uniform_sample(2000, seed=20)
+        [(records, _)] = estimate_spectrum(s, (2.0,), tuple(2.0**-e for e in range(3, 8)))
+        with pytest.raises(ValueError, match="q must be finite"):
+            fit_dimension(records, q)
+        with pytest.raises(ValueError, match="q must be finite"):
+            fit_dimension([dataclasses.replace(rec, q=q) for rec in records])
+
+
 class TestEstimateSpectrum:
     @pytest.mark.parametrize("d, scales", [
         (1, tuple(2.0**-e for e in range(3, 11))),
@@ -311,17 +364,18 @@ class TestEstimateSpectrum:
             assert est == ref_est
 
     def test_bins_once_for_dyadic_scales(self, monkeypatch):
-        calls = []
-        original = MeshAccumulator.from_sample.__func__
+        fed = []
+        original = MeshAccumulator.add
 
-        def counting(cls, sample, r):
-            calls.append(r)
-            return original(cls, sample, r)
+        def counting(self, points, weights):
+            fed.append(self)
+            return original(self, points, weights)
 
-        monkeypatch.setattr(MeshAccumulator, "from_sample", classmethod(counting))
+        monkeypatch.setattr(MeshAccumulator, "add", counting)
         s = uniform_sample(40_000, d=2, seed=13)
         estimate_spectrum(s, (0.5, 1.0, 2.0), tuple(2.0**-e for e in range(1, 6)))
-        assert calls == [2.0**-5]
+        # one accumulator takes the points, once, at the finest scale
+        assert [acc.r for acc in fed] == [2.0**-5]
 
     def test_small_boxes_are_counted_not_sorted(self, monkeypatch):
         s = uniform_sample(10**5, seed=16)

@@ -3,10 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qdims import empirical, systems
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
 from qdims.errors import ConfigError
@@ -280,19 +284,36 @@ class TestRunExperiment:
     def test_bins_once_per_realization(self, monkeypatch):
         from qdims.empirical import MeshAccumulator
 
-        calls = []
-        original = MeshAccumulator.from_sample.__func__
+        fed = []
+        original = MeshAccumulator.add
 
-        def counting(cls, sample, r):
-            calls.append(r)
-            return original(cls, sample, r)
+        def counting(self, points, weights):
+            fed.append((self, len(points)))
+            return original(self, points, weights)
 
-        monkeypatch.setattr(MeshAccumulator, "from_sample", classmethod(counting))
+        monkeypatch.setattr(MeshAccumulator, "add", counting)
         raw = dict(CANTOR_CONFIG, q=[0.5, 1, 2, 3], samples=20_000, realizations=3,
                    translations={"kind": "random-box", "low": [0.0], "high": [2.0]})
         report = run_experiment(ExperimentConfig.from_dict(raw))
         assert report.meta["realizations"] == 3 and len(report.rows) == 12
-        assert calls == [2.0**-10] * 3
+        # the sample streams in blocks, all into the one finest-scale
+        # accumulator of its realization; ``fed`` keeps them alive, so their
+        # ids stay distinct
+        binned = {id(acc): acc.r for acc, _ in fed}
+        assert list(binned.values()) == [2.0**-10] * 3
+        assert sum(rows for _, rows in fed) == 3 * 20_000
+
+    def test_memory_bounded_by_block_not_sample_count(self):
+        # the points and weights of 1e6 samples alone would take 16 MB; the
+        # blocks are binned as they are drawn, and the peak is about 3.5 MB
+        cfg = ExperimentConfig.from_dict(dict(CANTOR_CONFIG, samples=1_000_000))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_mismatched_measure(self):
         raw = dict(CANTOR_CONFIG, measure={"p": [[0.5, 0.25, 0.25]]})
@@ -337,6 +358,35 @@ class TestReports:
         for key in ("csv", "text"):
             with open(p1[key], "rb") as f1, open(p2[key], "rb") as f2:
                 assert f1.read() == f2.read()
+
+
+class TestStreamingInvariance:
+    """Reports do not depend on the sampling chunk or on where folds fall.
+
+    Cantor bins on the counting path. The 2-D affine config's finest scale
+    spans about a million cells, so it sorts, and its scales step once by a
+    non-integer factor, so two base accumulators share the stream.
+    """
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("cantor.json", {"samples": 4000}),
+        ("affine_finite_gamma.json", {
+            "samples": 3000, "realizations": 2,
+            "scales": [0.25, 0.125, 0.0625, 0.03125, 0.02, 0.01, 0.005, 0.0025, 0.00125]}),
+    ], ids=["cantor", "affine_finite_gamma"])
+    def test_reports_are_byte_identical(self, tmp_path, name, overrides):
+        with open(os.path.join(REPO, "configs", name)) as fh:
+            raw = json.load(fh)
+        raw.update(overrides)
+        cfg = ExperimentConfig.from_dict(raw)
+        outputs = set()
+        for chunk_rows in (7, 1000, cfg.samples):
+            for fold_rows in (1, 64, 2**16):
+                with mock.patch.object(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows), \
+                        mock.patch.object(empirical, "_FOLD_ROWS", fold_rows):
+                    paths = emit_report(run_experiment(cfg), tmp_path / f"{chunk_rows}-{fold_rows}")
+                outputs.add(tuple(Path(paths[key]).read_bytes() for key in ("csv", "text")))
+        assert len(outputs) == 1
 
 
 class TestCli:
