@@ -33,7 +33,16 @@ from .harness import (
     run_experiment,
     theoretical_exponents,
 )
-from .systems import check_separation, load_sample_csv, sample_measure, save_sample_csv
+# sample_measure and save_sample_csv stay importable here: the benchmark's trace
+# sites look them up on qdims.cli
+from .systems import (  # noqa: F401
+    _sample_stream,
+    _write_csv_rows,
+    check_separation,
+    load_sample_csv,
+    sample_measure,
+    save_sample_csv,
+)
 from .theory import clamp_dimension
 
 
@@ -108,14 +117,21 @@ def _cmd_sample(args) -> int:
     system = build_system(config)
     measure = build_measure(config)
     scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
-    sample = sample_measure(system, scheme, measure, count=config.samples,
-                            depth=config.depth, seed=config.seed,
-                            target_resolution=min(config.scales))
+    meta, blocks = _sample_stream(system, scheme, measure, count=config.samples,
+                                  depth=config.depth, seed=config.seed,
+                                  target_resolution=min(config.scales))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "points.csv")
-    save_sample_csv(sample, path)
-    print(f"wrote {len(sample)} points to {path} "
-          f"(depth={sample.meta['depth']}, truncation={sample.meta['truncation_bound']:.3g})")
+    # rows are written as their blocks are drawn; a failed draw leaves no file
+    try:
+        with open(path, "w", newline="") as fh:
+            for _, points, weights in blocks:
+                _write_csv_rows(fh, points, weights)
+    except BaseException:
+        os.remove(path)
+        raise
+    print(f"wrote {meta['count']} points to {path} "
+          f"(depth={meta['depth']}, truncation={meta['truncation_bound']:.3g})")
     return 0
 
 

@@ -115,10 +115,12 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
     return -np.sort(-logs, axis=-1)
 
 
-def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0) -> np.ndarray:
+def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Prefix sums ``log(sigma_1 * ... * sigma_m)``, m = 1..d, of ``exp(log_scale) * mats``.
 
-    Returns one contiguous row per m, shape ``(d,) + mats.shape[:-2]``. The
+    Returns one row per m, shape ``(d,) + mats.shape[:-2]``: contiguous rows of
+    a new array, or ``out`` (of that shape) written in place. The
     last row is the caller's ``log_det``, which a product's factors give more
     exactly than any factorization of the product, so only the leading d - 1
     values are computed: ``sigma_1`` alone by the closed form of
@@ -127,7 +129,8 @@ def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0) ->
     needed so the increments, the log singular values, stay nonincreasing.
     """
     d = mats.shape[-1]
-    out = np.empty((d,) + mats.shape[:-2])
+    if out is None:
+        out = np.empty((d,) + mats.shape[:-2])
     if d == 2:
         np.log(_top_and_det(mats, det=False)[0], out=out[0])
     elif d > 2:

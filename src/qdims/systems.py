@@ -636,19 +636,28 @@ def save_sample_csv(sample: AttractorSample, path) -> None:
 
     The bytes are those ``csv.writer`` writes for ``repr`` of every value:
     fields joined by ``","`` and every row ended by ``"\\r\\n"``. Rows are
-    formatted and written in fixed-size blocks, so memory does not grow with
-    the sample, and each distinct weight of a block is formatted once.
+    formatted and written by ``_write_csv_rows``, so memory does not grow with
+    the sample.
     """
     with open(path, "w", newline="") as fh:
-        for start in range(0, len(sample), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            # distinct by bits, so -0.0 and 0.0 keep their own text
-            bits, which = np.unique(sample.weights[block].view(np.uint64),
-                                    return_inverse=True)
-            texts = [repr(w) for w in bits.view(np.float64).tolist()]
-            columns = [map(repr, col) for col in sample.points[block].T.tolist()]
-            columns.append(map(texts.__getitem__, which.tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        _write_csv_rows(fh, sample.points, sample.weights)
+
+
+def _write_csv_rows(fh, points: np.ndarray, weights: np.ndarray) -> None:
+    """Write the rows of ``save_sample_csv`` in fixed-size blocks.
+
+    Each row's text depends on that row alone, so a sample written in any
+    split has the same bytes. Each distinct weight of a block is formatted
+    once.
+    """
+    for start in range(0, len(weights), _CSV_BLOCK_ROWS):
+        block = slice(start, start + _CSV_BLOCK_ROWS)
+        # distinct by bits, so -0.0 and 0.0 keep their own text
+        bits, which = np.unique(weights[block].view(np.uint64), return_inverse=True)
+        texts = [repr(w) for w in bits.view(np.float64).tolist()]
+        columns = [map(repr, col) for col in points[block].T.tolist()]
+        columns.append(map(texts.__getitem__, which.tolist()))
+        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def load_sample_csv(path) -> AttractorSample:

@@ -27,8 +27,11 @@ sums, and they share one core:
   product or cut-set sums into the lower and upper exponents, with the
   orientation for q below or above 1 decided in one place;
 - ``_level_spectra`` enumerates (or samples) the words of an affine table
-  and returns, per level, their prefix sums, the last one (log |det|)
-  carried from the letters, and their log masses.
+  and returns, per kept level, their prefix sums, the last one (log |det|)
+  carried from the letters, and their log masses. It grows the words in
+  contiguous blocks, in word order, and writes each block into arrays
+  allocated once per kept level, so the bits do not depend on the block
+  size and memory is O(kept words + one block).
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers substitute the sign of the growth trend over a trailing
@@ -66,6 +69,9 @@ XTOL_STATIONARY = 1e-6
 XTOL_TRUNCATED = 1e-3
 
 ENUMERATION_CAP = 2**24
+
+# words in the deepest level of one block of _level_spectra
+_BLOCK_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -237,39 +243,52 @@ def _moment_sums(groups, q: float, sampled: bool = False):
     = 0``); on [d, inf) it is ``s * P_d / d``. Only the current segment is
     kept: the root finder probes 0, 1 and 2 and then stays inside [1, 2], so a
     root in there costs two. The entropy form weighs each row down to a number.
+
+    Each group's ``(base, slope)`` is one ``(2, n)`` buffer, allocated once and
+    rewritten in place on a new segment (``q log p`` is formed there, in
+    scratch), and every evaluation works in one scratch buffer the size of the
+    largest group. So beyond the groups' own arrays, memory is O(words) for the
+    coefficients plus one group, and no evaluation allocates per word.
     """
     prefix, log_p = zip(*groups)
     d = len(prefix[0])
     entropy = abs(q - 1.0) < Q_ONE_TOL
     log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
-    mass = [(q - 1.0 if sampled else q) * lp for lp in log_p]
     if entropy:
         w = [np.exp(lp) for lp in log_p]
         ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
-        prefix = [np.array([wi @ row for row in pre]) for wi, pre in zip(w, prefix)]
-    span, coeffs = (1.0, 0.0), None
+        # one column per group
+        prefix = [np.array([[wi @ row for row in pre] for wi, pre in zip(w, prefix)]).T]
+    coeffs = [np.empty((2, pre.shape[1])) for pre in prefix]
+    scratch = np.empty(max(pre.shape[1] for pre in prefix))
+    span = (1.0, 0.0)
 
     def segment(s: float):
-        nonlocal span, coeffs
+        nonlocal span
         if not span[0] <= s <= span[1]:
             lo = min(max(int(np.ceil(s)) - 1, 0), d)
-            span, coeffs = (lo, lo + 1 if lo < d else np.inf), []
-            for i, pre in enumerate(prefix):
+            span = (lo, lo + 1 if lo < d else np.inf)
+            for pre, lp, (base, slope) in zip(prefix, log_p, coeffs):
                 below = pre[lo - 1] if lo else 0.0
-                slope = pre[-1] / d if lo == d else pre[lo] - below
-                base = below - lo * slope if lo < d else 0.0
+                if lo < d:
+                    np.subtract(pre[lo], below, out=slope)
+                    np.subtract(below, np.multiply(slope, lo, out=base), out=base)
+                else:
+                    np.divide(pre[-1], d, out=slope)
+                    base.fill(0.0)
                 if not entropy:
-                    slope, base = (1.0 - q) * slope, (1.0 - q) * base + mass[i]
-                coeffs.append((base, slope))
+                    slope *= 1.0 - q
+                    base *= 1.0 - q
+                    base += np.multiply(lp, q - 1.0 if sampled else q, out=scratch[:len(lp)])
         return coeffs
 
     def sums(s: float) -> np.ndarray:
         if entropy:
-            base, slope = np.array(segment(s)).T
+            base, slope = segment(s)[0]
             return ent - (base + s * slope)
         tops, totals = np.empty(len(log_p)), np.empty(len(log_p))
         for i, (base, slope) in enumerate(segment(s)):
-            t = slope * s
+            t = np.multiply(slope, s, out=scratch[:len(slope)])
             t += base
             tops[i] = top = np.maximum.reduce(t)
             t -= top
@@ -401,6 +420,43 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 # ---------------------------------------------------------------------------
 
 
+def _extend(state, maps, terms, rescale, letters=None):
+    """The words one level below ``state``, a ``(prods, carried, log_scale)`` triple.
+
+    With ``letters`` unset every word takes every map of the level, parent-major
+    with the newest letter varying fastest; otherwise word i takes map
+    ``letters[i]``. ``terms`` holds each letter's ``[log p, log |det|]``, added
+    to ``carried``. The products are kept entry-major, ``(d, d, words)``, and
+    ``rescale`` divides each by the power of two of its largest entry, carried
+    in ``log_scale``. Every step acts on each word alone, so a block of words
+    extends to the bits of the same words in the whole level.
+    """
+    prods, carried, log_scale = state
+    d, n = prods.shape[0], prods.shape[-1]
+    right = maps.transpose(1, 2, 0)
+    if letters is None:
+        parents, carried = carried, np.empty((2, n, len(maps)))
+        for l in range(len(maps)):
+            np.add(parents, terms[:, l, None], out=carried[:, :, l])
+        carried = carried.reshape(2, -1)
+        log_scale = np.repeat(log_scale, len(maps)) if np.ndim(log_scale) else log_scale
+    else:
+        right = right[:, :, None, letters]
+        carried = carried + terms[:, letters]
+    nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(n)
+    # letter l of parent u lands at u*m + l: one strided column per letter
+    for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
+        np.multiply(prods[i, t], right[t, j, l], out=tmp if t else nxt[i, j, :, l])
+        if t:
+            nxt[i, j, :, l] += tmp
+    prods = nxt.reshape(d, d, -1)
+    if rescale:
+        _, exps = np.frexp(np.abs(prods).max(axis=(0, 1)))
+        prods *= np.ldexp(1.0, -exps)
+        log_scale = log_scale + exps * np.log(2.0)
+    return prods, carried, log_scale
+
+
 def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int, size: int | None = None, seed: int = 0):
     """Prefix sums of log singular values and log masses of words, per kept level.
@@ -409,48 +465,68 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     ``prefix`` holding ``log(sigma_1 ... sigma_m)`` (``svf_log`` at s = m).
     With ``size`` unset every word is enumerated, parent-major with the newest
     letter varying fastest; otherwise ``size`` words are drawn from the
-    measure, one letter per row and level. The last row sums the letters' log
-    |det|, carried with ``log_p`` in ``carried``; the rest come from products
-    kept entry-major in one ``(d, d, words)`` buffer (the SVD reads its ``.T``
-    view). ``floor``, the sum of the levels' least letter log singular value,
-    bounds every log sigma_1 from below; only under -256 log 2 are products
-    rescaled, by exact powers of two carried in ``log_scale``.
+    measure, one letter per row and level, each level's letters drawn for all
+    rows at once in level order. The last row sums the letters' log |det|,
+    carried beside ``log_p``; the rest come from the word products.
+
+    Each level is tabulated once: its maps, their ``[log p, log |det|]`` and
+    whether to rescale. ``floor``, the sum of the levels' least letter log
+    singular value, bounds every log sigma_1 from below; only under
+    -256 log 2 are products rescaled (see ``_extend``). Enumeration first
+    grows a stem, the levels above which one stem word has at most
+    ``_BLOCK_WORDS`` descendants in the deepest level; then contiguous blocks
+    of stem words (of sampled rows, below an empty stem) run down the
+    remaining levels one block at a time, each block's deepest level holding
+    about ``_BLOCK_WORDS`` words, and write their slices of every kept level.
+    Since ``_extend`` acts on each word alone, the bits do not depend on the
+    block size, and memory is the kept spectra plus one block (and, when
+    sampled, one byte per row and level for the letters).
     """
     d = system.ambient_dim
-    rng = None if size is None else np.random.default_rng(seed)
-    rows = 1 if size is None else size
-    prods = np.broadcast_to(np.eye(d)[:, :, None], (d, d, rows))
-    log_scale, carried, floor, out = 0.0, np.zeros((2, rows)), 0.0, {}
+    table, floor = [], 0.0
     for k in range(1, depth + 1):
-        level, n = system.linear_maps(k), prods.shape[-1]
-        floor += batched_log_singular_values(level)[:, -1].min()
-        terms = np.array([measure.log_probs(k), np.linalg.slogdet(level)[1]])
-        if rng is None:
-            right = level.transpose(1, 2, 0)
-            carried, parents = np.empty((2, n, len(level))), carried
-            for l in range(len(level)):
-                np.add(parents, terms[:, l, None], out=carried[:, :, l])
-            carried = carried.reshape(2, -1)
-            log_scale = np.repeat(log_scale, len(level)) if np.ndim(log_scale) else log_scale
-        else:
-            letter = rng.choice(len(level), size=size, p=measure.probs(k))
-            right = level.transpose(1, 2, 0)[:, :, None, letter]
-            carried = carried + terms[:, letter]
-        nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(n)
-        # letter l of parent u lands at u*m + l: one strided column per letter
-        for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
-            np.multiply(prods[i, t], right[t, j, l], out=tmp if t else nxt[i, j, :, l])
-            if t:
-                nxt[i, j, :, l] += tmp
-        prods = nxt.reshape(d, d, -1)
-        if floor < -256.0 * np.log(2.0):
-            _, exps = np.frexp(np.abs(prods).max(axis=(0, 1)))
-            prods *= np.ldexp(1.0, -exps)
-            log_scale = log_scale + exps * np.log(2.0)
-            floor = -np.log(2.0)
+        maps = system.linear_maps(k)
+        floor += batched_log_singular_values(maps)[:, -1].min()
+        rescale = floor < -256.0 * np.log(2.0)
+        floor = -np.log(2.0) if rescale else floor
+        table.append((maps, np.array([measure.log_probs(k), np.linalg.slogdet(maps)[1]]),
+                      rescale))
+    if size is None:
+        letters, widths = None, [1]
+        for maps, _, _ in table:
+            widths.append(widths[-1] * len(maps))
+        stem = next(k for k, n in enumerate(widths) if widths[-1] // n <= _BLOCK_WORDS)
+    else:
+        rng = np.random.default_rng(seed)
+        dtype = np.min_scalar_type(max(len(maps) for maps, _, _ in table) - 1)
+        letters = [rng.choice(len(maps), size=size, p=measure.probs(k)).astype(dtype)
+                   for k, (maps, _, _) in enumerate(table, start=1)]
+        widths, stem = [size] * (depth + 1), 0
+    out = {k: (np.empty((d, widths[k])), np.empty(widths[k]))
+           for k in range(keep_from, depth + 1)}
+
+    def keep(k, state, at):
+        prods, carried, log_scale = state
+        log_singular_prefix(prods.T, carried[1], log_scale, out=out[k][0][:, at])
+        out[k][1][at] = carried[0]
+
+    state = (np.broadcast_to(np.eye(d)[:, :, None], (d, d, widths[0])),
+             np.broadcast_to(np.zeros((2, 1)), (2, widths[0])), 0.0)
+    for k in range(1, stem + 1):
+        state = _extend(state, *table[k - 1])
         if k >= keep_from:
-            # a copy, so the spent log |det| row is not kept alive with log p
-            out[k] = (log_singular_prefix(prods.T, carried[1], log_scale), carried[0].copy())
+            keep(k, state, slice(None))
+    step = max(1, _BLOCK_WORDS * widths[stem] // widths[-1])
+    for a in range(0, widths[stem], step):
+        at = slice(a, a + step)
+        prods, carried, log_scale = state
+        block = (prods[:, :, at], carried[:, at],
+                 log_scale[at] if np.ndim(log_scale) else log_scale)
+        for k in range(stem + 1, depth + 1):
+            block = _extend(block, *table[k - 1], None if letters is None else letters[k - 1][at])
+            if k >= keep_from:
+                fan = widths[k] // widths[stem]
+                keep(k, block, slice(a * fan, (a + step) * fan))
     return out
 
 
@@ -509,7 +585,8 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
                              size=sample_size if sampled else None, seed=seed)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
-    deepest = _moment_sums([spectra[K]], q, sampled)
+    # the deepest level alone gives the q = 1 rate and the stationary single-level root
+    deepest = _moment_sums([spectra[K]], q, sampled) if entropy or stationary else None
     kept = None if entropy else _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
 
     def per_level(s: float) -> float:

@@ -25,6 +25,7 @@ from qdims.harness import (
     claim_for,
     emit_report,
     parse_report_csv,
+    realize_scheme,
     render_report_csv,
     run_experiment,
     theoretical_exponents,
@@ -35,6 +36,7 @@ from qdims.systems import (
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    sample_measure,
     save_sample_csv,
 )
 
@@ -423,6 +425,57 @@ class TestCli:
         assert (tmp_path / "spectrum.csv").exists()
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "q,r,sum,cells"
+
+    @pytest.mark.parametrize("chunk_rows", [7, 1000, 3000])
+    def test_sample_streams_the_bytes_of_the_whole_sample(self, tmp_path, capsys, chunk_rows):
+        # the affine finite-set config: matrix-path points and jittered offsets
+        with open(os.path.join(REPO, "configs", "affine_finite_gamma.json")) as fh:
+            raw = dict(json.load(fh), samples=3000, depth=None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        config = ExperimentConfig.from_dict(raw)
+        system = build_system(config)
+        scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
+        sample = sample_measure(system, scheme, build_measure(config), count=3000,
+                                seed=config.seed, target_resolution=min(config.scales))
+        save_sample_csv(sample, tmp_path / "whole.csv")
+        with mock.patch.object(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows):
+            assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        points = tmp_path / "points.csv"
+        assert points.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert capsys.readouterr().out == (
+            f"wrote 3000 points to {points} (depth={sample.meta['depth']}, "
+            f"truncation={sample.meta['truncation_bound']:.3g})\n")
+
+    def test_sample_memory_bounded_by_block_not_sample_count(self, tmp_path, capsys):
+        # 2e5 points and weights alone would take 3.2 MB; written as they are
+        # drawn, the peak is about 2.3 MB (5.4 MB when the sample was held)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(CANTOR_CONFIG, samples=200_000)))
+        tracemalloc.start()
+        try:
+            assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_failed_sample_leaves_no_file(self, tmp_path):
+        written = []
+
+        def fail_on_second_block(fh, points, weights):
+            if written:
+                raise RuntimeError("disk gone")
+            written.append(len(weights))
+
+        raw = dict(CANTOR_CONFIG, samples=3 * systems._SAMPLE_CHUNK_ROWS)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        with mock.patch("qdims.cli._write_csv_rows", fail_on_second_block), \
+                pytest.raises(RuntimeError, match="disk gone"):
+            cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
+        assert written == [systems._SAMPLE_CHUNK_ROWS]
+        assert not (tmp_path / "points.csv").exists()
 
     def test_estimate_with_a_zero_weight_point(self, tmp_path, capsys):
         # the zero-weight point sits alone in its cell at every scale

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import bisect_increasing
 from qdims.codespace import BernoulliMeasure, Word
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
 from qdims.singular import svf_log, word_product, word_spectrum
+from qdims import theory
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
     _level_spectra,
@@ -664,6 +666,81 @@ class TestLevelSpectra:
             assert log_p.sum() == pytest.approx(mass_sum, rel=1e-12)
             assert np.allclose(prefix @ index, np.cumsum(weighted), rtol=1e-12, atol=0)
             assert index @ log_p == pytest.approx(mass_weighted, rel=1e-12)
+
+
+def deep_rescaling_table():
+    """The depth-600 table of ``test_deep_sampled_spectra_survive_repeated_rescaling``."""
+    rng = np.random.default_rng(5)
+    levels = [[rotation(t) @ np.diag([0.25, 0.2]) @ rotation(u) for t, u in
+               rng.uniform(-np.pi, np.pi, (2, 2))] for _ in range(3)]
+    return AffineSystem(levels), BernoulliMeasure([[0.5, 0.5]] * 3)
+
+
+class TestBlockInvariance:
+    """The spectra have the same bits for every block size of ``_level_spectra``."""
+
+    WHOLE = 2**62  # one block holds the whole tree
+
+    @staticmethod
+    def spectra_for(monkeypatch, block, *args, **kwargs):
+        monkeypatch.setattr(theory, "_BLOCK_WORDS", block)
+        return _level_spectra(*args, **kwargs)
+
+    def assert_equal(self, got, want):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert got[k][0].flags.c_contiguous
+            assert np.array_equal(got[k][0], want[k][0])
+            assert np.array_equal(got[k][1], want[k][1])
+
+    CASES = {
+        "enumerated-d2": lambda: (PLANAR_TABLE, TABLE_MEASURE, 7, 2),
+        "enumerated-d3": lambda: (SPATIAL_TABLE, TABLE_MEASURE, 6, 3),
+        "sampled-d2": lambda: (PLANAR_TABLE, TABLE_MEASURE, 6, 3, 500, 4),
+        "sampled-d3": lambda: (SPATIAL_TABLE, TABLE_MEASURE, 5, 1, 300, 2),
+        "sampled-rescaled": lambda: (*deep_rescaling_table(), 600, 595, 12, 3),
+    }
+
+    @pytest.mark.parametrize("block", [1, 7, 2**16])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_block_size_leaves_the_bits(self, monkeypatch, case, block):
+        args = self.CASES[case]()
+        whole = self.spectra_for(monkeypatch, self.WHOLE, *args)
+        self.assert_equal(self.spectra_for(monkeypatch, block, *args), whole)
+
+    def test_default_blocks_split_a_large_tree(self, monkeypatch):
+        # 93,312 words at depth 13 and 70,000 sampled rows: both exceed one block
+        assert theory._BLOCK_WORDS == 2**16
+        for args in [(PLANAR_TABLE, TABLE_MEASURE, 13, 11),
+                     (PLANAR_TABLE, TABLE_MEASURE, 3, 2, 70_000, 8)]:
+            blocked = _level_spectra(*args)
+            assert len(blocked[args[2]][1]) > 2**16
+            self.assert_equal(blocked, self.spectra_for(monkeypatch, self.WHOLE, *args))
+
+
+# two alternating levels of three rotated (non-diagonal) maps, at depth 12 (531,441 words)
+BENCH_LEVELS = [
+    [rotation(np.pi / 6) @ np.diag([0.50, 0.30]), rotation(-np.pi / 5) @ np.diag([0.45, 0.35]),
+     rotation(np.pi / 3) @ np.diag([0.40, 0.25])],
+    [rotation(np.pi / 4) @ np.diag([0.55, 0.20]), rotation(-np.pi / 7) @ np.diag([0.35, 0.30]),
+     rotation(2 * np.pi / 5) @ np.diag([0.50, 0.40])],
+]
+
+
+def test_affine_solve_memory_is_kept_spectra_plus_one_block():
+    # the kept levels 6..12 hold 19 MB of spectra and their level-sum
+    # coefficients 13 MB (36 MB traced peak); building each level whole, the
+    # unused deepest-level sums and per-evaluation temporaries took 57 MB
+    system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
+                                                                     [0.2, 0.3, 0.5]])
+    tracemalloc.start()
+    try:
+        ce = affine_series_dimension(system, measure, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ce.diagnostics["depth"] == 12
+    assert peak < 45e6
 
 
 def log_values(prefix):
