@@ -14,6 +14,7 @@ Identical configs (seed included) produce byte-identical report files.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 
@@ -62,6 +63,18 @@ DEFAULT_TOLERANCE_AFFINE = 0.1
 REALIZATION_SEED_STRIDE = 1_000_003
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ``ConfigError`` naming ``name`` unless it is integral.
+
+    Integral floats such as ``1e6`` are accepted; booleans are not.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: dict
@@ -79,7 +92,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
-            version = int(raw.get("schema_version", 1))
+            version = _integer("schema_version", raw.get("schema_version", 1))
             if version != 1:
                 raise ConfigError(f"unsupported schema_version {version}")
             scales = raw.get("scales")
@@ -87,7 +100,8 @@ class ExperimentConfig:
                 scales_t = default_scales()
             elif isinstance(scales, dict):
                 base = float(scales.get("base", 2))
-                lo, hi = int(scales["min_exp"]), int(scales["max_exp"])
+                lo = _integer("min_exp", scales["min_exp"])
+                hi = _integer("max_exp", scales["max_exp"])
                 scales_t = tuple(base**-e for e in range(lo, hi + 1))
             else:
                 scales_t = tuple(float(s) for s in scales)
@@ -96,14 +110,14 @@ class ExperimentConfig:
             q_values = tuple(float(q) for q in raw["q"])
             if not q_values or not all(0 < q < float("inf") for q in q_values):
                 raise ConfigError("q grid must be a non-empty list of positive finite entries")
-            samples = int(raw.get("samples", 100_000))
-            realizations = int(raw.get("realizations", 1))
+            samples = _integer("samples", raw.get("samples", 100_000))
+            realizations = _integer("realizations", raw.get("realizations", 1))
             if samples < 1 or realizations < 1:
                 raise ConfigError("samples and realizations must be at least 1")
-            depth = None if raw.get("depth") is None else int(raw["depth"])
+            depth = None if raw.get("depth") is None else _integer("depth", raw["depth"])
             if depth is not None and depth < 1:
                 raise ConfigError(f"sampling depth must be at least 1, got {depth}")
-            seed = int(raw.get("seed", 0))
+            seed = _integer("seed", raw.get("seed", 0))
             if seed < 0:
                 raise ConfigError(f"seed must be non-negative, got {seed}")
             tolerance = None if raw.get("tolerance") is None else float(raw["tolerance"])

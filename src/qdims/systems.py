@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import product as _iter_product
 
@@ -560,6 +561,16 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
 
 def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                    depth: int, seed: int):
+    """Blocks of ``_sample_stream``: ``(start, points, weights)`` per chunk.
+
+    When the word tree down to ``depth`` holds at most
+    ``min(count, _SAMPLE_CHUNK_ROWS)`` words, ``project`` runs once on every
+    word, in code order, and each chunk gathers its rows from that table by
+    the mixed-radix code of their letters, level 1 most significant; deeper
+    trees run ``project`` on each chunk. Every step of ``project`` acts on
+    each row alone, and every scheme's offsets read only a row's own
+    prefixes, so both give the same bits.
+    """
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
     maps = [system.linear_maps(j) for j in range(1, depth)]
@@ -568,7 +579,8 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
     if diagonal:
         maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
         maps = [D[0] if (D == D[0]).all() else D for D in maps]
-    for start, letters in _letter_chunks(measure, count, depth, seed):
+
+    def project(letters):
         n = len(letters)
         xs = np.zeros((n, d))
         offsets = _checked_offsets(scheme, letters, d)
@@ -585,7 +597,29 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                 xs += (M @ offs[:, :, None])[:, :, 0]
                 if j < depth:
                     M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
-        yield start, xs, np.full(n, 1.0 / count)
+        return xs
+
+    points = project
+    if system.profile.depth_within(min(count, _SAMPLE_CHUNK_ROWS), depth) == depth:
+        sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+        # every word in code order, in the letter type of _letter_chunks
+        words = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
+        table = project(words.reshape(depth, -1).T + 1)
+        # Horner's rule on the 1-based letters; shift is the all-ones word's code
+        shift = 1
+        for size in sizes[1:]:
+            shift = shift * size + 1
+
+        def gathered(letters):
+            code = letters[:, 0].astype(np.int32)
+            for size, column in zip(sizes[1:], letters.T[1:]):
+                code *= size
+                code += column
+            return np.take(table, code - shift, axis=0)
+
+        points = gathered
+    for start, letters in _letter_chunks(measure, count, depth, seed):
+        yield start, points(letters), np.full(len(letters), 1.0 / count)
 
 
 def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
@@ -610,6 +644,15 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     any chunk size. Beyond the ``(count, d)`` points and their weights,
     memory is O(chunk x depth) for the letters and O(chunk x d x d) for the
     products.
+
+    A point is a pure function of its address's letters. So when the word
+    tree down to ``depth`` holds at most ``min(count, _SAMPLE_CHUNK_ROWS)``
+    words, each word is projected once into a table and every row is
+    gathered from it by its word's index. The table is projected by the same
+    code as a chunk of rows, each of whose steps acts on each row alone, and
+    every scheme's offsets read only a row's own prefixes; so a gathered row
+    has the bits of the row projected on its own. The table never holds more
+    rows than one chunk.
 
     The linear parts are composed on one of two paths, chosen from
     ``system.linear_maps`` alone. When every level the sample uses is
@@ -663,14 +706,21 @@ def _write_csv_rows(fh, points: np.ndarray, weights: np.ndarray) -> None:
 def load_sample_csv(path) -> AttractorSample:
     """Sample from headerless ``x_1,...,x_d,weight`` rows.
 
-    Raises ``SampleError`` when the file cannot be read or parsed, has fewer
-    than two columns, or holds rows that ``AttractorSample`` rejects: a
-    non-finite value, a negative weight, or weights that do not sum to 1.
+    Raises ``SampleError`` when the file cannot be read or parsed, holds no
+    rows, has fewer than two columns, or holds rows that ``AttractorSample``
+    rejects: a non-finite value, a negative weight, or weights that do not
+    sum to 1.
     """
     try:
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported below, not by numpy's warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise SampleError(f"cannot read sample {path}: {exc}") from None
+    if rows.size == 0:
+        raise SampleError(f"{path}: the file holds no rows")
     if rows.shape[1] < 2:
         raise SampleError(f"{path}: rows need at least one coordinate and a weight")
     try:

@@ -103,6 +103,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
 
+    @pytest.mark.parametrize("field, override", [
+        ("samples", {"samples": 2.5}),
+        ("realizations", {"realizations": True}),
+        ("depth", {"depth": 7.9}),
+        ("seed", {"seed": 7.7}),
+        ("min_exp", {"scales": {"base": 2, "min_exp": 4.5, "max_exp": 10}}),
+        ("max_exp", {"scales": {"base": 2, "min_exp": 4, "max_exp": 10.5}}),
+        ("schema_version", {"schema_version": 1.5}),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_non_integral_integer_field_rejected(self, field, override):
+        # int() would truncate each of these silently
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
+
+    def test_integral_floats_accepted(self):
+        raw = dict(CANTOR_CONFIG, samples=1e6, realizations=2.0, depth=7.0, seed=3.0,
+                   schema_version=1.0, scales={"base": 2, "min_exp": 4.0, "max_exp": 10.0})
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.samples, cfg.realizations, cfg.depth, cfg.seed) == (1_000_000, 2, 7, 3)
+        assert cfg.scales == ExperimentConfig.from_dict(CANTOR_CONFIG).scales
+        assert all(type(v) is int for v in (cfg.samples, cfg.realizations, cfg.depth,
+                                            cfg.seed, cfg.schema_version))
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(CANTOR_CONFIG))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,24 @@ def matrix_stack_points(system, scheme, letters):
         if j < depth:
             M = M @ system.linear_maps(j)[letters[:, j - 1] - 1]
     return x
+
+
+class CountingOffsets:
+    """A scheme that counts the rows handed to the scheme it wraps."""
+
+    def __init__(self, scheme):
+        self.scheme, self.calls = scheme, []
+
+    @property
+    def rows(self):
+        return sum(self.calls)
+
+    def offsets(self, letters):
+        self.calls.append(len(letters))
+        return self.scheme.offsets(letters)
+
+    def sup_norm(self):
+        return self.scheme.sup_norm()
 
 
 class TestSystems:
@@ -493,6 +512,66 @@ class TestSampling:
         letters = choice_letters(measure, count, depth, seed)
         assert s.points.tobytes() == matrix_stack_points(system, scheme, letters).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans(),
+           st.sampled_from(["finite-set", "explicit", "random-box"]),
+           st.sampled_from(["below", "at", "above"]))
+    def test_word_table_matches_per_row_projection(self, seed, wide, matrix, kind, count_at):
+        # one chunk cap at the word count gathers from the table, one below
+        # it projects each row; both must give the oracle's bits
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(2, 5, size=rng.integers(1, 2 if wide else 4)).tolist()
+        if wide:
+            sizes.insert(int(rng.integers(len(sizes) + 1)), 256)
+        depth, words = len(sizes), int(np.prod(sizes))
+        d = 2 if matrix else int(rng.integers(1, 3))
+        if matrix:
+            mats = [[m * 0.8 / np.linalg.norm(m, 2) for m in rng.normal(size=(size, d, d))]
+                    for size in sizes]
+            system = AffineSystem(mats)
+        else:
+            system = SimilarSystem([rng.uniform(0.05, 0.95, m) for m in sizes], ambient_dim=d)
+        if kind == "finite-set":
+            keys = {tuple(int(rng.integers(1, sizes[j] + 1)) for j in range(length)): 2
+                    for length in rng.integers(1, depth + 1, size=4)}
+            scheme = FiniteTranslationSet(vectors=rng.normal(size=(3, d)), assignment=keys)
+        elif kind == "explicit":
+            scheme = ExplicitTranslations({
+                prefix: rng.normal(size=d)
+                for length in range(1, depth + 1)
+                for prefix in itertools.product(*(range(1, m + 1) for m in sizes[:length]))})
+        else:
+            scheme = RandomBoxTranslations(low=-rng.random(d), high=rng.random(d),
+                                           seed=int(rng.integers(2**31)))
+        measure = BernoulliMeasure([rng.dirichlet(np.ones(m)) for m in sizes])
+        step = int(rng.integers(1, words))
+        count = {"below": words - step, "at": words, "above": words + step}[count_at]
+        sample_seed = int(rng.integers(2**31))
+        want = matrix_stack_points(system, scheme,
+                                   choice_letters(measure, count, depth, sample_seed))
+        for chunk_rows in (words - 1, words):
+            counting = CountingOffsets(scheme)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows)
+                s = sample_measure(system, counting, measure, count=count, depth=depth,
+                                   seed=sample_seed)
+            assert s.points.tobytes() == want.tobytes()
+            table = count >= words and chunk_rows == words
+            assert counting.rows == (words if table else count)
+            assert max(counting.calls) <= chunk_rows
+
+    def test_shallow_tree_projects_each_word_once(self, monkeypatch):
+        system, scheme, measure = cantor_system()
+        counting = CountingOffsets(scheme)
+        s = sample_measure(system, counting, measure, count=100_000, depth=10, seed=1)
+        assert counting.rows == 2**10
+        # a chunk cap one below the word count projects every row
+        monkeypatch.setattr(systems, "_SAMPLE_CHUNK_ROWS", 2**10 - 1)
+        per_row = CountingOffsets(scheme)
+        want = sample_measure(system, per_row, measure, count=100_000, depth=10, seed=1)
+        assert per_row.rows == 100_000
+        assert s.points.tobytes() == want.points.tobytes()
+
     def test_memory_bounded_by_chunk_not_count(self):
         # depth-200 letters for 200k rows alone would take 40 MB; the points
         # and weights take 3.2 MB and the peak, 8.4 MB, falls inside a chunk
@@ -588,6 +667,15 @@ class TestSampleCsv:
             path.write_text(text)
         with pytest.raises(SampleError, match=message):
             load_sample_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_file_without_rows_raises_sample_error_without_warning(self, tmp_path, text):
+        path = tmp_path / "points.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SampleError, match="the file holds no rows"):
+                load_sample_csv(path)
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
