@@ -2,11 +2,11 @@
 
 The package splits into:
 
-- ``codespace``: words, level schedules, Bernoulli measures and the scale
-  cut-set enumerator over the address tree
+- ``codespace``: level schedules, branching profiles, Bernoulli measures and
+  the scale cut-set enumerator over the address tree
 - ``systems``: similarity/affine systems, translation schemes, sampling,
   separation certificates
-- ``singular``: singular values of matrix products and the singular value
+- ``singular``: log singular values of matrix stacks and the singular value
   function
 - ``theory``: critical exponents of moment sums (closed form, product and
   cut-set solvers for similarity tables, one level-sum solver for affine
@@ -19,7 +19,6 @@ from .codespace import (
     BernoulliMeasure,
     BranchingProfile,
     LevelSchedule,
-    Word,
 )
 from .empirical import (
     MeshAccumulator,
@@ -36,13 +35,6 @@ from .harness import (
     emit_report,
     run_experiment,
 )
-from .singular import (
-    SingularSpectrum,
-    singular_value_function,
-    singular_values,
-    word_product,
-    word_spectrum,
-)
 from .systems import (
     AffineSystem,
     AttractorSample,
@@ -51,7 +43,6 @@ from .systems import (
     RandomBoxTranslations,
     SimilarSystem,
     check_separation,
-    project_word,
     sample_measure,
 )
 from .theory import (

@@ -19,6 +19,7 @@ from .errors import (
     BranchBudgetError,
     ConfigError,
     DepthCapError,
+    IncompleteSchemeError,
     IndeterminateTrendError,
     InsufficientScalesError,
     SampleError,
@@ -175,12 +176,9 @@ def _cmd_check_separation(args) -> int:
         raise ConfigError(f"--depth must lie in 1..{system.max_depth}, got {args.depth}")
     scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
     report = check_separation(system, scheme, depth=args.depth, kind=args.kind)
-    witness = None
-    if report.witness:
-        witness = tuple(w.letters for w in report.witness)
     print(f"kind={report.kind} depth={report.depth} "
           f"holds_at_depth={str(report.holds_at_depth).lower()} "
-          f"worst_gap_ratio={report.worst_gap_ratio:.6g} witness={witness}")
+          f"worst_gap_ratio={report.worst_gap_ratio:.6g} witness={report.witness}")
     return 0
 
 
@@ -231,8 +229,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (BranchBudgetError, DepthCapError, IndeterminateTrendError,
-            InsufficientScalesError, SampleError) as exc:
+    except (BranchBudgetError, DepthCapError, IncompleteSchemeError,
+            IndeterminateTrendError, InsufficientScalesError, SampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

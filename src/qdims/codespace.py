@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BranchBudgetError, DepthCapError, InvalidWordError
+from .errors import BranchBudgetError, DepthCapError
 
 __all__ = [
     "PROB_SUM_TOL",
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_MAX_DEPTH",
     "LevelSchedule",
     "BranchingProfile",
-    "Word",
     "BernoulliMeasure",
     "scale_cut_set_masses",
 ]
@@ -153,30 +152,6 @@ class BranchingProfile:
                 break
             depth += 1
         return depth
-
-    def validate_letters(self, letters: Sequence[int]) -> None:
-        for j, letter in enumerate(letters, start=1):
-            n = self.size(j)
-            if int(letter) != letter or not 1 <= letter <= n:
-                raise InvalidWordError(
-                    f"letter {letter} at level {j} outside 1..{n}"
-                )
-
-
-@dataclass(frozen=True, slots=True)
-class Word:
-    """A finite address: letters are 1-based, one per level."""
-
-    letters: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
 
 class BernoulliMeasure:

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class InvalidWordError(ValueError):
-    """A word's letters are incompatible with the branching profile."""
-
-
 class DepthCapError(RuntimeError):
     """Cut-set expansion hit the enumeration depth cap.
 
@@ -17,11 +13,15 @@ class DepthCapError(RuntimeError):
 
 
 class BranchBudgetError(RuntimeError):
-    """Word enumeration exceeded the configured word-count budget."""
+    """Enumerating words exceeded the configured word-count budget."""
 
 
 class IncompleteSchemeError(KeyError):
     """An explicit translation table lacks a required word prefix."""
+
+    def __str__(self):
+        # the message itself, without the quotes KeyError puts around it
+        return str(self.args[0]) if self.args else ""
 
 
 class SingularMatrixError(ValueError):

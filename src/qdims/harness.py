@@ -167,7 +167,7 @@ def build_system(config: ExperimentConfig):
         return SimilarSystem(
             ratios=section["ratios"],
             tail=section.get("tail"),
-            ambient_dim=int(section.get("dim", 1)),
+            ambient_dim=_integer("system.dim", section.get("dim", 1)),
             rotations=section.get("rotations"),
             rotations_tail=section.get("rotations_tail"),
         )
@@ -182,10 +182,12 @@ def build_measure(config: ExperimentConfig) -> BernoulliMeasure:
 
 
 def _parse_prefix_key(key: str) -> tuple[int, ...]:
-    key = key.strip()
-    if not key:
+    if not key.strip():
         return ()
-    return tuple(int(tok) for tok in key.split(","))
+    try:
+        return tuple(int(tok) for tok in key.split(","))
+    except ValueError:
+        raise ConfigError(f"prefix key {key!r} must be comma-separated integers") from None
 
 
 def build_scheme(config: ExperimentConfig, system):
@@ -200,15 +202,16 @@ def build_scheme(config: ExperimentConfig, system):
             raise ConfigError(f"explicit translations must have dimension {d}")
         return scheme
     if kind == "random-box":
-        scheme = RandomBoxTranslations(low=section["low"], high=section["high"],
-                                       seed=int(section.get("seed", config.seed)))
+        seed = _integer("translations.seed", section.get("seed", config.seed))
+        scheme = RandomBoxTranslations(low=section["low"], high=section["high"], seed=seed)
         if scheme.dim != d:
             raise ConfigError(f"random box must have dimension {d}")
         return scheme
     if kind == "finite-set":
         assignment = section.get("assignment")
         if assignment is not None:
-            assignment = {_parse_prefix_key(k): int(v) for k, v in assignment.items()}
+            assignment = {_parse_prefix_key(k): _integer(f"assignment[{k!r}]", v)
+                          for k, v in assignment.items()}
         scheme = FiniteTranslationSet(
             vectors=section["vectors"],
             assignment=assignment,

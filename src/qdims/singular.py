@@ -1,11 +1,12 @@
-"""Singular values of matrix products and the singular value function.
+"""Log singular values of matrix stacks and the singular value function.
 
-The singular value function interpolates between products of the leading
-singular values: for ``m - 1 < s <= m`` it is
-``a_1 * ... * a_{m-1} * a_m**(s - m + 1)`` and for ``s`` above the matrix
-dimension it continues as ``det**(s/d)``. It is continuous, strictly
-decreasing in ``s`` for contractions, and submultiplicative over matrix
-products. Everything here is a pure function.
+Every function here is pure, works in the log domain and takes whole
+stacks of matrices (or of their log singular values) at once. The singular
+value function interpolates between products of the leading singular values:
+for ``m - 1 < s <= m`` it is ``a_1 * ... * a_{m-1} * a_m**(s - m + 1)`` and
+for ``s`` above the matrix dimension it continues as ``det**(s/d)``. It is
+continuous, strictly decreasing in ``s`` for contractions, and
+submultiplicative over matrix products.
 
 Stacks of 2x2 matrices, the shape every planar level table produces, take a
 closed form instead of a batched LAPACK SVD: the largest singular value is a
@@ -18,62 +19,16 @@ so a 2x2 stack needs only the largest value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .codespace import Word
-from .errors import SingularMatrixError
-
 __all__ = [
-    "SingularSpectrum",
-    "singular_values",
-    "singular_value_function",
+    "batched_log_singular_values",
+    "log_singular_prefix",
     "svf_log",
-    "word_product",
-    "word_spectrum",
 ]
 
+# largest condition estimate a contraction of a system's table may have
 CONDITION_LIMIT = 1e14
-
-
-@dataclass(frozen=True)
-class SingularSpectrum:
-    """Singular values sorted nonincreasing, kept alongside their logs."""
-
-    values: np.ndarray
-    log_values: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-
-def singular_values(matrix) -> SingularSpectrum:
-    """Singular values of a square nonsingular matrix, largest first.
-
-    Computed by :func:`batched_log_singular_values` on a one-matrix stack.
-    Raises ``SingularMatrixError`` when the matrix is numerically singular or
-    its condition estimate exceeds ``CONDITION_LIMIT``.
-    """
-    T = np.asarray(matrix, dtype=float)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    if not np.all(np.isfinite(T)):
-        raise ValueError("matrix entries must be finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = batched_log_singular_values(T[None])[0]
-    if not np.all(np.isfinite(logs)):
-        raise SingularMatrixError("matrix is numerically singular")
-    condition = np.exp(logs[0] - logs[-1])
-    if condition > CONDITION_LIMIT:
-        raise SingularMatrixError(
-            f"condition estimate {condition:.3e} exceeds {CONDITION_LIMIT:.0e}"
-        )
-    vals = np.exp(logs)
-    vals.setflags(write=False)
-    logs.setflags(write=False)
-    return SingularSpectrum(values=vals, log_values=logs)
 
 
 def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
@@ -169,63 +124,3 @@ def svf_log(log_values: np.ndarray, s: float) -> np.ndarray:
         return (s / d) * logs.sum(axis=-1)
     m = int(np.ceil(s))
     return logs[..., : m - 1].sum(axis=-1) + (s - m + 1) * logs[..., m - 1]
-
-
-def singular_value_function(matrix_or_spectrum, s: float) -> float:
-    """Evaluate the singular value function at ``s >= 0``."""
-    spec = matrix_or_spectrum
-    if not isinstance(spec, SingularSpectrum):
-        spec = singular_values(spec)
-    return float(np.exp(svf_log(spec.log_values, s)))
-
-
-def word_product(system, word: Word) -> np.ndarray:
-    """Product of the system's linear parts along ``word``; identity if empty.
-
-    The plain floating product is fine for short words; for long words whose
-    spectra are needed, use :func:`word_spectrum`, which re-factorizes as it
-    goes and tracks magnitudes in the log domain.
-    """
-    system.profile.validate_letters(word.letters)
-    d = system.ambient_dim
-    out = np.eye(d)
-    for level, letter in enumerate(word.letters, start=1):
-        out = out @ system.linear_maps(level)[letter - 1]
-    return out
-
-
-def word_spectrum(system, word: Word) -> SingularSpectrum:
-    """Singular spectrum of the matrix product along ``word``.
-
-    Maintains an SVD factorization of the running product, re-factorizing
-    after every multiplication and carrying the magnitude in the log domain,
-    so products of hundreds of contractions neither underflow nor collapse
-    the small singular values.
-    """
-    system.profile.validate_letters(word.letters)
-    d = system.ambient_dim
-    V = np.eye(d)
-    logs = np.zeros(d)
-    log_det = 0.0
-    for level, letter in enumerate(word.letters, start=1):
-        T = system.linear_maps(level)[letter - 1]
-        sign, step_det = np.linalg.slogdet(T)
-        if sign == 0.0:
-            raise SingularMatrixError(f"factor at level {level} is singular")
-        log_det += step_det
-        top = logs.max()
-        C = np.exp(logs - top)[:, None] * (V.T @ T)
-        _, sv, vt = np.linalg.svd(C)
-        if sv[-1] <= 0.0:
-            raise SingularMatrixError(
-                f"product along {word.letters[:level]} is numerically singular"
-            )
-        logs = np.log(sv) + top
-        logs[-1] = log_det - logs[:-1].sum()
-        logs = -np.sort(-logs)
-        V = vt.T
-    vals = np.exp(logs)
-    vals.setflags(write=False)
-    logs.setflags(write=False)
-    return SingularSpectrum(values=vals, log_values=logs)
-

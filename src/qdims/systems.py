@@ -6,8 +6,8 @@ of levels plus a cycling tail. A translation scheme attaches an offset vector
 to every finite word, which fixes the address-to-point projection: the point
 of an address is the series of translated partial compositions.
 
-Every translation scheme offers the same six members, and projection,
-sampling, separation checks and the experiment harness use nothing else:
+Every translation scheme offers the same five members, and sampling,
+separation checks and the experiment harness use nothing else:
 
 - ``kind``: the config name of the scheme family;
 - ``randomized``: whether the scheme stands for a random family whose
@@ -15,7 +15,6 @@ sampling, separation checks and the experiment harness use nothing else:
 - ``realize(seed)``: one concrete member of the family (itself if fixed);
 - ``offsets(letters)``: for an ``(n, depth)`` letter array, yields for
   j = 1..depth the ``(n, d)`` offsets of every row's length-j prefix;
-- ``translation(prefix)``: the offset of one word, by the same rule;
 - ``sup_norm()``: a bound on the norm of every offset.
 
 A new scheme needs these members and nothing else. Systems and schemes are
@@ -37,11 +36,10 @@ from .codespace import (
     BernoulliMeasure,
     BranchingProfile,
     LevelSchedule,
-    Word,
     _read_only,
 )
-from .errors import BranchBudgetError, IncompleteSchemeError, SampleError
-from .singular import singular_values
+from .errors import BranchBudgetError, IncompleteSchemeError, SampleError, SingularMatrixError
+from .singular import CONDITION_LIMIT, batched_log_singular_values
 
 __all__ = [
     "SimilarSystem",
@@ -50,7 +48,6 @@ __all__ = [
     "RandomBoxTranslations",
     "FiniteTranslationSet",
     "AttractorSample",
-    "project_word",
     "default_sampling_depth",
     "sample_measure",
     "SeparationReport",
@@ -151,7 +148,10 @@ class AffineSystem:
     """Per-level affine contractions given by lists of square matrices.
 
     Every matrix must be nonsingular and the extreme singular values over the
-    whole table must satisfy 0 < alpha_- <= alpha_+ < 1.
+    whole table must satisfy 0 < alpha_- <= alpha_+ < 1. A matrix with a
+    non-finite entry raises ``ValueError``; one that is numerically singular,
+    or whose condition estimate exceeds ``CONDITION_LIMIT``, raises
+    ``SingularMatrixError``.
     """
 
     def __init__(self, matrices, tail=None, max_depth: int = DEFAULT_MAX_DEPTH):
@@ -163,10 +163,20 @@ class AffineSystem:
         self.max_depth = int(max_depth)
         lo, hi = np.inf, 0.0
         for mats in self._matrices.distinct_entries():
-            for T in mats:
-                spec = singular_values(T)
-                lo = min(lo, float(spec.values[-1]))
-                hi = max(hi, float(spec.values[0]))
+            if not np.isfinite(mats).all():
+                raise ValueError("matrix entries must be finite")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logs = batched_log_singular_values(mats)
+            if not np.isfinite(logs).all():
+                raise SingularMatrixError("matrix is numerically singular")
+            condition = np.exp(logs[:, 0] - logs[:, -1])
+            over = condition[condition > CONDITION_LIMIT]
+            if over.size:
+                raise SingularMatrixError(
+                    f"condition estimate {over[0]:.3e} exceeds {CONDITION_LIMIT:.0e}"
+                )
+            lo = min(lo, float(np.exp(logs[:, -1]).min()))
+            hi = max(hi, float(np.exp(logs[:, 0]).max()))
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError(
                 f"extreme singular values must satisfy 0 < {lo:.4g} <= {hi:.4g} < 1"
@@ -236,18 +246,18 @@ class ExplicitTranslations:
     def realize(self, seed: int) -> "ExplicitTranslations":
         return self
 
-    def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        try:
-            return self.table[tuple(prefix)]
-        except KeyError:
-            raise IncompleteSchemeError(
-                f"no translation stored for prefix {tuple(prefix)}"
-            ) from None
-
     def offsets(self, letters: np.ndarray):
+        """Stored offsets; ``IncompleteSchemeError`` names the first prefix
+        of a level that the table lacks."""
         rows = letters.tolist()
         for j in range(1, letters.shape[1] + 1):
-            yield np.stack([self.translation(tuple(row[:j])) for row in rows])
+            try:
+                level = [self.table[tuple(row[:j])] for row in rows]
+            except KeyError as exc:
+                raise IncompleteSchemeError(
+                    f"no translation stored for prefix {exc.args[0]}"
+                ) from None
+            yield np.stack(level)
 
     def sup_norm(self) -> float:
         if not self.table:
@@ -308,10 +318,6 @@ class RandomBoxTranslations:
             out += self.low
             yield out
 
-    def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        *_, last = self.offsets(np.asarray([prefix]))
-        return last[0]
-
     def sup_norm(self) -> float:
         corners = np.array(list(_iter_product(*zip(self.low, self.high))))
         return float(np.linalg.norm(corners, axis=1).max())
@@ -362,21 +368,14 @@ class FiniteTranslationSet:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def _level_offsets(self, letters: np.ndarray, j: int) -> np.ndarray:
-        """Vector of every row's length-``j`` prefix."""
-        # 0-based, reduced mod tau by the wrapping take below
-        idx = letters[:, j - 1].astype(np.intp) - 1
-        for key, hit in (self.assignment or {}).items():
-            if len(key) == j:
-                idx[(letters[:, :j] == key).all(axis=1)] = hit - 1
-        return np.take(self.vectors, idx, axis=0, mode="wrap")
-
     def offsets(self, letters: np.ndarray):
         for j in range(1, letters.shape[1] + 1):
-            yield self._level_offsets(letters, j)
-
-    def translation(self, prefix: tuple[int, ...]) -> np.ndarray:
-        return self._level_offsets(np.asarray([prefix]), len(prefix))[0]
+            # 0-based, reduced mod tau by the wrapping take below
+            idx = letters[:, j - 1].astype(np.intp) - 1
+            for key, hit in (self.assignment or {}).items():
+                if len(key) == j:
+                    idx[(letters[:, :j] == key).all(axis=1)] = hit - 1
+            yield np.take(self.vectors, idx, axis=0, mode="wrap")
 
     def sup_norm(self) -> float:
         return float(np.linalg.norm(self.vectors, axis=1).max()) + self.jitter_radius
@@ -402,35 +401,8 @@ class FiniteTranslationSet:
 
 
 # ---------------------------------------------------------------------------
-# projection and sampling
+# sampling
 # ---------------------------------------------------------------------------
-
-
-def project_word(system, scheme, word: Word, depth: int | None = None):
-    """Partial projection series of a word, with its truncation bound.
-
-    Sums ``offset(u|1) + L(u|1) offset(u|2) + ...`` through ``depth`` terms,
-    where ``L(u|j)`` composes the linear parts of the first ``j`` letters.
-    Returns ``(point, bound)``: the tail beyond ``depth`` terms is bounded in
-    norm by ``sup|offset| * a**depth / (1 - a)`` with ``a`` the system's
-    contraction bound.
-    """
-    if depth is None:
-        depth = len(word)
-    if depth > len(word):
-        raise ValueError(f"depth {depth} exceeds word length {len(word)}")
-    system.profile.validate_letters(word.letters)
-    d = system.ambient_dim
-    x = np.zeros(d)
-    M = np.eye(d)
-    for j in range(1, depth + 1):
-        offset = np.asarray(scheme.translation(word.letters[:j]), dtype=float)
-        x = x + M @ offset
-        if j < depth:
-            M = M @ system.linear_maps(j)[word.letters[j - 1] - 1]
-    a = system.contraction_bound
-    bound = scheme.sup_norm() * a**depth / (1.0 - a)
-    return x, bound
 
 
 def default_sampling_depth(system, scheme, resolution: float) -> int:
@@ -743,7 +715,7 @@ class SeparationReport:
     depth: int
     holds_at_depth: bool
     worst_gap_ratio: float
-    witness: tuple[Word, Word] | None
+    witness: tuple[tuple[int, ...], tuple[int, ...]] | None
 
 
 def _parallelepiped_diameters(M: np.ndarray) -> np.ndarray:
@@ -775,8 +747,9 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     sets pairwise disjoint and the open-set variant (``osc``) allows touching;
     both report the worst sibling gap relative to the parent diameter. The
     witness is the first sibling pair, in word order, that attains the
-    worst ratio. Raises ``BranchBudgetError`` before any work when the word
-    tree down to ``depth`` holds more than ``budget`` words at some level.
+    worst ratio, as two tuples of letters. Raises ``BranchBudgetError``
+    before any work when the word tree down to ``depth`` holds more than
+    ``budget`` words at some level.
     """
     kind = kind.lower()
     if kind not in ("ssc", "osc"):
@@ -823,8 +796,8 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
         if ratios.flat[first] < worst_ratio:
             worst_ratio = ratios.flat[first]
             parent, pair = divmod(first, len(i))
-            witness = (Word(tuple(words[parent * n + i[pair]].tolist())),
-                       Word(tuple(words[parent * n + j[pair]].tolist())))
+            witness = (tuple(words[parent * n + i[pair]].tolist()),
+                       tuple(words[parent * n + j[pair]].tolist()))
         # osc allows touching siblings; ssc needs a positive gap
         failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
         if failed.any():

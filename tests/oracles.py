@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from qdims.singular import batched_log_singular_values, svf_log
 
 
 def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
@@ -96,3 +99,99 @@ def random_box_offsets(scheme, letters):
             state = mix64(state ^ (col.astype(np.uint64) * letter_salt))
         out.append(scheme.low + unit_float(mix64(state[:, None] + salts)) * span)
     return out
+
+
+def translation(scheme, prefix):
+    """Offset of one word: the last level of ``scheme.offsets`` on a one-row array."""
+    *_, last = scheme.offsets(np.asarray([prefix]))
+    return last[0]
+
+
+def validate_letters(profile, letters):
+    """``ValueError`` unless letter j of ``letters`` lies in 1..n_j for every level j."""
+    for j, letter in enumerate(letters, start=1):
+        n = profile.size(j)
+        if int(letter) != letter or not 1 <= letter <= n:
+            raise ValueError(f"letter {letter} at level {j} outside 1..{n}")
+
+
+def project_word(system, scheme, letters, depth=None):
+    """Partial projection series of one word, with its truncation bound.
+
+    Sums ``offset(u|1) + L(u|1) offset(u|2) + ...`` through ``depth`` terms,
+    where ``L(u|j)`` composes the linear parts of the first ``j`` letters and
+    each offset is asked for by :func:`translation`. Returns ``(point, bound)``:
+    the tail beyond ``depth`` terms is bounded in norm by
+    ``sup|offset| * a**depth / (1 - a)`` with ``a`` the system's contraction bound.
+    """
+    if depth is None:
+        depth = len(letters)
+    if depth > len(letters):
+        raise ValueError(f"depth {depth} exceeds word length {len(letters)}")
+    validate_letters(system.profile, letters)
+    d = system.ambient_dim
+    x = np.zeros(d)
+    M = np.eye(d)
+    for j in range(1, depth + 1):
+        x = x + M @ np.asarray(translation(scheme, letters[:j]), dtype=float)
+        if j < depth:
+            M = M @ system.linear_maps(j)[letters[j - 1] - 1]
+    a = system.contraction_bound
+    return x, scheme.sup_norm() * a**depth / (1.0 - a)
+
+
+@dataclass(frozen=True)
+class SingularSpectrum:
+    """Singular values sorted nonincreasing, kept alongside their logs."""
+
+    values: np.ndarray
+    log_values: np.ndarray
+
+
+def singular_values(matrix) -> SingularSpectrum:
+    """Singular values of one square matrix, largest first, by
+    ``batched_log_singular_values`` on a one-matrix stack."""
+    logs = batched_log_singular_values(np.asarray(matrix, dtype=float)[None])[0]
+    return SingularSpectrum(values=np.exp(logs), log_values=logs)
+
+
+def singular_value_function(matrix_or_spectrum, s):
+    """The singular value function of a matrix or a spectrum at ``s >= 0``."""
+    spec = matrix_or_spectrum
+    if not isinstance(spec, SingularSpectrum):
+        spec = singular_values(spec)
+    return float(np.exp(svf_log(spec.log_values, s)))
+
+
+def word_product(system, letters):
+    """Plain product of the system's linear parts along ``letters``; identity if empty."""
+    validate_letters(system.profile, letters)
+    out = np.eye(system.ambient_dim)
+    for level, letter in enumerate(letters, start=1):
+        out = out @ system.linear_maps(level)[letter - 1]
+    return out
+
+
+def word_spectrum(system, letters) -> SingularSpectrum:
+    """Singular spectrum of the product along ``letters``, for words of any length.
+
+    Re-factorizes the running product by an SVD after every factor and
+    carries its magnitude in the log domain, so products of hundreds of
+    contractions neither underflow nor collapse the small singular values.
+    The smallest value is anchored through the summed log-determinants.
+    """
+    validate_letters(system.profile, letters)
+    d = system.ambient_dim
+    V = np.eye(d)
+    logs = np.zeros(d)
+    log_det = 0.0
+    for level, letter in enumerate(letters, start=1):
+        T = system.linear_maps(level)[letter - 1]
+        log_det += np.linalg.slogdet(T)[1]
+        top = logs.max()
+        _, sv, vt = np.linalg.svd(np.exp(logs - top)[:, None] * (V.T @ T))
+        logs = np.log(sv) + top
+        logs[-1] = log_det - logs[:-1].sum()
+        logs = -np.sort(-logs)
+        V = vt.T
+    return SingularSpectrum(values=np.exp(logs), log_values=logs)

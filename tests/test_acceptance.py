@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import singular_value_function, singular_values
 
 import qdims as qd
 from qdims.harness import ExperimentConfig, emit_report, parse_report_csv, run_experiment
-from qdims.singular import singular_value_function, singular_values
 
 LOG2, LOG3 = np.log(2), np.log(3)
 

@@ -10,15 +10,20 @@ import qdims
 
 MODULES = ["codespace", "empirical", "harness", "singular", "systems", "theory"]
 
-# word-object twins and test-only wrappers that the package no longer carries
+# word-object twins and test-only wrappers that the package no longer carries;
+# the per-word reference versions live in tests/oracles.py
 REMOVED = {
     "codespace": ["scale_cut_set", "CutSet", "cylinder_mass", "is_prefix_free",
-                  "common_prefix", "EMPTY_WORD", "COVER_TOL"],
+                  "common_prefix", "EMPTY_WORD", "COVER_TOL", "Word"],
     "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL"],
     "theory": ["lq_spectrum"],
-    "singular": ["within_envelope"],
+    "singular": ["within_envelope", "SingularSpectrum", "singular_values",
+                 "singular_value_function", "word_product", "word_spectrum"],
+    "systems": ["project_word"],
+    "errors": ["InvalidWordError"],
 }
 REMOVED_MEMBERS = [
+    ("codespace", "BranchingProfile", "validate_letters"),
     ("codespace", "Word", "parent"),
     ("codespace", "Word", "extended"),
     ("codespace", "Word", "is_prefix_of"),
@@ -55,7 +60,17 @@ def test_removed_names_are_gone(module_name, name):
 
 @pytest.mark.parametrize("module_name, owner, member", REMOVED_MEMBERS)
 def test_removed_members_are_gone(module_name, owner, member):
-    assert not hasattr(getattr(_module(module_name), owner), member)
+    # a member of a removed class is gone with it
+    assert not hasattr(getattr(_module(module_name), owner, None), member)
+
+
+@pytest.mark.parametrize("scheme", ["ExplicitTranslations", "RandomBoxTranslations",
+                                    "FiniteTranslationSet"])
+def test_translation_schemes_share_one_protocol(scheme):
+    cls = getattr(qdims, scheme)
+    for member in ("kind", "randomized", "realize", "offsets", "sup_norm"):
+        assert hasattr(cls, member), f"{scheme} lacks {member}"
+    assert not hasattr(cls, "translation")
 
 
 def test_depth_cap_error_carries_depth_only():

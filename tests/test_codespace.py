@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import validate_letters
 
 from qdims.codespace import (
     TIE_TOL,
     BernoulliMeasure,
     BranchingProfile,
     LevelSchedule,
-    Word,
     scale_cut_set_masses,
 )
-from qdims.errors import DepthCapError, InvalidWordError
+from qdims.errors import DepthCapError
 
 
 def brute_force_cut_set(level_ratios, level_probs, r, depth_cap=30):
@@ -53,12 +53,6 @@ def cut_set_and_oracle(levels_c, levels_p, r):
     return log_c, log_p, [letters for letters, _, _ in oracle]
 
 
-class TestWord:
-    def test_empty_word(self):
-        assert len(Word()) == 0
-        assert tuple(Word()) == ()
-
-
 class TestBranchingProfile:
     def test_rejects_small_counts(self):
         with pytest.raises(ValueError):
@@ -74,9 +68,9 @@ class TestBranchingProfile:
 
     def test_validate_letters(self):
         prof = BranchingProfile.from_sizes([2, 3])
-        prof.validate_letters((2, 3))
-        with pytest.raises(InvalidWordError):
-            prof.validate_letters((3, 1))
+        validate_letters(prof, (2, 3))
+        with pytest.raises(ValueError, match="letter 3 at level 1 outside 1..2"):
+            validate_letters(prof, (3, 1))
 
     def test_depth_within_budget(self):
         # 3**12 = 531441 <= 2**20 < 3**13

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import translation
 
 from qdims import empirical, systems
 from qdims.cli import main as cli_main
@@ -153,7 +155,25 @@ class TestBuilders:
                                  "table": {"1": [0.0], "2": [2 / 3]}})
         cfg = ExperimentConfig.from_dict(raw)
         scheme = build_scheme(cfg, build_system(cfg))
-        assert scheme.translation((2,))[0] == pytest.approx(2 / 3)
+        assert translation(scheme, (2,))[0] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("field, section, message", [
+        ("system", {"kind": "similar", "dim": 1.7, "ratios": [[1 / 3, 1 / 3]]},
+         "system.dim must be an integer, got 1.7"),
+        ("translations", {"kind": "random-box", "low": [0.0], "high": [0.5], "seed": 7.5},
+         "translations.seed must be an integer, got 7.5"),
+        ("translations", {"kind": "finite-set", "vectors": [[0.0], [2 / 3]],
+                          "assignment": {"1": 1.9}},
+         "assignment['1'] must be an integer, got 1.9"),
+        ("translations", {"kind": "explicit", "table": {"1": [0.0], "1.5": [2 / 3]}},
+         "prefix key '1.5' must be comma-separated integers"),
+    ], ids=["system-dim", "random-box-seed", "assignment-index", "prefix-key"])
+    def test_non_integral_section_integer_rejected(self, field, section, message):
+        # int() would truncate the first three silently and fail the last with
+        # a bare ValueError
+        cfg = ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **{field: section}))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_scheme(cfg, build_system(cfg))
 
 
 class TestTheorySelection:
@@ -529,6 +549,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "holds_at_depth=true" in out
         assert "0.333333" in out
+
+    def test_check_separation_output_pinned(self, capsys):
+        # recorded when the witness was a pair of word objects
+        cfg = os.path.join(REPO, "configs", "cantor.json")
+        assert cli_main(["check-separation", "--config", cfg, "--depth", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "kind=ssc depth=3 holds_at_depth=true worst_gap_ratio=0.333333 "
+            "witness=((2, 1, 1), (2, 1, 2))\n")
+
+    @pytest.mark.parametrize("argv", [["compare"], ["check-separation", "--depth", "2"]],
+                             ids=["compare", "check-separation"])
+    def test_incomplete_explicit_table_exits_with_message(self, tmp_path, capsys, argv):
+        raw = dict(CANTOR_CONFIG, depth=3,
+                   translations={"kind": "explicit", "table": {"1": [0], "2": [0.667]}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no translation stored for prefix (1, 1)\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("depth", ["0", "65"])
     def test_check_separation_depth_out_of_range(self, tmp_path, capsys, depth):

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import singular_value_function, singular_values, word_product, word_spectrum
 
-from qdims.codespace import Word
 from qdims.errors import SingularMatrixError
-from qdims.singular import (
-    batched_log_singular_values,
-    singular_value_function,
-    singular_values,
-    svf_log,
-    word_product,
-    word_spectrum,
-)
+from qdims.singular import batched_log_singular_values, svf_log
 from qdims.systems import AffineSystem
 
 
@@ -77,8 +70,16 @@ class TestSingularValues:
             assert np.prod(spec.values) == pytest.approx(abs(np.linalg.det(T)), rel=1e-10)
 
     def test_singular_matrix_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            singular_values(np.array([[0.5, 0.0], [0.5, 0.0]]))
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            AffineSystem([[np.diag([0.5, 0.2]), np.array([[0.5, 0.0], [0.5, 0.0]])]])
+
+    def test_condition_limit_rejected(self):
+        # condition 5e14 is past CONDITION_LIMIT = 1e14; 5e13 is not
+        with pytest.raises(SingularMatrixError,
+                           match=r"condition estimate 5\.000e\+14 exceeds 1e\+14"):
+            AffineSystem([[np.diag([0.5, 0.2]), np.diag([0.5, 1e-15])]])
+        system = AffineSystem([[np.diag([0.5, 0.2]), np.diag([0.5, 1e-14])]])
+        assert system.alpha_lower == pytest.approx(1e-14)
 
 
 def lapack_logs(mats):
@@ -203,23 +204,23 @@ class TestWordProduct:
         self.system = AffineSystem([[np.diag([0.5, 0.2]), np.diag([0.3, 0.4])]])
 
     def test_empty_word_identity(self):
-        assert np.allclose(word_product(self.system, Word()), np.eye(2))
+        assert np.allclose(word_product(self.system, ()), np.eye(2))
 
     def test_commuting_diagonals(self):
-        got = word_product(self.system, Word((1, 2)))
+        got = word_product(self.system, (1, 2))
         assert np.allclose(got, np.diag([0.15, 0.08]))
 
     def test_word_spectrum_matches_direct_svd(self):
         rng = np.random.default_rng(3)
         mats = [random_contraction(rng, 2) for _ in range(2)]
         system = AffineSystem([mats])
-        w = Word(tuple(rng.integers(1, 3) for _ in range(8)))
+        w = tuple(rng.integers(1, 3) for _ in range(8))
         direct = np.linalg.svd(word_product(system, w), compute_uv=False)
         assert np.allclose(word_spectrum(system, w).values, direct, rtol=1e-8)
 
     def test_word_spectrum_long_word_stays_finite(self):
         system = AffineSystem([[0.9 * rotation(0.4), np.diag([0.85, 0.6])]])
-        w = Word(tuple([1, 2] * 100))
+        w = tuple([1, 2] * 100)
         spec = word_spectrum(system, w)
         assert np.all(np.isfinite(spec.log_values))
         lo, hi = system.alpha_lower, system.alpha_upper
@@ -242,7 +243,7 @@ class TestEnvelope:
         system = AffineSystem([mats])
         for _ in range(100):
             k = int(rng.integers(1, 12))
-            w = Word(tuple(int(x) for x in rng.integers(1, 4, size=k)))
+            w = tuple(int(x) for x in rng.integers(1, 4, size=k))
             s = float(rng.uniform(0.1, 2.5))
             assert within_envelope(system, w, s)
 
@@ -254,7 +255,7 @@ class TestEnvelope:
         a_plus = system.alpha_upper
         for _ in range(50):
             k = int(rng.integers(1, 10))
-            w = Word(tuple(int(x) for x in rng.integers(1, 3, size=k)))
+            w = tuple(int(x) for x in rng.integers(1, 3, size=k))
             s1 = float(rng.uniform(0.1, 1.5))
             s = s1 + float(rng.uniform(0.05, 0.5))
             logs = word_spectrum(system, w).log_values

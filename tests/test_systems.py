@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_box_offsets
+from oracles import project_word, random_box_offsets, translation, word_product, word_spectrum
 
 from qdims import systems
-from qdims.codespace import BernoulliMeasure, Word
+from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IncompleteSchemeError, SampleError
 from qdims.systems import (
     _letter_chunks,
@@ -24,7 +24,6 @@ from qdims.systems import (
     check_separation,
     default_sampling_depth,
     load_sample_csv,
-    project_word,
     sample_measure,
     save_sample_csv,
 )
@@ -129,13 +128,11 @@ class TestSystems:
             AffineSystem([[np.array([[0.5, 0.0], [0.5, 0.0]])]])
 
     def test_similar_diameter_is_ratio_product(self):
-        from qdims.singular import word_product
         from qdims.systems import _parallelepiped_diameters
 
         system = SimilarSystem([[0.5, 0.25], [0.4, 0.6]], ambient_dim=2)
         for letters in [(1,), (2, 1), (1, 2), (2, 2)]:
-            w = Word(letters)
-            [diam] = _parallelepiped_diameters(word_product(system, w)[None])
+            [diam] = _parallelepiped_diameters(word_product(system, letters)[None])
             c_u = np.prod([system.ratios_at(k)[j - 1] for k, j in enumerate(letters, 1)])
             assert diam == pytest.approx(c_u * np.sqrt(2), rel=1e-12)
 
@@ -156,10 +153,10 @@ class TestRotationParts:
     def test_projection_hand_values(self):
         scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [0.6, 0.0]])
         system = self.system()
-        pt, _ = project_word(system, scheme, Word((2, 1)))
+        pt, _ = project_word(system, scheme, (2, 1))
         assert np.allclose(pt, [0.6, 0.0])
         # letter 1 rotates the next offset a quarter turn
-        pt, _ = project_word(system, scheme, Word((1, 2)))
+        pt, _ = project_word(system, scheme, (1, 2))
         assert np.allclose(pt, [0.0, 0.24])
 
     def test_sampling_matches_projection(self):
@@ -172,13 +169,11 @@ class TestRotationParts:
         for k in range(7):
             letters[:, k] = rng.choice(2, size=5, p=[0.5, 0.5]) + 1
         for i in range(5):
-            pt, _ = project_word(system, scheme, Word(tuple(letters[i])))
+            pt, _ = project_word(system, scheme, tuple(letters[i]))
             assert np.allclose(pt, s.points[i], atol=1e-12)
 
     def test_word_spectrum_stays_similar(self):
-        from qdims.singular import word_spectrum
-
-        spec = word_spectrum(self.system(), Word((1, 2, 1)))
+        spec = word_spectrum(self.system(), (1, 2, 1))
         assert np.allclose(spec.values, 0.4**3)
 
     def test_rejects_non_orthogonal_parts(self):
@@ -192,37 +187,37 @@ class TestProjectWord:
         system, _, _ = cantor_system()
         zero = FiniteTranslationSet(vectors=[[0.0], [0.0]])
         for letters in [(1,), (2, 1), (1, 2, 2, 1)]:
-            pt, _ = project_word(system, zero, Word(letters))
+            pt, _ = project_word(system, zero, letters)
             assert np.allclose(pt, 0.0)
 
     def test_geometric_series(self):
         system, scheme, _ = interval_system()
-        pt, bound = project_word(system, scheme, Word((2,) * 20))
+        pt, bound = project_word(system, scheme, (2,) * 20)
         assert pt[0] == pytest.approx(1 - 2**-20, abs=1e-12)
         assert bound == pytest.approx(np.linalg.norm([0.5]) * 0.5**20 / 0.5)
 
     def test_middle_third(self):
         system, scheme, _ = cantor_system()
-        pt, _ = project_word(system, scheme, Word((1, 2)))
+        pt, _ = project_word(system, scheme, (1, 2))
         assert pt[0] == pytest.approx(2 / 9, abs=1e-14)
 
     def test_depth_beyond_word_rejected(self):
         system, scheme, _ = cantor_system()
         with pytest.raises(ValueError):
-            project_word(system, scheme, Word((1, 2)), depth=3)
+            project_word(system, scheme, (1, 2), depth=3)
 
     def test_incomplete_explicit_scheme(self):
         system, _, _ = cantor_system()
         scheme = ExplicitTranslations({(1,): [0.0]})
         with pytest.raises(IncompleteSchemeError):
-            project_word(system, scheme, Word((1, 2)))
+            project_word(system, scheme, (1, 2))
 
     def test_truncation_differences_bounded(self):
         rng = np.random.default_rng(0)
         system = SimilarSystem([[0.5, 0.35, 0.4]])
         scheme = FiniteTranslationSet(vectors=rng.uniform(-1, 1, size=(3, 1)))
         sup = scheme.sup_norm()
-        w = Word(tuple(int(x) for x in rng.integers(1, 4, size=12)))
+        w = tuple(int(x) for x in rng.integers(1, 4, size=12))
         for depth in range(1, 12):
             a, _ = project_word(system, scheme, w, depth)
             b, _ = project_word(system, scheme, w, depth + 1)
@@ -233,19 +228,19 @@ class TestTranslationSchemes:
     def test_explicit_missing_prefix(self):
         scheme = ExplicitTranslations({(1,): [0.0]})
         with pytest.raises(IncompleteSchemeError):
-            scheme.translation((2,))
+            translation(scheme, (2,))
 
     def test_random_box_reproducible_from_seed_and_word(self):
         a = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
         b = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
-        assert np.array_equal(a.translation((1, 2, 1)), b.translation((1, 2, 1)))
+        assert np.array_equal(translation(a, (1, 2, 1)), translation(b, (1, 2, 1)))
         c = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=10)
-        assert not np.array_equal(a.translation((1, 2, 1)), c.translation((1, 2, 1)))
+        assert not np.array_equal(translation(a, (1, 2, 1)), translation(c, (1, 2, 1)))
 
     def test_random_box_draws_inside_box(self):
         scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=3)
-        draws = np.array([scheme.translation((1, j + 1)) for j in range(1)] +
-                         [scheme.translation((j % 2 + 1, j // 2 + 1)) for j in range(200)])
+        draws = np.array([translation(scheme, (1, j + 1)) for j in range(1)] +
+                         [translation(scheme, (j % 2 + 1, j // 2 + 1)) for j in range(200)])
         assert draws[:, 0].min() >= 0.0 and draws[:, 0].max() <= 2.0
         assert draws[:, 1].min() >= -1.0 and draws[:, 1].max() <= 1.0
 
@@ -253,20 +248,20 @@ class TestTranslationSchemes:
         scheme = RandomBoxTranslations(low=[0.0], high=[1.0], seed=8)
         n = 4096
         prefixes = [tuple(1 + ((i >> b) & 1) for b in range(12)) for i in range(n)]
-        draws = np.array([scheme.translation(p) for p in prefixes]).ravel()
+        draws = np.array([translation(scheme, p) for p in prefixes]).ravel()
         sigma = (1 / np.sqrt(12)) / np.sqrt(n)
         assert abs(draws.mean() - 0.5) < 4 * sigma
 
     def test_finite_set_default_rule_uses_last_letter(self):
         scheme = FiniteTranslationSet(vectors=[[0.0], [0.5], [0.9]])
-        assert scheme.translation((2, 3))[0] == 0.9
-        assert scheme.translation((3, 1))[0] == 0.0
+        assert translation(scheme, (2, 3))[0] == 0.9
+        assert translation(scheme, (3, 1))[0] == 0.0
 
     def test_finite_set_table_override(self):
         scheme = FiniteTranslationSet(vectors=[[0.0], [0.5]],
                                       assignment={(1, 2): 1})
-        assert scheme.translation((1, 2))[0] == 0.0
-        assert scheme.translation((2, 2))[0] == 0.5
+        assert translation(scheme, (1, 2))[0] == 0.0
+        assert translation(scheme, (2, 2))[0] == 0.5
 
     def test_finite_set_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -285,7 +280,7 @@ class TestTranslationSchemes:
         # recorded values of the splitmix64 chain for this seed and word; any
         # drift in the chain, the letter salt or the per-axis salts shows here
         scheme = RandomBoxTranslations(low=[0.0, -1.0], high=[2.0, 1.0], seed=9)
-        assert scheme.translation((1, 2, 1)).tolist() == [1.2502207743167977,
+        assert translation(scheme, (1, 2, 1)).tolist() == [1.2502207743167977,
                                                           0.1437498937254731]
 
     def test_random_box_offsets_match_translation(self):
@@ -293,7 +288,7 @@ class TestTranslationSchemes:
         letters = drawn_letters(7, 5, [0.5, 0.5], seed=1)
         for j, offs in enumerate(scheme.offsets(letters), start=1):
             for row, off in zip(letters, offs):
-                assert np.array_equal(off, scheme.translation(tuple(row[:j])))
+                assert np.array_equal(off, translation(scheme, tuple(row[:j])))
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("seed", [0, 9, -3])
@@ -319,7 +314,7 @@ class TestTranslationSchemes:
                 prefix = tuple(int(x) for x in row[:j])
                 index = ASSIGNMENT.get(prefix, (prefix[-1] - 1) % 3 + 1)
                 assert np.array_equal(off, scheme.vectors[index - 1])
-                assert np.array_equal(off, scheme.translation(prefix))
+                assert np.array_equal(off, translation(scheme, prefix))
 
     def test_realize_and_randomized(self):
         explicit = ExplicitTranslations({(1,): [0.0], (2,): [1.0]})
@@ -331,9 +326,9 @@ class TestTranslationSchemes:
         real = box.realize(5)
         assert real.seed == 14 and real.randomized
         assert np.array_equal(real.low, box.low) and np.array_equal(real.high, box.high)
-        assert np.array_equal(real.translation((1, 2)),
-                              RandomBoxTranslations(low=[0.0], high=[1.0],
-                                                    seed=14).translation((1, 2)))
+        assert np.array_equal(translation(real, (1, 2)),
+                              translation(RandomBoxTranslations(low=[0.0], high=[1.0], seed=14),
+                                          (1, 2)))
 
         fixed = FiniteTranslationSet(vectors=[[0.0], [0.5]])
         assert not fixed.randomized
@@ -408,7 +403,7 @@ class TestSampling:
         s = sample_measure(system, scheme, measure, count=6, depth=9, seed=13)
         letters = drawn_letters(6, 9, [0.5, 0.5], seed=13)
         for i in range(6):
-            pt, _ = project_word(system, scheme, Word(tuple(letters[i])), depth=9)
+            pt, _ = project_word(system, scheme, tuple(letters[i]), depth=9)
             assert np.allclose(pt, s.points[i], atol=1e-12)
 
     @pytest.mark.parametrize("scheme", [
@@ -423,7 +418,7 @@ class TestSampling:
         s = sample_measure(system, scheme, BernoulliMeasure([p]), count=40, depth=6, seed=11)
         letters = drawn_letters(40, 6, p, seed=11)
         for i in range(40):
-            pt, _ = project_word(system, scheme, Word(tuple(letters[i])))
+            pt, _ = project_word(system, scheme, tuple(letters[i]))
             assert np.allclose(pt, s.points[i], rtol=0.0, atol=1e-12)
 
     def test_explicit_scheme_sampling_matches_finite_set(self):
@@ -738,16 +733,13 @@ class TestSeparation:
         scheme = FiniteTranslationSet(vectors=[[0.0], [0.25]])
         rep = check_separation(system, scheme, depth=1, kind="osc")
         assert not rep.holds_at_depth
-        assert rep.witness == (Word((1,)), Word((2,)))
+        assert rep.witness == ((1,), (2,))
         assert rep.worst_gap_ratio < 0
 
     def test_budget_error_before_any_word(self):
         system, scheme, _ = cantor_system()
 
         class Untouchable:
-            def translation(self, prefix):
-                raise AssertionError(f"translation of {prefix} asked for over budget")
-
             def offsets(self, letters):
                 raise AssertionError(f"offsets of {letters.shape} asked for over budget")
 
@@ -777,8 +769,7 @@ def rotated_similar_system():
 
 
 def report_values(rep):
-    witness = None if rep.witness is None else tuple(w.letters for w in rep.witness)
-    return rep.holds_at_depth, rep.worst_gap_ratio, witness
+    return rep.holds_at_depth, rep.worst_gap_ratio, rep.witness
 
 
 class TestSeparationPinned:
@@ -832,9 +823,6 @@ class TestSeparationPinned:
         class OffsetsOnly:
             def offsets(self, letters):
                 return scheme.offsets(letters)
-
-            def translation(self, prefix):
-                raise AssertionError(f"per-word translation of {prefix} asked for")
 
         for kind in ("ssc", "osc"):
             assert (report_values(check_separation(system, OffsetsOnly(), depth=5, kind=kind))

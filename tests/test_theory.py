@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import bisect_increasing
+from oracles import bisect_increasing, singular_values, word_product, word_spectrum
 
-from qdims.codespace import BernoulliMeasure, Word
+from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
-from qdims.singular import svf_log, word_product, word_spectrum
+from qdims.singular import svf_log
 from qdims import theory
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
@@ -527,7 +527,7 @@ class TestLevelSpectra:
                 sizes = [system.profile.size(j) for j in range(1, k + 1)]
                 words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
                 assert prefix.shape == (d, len(words)) and prefix.flags.c_contiguous
-                direct = np.log([np.linalg.svd(word_product(system, Word(w)),
+                direct = np.log([np.linalg.svd(word_product(system, w),
                                                compute_uv=False) for w in words])
                 assert np.allclose(prefix, np.cumsum(direct, axis=1).T, rtol=0, atol=1e-12)
                 assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
@@ -546,7 +546,7 @@ class TestLevelSpectra:
     @staticmethod
     def direct_prefix(system, words):
         """``np.cumsum`` of the direct SVD logs, one row per prefix length."""
-        logs = np.log([np.linalg.svd(word_product(system, Word(w)), compute_uv=False)
+        logs = np.log([np.linalg.svd(word_product(system, w), compute_uv=False)
                        for w in words])
         return np.cumsum(logs, axis=1).T
 
@@ -631,7 +631,7 @@ class TestLevelSpectra:
         letters = np.array([rng.choice(2, size=12, p=measure.probs(k))
                             for k in range(1, depth + 1)]).T + 1
         for k, (prefix, _) in spectra.items():
-            want = [np.cumsum(word_spectrum(system, Word(tuple(row[:k]))).log_values)
+            want = [np.cumsum(word_spectrum(system, tuple(row[:k])).log_values)
                     for row in letters]
             assert np.isfinite(prefix).all()
             assert np.abs(prefix - np.array(want).T).max() < 1e-9
@@ -917,8 +917,6 @@ class TestStationaryAffineDimension:
         mats = [np.diag([0.45, 0.3]), np.array([[0.3, 0.1], [0.05, 0.35]])]
         p = [0.5, 0.5]
         system = AffineSystem([mats])
-        from qdims.singular import singular_values
-
         tops = [singular_values(T).values[0] for T in mats]
         bots = [singular_values(T).values[-1] for T in mats]
         ce = stationary_affine_dimension(mats, p, 2, level_cap=2**16)
