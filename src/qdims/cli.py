@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 
+from .codespace import MAX_DEPTH
 from .empirical import estimate_spectrum, write_fit_csv, write_spectrum_csv
 from .errors import (
     BranchBudgetError,
@@ -26,9 +27,9 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
-    build_measure,
     build_scheme,
     build_system,
+    build_system_and_measure,
     emit_report,
     realize_scheme,
     run_experiment,
@@ -92,8 +93,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _cmd_theory(args) -> int:
     config = _load_config(args)
-    system = build_system(config)
-    measure = build_measure(config)
+    system, measure = build_system_and_measure(config)
     lines = ["q,d_theory,method,bracket_lo,bracket_hi,clamped"]
     for q in config.q_values:
         ce = theoretical_exponents(system, measure, q)
@@ -115,8 +115,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = _load_config(args)
-    system = build_system(config)
-    measure = build_measure(config)
+    system, measure = build_system_and_measure(config)
     scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
     meta, blocks = _sample_stream(system, scheme, measure, count=config.samples,
                                   depth=config.depth, seed=config.seed,
@@ -172,8 +171,8 @@ def _cmd_compare(args) -> int:
 def _cmd_check_separation(args) -> int:
     config = _load_config(args)
     system = build_system(config)
-    if not 1 <= args.depth <= system.max_depth:
-        raise ConfigError(f"--depth must lie in 1..{system.max_depth}, got {args.depth}")
+    if not 1 <= args.depth <= MAX_DEPTH:
+        raise ConfigError(f"--depth must lie in 1..{MAX_DEPTH}, got {args.depth}")
     scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
     report = check_separation(system, scheme, depth=args.depth, kind=args.kind)
     print(f"kind={report.kind} depth={report.depth} "

@@ -1,9 +1,11 @@
 """Symbolic address space for level-varying contraction systems.
 
 Addresses are finite words over a tree whose branching count may change from
-level to level. Per-level probability vectors give a Bernoulli measure on
-infinite addresses, and ``scale_cut_set_masses`` lists the scale cut sets of
-per-level contraction ratios as arrays of log ratios and log masses.
+level to level. Per-level data are ``LevelSchedule``s (a head, then a cycling
+tail); a ``BranchingProfile`` is the schedule of the branching counts. Per-level
+probability vectors give a Bernoulli measure on infinite addresses, and
+``scale_cut_set_masses`` lists the scale cut sets of per-level contraction
+ratios as arrays of log ratios and log masses, at most ``MAX_DEPTH`` levels deep.
 
 All types here are immutable after construction and all operations are pure,
 so they are safe to share across worker threads or processes.
@@ -21,7 +23,7 @@ from .errors import BranchBudgetError, DepthCapError
 __all__ = [
     "PROB_SUM_TOL",
     "TIE_TOL",
-    "DEFAULT_MAX_DEPTH",
+    "MAX_DEPTH",
     "LevelSchedule",
     "BranchingProfile",
     "BernoulliMeasure",
@@ -32,9 +34,9 @@ PROB_SUM_TOL = 1e-12
 # relative gap under which a cumulative ratio counts as tied with the scale
 TIE_TOL = 1e-12
 
-# With contraction ratios capped at 0.99 this depth reaches scales near
-# 0.99**64; anything finer should fail loudly rather than spin.
-DEFAULT_MAX_DEPTH = 64
+# The deepest level any enumeration reaches: with ratios capped at 0.99, scales
+# near 0.99**64; anything finer should fail loudly rather than spin.
+MAX_DEPTH = 64
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -64,11 +66,9 @@ class LevelSchedule:
     @classmethod
     def build(cls, head, tail=None, coerce: Callable = _read_only_vector) -> "LevelSchedule":
         head_t = tuple(coerce(e) for e in head)
-        if not head_t:
-            raise ValueError("schedule needs at least one level entry")
         tail_t = head_t if tail is None else tuple(coerce(e) for e in tail)
-        if not tail_t:
-            raise ValueError("tail pattern must be nonempty when given")
+        if not head_t or not tail_t:
+            raise ValueError("schedule needs at least one head and one tail entry")
         return cls(head=head_t, tail=tail_t)
 
     def map(self, fn: Callable) -> "LevelSchedule":
@@ -91,63 +91,47 @@ class LevelSchedule:
     @property
     def stationary(self) -> bool:
         first = self.head[0]
-        return all(
-            e.shape == first.shape and np.array_equal(e, first)
-            for e in self.distinct_entries()
-        )
+        return all(np.array_equal(e, first) for e in self.distinct_entries())
 
 
-@dataclass(frozen=True)
-class BranchingProfile:
-    """Branching counts ``n_k >= 2`` per level, with an enumeration depth cap."""
+def _branch_count(n) -> int:
+    """``n`` as an int; ``ValueError`` unless it is an integer >= 2."""
+    if int(n) != n or n < 2:
+        raise ValueError(f"branching counts must be integers >= 2, got {n}")
+    return int(n)
 
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-    max_depth: int = DEFAULT_MAX_DEPTH
 
-    def __post_init__(self):
-        if not self.head or not self.tail:
-            raise ValueError("branching profile needs head and tail entries")
-        for n in (*self.head, *self.tail):
-            if int(n) != n or n < 2:
-                raise ValueError(f"branching counts must be integers >= 2, got {n}")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be positive")
+class BranchingProfile(LevelSchedule):
+    """Branching counts ``n_k >= 2`` per level: a level schedule of sizes.
+
+    ``from_sizes`` builds one and rejects any other count.
+    """
 
     @classmethod
-    def from_sizes(cls, sizes: Sequence[int], tail: Sequence[int] | None = None,
-                   max_depth: int = DEFAULT_MAX_DEPTH) -> "BranchingProfile":
-        head = tuple(int(n) for n in sizes)
-        tail_t = head if tail is None else tuple(int(n) for n in tail)
-        return cls(head=head, tail=tail_t, max_depth=max_depth)
+    def from_sizes(cls, sizes: Sequence[int],
+                   tail: Sequence[int] | None = None) -> "BranchingProfile":
+        return cls.build(sizes, tail, coerce=_branch_count)
 
-    def size(self, k: int) -> int:
-        if k < 1:
-            raise ValueError(f"levels are 1-based, got {k}")
-        if k <= len(self.head):
-            return self.head[k - 1]
-        return self.tail[(k - len(self.head) - 1) % len(self.tail)]
+    size = LevelSchedule.at
 
-    @property
-    def stationary(self) -> bool:
-        first = self.head[0]
-        return all(n == first for n in (*self.head, *self.tail))
-
-    def matches(self, other: "BranchingProfile", depth: int | None = None) -> bool:
-        """Same branching counts level by level up to ``depth``."""
-        depth = depth or max(self.max_depth, other.max_depth)
-        return all(self.size(k) == other.size(k) for k in range(1, depth + 1))
+    def matches(self, other: "BranchingProfile") -> bool:
+        """Same branching count at every level: past both heads the counts are
+        periodic with the tail lengths a and b, so agreeing on the first
+        ``max(len(heads)) + a + b`` levels is agreeing forever (Fine and Wilf,
+        Proc. AMS 16, 1965)."""
+        depth = max(len(self.head), len(other.head)) + len(self.tail) + len(other.tail)
+        return all(self.at(k) == other.at(k) for k in range(1, depth + 1))
 
     def depth_within(self, budget: int, limit: int | None = None) -> int:
         """Deepest level whose full word tree holds at most ``budget`` words.
 
-        The result never exceeds ``max_depth``, nor ``limit`` when given; it
+        The result never exceeds ``MAX_DEPTH``, nor ``limit`` when given; it
         is 0 when even the first level is over budget.
         """
-        limit = self.max_depth if limit is None else min(limit, self.max_depth)
+        limit = MAX_DEPTH if limit is None else min(limit, MAX_DEPTH)
         depth, total = 0, 1
         while depth < limit:
-            total *= self.size(depth + 1)
+            total *= self.at(depth + 1)
             if total > budget:
                 break
             depth += 1
@@ -175,10 +159,8 @@ class BernoulliMeasure:
                 )
         self._schedule = schedule
         self._logs = schedule.map(lambda v: _read_only(np.log(v)))
-
-    @property
-    def schedule(self) -> LevelSchedule:
-        return self._schedule
+        self.profile = BranchingProfile.from_sizes(map(len, schedule.head),
+                                                   map(len, schedule.tail))
 
     @property
     def stationary(self) -> bool:
@@ -190,17 +172,12 @@ class BernoulliMeasure:
     def log_probs(self, k: int) -> np.ndarray:
         return self._logs.at(k)
 
-    def profile(self, max_depth: int = DEFAULT_MAX_DEPTH) -> BranchingProfile:
-        sizes = self._schedule.map(len)
-        return BranchingProfile(sizes.head, sizes.tail, max_depth)
-
     def __repr__(self):
         return f"BernoulliMeasure(levels={len(self._schedule.head)}, stationary={self.stationary})"
 
 
 def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
-                         r: float, max_depth: int = DEFAULT_MAX_DEPTH,
-                         budget: int = 4_000_000) -> tuple[np.ndarray, np.ndarray]:
+                         r: float, budget: int = 4_000_000) -> tuple[np.ndarray, np.ndarray]:
     """Scale cut set at ``r`` as arrays ``(log c_u, log p_u)``, one entry per word.
 
     A word ``u`` belongs to the cut set exactly when ``c_u <= r < c_parent``,
@@ -213,7 +190,7 @@ def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
     scales; the order is level-major and deterministic.
 
     Raises ``DepthCapError`` if a branch stays above ``r`` beyond
-    ``max_depth`` levels and ``BranchBudgetError`` if the cut set together
+    ``MAX_DEPTH`` levels and ``BranchBudgetError`` if the cut set together
     with the open frontier exceeds ``budget`` words.
     """
     if not 0.0 < r < 1.0:
@@ -224,14 +201,12 @@ def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
     front_c = np.zeros(1)
     front_p = np.zeros(1)
     total = 0
-    for level in range(1, max_depth + 1):
+    for level in range(1, MAX_DEPTH + 1):
         lc = np.log(ratios.at(level))
         lp = measure.log_probs(level)
         if len(lc) != len(lp):
-            raise ValueError(
-                f"ratio/probability vectors disagree at level {level}: "
-                f"{len(lc)} vs {len(lp)} entries"
-            )
+            raise ValueError(f"ratio/probability vectors disagree at level {level}: "
+                             f"{len(lc)} vs {len(lp)} entries")
         child_c = (front_c[:, None] + lc[None, :]).ravel()
         child_p = (front_p[:, None] + lp[None, :]).ravel()
         hit = child_c <= log_r + TIE_TOL
@@ -247,6 +222,6 @@ def scale_cut_set_masses(ratios: LevelSchedule, measure: BernoulliMeasure,
         if front_c.size == 0:
             return np.concatenate(done_c), np.concatenate(done_p)
     raise DepthCapError(
-        f"cut-set expansion exceeded max_depth={max_depth} at r={r}",
-        depth=max_depth,
+        f"cut-set expansion passed {MAX_DEPTH} levels at r={r}",
+        depth=MAX_DEPTH,
     )

@@ -46,6 +46,7 @@ __all__ = [
     "build_system",
     "build_scheme",
     "build_measure",
+    "build_system_and_measure",
     "theoretical_exponents",
     "run_experiment",
     "emit_report",
@@ -181,6 +182,14 @@ def build_measure(config: ExperimentConfig) -> BernoulliMeasure:
     return BernoulliMeasure(section["p"], tail=section.get("tail"))
 
 
+def build_system_and_measure(config: ExperimentConfig):
+    """``(system, measure)``; ``ConfigError`` unless their branching agrees."""
+    system, measure = build_system(config), build_measure(config)
+    if not measure.profile.matches(system.profile):
+        raise ConfigError("measure branching does not match the system")
+    return system, measure
+
+
 def _parse_prefix_key(key: str) -> tuple[int, ...]:
     if not key.strip():
         return ()
@@ -292,10 +301,7 @@ class ComparisonReport:
 
 def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     """Full pipeline: theory, separation certificates, sampling, fits, verdicts."""
-    system = build_system(config)
-    measure = build_measure(config)
-    if not measure.profile().matches(system.profile):
-        raise ConfigError("measure branching does not match the system")
+    system, measure = build_system_and_measure(config)
     base_scheme = build_scheme(config, system)
 
     theory = {q: theoretical_exponents(system, measure, q) for q in config.q_values}

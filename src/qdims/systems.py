@@ -32,7 +32,7 @@ from itertools import product as _iter_product
 import numpy as np
 
 from .codespace import (
-    DEFAULT_MAX_DEPTH,
+    MAX_DEPTH,
     BernoulliMeasure,
     BranchingProfile,
     LevelSchedule,
@@ -62,6 +62,14 @@ _SAMPLE_CHUNK_ROWS = 16384
 _CSV_BLOCK_ROWS = 4096
 
 
+def _prefix(key) -> tuple[int, ...]:
+    """A word prefix as a tuple of int letters; ``ValueError`` unless each is integral."""
+    letters = tuple(int(x) for x in key)
+    if letters != tuple(key):
+        raise ValueError(f"prefix {tuple(key)} must hold integer letters")
+    return letters
+
+
 def _matrix_level(entry) -> np.ndarray:
     arr = np.array(entry, dtype=float)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -78,11 +86,9 @@ class SimilarSystem:
     """
 
     def __init__(self, ratios, tail=None, ambient_dim: int = 1,
-                 rotations=None, rotations_tail=None,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
+                 rotations=None, rotations_tail=None):
         self._ratios = LevelSchedule.build(ratios, tail)
         self.ambient_dim = int(ambient_dim)
-        self.max_depth = int(max_depth)
         lo, hi = np.inf, 0.0
         for vec in self._ratios.distinct_entries():
             if np.any(vec <= 0.0) or np.any(vec >= 1.0):
@@ -102,8 +108,8 @@ class SimilarSystem:
                     if not np.allclose(O @ O.T, np.eye(d), atol=1e-10):
                         raise ValueError("rotation parts must be orthogonal")
             self._rotations = sched
-        sizes = self._ratios.map(len)
-        self.profile = BranchingProfile(sizes.head, sizes.tail, self.max_depth)
+        self.profile = BranchingProfile.from_sizes(map(len, self._ratios.head),
+                                                   map(len, self._ratios.tail))
         self._log_ratios = self._ratios.map(lambda v: _read_only(np.log(v)))
 
     kind = "similar"
@@ -154,13 +160,12 @@ class AffineSystem:
     ``SingularMatrixError``.
     """
 
-    def __init__(self, matrices, tail=None, max_depth: int = DEFAULT_MAX_DEPTH):
+    def __init__(self, matrices, tail=None):
         self._matrices = LevelSchedule.build(matrices, tail, coerce=_matrix_level)
         dims = {mats.shape[1] for mats in self._matrices.distinct_entries()}
         if len(dims) != 1:
             raise ValueError("all levels must share one ambient dimension")
         self.ambient_dim = dims.pop()
-        self.max_depth = int(max_depth)
         lo, hi = np.inf, 0.0
         for mats in self._matrices.distinct_entries():
             if not np.isfinite(mats).all():
@@ -183,8 +188,8 @@ class AffineSystem:
             )
         self.alpha_lower = lo
         self.alpha_upper = hi
-        sizes = self._matrices.map(len)
-        self.profile = BranchingProfile(sizes.head, sizes.tail, self.max_depth)
+        self.profile = BranchingProfile.from_sizes(map(len, self._matrices.head),
+                                                   map(len, self._matrices.tail))
 
     kind = "affine"
 
@@ -236,7 +241,7 @@ class ExplicitTranslations:
     table: dict
 
     def __post_init__(self):
-        norm = {tuple(int(x) for x in key): np.asarray(vec, dtype=float).ravel()
+        norm = {_prefix(key): np.asarray(vec, dtype=float).ravel()
                 for key, vec in self.table.items()}
         object.__setattr__(self, "table", norm)
 
@@ -345,13 +350,11 @@ class FiniteTranslationSet:
             raise ValueError("vectors must form a (tau, d) array")
         object.__setattr__(self, "vectors", _read_only(vecs.copy()))
         if self.assignment is not None:
-            tau = vecs.shape[0]
             norm = {}
             for key, idx in self.assignment.items():
-                idx = int(idx)
-                if not 1 <= idx <= tau:
-                    raise ValueError(f"assignment index {idx} outside 1..{tau}")
-                norm[tuple(int(x) for x in key)] = idx
+                if int(idx) != idx or not 1 <= idx <= self.tau:
+                    raise ValueError(f"assignment index {idx} is not an integer in 1..{self.tau}")
+                norm[_prefix(key)] = int(idx)
             object.__setattr__(self, "assignment", norm)
 
     kind = "finite-set"
@@ -411,7 +414,7 @@ def default_sampling_depth(system, scheme, resolution: float) -> int:
     sup = max(scheme.sup_norm(), 1e-30)
     target = resolution * (1.0 - a) / (8.0 * sup)
     depth = int(np.ceil(np.log(target) / np.log(a))) if target < 1.0 else 1
-    return int(np.clip(depth, 4, 4 * DEFAULT_MAX_DEPTH))
+    return int(np.clip(depth, 4, 4 * MAX_DEPTH))
 
 
 @dataclass(frozen=True)
@@ -513,7 +516,7 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
         raise ValueError("count must be at least 1")
     if depth is not None and depth < 1:
         raise ValueError(f"sampling depth must be at least 1, got {depth}")
-    if not measure.profile().matches(system.profile, depth=system.max_depth):
+    if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
     resolution = target_resolution if target_resolution is not None else 2.0**-12
     if depth is None:
@@ -754,8 +757,8 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     kind = kind.lower()
     if kind not in ("ssc", "osc"):
         raise ValueError(f"unknown separation kind {kind!r}")
-    if depth < 1 or depth > system.max_depth:
-        raise ValueError(f"depth must lie in 1..{system.max_depth}")
+    if depth < 1 or depth > MAX_DEPTH:
+        raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
 
     fits = system.profile.depth_within(budget, depth)
     if fits < depth:

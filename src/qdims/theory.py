@@ -14,10 +14,10 @@ Every solver finds the root of an increasing function of s built from moment
 sums, and they share one core:
 
 - ``_moment_sums`` evaluates the moment sums of word groups at once, or
-  their entropy form at q = 1: one group for the closed form and for the
-  deepest affine level, one per distinct level entry for the product limit,
-  one per grid scale for the cut set, one per kept level for the affine
-  level rate. Every word enters as the prefix sums of its log singular
+  their entropy form at q = 1: one group for the closed form, one per
+  distinct level entry for the product limit, one per grid scale for the
+  cut set, one per kept level for the affine level rate (the last, the
+  deepest level, alone at q = 1). Every word enters as the prefix sums of its log singular
   values (``svf_log`` at s = 1..d), so a similarity ratio c is the one row
   ``log c`` (``svf(c O, s) = c**s``), and on the integer segment of s being
   probed ``svf_log`` is ``base + s * slope`` from two rows;
@@ -317,7 +317,7 @@ def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
     """
     if not 0 < q < np.inf:
         raise ValueError(f"q must be positive and finite, got {q}")
-    if not measure.profile().matches(system.profile, depth=depth):
+    if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
     stationary = system.ratio_schedule.stationary and measure.stationary
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
@@ -359,8 +359,7 @@ def _default_r_grid(system: SimilarSystem, measure: BernoulliMeasure,
     grids = []
     for _ in range(n_scales):
         try:
-            logs = scale_cut_set_masses(system.ratio_schedule, measure, r,
-                                        max_depth=system.max_depth, budget=max_words)
+            logs = scale_cut_set_masses(system.ratio_schedule, measure, r, budget=max_words)
         except BranchBudgetError:
             break
         grids.append((r, logs))
@@ -394,7 +393,6 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
                     f"grid scale {r} must lie in (0, c_lower={system.c_lower})"
                 )
             grids.append((r, scale_cut_set_masses(system.ratio_schedule, measure, r,
-                                                  max_depth=system.max_depth,
                                                   budget=max_words)))
     if len(grids) < 4:
         raise InsufficientScalesError(
@@ -566,7 +564,7 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     if not 1.0 - Q_ONE_TOL <= q < np.inf or (q <= 1.0 + Q_ONE_TOL and not stationary):
         raise ValueError(f"affine exponents need a finite q > 1, or q = 1 on a stationary "
                          f"table and measure; got {q}")
-    if not measure.profile().matches(system.profile, depth=system.max_depth):
+    if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
     cap = min(level_cap, ENUMERATION_CAP)
     enum_depth = system.profile.depth_within(cap, depth)
@@ -585,12 +583,11 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
                              size=sample_size if sampled else None, seed=seed)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
-    # the deepest level alone gives the q = 1 rate and the stationary single-level root
-    deepest = _moment_sums([spectra[K]], q, sampled) if entropy or stationary else None
-    kept = None if entropy else _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
+    kept = _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
 
     def per_level(s: float) -> float:
-        return float(deepest(s)[0]) / K
+        # the deepest level alone: the q = 1 rate and the stationary single-level root
+        return float(kept(s)[-1]) / K
 
     def rate(s: float) -> float:
         """Slope in k of the fitted log level sums."""

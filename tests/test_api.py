@@ -14,7 +14,7 @@ MODULES = ["codespace", "empirical", "harness", "singular", "systems", "theory"]
 # the per-word reference versions live in tests/oracles.py
 REMOVED = {
     "codespace": ["scale_cut_set", "CutSet", "cylinder_mass", "is_prefix_free",
-                  "common_prefix", "EMPTY_WORD", "COVER_TOL", "Word"],
+                  "common_prefix", "EMPTY_WORD", "COVER_TOL", "Word", "DEFAULT_MAX_DEPTH"],
     "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL"],
     "theory": ["lq_spectrum"],
     "singular": ["within_envelope", "SingularSpectrum", "singular_values",
@@ -24,6 +24,7 @@ REMOVED = {
 }
 REMOVED_MEMBERS = [
     ("codespace", "BranchingProfile", "validate_letters"),
+    ("codespace", "BernoulliMeasure", "schedule"),
     ("codespace", "Word", "parent"),
     ("codespace", "Word", "extended"),
     ("codespace", "Word", "is_prefix_of"),
@@ -71,6 +72,18 @@ def test_translation_schemes_share_one_protocol(scheme):
     for member in ("kind", "randomized", "realize", "offsets", "sup_norm"):
         assert hasattr(cls, member), f"{scheme} lacks {member}"
     assert not hasattr(cls, "translation")
+
+
+def test_depth_cap_is_a_constant():
+    codespace = _module("codespace")
+    for fn in (qdims.SimilarSystem, qdims.AffineSystem, qdims.BernoulliMeasure,
+               codespace.BranchingProfile, codespace.BranchingProfile.from_sizes,
+               codespace.scale_cut_set_masses):
+        assert "max_depth" not in inspect.signature(fn).parameters, fn.__qualname__
+    assert list(inspect.signature(codespace.BranchingProfile.matches).parameters) == [
+        "self", "other"]
+    profile = qdims.BernoulliMeasure([[0.5, 0.5]]).profile
+    assert isinstance(profile, codespace.BranchingProfile) and not callable(profile)
 
 
 def test_depth_cap_error_carries_depth_only():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import validate_letters
 
 from qdims.codespace import (
+    MAX_DEPTH,
     TIE_TOL,
     BernoulliMeasure,
     BranchingProfile,
@@ -80,9 +81,35 @@ class TestBranchingProfile:
         assert BranchingProfile.from_sizes([5]).depth_within(4) == 0
 
     def test_depth_within_caps(self):
-        assert BranchingProfile.from_sizes([2], max_depth=5).depth_within(2**20) == 5
+        assert BranchingProfile.from_sizes([2]).depth_within(2**100) == MAX_DEPTH == 64
         assert BranchingProfile.from_sizes([2]).depth_within(2**20, 3) == 3
-        assert BranchingProfile.from_sizes([2], max_depth=5).depth_within(2**20, 8) == 5
+        assert BranchingProfile.from_sizes([2]).depth_within(2**100, 80) == 64
+
+    def test_from_sizes_rejects_non_integral_counts(self):
+        with pytest.raises(ValueError, match="integers >= 2, got 2.5"):
+            BranchingProfile.from_sizes([2.5, 3])
+        with pytest.raises(ValueError, match="integers >= 2, got 3.5"):
+            BranchingProfile.from_sizes([2], tail=[3.5])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 3), min_size=1, max_size=6),
+           st.lists(st.integers(2, 3), min_size=1, max_size=5),
+           st.integers(1, 8), st.integers(1, 6),
+           st.lists(st.integers(2, 3), min_size=14, max_size=14), st.booleans())
+    def test_matches_is_exact(self, head_a, tail_a, len_head, len_tail, free, copy):
+        a = BranchingProfile.from_sizes(head_a, tail_a)
+        # b copies a's first levels into its own head and tail, or is drawn freely;
+        # copies agree with a on a long prefix but not always forever
+        sizes = [a.size(k) for k in range(1, 15)] if copy else free
+        b = BranchingProfile.from_sizes(sizes[:len_head], sizes[len_head:len_head + len_tail])
+        levels = 4 * (max(len_head, len(head_a)) + len_tail + len(tail_a)) + 10
+        brute = all(a.size(k) == b.size(k) for k in range(1, levels + 1))
+        assert a.matches(b) == b.matches(a) == brute
+
+    def test_matches_sees_past_the_depth_cap(self):
+        a = BranchingProfile.from_sizes([2] * 70, tail=[3])
+        assert not a.matches(BranchingProfile.from_sizes([2]))
+        assert a.matches(BranchingProfile.from_sizes([2] * 70 + [3, 3], tail=[3]))
 
 
 class TestBernoulliMeasure:
@@ -148,10 +175,11 @@ class TestScaleCutSet:
         assert np.allclose(log_c, np.log(0.5))
 
     def test_depth_cap(self):
-        sched = LevelSchedule.build([[0.9, 0.9]])
+        # the 0.999 branch stays above r = 0.5 for 692 levels
+        sched = LevelSchedule.build([[0.999, 0.001]])
         with pytest.raises(DepthCapError) as err:
-            scale_cut_set_masses(sched, BernoulliMeasure([[0.5, 0.5]]), 1e-4, max_depth=5)
-        assert err.value.depth == 5
+            scale_cut_set_masses(sched, BernoulliMeasure([[0.5, 0.5]]), 0.5)
+        assert err.value.depth == MAX_DEPTH == 64
 
     def test_member_bound(self):
         r = 0.09

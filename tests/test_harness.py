@@ -601,6 +601,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["theory", "sample"])
+    def test_mismatched_branching_exits_with_message(self, tmp_path, capsys, command):
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1,
+                                          "ratios": [[1 / 3, 1 / 3], [0.25, 0.25]]},
+                   measure={"p": [[0.5, 0.5], [0.3, 0.3, 0.4]]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: measure branching")
+        assert not (out / "points.csv").exists()
+
+    def test_branching_mismatch_past_level_64_exits_with_message(self, tmp_path, capsys):
+        # equal branching through level 70, then 3 maps a level against 2 letters
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1,
+                                          "ratios": [[1 / 3, 1 / 3]] * 70,
+                                          "tail": [[0.2, 0.2, 0.2]]},
+                   measure={"p": [[0.75, 0.25]]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: measure branching")
+        assert list(tmp_path.iterdir()) == [path]
+
     @pytest.mark.parametrize("command", ["theory", "compare"])
     def test_overflowing_q_in_the_file_exits_with_message(self, tmp_path, capsys, command):
         # JSON reads 1e400 as inf; the closed form used to print d=0.000000

@@ -267,6 +267,18 @@ class TestTranslationSchemes:
         with pytest.raises(ValueError):
             FiniteTranslationSet(vectors=[[0.0], [0.5]], assignment={(1,): 3})
 
+    @pytest.mark.parametrize("assignment, message", [
+        ({(1,): 1.9}, "assignment index 1.9 is not an integer"),
+        ({(1.7,): 1}, r"prefix \(1.7,\) must hold integer letters"),
+    ])
+    def test_finite_set_rejects_non_integral_assignment(self, assignment, message):
+        with pytest.raises(ValueError, match=message):
+            FiniteTranslationSet(vectors=[[0.0], [0.5]], assignment=assignment)
+
+    def test_explicit_rejects_non_integral_prefix(self):
+        with pytest.raises(ValueError, match=r"prefix \(1.5,\) must hold integer letters"):
+            ExplicitTranslations({(1.5,): [0.0]})
+
     def test_finite_set_realize_jitters_within_radius(self):
         base = FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.0]], jitter_radius=0.2)
         real = base.realize(5)

@@ -482,8 +482,6 @@ class TestAffineSeriesDimension:
         measure = BernoulliMeasure([[0.5, 0.5]])
         with pytest.raises(BranchBudgetError):
             affine_series_dimension(AffineSystem([mats]), measure, 2, level_cap=3)
-        with pytest.raises(BranchBudgetError):
-            affine_series_dimension(AffineSystem([mats], max_depth=1), measure, 2)
 
 
 def rotation(theta):
