@@ -8,8 +8,8 @@ The package splits into:
   separation certificates
 - ``singular``: log singular values of matrix stacks and the singular value
   function
-- ``theory``: critical exponents of moment sums (closed form, product and
-  cut-set solvers for similarity tables, one level-sum solver for affine
+- ``theory``: critical exponents of moment sums (an exact period root and
+  a cut-set solver for similarity tables, one level-sum solver for affine
   tables)
 - ``empirical``: mesh-cube moment sums and log-log dimension fits
 - ``harness``/``cli``: experiment configs, comparison reports, subcommands

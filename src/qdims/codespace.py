@@ -155,7 +155,7 @@ class BernoulliMeasure:
                 raise ValueError("probability vectors must be strictly positive")
             if abs(float(vec.sum()) - 1.0) > PROB_SUM_TOL:
                 raise ValueError(
-                    f"probability vector sums to {vec.sum()!r}, not 1 within {PROB_SUM_TOL}"
+                    f"probability vector sums to {float(vec.sum())!r}, not 1 within {PROB_SUM_TOL}"
                 )
         self._schedule = schedule
         self._logs = schedule.map(lambda v: _read_only(np.log(v)))

@@ -13,10 +13,10 @@ Identical configs (seed included) produce byte-identical report files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import numbers
 from dataclasses import dataclass, field
-
 
 from .codespace import BernoulliMeasure
 from .empirical import _stream_spectrum, default_scales
@@ -36,7 +36,6 @@ from .theory import (
     affine_series_dimension,
     clamp_dimension,
     product_dimension,
-    stationary_dimension,
 )
 
 __all__ = [
@@ -76,6 +75,24 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; ``ConfigError`` naming ``name`` unless it is a number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+@contextlib.contextmanager
+def _config_errors():
+    """Raise a constructor's ``ValueError`` as ``ConfigError`` with its message."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: dict
@@ -100,15 +117,15 @@ class ExperimentConfig:
             if scales is None:
                 scales_t = default_scales()
             elif isinstance(scales, dict):
-                base = float(scales.get("base", 2))
+                base = _number("scales.base", scales.get("base", 2))
                 lo = _integer("min_exp", scales["min_exp"])
                 hi = _integer("max_exp", scales["max_exp"])
                 scales_t = tuple(base**-e for e in range(lo, hi + 1))
             else:
-                scales_t = tuple(float(s) for s in scales)
+                scales_t = tuple(_number(f"scales[{i}]", s) for i, s in enumerate(scales))
             if not scales_t or any(s <= 0 for s in scales_t):
                 raise ConfigError("scales must be a non-empty list of positive sizes")
-            q_values = tuple(float(q) for q in raw["q"])
+            q_values = tuple(_number(f"q[{i}]", q) for i, q in enumerate(raw["q"]))
             if not q_values or not all(0 < q < float("inf") for q in q_values):
                 raise ConfigError("q grid must be a non-empty list of positive finite entries")
             samples = _integer("samples", raw.get("samples", 100_000))
@@ -121,7 +138,8 @@ class ExperimentConfig:
             seed = _integer("seed", raw.get("seed", 0))
             if seed < 0:
                 raise ConfigError(f"seed must be non-negative, got {seed}")
-            tolerance = None if raw.get("tolerance") is None else float(raw["tolerance"])
+            tolerance = (None if raw.get("tolerance") is None
+                         else _number("tolerance", raw["tolerance"]))
             if tolerance is not None and not 0.0 <= tolerance < float("inf"):
                 raise ConfigError(f"tolerance must be finite and non-negative, got {tolerance}")
             return cls(
@@ -161,6 +179,7 @@ class ExperimentConfig:
         }
 
 
+@_config_errors()
 def build_system(config: ExperimentConfig):
     section = config.system
     kind = section.get("kind")
@@ -177,6 +196,7 @@ def build_system(config: ExperimentConfig):
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
+@_config_errors()
 def build_measure(config: ExperimentConfig) -> BernoulliMeasure:
     section = config.measure
     return BernoulliMeasure(section["p"], tail=section.get("tail"))
@@ -199,6 +219,7 @@ def _parse_prefix_key(key: str) -> tuple[int, ...]:
         raise ConfigError(f"prefix key {key!r} must be comma-separated integers") from None
 
 
+@_config_errors()
 def build_scheme(config: ExperimentConfig, system):
     section = config.translations
     kind = section.get("kind")
@@ -224,7 +245,8 @@ def build_scheme(config: ExperimentConfig, system):
         scheme = FiniteTranslationSet(
             vectors=section["vectors"],
             assignment=assignment,
-            jitter_radius=float(section.get("jitter_radius", 0.0)),
+            jitter_radius=_number("translations.jitter_radius",
+                                  section.get("jitter_radius", 0.0)),
         )
         if scheme.dim != d:
             raise ConfigError(f"translation vectors must have dimension {d}")
@@ -237,18 +259,11 @@ def realize_scheme(scheme, base_seed: int, realization: int):
     return scheme.realize(base_seed + REALIZATION_SEED_STRIDE * (realization + 1))
 
 
+@_config_errors()
 def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> CriticalExponents:
-    """Pick the strongest applicable solver for the configured system."""
-    if system.kind == "similar":
-        if system.ratio_schedule.stationary and measure.stationary:
-            val = stationary_dimension(system.ratios_at(1), measure.probs(1), q)
-            return CriticalExponents(q=q, lower=val, upper=val, method="closed-form",
-                                     diagnostics={"stationary": True})
-        return product_dimension(system, measure, q)
-    try:
-        return affine_series_dimension(system, measure, q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """The exact period root for a similarity table, the affine level sums otherwise."""
+    solve = product_dimension if system.kind == "similar" else affine_series_dimension
+    return solve(system, measure, q)
 
 
 # randomized translation kind -> (claim, largest supported q, operator-norm limit)

@@ -110,7 +110,6 @@ class SimilarSystem:
             self._rotations = sched
         self.profile = BranchingProfile.from_sizes(map(len, self._ratios.head),
                                                    map(len, self._ratios.tail))
-        self._log_ratios = self._ratios.map(lambda v: _read_only(np.log(v)))
 
     kind = "similar"
 
@@ -133,9 +132,6 @@ class SimilarSystem:
 
     def ratios_at(self, k: int) -> np.ndarray:
         return self._ratios.at(k)
-
-    def log_ratios_at(self, k: int) -> np.ndarray:
-        return self._log_ratios.at(k)
 
     def linear_maps(self, k: int) -> np.ndarray:
         """Stack of d x d linear parts for level k."""
@@ -348,6 +344,9 @@ class FiniteTranslationSet:
         vecs = np.asarray(self.vectors, dtype=float)
         if vecs.ndim != 2 or vecs.shape[0] < 1:
             raise ValueError("vectors must form a (tau, d) array")
+        if not 0.0 <= self.jitter_radius < np.inf:
+            raise ValueError(f"jitter_radius must be finite and non-negative, "
+                             f"got {self.jitter_radius!r}")
         object.__setattr__(self, "vectors", _read_only(vecs.copy()))
         if self.assignment is not None:
             norm = {}

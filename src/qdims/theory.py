@@ -4,43 +4,32 @@ For a level-varying similarity system with a Bernoulli measure, the moment
 sums over scale cut sets switch from bounded to unbounded at a critical
 exponent; that exponent (one per moment order q) is the theoretical value of
 the generalized q-dimension of the projected measure under the separation
-conditions certified elsewhere. This module computes those exponents four
-ways: a closed form for stationary similarity tables, truncated per-level
-product limits, truncated cut-set limits, and, for affine tables, one
-level-sum solver built on the singular value function, whose one-level case
+conditions certified elsewhere. This module computes those exponents three
+ways: exactly for every similarity table, as the root of one period's log
+moment sum (``product_dimension``; ``stationary_dimension`` is its one-level
+case), by truncated cut-set limits, and, for affine tables, by one level-sum
+solver built on the singular value function, whose one-level case
 (``stationary_affine_dimension``) is the only affine case that admits q = 1.
 
 Every solver finds the root of an increasing function of s built from moment
-sums, and they share one core:
-
-- ``_moment_sums`` evaluates the moment sums of word groups at once, or
-  their entropy form at q = 1: one group for the closed form, one per
-  distinct level entry for the product limit, one per grid scale for the
-  cut set, one per kept level for the affine level rate (the last, the
-  deepest level, alone at q = 1). Every word enters as the prefix sums of its log singular
-  values (``svf_log`` at s = 1..d), so a similarity ratio c is the one row
-  ``log c`` (``svf(c O, s) = c**s``), and on the integer segment of s being
-  probed ``svf_log`` is ``base + s * slope`` from two rows;
-- ``_root_of_increasing`` closes a sign-change bracket by Illinois and
-  Dekker steps (to adjacent floats at ``xtol=0``, as the closed form asks);
-- ``_envelope_roots`` turns the upper and lower envelope trends of the
-  product or cut-set sums into the lower and upper exponents, with the
-  orientation for q below or above 1 decided in one place;
-- ``_level_spectra`` enumerates (or samples) the words of an affine table
-  and returns, per kept level, their prefix sums, the last one (log |det|)
-  carried from the letters, and their log masses. It grows the words in
-  contiguous blocks, in word order, and writes each block into arrays
-  allocated once per kept level, so the bits do not depend on the block
-  size and memory is O(kept words + one block).
+sums, and they share one core: ``_moment_sums`` evaluates the moment sums
+(or at q = 1 their entropy form) of word groups at once, one group per
+distinct level of a similarity period, per cut-set scale or per kept affine
+level, each word entering as the prefix sums of its log singular values (a
+similarity ratio c is the one row ``log c``); ``_root_of_increasing`` closes
+a sign-change bracket by Illinois and Dekker steps, to adjacent floats at
+``xtol=0``; ``_level_spectra`` enumerates or samples the affine words.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
-truncated solvers substitute the sign of the growth trend over a trailing
-window of depths and report the sign-change bracket they reach. Stationary
-inputs make the trend exact, hence their far tighter tolerances.
+truncated solvers (cut set and affine) substitute the sign of the growth
+trend over a trailing window of scales or levels and report the sign-change
+bracket they reach; stationary inputs make the trend exact, hence their far
+tighter tolerances.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +69,7 @@ class CriticalExponents:
 
     ``lower`` and ``upper`` are the estimates for the lower and upper
     exponents; the method tag records which solver produced them and the
-    diagnostics carry depths, brackets, and one-sided-bound flags.
+    diagnostics carry levels, depths and brackets.
     """
 
     q: float
@@ -100,18 +89,45 @@ def clamp_dimension(value: float, ambient_dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# stationary similarity closed form
+# similarity tables: the root of one period
 # ---------------------------------------------------------------------------
 
 
-def stationary_dimension(ratios, probs, q: float) -> float:
-    """Critical exponent for one repeated similarity level.
+def _period_root(levels, q: float) -> float:
+    """Critical exponent of a similarity table from the ``(ratios, probs)`` of
+    one period of its levels: the root of ``Phi(d) = sum_k log sum_j
+    c_kj**(d (1-q)) p_kj**q``, or ``sum p log p / sum p log c`` at q = 1.
 
-    For q != 1 this is the unique d with ``sum c_i**(d (1-q)) p_i**q = 1``
-    (the map d -> sum is strictly monotone), solved on the log of the sum to
-    adjacent floats under twice its bound ``log sum p**q / ((q-1) log c_max)``
-    (exact for equal ratios); at q = 1 it is ``sum p log p / sum p log c``.
+    Past a finite head the level-k product sum is a fixed factor times whole
+    periods, so the sign of ``Phi`` decides boundedness exactly. Each distinct
+    level is summed once, weighted by its count over the gcd of the counts
+    (a period that spells out a shorter one gives the same bits), and ``Phi``
+    is solved to adjacent floats under twice the bound ``sum_k log sum
+    p_k**q / ((q-1) sum_k log c_max,k)``, which every root obeys.
     """
+    if not 0 < q < np.inf:
+        raise ValueError(f"q must be positive and finite, got {q}")
+    distinct = {}
+    for ck, pk in levels:
+        distinct.setdefault((ck.tobytes(), pk.tobytes()), [ck, pk, 0])[2] += 1
+    c, p, counts = zip(*distinct.values())
+    w = np.array(counts) / np.gcd.reduce(counts)
+    log_c, log_p = [np.log(ck) for ck in c], [np.log(pk) for pk in p]
+    if abs(q - 1.0) < Q_ONE_TOL:
+        return float((w @ [pk @ lp for pk, lp in zip(p, log_p)])
+                     / (w @ [pk @ lc for pk, lc in zip(p, log_c)]))
+    sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], q)
+    sign = 1.0 if q > 1.0 else -1.0
+    bound = ((w @ [np.log(np.sum(pk**q)) for pk in p])
+             / ((q - 1.0) * (w @ [lc.max() for lc in log_c])))
+    root, _ = _root_of_increasing(lambda d: sign * float(w @ sums(d)), xtol=0.0,
+                                  cap=2.0 * max(1.0, float(bound)))
+    return root
+
+
+def stationary_dimension(ratios, probs, q: float) -> float:
+    """Critical exponent for one repeated similarity level: the period root
+    (``_period_root``) of a period of one level."""
     c = np.asarray(ratios, dtype=float)
     p = np.asarray(probs, dtype=float)
     if c.shape != p.shape or c.ndim != 1:
@@ -120,17 +136,25 @@ def stationary_dimension(ratios, probs, q: float) -> float:
         raise ValueError("ratios must lie strictly in (0, 1)")
     if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("probs must be strictly positive and sum to 1")
-    if not 0 < q < np.inf:
-        raise ValueError(f"q must be positive and finite, got {q}")
-    log_c = np.log(c)
-    log_p = np.log(p)
-    if abs(q - 1.0) < Q_ONE_TOL:
-        return float((p @ log_p) / (p @ log_c))
-    sums = _moment_sums([(log_c[None], log_p)], q)
-    sign = 1.0 if q > 1.0 else -1.0
-    cap = 2.0 * max(1.0, float(np.log(np.sum(p**q)) / ((q - 1.0) * log_c.max())))
-    root, _ = _root_of_increasing(lambda d: sign * float(sums(d)[0]), xtol=0.0, cap=cap)
-    return root
+    return _period_root([(c, p)], q)
+
+
+def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
+                      q: float) -> CriticalExponents:
+    """Critical exponents of a similarity table, exact: the root of one period.
+
+    Past both heads the ratio and probability schedules repeat together with
+    the lcm of their tail lengths; the levels of that one period go to
+    ``_period_root``, and the lower and upper exponents are both its root.
+    """
+    if not measure.profile.matches(system.profile):
+        raise ValueError("measure branching does not match the system")
+    first = max(len(system.profile.head), len(measure.profile.head)) + 1
+    period = math.lcm(len(system.profile.tail), len(measure.profile.tail))
+    root = _period_root([(system.ratios_at(k), measure.probs(k))
+                         for k in range(first, first + period)], q)
+    return CriticalExponents(q=q, lower=root, upper=root, method="closed-form",
+                             diagnostics={"levels": (first, first + period - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +167,12 @@ def _envelope_trend(values: np.ndarray, mode: str) -> float:
 
     The sum is classified as bounded when its envelope sets no new extreme
     across the later half of the window; the signed trend is the difference
-    of the window-half extremes.
+    of the window-half extremes. ``values`` holds at least two entries.
     """
     v = np.asarray(values, dtype=float)
     window = v[len(v) // 2 :] if len(v) >= 8 else v
-    h = max(1, len(window) // 2)
+    h = len(window) // 2
     first, second = window[:h], window[h:]
-    if len(second) == 0:
-        second = first
     agg = np.max if mode == "limsup" else np.min
     return float(agg(second) - agg(first))
 
@@ -204,26 +226,6 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
             hi, f_hi, f_lo, side = x, fx, f_lo * (0.5 if side > 0 else 1.0), 1
         fails = fails + 1 if hi - lo > 0.5 * width else 0
     return float(0.5 * (lo + hi)), (float(lo), float(hi))
-
-
-def _envelope_roots(seq, q: float, xtol: float, stationary: bool):
-    """Lower/upper exponents and their brackets from a family of moment sums.
-
-    ``seq(s)`` returns the log moment sums over increasing depths or finer
-    scales, and the root of its upper and of its lower envelope trend is
-    found. For q >= 1 the trend rises with s and the upper-envelope root
-    is the lower exponent; for q < 1 the trend falls (its sign is flipped so
-    the root finder sees one orientation) and the roles swap. Stationary
-    inputs have one exact trend, so both exponents become the midpoint.
-    """
-    rising = q > 1 or abs(q - 1.0) < Q_ONE_TOL
-    sign = 1.0 if rising else -1.0
-    roots = [_root_of_increasing(lambda s, m=mode: sign * _envelope_trend(seq(s), m), xtol)
-             for mode in ("limsup", "liminf")]
-    (lower, br_lower), (upper, br_upper) = roots if rising else roots[::-1]
-    if stationary:
-        lower = upper = 0.5 * (lower + upper)
-    return lower, upper, {"lower": br_lower, "upper": br_upper}
 
 
 def _moment_sums(groups, q: float, sampled: bool = False):
@@ -299,56 +301,6 @@ def _moment_sums(groups, q: float, sampled: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# product-form limits for similarity tables
-# ---------------------------------------------------------------------------
-
-
-def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,
-                      q: float, depth: int = 200) -> CriticalExponents:
-    """Critical exponents from per-level product sums through ``depth`` levels.
-
-    The level-k sum contributes a factor ``sum_j c_{k,j}**(s(1-q)) p_{k,j}**q``
-    to a running product whose boundedness in k decides the exponent. For
-    q > 1 the upper-envelope root is the exact lower exponent and the
-    lower-envelope root only bounds the upper exponent from above; for
-    0 < q < 1 the roles swap; at q = 1 the entropy sums give one-sided
-    bounds in both directions. Stationary tables make every level identical,
-    so both envelopes coincide and the root is exact to its tolerance.
-    """
-    if not 0 < q < np.inf:
-        raise ValueError(f"q must be positive and finite, got {q}")
-    if not measure.profile.matches(system.profile):
-        raise ValueError("measure branching does not match the system")
-    stationary = system.ratio_schedule.stationary and measure.stationary
-    xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
-
-    # a level-varying table repeats a few distinct entries: sum each once
-    groups, level_group = {}, []
-    for k in range(1, depth + 1):
-        log_c, log_p = system.log_ratios_at(k), measure.log_probs(k)
-        group = groups.setdefault((log_c.tobytes(), log_p.tobytes()), (len(groups), log_c, log_p))
-        level_group.append(group[0])
-    sums = _moment_sums([(log_c[None], log_p) for _, log_c, log_p in groups.values()], q)
-
-    bounds_note = {"lower": "one-sided (lower bound)", "upper": "one-sided (upper bound)"}
-    if abs(q - 1.0) >= Q_ONE_TOL:
-        bounds_note["lower" if q > 1 else "upper"] = "exact"
-
-    lower, upper, brackets = _envelope_roots(lambda s: np.cumsum(sums(s)[level_group]), q,
-                                             xtol, stationary)
-
-    diag = {
-        "depth": depth,
-        "stationary": stationary,
-        "xtol": xtol,
-        "brackets": brackets,
-        "bound_direction": bounds_note,
-    }
-    return CriticalExponents(q=q, lower=lower, upper=upper,
-                             method="product-limit", diagnostics=diag)
-
-
-# ---------------------------------------------------------------------------
 # cut-set limits for similarity tables
 # ---------------------------------------------------------------------------
 
@@ -399,15 +351,23 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
             f"only {len(grids)} usable cut-set scales under the word budget"
         )
 
+    # for q >= 1 the upper-envelope root is the lower exponent; for q < 1 the
+    # trend falls (flipped for the root finder) and the roles swap
     seq = _moment_sums([(log_c[None], log_p) for _, (log_c, log_p) in grids], q)
-    lower, upper, brackets = _envelope_roots(seq, q, xtol, stationary)
+    rising = q > 1 or abs(q - 1.0) < Q_ONE_TOL
+    sign = 1.0 if rising else -1.0
+    roots = [_root_of_increasing(lambda s, m=mode: sign * _envelope_trend(seq(s), m), xtol)
+             for mode in ("limsup", "liminf")]
+    (lower, br_lower), (upper, br_upper) = roots if rising else roots[::-1]
+    if stationary:
+        lower = upper = 0.5 * (lower + upper)
 
     diag = {
         "scales": [r for r, _ in grids],
         "words": [len(log_p) for _, (_, log_p) in grids],
         "stationary": stationary,
         "xtol": xtol,
-        "brackets": brackets,
+        "brackets": {"lower": br_lower, "upper": br_upper},
     }
     return CriticalExponents(q=q, lower=lower, upper=upper,
                              method="cutset-truncation", diagnostics=diag)

@@ -119,6 +119,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
 
+    @pytest.mark.parametrize("field, override", [
+        ("q[0]", {"q": ["a"]}),
+        ("tolerance", {"tolerance": "x"}),
+        ("scales[1]", {"scales": [0.5, "b"]}),
+        ("scales.base", {"scales": {"base": "two", "min_exp": 4, "max_exp": 10}}),
+        ("q[1]", {"q": [2, True]}),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_non_numeric_field_rejected(self, field, override):
+        # float() would end each of the first four in a bare ValueError, and
+        # read True as 1
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be a number, got ")):
+            ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
+
     def test_integral_floats_accepted(self):
         raw = dict(CANTOR_CONFIG, samples=1e6, realizations=2.0, depth=7.0, seed=3.0,
                    schema_version=1.0, scales={"base": 2, "min_exp": 4.0, "max_exp": 10.0})
@@ -176,6 +189,30 @@ class TestBuilders:
             build_scheme(cfg, build_system(cfg))
 
 
+    @pytest.mark.parametrize("field, section, message", [
+        ("measure", {"p": [[0.75, 0.2]]}, "probability vector sums to 0.95"),
+        ("system", {"kind": "similar", "dim": 1, "ratios": [[1.5, 1 / 3]]},
+         "similarity ratios must lie strictly in (0, 1)"),
+        ("translations", {"kind": "finite-set", "vectors": [[0.0], [2 / 3]],
+                          "jitter_radius": -1},
+         "jitter_radius must be finite and non-negative, got -1.0"),
+    ], ids=["measure-sum", "system-ratio", "negative-jitter"])
+    def test_constructor_rejection_is_a_config_error(self, tmp_path, capsys, field, section,
+                                                     message):
+        # the constructor's ValueError, with its message; each section is built in turn
+        raw = dict(CANTOR_CONFIG, **{field: section})
+        cfg = ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_measure(cfg)
+            build_scheme(cfg, build_system(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestTheorySelection:
     def test_similar_stationary_closed_form(self):
         cfg = ExperimentConfig.from_dict(CANTOR_CONFIG)
@@ -189,7 +226,7 @@ class TestTheorySelection:
         system = SimilarSystem([[0.5, 0.5], [0.25, 0.25]])
         measure = BernoulliMeasure([[0.5, 0.5]])
         ce = theoretical_exponents(system, measure, 2)
-        assert ce.method == "product-limit"
+        assert ce.method == "closed-form" and ce.lower == ce.upper
 
     def test_affine_stationary(self):
         raw = dict(CANTOR_CONFIG,
@@ -649,10 +686,39 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not (tmp_path / "report.csv").exists()
 
-    def test_unresolved_root_exits_with_message(self, tmp_path, capsys):
-        # the product limit's doubling passes its cap before the trend turns positive
+    def test_slow_level_varying_contraction_solves_exactly(self, tmp_path, capsys):
+        # one period of two levels: 2 log(1/2) - d (log 0.9995 + log 0.9994) = 0
         raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1,
                                           "ratios": [[0.9995, 0.9995], [0.9994, 0.9994]]},
+                   measure={"p": [[0.5, 0.5]]}, q=[2])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["theory", "--config", str(path), "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "theory.csv").read_text().splitlines()[1].split(",")
+        want = 2 * np.log(2) / -(np.log(0.9995) + np.log(0.9994))
+        assert float(row[1]) == pytest.approx(want, rel=1e-12, abs=0)
+        assert row[2] == "closed-form" and row[3] == row[4] == row[1]
+
+    def test_two_level_table_gives_exact_period_roots(self, tmp_path, capsys):
+        # the nonautonomous similarity table of the paper's equality case
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1,
+                                          "ratios": [[1 / 3, 1 / 3], [0.2, 0.2]]},
+                   measure={"p": [[0.75, 0.25], [0.6, 0.4]]}, q=[0.5, 1, 2, 3])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["theory", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "theory.csv").read_text().splitlines()[1:]]
+        for row, want in zip(rows, (0.482563, 0.456176, 0.415033, 0.387667), strict=True):
+            assert row[2] == "closed-form"
+            assert float(row[3]) == float(row[4]) == float(row[1])
+            assert float(row[1]) == pytest.approx(want, rel=0, abs=1e-6)
+
+    def test_unresolved_root_exits_with_message(self, tmp_path, capsys):
+        # the affine rate's doubling passes its cap before it turns positive
+        raw = dict(CANTOR_CONFIG, system={"kind": "affine",
+                                          "matrices": [[[[0.9995, 0.0], [0.0, 0.9995]]] * 2]},
+                   translations={"kind": "random-box", "low": [0, 0], "high": [1, 1]},
                    measure={"p": [[0.5, 0.5]]}, q=[2])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))

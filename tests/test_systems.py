@@ -288,6 +288,13 @@ class TestTranslationSchemes:
         assert np.any(shift > 0)
         assert np.array_equal(real.vectors, base.realize(5).vectors)
 
+    @pytest.mark.parametrize("radius", [-1.0, -1e-12, np.inf, np.nan])
+    def test_finite_set_rejects_negative_or_nonfinite_jitter(self, radius):
+        # a radius of -1 read as not randomized, yet realize moved each vector
+        # by up to 1 and sup_norm subtracted 1
+        with pytest.raises(ValueError, match="jitter_radius must be finite and non-negative"):
+            FiniteTranslationSet(vectors=[[0.0], [0.5]], jitter_radius=radius)
+
     def test_random_box_translation_pinned(self):
         # recorded values of the splitmix64 chain for this seed and word; any
         # drift in the chain, the letter salt or the per-axis salts shows here

@@ -211,24 +211,24 @@ class TestProductDimension:
     def test_rejects_nonfinite_q(self, q):
         system = SimilarSystem([[1 / 3, 1 / 3]])
         with pytest.raises(ValueError, match="finite"):
-            product_dimension(system, BernoulliMeasure([[0.75, 0.25]]), q, depth=20)
+            product_dimension(system, BernoulliMeasure([[0.75, 0.25]]), q)
 
     def test_matches_closed_form_on_stationary(self):
         system = SimilarSystem([[1 / 3, 1 / 3]])
         measure = BernoulliMeasure([[0.75, 0.25]])
-        for q in (0.5, 2.0, 3.0):
-            ce = product_dimension(system, measure, q, depth=200)
+        for q in (0.5, 1.0, 2.0, 3.0):
+            ce = product_dimension(system, measure, q)
             expect = stationary_dimension([1 / 3, 1 / 3], [0.75, 0.25], q)
-            assert ce.lower == pytest.approx(expect, abs=1e-5)
-            assert ce.upper == pytest.approx(expect, abs=1e-5)
+            assert ce.lower == ce.upper == expect
+            assert ce.method == "closed-form"
 
     def test_alternating_levels(self):
         # per level pair: (s-1)log2 + (2s-1)log2 = 0  =>  s = 2/3
         system = SimilarSystem([[0.5, 0.5], [0.25, 0.25]])
         measure = BernoulliMeasure([[0.5, 0.5]])
-        ce = product_dimension(system, measure, 2, depth=200)
-        assert ce.lower == pytest.approx(2 / 3, abs=1e-3)
-        assert ce.upper == pytest.approx(2 / 3, abs=1e-3)
+        ce = product_dimension(system, measure, 2)
+        assert ce.lower == pytest.approx(2 / 3, rel=1e-12, abs=0)
+        assert ce.upper == pytest.approx(2 / 3, rel=1e-12, abs=0)
 
     def test_continuity_across_q_one(self):
         system = SimilarSystem([[0.3, 0.4]])
@@ -239,8 +239,8 @@ class TestProductDimension:
             assert abs(near - at_one) < 1e-3
 
     def test_explicit_head_matches_cycling_tail(self):
-        # 200 equal-valued but distinct level arrays index the same sums as
-        # the two-entry table they spell out
+        # 200 equal-valued but distinct level arrays repeat the two-entry
+        # table they spell out, and give the same bits
         ratios, probs = [[0.5, 0.4], [0.2, 0.3, 0.25]], [[0.6, 0.4], [0.2, 0.3, 0.5]]
         cycling = SimilarSystem(ratios), BernoulliMeasure(probs)
         head = (SimilarSystem([np.array(ratios[k % 2]) for k in range(200)]),
@@ -249,14 +249,88 @@ class TestProductDimension:
             want = product_dimension(*cycling, q)
             got = product_dimension(*head, q)
             assert (got.lower, got.upper) == (want.lower, want.upper)
-            assert got.diagnostics["brackets"] == want.diagnostics["brackets"]
+            assert got.diagnostics["levels"] == (201, 400)
 
-    def test_one_sided_flags_for_nonstationary(self):
+    def test_level_varying_bounds_coincide(self):
         system = SimilarSystem([[0.5, 0.5], [0.25, 0.25]])
         measure = BernoulliMeasure([[0.5, 0.5]])
-        ce = product_dimension(system, measure, 2, depth=120)
-        assert ce.diagnostics["bound_direction"]["upper"].startswith("one-sided")
-        assert ce.lower <= ce.upper + 1e-12
+        ce = product_dimension(system, measure, 2)
+        assert ce.lower == ce.upper
+        assert ce.method == "closed-form" and ce.diagnostics == {"levels": (3, 4)}
+
+    def test_reads_one_period_past_both_heads(self):
+        # ratio head 1, tail 2; measure head 2, tail 3: levels 3..8 form the period
+        system = SimilarSystem([[0.3, 0.3]], tail=[[0.2, 0.4], [0.25, 0.25]])
+        measure = BernoulliMeasure([[0.5, 0.5], [0.9, 0.1]],
+                                   tail=[[0.6, 0.4], [0.7, 0.3], [0.5, 0.5]])
+        ce = product_dimension(system, measure, 2)
+        assert ce.diagnostics["levels"] == (3, 8)
+        phi = sum(np.log(np.sum(system.ratios_at(k) ** -ce.value * measure.probs(k) ** 2))
+                  for k in range(3, 9))
+        assert abs(phi) < 1e-12
+
+
+@st.composite
+def periodic_tables(draw):
+    """A 1-D similarity table and measure with heads of 0-2 levels and tails of
+    1-3 levels each, so the period is the lcm of the two tails; the
+    branching repeats from level 1 with the gcd of the tails."""
+    heads = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    tails = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = math.gcd(*tails)
+    sizes = rng.integers(2, 4, g)
+
+    def schedule(head, tail, level):
+        levels = [level(int(sizes[k % g])) for k in range(head + tail)]
+        # a schedule without a head cycles its first entries from level 1
+        return (levels[:head], levels[head:]) if head else (levels, None)
+
+    def probs(n):
+        p = rng.uniform(0.1, 1.0, n)
+        return p / p.sum()
+
+    return (SimilarSystem(*schedule(heads[0], tails[0], lambda n: rng.uniform(0.05, 0.6, n))),
+            BernoulliMeasure(*schedule(heads[1], tails[1], probs)))
+
+
+def _word_logs(system, measure, depth):
+    """``(log c_u, log p_u)`` of every word of length ``depth``, enumerated."""
+    log_c, log_p = np.zeros(1), np.zeros(1)
+    for k in range(1, depth + 1):
+        log_c = np.add.outer(log_c, np.log(system.ratios_at(k))).ravel()
+        log_p = np.add.outer(log_p, np.log(measure.probs(k))).ravel()
+    return log_c, log_p
+
+
+class TestPeriodRoot:
+    @settings(max_examples=80, deadline=None)
+    @given(table=periodic_tables(), q=st.sampled_from([0.3, 0.5, 1.0, 2.0, 3.5]))
+    def test_brute_force_word_sums_turn_at_the_root(self, table, q):
+        # the word sums of depth first - 1 and of one period deeper: their
+        # ratio is 1 at the root, and past it grows for q > 1, shrinks for q < 1
+        system, measure = table
+        ce = product_dimension(system, measure, q)
+        first, last = ce.diagnostics["levels"]
+        assert last - first + 1 == math.lcm(len(system.profile.tail),
+                                            len(measure.profile.tail))
+        assert ce.lower == ce.upper
+        (head_c, head_p), (full_c, full_p) = (_word_logs(system, measure, first - 1),
+                                              _word_logs(system, measure, last))
+        if q == 1.0:
+            # entropy over contraction, both gained over the period
+            gained = [np.exp(full_p) @ full - np.exp(head_p) @ head
+                      for full, head in ((full_p, head_p), (full_c, head_c))]
+            assert ce.value == pytest.approx(gained[0] / gained[1], rel=1e-9, abs=0)
+            return
+
+        def factor(d):
+            return (np.sum(np.exp(d * (1 - q) * full_c + q * full_p))
+                    / np.sum(np.exp(d * (1 - q) * head_c + q * head_p)))
+
+        assert factor(ce.value) == pytest.approx(1.0, rel=0, abs=1e-9)
+        assert (factor(ce.value + 1e-6) > 1.0) == (q > 1.0)
+        assert (factor(ce.value - 1e-6) < 1.0) == (q > 1.0)
 
 
 class TestCutsetDimension:
@@ -321,9 +395,9 @@ class TestMethodConsistency:
             measure = BernoulliMeasure([p])
             for q in (0.5, 2.0):
                 closed = stationary_dimension(c, p, q)
-                prod = product_dimension(system, measure, q, depth=200)
+                prod = product_dimension(system, measure, q)
                 cut = cutset_dimension(system, measure, q)
-                assert abs(prod.value - closed) < 1e-3
+                assert prod.lower == prod.upper == closed
                 assert abs(cut.value - closed) < 1e-3
 
 
