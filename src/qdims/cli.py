@@ -15,7 +15,7 @@ import os
 import sys
 
 from .codespace import MAX_DEPTH
-from .empirical import estimate_spectrum, write_fit_csv, write_spectrum_csv
+from .empirical import _stream_spectrum, write_fit_csv, write_spectrum_csv
 from .errors import (
     BranchBudgetError,
     ConfigError,
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _scale_sizes,
     build_scheme,
     build_system,
     build_system_and_measure,
@@ -35,9 +36,10 @@ from .harness import (
     run_experiment,
     theoretical_exponents,
 )
-# sample_measure and save_sample_csv stay importable here: the benchmark's trace
-# sites look them up on qdims.cli
+# load_sample_csv, sample_measure and save_sample_csv stay importable here: the
+# benchmark's trace sites look them up on qdims.cli
 from .systems import (  # noqa: F401
+    _read_csv_blocks,
     _sample_stream,
     _write_csv_rows,
     check_separation,
@@ -66,14 +68,13 @@ def _parse_scales(text: str) -> tuple[float, ...]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
-            return tuple(2.0**-e for e in range(int(lo), int(hi) + 1))
-        scales = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
+            scales = tuple(2.0**-e for e in range(int(lo), int(hi) + 1))
+        else:
+            scales = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except (OverflowError, ValueError):
         raise ConfigError(f"--scales must be MIN:MAX or comma-separated sizes, "
                           f"got {text!r}") from None
-    if not all(r > 0 for r in scales):
-        raise ConfigError(f"--scales must be positive sizes, got {text!r}")
-    return scales
+    return _scale_sizes("--scales", scales)
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -138,10 +139,12 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     q_values = _parse_q_list(args.q) if args.q else (0.5, 1.0, 2.0, 3.0)
     scales = _parse_scales(args.scales) if args.scales is not None else None
-    sample = load_sample_csv(args.sample)
     all_records = []
     fits = []
-    for records, est in estimate_spectrum(sample, q_values, scales):
+    # the file is binned block by block as it is read, and the spectrum comes
+    # back only once the last block has passed its checks, so a bad file
+    # prints and writes nothing
+    for records, est in _stream_spectrum(_read_csv_blocks(args.sample), q_values, scales):
         all_records.extend(records)
         fits.append(est)
         print(f"q={est.q:g}: D={est.dimension:.4f} +- {est.stderr:.4f} "

@@ -17,8 +17,9 @@ pending blocks into its merged cells once the pending rows reach
 then the new rows in order, which is the chain of additions of one sum over
 all the points, so the bits do not depend on where folds fall either.
 Binning memory is thus O(cells + _FOLD_ROWS) however many points stream
-through, and ``run_experiment`` bins its sample block by block as it is
-drawn.
+through. ``run_experiment`` bins its sample block by block as it is drawn,
+and ``qdims estimate`` bins a sample file block by block as it is read, so
+neither ever holds the whole sample.
 """
 
 from __future__ import annotations
@@ -304,15 +305,16 @@ class ScaleRecord:
     included: bool
 
 
-def _scale_pyramid(blocks, ambient_dim: int, scales) -> list[tuple[float, MeshAccumulator]]:
-    """``(r, accumulator)`` per scale, fine to coarse, from one pass over ``blocks``.
+def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulator]]]:
+    """Row count and ``(r, accumulator)`` per scale, fine to coarse, from one pass.
 
-    ``blocks`` yields ``(start, points, weights)``. The base scales, the
-    finest and each one a non-integer step above the scale below it, are
-    planned first and every block is binned into each of them as it comes;
-    the other scales coarsen the scale below by exact cell-index arithmetic.
-    ``None`` means the default scales; an empty sequence or a repeated size
-    raises ``InsufficientScalesError``.
+    ``blocks`` yields ``(start, points, weights)``, at least one row, and the
+    first block fixes the dimension. The base scales, the finest and each one
+    a non-integer step above the scale below it, are planned before any block
+    is read, and every block is binned into each of them as it comes; the
+    other scales coarsen the scale below by exact cell-index arithmetic. ``None`` means the
+    default scales; an empty sequence or a repeated size raises
+    ``InsufficientScalesError``.
     """
     scales = sorted(default_scales() if scales is None else scales)
     if not scales:
@@ -321,16 +323,20 @@ def _scale_pyramid(blocks, ambient_dim: int, scales) -> list[tuple[float, MeshAc
     if repeated:
         raise InsufficientScalesError(f"scale size {repeated[0]!r} appears more than once")
     factors = [None] + [cur / prev for prev, cur in zip(scales, scales[1:])]
-    bases = {r: MeshAccumulator(r, ambient_dim) for r, factor in zip(scales, factors)
-             if factor is None or abs(factor - round(factor)) >= 1e-9}
+    base_scales = [r for r, factor in zip(scales, factors)
+                   if factor is None or abs(factor - round(factor)) >= 1e-9]
+    count, bases = 0, None
     for _, points, weights in blocks:
+        if bases is None:
+            bases = {r: MeshAccumulator(r, points.shape[1]) for r in base_scales}
         for acc in bases.values():
             acc.add(points, weights)
+        count += len(weights)
     pyramid = []
     for r, factor in zip(scales, factors):
         acc = bases[r] if r in bases else acc.coarsen(int(round(factor)))
         pyramid.append((r, acc))
-    return pyramid
+    return count, pyramid
 
 
 def _records(pyramid, n: int, q: float) -> list[ScaleRecord]:
@@ -437,11 +443,19 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
     )
 
 
-def _stream_spectrum(blocks, count: int, ambient_dim: int, q_values, scales=None):
-    """``estimate_spectrum`` of the ``count`` points that ``blocks`` yields."""
+def _stream_spectrum(blocks, q_values, scales=None):
+    """``estimate_spectrum`` of the points that ``blocks`` yields, in one pass.
+
+    ``blocks`` yields ``(start, points, weights)`` with ``(n, d)`` points;
+    the row count and the dimension come from the stream. Only the mesh
+    accumulators outlive a block, so memory does not grow with the number of
+    points, and by the fold rule of ``MeshAccumulator`` the results do not
+    depend on how the points are split into blocks. The q values and scales
+    are checked before the first block is read.
+    """
     for q in q_values:
         _check_q(q)
-    pyramid = _scale_pyramid(blocks, ambient_dim, scales)
+    count, pyramid = _scale_pyramid(blocks, scales)
     out = []
     for q in q_values:
         records = _records(pyramid, count, q)
@@ -457,8 +471,7 @@ def estimate_spectrum(sample, q_values, scales=None):
     pyramid as a stream of one block. Raises ``ValueError`` for a non-finite
     q before any binning.
     """
-    return _stream_spectrum([(0, sample.points, sample.weights)], len(sample),
-                            sample.ambient_dim, q_values, scales)
+    return _stream_spectrum([(0, sample.points, sample.weights)], q_values, scales)
 
 
 def estimate_dimension(sample, q: float, scales=None):

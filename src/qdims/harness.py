@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -82,6 +83,24 @@ def _number(name: str, value) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def _list(name: str, value, optional: bool = False):
+    """``value`` if it is a list (or None, when ``optional``); else ``ConfigError``."""
+    if isinstance(value, (list, tuple)) or (optional and value is None):
+        return value
+    raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
+def _scale_sizes(name: str, sizes) -> tuple[float, ...]:
+    """``sizes`` as a tuple; ``ConfigError`` naming ``name`` unless all are finite and positive.
+
+    The config's ``scales`` and the ``--scales`` option of ``qdims estimate`` share this check.
+    """
+    bad = [r for r in sizes if not 0.0 < r < math.inf]
+    if bad:
+        raise ConfigError(f"{name} must be finite positive sizes, got {bad[0]!r}")
+    return tuple(sizes)
+
+
 @contextlib.contextmanager
 def _config_errors():
     """Raise a constructor's ``ValueError`` as ``ConfigError`` with its message."""
@@ -120,12 +139,20 @@ class ExperimentConfig:
                 base = _number("scales.base", scales.get("base", 2))
                 lo = _integer("min_exp", scales["min_exp"])
                 hi = _integer("max_exp", scales["max_exp"])
-                scales_t = tuple(base**-e for e in range(lo, hi + 1))
+                if not 0.0 < base < math.inf:
+                    raise ConfigError(f"scales.base must be finite and positive, got {base!r}")
+                try:
+                    scales_t = tuple(base**-e for e in range(lo, hi + 1))
+                except OverflowError:
+                    raise ConfigError(f"scales.base {base!r} to the powers -{lo}..-{hi} "
+                                      f"overflows") from None
             else:
-                scales_t = tuple(_number(f"scales[{i}]", s) for i, s in enumerate(scales))
-            if not scales_t or any(s <= 0 for s in scales_t):
+                scales_t = tuple(_number(f"scales[{i}]", s)
+                                 for i, s in enumerate(_list("scales", scales)))
+            if not scales_t:
                 raise ConfigError("scales must be a non-empty list of positive sizes")
-            q_values = tuple(_number(f"q[{i}]", q) for i, q in enumerate(raw["q"]))
+            scales_t = _scale_sizes("scales", scales_t)
+            q_values = tuple(_number(f"q[{i}]", q) for i, q in enumerate(_list("q", raw["q"])))
             if not q_values or not all(0 < q < float("inf") for q in q_values):
                 raise ConfigError("q grid must be a non-empty list of positive finite entries")
             samples = _integer("samples", raw.get("samples", 100_000))
@@ -185,21 +212,24 @@ def build_system(config: ExperimentConfig):
     kind = section.get("kind")
     if kind == "similar":
         return SimilarSystem(
-            ratios=section["ratios"],
-            tail=section.get("tail"),
+            ratios=_list("system.ratios", section["ratios"]),
+            tail=_list("system.tail", section.get("tail"), optional=True),
             ambient_dim=_integer("system.dim", section.get("dim", 1)),
-            rotations=section.get("rotations"),
-            rotations_tail=section.get("rotations_tail"),
+            rotations=_list("system.rotations", section.get("rotations"), optional=True),
+            rotations_tail=_list("system.rotations_tail", section.get("rotations_tail"),
+                                 optional=True),
         )
     if kind == "affine":
-        return AffineSystem(matrices=section["matrices"], tail=section.get("tail"))
+        return AffineSystem(matrices=_list("system.matrices", section["matrices"]),
+                            tail=_list("system.tail", section.get("tail"), optional=True))
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
 @_config_errors()
 def build_measure(config: ExperimentConfig) -> BernoulliMeasure:
     section = config.measure
-    return BernoulliMeasure(section["p"], tail=section.get("tail"))
+    return BernoulliMeasure(_list("measure.p", section["p"]),
+                            tail=_list("measure.tail", section.get("tail"), optional=True))
 
 
 def build_system_and_measure(config: ExperimentConfig):
@@ -355,8 +385,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
         if i == 0:
             resolved_depth = sampling["depth"]
             truncation_bound = sampling["truncation_bound"]
-        spectrum = _stream_spectrum(blocks, config.samples, system.ambient_dim,
-                                    config.q_values, config.scales)
+        spectrum = _stream_spectrum(blocks, config.q_values, config.scales)
         # the claim depends on the scheme family (randomized or not),
         # while the separation certificate is per realization
         estimates.append({q: (est, claim_for(system, base_scheme, q, ssc_holds))

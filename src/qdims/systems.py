@@ -27,6 +27,7 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 from itertools import product as _iter_product
 
 import numpy as np
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
-# rows per sampling chunk and per CSV block; neither changes any value
+# rows per sampling chunk and lines per CSV block; neither changes any value
 _SAMPLE_CHUNK_ROWS = 16384
 _CSV_BLOCK_ROWS = 4096
 
@@ -421,9 +422,10 @@ class AttractorSample:
     """Weighted point cloud standing in for the projected measure.
 
     Raises ``ValueError`` unless every point and weight is finite, every
-    weight is non-negative and the weights sum to 1; the message names the
-    first row (1-based) with a non-finite value or a negative weight. Writable
-    inputs are copied; read-only float arrays are kept as they are.
+    weight is non-negative and the weights sum to 1 (``_check_weight_total``);
+    the message names the first row (1-based) with a non-finite value or a
+    negative weight. Writable inputs are copied; read-only float arrays are
+    kept as they are.
     """
 
     points: np.ndarray
@@ -443,8 +445,7 @@ class AttractorSample:
         if (w < 0.0).any():
             row = np.argmax(w < 0.0)
             raise ValueError(f"row {row + 1} has negative weight {float(w[row])!r}")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {float(w.sum())!r}, not 1 within {WEIGHT_SUM_TOL}")
+        _check_weight_total(_exact_sum(w))
         object.__setattr__(self, "points", _read_only(pts.copy() if pts.flags.writeable else pts))
         object.__setattr__(self, "weights", _read_only(w.copy() if w.flags.writeable else w))
 
@@ -677,31 +678,145 @@ def _write_csv_rows(fh, points: np.ndarray, weights: np.ndarray) -> None:
         fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
+def _exact_sum(w: np.ndarray, total: int = 0) -> int:
+    """``total`` plus the sum of the non-negative finite floats ``w``, exactly.
+
+    Sums count units of 2**-1126, which divides every double: a value is a
+    53-bit integer mantissa times 2**(e - 53) with e >= -1073 (``np.frexp``).
+    Each block of ``_CSV_BLOCK_ROWS`` mantissas is cut into a 26-bit and a
+    27-bit part, added per exponent by float64 bincounts (exact below 2**26
+    values), so the sum depends on neither the order of ``w`` nor its split,
+    and the scratch arrays on neither its length.
+    """
+    for start in range(0, len(w), _CSV_BLOCK_ROWS):
+        mantissa, exponent = np.frexp(w[start:start + _CSV_BLOCK_ROWS])
+        exponent += 1073
+        high = np.floor(mantissa * 2.0**26)
+        low = mantissa * 2.0**53 - high * 2.0**27
+        high_sums = np.bincount(exponent, weights=high)
+        low_sums = np.bincount(exponent, weights=low)
+        for k in np.flatnonzero(high_sums + low_sums).tolist():
+            total += (int(high_sums[k]) << (k + 27)) + (int(low_sums[k]) << k)
+    return total
+
+
+def _check_weight_total(total: int) -> None:
+    """``ValueError`` unless an ``_exact_sum`` total, rounded once, is 1 within the tolerance."""
+    try:
+        value = total / (1 << 1126)  # int division rounds correctly
+    except OverflowError:
+        value = math.inf
+    if abs(value - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {value!r}, not 1 within {WEIGHT_SUM_TOL}")
+
+
+def _parse_lines(lines) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a block of blank lines parses to no rows, not to numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _unparsed_row(path, lines, row: int, width, exc: ValueError) -> SampleError:
+    """The error of the first of ``lines`` that fails alone or changes the width.
+
+    ``row`` rows precede ``lines`` in the file, and ``width`` is their column
+    count (None before the first row). ``exc``, the block's own error, is the
+    fallback.
+    """
+    for line in lines:
+        try:
+            parsed = _parse_lines([line])
+        except ValueError:
+            return SampleError(f"cannot read sample {path}: row {row + 1} is not "
+                               f"comma-separated numbers: {line.decode('latin1').strip()!r}")
+        if not len(parsed):
+            continue
+        row += 1
+        if width is not None and parsed.shape[1] != width:
+            return SampleError(f"cannot read sample {path}: row {row}: expected "
+                               f"{width} columns, got {parsed.shape[1]}")
+        width = parsed.shape[1]
+    return SampleError(f"cannot read sample {path}: {exc}")
+
+
+def _read_csv_blocks(path):
+    """Yield ``(start, points, weights)`` blocks of a sample CSV as they are read.
+
+    At most ``_CSV_BLOCK_ROWS`` lines are parsed at a time, and each block is
+    checked as it arrives, in this order: its lines parse; its rows have at
+    least two columns, and as many as the first block's rows; every value is
+    finite; no weight is negative. Rows count from 1 at the start of the
+    file; blank lines and ``#`` comments are skipped and not counted. After
+    the last block, a file without rows is rejected, and then one whose
+    weights, summed exactly by ``_exact_sum``, are not 1 within
+    ``WEIGHT_SUM_TOL``. Every rejection is a ``SampleError``, raised before
+    the generator ends, so a consumer has checked the whole file once it has
+    taken every block.
+    """
+    try:
+        # bytes lines: loadtxt decodes them itself, faster than a text reader
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise SampleError(f"cannot read sample {path}: {path} not found.") from None
+    except OSError as exc:
+        raise SampleError(f"cannot read sample {path}: {exc}") from None
+    start, width, total = 0, None, 0
+    with fh:
+        while True:
+            try:
+                lines = list(islice(fh, _CSV_BLOCK_ROWS))
+                if not lines:
+                    break
+                rows = _parse_lines(lines)
+            except OSError as exc:
+                raise SampleError(f"cannot read sample {path}: {exc}") from None
+            except ValueError as exc:
+                raise _unparsed_row(path, lines, start, width, exc) from None
+            if not len(rows):
+                continue
+            if rows.shape[1] < 2:
+                raise SampleError(f"{path}: rows need at least one coordinate and a weight")
+            if width is not None and rows.shape[1] != width:
+                raise SampleError(f"cannot read sample {path}: row {start + 1}: expected "
+                                  f"{width} columns, got {rows.shape[1]}")
+            width = rows.shape[1]
+            if not np.isfinite(rows).all():
+                row = start + np.argmin(np.isfinite(rows).all(axis=1)) + 1
+                raise SampleError(f"{path}: row {row} holds a non-finite value")
+            weights = rows[:, -1]
+            if (weights < 0.0).any():
+                row = np.argmax(weights < 0.0)
+                raise SampleError(f"{path}: row {start + row + 1} has negative weight "
+                                  f"{float(weights[row])!r}")
+            total = _exact_sum(weights, total)
+            yield start, rows[:, :-1], weights
+            start += len(rows)
+    if not start:
+        raise SampleError(f"{path}: the file holds no rows")
+    try:
+        _check_weight_total(total)
+    except ValueError as exc:
+        raise SampleError(f"{path}: {exc}") from None
+
+
 def load_sample_csv(path) -> AttractorSample:
     """Sample from headerless ``x_1,...,x_d,weight`` rows.
 
-    Raises ``SampleError`` when the file cannot be read or parsed, holds no
-    rows, has fewer than two columns, or holds rows that ``AttractorSample``
-    rejects: a non-finite value, a negative weight, or weights that do not
-    sum to 1.
+    The rows are read and checked block by block by ``_read_csv_blocks``,
+    which ``qdims estimate`` streams without holding the sample; here the
+    blocks are joined into read-only arrays that the sample keeps as they
+    are. Raises ``SampleError`` when the file cannot be read or parsed, holds
+    no rows, has fewer than two columns or a changing column count, or holds
+    a non-finite value, a negative weight, or weights that do not sum to 1.
     """
-    try:
-        with warnings.catch_warnings():
-            # an empty file is reported below, not by numpy's warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                    UserWarning)
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise SampleError(f"cannot read sample {path}: {exc}") from None
-    if rows.size == 0:
-        raise SampleError(f"{path}: the file holds no rows")
-    if rows.shape[1] < 2:
-        raise SampleError(f"{path}: rows need at least one coordinate and a weight")
-    try:
-        return AttractorSample(points=rows[:, :-1], weights=rows[:, -1],
-                               meta={"source": str(path)})
-    except ValueError as exc:
-        raise SampleError(f"{path}: {exc}") from None
+    points, weights = [], []
+    for _, pts, w in _read_csv_blocks(path):
+        points.append(pts)
+        weights.append(w)
+    return AttractorSample(points=_read_only(np.concatenate(points)),
+                           weights=_read_only(np.concatenate(weights)),
+                           meta={"source": str(path)})
 
 
 # ---------------------------------------------------------------------------

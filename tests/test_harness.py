@@ -15,7 +15,7 @@ from oracles import translation
 from qdims import empirical, systems
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
-from qdims.errors import ConfigError
+from qdims.errors import ConfigError, SampleError
 from qdims.harness import (
     REPORT_HEADER,
     ComparisonReport,
@@ -24,6 +24,7 @@ from qdims.harness import (
     build_measure,
     build_scheme,
     build_system,
+    build_system_and_measure,
     claim_for,
     emit_report,
     parse_report_csv,
@@ -38,6 +39,7 @@ from qdims.systems import (
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    load_sample_csv,
     sample_measure,
     save_sample_csv,
 )
@@ -210,6 +212,27 @@ class TestBuilders:
         assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+
+    @pytest.mark.parametrize("field, override", [
+        ("q", {"q": 2}),
+        ("scales", {"scales": 0.5}),
+        ("measure.p", {"measure": {"p": 5}}),
+        ("system.ratios", {"system": {"kind": "similar", "dim": 1, "ratios": 0.3}}),
+        ("system.matrices", {"system": {"kind": "affine", "matrices": 0.5}}),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_scalar_in_place_of_a_list_is_a_config_error(self, tmp_path, capsys, field,
+                                                         override):
+        # each used to end in "TypeError: ... is not iterable" and exit 1
+        raw = dict(CANTOR_CONFIG, **override)
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be a list, got ")):
+            build_system_and_measure(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field} must be a list") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -830,6 +853,96 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["theory", "compare"])
+    @pytest.mark.parametrize("scales, message", [
+        ([0.25, 0.125, 0.0625, float("nan")], "scales must be finite positive sizes, got nan"),
+        ([0.25, 0.125, 0.0625, float("inf")], "scales must be finite positive sizes, got inf"),
+        ({"base": float("nan"), "min_exp": 4, "max_exp": 10},
+         "scales.base must be finite and positive, got nan"),
+    ], ids=["nan-size", "inf-size", "nan-base"])
+    def test_non_finite_config_scales_exit_with_message(self, tmp_path, capsys, command,
+                                                        scales, message):
+        # compare used to end in a ValueError or OverflowError traceback
+        # after theory, which does not read the scales, had exited 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, samples=2000, scales=scales)))
+        assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("scales, bad", [("inf,0.25,0.125,0.0625", "inf"),
+                                             ("0.25,nan,0.125", "nan")])
+    def test_non_finite_estimate_scales_exit_with_message(self, tmp_path, capsys, scales, bad):
+        points = tmp_path / "points.csv"
+        points.write_text("0.25,0.5\n0.75,0.5\n")
+        assert cli_main(["estimate", str(points), "--q", "2", "--scales", scales]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: --scales must be finite positive sizes, got {bad}\n"
+
+    @pytest.mark.parametrize("excess, accepted", [(0.9e-12, True), (1.1e-12, False)],
+                             ids=["inside", "outside"])
+    def test_weight_sum_tolerance_verdict_is_shared(self, tmp_path, capsys, excess, accepted):
+        # two blocks of weights 1/n, exact for n a power of two, with the excess
+        # on the last row; the exact total is 1 + excess within 2**-66
+        n = 2 * systems._CSV_BLOCK_ROWS
+        weights = np.full(n, 1.0 / n)
+        weights[-1] += excess
+        xs = np.random.default_rng(5).random(n)
+        path = tmp_path / "points.csv"
+        path.write_text("".join(f"{x!r},{w!r}\n" for x, w in zip(xs.tolist(), weights.tolist())))
+        argv = ["estimate", str(path), "--q", "2", "--scales", "2:8"]
+        if accepted:
+            assert len(load_sample_csv(path)) == n
+            AttractorSample(points=xs, weights=weights)
+            assert cli_main(argv) == 0
+        else:
+            with pytest.raises(SampleError, match="weights sum to 1.0000000000011"):
+                load_sample_csv(path)
+            with pytest.raises(ValueError, match="weights sum to 1.0000000000011"):
+                AttractorSample(points=xs, weights=weights)
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "weights sum to 1.0000000000011" in captured.err
+
+    def test_estimate_output_does_not_depend_on_the_read_block(self, tmp_path, capsys):
+        # 2-D affine points with jittered offsets, read a line at a time, 7
+        # lines at a time, and in the default blocks
+        with open(os.path.join(REPO, "configs", "affine_finite_gamma.json")) as fh:
+            raw = dict(json.load(fh), samples=3000, depth=None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "out"
+        outputs = set()
+        for block_rows in (1, 7, systems._CSV_BLOCK_ROWS):
+            capsys.readouterr()
+            with mock.patch.object(systems, "_CSV_BLOCK_ROWS", block_rows):
+                assert cli_main(["estimate", str(tmp_path / "points.csv"), "--q",
+                                 "0.5,1,2,3", "--scales", "3:9", "--out", str(out)]) == 0
+            outputs.add((capsys.readouterr().out, (out / "spectrum.csv").read_bytes(),
+                         (out / "fits.csv").read_bytes()))
+        assert len(outputs) == 1
+
+    def test_estimate_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
+        # at most 1,000 distinct points, so the cells stay bounded; holding the
+        # sample, the 2e5-row peak was 4.2 times the 5e4-row one
+        rng = np.random.default_rng(0)
+        distinct = rng.random((1000, 1))
+        peaks = []
+        for n in (50_000, 200_000):
+            path = tmp_path / f"points-{n}.csv"
+            save_sample_csv(AttractorSample(points=distinct[rng.integers(0, 1000, n)],
+                                            weights=np.full(n, 1.0 / n)), path)
+            tracemalloc.start()
+            try:
+                assert cli_main(["estimate", str(path), "--q", "2", "--scales", "2:8"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_empty_scale_range_exits_with_message(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import itertools
+import os
+import re
+import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -682,7 +686,8 @@ class TestSampleCsv:
         with pytest.raises(SampleError, match=message):
             load_sample_csv(path)
 
-    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("text", ["", "\n\n", "\n" * (systems._CSV_BLOCK_ROWS + 3)],
+                             ids=["empty", "blank-lines", "blank-lines-past-one-block"])
     def test_file_without_rows_raises_sample_error_without_warning(self, tmp_path, text):
         path = tmp_path / "points.csv"
         path.write_text(text)
@@ -690,6 +695,97 @@ class TestSampleCsv:
             warnings.simplefilter("error")
             with pytest.raises(SampleError, match="the file holds no rows"):
                 load_sample_csv(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("0.5,nan\n", "{path}: row {row} holds a non-finite value"),
+        ("0.5,-0.5\n", "{path}: row {row} has negative weight -0.5"),
+        ("0.5\n", "cannot read sample {path}: row {row}: expected 2 columns, got 1"),
+        ("0.5,x\n", "cannot read sample {path}: row {row} is not comma-separated numbers: "
+                    "'0.5,x'"),
+    ], ids=["nan", "negative-weight", "ragged", "unparsable"])
+    def test_defect_past_the_first_block_names_its_row_in_the_file(self, tmp_path, line,
+                                                                    message):
+        # a blank line and a comment before the defect are not rows
+        n = systems._CSV_BLOCK_ROWS + 5
+        lines = ["\n", "# x,weight\n"] + [f"{i / n!r},{1 / n!r}\n" for i in range(n)]
+        row = systems._CSV_BLOCK_ROWS + 3
+        lines[row + 1] = line
+        path = tmp_path / "points.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(SampleError, match=re.escape(message.format(path=path, row=row))):
+            load_sample_csv(path)
+
+    def test_column_count_change_between_blocks_rejected(self, tmp_path):
+        n = systems._CSV_BLOCK_ROWS
+        path = tmp_path / "points.csv"
+        path.write_text("0.1,0.2\n" * n + "0.1,0.2,0.3\n" * 3)
+        with pytest.raises(SampleError, match=re.escape(
+                f"cannot read sample {path}: row {n + 1}: expected 2 columns, got 3")):
+            load_sample_csv(path)
+
+    def test_block_of_blank_lines_before_the_rows_is_skipped(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("\n" * (2 * systems._CSV_BLOCK_ROWS + 1) + "0.1,0.25\n0.3,0.75\n")
+        sample = load_sample_csv(path)
+        assert sample.points.tolist() == [[0.1], [0.3]]
+        assert sample.weights.tolist() == [0.25, 0.75]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_stream_that_cannot_seek(self, tmp_path):
+        # as in `cat points.csv | qdims estimate /dev/stdin`
+        fifo = tmp_path / "points.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "w") as fh:
+                fh.write("0.1,0.25\n0.3,0.75\n")
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            sample = load_sample_csv(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert sample.weights.tolist() == [0.25, 0.75]
+
+    def test_missing_file_is_named_not_found(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(SampleError, match=re.escape(
+                f"cannot read sample {path}: {path} not found.")):
+            load_sample_csv(path)
+
+    def test_loaded_arrays_are_kept_without_a_copy(self, tmp_path, monkeypatch):
+        # the joined blocks are handed over read-only, so the sample keeps them
+        path = tmp_path / "points.csv"
+        path.write_text("0.1,0.2,0.25\n0.3,0.4,0.75\n")
+        kept = {}
+        original = AttractorSample.__post_init__
+
+        def recording(self):
+            kept["points"], kept["weights"] = self.points, self.weights
+            original(self)
+
+        monkeypatch.setattr(AttractorSample, "__post_init__", recording)
+        sample = load_sample_csv(path)
+        assert np.shares_memory(sample.points, kept["points"])
+        assert np.shares_memory(sample.weights, kept["weights"])
+        assert sample.points.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert sample.weights.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("weights", [
+        np.full(10**5, 1e-5),
+        np.random.default_rng(3).random(9000) * 1e-3,
+        np.array([5e-324, 1e308, 0.0, -0.0, 2.2e-308, 1.0]),
+        np.ldexp(np.random.default_rng(4).random(5000),
+                 np.random.default_rng(5).integers(-1074, 1000, 5000)),
+    ], ids=["equal", "uniform", "extremes", "every-exponent"])
+    def test_exact_sum_is_the_exact_total(self, weights):
+        exact = sum(map(Fraction, weights.tolist()), Fraction(0))
+        assert Fraction(systems._exact_sum(weights), 2**1126) == exact
+        # any split gives the same integer
+        assert systems._exact_sum(weights[7:], systems._exact_sum(weights[:7])) \
+            == systems._exact_sum(weights[::-1])
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
