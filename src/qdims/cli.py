@@ -25,8 +25,11 @@ from .errors import (
     InsufficientScalesError,
     SampleError,
 )
-from .harness import (
+# theoretical_exponents stays importable here: the benchmark's trace sites look
+# it up on qdims.cli
+from .harness import (  # noqa: F401
     ExperimentConfig,
+    _exponents_by_q,
     _scale_sizes,
     build_scheme,
     build_system,
@@ -95,9 +98,10 @@ def _load_config(args) -> ExperimentConfig:
 def _cmd_theory(args) -> int:
     config = _load_config(args)
     system, measure = build_system_and_measure(config)
+    theory = _exponents_by_q(system, measure, config.q_values)
     lines = ["q,d_theory,method,bracket_lo,bracket_hi,clamped"]
     for q in config.q_values:
-        ce = theoretical_exponents(system, measure, q)
+        ce = theory[q]
         clamped = ce.value > system.ambient_dim
         note = (f" (clamped to {clamp_dimension(ce.value, system.ambient_dim):.6f})"
                 if clamped else "")

@@ -305,6 +305,29 @@ class ScaleRecord:
     included: bool
 
 
+def _check_cell_range(points: np.ndarray, start: int, r: float) -> None:
+    """``InsufficientScalesError`` if a finite row's cell at side ``r`` lies
+    beyond the 2**61 cells that ``MeshAccumulator.add`` can key.
+
+    Cell indices only grow as the side shrinks, so the finest scale decides
+    for every scale, and the block's extremes decide for its rows. The row is
+    named counting from 1 at the start of the stream, as ``_read_csv_blocks``
+    counts them; a non-finite row is left to ``add``.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not points.size or (np.floor(points.min() / r) >= -_CELL_LIMIT
+                               and np.floor(points.max() / r) < _CELL_LIMIT):
+            return
+        idx = np.floor(points / r)
+        far = (np.isfinite(points).all(axis=1)
+               & ~((idx >= -_CELL_LIMIT) & (idx < _CELL_LIMIT)).all(axis=1))
+    if far.any():
+        row = int(np.argmax(far))
+        raise InsufficientScalesError(
+            f"scale {r!r} is too fine: row {start + row + 1} {points[row].tolist()} lies "
+            f"beyond 2**61 cells of that side")
+
+
 def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulator]]]:
     """Row count and ``(r, accumulator)`` per scale, fine to coarse, from one pass.
 
@@ -313,7 +336,8 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
     a non-integer step above the scale below it, are planned before any block
     is read, and every block is binned into each of them as it comes; the
     other scales coarsen the scale below by exact cell-index arithmetic. ``None`` means the
-    default scales; an empty sequence or a repeated size raises
+    default scales; an empty sequence, a repeated size, or a finest size too
+    small for a row's coordinates (``_check_cell_range``) raises
     ``InsufficientScalesError``.
     """
     scales = sorted(default_scales() if scales is None else scales)
@@ -326,9 +350,10 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
     base_scales = [r for r, factor in zip(scales, factors)
                    if factor is None or abs(factor - round(factor)) >= 1e-9]
     count, bases = 0, None
-    for _, points, weights in blocks:
+    for start, points, weights in blocks:
         if bases is None:
             bases = {r: MeshAccumulator(r, points.shape[1]) for r in base_scales}
+        _check_cell_range(points, start, scales[0])
         for acc in bases.values():
             acc.add(points, weights)
         count += len(weights)

@@ -29,7 +29,8 @@ class SingularMatrixError(ValueError):
 
 
 class InsufficientScalesError(ValueError):
-    """Too few usable scales remain for a log-log dimension fit."""
+    """Too few usable scales remain for a log-log dimension fit, or a scale is
+    too fine to bin the points' coordinates."""
 
 
 class IndeterminateTrendError(RuntimeError):

@@ -34,6 +34,7 @@ from .systems import (
 from .theory import (
     Q_ONE_TOL,
     CriticalExponents,
+    _release_level_spectra,
     affine_series_dimension,
     clamp_dimension,
     product_dimension,
@@ -296,6 +297,21 @@ def theoretical_exponents(system, measure: BernoulliMeasure, q: float) -> Critic
     return solve(system, measure, q)
 
 
+def _exponents_by_q(system, measure: BernoulliMeasure, q_values) -> dict:
+    """``theoretical_exponents`` of each q in ``q_values``, keyed by q.
+
+    The q of an affine table share one build of its level spectra, which is
+    freed once the loop ends, also when a solve raises. Spectra that an
+    earlier solve kept are freed before the loop: they belong to other
+    objects, and would only add to the loop's memory.
+    """
+    _release_level_spectra()
+    try:
+        return {q: theoretical_exponents(system, measure, q) for q in q_values}
+    finally:
+        _release_level_spectra()
+
+
 # randomized translation kind -> (claim, largest supported q, operator-norm limit)
 _RANDOM_CLAIMS = {
     "random-box": ("as-equality:random-translations", float("inf"), float("inf")),
@@ -349,7 +365,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     system, measure = build_system_and_measure(config)
     base_scheme = build_scheme(config, system)
 
-    theory = {q: theoretical_exponents(system, measure, q) for q in config.q_values}
+    theory = _exponents_by_q(system, measure, config.q_values)
 
     n_real = config.realizations if base_scheme.randomized else 1
     # certify as deep as a tree of at most 4096 words reaches, and at least one level

@@ -20,6 +20,14 @@ similarity ratio c is the one row ``log c``); ``_root_of_increasing`` closes
 a sign-change bracket by Illinois and Dekker steps, to adjacent floats at
 ``xtol=0``; ``_level_spectra`` enumerates or samples the affine words.
 
+The affine spectra do not depend on q, so every q of one table reuses one
+exhaustive build: ``_shared_level_spectra`` keeps the last one, read-only, in
+a module-level slot keyed on the system and measure objects (``is``), the
+depth and the first kept level. A build for another key frees it first, and
+``_release_level_spectra`` frees it before and after the harness's q loop,
+which ``compare`` and ``qdims theory`` share. A sampled solve frees it as well
+and keeps nothing.
+
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers (cut set and affine) substitute the sign of the growth
 trend over a trailing window of scales or levels and report the sign-change
@@ -488,6 +496,38 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     return out
 
 
+# the last exhaustive spectra: (system, measure, (depth, keep_from), spectra) or None
+_kept_spectra = None
+
+
+def _shared_level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
+                          keep_from: int):
+    """The exhaustive ``_level_spectra``, built once for every q of one table.
+
+    The result is kept read-only in the one slot, keyed on the system and
+    measure objects (``is``), the depth and ``keep_from``; a call with
+    another key empties the slot before it builds.
+    """
+    global _kept_spectra
+    if _kept_spectra is not None:
+        kept_system, kept_measure, key, spectra = _kept_spectra
+        if kept_system is system and kept_measure is measure and key == (depth, keep_from):
+            return spectra
+    _kept_spectra = None
+    spectra = _level_spectra(system, measure, depth, keep_from)
+    for arrays in spectra.values():
+        for array in arrays:
+            array.flags.writeable = False
+    _kept_spectra = (system, measure, (depth, keep_from), spectra)
+    return spectra
+
+
+def _release_level_spectra() -> None:
+    """Free the spectra that ``_shared_level_spectra`` keeps."""
+    global _kept_spectra
+    _kept_spectra = None
+
+
 def _near_integer_guard(root: float, diag: dict) -> float:
     if abs(root - round(root)) < 1e-9 and root > 0:
         diag["near_integer"] = True
@@ -518,6 +558,14 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     words; beyond that the per-level sums are estimated by importance
     sampling under the measure when ``sampling`` is set, and the Monte Carlo
     error is carried in the diagnostics.
+
+    The enumerated spectra are reused: a solve on the same system and measure
+    objects, at the same depth and first kept level, takes the read-only
+    spectra the last solve kept instead of building them (any q > 1 shares
+    them; q = 1 keeps the deepest level only). A solve with another key frees
+    them before it builds, so at most one table's spectra are held; the
+    harness's q loop frees them before it starts and when it ends. A sampled
+    solve frees them too, and its own spectra are never kept.
     """
     stationary = system.stationary and measure.stationary
     entropy = abs(q - 1.0) < Q_ONE_TOL
@@ -539,8 +587,11 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
         raise ValueError("the q = 1 entropy rate needs every word; it is not sampled")
     K = depth if sampled else enum_depth
     keep_from = K if entropy else max(2, K // 2)
-    spectra = _level_spectra(system, measure, K, keep_from,
-                             size=sample_size if sampled else None, seed=seed)
+    if sampled:
+        _release_level_spectra()
+        spectra = _level_spectra(system, measure, K, keep_from, size=sample_size, seed=seed)
+    else:
+        spectra = _shared_level_spectra(system, measure, K, keep_from)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
     kept = _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import translation
 
-from qdims import empirical, systems
+from qdims import empirical, harness, systems, theory
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
 from qdims.errors import ConfigError, SampleError
@@ -944,6 +944,34 @@ class TestCli:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
 
+    def test_estimate_scale_too_fine_names_the_row_in_the_file(self, tmp_path, capsys):
+        # at 2**-70 a coordinate past 2**-9 is beyond 2**61 cells; the far row
+        # is in the second read block, and a comment and a blank line precede it
+        n = systems._CSV_BLOCK_ROWS + 4
+        xs = np.full(n, 1e-3)
+        xs[systems._CSV_BLOCK_ROWS + 2] = 0.5
+        path = tmp_path / "points.csv"
+        path.write_text("# x,w\n\n" + "".join(f"{x!r},{1 / n!r}\n" for x in xs.tolist()))
+        assert cli_main(["estimate", str(path), "--q", "2", "--scales", "4:70"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: scale {2.0**-70!r} is too fine: row "
+                                f"{systems._CSV_BLOCK_ROWS + 3} [0.5] lies beyond 2**61 "
+                                f"cells of that side\n")
+
+    def test_compare_scale_too_fine_exits_with_message(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, samples=2000,
+                                        scales={"base": 2, "min_exp": 4, "max_exp": 70})))
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.fullmatch(rf"error: scale {re.escape(repr(2.0**-70))} is too fine: row "
+                            rf"\d+ \[\S+\] lies beyond 2\*\*61 cells of that side\n",
+                            captured.err)
+        assert not out.exists()
+
     def test_empty_scale_range_exits_with_message(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -953,6 +981,59 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestSpectraRelease:
+    """The q loop of ``compare`` and ``qdims theory`` frees the affine spectra its q share."""
+
+    @staticmethod
+    def affine_config(tmp_path, **changes):
+        with open(os.path.join(REPO, "configs", "affine_finite_gamma.json")) as fh:
+            raw = {**json.load(fh), "samples": 2000, "realizations": 1, "q": [1.5, 2],
+                   "scales": {"base": 2, "min_exp": 2, "max_exp": 6}, **changes}
+        path = tmp_path / "affine.json"
+        path.write_text(json.dumps(raw))
+        return raw, str(path)
+
+    def test_compare_and_theory_keep_no_spectra(self, tmp_path, capsys, monkeypatch,
+                                                spectra_builds):
+        raw, path = self.affine_config(tmp_path)
+        system, measure = build_system_and_measure(ExperimentConfig.from_dict(raw))
+        solve, kept_on_entry = harness.theoretical_exponents, []
+
+        def solve_and_record(*args):
+            kept_on_entry.append(theory._kept_spectra is not None)
+            return solve(*args)
+
+        monkeypatch.setattr(harness, "theoretical_exponents", solve_and_record)
+        for run in (lambda: run_experiment(ExperimentConfig.from_dict(raw)),
+                    lambda: cli_main(["theory", "--config", path])):
+            # spectra a direct solve kept are freed before the q loop starts
+            solve(system, measure, 2.0)
+            run()
+            assert theory._kept_spectra is None
+        assert kept_on_entry == [False, True, False, True]
+        assert len(spectra_builds) == 4
+
+    def test_a_failing_q_still_frees_the_spectra(self, tmp_path, capsys, spectra_builds):
+        # q = 2 builds the spectra, then q = 0.5 is refused on an affine table
+        _, path = self.affine_config(tmp_path, q=[2, 0.5])
+        assert cli_main(["theory", "--config", path]) == 2
+        assert len(spectra_builds) == 1 and theory._kept_spectra is None
+
+    def test_a_theory_levels_pass_builds_once(self, tmp_path, capsys, spectra_builds):
+        # two affine solves, then qdims theory on a similarity config, as
+        # the benchmark's theory_levels pass runs them
+        raw, _ = self.affine_config(tmp_path)
+        system, measure = build_system_and_measure(ExperimentConfig.from_dict(raw))
+        similar = tmp_path / "similar.json"
+        similar.write_text(json.dumps(CANTOR_CONFIG))
+        for passes in (1, 2):
+            for q in (1.5, 3.0):
+                theoretical_exponents(system, measure, q)
+            assert theory._kept_spectra is not None
+            assert cli_main(["theory", "--config", str(similar)]) == 0
+            assert len(spectra_builds) == passes and theory._kept_spectra is None
 
 
 class TestScripts:

@@ -12,6 +12,7 @@ from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
 from qdims.singular import svf_log
 from qdims import theory
+from qdims.harness import theoretical_exponents
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
     _level_spectra,
@@ -813,6 +814,53 @@ def test_affine_solve_memory_is_kept_spectra_plus_one_block():
         tracemalloc.stop()
     assert ce.diagnostics["depth"] == 12
     assert peak < 45e6
+
+
+class TestSharedSpectra:
+    """Every q of one (system, measure) reuses one exhaustive build of its spectra."""
+
+    @staticmethod
+    def bench_table():
+        return AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
+                                                             [0.2, 0.3, 0.5]])
+
+    def test_every_q_of_one_table_builds_once(self, spectra_builds):
+        system, measure = self.bench_table()
+        got = [theoretical_exponents(system, measure, q) for q in (1.5, 3.0)]
+        assert spectra_builds == [(12, 6, None)]
+        # the same results from objects the slot has never seen
+        for ce in got:
+            assert ce == theoretical_exponents(*self.bench_table(), ce.q)
+        assert len(spectra_builds) == 3
+
+    def test_another_key_or_the_sampled_path_builds_again(self, spectra_builds):
+        other = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
+        # 216 words at depth 6, so depth 8 under this cap is sampled
+        sampled = {"depth": 8, "level_cap": 216, "sampling": True, "sample_size": 400}
+        calls = [(TABLE_MEASURE, {"depth": 6}), (TABLE_MEASURE, {"depth": 6}),
+                 (other, {"depth": 6}), (other, {"depth": 5}), (other, {"depth": 5}),
+                 (other, sampled), (other, sampled)]
+        for measure, kwargs in calls:
+            affine_series_dimension(PLANAR_TABLE, measure, 2.0, **kwargs)
+        assert spectra_builds == [(6, 3, None), (6, 3, None), (5, 2, None),
+                                  (8, 4, 400), (8, 4, 400)]
+        # the sampled solves freed the kept depth-5 spectra and kept none of their own
+        assert theory._kept_spectra is None
+        # q = 1 keeps the deepest level only, so it shares nothing with q = 2
+        system = AffineSystem([PLANAR_TABLE.linear_maps(2)])
+        measure = BernoulliMeasure([[0.2, 0.3, 0.5]])
+        for q in (2.0, 1.0, 1.0):
+            affine_series_dimension(system, measure, q, depth=6)
+        assert spectra_builds[5:] == [(6, 3, None), (6, 6, None)]
+
+    def test_kept_arrays_are_read_only(self, spectra_builds):
+        affine_series_dimension(PLANAR_TABLE, TABLE_MEASURE, 2.0, depth=6)
+        spectra = theory._shared_level_spectra(PLANAR_TABLE, TABLE_MEASURE, 6, 3)
+        assert len(spectra_builds) == 1 and sorted(spectra) == [3, 4, 5, 6]
+        for prefix, log_p in spectra.values():
+            assert not prefix.flags.writeable and not log_p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            spectra[6][0][0, 0] = 0.0
 
 
 def log_values(prefix):
