@@ -44,7 +44,7 @@ from .harness import (  # noqa: F401
 from .systems import (  # noqa: F401
     _read_csv_blocks,
     _sample_stream,
-    _write_csv_rows,
+    _write_csv_blocks,
     check_separation,
     load_sample_csv,
     sample_measure,
@@ -130,8 +130,7 @@ def _cmd_sample(args) -> int:
     # rows are written as their blocks are drawn; a failed draw leaves no file
     try:
         with open(path, "w", newline="") as fh:
-            for _, points, weights in blocks:
-                _write_csv_rows(fh, points, weights)
+            _write_csv_blocks(fh, blocks)
     except BaseException:
         os.remove(path)
         raise

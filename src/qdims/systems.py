@@ -508,9 +508,10 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
     """``(meta, blocks)`` of the sample that ``sample_measure`` returns.
 
     The arguments are checked and the depth and truncation meta resolved at
-    once; ``blocks`` then yields ``(start, points, weights)`` for rows
-    ``start`` to ``start + n``, one chunk of ``_SAMPLE_CHUNK_ROWS`` rows at a
-    time, so no ``(count, d)`` array need exist.
+    once; ``blocks`` then yields the ``(start, table, index, weights)``
+    blocks of ``_sample_blocks`` for rows ``start`` to ``start + n``, one
+    chunk of ``_SAMPLE_CHUNK_ROWS`` rows at a time, so no ``(count, d)``
+    array need exist.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -536,15 +537,19 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
 
 def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                    depth: int, seed: int):
-    """Blocks of ``_sample_stream``: ``(start, points, weights)`` per chunk.
+    """Blocks of ``_sample_stream``: ``(start, table, index, weights)`` per chunk.
 
-    When the word tree down to ``depth`` holds at most
+    A block's rows are ``table[index]``, every weight ``1 / count``. When
+    the word tree down to ``depth`` holds at most
     ``min(count, _SAMPLE_CHUNK_ROWS)`` words, ``project`` runs once on every
-    word, in code order, and each chunk gathers its rows from that table by
-    the mixed-radix code of their letters, level 1 most significant; deeper
-    trees run ``project`` on each chunk. Every step of ``project`` acts on
-    each row alone, and every scheme's offsets read only a row's own
-    prefixes, so both give the same bits.
+    word, in code order, into the one table all blocks share, and ``index``
+    holds each row's word: the mixed-radix code of its letters, level 1 most
+    significant. Deeper trees run ``project`` on each chunk, and the block
+    carries the chunk's points as ``table`` with ``index`` None. Every step
+    of ``project`` acts on each row alone, and every scheme's offsets read
+    only a row's own prefixes, so a table row has the bits of the row
+    projected on its own. The index lets ``empirical._scale_pyramid`` count
+    each word's draws instead of binning its rows.
     """
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
@@ -574,27 +579,29 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                     M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
         return xs
 
-    points = project
+    table = None
     if system.profile.depth_within(min(count, _SAMPLE_CHUNK_ROWS), depth) == depth:
         sizes = [system.profile.size(k) for k in range(1, depth + 1)]
         # every word in code order, in the letter type of _letter_chunks
         words = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
         table = project(words.reshape(depth, -1).T + 1)
-        # Horner's rule on the 1-based letters; shift is the all-ones word's code
+        # Horner's rule on the 1-based letters; shift is the all-ones word's
+        # code, and the codes run from it to shift + len(table) - 1
         shift = 1
         for size in sizes[1:]:
             shift = shift * size + 1
-
-        def gathered(letters):
-            code = letters[:, 0].astype(np.int32)
-            for size, column in zip(sizes[1:], letters.T[1:]):
-                code *= size
-                code += column
-            return np.take(table, code - shift, axis=0)
-
-        points = gathered
+        code_type = np.min_scalar_type(shift + len(table) - 1)
     for start, letters in _letter_chunks(measure, count, depth, seed):
-        yield start, points(letters), np.full(len(letters), 1.0 / count)
+        weights = np.full(len(letters), 1.0 / count)
+        if table is None:
+            yield start, project(letters), None, weights
+            continue
+        code = letters[:, 0].astype(code_type)
+        for size, column in zip(sizes[1:], letters.T[1:]):
+            code *= size
+            code += column
+        code -= shift
+        yield start, table, code, weights
 
 
 def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
@@ -627,7 +634,11 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     code as a chunk of rows, each of whose steps acts on each row alone, and
     every scheme's offsets read only a row's own prefixes; so a gathered row
     has the bits of the row projected on its own. The table never holds more
-    rows than one chunk.
+    rows than one chunk. On this path ``run_experiment`` never gathers the
+    rows: it counts each word's draws and bins each drawn word once with its
+    count, and a cell of k rows of weight w takes the chain sum
+    0.0 + w + ... + w of k terms, the bits of binning the rows one by one
+    (``empirical._scale_pyramid``).
 
     The linear parts are composed on one of two paths, chosen from
     ``system.linear_maps`` alone. When every level the sample uses is
@@ -642,9 +653,13 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
                                   target_resolution)
     x = np.empty((count, system.ambient_dim))
     weights = np.empty(count)
-    for start, points, w in blocks:
-        x[start:start + len(w)] = points
-        weights[start:start + len(w)] = w
+    for start, table, index, w in blocks:
+        rows = slice(start, start + len(w))
+        if index is None:
+            x[rows] = table
+        else:
+            np.take(table, index, axis=0, out=x[rows])
+        weights[rows] = w
     # handed over read-only, so the sample keeps them without a copy
     return AttractorSample(points=_read_only(x), weights=_read_only(weights), meta=meta)
 
@@ -654,28 +669,39 @@ def save_sample_csv(sample: AttractorSample, path) -> None:
 
     The bytes are those ``csv.writer`` writes for ``repr`` of every value:
     fields joined by ``","`` and every row ended by ``"\\r\\n"``. Rows are
-    formatted and written by ``_write_csv_rows``, so memory does not grow with
-    the sample.
+    formatted and written by ``_write_csv_blocks``, so memory does not grow
+    with the sample.
     """
     with open(path, "w", newline="") as fh:
-        _write_csv_rows(fh, sample.points, sample.weights)
+        _write_csv_blocks(fh, [(0, sample.points, None, sample.weights)])
 
 
-def _write_csv_rows(fh, points: np.ndarray, weights: np.ndarray) -> None:
-    """Write the rows of ``save_sample_csv`` in fixed-size blocks.
+def _write_csv_blocks(fh, blocks) -> None:
+    """Write the rows of ``(start, table, index, weights)`` blocks as ``save_sample_csv`` does.
 
-    Each row's text depends on that row alone, so a sample written in any
-    split has the same bytes. Each distinct weight of a block is formatted
-    once.
+    A block's rows are ``table`` when ``index`` is None and ``table[index]``
+    otherwise; they are written ``_CSV_BLOCK_ROWS`` at a time. Each row's
+    text depends on that row alone, so a sample written in any split has the
+    same bytes. The coordinates of a table that indexed blocks share are
+    formatted once per table row, and each distinct weight once per block
+    written.
     """
-    for start in range(0, len(weights), _CSV_BLOCK_ROWS):
-        block = slice(start, start + _CSV_BLOCK_ROWS)
-        # distinct by bits, so -0.0 and 0.0 keep their own text
-        bits, which = np.unique(weights[block].view(np.uint64), return_inverse=True)
-        texts = [repr(w) for w in bits.view(np.float64).tolist()]
-        columns = [map(repr, col) for col in points[block].T.tolist()]
-        columns.append(map(texts.__getitem__, which.tolist()))
-        fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+    shared, table_texts = None, None
+    for _, table, index, weights in blocks:
+        if index is not None and table is not shared:
+            shared = table
+            table_texts = list(map(",".join, zip(*(map(repr, col) for col in table.T.tolist()))))
+        for start in range(0, len(weights), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            # distinct by bits, so -0.0 and 0.0 keep their own text
+            bits, which = np.unique(weights[block].view(np.uint64), return_inverse=True)
+            texts = [repr(w) for w in bits.view(np.float64).tolist()]
+            if index is None:
+                columns = [map(repr, col) for col in table[block].T.tolist()]
+            else:
+                columns = [map(table_texts.__getitem__, index[block].tolist())]
+            columns.append(map(texts.__getitem__, which.tolist()))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _exact_sum(w: np.ndarray, total: int = 0) -> int:
@@ -741,7 +767,10 @@ def _unparsed_row(path, lines, row: int, width, exc: ValueError) -> SampleError:
 
 
 def _read_csv_blocks(path):
-    """Yield ``(start, points, weights)`` blocks of a sample CSV as they are read.
+    """Yield ``(start, points, None, weights)`` blocks of a sample CSV as they are read.
+
+    The blocks have the layout of ``_sample_blocks``, each row its own (no
+    word index), so ``qdims estimate`` bins every row.
 
     At most ``_CSV_BLOCK_ROWS`` lines are parsed at a time, and each block is
     checked as it arrives, in this order: its lines parse; its rows have at
@@ -790,7 +819,7 @@ def _read_csv_blocks(path):
                 raise SampleError(f"{path}: row {start + row + 1} has negative weight "
                                   f"{float(weights[row])!r}")
             total = _exact_sum(weights, total)
-            yield start, rows[:, :-1], weights
+            yield start, rows[:, :-1], None, weights
             start += len(rows)
     if not start:
         raise SampleError(f"{path}: the file holds no rows")
@@ -811,7 +840,7 @@ def load_sample_csv(path) -> AttractorSample:
     a non-finite value, a negative weight, or weights that do not sum to 1.
     """
     points, weights = [], []
-    for _, pts, w in _read_csv_blocks(path):
+    for _, pts, _, w in _read_csv_blocks(path):
         points.append(pts)
         weights.append(w)
     return AttractorSample(points=_read_only(np.concatenate(points)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -62,6 +63,15 @@ def mesh_bins(points, weights, r):
     summed in point order."""
     keys = [tuple(math.floor(v / r) for v in row) for row in points.tolist()]
     return group_sums(keys, np.asarray(weights, dtype=float).tolist(), points.shape[1])
+
+
+def write_sample_rows(path, points, weights):
+    """A sample CSV as ``save_sample_csv`` specifies it, written row by row:
+    ``csv.writer`` rows of ``repr`` of every coordinate and of the weight."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row, weight in zip(np.asarray(points).tolist(), np.asarray(weights).tolist()):
+            writer.writerow([*map(repr, row), repr(weight)])
 
 
 def random_box_offsets(scheme, letters):

@@ -10,11 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import translation
+from oracles import translation, write_sample_rows
 
 from qdims import empirical, harness, systems, theory
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
+from qdims.empirical import MeshAccumulator
 from qdims.errors import ConfigError, SampleError
 from qdims.harness import (
     REPORT_HEADER,
@@ -39,6 +40,7 @@ from qdims.systems import (
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    _write_csv_blocks,
     load_sample_csv,
     sample_measure,
     save_sample_csv,
@@ -56,6 +58,14 @@ CANTOR_CONFIG = {
     "samples": 50_000,
     "seed": 3,
 }
+
+
+# a finest size at which the cells of points past 0.999 lie beyond 2**61
+FAR_SCALES = [0.999 * 2.0**-61] + [2.0**-e for e in range(4, 13)]
+# the period roots of the two-level table (ROADMAP item 2)
+TWO_LEVEL_ROOTS = {0.5: 0.482563, 1.0: 0.456176, 2.0: 0.415033, 3.0: 0.387667}
+WINDOW_RULE = ("ROADMAP item 4: the fit window is shorter than one log-period of the "
+               "two-level schedule, and its slope misses the root by about 0.06")
 
 
 class TestConfig:
@@ -390,13 +400,18 @@ class TestRunExperiment:
         from qdims.empirical import MeshAccumulator
 
         fed = []
-        original = MeshAccumulator.add
+        add, add_counts = MeshAccumulator.add, MeshAccumulator.add_counts
 
         def counting(self, points, weights):
-            fed.append((self, len(points)))
-            return original(self, points, weights)
+            fed.append((self, len(points), len(points)))
+            return add(self, points, weights)
+
+        def counting_counts(self, points, counts, weight):
+            fed.append((self, len(points), int(np.sum(counts))))
+            return add_counts(self, points, counts, weight)
 
         monkeypatch.setattr(MeshAccumulator, "add", counting)
+        monkeypatch.setattr(MeshAccumulator, "add_counts", counting_counts)
         raw = dict(CANTOR_CONFIG, q=[0.5, 1, 2, 3], samples=20_000, realizations=3,
                    translations={"kind": "random-box", "low": [0.0], "high": [2.0]})
         report = run_experiment(ExperimentConfig.from_dict(raw))
@@ -404,9 +419,12 @@ class TestRunExperiment:
         # the sample streams in blocks, all into the one finest-scale
         # accumulator of its realization; ``fed`` keeps them alive, so their
         # ids stay distinct
-        binned = {id(acc): acc.r for acc, _ in fed}
+        binned = {id(acc): acc.r for acc, _, _ in fed}
         assert list(binned.values()) == [2.0**-10] * 3
-        assert sum(rows for _, rows in fed) == 3 * 20_000
+        assert sum(points for _, _, points in fed) == 3 * 20_000
+        # the depth-10 tree's 1,024 words fit the word table: each
+        # realization bins at most one row per word
+        assert sum(rows for _, rows, _ in fed) <= 3 * 2**10
 
     def test_memory_bounded_by_block_not_sample_count(self):
         # the points and weights of 1e6 samples alone would take 16 MB; the
@@ -468,7 +486,9 @@ class TestReports:
 class TestStreamingInvariance:
     """Reports do not depend on the sampling chunk or on where folds fall.
 
-    Cantor bins on the counting path. The 2-D affine config's finest scale
+    Cantor's cells are counted, not sorted; its 1,024-word tree fits the word
+    table for a chunk of 4,000 rows, which bins word counts, while chunks of
+    7 and 1,000 rows bin every row. The 2-D affine config's finest scale
     spans about a million cells, so it sorts, and its scales step once by a
     non-integer factor, so two base accumulators share the stream.
     """
@@ -566,15 +586,17 @@ class TestCli:
     def test_failed_sample_leaves_no_file(self, tmp_path):
         written = []
 
-        def fail_on_second_block(fh, points, weights):
-            if written:
-                raise RuntimeError("disk gone")
-            written.append(len(weights))
+        def fail_on_second_block(fh, blocks):
+            for block in blocks:
+                if written:
+                    raise RuntimeError("disk gone")
+                _write_csv_blocks(fh, [block])
+                written.append(len(block[-1]))
 
         raw = dict(CANTOR_CONFIG, samples=3 * systems._SAMPLE_CHUNK_ROWS)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
-        with mock.patch("qdims.cli._write_csv_rows", fail_on_second_block), \
+        with mock.patch("qdims.cli._write_csv_blocks", fail_on_second_block), \
                 pytest.raises(RuntimeError, match="disk gone"):
             cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)])
         assert written == [systems._SAMPLE_CHUNK_ROWS]
@@ -972,6 +994,64 @@ class TestCli:
                             captured.err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, line", [
+        ({"scales": {"base": 2, "min_exp": 4, "max_exp": 70}},
+         "scale 8.470329472543003e-22 is too fine: row 1 [0.02469303069086567]"),
+        ({"depth": 10, "scales": FAR_SCALES},
+         "scale 4.3324718812520757e-19 is too fine: row 17210 [0.9996443631560229]"),
+        ({"scales": FAR_SCALES},
+         "scale 4.3324718812520757e-19 is too fine: row 17210 [0.9996443838078118]"),
+    ], ids=["max_exp-70", "word-table", "per-row"])
+    def test_compare_scale_too_fine_names_the_first_far_row(self, tmp_path, capsys,
+                                                             overrides, line):
+        # lines recorded when every sampled row was binned on its own; at
+        # depth 10 the rows come from the word table, and the first far row
+        # lies in the second chunk
+        with open(os.path.join(REPO, "configs", "cantor.json")) as fh:
+            raw = dict(json.load(fh), **overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {line} lies beyond 2**61 cells of that side\n"
+
+    def test_compare_on_cantor_bins_each_drawn_word_once(self, tmp_path, capsys, monkeypatch):
+        fed = []
+        add, add_counts = MeshAccumulator.add, MeshAccumulator.add_counts
+
+        def rows(self, points, weights):
+            fed.append(("rows", len(points), len(points)))
+            return add(self, points, weights)
+
+        def counted(self, points, counts, weight):
+            fed.append(("counts", len(points), int(np.sum(counts))))
+            return add_counts(self, points, counts, weight)
+
+        monkeypatch.setattr(MeshAccumulator, "add", rows)
+        monkeypatch.setattr(MeshAccumulator, "add_counts", counted)
+        cfg = os.path.join(REPO, "configs", "cantor.json")
+        assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # the depth-10 tree's 1,024 words fit the word table, and the dyadic
+        # scales have one base: one call bins each drawn word once
+        [(kind, binned, points)] = fed
+        assert kind == "counts" and binned <= 2**10 and points == 10**6
+
+    def test_sample_bytes_match_the_per_row_writer(self, tmp_path, capsys):
+        # 20,000 rows, a full chunk and a short one, from the word table of
+        # the depth-10 tree
+        with open(os.path.join(REPO, "configs", "cantor.json")) as fh:
+            raw = dict(json.load(fh), samples=20_000)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        config = ExperimentConfig.from_dict(raw)
+        system, measure = build_system_and_measure(config)
+        scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
+        sample = sample_measure(system, scheme, measure, count=config.samples, seed=config.seed,
+                                target_resolution=min(config.scales))
+        assert sample.meta["depth"] == 10
+        write_sample_rows(tmp_path / "want.csv", sample.points, sample.weights)
+        assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_empty_scale_range_exits_with_message(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -981,6 +1061,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def two_level_rows():
+    report = run_experiment(ExperimentConfig.from_file(
+        os.path.join(REPO, "configs", "two_level.json")))
+    return {row.q: row for row in report.rows}
+
+
+class TestTwoLevelConfig:
+    """The committed nonautonomous table: two similarity levels that alternate."""
+
+    def test_theory_is_the_period_root(self, two_level_rows):
+        assert sorted(two_level_rows) == sorted(TWO_LEVEL_ROOTS)
+        for q, root in TWO_LEVEL_ROOTS.items():
+            row = two_level_rows[q]
+            assert row.d_theory == pytest.approx(root, abs=1e-6)
+            assert row.method == "closed-form[equality:similar+ssc]"
+
+    @pytest.mark.parametrize("q", [
+        pytest.param(0.5, marks=pytest.mark.xfail(strict=True, reason=WINDOW_RULE)),
+        pytest.param(1.0, marks=pytest.mark.xfail(strict=True, reason=WINDOW_RULE)),
+        2.0,
+        3.0,
+    ])
+    def test_row_passes(self, two_level_rows, q):
+        assert two_level_rows[q].passed
 
 
 class TestSpectraRelease:
