@@ -61,6 +61,8 @@ WEIGHT_SUM_TOL = 1e-12
 # rows per sampling chunk and lines per CSV block; neither changes any value
 _SAMPLE_CHUNK_ROWS = 16384
 _CSV_BLOCK_ROWS = 4096
+# most words of the projected word table, whatever the chunk size
+_WORD_TABLE_ROWS = 2**16
 
 
 def _prefix(key) -> tuple[int, ...]:
@@ -541,7 +543,7 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
 
     A block's rows are ``table[index]``, every weight ``1 / count``. When
     the word tree down to ``depth`` holds at most
-    ``min(count, _SAMPLE_CHUNK_ROWS)`` words, ``project`` runs once on every
+    ``min(count, _WORD_TABLE_ROWS)`` words, ``project`` runs once on every
     word, in code order, into the one table all blocks share, and ``index``
     holds each row's word: the mixed-radix code of its letters, level 1 most
     significant. Deeper trees run ``project`` on each chunk, and the block
@@ -580,7 +582,7 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
         return xs
 
     table = None
-    if system.profile.depth_within(min(count, _SAMPLE_CHUNK_ROWS), depth) == depth:
+    if system.profile.depth_within(min(count, _WORD_TABLE_ROWS), depth) == depth:
         sizes = [system.profile.size(k) for k in range(1, depth + 1)]
         # every word in code order, in the letter type of _letter_chunks
         words = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
@@ -628,13 +630,15 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     products.
 
     A point is a pure function of its address's letters. So when the word
-    tree down to ``depth`` holds at most ``min(count, _SAMPLE_CHUNK_ROWS)``
+    tree down to ``depth`` holds at most ``min(count, _WORD_TABLE_ROWS)``
     words, each word is projected once into a table and every row is
     gathered from it by its word's index. The table is projected by the same
     code as a chunk of rows, each of whose steps acts on each row alone, and
     every scheme's offsets read only a row's own prefixes; so a gathered row
-    has the bits of the row projected on its own. The table never holds more
-    rows than one chunk. On this path ``run_experiment`` never gathers the
+    has the bits of the row projected on its own. The table holds at most
+    ``_WORD_TABLE_ROWS`` = 2**16 rows, a cap of its own that does not move
+    with the chunk size, and its projection takes O(table x (depth + d x d))
+    memory once. On this path ``run_experiment`` never gathers the
     rows: it counts each word's draws and bins each drawn word once with its
     count, and a cell of k rows of weight w takes the chain sum
     0.0 + w + ... + w of k terms, the bits of binning the rows one by one

@@ -18,7 +18,8 @@ distinct level of a similarity period, per cut-set scale or per kept affine
 level, each word entering as the prefix sums of its log singular values (a
 similarity ratio c is the one row ``log c``); ``_root_of_increasing`` closes
 a sign-change bracket by Illinois and Dekker steps, to adjacent floats at
-``xtol=0``; ``_level_spectra`` enumerates or samples the affine words.
+``xtol=0``, probing s = 0 only when the root lies below its first probe;
+``_level_spectra`` enumerates or samples the affine words.
 
 The affine spectra do not depend on q, so every q of one table reuses one
 exhaustive build: ``_shared_level_spectra`` keeps the last one, read-only, in
@@ -26,7 +27,9 @@ a module-level slot keyed on the system and measure objects (``is``), the
 depth and the first kept level. A build for another key frees it first, and
 ``_release_level_spectra`` frees it before and after the harness's q loop,
 which ``compare`` and ``qdims theory`` share. A sampled solve frees it as well
-and keeps nothing.
+and keeps nothing. ``_moment_sums`` reads every word straight from the
+spectra at each evaluation and keeps no per-word copy, so past the spectra a
+solve holds one level of scratch, one block and the packed small levels.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers (cut set and affine) substitute the sign of the growth
@@ -69,6 +72,9 @@ ENUMERATION_CAP = 2**24
 
 # words in the deepest level of one block of _level_spectra
 _BLOCK_WORDS = 2**16
+
+# words per block of a _moment_sums evaluation; groups of at most one block are packed
+_SUM_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -188,8 +194,11 @@ def _envelope_trend(values: np.ndarray, mode: str) -> float:
 def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     """Root of a continuous increasing function on s >= 0, with its bracket.
 
-    Doubles ``hi`` from ``hi0`` (``lo`` follows) until f turns positive, then
-    closes the bracket ``f(lo) <= 0 < f(hi)`` by Illinois steps (Dowell and
+    Probes ``hi0`` first and doubles ``hi`` (``lo`` follows) until f turns
+    positive. Only if f(hi0) > 0 is 0 probed, as ``lo``, and f(0) >= 0
+    returns 0 with the bracket ``(0, 0)``; an increasing f is at most 0 on
+    [0, hi0] when f(hi0) <= 0, so a root past ``hi0`` costs no probe at 0. It
+    then closes the bracket ``f(lo) <= 0 < f(hi)`` by Illinois steps (Dowell and
     Jarratt, BIT 11, 1971) aimed ``xtol/2`` beyond the estimate, away from the
     end that moved last, and held that far inside (one float spacing at
     ``xtol=0``), so the far end closes. Two steps that fail to halve the
@@ -198,17 +207,19 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     could end more than two evaluations behind plain bisection. Stops at
     width ``xtol`` or adjacent floats.
     """
-    lo, f_lo = 0.0, f(0.0)
-    if f_lo >= 0.0:
-        return 0.0, (0.0, 0.0)
     hi = hi0
-    while (f_hi := f(hi)) <= 0.0:
+    if (f_hi := f(hi)) > 0.0:
+        lo, f_lo = 0.0, f(0.0)
+        if f_lo >= 0.0:
+            return 0.0, (0.0, 0.0)
+    while f_hi <= 0.0:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > cap:
             raise IndeterminateTrendError(
                 f"f <= 0 at every probe up to s = {lo:g} and the next doubling passes "
                 f"the cap {cap:g}: no sign change bracketed in [0, {cap:g}]",
                 bracket_lower=lo, bracket_upper=cap)
+        f_hi = f(hi)
     # free steps while the bracket is at most twice what bisection would have
     # left (xtol times a power of two at xtol > 0); prev is the previous point
     # of the end that moved last, if it moved twice running (hi moved last)
@@ -250,59 +261,105 @@ def _moment_sums(groups, q: float, sampled: bool = False):
 
     On a segment [m - 1, m] with m <= d, ``svf_log`` is ``base + s * slope``
     with ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` (``P_0
-    = 0``); on [d, inf) it is ``s * P_d / d``. Only the current segment is
-    kept: the root finder probes 0, 1 and 2 and then stays inside [1, 2], so a
-    root in there costs two. The entropy form weighs each row down to a number.
+    = 0``); on [d, inf) it is ``s * P_d / d``. An integer s = m >= 1 takes the
+    segment below it, so the value depends on s alone, never on the s asked
+    before. The entropy form weighs each row down to a number once.
 
-    Each group's ``(base, slope)`` is one ``(2, n)`` buffer, allocated once and
-    rewritten in place on a new segment (``q log p`` is formed there, in
-    scratch), and every evaluation works in one scratch buffer the size of the
-    largest group. So beyond the groups' own arrays, memory is O(words) for the
-    coefficients plus one group, and no evaluation allocates per word.
+    Every evaluation forms each word's exponent afresh from the read-only
+    prefix rows, ``_SUM_BLOCK`` words at a time, into one scratch the size of
+    the largest group, then takes the group's max, exp and sum over the whole
+    group. Groups of at most one block are packed once into one buffer, so a
+    pass over many small groups makes a few numpy calls per group. Beyond the
+    groups' own arrays, memory is O(largest group + one block), plus the
+    packed small groups.
     """
     prefix, log_p = zip(*groups)
     d = len(prefix[0])
-    entropy = abs(q - 1.0) < Q_ONE_TOL
-    log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
-    if entropy:
+
+    def segment(s: float) -> int:
+        # lo of the segment [lo, lo + 1] (of [d, inf) at lo = d) that s is taken on
+        return min(max(int(np.ceil(s)) - 1, 0), d)
+
+    if abs(q - 1.0) < Q_ONE_TOL:
         w = [np.exp(lp) for lp in log_p]
         ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
         # one column per group
-        prefix = [np.array([[wi @ row for row in pre] for wi, pre in zip(w, prefix)]).T]
-    coeffs = [np.empty((2, pre.shape[1])) for pre in prefix]
-    scratch = np.empty(max(pre.shape[1] for pre in prefix))
-    span = (1.0, 0.0)
+        pre = np.array([[wi @ row for row in p] for wi, p in zip(w, prefix)]).T
 
-    def segment(s: float):
-        nonlocal span
-        if not span[0] <= s <= span[1]:
-            lo = min(max(int(np.ceil(s)) - 1, 0), d)
-            span = (lo, lo + 1 if lo < d else np.inf)
-            for pre, lp, (base, slope) in zip(prefix, log_p, coeffs):
-                below = pre[lo - 1] if lo else 0.0
-                if lo < d:
-                    np.subtract(pre[lo], below, out=slope)
-                    np.subtract(below, np.multiply(slope, lo, out=base), out=base)
-                else:
-                    np.divide(pre[-1], d, out=slope)
-                    base.fill(0.0)
-                if not entropy:
-                    slope *= 1.0 - q
-                    base *= 1.0 - q
-                    base += np.multiply(lp, q - 1.0 if sampled else q, out=scratch[:len(lp)])
-        return coeffs
+        def entropy_sums(s: float) -> np.ndarray:
+            lo = segment(s)
+            below = pre[lo - 1] if lo else 0.0
+            if lo < d:
+                slope = pre[lo] - below
+                base = below - slope * lo
+            else:
+                slope, base = pre[-1] / d, np.zeros(len(ent))
+            return ent - (base + s * slope)
+
+        return entropy_sums
+
+    scale = q - 1.0 if sampled else q
+    log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
+
+    def pack(ids):
+        """``(prefix, log_p, ids, starts, spans)`` of the groups ``ids`` end to end."""
+        edges = np.cumsum([0] + [len(log_p[i]) for i in ids]).tolist()
+        if len(ids) == 1:
+            pre, lp = prefix[ids[0]], log_p[ids[0]]
+        else:
+            pre = np.concatenate([prefix[i] for i in ids], axis=1)
+            lp = np.concatenate([log_p[i] for i in ids])
+        return pre, lp, ids, edges[:-1], [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+    # each group longer than a block alone, the rest packed into one part
+    small = [i for i, lp in enumerate(log_p) if len(lp) <= _SUM_BLOCK]
+    parts = [pack([i]) for i, lp in enumerate(log_p) if len(lp) > _SUM_BLOCK]
+    if small:
+        parts.append(pack(small))
+    scratch = np.empty(max(len(lp) for _, lp, *_ in parts))
+    base = np.empty(min(_SUM_BLOCK, len(scratch)))
+
+    def exponents(pre, lp, lo: int, s: float) -> np.ndarray:
+        """``(1-q) svf_log(s) + scale log p`` of the part's words, in scratch.
+
+        The ops are those of ``t = slope * s + base`` with ``slope`` and
+        ``base`` scaled by 1 - q and ``scale log p`` added to ``base``; the
+        slope is formed twice, into ``base`` first, so one block buffer serves.
+        """
+        t = scratch[:len(lp)]
+        for a in range(0, len(lp), _SUM_BLOCK):
+            at = slice(a, a + _SUM_BLOCK)
+            tb = t[at]
+            bb = base[:len(tb)]
+            below = pre[lo - 1, at] if lo else 0.0
+            if lo < d:
+                np.subtract(pre[lo, at], below, out=bb)
+                np.subtract(below, np.multiply(bb, lo, out=bb), out=bb)
+            else:
+                bb.fill(0.0)
+            bb *= 1.0 - q
+            bb += np.multiply(lp[at], scale, out=tb)
+            if lo < d:
+                np.subtract(pre[lo, at], below, out=tb)
+            else:
+                np.divide(pre[-1, at], d, out=tb)
+            tb *= 1.0 - q
+            tb *= s
+            tb += bb
+        return t
 
     def sums(s: float) -> np.ndarray:
-        if entropy:
-            base, slope = segment(s)[0]
-            return ent - (base + s * slope)
+        lo = segment(s)
         tops, totals = np.empty(len(log_p)), np.empty(len(log_p))
-        for i, (base, slope) in enumerate(segment(s)):
-            t = np.multiply(slope, s, out=scratch[:len(slope)])
-            t += base
-            tops[i] = top = np.maximum.reduce(t)
-            t -= top
-            totals[i] = np.add.reduce(np.exp(t, out=t))
+        for pre, lp, ids, starts, spans in parts:
+            t = exponents(pre, lp, lo, s)
+            # max is exact in any order; each sum runs on its group's view, as on
+            # the group alone (reduceat would sum sequentially, with other bits)
+            tops[ids] = top = np.maximum.reduceat(t, starts)
+            for at, m in zip(spans, top):
+                t[at] -= m
+            np.exp(t, out=t)
+            totals[ids] = [np.add.reduce(t[at]) for at in spans]
         return np.log(totals) + tops - log_n
 
     return sums
@@ -565,7 +622,10 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     them; q = 1 keeps the deepest level only). A solve with another key frees
     them before it builds, so at most one table's spectra are held; the
     harness's q loop frees them before it starts and when it ends. A sampled
-    solve frees them too, and its own spectra are never kept.
+    solve frees them too, and its own spectra are never kept. Each evaluation
+    of the level sums reads the spectra in place, so past them a solve holds
+    only the scratch of ``_moment_sums``: one level, one block of words and
+    the levels of at most one block, packed.
     """
     stationary = system.stationary and measure.stationary
     entropy = abs(q - 1.0) < Q_ONE_TOL

@@ -14,10 +14,11 @@ from qdims.singular import batched_log_singular_values, svf_log
 def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     """Plain bisection for the root of an increasing f on s >= 0.
 
-    Brackets the root as ``qdims.theory._root_of_increasing`` does (double
-    ``hi`` from ``hi0``, raising ``lo`` behind it) and then halves until the
-    bracket is no wider than ``xtol`` or its ends are adjacent floats.
-    Returns ``(root, (lo, hi), evaluations)``.
+    Brackets the root as ``qdims.theory._root_of_increasing`` does (probe
+    ``hi0`` first and double ``hi``, raising ``lo`` behind it; probe 0 only
+    when f(hi0) > 0) and then halves until the bracket is no wider than
+    ``xtol`` or its ends are adjacent floats. Returns ``(root, (lo, hi),
+    evaluations)``.
     """
     evaluations = 0
 
@@ -26,14 +27,15 @@ def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
         evaluations += 1
         return f(s)
 
-    lo = 0.0
-    if g(lo) >= 0.0:
+    lo, hi = 0.0, hi0
+    positive = g(hi) > 0.0
+    if positive and g(lo) >= 0.0:
         return 0.0, (0.0, 0.0), evaluations
-    hi = hi0
-    while g(hi) <= 0.0:
+    while not positive:
         lo, hi = hi, 2.0 * hi
         if hi > cap:
             raise ValueError(f"no sign change below the cap {cap}")
+        positive = g(hi) > 0.0
     while hi - lo > xtol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:

@@ -507,7 +507,9 @@ class TestStreamingInvariance:
         outputs = set()
         for chunk_rows in (7, 1000, cfg.samples):
             for fold_rows in (1, 64, 2**16):
+                # a table cap below the word count bins rows instead of words
                 with mock.patch.object(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows), \
+                        mock.patch.object(systems, "_WORD_TABLE_ROWS", chunk_rows), \
                         mock.patch.object(empirical, "_FOLD_ROWS", fold_rows):
                     paths = emit_report(run_experiment(cfg), tmp_path / f"{chunk_rows}-{fold_rows}")
                 outputs.add(tuple(Path(paths[key]).read_bytes() for key in ("csv", "text")))

@@ -535,8 +535,9 @@ class TestSampling:
            st.sampled_from(["finite-set", "explicit", "random-box"]),
            st.sampled_from(["below", "at", "above"]))
     def test_word_table_matches_per_row_projection(self, seed, wide, matrix, kind, count_at):
-        # one chunk cap at the word count gathers from the table, one below
-        # it projects each row; both must give the oracle's bits
+        # a table cap at the word count gathers from the table, one below it
+        # projects each row; both must give the oracle's bits (the chunk
+        # takes the same cap, so no projection call passes it)
         rng = np.random.default_rng(seed)
         sizes = rng.integers(2, 5, size=rng.integers(1, 2 if wide else 4)).tolist()
         if wide:
@@ -570,6 +571,7 @@ class TestSampling:
         for chunk_rows in (words - 1, words):
             counting = CountingOffsets(scheme)
             with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(systems, "_WORD_TABLE_ROWS", chunk_rows)
                 mp.setattr(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows)
                 s = sample_measure(system, counting, measure, count=count, depth=depth,
                                    seed=sample_seed)
@@ -583,11 +585,22 @@ class TestSampling:
         counting = CountingOffsets(scheme)
         s = sample_measure(system, counting, measure, count=100_000, depth=10, seed=1)
         assert counting.rows == 2**10
-        # a chunk cap one below the word count projects every row
-        monkeypatch.setattr(systems, "_SAMPLE_CHUNK_ROWS", 2**10 - 1)
+        # a table cap one below the word count projects every row
+        monkeypatch.setattr(systems, "_WORD_TABLE_ROWS", 2**10 - 1)
         per_row = CountingOffsets(scheme)
         want = sample_measure(system, per_row, measure, count=100_000, depth=10, seed=1)
         assert per_row.rows == 100_000
+        assert s.points.tobytes() == want.points.tobytes()
+
+    def test_word_table_cap_is_not_the_chunk_size(self, monkeypatch):
+        # a tree of more words than one chunk of rows, as uniform.json's
+        # 32,768 words against 16,384 rows, still projects each word once
+        system, scheme, measure = cantor_system()
+        want = sample_measure(system, scheme, measure, count=5000, depth=10, seed=1)
+        monkeypatch.setattr(systems, "_SAMPLE_CHUNK_ROWS", 7)
+        counting = CountingOffsets(scheme)
+        s = sample_measure(system, counting, measure, count=5000, depth=10, seed=1)
+        assert counting.calls == [2**10]
         assert s.points.tobytes() == want.points.tobytes()
 
     def test_memory_bounded_by_chunk_not_count(self):

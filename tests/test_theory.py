@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import bisect_increasing, singular_values, word_product, word_spectrum
 
@@ -152,6 +152,15 @@ class TestRootOfIncreasing:
             assert hi - lo <= xtol
         assert evaluations <= oracle_evaluations + 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(f=INCREASING, xtol=st.sampled_from([0.0, 1e-8, 1e-3]))
+    def test_a_root_past_one_never_probes_zero(self, f, xtol):
+        # f(1) <= 0 bounds f by 0 on [0, 1], so f(0) is never needed
+        assume(f(1.0) <= 0.0)
+        probes = []
+        _root_of_increasing(lambda s: probes.append(s) or f(s), xtol)
+        assert probes[0] == 1.0 and 0.0 not in probes
+
     def test_unbracketed_root_names_the_cap_and_the_bracket(self):
         with pytest.raises(IndeterminateTrendError) as exc:
             _root_of_increasing(lambda s: -1.0, 1e-3, cap=100.0)
@@ -205,6 +214,45 @@ class TestMomentSums:
         prefix = np.cumsum(np.repeat(log_c[None], d, axis=0), axis=0)
         spectrum = _moment_sums([(prefix, log_p)], q, sampled)
         np.testing.assert_allclose(row(s), spectrum(s), rtol=0, atol=1e-11)
+
+
+def random_spectrum(rng, d, n):
+    """``(prefix, log_p)`` of n words with d log singular values each, descending."""
+    log_sv = -np.sort(-np.log(rng.uniform(0.05, 0.95, (d, n))), axis=0)
+    p = rng.uniform(0.1, 1.0, n)
+    return np.cumsum(log_sv, axis=0), np.log(p / p.sum())
+
+
+class TestMomentSumsDependOnSAlone:
+    # integers sit on two segments, and 3.4 lies past d for d <= 3
+    GRID = (0.0, 0.3, 1.0, 1.5, 2.0, 2.6, 3.0, 3.4, 4.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(d=st.integers(1, 3), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+           seed=st.integers(0, 2**16), q=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           sampled=st.booleans(), order=st.permutations(GRID))
+    def test_any_evaluation_order_gives_the_floats_of_fresh_calls(self, d, sizes, seed, q,
+                                                                  sampled, order):
+        rng = np.random.default_rng(seed)
+        groups = [random_spectrum(rng, d, n) for n in sizes]
+        sums = _moment_sums(groups, q, sampled)
+        for s in order:
+            assert np.array_equal(sums(s), _moment_sums(groups, q, sampled)(s))
+
+    @settings(max_examples=15, deadline=None)
+    @given(d=st.integers(1, 3), count=st.integers(1, 12), seed=st.integers(0, 2**16),
+           q=st.sampled_from([0.5, 2.0, 3.0]), sampled=st.booleans())
+    def test_packing_keeps_each_groups_bits(self, d, count, seed, q, sampled):
+        # cut-set-sized groups packed into one buffer, and one group past a block
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 1001, size=count).tolist()
+        sizes.insert(int(rng.integers(count + 1)),
+                     theory._SUM_BLOCK + int(rng.integers(1, 1000)))
+        groups = [random_spectrum(rng, d, n) for n in sizes]
+        together = _moment_sums(groups, q, sampled)
+        alone = [_moment_sums([g], q, sampled) for g in groups]
+        for s in self.GRID:
+            assert together(s).tolist() == [sums(s)[0] for sums in alone]
 
 
 class TestProductDimension:
@@ -801,8 +849,8 @@ BENCH_LEVELS = [
 
 
 def test_affine_solve_memory_is_kept_spectra_plus_one_block():
-    # the kept levels 6..12 hold 19 MB of spectra and their level-sum
-    # coefficients 13 MB (36 MB traced peak); building each level whole, the
+    # the kept levels 6..12 hold 19 MB of spectra, and the level sums add one
+    # level of scratch (24 MB traced peak); building each level whole, the
     # unused deepest-level sums and per-evaluation temporaries took 57 MB
     system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
                                                                      [0.2, 0.3, 0.5]])
@@ -814,6 +862,38 @@ def test_affine_solve_memory_is_kept_spectra_plus_one_block():
         tracemalloc.stop()
     assert ce.diagnostics["depth"] == 12
     assert peak < 45e6
+
+
+def test_q3_solve_past_the_kept_spectra_takes_one_level_and_one_block(spectra_builds):
+    # each evaluation forms the exponents from the kept spectra into one
+    # scratch the size of the deepest level; a (2, n) base/slope copy per
+    # level would take 12 MiB more
+    system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
+                                                                     [0.2, 0.3, 0.5]])
+    spectra = theory._shared_level_spectra(system, measure, 12, 6)
+    largest = max(len(log_p) for _, log_p in spectra.values())
+    tracemalloc.start()
+    try:
+        ce = affine_series_dimension(system, measure, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spectra_builds == [(12, 6, None)] and ce.diagnostics["window"] == (6, 12)
+    assert peak < largest * 8 + 2**20
+
+
+def test_depth_12_affine_solve_takes_five_evaluations(monkeypatch):
+    # f(1) <= 0, so the root finder probes 1 and 2 and never 0
+    probes, root_of = [], theory._root_of_increasing
+
+    def recorded(f, *args, **kwargs):
+        return root_of(lambda s: probes.append(s) or f(s), *args, **kwargs)
+
+    monkeypatch.setattr(theory, "_root_of_increasing", recorded)
+    system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
+                                                                     [0.2, 0.3, 0.5]])
+    affine_series_dimension(system, measure, 3.0)
+    assert probes[:2] == [1.0, 2.0] and len(probes) == 5 and 0.0 not in probes
 
 
 class TestSharedSpectra:
@@ -897,10 +977,10 @@ class TestLevelSums:
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
     def test_sweeping_segments_up_and_down_repeats_floats(self, system):
-        # off the integers every s has one segment, so its value cannot
-        # depend on the segments built before it
+        # every s takes one segment (an integer the one below it), so its
+        # value cannot depend on the s evaluated before it
         spectra = self.spectra(system, False)
-        grid = (0.3, 0.7, 1.2, 1.8, 2.4, 2.9, 3.5, 7.0)
+        grid = (0.0, 0.3, 0.7, 1.0, 1.2, 1.8, 2.0, 2.4, 2.9, 3.0, 3.5, 7.0)
         groups = [spectra[k] for k in sorted(spectra)]
         sums = _moment_sums(groups, 2.0)
         up = [sums(s) for s in grid]
