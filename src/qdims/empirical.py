@@ -21,14 +21,10 @@ through. ``run_experiment`` bins its sample block by block as it is drawn,
 and ``qdims estimate`` bins a sample file block by block as it is read, so
 neither ever holds the whole sample.
 
-When the word tree down to the sampling depth fits the word table that
-``systems._sample_blocks`` projects, its blocks carry the table and each
-row's word index, and ``_scale_pyramid`` counts each word's draws instead
-of binning rows; each drawn word's row is then binned once with its count
-(``MeshAccumulator.add_counts``). Every sampled row has the one weight
-w = 1 / count, so a cell of k rows takes the chain sum 0.0 + w + ... + w of
-k terms, left to right, whatever the row order: the bits one sum over the
-rows gives it. Deeper trees and sample files bin row by row.
+A sample whose word tree fits the word table of ``systems._sample_blocks``
+arrives as one block of distinct points with their row counts; each point
+is binned once with the mass of its rows and counts that many rows toward
+occupancy. Deeper trees and sample files bin row by row.
 """
 
 from __future__ import annotations
@@ -60,8 +56,6 @@ LOCAL_SLOPE_SPREAD = 0.1
 _CELL_LIMIT = 2.0**61  # |cell index| bound of add(); keeps cube offsets in int64
 # pending rows an accumulator always lets gather before it folds them in
 _FOLD_ROWS = 2**16
-# terms of the running sum _chain_sums builds at a time
-_CHAIN_PIECE = 2**16
 
 
 def default_scales() -> tuple[float, ...]:
@@ -87,28 +81,6 @@ def _pack_keys(cells: np.ndarray) -> np.ndarray | None:
     return key
 
 
-def _chain_sums(counts: np.ndarray, w: float) -> np.ndarray:
-    """``0.0 + w + ... + w``, k terms added left to right, for each count k.
-
-    This is the mass one sum in row order gives a cell of k rows of weight
-    w. The chain is read off ``np.cumsum`` (a left-to-right accumulation) of
-    pieces of ``_CHAIN_PIECE`` terms, each piece starting from the end of the
-    one before, so the scratch does not grow with the counts.
-    """
-    out = np.empty(len(counts))
-    order = np.argsort(counts, kind="stable")
-    ks = counts[order]
-    piece = np.full(_CHAIN_PIECE + 1, w)
-    base, lo, total = 0, 0, 0.0
-    while lo < len(ks):
-        piece[0] = total
-        chain = np.cumsum(piece)  # chain[j] is the sum of base + j terms
-        hi = int(np.searchsorted(ks, base + _CHAIN_PIECE, side="right"))
-        out[order[lo:hi]] = chain[ks[lo:hi] - base]
-        base, lo, total = base + _CHAIN_PIECE, hi, chain[-1]
-    return out
-
-
 class MeshAccumulator:
     """Sparse multi-scale mass grid over mesh cubes of side ``r``.
 
@@ -127,14 +99,6 @@ class MeshAccumulator:
     added, so the cells and mass bits do not depend on how the points were
     split into blocks, and memory stays O(cells + _FOLD_ROWS) for any
     number of points.
-
-    ``add_counts`` takes distinct rows, each with a count of rows of one
-    common weight w, and folds the counts the same way. When every row has
-    weight w, the chain of a cell of k rows is 0.0 + w + ... + w with k
-    terms whatever the row order, so a counted cell's mass is that chain
-    (``_chain_sums``), the bits ``add`` gives the repeated rows. A sample
-    drawn from a word table reaches a mesh this way, binned once per drawn
-    word rather than once per row.
     """
 
     def __init__(self, r: float, ambient_dim: int):
@@ -145,10 +109,7 @@ class MeshAccumulator:
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
         self._pending_rows = 0
         self._cells = np.empty((0, self.ambient_dim), dtype=np.int64)
-        # masses, or under add_counts the row count of each merged cell
         self._sums = np.empty(0)
-        self._weight: float | None = None  # the common weight of add_counts
-        self._chained: np.ndarray | None = None  # masses of the counted cells
 
     @classmethod
     def from_points(cls, points, weights, r: float) -> "MeshAccumulator":
@@ -164,42 +125,15 @@ class MeshAccumulator:
         return cls.from_points(sample.points, sample.weights, r)
 
     def add(self, points: np.ndarray, weights: np.ndarray) -> None:
-        if self._weight is not None:
-            raise ValueError("an accumulator fed counts takes no weighted rows")
-        w = np.asarray(weights, dtype=float)
-        self._pend(self._cell_indices(points, w, "weights"), w)
-
-    def add_counts(self, points: np.ndarray, counts: np.ndarray, weight: float) -> None:
-        """Add distinct rows, row i standing for ``counts[i]`` rows of weight ``weight``.
-
-        Gives the cells and mass bits that ``add`` gives the repeated rows,
-        in any order and any split. Rows with a zero count occupy no cell.
-        Every call passes the same weight, and an accumulator fed counts
-        takes no ``add``.
-        """
-        k = np.asarray(counts)
-        if k.size and (k.dtype.kind not in "iu" or k.min() < 0):
-            raise ValueError("counts must be non-negative integers")
-        weight = float(weight)
-        if self._weight is None and (self._pending_rows or len(self._cells)):
-            raise ValueError("an accumulator fed weighted rows takes no counts")
-        if self._weight is not None and weight != self._weight:
-            raise ValueError(f"counts were added with weight {self._weight!r}, not {weight!r}")
-        cells = self._cell_indices(points, k, "counts")
-        self._weight = weight
-        drawn = k > 0
-        # counts below 2**53 add exactly in the float sums of _merge
-        self._pend(cells[drawn], k[drawn].astype(float))
-
-    def _cell_indices(self, points, values: np.ndarray, name: str) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
+        w = np.asarray(weights, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.ambient_dim:
             raise ValueError(f"points of shape {pts.shape} do not have dimension "
                              f"{self.ambient_dim}")
-        if values.shape != (len(pts),):
-            raise ValueError(f"{len(pts)} points need as many {name}, got shape {values.shape}")
+        if w.shape != (len(pts),):
+            raise ValueError(f"{len(pts)} points need as many weights, got shape {w.shape}")
         idx = pts / self.r
         np.floor(idx, out=idx)
         if idx.size and not (idx.min() >= -_CELL_LIMIT and idx.max() < _CELL_LIMIT):
@@ -207,11 +141,8 @@ class MeshAccumulator:
             bad = np.argmin(((idx >= -_CELL_LIMIT) & (idx < _CELL_LIMIT)).all(axis=1))
             raise ValueError(f"point {bad} {pts[bad].tolist()} is not finite or "
                              f"beyond 2**61 cells of side {self.r}")
-        return idx.astype(np.int64)
-
-    def _pend(self, cells: np.ndarray, values: np.ndarray) -> None:
-        self._pending.append((cells, values))
-        self._pending_rows += len(values)
+        self._pending.append((idx.astype(np.int64), w))
+        self._pending_rows += len(w)
         if self._pending_rows >= max(len(self._cells), _FOLD_ROWS):
             self._fold()
 
@@ -249,7 +180,6 @@ class MeshAccumulator:
         self._pending = []
         self._pending_rows = 0
         self._cells, self._sums = self._merge(cells, sums)
-        self._chained = None
 
     def cells(self) -> np.ndarray:
         self._fold()
@@ -257,11 +187,7 @@ class MeshAccumulator:
 
     def masses(self) -> np.ndarray:
         self._fold()
-        if self._weight is None:
-            return self._sums
-        if self._chained is None:
-            self._chained = _chain_sums(self._sums.astype(np.int64), self._weight)
-        return self._chained
+        return self._sums
 
     @property
     def total_mass(self) -> float:
@@ -400,43 +326,39 @@ def _far_rows(points: np.ndarray, r: float) -> np.ndarray | None:
     return far if far.any() else None
 
 
-def _check_cell_range(points: np.ndarray, start: int, r: float) -> None:
+def _check_cell_range(points: np.ndarray, start: int, r: float, counts=None) -> None:
     """``InsufficientScalesError`` if a finite row's cell at side ``r`` lies
     beyond the 2**61 cells that ``MeshAccumulator`` can key (``_far_rows``).
 
     Cell indices only grow as the side shrinks, so the finest scale decides
     for every scale. The row is named counting from 1 at the start of the
-    stream, as ``_read_csv_blocks`` counts them.
+    stream, as ``_read_csv_blocks`` counts them; point i of a counted block
+    stands for ``counts[i]`` rows, after those of the points before it.
     """
     far = _far_rows(points, r)
     if far is not None:
         row = int(np.argmax(far))
+        first = start + (row if counts is None else int(counts[:row].sum()))
         raise InsufficientScalesError(
-            f"scale {r!r} is too fine: row {start + row + 1} {points[row].tolist()} lies "
+            f"scale {r!r} is too fine: row {first + 1} {points[row].tolist()} lies "
             f"beyond 2**61 cells of that side")
 
 
 def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulator]]]:
     """Row count and ``(r, accumulator)`` per scale, fine to coarse, from one pass.
 
-    ``blocks`` yields ``(start, table, index, weights)``, at least one row,
-    and the first block fixes the dimension; a block's rows are ``table``
-    when ``index`` is None and ``table[index]`` otherwise. The base scales,
-    the finest and each one a non-integer step above the scale below it,
-    are planned before any block is read; the other scales coarsen the
-    scale below by exact cell-index arithmetic. ``None`` means the default
-    scales; an empty sequence, a repeated size, or a finest size too small
-    for a row's coordinates (``_check_cell_range``) raises
+    ``blocks`` yields the ``(start, points, counts, weights)`` blocks of
+    ``systems._sample_blocks``, at least one row, and the first block fixes
+    the dimension. The base scales, the finest and each one a non-integer
+    step above the scale below it, are planned before any block is read, and
+    each block is binned into each of them as it comes; the other scales
+    coarsen the scale below by exact cell-index arithmetic. ``None`` means
+    the default scales; an empty sequence, a repeated size, or a finest size
+    too small for a row's coordinates (``_check_cell_range``) raises
     ``InsufficientScalesError``.
 
-    Blocks without an index are binned into each base scale as they come.
-    Blocks with one (the word-table sample of ``systems._sample_blocks``)
-    share one table and one weight w, and only each word's draws are
-    counted, by one ``np.bincount`` of the block's indices; once the stream
-    ends, each drawn word's row is binned once with its count
-    (``MeshAccumulator.add_counts``). A cell of k rows of weight w then
-    takes the chain 0.0 + w + ... + w of k terms, which is the mass binning
-    the rows one by one gives it, so both ways give the same bits.
+    A counted block bins each point once, with the mass ``counts * weights``
+    of the rows it stands for, and adds those rows to the row count.
     """
     scales = sorted(default_scales() if scales is None else scales)
     if not scales:
@@ -447,28 +369,16 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
     factors = [None] + [cur / prev for prev, cur in zip(scales, scales[1:])]
     base_scales = [r for r, factor in zip(scales, factors)
                    if factor is None or abs(factor - round(factor)) >= 1e-9]
-    count, bases, words = 0, None, None
-    for start, table, index, weights in blocks:
+    count, bases = 0, None
+    for start, points, counts, weights in blocks:
         if bases is None:
-            bases = {r: MeshAccumulator(r, table.shape[1]) for r in base_scales}
-        if index is None:
-            _check_cell_range(table, start, scales[0])
-            for acc in bases.values():
-                acc.add(table, weights)
-        else:
-            if words is None:
-                words, shared, weight = np.zeros(len(table), np.int64), table, weights[0]
-                far_words = _far_rows(table, scales[0])
-            if table is not shared or weights.min() != weight or weights.max() != weight:
-                raise ValueError("indexed blocks must share one table and one weight")
-            if far_words is not None and far_words[index].any():
-                _check_cell_range(table[index], start, scales[0])
-            words += np.bincount(index, minlength=len(table))
-        count += len(weights)
-    if words is not None:
-        drawn = np.flatnonzero(words)
+            bases = {r: MeshAccumulator(r, points.shape[1]) for r in base_scales}
+        _check_cell_range(points, start, scales[0], counts)
+        if counts is not None:
+            weights = counts * weights
         for acc in bases.values():
-            acc.add_counts(shared[drawn], words[drawn], weight)
+            acc.add(points, weights)
+        count += len(weights) if counts is None else int(counts.sum())
     pyramid = []
     for r, factor in zip(scales, factors):
         acc = bases[r] if r in bases else acc.coarsen(int(round(factor)))
@@ -583,13 +493,13 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
 def _stream_spectrum(blocks, q_values, scales=None):
     """``estimate_spectrum`` of the points that ``blocks`` yields, in one pass.
 
-    ``blocks`` yields the ``(start, table, index, weights)`` blocks of
+    ``blocks`` yields the ``(start, points, counts, weights)`` blocks of
     ``_scale_pyramid``; the row count and the dimension come from the
-    stream. Only the mesh accumulators and one count per table word outlive
-    a block, so memory does not grow with the number of points, and by the
-    fold rule of ``MeshAccumulator`` the results do not depend on how the
-    points are split into blocks. The q values and scales are checked
-    before the first block is read.
+    stream. Only the mesh accumulators outlive a block, so memory does not
+    grow with the number of points, and by the fold rule of
+    ``MeshAccumulator`` the results do not depend on how the points are
+    split into blocks. The q values and scales are checked before the first
+    block is read.
     """
     for q in q_values:
         _check_q(q)

@@ -496,6 +496,21 @@ def _letter_chunks(measure: BernoulliMeasure, count: int, depth: int, seed: int)
         yield start, letters
 
 
+def _word_counts(measure: BernoulliMeasure, depth: int, count: int, seed: int) -> np.ndarray:
+    """Draws of each word of length ``depth`` among ``count`` addresses, in code order.
+
+    Code order is the lexicographic order of the letters, level 1 most
+    significant. The counts are one ``multinomial`` of ``default_rng(seed)``
+    over p_w, the product of the word's letter probabilities from level 1 on,
+    normalised by the sum: numpy takes the last entry as 1 minus the others,
+    and a measure level need only sum to 1 within 1e-12.
+    """
+    p = np.ones(1)
+    for k in range(1, depth + 1):
+        p = np.multiply.outer(p, measure.probs(k)).ravel()
+    return np.random.default_rng(seed).multinomial(count, p / p.sum())
+
+
 def _checked_offsets(scheme, letters: np.ndarray, d: int):
     for offs in scheme.offsets(letters):
         if offs.shape != (len(letters), d):
@@ -510,10 +525,9 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
     """``(meta, blocks)`` of the sample that ``sample_measure`` returns.
 
     The arguments are checked and the depth and truncation meta resolved at
-    once; ``blocks`` then yields the ``(start, table, index, weights)``
-    blocks of ``_sample_blocks`` for rows ``start`` to ``start + n``, one
-    chunk of ``_SAMPLE_CHUNK_ROWS`` rows at a time, so no ``(count, d)``
-    array need exist.
+    once; ``blocks`` then yields the ``(start, points, counts, weights)``
+    blocks of ``_sample_blocks``, the rows from ``start`` on, so no
+    ``(count, d)`` array need exist.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -539,19 +553,18 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
 
 def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                    depth: int, seed: int):
-    """Blocks of ``_sample_stream``: ``(start, table, index, weights)`` per chunk.
+    """Blocks of ``_sample_stream``: ``(start, points, counts, weights)``.
 
-    A block's rows are ``table[index]``, every weight ``1 / count``. When
-    the word tree down to ``depth`` holds at most
-    ``min(count, _WORD_TABLE_ROWS)`` words, ``project`` runs once on every
-    word, in code order, into the one table all blocks share, and ``index``
-    holds each row's word: the mixed-radix code of its letters, level 1 most
-    significant. Deeper trees run ``project`` on each chunk, and the block
-    carries the chunk's points as ``table`` with ``index`` None. Every step
-    of ``project`` acts on each row alone, and every scheme's offsets read
-    only a row's own prefixes, so a table row has the bits of the row
-    projected on its own. The index lets ``empirical._scale_pyramid`` count
-    each word's draws instead of binning its rows.
+    A block stands for ``counts[i]`` consecutive rows at ``points[i]`` (one
+    row each when ``counts`` is None), each of weight ``weights[i]`` =
+    ``1 / count``. When the word tree down to ``depth`` holds at most
+    ``min(count, _WORD_TABLE_ROWS)`` words, the sample is one block: each
+    word's draws come from one multinomial (``_word_counts``), and the drawn
+    words, in code order, are projected once each, with their counts. Deeper
+    trees draw letters with ``_letter_chunks`` and yield one block of
+    projected rows per chunk. Every step of ``project`` acts on each row
+    alone, and every scheme's offsets read only a row's own prefixes, so a
+    word's point has the bits of that word projected in any chunk.
     """
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
@@ -581,29 +594,17 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
                     M = M @ np.take(maps[j - 1], letters[:, j - 1] - 1, axis=0)
         return xs
 
-    table = None
     if system.profile.depth_within(min(count, _WORD_TABLE_ROWS), depth) == depth:
         sizes = [system.profile.size(k) for k in range(1, depth + 1)]
-        # every word in code order, in the letter type of _letter_chunks
-        words = np.indices(sizes, dtype=np.min_scalar_type(max(sizes)))
-        table = project(words.reshape(depth, -1).T + 1)
-        # Horner's rule on the 1-based letters; shift is the all-ones word's
-        # code, and the codes run from it to shift + len(table) - 1
-        shift = 1
-        for size in sizes[1:]:
-            shift = shift * size + 1
-        code_type = np.min_scalar_type(shift + len(table) - 1)
+        counts = _word_counts(measure, depth, count, seed)
+        drawn = np.flatnonzero(counts)
+        # the drawn words' letters, in the letter type of _letter_chunks
+        letters = np.column_stack(np.unravel_index(drawn, sizes))
+        letters = letters.astype(np.min_scalar_type(max(sizes))) + 1
+        yield 0, project(letters), counts[drawn], np.full(len(drawn), 1.0 / count)
+        return
     for start, letters in _letter_chunks(measure, count, depth, seed):
-        weights = np.full(len(letters), 1.0 / count)
-        if table is None:
-            yield start, project(letters), None, weights
-            continue
-        code = letters[:, 0].astype(code_type)
-        for size, column in zip(sizes[1:], letters.T[1:]):
-            code *= size
-            code += column
-        code -= shift
-        yield start, table, code, weights
+        yield start, project(letters), None, np.full(len(letters), 1.0 / count)
 
 
 def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
@@ -620,29 +621,20 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
 
     The sample is the blocks of one block generator, ``_sample_stream``,
     written into their slices of the output; ``run_experiment`` bins the
-    same blocks as they come and never holds the whole sample. Addresses are
-    drawn and projected in chunks of ``_SAMPLE_CHUNK_ROWS`` rows. Every
-    level draws from its own PCG64 stream, advanced to that level's place in
-    the single stream of ``default_rng(seed)``, and every step of the
-    projection acts on each row alone, so the points have the same bits for
-    any chunk size. Beyond the ``(count, d)`` points and their weights,
-    memory is O(chunk x depth) for the letters and O(chunk x d x d) for the
-    products.
+    same blocks as they come and never holds the whole sample.
 
-    A point is a pure function of its address's letters. So when the word
-    tree down to ``depth`` holds at most ``min(count, _WORD_TABLE_ROWS)``
-    words, each word is projected once into a table and every row is
-    gathered from it by its word's index. The table is projected by the same
-    code as a chunk of rows, each of whose steps acts on each row alone, and
-    every scheme's offsets read only a row's own prefixes; so a gathered row
-    has the bits of the row projected on its own. The table holds at most
-    ``_WORD_TABLE_ROWS`` = 2**16 rows, a cap of its own that does not move
-    with the chunk size, and its projection takes O(table x (depth + d x d))
-    memory once. On this path ``run_experiment`` never gathers the
-    rows: it counts each word's draws and bins each drawn word once with its
-    count, and a cell of k rows of weight w takes the chain sum
-    0.0 + w + ... + w of k terms, the bits of binning the rows one by one
-    (``empirical._scale_pyramid``).
+    When the word tree down to ``depth`` holds at most
+    ``min(count, _WORD_TABLE_ROWS)`` words (2**16 at most, whatever the
+    chunk size), a point is a pure function of its word, and the sample only
+    matters through each word's count: the counts are drawn with one
+    multinomial, each drawn word is projected once, and its point fills one
+    row per draw, the words in code order. Deeper trees draw and project
+    addresses in chunks of ``_SAMPLE_CHUNK_ROWS`` rows. Every level draws
+    from its own PCG64 stream, advanced to that level's place in the single
+    stream of ``default_rng(seed)``, and every step of the projection acts
+    on each row alone, so the points have the same bits for any chunk size.
+    Beyond the ``(count, d)`` points and their weights, memory is O(chunk x
+    depth) for the letters and O(chunk x d x d) for the products.
 
     The linear parts are composed on one of two paths, chosen from
     ``system.linear_maps`` alone. When every level the sample uses is
@@ -657,15 +649,30 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
                                   target_resolution)
     x = np.empty((count, system.ambient_dim))
     weights = np.empty(count)
-    for start, table, index, w in blocks:
-        rows = slice(start, start + len(w))
-        if index is None:
-            x[rows] = table
-        else:
-            np.take(table, index, axis=0, out=x[rows])
-        weights[rows] = w
+    for start, points, counts, w in blocks:
+        if counts is None:
+            x[start:start + len(w)] = points
+            weights[start:start + len(w)] = w
+            continue
+        for offset, which in _counted_rows(counts, _SAMPLE_CHUNK_ROWS):
+            rows = slice(start + offset, start + offset + len(which))
+            x[rows] = points[which]
+            weights[rows] = w[which]
     # handed over read-only, so the sample keeps them without a copy
     return AttractorSample(points=_read_only(x), weights=_read_only(weights), meta=meta)
+
+
+def _counted_rows(counts: np.ndarray, size: int):
+    """``(offset, which)`` per run of at most ``size`` rows of a counted block.
+
+    Point i stands for ``counts[i]`` consecutive rows, after those of the
+    points before it; ``which`` holds the point of each row from ``offset``
+    on, so no array has more than ``size`` entries per run.
+    """
+    ends = np.cumsum(counts)
+    for offset in range(0, int(ends[-1]), size):
+        yield offset, np.searchsorted(ends, np.arange(offset, min(offset + size, ends[-1])),
+                                      side="right")
 
 
 def save_sample_csv(sample: AttractorSample, path) -> None:
@@ -681,29 +688,29 @@ def save_sample_csv(sample: AttractorSample, path) -> None:
 
 
 def _write_csv_blocks(fh, blocks) -> None:
-    """Write the rows of ``(start, table, index, weights)`` blocks as ``save_sample_csv`` does.
+    """Write the rows of ``(start, points, counts, weights)`` blocks as ``save_sample_csv`` does.
 
-    A block's rows are ``table`` when ``index`` is None and ``table[index]``
-    otherwise; they are written ``_CSV_BLOCK_ROWS`` at a time. Each row's
-    text depends on that row alone, so a sample written in any split has the
-    same bytes. The coordinates of a table that indexed blocks share are
-    formatted once per table row, and each distinct weight once per block
-    written.
+    A block's rows are ``points[i]`` repeated ``counts[i]`` times (once each
+    when ``counts`` is None), written ``_CSV_BLOCK_ROWS`` at a time. Each
+    row's text depends on that row alone, so a sample written in any split
+    has the same bytes. The coordinates of a counted block are formatted
+    once per point, and each distinct weight once per block written.
     """
-    shared, table_texts = None, None
-    for _, table, index, weights in blocks:
-        if index is not None and table is not shared:
-            shared = table
-            table_texts = list(map(",".join, zip(*(map(repr, col) for col in table.T.tolist()))))
-        for start in range(0, len(weights), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            # distinct by bits, so -0.0 and 0.0 keep their own text
-            bits, which = np.unique(weights[block].view(np.uint64), return_inverse=True)
-            texts = [repr(w) for w in bits.view(np.float64).tolist()]
-            if index is None:
-                columns = [map(repr, col) for col in table[block].T.tolist()]
+    for _, points, counts, weights in blocks:
+        if counts is None:
+            pieces = (slice(start, start + _CSV_BLOCK_ROWS)
+                      for start in range(0, len(weights), _CSV_BLOCK_ROWS))
+        else:
+            pieces = (which for _, which in _counted_rows(counts, _CSV_BLOCK_ROWS))
+            point_texts = list(map(",".join, zip(*(map(repr, col) for col in points.T.tolist()))))
+        for rows in pieces:
+            if counts is None:
+                columns = [map(repr, col) for col in points[rows].T.tolist()]
             else:
-                columns = [map(table_texts.__getitem__, index[block].tolist())]
+                columns = [map(point_texts.__getitem__, rows.tolist())]
+            # distinct by bits, so -0.0 and 0.0 keep their own text
+            bits, which = np.unique(weights[rows].view(np.uint64), return_inverse=True)
+            texts = [repr(w) for w in bits.view(np.float64).tolist()]
             columns.append(map(texts.__getitem__, which.tolist()))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
@@ -773,8 +780,7 @@ def _unparsed_row(path, lines, row: int, width, exc: ValueError) -> SampleError:
 def _read_csv_blocks(path):
     """Yield ``(start, points, None, weights)`` blocks of a sample CSV as they are read.
 
-    The blocks have the layout of ``_sample_blocks``, each row its own (no
-    word index), so ``qdims estimate`` bins every row.
+    The blocks have the layout of ``_sample_blocks``, each row its own.
 
     At most ``_CSV_BLOCK_ROWS`` lines are parsed at a time, and each block is
     checked as it arrives, in this order: its lines parse; its rows have at

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,48 @@ def write_sample_rows(path, points, weights):
         writer = csv.writer(fh)
         for row, weight in zip(np.asarray(points).tolist(), np.asarray(weights).tolist()):
             writer.writerow([*map(repr, row), repr(weight)])
+
+
+def group_moment_sum(prefix, log_p, q, s, sampled=False):
+    """``log sum_u svf(T_u, s)**(1-q) p_u**q`` of one word group (q != 1).
+
+    Each word's exponent takes the float steps of ``theory._moment_sums``:
+    ``(slope * (1-q)) * s + (base * (1-q) + scale * log p)`` on the segment
+    of s. Their exponentials, shifted by the top one, are added by one
+    ``np.sum`` over the group's own array.
+    """
+    d = len(prefix)
+    lo = min(max(math.ceil(s) - 1, 0), d)
+    below = prefix[lo - 1] if lo else 0.0
+    if lo < d:
+        slope = prefix[lo] - below
+        base = below - slope * lo
+    else:
+        slope, base = prefix[-1] / d, np.zeros(len(log_p))
+    t = slope * (1.0 - q) * s + (base * (1.0 - q) + log_p * (q - 1.0 if sampled else q))
+    top = t.max()
+    log_n = np.log(len(log_p)) if sampled else 0.0
+    return np.log(np.sum(np.exp(t - top))) + top - log_n
+
+
+def word_masses(measure, depth):
+    """``(words, p)``: every word of length ``depth`` as a row of letters 1..m,
+    level 1 most significant, and its mass, the product of its letter
+    probabilities from level 1 on."""
+    probs = [measure.probs(k).tolist() for k in range(1, depth + 1)]
+    words = list(itertools.product(*(range(1, len(p) + 1) for p in probs)))
+    masses = [math.prod(p[j - 1] for p, j in zip(probs, word)) for word in words]
+    return np.array(words), np.array(masses)
+
+
+def word_count_letters(measure, count, depth, seed):
+    """Letters of the rows that ``sample_measure`` draws when the word tree
+    fits its word table: each word of ``word_masses``, in order, repeated as
+    often as one ``multinomial`` of ``default_rng(seed)`` over the masses,
+    divided by their sum, draws it."""
+    words, p = word_masses(measure, depth)
+    counts = np.random.default_rng(seed).multinomial(count, p / p.sum())
+    return np.repeat(words, counts, axis=0)
 
 
 def random_box_offsets(scheme, letters):

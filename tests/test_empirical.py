@@ -188,12 +188,11 @@ class TestBinningOracle:
 
 
 @st.composite
-def counted_cases(draw):
-    """Distinct rows with draw counts, the draws in random order and blocks.
+def counted_blocks(draw):
+    """Distinct points with row counts, their scales, and a fold size.
 
-    Counts include zeros, and with a big count one row's cell holds more
-    than ``2**16`` rows, so its chain crosses a piece of ``_chain_sums``.
-    The scales step by 1.5 twice and then by 2, so three of them are base
+    With a big count one point stands for more than ``2**16`` rows. The
+    scales step by 1.5 twice and then by 2, so three of them are base
     scales, none an integer multiple of another, and the rest coarsen the
     one below.
     """
@@ -202,104 +201,51 @@ def counted_cases(draw):
     spread = draw(st.sampled_from([3, 300, 70_000]))
     r = draw(st.sampled_from([0.5, 0.1, 0.07]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = (rng.integers(-spread, spread + 1, size=(m, d)) + rng.random((m, d))) * r
-    counts = rng.integers(0, 30, size=m)
-    counts[rng.random(m) < 0.3] = 0
-    counts[rng.integers(m)] += 1
+    points = (rng.integers(-spread, spread + 1, size=(m, d)) + rng.random((m, d))) * r
+    counts = rng.integers(1, 30, size=m)
     if draw(st.booleans()):
         counts[rng.integers(m)] = 2**16 + rng.integers(1, 3000)
-    index = rng.permutation(np.repeat(np.arange(m), counts))
-    weight = 1.0 / len(index) if draw(st.booleans()) else float(rng.random())
-    cuts = np.sort(rng.integers(0, len(index) + 1, size=draw(st.integers(0, 4))))
     scales = [r * f for f in (1, 1.5, 2.25, 4.5, 9)]
     fold_rows = draw(st.sampled_from([1, 16, 2**16]))
-    return table, index, weight, np.split(np.arange(len(index)), cuts), scales, fold_rows
+    return points, counts, scales, fold_rows
 
 
 class TestCountedBinning:
     @settings(max_examples=60, deadline=None)
-    @given(counted_cases())
-    def test_counts_give_the_bits_of_the_repeated_rows(self, case):
-        table, index, weight, chunks, scales, fold_rows = case
-        m, d = table.shape
+    @given(counted_blocks())
+    def test_counted_block_bins_each_point_with_the_mass_of_its_rows(self, case):
+        points, counts, scales, fold_rows = case
+        n = int(counts.sum())
+        weights = np.full(len(points), 1.0 / n)
+        rows = np.repeat(points, counts, axis=0)
         with mock.patch.object(empirical, "_FOLD_ROWS", fold_rows):
-            for r in scales[:3]:
-                # every block's counts, against every block's rows
-                counted, rows = MeshAccumulator(r, d), MeshAccumulator(r, d)
-                for chunk in chunks:
-                    counted.add_counts(table, np.bincount(index[chunk], minlength=m), weight)
-                    rows.add(table[index[chunk]], np.full(len(chunk), weight))
-                    # a read folds, and later counts fold on top of it
-                    assert np.array_equal(counted.cells(), rows.cells())
-                    assert counted.masses().tobytes() == rows.masses().tobytes()
-            # the pyramid counts indexed blocks and bins the rows of plain ones
-            blocks = [(int(chunk[0]), table, index[chunk], np.full(len(chunk), weight))
-                      for chunk in chunks if len(chunk)]
-            plain = [(start, table[rows], None, w) for start, _, rows, w in blocks]
-            n, pyramid = empirical._scale_pyramid(blocks, scales)
-            n_rows, want = empirical._scale_pyramid(plain, scales)
-        assert n == n_rows == len(index)
-        assert [r for r, _ in pyramid] == [r for r, _ in want] == scales
-        for (_, acc), (_, ref) in zip(pyramid, want):
+            count, pyramid = empirical._scale_pyramid([(0, points, counts, weights)], scales)
+            _, weighted = empirical._scale_pyramid([(0, points, None, counts * weights)], scales)
+            n_rows, repeated = empirical._scale_pyramid([(0, rows, None, np.full(n, 1 / n))],
+                                                        scales)
+        # the rows count toward occupancy; each point is binned once with
+        # the bits of its rows' mass, and the cells are the rows' cells
+        assert count == n_rows == n
+        for (r, acc), (_, ref), (_, row_acc) in zip(pyramid, weighted, repeated):
             assert np.array_equal(acc.cells(), ref.cells())
             assert acc.masses().tobytes() == ref.masses().tobytes()
-            coarse, ref_coarse = acc.coarsen(3), ref.coarsen(3)
-            assert np.array_equal(coarse.cells(), ref_coarse.cells())
-            assert coarse.masses().tobytes() == ref_coarse.masses().tobytes()
+            assert np.array_equal(acc.cells(), row_acc.cells())
+            np.testing.assert_allclose(acc.masses(), row_acc.masses(), rtol=1e-9, atol=0)
+        assert [rec.occupancy for rec in empirical._records(pyramid, count, 2.0)] == [
+            rec.occupancy for rec in empirical._records(repeated, n_rows, 2.0)]
 
-    def test_chain_sums_add_left_to_right(self):
-        counts = np.array([0, 1, 2**16, 3, 2**16 + 1, 3 * 2**16 + 5, 2**16 - 1, 7])
-        for w in (0.1, 1 / 3, 1e-6):
-            chain = [0.0]
-            for _ in range(int(counts.max())):
-                chain.append(chain[-1] + w)
-            want = np.array([chain[k] for k in counts.tolist()])
-            assert empirical._chain_sums(counts, w).tobytes() == want.tobytes()
-
-    def test_zero_counts_occupy_no_cell(self):
-        acc = MeshAccumulator(0.25, 1)
-        acc.add_counts([[0.1], [0.6], [0.7]], np.array([0, 2, 1]), 0.25)
-        assert acc.cells().ravel().tolist() == [2]
-        assert acc.masses().tolist() == [0.75] and len(acc) == 1
-
-    def test_counts_and_weighted_rows_do_not_mix(self):
-        acc = MeshAccumulator(0.25, 1)
-        acc.add([[0.1]], [0.5])
-        with pytest.raises(ValueError, match="weighted rows takes no counts"):
-            acc.add_counts([[0.1]], np.array([1]), 0.5)
-        acc = MeshAccumulator(0.25, 1)
-        acc.add_counts([[0.1]], np.array([1]), 0.5)
-        with pytest.raises(ValueError, match="fed counts takes no weighted rows"):
-            acc.add([[0.1]], [0.5])
-        with pytest.raises(ValueError, match="with weight 0.5, not 0.25"):
-            acc.add_counts([[0.1]], np.array([1]), 0.25)
-        for counts in (np.array([-1]), np.array([1.0])):
-            with pytest.raises(ValueError, match="non-negative integers"):
-                acc.add_counts([[0.1]], counts, 0.5)
-        with pytest.raises(ValueError, match=r"2 points need as many counts, got shape \(1,\)"):
-            acc.add_counts([[0.1], [0.2]], np.array([1]), 0.5)
-        assert acc.masses().tolist() == [0.5]
-
-    def test_pyramid_names_the_first_far_row_of_indexed_blocks(self):
-        # the table's second word lies beyond 2**61 cells of the finest side,
-        # and the first row that draws it is row 6 of the stream
-        table = np.array([[0.25], [3.0]])
-        blocks = [(0, table, np.array([0, 0, 0]), np.full(3, 0.125)),
-                  (3, table, np.array([0, 0, 1, 1, 0]), np.full(5, 0.125))]
+    def test_pyramid_names_the_first_far_row_of_counted_blocks(self):
+        # the counted block's second point lies beyond 2**61 cells of the
+        # finest side; two plain rows and the first point's three come first
+        plain = (0, np.array([[0.125], [0.25]]), None, np.full(2, 0.125))
+        points = np.array([[0.25], [3.0]])
+        counted = (2, points, np.array([3, 3]), np.full(2, 0.125))
         scales = [2.0**-62, 2.0**-4, 2.0**-3, 2.0**-2]
         with pytest.raises(InsufficientScalesError, match=r"row 6 \[3.0\] lies beyond"):
-            empirical._scale_pyramid(iter(blocks), scales)
-        # an undrawn far word does not stop the pyramid
-        n, pyramid = empirical._scale_pyramid(blocks[:1], scales)
+            empirical._scale_pyramid(iter([plain, counted]), scales)
+        n, pyramid = empirical._scale_pyramid([(0, points[:1], np.array([3]), np.full(1, 0.125))],
+                                              scales)
         assert n == 3 and pyramid[0][1].masses().tolist() == [0.375]
-
-    def test_indexed_blocks_share_one_table_and_one_weight(self):
-        table = np.array([[0.5], [3.0]])
-        first = (0, table, np.array([0, 1]), np.full(2, 0.25))
-        for second in [(2, table.copy(), np.array([0, 1]), np.full(2, 0.25)),
-                       (2, table, np.array([0, 1]), np.array([0.25, 0.5]))]:
-            with pytest.raises(ValueError, match="share one table and one weight"):
-                empirical._scale_pyramid([first, second], [0.25, 0.5, 1.0, 2.0])
 
 
 class TestMomentSums:

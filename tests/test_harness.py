@@ -400,31 +400,27 @@ class TestRunExperiment:
         from qdims.empirical import MeshAccumulator
 
         fed = []
-        add, add_counts = MeshAccumulator.add, MeshAccumulator.add_counts
+        add = MeshAccumulator.add
 
         def counting(self, points, weights):
-            fed.append((self, len(points), len(points)))
+            fed.append((self, len(points), float(np.sum(weights))))
             return add(self, points, weights)
 
-        def counting_counts(self, points, counts, weight):
-            fed.append((self, len(points), int(np.sum(counts))))
-            return add_counts(self, points, counts, weight)
-
         monkeypatch.setattr(MeshAccumulator, "add", counting)
-        monkeypatch.setattr(MeshAccumulator, "add_counts", counting_counts)
         raw = dict(CANTOR_CONFIG, q=[0.5, 1, 2, 3], samples=20_000, realizations=3,
                    translations={"kind": "random-box", "low": [0.0], "high": [2.0]})
         report = run_experiment(ExperimentConfig.from_dict(raw))
         assert report.meta["realizations"] == 3 and len(report.rows) == 12
-        # the sample streams in blocks, all into the one finest-scale
+        # each realization's sample goes into the one finest-scale
         # accumulator of its realization; ``fed`` keeps them alive, so their
         # ids stay distinct
         binned = {id(acc): acc.r for acc, _, _ in fed}
         assert list(binned.values()) == [2.0**-10] * 3
-        assert sum(points for _, _, points in fed) == 3 * 20_000
         # the depth-10 tree's 1,024 words fit the word table: each
-        # realization bins at most one row per word
-        assert sum(rows for _, rows, _ in fed) <= 3 * 2**10
+        # realization bins one block of at most one point per word, which
+        # carries the whole sample's mass
+        assert len(fed) == 3 and all(rows <= 2**10 for _, rows, _ in fed)
+        assert [mass for _, _, mass in fed] == pytest.approx([1.0] * 3, abs=1e-12)
 
     def test_memory_bounded_by_block_not_sample_count(self):
         # the points and weights of 1e6 samples alone would take 16 MB; the
@@ -487,8 +483,8 @@ class TestStreamingInvariance:
     """Reports do not depend on the sampling chunk or on where folds fall.
 
     Cantor's cells are counted, not sorted; its 1,024-word tree fits the word
-    table for a chunk of 4,000 rows, which bins word counts, while chunks of
-    7 and 1,000 rows bin every row. The 2-D affine config's finest scale
+    table, so its sample is one counted block whatever the chunk size, and
+    only the fold size varies for it. The 2-D affine config's finest scale
     spans about a million cells, so it sorts, and its scales step once by a
     non-integer factor, so two base accumulators share the stream.
     """
@@ -507,9 +503,7 @@ class TestStreamingInvariance:
         outputs = set()
         for chunk_rows in (7, 1000, cfg.samples):
             for fold_rows in (1, 64, 2**16):
-                # a table cap below the word count bins rows instead of words
                 with mock.patch.object(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows), \
-                        mock.patch.object(systems, "_WORD_TABLE_ROWS", chunk_rows), \
                         mock.patch.object(empirical, "_FOLD_ROWS", fold_rows):
                     paths = emit_report(run_experiment(cfg), tmp_path / f"{chunk_rows}-{fold_rows}")
                 outputs.add(tuple(Path(paths[key]).read_bytes() for key in ("csv", "text")))
@@ -595,7 +589,9 @@ class TestCli:
                 _write_csv_blocks(fh, [block])
                 written.append(len(block[-1]))
 
-        raw = dict(CANTOR_CONFIG, samples=3 * systems._SAMPLE_CHUNK_ROWS)
+        # at depth 20 the word tree is too big for the word table, so the
+        # sample is drawn in chunks
+        raw = dict(CANTOR_CONFIG, samples=3 * systems._SAMPLE_CHUNK_ROWS, depth=20)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         with mock.patch("qdims.cli._write_csv_blocks", fail_on_second_block), \
@@ -1000,15 +996,15 @@ class TestCli:
         ({"scales": {"base": 2, "min_exp": 4, "max_exp": 70}},
          "scale 8.470329472543003e-22 is too fine: row 1 [0.02469303069086567]"),
         ({"depth": 10, "scales": FAR_SCALES},
-         "scale 4.3324718812520757e-19 is too fine: row 17210 [0.9996443631560229]"),
+         "scale 4.3324718812520757e-19 is too fine: row 999929 [0.9990346999949193]"),
         ({"scales": FAR_SCALES},
          "scale 4.3324718812520757e-19 is too fine: row 17210 [0.9996443838078118]"),
     ], ids=["max_exp-70", "word-table", "per-row"])
     def test_compare_scale_too_fine_names_the_first_far_row(self, tmp_path, capsys,
                                                              overrides, line):
-        # lines recorded when every sampled row was binned on its own; at
-        # depth 10 the rows come from the word table, and the first far row
-        # lies in the second chunk
+        # at depth 10 the sample is word counts, and the far row is named in
+        # the word order of points.csv: 1 + the counts of the earlier words;
+        # deeper, the first far row lies in the second chunk
         with open(os.path.join(REPO, "configs", "cantor.json")) as fh:
             raw = dict(json.load(fh), **overrides)
         path = tmp_path / "cfg.json"
@@ -1018,24 +1014,20 @@ class TestCli:
 
     def test_compare_on_cantor_bins_each_drawn_word_once(self, tmp_path, capsys, monkeypatch):
         fed = []
-        add, add_counts = MeshAccumulator.add, MeshAccumulator.add_counts
+        add = MeshAccumulator.add
 
         def rows(self, points, weights):
-            fed.append(("rows", len(points), len(points)))
+            fed.append((len(points), float(np.sum(weights))))
             return add(self, points, weights)
 
-        def counted(self, points, counts, weight):
-            fed.append(("counts", len(points), int(np.sum(counts))))
-            return add_counts(self, points, counts, weight)
-
         monkeypatch.setattr(MeshAccumulator, "add", rows)
-        monkeypatch.setattr(MeshAccumulator, "add_counts", counted)
         cfg = os.path.join(REPO, "configs", "cantor.json")
         assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 0
         # the depth-10 tree's 1,024 words fit the word table, and the dyadic
-        # scales have one base: one call bins each drawn word once
-        [(kind, binned, points)] = fed
-        assert kind == "counts" and binned <= 2**10 and points == 10**6
+        # scales have one base: one call bins each drawn word once, with the
+        # mass of its rows
+        [(binned, mass)] = fed
+        assert binned <= 2**10 and mass == pytest.approx(1.0, abs=1e-12)
 
     def test_sample_bytes_match_the_per_row_writer(self, tmp_path, capsys):
         # 20,000 rows, a full chunk and a short one, from the word table of
@@ -1053,6 +1045,59 @@ class TestCli:
         write_sample_rows(tmp_path / "want.csv", sample.points, sample.weights)
         assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def _counted_cantor(self, tmp_path, **overrides):
+        # cantor.json at 1e5 points: the depth-10 tree's 1,024 words fit the
+        # word table, so compare bins word counts and sample writes each
+        # drawn word's row as many times as it was drawn
+        with open(os.path.join(REPO, "configs", "cantor.json")) as fh:
+            raw = dict(json.load(fh), samples=100_000, **overrides)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return str(cfg), ExperimentConfig.from_dict(raw)
+
+    def test_sample_then_estimate_gives_the_cells_and_fits_of_compare(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        cfg, config = self._counted_cantor(tmp_path)
+        spectra = []
+        stream = harness._stream_spectrum
+
+        def kept(*args):
+            spectra.append(stream(*args))
+            return spectra[-1]
+
+        monkeypatch.setattr(harness, "_stream_spectrum", kept)
+        assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "compare")]) == 0
+        assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert cli_main(["estimate", str(tmp_path / "points.csv"),
+                         "--q", ",".join(map(repr, config.q_values)),
+                         "--scales", ",".join(map(repr, config.scales)),
+                         "--out", str(tmp_path / "estimate")]) == 0
+        [spectrum] = spectra
+        with open(tmp_path / "estimate" / "spectrum.csv") as fh:
+            sums = [(float(row["q"]), float(row["r"]), int(row["cells"]))
+                    for row in csv.DictReader(fh)]
+        with open(tmp_path / "estimate" / "fits.csv") as fh:
+            fits = [float(row["dimension"]) for row in csv.DictReader(fh)]
+        assert sums == [(rec.q, rec.r, rec.cells) for records, _ in spectrum for rec in records]
+        assert len(sums) == len(config.q_values) * len(config.scales)
+        reported = parse_report_csv(tmp_path / "compare" / "report.csv")
+        assert [row.d_empirical for row in reported] == [est.dimension for _, est in spectrum]
+        for fit, (_, est) in zip(fits, spectrum, strict=True):
+            assert abs(fit - est.dimension) <= 1e-12
+
+    def test_compare_names_the_far_row_of_the_sampled_file(self, tmp_path, capsys):
+        cfg, _ = self._counted_cantor(tmp_path, depth=10, scales=FAR_SCALES)
+        assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        compared = capsys.readouterr().err
+        assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["estimate", str(tmp_path / "points.csv"),
+                         "--scales", ",".join(map(repr, FAR_SCALES))]) == 2
+        estimated = capsys.readouterr().err
+        assert re.fullmatch(r"error: scale \S+ is too fine: row \d+ \[\S+\] lies beyond "
+                            r"2\*\*61 cells of that side\n", compared)
+        assert compared == estimated
 
     def test_empty_scale_range_exits_with_message(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

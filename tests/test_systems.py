@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import itertools
+import json
 import os
 import re
 import threading
@@ -12,11 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import project_word, random_box_offsets, translation, word_product, word_spectrum
+from oracles import (
+    project_word,
+    random_box_offsets,
+    translation,
+    word_count_letters,
+    word_masses,
+    word_product,
+    word_spectrum,
+)
 
 from qdims import systems
 from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IncompleteSchemeError, SampleError
+from qdims.harness import ExperimentConfig, build_scheme, build_system_and_measure, realize_scheme
 from qdims.systems import (
     _letter_chunks,
     AffineSystem,
@@ -31,6 +41,9 @@ from qdims.systems import (
     sample_measure,
     save_sample_csv,
 )
+
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
 
 def cantor_system():
@@ -75,8 +88,39 @@ def choice_letters(measure, count, depth, seed):
     return letters
 
 
+def sampled_letters(system, measure, count, depth, seed):
+    # the letters of sample_measure's rows: word counts when the word tree
+    # fits the word table, one rng.choice per level otherwise
+    words = np.prod([system.profile.size(k) for k in range(1, depth + 1)])
+    if words <= min(count, systems._WORD_TABLE_ROWS):
+        return word_count_letters(measure, count, depth, seed)
+    return choice_letters(measure, count, depth, seed)
+
+
+def per_row_sample(system, scheme, measure, letters):
+    """``sample_measure`` on its per-row path, fed ``letters`` as its draws.
+
+    The word table is capped below one word, and ``_letter_chunks`` yields
+    the given letters, in the sampler's letter type, one chunk of
+    ``_SAMPLE_CHUNK_ROWS`` rows at a time.
+    """
+    count, depth = letters.shape
+    sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+    letters = letters.astype(np.min_scalar_type(max(sizes)))
+
+    def chunks(*_):
+        for start in range(0, count, systems._SAMPLE_CHUNK_ROWS):
+            yield start, letters[start:start + systems._SAMPLE_CHUNK_ROWS]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "_WORD_TABLE_ROWS", 0)
+        mp.setattr(systems, "_letter_chunks", chunks)
+        return sample_measure(system, scheme, measure, count=count, depth=depth)
+
+
 def drawn_letters(count, depth, p, seed):
-    # the letters sample_measure draws for these arguments
+    # the letters sample_measure draws for these arguments, when the word
+    # tree holds more words than the count
     return choice_letters(BernoulliMeasure([p]), count, depth, seed)
 
 
@@ -479,7 +523,7 @@ class TestSampling:
         count, depth, sample_seed = 50, int(rng.integers(1, 9)), int(rng.integers(2**31))
         s = sample_measure(system, scheme, BernoulliMeasure(probs), count=count,
                            depth=depth, seed=sample_seed)
-        letters = choice_letters(BernoulliMeasure(probs), count, depth, sample_seed)
+        letters = sampled_letters(system, BernoulliMeasure(probs), count, depth, sample_seed)
         assert s.points.tobytes() == matrix_stack_points(system, scheme, letters).tobytes()
 
     @settings(max_examples=40, deadline=None)
@@ -535,9 +579,9 @@ class TestSampling:
            st.sampled_from(["finite-set", "explicit", "random-box"]),
            st.sampled_from(["below", "at", "above"]))
     def test_word_table_matches_per_row_projection(self, seed, wide, matrix, kind, count_at):
-        # a table cap at the word count gathers from the table, one below it
-        # projects each row; both must give the oracle's bits (the chunk
-        # takes the same cap, so no projection call passes it)
+        # the per-row path, fed the letters of the word-table path's rows,
+        # must give their bits, and both the oracle's; a count below the
+        # word count always projects each row
         rng = np.random.default_rng(seed)
         sizes = rng.integers(2, 5, size=rng.integers(1, 2 if wide else 4)).tolist()
         if wide:
@@ -566,41 +610,39 @@ class TestSampling:
         step = int(rng.integers(1, words))
         count = {"below": words - step, "at": words, "above": words + step}[count_at]
         sample_seed = int(rng.integers(2**31))
-        want = matrix_stack_points(system, scheme,
-                                   choice_letters(measure, count, depth, sample_seed))
-        for chunk_rows in (words - 1, words):
-            counting = CountingOffsets(scheme)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(systems, "_WORD_TABLE_ROWS", chunk_rows)
-                mp.setattr(systems, "_SAMPLE_CHUNK_ROWS", chunk_rows)
-                s = sample_measure(system, counting, measure, count=count, depth=depth,
-                                   seed=sample_seed)
-            assert s.points.tobytes() == want.tobytes()
-            table = count >= words and chunk_rows == words
-            assert counting.rows == (words if table else count)
-            assert max(counting.calls) <= chunk_rows
+        letters = sampled_letters(system, measure, count, depth, sample_seed)
+        want = matrix_stack_points(system, scheme, letters)
+        counting = CountingOffsets(scheme)
+        s = sample_measure(system, counting, measure, count=count, depth=depth, seed=sample_seed)
+        assert s.points.tobytes() == want.tobytes()
+        if count >= words:
+            assert counting.calls == [len(np.unique(letters, axis=0))]
+        else:
+            assert counting.rows == count
+        rows = per_row_sample(system, scheme, measure, letters)
+        assert rows.points.tobytes() == want.tobytes()
 
-    def test_shallow_tree_projects_each_word_once(self, monkeypatch):
+    def test_shallow_tree_projects_each_word_once(self):
         system, scheme, measure = cantor_system()
         counting = CountingOffsets(scheme)
         s = sample_measure(system, counting, measure, count=100_000, depth=10, seed=1)
         assert counting.rows == 2**10
-        # a table cap one below the word count projects every row
-        monkeypatch.setattr(systems, "_WORD_TABLE_ROWS", 2**10 - 1)
+        # the per-row path, fed the same words, projects every row
+        letters = word_count_letters(measure, 100_000, 10, seed=1)
         per_row = CountingOffsets(scheme)
-        want = sample_measure(system, per_row, measure, count=100_000, depth=10, seed=1)
+        want = per_row_sample(system, per_row, measure, letters)
         assert per_row.rows == 100_000
         assert s.points.tobytes() == want.points.tobytes()
 
     def test_word_table_cap_is_not_the_chunk_size(self, monkeypatch):
         # a tree of more words than one chunk of rows, as uniform.json's
-        # 32,768 words against 16,384 rows, still projects each word once
+        # 32,768 words against 16,384 rows, still projects each drawn word once
         system, scheme, measure = cantor_system()
         want = sample_measure(system, scheme, measure, count=5000, depth=10, seed=1)
         monkeypatch.setattr(systems, "_SAMPLE_CHUNK_ROWS", 7)
         counting = CountingOffsets(scheme)
         s = sample_measure(system, counting, measure, count=5000, depth=10, seed=1)
-        assert counting.calls == [2**10]
+        assert counting.calls == [len(np.unique(s.points))]
         assert s.points.tobytes() == want.points.tobytes()
 
     def test_memory_bounded_by_chunk_not_count(self):
@@ -635,6 +677,46 @@ class TestSampling:
         depth = default_sampling_depth(system, scheme, 2**-12)
         bound = scheme.sup_norm() * system.c_upper**depth / (1 - system.c_upper)
         assert bound <= 2**-12
+
+
+class TestWordCounts:
+    @pytest.mark.parametrize("name, words", [
+        ("cantor.json", 2**10), ("two_level.json", 2**10), ("uniform.json", 2**15),
+    ])
+    def test_counts_match_the_word_masses(self, name, words):
+        # each config's tree as compare samples it; two_level's levels differ
+        with open(os.path.join(REPO, "configs", name)) as fh:
+            config = ExperimentConfig.from_dict(json.load(fh))
+        system, measure = build_system_and_measure(config)
+        scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
+        n, seed = config.samples, config.seed
+        meta, blocks = systems._sample_stream(system, scheme, measure, n, seed=seed,
+                                              target_resolution=min(config.scales))
+        counts = systems._word_counts(measure, meta["depth"], n, seed)
+        _, p = word_masses(measure, meta["depth"])
+        assert len(counts) == words and counts.sum() == n
+        mean, sd = n * p, np.sqrt(n * p * (1 - p))
+        # every word within a few binomial standard deviations, and all of
+        # them together within a few of the chi-square statistic's own
+        assert (np.abs(counts - mean) <= 6 * sd + 1).all()
+        assert abs(((counts - mean) ** 2 / mean).sum() - (words - 1)) <= 6 * np.sqrt(2 * words)
+        # one block: the drawn words, in code order, with their counts
+        [(start, points, drawn, weights)] = blocks
+        assert start == 0 and drawn.tobytes() == counts[counts > 0].tobytes()
+        assert len(points) == len(drawn) and (weights == 1 / n).all()
+        again, other = (systems._word_counts(measure, meta["depth"], n, seed + k) for k in (0, 1))
+        assert again.tobytes() == counts.tobytes() and other.tobytes() != counts.tobytes()
+
+    def test_a_level_short_of_one_leaves_no_slack_to_the_last_word(self):
+        # the second level sums to 1 - 1e-12; numpy takes the last entry as 1
+        # minus the others, so unnormalised masses would give the last word
+        # 1.5e-12 instead of 0.5e-12: 300 of 2e14 draws instead of 100
+        measure = BernoulliMeasure([[0.5, 0.5], [1 - 2e-12, 1e-12]])
+        assert 1 - measure.probs(2).sum() == pytest.approx(1e-12, rel=1e-3)
+        counts = systems._word_counts(measure, 2, 2 * 10**14, seed=0)
+        assert counts.sum() == 2 * 10**14
+        # each short word expects 100 draws, with a standard deviation of 10
+        assert abs(counts[1] - 100) <= 50 and abs(counts[3] - 100) <= 50
 
 
 class TestSampleCsv:
@@ -969,10 +1051,22 @@ class TestSamplingPinned:
     """
 
     def test_scalar_path(self):
+        # recorded when the word counts became one multinomial draw; the
+        # word table below pins the projection apart from the draw
         system, scheme, _ = cantor_system()
         s = sample_measure(system, scheme, BernoulliMeasure([[0.75, 0.25]]), count=20_000, seed=5)
         assert points_digest(s) == (
-            "5210d48264ec9f72ebf11ae7ee99a704b2b8e077fe541c25774e1d9f9bd2c71c")
+            "85b3e1b63b76f5008314199cc371cefa7a0ba10920f68bc5d595d9833c30aa7c")
+
+    def test_cantor_word_table(self):
+        # 2**16 draws reach every one of the 1,024 depth-10 words, whose
+        # points in code order are the word table of the letter-drawing sampler
+        system, scheme, measure = cantor_system()
+        [(start, points, counts, _)] = systems._sample_blocks(system, scheme, measure,
+                                                              2**16, 10, 1)
+        assert start == 0 and len(points) == 2**10 and counts.min() > 0
+        assert hashlib.sha256(points.tobytes()).hexdigest() == (
+            "712e37e53f3dda865e8e8f9d98f1e7621e0a1aa35dc329c97e2cff6414c9681a")
 
     def test_matrix_path_diagonal(self):
         system = AffineSystem([[np.diag([0.45, 0.40]), np.diag([0.42, 0.38]),

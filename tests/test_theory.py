@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import bisect_increasing, singular_values, word_product, word_spectrum
+from oracles import (
+    bisect_increasing,
+    group_moment_sum,
+    singular_values,
+    word_product,
+    word_spectrum,
+)
 
 from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
@@ -243,16 +249,25 @@ class TestMomentSumsDependOnSAlone:
     @given(d=st.integers(1, 3), count=st.integers(1, 12), seed=st.integers(0, 2**16),
            q=st.sampled_from([0.5, 2.0, 3.0]), sampled=st.booleans())
     def test_packing_keeps_each_groups_bits(self, d, count, seed, q, sampled):
-        # cut-set-sized groups packed into one buffer, and one group past a block
+        # cut-set-sized groups packed into one buffer, and one group past a
+        # block; each group's top word has prefix rows 0 and log p 0, so its
+        # exponent is exactly 0 and log(total) keeps the total's last bit
         rng = np.random.default_rng(seed)
         sizes = rng.integers(1, 1001, size=count).tolist()
         sizes.insert(int(rng.integers(count + 1)),
                      theory._SUM_BLOCK + int(rng.integers(1, 1000)))
-        groups = [random_spectrum(rng, d, n) for n in sizes]
+        groups = []
+        for n in sizes:
+            prefix, log_p = random_spectrum(rng, d, n)
+            top = int(rng.integers(n + 1))
+            groups.append((np.insert(prefix, top, 0.0, axis=1), np.insert(log_p, top, 0.0)))
         together = _moment_sums(groups, q, sampled)
         alone = [_moment_sums([g], q, sampled) for g in groups]
         for s in self.GRID:
             assert together(s).tolist() == [sums(s)[0] for sums in alone]
+            # a group alone takes the sum path of a packed one, so each group
+            # is also held to one sum over its own exponents
+            assert together(s).tolist() == [group_moment_sum(*g, q, s, sampled) for g in groups]
 
 
 class TestProductDimension:
