@@ -511,6 +511,23 @@ def _word_counts(measure: BernoulliMeasure, depth: int, count: int, seed: int) -
     return np.random.default_rng(seed).multinomial(count, p / p.sum())
 
 
+def _linear_parts(system, levels: int):
+    """``(diagonal, maps)``: the linear parts of levels 1..``levels``.
+
+    When every one of them is diagonal, ``maps[k - 1]`` holds level k's
+    diagonals as an ``(m, d)`` stack of scale vectors; otherwise it is level
+    k's ``(m, d, d)`` matrix stack. Products of diagonal maps kept as scale
+    vectors have the bits of the matrix products, because a zero
+    off-diagonal entry adds an exact zero to every sum.
+    """
+    maps = [system.linear_maps(k) for k in range(1, levels + 1)]
+    off_diagonal = ~np.eye(system.ambient_dim, dtype=bool)
+    diagonal = not any(L[:, off_diagonal].any() for L in maps)
+    if diagonal:
+        maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
+    return diagonal, maps
+
+
 def _checked_offsets(scheme, letters: np.ndarray, d: int):
     for offs in scheme.offsets(letters):
         if offs.shape != (len(letters), d):
@@ -568,11 +585,8 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
     """
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
-    maps = [system.linear_maps(j) for j in range(1, depth)]
-    off_diagonal = ~np.eye(d, dtype=bool)
-    diagonal = not any(L[:, off_diagonal].any() for L in maps)
+    diagonal, maps = _linear_parts(system, depth - 1)
     if diagonal:
-        maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
         maps = [D[0] if (D == D[0]).all() else D for D in maps]
 
     def project(letters):
@@ -636,14 +650,13 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     Beyond the ``(count, d)`` points and their weights, memory is O(chunk x
     depth) for the letters and O(chunk x d x d) for the products.
 
-    The linear parts are composed on one of two paths, chosen from
-    ``system.linear_maps`` alone. When every level the sample uses is
-    diagonal (similarities without rotation among them), each address keeps
-    the diagonal of its product as a length-d scale vector; otherwise it
-    keeps the full d x d product. Both give the same bits on diagonal maps,
-    because a zero off-diagonal entry adds an exact zero to every sum. A
-    diagonal level whose maps all share one diagonal multiplies every row by
-    it, with no lookup by letter.
+    The linear parts are composed on one of two paths, chosen by
+    ``_linear_parts``. When every level the sample uses is diagonal
+    (similarities without rotation among them), each address keeps the
+    diagonal of its product as a length-d scale vector; otherwise it keeps
+    the full d x d product, with the same bits on diagonal maps. A diagonal
+    level whose maps all share one diagonal multiplies every row by it, with
+    no lookup by letter.
     """
     meta, blocks = _sample_stream(system, scheme, measure, count, depth, seed,
                                   target_resolution)
@@ -897,15 +910,26 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
                      budget: int = 200_000) -> SeparationReport:
     """Certify a separation condition on the basic sets down to ``depth``.
 
-    Basic sets are tracked as images of the unit reference cube; affine
-    images use their axis-aligned bounding boxes, so a "holds" verdict for
-    rotated systems is conservative. Strong separation (``ssc``) needs sibling
-    sets pairwise disjoint and the open-set variant (``osc``) allows touching;
-    both report the worst sibling gap relative to the parent diameter. The
-    witness is the first sibling pair, in word order, that attains the
-    worst ratio, as two tuples of letters. Raises ``BranchBudgetError``
-    before any work when the word tree down to ``depth`` holds more than
-    ``budget`` words at some level.
+    A word's basic set is the image of the unit cube [0, 1]^d under its
+    composed map, taken by its axis-aligned box (larger than the image for
+    rotated or skewed maps). At every level each pair of sibling boxes is
+    judged against the diameter of their parent's unit-cube image: ``ssc``
+    needs a positive gap, ``osc`` allows touching, and ``worst_gap_ratio``
+    is the smallest gap over that diameter, negative for overlapping boxes.
+    The witness is the first pair attaining it in (level, parent, pair)
+    order, as two tuples of letters.
+
+    A "holds" is finite-depth and not a proof: nothing checks that the maps
+    send the unit cube into itself, and it holds at depths 1 to 11 for
+    ratios [[0.3, 0.3, 0.3]] with offsets 0 / 0.72 / 0.415, whose second
+    and third attractor images overlap.
+
+    ``scheme.offsets`` is called once, on the deepest words in code order;
+    a level-k word reads the row of its first descendant. Levels are composed
+    from their parents, as scale vectors when all are diagonal
+    (``_linear_parts``), and all sibling pairs are judged in one pass.
+    Raises ``BranchBudgetError`` before any work when the word tree down to
+    ``depth`` holds more than ``budget`` words at some level.
     """
     kind = kind.lower()
     if kind not in ("ssc", "osc"):
@@ -922,47 +946,70 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
         )
 
     d = system.ambient_dim
-    holds = True
-    worst_ratio = np.inf
-    witness = None
+    sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+    words = np.cumprod([1] + sizes)
+    pairs = {n: np.triu_indices(n, 1) for n in set(sizes)}
+    # where each level's sibling pairs start in the one pass
+    starts = np.cumsum([0] + [words[k] * len(pairs[n][0]) for k, n in enumerate(sizes)])
+    diagonal, maps = _linear_parts(system, depth)
 
-    # one row per word of the current level, in word order: letters, the
-    # linear part M and the offset t of the word's map x -> M x + t
-    words = np.empty((1, 0), dtype=np.int64)
-    M = np.eye(d)[None]
+    # the deepest words in code order (level 1 most significant)
+    letters = np.empty((words[-1], depth), dtype=np.min_scalar_type(max(sizes)), order="F")
+    for k, n in enumerate(sizes):
+        letters[:, k].reshape(words[k], n, -1)[...] = np.arange(1, n + 1)[:, None]
+
+    # lo1, hi1, lo2, hi2 of every sibling pair's boxes, and the parent's diameter
+    boxes = np.empty((4, starts[-1], d))
+    parent_diam = np.empty(starts[-1])
+    # the map x -> M x + t of every word of the current level, in word order;
+    # M is the diagonal of the linear part on the diagonal path
+    M = np.ones((1, d)) if diagonal else np.eye(d)[None]
     t = np.zeros((1, d))
-    for level in range(1, depth + 1):
-        maps = system.linear_maps(level)
-        n = len(maps)
-        parent_diam = _parallelepiped_diameters(M)
-        child = np.tile(np.arange(1, n + 1), len(words))
-        words = np.column_stack([np.repeat(words, n, axis=0), child])
-        *_, offsets = scheme.offsets(words)
-        M = np.repeat(M, n, axis=0)
-        t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
-        M = M @ maps[child - 1]
+    for k, offsets in enumerate(_checked_offsets(scheme, letters, d)):
+        n, parents = sizes[k], words[k]
+        i, j = pairs[n]
+        # word w of this level reads row w * fan, its first descendant; the
+        # copy is contiguous, since numpy's `@` may pick another kernel, with
+        # other rounding, for strided operands
+        offsets = np.ascontiguousarray(offsets[::words[-1] // words[k + 1]])
+        if diagonal:
+            diam = np.sqrt((M * M).sum(axis=-1))
+            t = (t[:, None] + M[:, None] * offsets.reshape(parents, n, d)).reshape(-1, d)
+            M = (M[:, None] * maps[k]).reshape(-1, d)
+            lo, hi = t + np.minimum(M, 0.0), t + np.maximum(M, 0.0)
+        else:
+            diam = _parallelepiped_diameters(M)
+            M = np.repeat(M, n, axis=0)
+            t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
+            M = M @ np.tile(maps[k], (parents, 1, 1))
+            lo = t + np.minimum(M, 0.0).sum(axis=2)
+            hi = t + np.maximum(M, 0.0).sum(axis=2)
         # axis-aligned box of each child's image of the unit cube, by parent
-        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
-        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
-        i, j = np.triu_indices(n, 1)
-        gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
-        ratios = np.full_like(gaps, np.inf)
-        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
-        first = int(np.argmin(ratios))
-        if ratios.flat[first] < worst_ratio:
-            worst_ratio = ratios.flat[first]
-            parent, pair = divmod(first, len(i))
-            witness = (tuple(words[parent * n + i[pair]].tolist()),
-                       tuple(words[parent * n + j[pair]].tolist()))
-        # osc allows touching siblings; ssc needs a positive gap
-        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
-        if failed.any():
-            holds = False
+        lo, hi = lo.reshape(parents, n, d), hi.reshape(parents, n, d)
+        level = slice(starts[k], starts[k + 1])
+        for out, side in zip(boxes[:, level], (lo[:, i], hi[:, i], lo[:, j], hi[:, j])):
+            out[...] = side.reshape(-1, d)
+        parent_diam[level] = np.repeat(diam, len(i))
+
+    gaps = _signed_gaps(*boxes)
+    ratios = np.full_like(gaps, np.inf)
+    np.divide(gaps, parent_diam, out=ratios, where=parent_diam > 0)
+    first = int(np.argmin(ratios))
+    witness = None
+    if ratios[first] < np.inf:
+        k = int(np.searchsorted(starts, first, side="right")) - 1
+        n = sizes[k]
+        parent, pair = divmod(first - int(starts[k]), len(pairs[n][0]))
+        witness = tuple(
+            tuple(int(x) + 1 for x in np.unravel_index(parent * n + child[pair], sizes[:k + 1]))
+            for child in pairs[n])
+    # osc allows touching siblings; ssc needs a positive gap
+    failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
 
     return SeparationReport(
         kind=kind,
         depth=depth,
-        holds_at_depth=holds,
-        worst_gap_ratio=float(worst_ratio),
+        holds_at_depth=not failed.any(),
+        worst_gap_ratio=float(ratios[first]),
         witness=witness,
     )

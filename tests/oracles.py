@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qdims.singular import batched_log_singular_values, svf_log
+from qdims.systems import SeparationReport
 
 
 def bisect_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
@@ -250,3 +251,77 @@ def word_spectrum(system, letters) -> SingularSpectrum:
         logs = -np.sort(-logs)
         V = vt.T
     return SingularSpectrum(values=np.exp(logs), log_values=logs)
+
+
+def _parallelepiped_diameters(M):
+    # diameter of the image of the unit cube under each matrix of an (m, d, d) stack
+    d = M.shape[-1]
+    best = np.zeros(len(M))
+    for signs in itertools.product((-1.0, 1.0), repeat=d - 1):
+        v = M[:, :, 0] + sum(s * M[:, :, j + 1] for j, s in enumerate(signs))
+        best = np.maximum(best, np.sqrt((v * v).sum(axis=-1)))
+    return best
+
+
+def _signed_gaps(lo1, hi1, lo2, hi2):
+    # positive: Euclidean distance between the boxes; negative: they overlap
+    # on every axis by at least |value| (so the interiors intersect)
+    sep = np.maximum(lo1 - hi2, lo2 - hi1)
+    apart = np.maximum(sep, 0.0)
+    return np.where((sep > 0.0).any(axis=-1), np.sqrt((apart * apart).sum(axis=-1)),
+                    sep.max(axis=-1))
+
+
+def separation_walk(system, scheme, depth, kind):
+    """``check_separation``'s report by the level-by-level walk it replaced.
+
+    Each level asks ``scheme.offsets`` for every word of that level, keeps
+    all of its levels' offsets, composes ``(n, d, d)`` matrix stacks with
+    ``@`` and judges that level's sibling pairs on their own. The arguments
+    are taken as valid and the word tree as within budget.
+    """
+    d = system.ambient_dim
+    holds = True
+    worst_ratio = np.inf
+    witness = None
+
+    # one row per word of the current level, in word order: letters, the
+    # linear part M and the offset t of the word's map x -> M x + t
+    words = np.empty((1, 0), dtype=np.int64)
+    M = np.eye(d)[None]
+    t = np.zeros((1, d))
+    for level in range(1, depth + 1):
+        maps = system.linear_maps(level)
+        n = len(maps)
+        parent_diam = _parallelepiped_diameters(M)
+        child = np.tile(np.arange(1, n + 1), len(words))
+        words = np.column_stack([np.repeat(words, n, axis=0), child])
+        *_, offsets = scheme.offsets(words)
+        M = np.repeat(M, n, axis=0)
+        t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
+        M = M @ maps[child - 1]
+        # axis-aligned box of each child's image of the unit cube, by parent
+        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        i, j = np.triu_indices(n, 1)
+        gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
+        ratios = np.full_like(gaps, np.inf)
+        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
+        first = int(np.argmin(ratios))
+        if ratios.flat[first] < worst_ratio:
+            worst_ratio = ratios.flat[first]
+            parent, pair = divmod(first, len(i))
+            witness = (tuple(words[parent * n + i[pair]].tolist()),
+                       tuple(words[parent * n + j[pair]].tolist()))
+        # osc allows touching siblings; ssc needs a positive gap
+        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
+        if failed.any():
+            holds = False
+
+    return SeparationReport(
+        kind=kind,
+        depth=depth,
+        holds_at_depth=holds,
+        worst_gap_ratio=float(worst_ratio),
+        witness=witness,
+    )

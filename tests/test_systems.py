@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from oracles import (
     project_word,
     random_box_offsets,
+    separation_walk,
     translation,
     word_count_letters,
     word_masses,
@@ -1037,6 +1038,190 @@ class TestSeparationPinned:
         for kind in ("ssc", "osc"):
             assert (report_values(check_separation(system, OffsetsOnly(), depth=5, kind=kind))
                     == report_values(check_separation(system, scheme, depth=5, kind=kind)))
+
+
+def separation_values(rep):
+    return rep.kind, rep.depth, rep.holds_at_depth, rep.worst_gap_ratio.hex(), rep.witness
+
+
+def random_orthogonal(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def separation_cases(draw):
+    """``(system, scheme, budget)``: a level-varying table and a translation scheme.
+
+    Up to three head levels and one or two tail levels of 2 to 4 maps in
+    d = 1..3; similarities with or without orthogonal parts (reflections
+    among them), diagonal affine maps with mixed signs, rotated diagonal
+    maps and skewed maps (orthogonal x diagonal x orthogonal).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    d = draw(st.integers(1, 3))
+    linear = draw(st.sampled_from(["similar", "similar-rotated", "diagonal", "rotated",
+                                   "skewed"]))
+    scheme_kind = draw(st.sampled_from(["finite-set", "assignment", "jittered",
+                                        "random-box", "explicit"]))
+    head = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 3)))]
+    tail = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 2)))]
+    budget = draw(st.integers(4, 600))
+
+    def scales(m):
+        return rng.uniform(0.05, 0.95, size=(m, d))
+
+    def level(m):
+        if linear == "diagonal":
+            return [np.diag(s * rng.choice([-1.0, 1.0], d)) for s in scales(m)]
+        if linear == "rotated":
+            return [random_orthogonal(rng, d) @ np.diag(s) for s in scales(m)]
+        return [random_orthogonal(rng, d) @ np.diag(s) @ random_orthogonal(rng, d)
+                for s in scales(m)]
+
+    if linear.startswith("similar"):
+        rotations = {}
+        if linear == "similar-rotated":
+            rotations = {"rotations": [[random_orthogonal(rng, d) for _ in range(m)]
+                                       for m in head],
+                         "rotations_tail": [[random_orthogonal(rng, d) for _ in range(m)]
+                                            for m in tail]}
+        system = SimilarSystem([rng.uniform(0.05, 0.95, m) for m in head],
+                               tail=[rng.uniform(0.05, 0.95, m) for m in tail],
+                               ambient_dim=d, **rotations)
+    else:
+        system = AffineSystem([level(m) for m in head], tail=[level(m) for m in tail])
+
+    depth = system.profile.depth_within(budget)
+    sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+    if scheme_kind == "random-box":
+        low = rng.uniform(-1.0, 0.5, d)
+        scheme = RandomBoxTranslations(low=low, high=low + rng.uniform(0.0, 1.0, d),
+                                       seed=int(rng.integers(2**31)))
+    elif scheme_kind == "explicit":
+        scheme = ExplicitTranslations({
+            prefix: rng.uniform(-0.5, 1.0, d)
+            for length in range(1, depth + 1)
+            for prefix in itertools.product(*(range(1, m + 1) for m in sizes[:length]))})
+    else:
+        vectors = rng.uniform(-0.5, 1.0, size=(int(rng.integers(1, 5)), d))
+        assignment = None
+        if scheme_kind == "assignment":
+            assignment = {tuple(int(rng.integers(1, m + 1)) for m in sizes[:length]):
+                          int(rng.integers(1, len(vectors) + 1))
+                          for length in rng.integers(1, depth + 1, size=5)}
+        scheme = FiniteTranslationSet(vectors=vectors, assignment=assignment,
+                                      jitter_radius=0.2 if scheme_kind == "jittered" else 0.0)
+        scheme = scheme.realize(int(rng.integers(2**31)))
+    return system, scheme, budget
+
+
+class TestSeparationMatchesWalk:
+    """``check_separation`` against the level-by-level walk of ``oracles.separation_walk``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(separation_cases())
+    def test_reports_are_bit_identical(self, case):
+        system, scheme, budget = case
+        for depth in range(1, system.profile.depth_within(budget) + 1):
+            for kind in ("ssc", "osc"):
+                rep = check_separation(system, scheme, depth=depth, kind=kind, budget=budget)
+                assert separation_values(rep) == separation_values(
+                    separation_walk(system, scheme, depth, kind))
+
+    def test_missing_prefix_raises_as_the_walk_does(self):
+        # two level-3 prefixes and a level-4 one are missing; both name the
+        # first level-3 prefix in word order
+        system = SimilarSystem([[0.3, 0.3, 0.3]], ambient_dim=2)
+        table = complete_table(4)
+        for prefix in [(3, 1, 2), (2, 3, 1), (1, 1, 1, 1)]:
+            del table[prefix]
+        scheme = ExplicitTranslations(table)
+        with pytest.raises(IncompleteSchemeError) as walk:
+            separation_walk(system, scheme, 4, "ssc")
+        with pytest.raises(IncompleteSchemeError, match=re.escape("prefix (2, 3, 1)")) as new:
+            check_separation(system, scheme, depth=4)
+        assert str(new.value) == str(walk.value)
+
+    def test_over_budget_builds_no_letters(self):
+        # the 2**22-word letter table alone would take 88 MiB
+        system, scheme, _ = cantor_system()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BranchBudgetError, match="needs 262144 words at depth 18"):
+                check_separation(system, scheme, depth=22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_peak_memory_within_the_walks(self):
+        # a binary depth-17 tree: 131,072 words, under the default budget
+        system, scheme, _ = cantor_system()
+        peaks, reports = [], []
+        for certify in (lambda: check_separation(system, scheme, depth=17),
+                        lambda: separation_walk(system, scheme, 17, "ssc")):
+            tracemalloc.start()
+            try:
+                reports.append(separation_values(certify()))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert reports[0] == reports[1]
+        assert peaks[0] <= peaks[1]
+
+
+class TestSeparationConfigsPinned:
+    """The certificate of every shipped config and realization at the depth
+    ``run_experiment`` uses (the deepest tree of at most 4,096 words),
+    recorded from the level-by-level walk. These are the ``separation``
+    entries of ``compare``'s reports."""
+
+    PINS = [
+        ("affine_finite_gamma", 0, 7, False, "-0x1.c87d3c54fb73bp-3", ((2,), (3,))),
+        ("affine_finite_gamma", 1, 7, False, "-0x1.0ab6ddc93329bp-6", ((2,), (3,))),
+        ("affine_finite_gamma", 2, 7, False, "-0x1.63c96c34c095bp-5", ((2,), (3,))),
+        ("affine_finite_gamma", 3, 7, False, "-0x1.0f31d96c7160ep-2", ((1,), (2,))),
+        ("affine_finite_gamma", 4, 7, False, "-0x1.40cca63daf4bdp-4", ((2,), (3,))),
+        ("affine_random_box", 0, 7, False, "-0x1.b84a3fab2ded4p-3",
+         ((2, 2, 3, 1), (2, 2, 3, 2))),
+        ("affine_random_box", 1, 7, False, "-0x1.b6a9e1a2db9b4p-3",
+         ((3, 2, 1, 1), (3, 2, 1, 2))),
+        ("affine_random_box", 2, 7, False, "-0x1.bcc74ed58f4d5p-3",
+         ((1, 2, 1, 1), (1, 2, 1, 2))),
+        ("affine_random_box", 3, 7, False, "-0x1.f126c3ed8cc5ep-3", ((1, 1), (1, 3))),
+        ("affine_random_box", 4, 7, False, "-0x1.c860271dae8ffp-3", ((3, 3, 1), (3, 3, 2))),
+        ("cantor", 0, 12, True, "0x1.5555555537dcbp-2",
+         ((1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2))),
+        ("two_level", 0, 12, True, "0x1.5555555467becp-2",
+         ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2))),
+        ("uniform", 0, 12, False, "0x0.0p+0", ((1,), (2,))),
+    ]
+
+    @staticmethod
+    def build(name):
+        config = ExperimentConfig.from_file(os.path.join(REPO, "configs", f"{name}.json"))
+        system, _ = build_system_and_measure(config)
+        return config, system, build_scheme(config, system)
+
+    def test_every_config_and_realization_is_pinned(self):
+        names = sorted(name[:-5] for name in os.listdir(os.path.join(REPO, "configs"))
+                       if name.endswith(".json"))
+        want = []
+        for name in names:
+            config, _, scheme = self.build(name)
+            want += [(name, i) for i in range(config.realizations if scheme.randomized else 1)]
+        assert [pin[:2] for pin in self.PINS] == want
+
+    @pytest.mark.parametrize("name, realization, depth, holds, ratio, witness", PINS,
+                             ids=[f"{pin[0]}-{pin[1]}" for pin in PINS])
+    def test_config(self, name, realization, depth, holds, ratio, witness):
+        config, system, scheme = self.build(name)
+        assert max(system.profile.depth_within(4096), 1) == depth
+        rep = check_separation(system, realize_scheme(scheme, config.seed, realization),
+                               depth=depth, kind="ssc")
+        assert separation_values(rep) == ("ssc", depth, holds, ratio, witness)
 
 
 def points_digest(sample):
