@@ -511,21 +511,18 @@ def _word_counts(measure: BernoulliMeasure, depth: int, count: int, seed: int) -
     return np.random.default_rng(seed).multinomial(count, p / p.sum())
 
 
-def _linear_parts(system, levels: int):
-    """``(diagonal, maps)``: the linear parts of levels 1..``levels``.
+def _code_letters(codes: np.ndarray, sizes) -> np.ndarray:
+    """Letters of the words with these codes, level 1 most significant.
 
-    When every one of them is diagonal, ``maps[k - 1]`` holds level k's
-    diagonals as an ``(m, d)`` stack of scale vectors; otherwise it is level
-    k's ``(m, d, d)`` matrix stack. Products of diagonal maps kept as scale
-    vectors have the bits of the matrix products, because a zero
-    off-diagonal entry adds an exact zero to every sum.
+    Level k has ``sizes[k - 1]`` letters. The letters come as those of
+    ``_letter_chunks``: in its letter type, one contiguous column per level.
     """
-    maps = [system.linear_maps(k) for k in range(1, levels + 1)]
-    off_diagonal = ~np.eye(system.ambient_dim, dtype=bool)
-    diagonal = not any(L[:, off_diagonal].any() for L in maps)
-    if diagonal:
-        maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
-    return diagonal, maps
+    letters = np.empty((len(codes), len(sizes)), dtype=np.min_scalar_type(max(sizes)),
+                       order="F")
+    for k in reversed(range(len(sizes))):
+        codes, letters[:, k] = np.divmod(codes, sizes[k])
+    letters += 1
+    return letters
 
 
 def _checked_offsets(scheme, letters: np.ndarray, d: int):
@@ -585,8 +582,11 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
     """
     d = system.ambient_dim
     # the last level's linear parts never act on an offset
-    diagonal, maps = _linear_parts(system, depth - 1)
+    maps = [system.linear_maps(j) for j in range(1, depth)]
+    off_diagonal = ~np.eye(d, dtype=bool)
+    diagonal = not any(L[:, off_diagonal].any() for L in maps)
     if diagonal:
+        maps = [np.diagonal(L, axis1=1, axis2=2) for L in maps]
         maps = [D[0] if (D == D[0]).all() else D for D in maps]
 
     def project(letters):
@@ -612,9 +612,7 @@ def _sample_blocks(system, scheme, measure: BernoulliMeasure, count: int,
         sizes = [system.profile.size(k) for k in range(1, depth + 1)]
         counts = _word_counts(measure, depth, count, seed)
         drawn = np.flatnonzero(counts)
-        # the drawn words' letters, in the letter type of _letter_chunks
-        letters = np.column_stack(np.unravel_index(drawn, sizes))
-        letters = letters.astype(np.min_scalar_type(max(sizes))) + 1
+        letters = _code_letters(drawn, sizes)
         yield 0, project(letters), counts[drawn], np.full(len(drawn), 1.0 / count)
         return
     for start, letters in _letter_chunks(measure, count, depth, seed):
@@ -650,13 +648,14 @@ def sample_measure(system, scheme, measure: BernoulliMeasure, count: int,
     Beyond the ``(count, d)`` points and their weights, memory is O(chunk x
     depth) for the letters and O(chunk x d x d) for the products.
 
-    The linear parts are composed on one of two paths, chosen by
-    ``_linear_parts``. When every level the sample uses is diagonal
-    (similarities without rotation among them), each address keeps the
-    diagonal of its product as a length-d scale vector; otherwise it keeps
-    the full d x d product, with the same bits on diagonal maps. A diagonal
-    level whose maps all share one diagonal multiplies every row by it, with
-    no lookup by letter.
+    The linear parts are composed on one of two paths, chosen from
+    ``system.linear_maps`` alone. When every level the sample uses is
+    diagonal (similarities without rotation among them), each address keeps
+    the diagonal of its product as a length-d scale vector; otherwise it
+    keeps the full d x d product. Both give the same bits on diagonal maps,
+    because a zero off-diagonal entry adds an exact zero to every sum. A
+    diagonal level whose maps all share one diagonal multiplies every row by
+    it, with no lookup by letter.
     """
     meta, blocks = _sample_stream(system, scheme, measure, count, depth, seed,
                                   target_resolution)
@@ -925,9 +924,8 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     and third attractor images overlap.
 
     ``scheme.offsets`` is called once, on the deepest words in code order;
-    a level-k word reads the row of its first descendant. Levels are composed
-    from their parents, as scale vectors when all are diagonal
-    (``_linear_parts``), and all sibling pairs are judged in one pass.
+    a level-k word reads the row of its first descendant. Each level is
+    composed from its parents and its sibling pairs are judged at once.
     Raises ``BranchBudgetError`` before any work when the word tree down to
     ``depth`` holds more than ``budget`` words at some level.
     """
@@ -949,67 +947,48 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     sizes = [system.profile.size(k) for k in range(1, depth + 1)]
     words = np.cumprod([1] + sizes)
     pairs = {n: np.triu_indices(n, 1) for n in set(sizes)}
-    # where each level's sibling pairs start in the one pass
-    starts = np.cumsum([0] + [words[k] * len(pairs[n][0]) for k, n in enumerate(sizes)])
-    diagonal, maps = _linear_parts(system, depth)
+    # the deepest words in code order
+    letters = _code_letters(np.arange(words[-1]), sizes)
 
-    # the deepest words in code order (level 1 most significant)
-    letters = np.empty((words[-1], depth), dtype=np.min_scalar_type(max(sizes)), order="F")
-    for k, n in enumerate(sizes):
-        letters[:, k].reshape(words[k], n, -1)[...] = np.arange(1, n + 1)[:, None]
-
-    # lo1, hi1, lo2, hi2 of every sibling pair's boxes, and the parent's diameter
-    boxes = np.empty((4, starts[-1], d))
-    parent_diam = np.empty(starts[-1])
-    # the map x -> M x + t of every word of the current level, in word order;
-    # M is the diagonal of the linear part on the diagonal path
-    M = np.ones((1, d)) if diagonal else np.eye(d)[None]
+    holds = True
+    worst_ratio = np.inf
+    witness = None
+    # the map x -> M x + t of every word of the current level, in word order
+    M = np.eye(d)[None]
     t = np.zeros((1, d))
     for k, offsets in enumerate(_checked_offsets(scheme, letters, d)):
         n, parents = sizes[k], words[k]
-        i, j = pairs[n]
+        fan = words[-1] // words[k + 1]
         # word w of this level reads row w * fan, its first descendant; the
         # copy is contiguous, since numpy's `@` may pick another kernel, with
         # other rounding, for strided operands
-        offsets = np.ascontiguousarray(offsets[::words[-1] // words[k + 1]])
-        if diagonal:
-            diam = np.sqrt((M * M).sum(axis=-1))
-            t = (t[:, None] + M[:, None] * offsets.reshape(parents, n, d)).reshape(-1, d)
-            M = (M[:, None] * maps[k]).reshape(-1, d)
-            lo, hi = t + np.minimum(M, 0.0), t + np.maximum(M, 0.0)
-        else:
-            diam = _parallelepiped_diameters(M)
-            M = np.repeat(M, n, axis=0)
-            t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
-            M = M @ np.tile(maps[k], (parents, 1, 1))
-            lo = t + np.minimum(M, 0.0).sum(axis=2)
-            hi = t + np.maximum(M, 0.0).sum(axis=2)
+        offsets = np.ascontiguousarray(offsets[::fan])
+        parent_diam = _parallelepiped_diameters(M)
+        M = np.repeat(M, n, axis=0)
+        t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
+        M = M @ np.tile(system.linear_maps(k + 1), (parents, 1, 1))
         # axis-aligned box of each child's image of the unit cube, by parent
-        lo, hi = lo.reshape(parents, n, d), hi.reshape(parents, n, d)
-        level = slice(starts[k], starts[k + 1])
-        for out, side in zip(boxes[:, level], (lo[:, i], hi[:, i], lo[:, j], hi[:, j])):
-            out[...] = side.reshape(-1, d)
-        parent_diam[level] = np.repeat(diam, len(i))
-
-    gaps = _signed_gaps(*boxes)
-    ratios = np.full_like(gaps, np.inf)
-    np.divide(gaps, parent_diam, out=ratios, where=parent_diam > 0)
-    first = int(np.argmin(ratios))
-    witness = None
-    if ratios[first] < np.inf:
-        k = int(np.searchsorted(starts, first, side="right")) - 1
-        n = sizes[k]
-        parent, pair = divmod(first - int(starts[k]), len(pairs[n][0]))
-        witness = tuple(
-            tuple(int(x) + 1 for x in np.unravel_index(parent * n + child[pair], sizes[:k + 1]))
-            for child in pairs[n])
-    # osc allows touching siblings; ssc needs a positive gap
-    failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
+        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        i, j = pairs[n]
+        gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
+        ratios = np.full_like(gaps, np.inf)
+        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
+        first = int(np.argmin(ratios))
+        if ratios.flat[first] < worst_ratio:
+            worst_ratio = ratios.flat[first]
+            parent, pair = divmod(first, len(i))
+            witness = tuple(tuple(int(x) for x in letters[(parent * n + c[pair]) * fan, :k + 1])
+                            for c in (i, j))
+        # osc allows touching siblings; ssc needs a positive gap
+        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
+        if failed.any():
+            holds = False
 
     return SeparationReport(
         kind=kind,
         depth=depth,
-        holds_at_depth=not failed.any(),
-        worst_gap_ratio=float(ratios[first]),
+        holds_at_depth=holds,
+        worst_gap_ratio=float(worst_ratio),
         witness=witness,
     )
