@@ -5,7 +5,7 @@ Subcommands:
   sample            draw and export attractor points
   estimate          dimension spectrum from a sample file
   compare           full theory-vs-empirical pipeline with a report
-  check-separation  finite-depth separation certificate
+  check-separation  separation certificate, for all depths where the scheme allows
 """
 
 from __future__ import annotations
@@ -183,6 +183,7 @@ def _cmd_check_separation(args) -> int:
     report = check_separation(system, scheme, depth=args.depth, kind=args.kind)
     print(f"kind={report.kind} depth={report.depth} "
           f"holds_at_depth={str(report.holds_at_depth).lower()} "
+          f"all_depths={str(report.all_depths).lower()} "
           f"worst_gap_ratio={report.worst_gap_ratio:.6g} witness={report.witness}")
     return 0
 
@@ -222,9 +223,12 @@ def main(argv=None) -> int:
     common(p_cmp, out_default="out")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_sep = sub.add_parser("check-separation", help="finite-depth separation certificate")
+    p_sep = sub.add_parser("check-separation", help="separation certificate")
     common(p_sep)
-    p_sep.add_argument("--depth", type=int, default=5)
+    p_sep.add_argument("--depth", type=int, default=5,
+                       help="depth of the word-tree walk, for schemes whose offsets depend "
+                            "on more than the level and letter; others are certified for "
+                            "all depths")
     p_sep.add_argument("--kind", choices=["ssc", "osc"], default="ssc")
     p_sep.set_defaults(func=_cmd_check_separation)
 

@@ -89,6 +89,14 @@ class LevelSchedule:
         yield from self.tail
 
     @property
+    def cycle(self) -> tuple[int, int]:
+        """``(h, p)``: level k + p has the entry of level k for every k > h.
+
+        h is 0 when the tail is the head itself, as ``build`` makes it by default.
+        """
+        return (0 if self.tail is self.head else len(self.head)), len(self.tail)
+
+    @property
     def stationary(self) -> bool:
         first = self.head[0]
         return all(np.array_equal(e, first) for e in self.distinct_entries())

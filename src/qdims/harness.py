@@ -388,6 +388,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 "holds_at_depth": sep.holds_at_depth,
                 "worst_gap_ratio": sep.worst_gap_ratio,
                 "depth": sep.depth,
+                "all_depths": sep.all_depths,
             })
             ssc_holds = sep.holds_at_depth
         except BranchBudgetError:

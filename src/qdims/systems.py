@@ -17,7 +17,11 @@ separation checks and the experiment harness use nothing else:
   j = 1..depth the ``(n, d)`` offsets of every row's length-j prefix;
 - ``sup_norm()``: a bound on the norm of every offset.
 
-A new scheme needs these members and nothing else. Systems and schemes are
+A new scheme needs these members and nothing else. One more is optional and
+read as ``False`` when absent: ``letter_determined``, true when a word's
+offset depends only on its length and last letter, with the levels' tables
+repeating as the system's maps do; ``check_separation`` then certifies all
+depths from one table per level. Systems and schemes are
 immutable; sampling is deterministic given a seed.
 """
 
@@ -133,6 +137,12 @@ class SimilarSystem:
     def has_rotations(self) -> bool:
         return self._rotations is not None
 
+    @property
+    def cycle(self) -> tuple[int, int]:
+        """``(h, p)``: past level h the maps repeat every p levels."""
+        parts = [s.cycle for s in (self._ratios, self._rotations) if s is not None]
+        return max(h for h, _ in parts), math.lcm(*(p for _, p in parts))
+
     def ratios_at(self, k: int) -> np.ndarray:
         return self._ratios.at(k)
 
@@ -199,6 +209,11 @@ class AffineSystem:
     @property
     def contraction_bound(self) -> float:
         return self.alpha_upper
+
+    @property
+    def cycle(self) -> tuple[int, int]:
+        """``(h, p)``: past level h the maps repeat every p levels."""
+        return self._matrices.cycle
 
     def linear_maps(self, k: int) -> np.ndarray:
         return self._matrices.at(k)
@@ -364,6 +379,11 @@ class FiniteTranslationSet:
     @property
     def randomized(self) -> bool:
         return self.jitter_radius > 0
+
+    @property
+    def letter_determined(self) -> bool:
+        # without overrides a word's offset is the vector of its last letter
+        return not self.assignment
 
     @property
     def tau(self) -> int:
@@ -877,13 +897,19 @@ def load_sample_csv(path) -> AttractorSample:
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Finite-depth separation certificate, not a proof for all levels."""
+    """Separation certificate: for every depth when ``all_depths``, else
+    down to ``depth`` only, and then not a proof.
+
+    ``depth`` is the depth asked for. A "holds" on boxes is conservative:
+    a failed check means the boxes meet, not that the pieces do.
+    """
 
     kind: str
     depth: int
     holds_at_depth: bool
     worst_gap_ratio: float
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None
+    all_depths: bool = False
 
 
 def _parallelepiped_diameters(M: np.ndarray) -> np.ndarray:
@@ -907,25 +933,37 @@ def _signed_gaps(lo1, hi1, lo2, hi2) -> np.ndarray:
 
 def check_separation(system, scheme, depth: int, kind: str = "ssc",
                      budget: int = 200_000) -> SeparationReport:
-    """Certify a separation condition on the basic sets down to ``depth``.
+    """Certify a separation condition on boxes around the basic sets.
 
-    A word's basic set is the image of the unit cube [0, 1]^d under its
-    composed map, taken by its axis-aligned box (larger than the image for
-    rotated or skewed maps). At every level each pair of sibling boxes is
-    judged against the diameter of their parent's unit-cube image: ``ssc``
-    needs a positive gap, ``osc`` allows touching, and ``worst_gap_ratio``
-    is the smallest gap over that diameter, negative for overlapping boxes.
-    The witness is the first pair attaining it in (level, parent, pair)
-    order, as two tuples of letters.
+    At every level each pair of sibling boxes is judged against the
+    diameter of their parent's box: ``ssc`` needs a positive gap, ``osc``
+    allows touching, and ``worst_gap_ratio`` is the smallest gap over that
+    diameter, negative for overlapping boxes. The witness is the first pair
+    attaining it in (level, parent, pair) order, as two tuples of letters.
+    Boxes are axis-aligned, so for rotated or skewed maps they are larger
+    than the images they bound and a "holds" is conservative.
 
-    A "holds" is finite-depth and not a proof: nothing checks that the maps
-    send the unit cube into itself, and it holds at depths 1 to 11 for
-    ratios [[0.3, 0.3, 0.3]] with offsets 0 / 0.72 / 0.415, whose second
-    and third attractor images overlap.
+    A ``letter_determined`` scheme is certified for all depths
+    (``all_depths``), whatever ``depth`` asks: boxes B_k with
+    f_kj(B_{k+1}) inside B_k for every map j contain the level-k attractor,
+    so sibling images f_ki(B_{k+1}), f_kj(B_{k+1}) that do not meet keep
+    every pair of cylinders apart at every depth (Hutchinson, Indiana Univ.
+    Math. J. 30, 1981). The head and one period of levels are judged, with
+    the word (1, ..., 1, j) standing for every level-k word ending in j.
+    Touching passes ``osc`` only on boxes of positive width. When no such
+    boxes are found (the box map of some rotated tables expands), the
+    scheme is walked as the others are.
 
-    ``scheme.offsets`` is called once, on the deepest words in code order;
-    a level-k word reads the row of its first descendant. Each level is
-    composed from its parents and its sibling pairs are judged at once.
+    Other schemes are walked down to ``depth``: a word's basic set is the
+    image of the unit cube [0, 1]^d under its composed map, which nothing
+    makes invariant, so a "holds" there is not a proof. Walked, ratios
+    [[0.3, 0.3, 0.3]] with offsets 0 / 0.72 / 0.415 by last letter hold at
+    depths 1 to 11, although the second and third attractor images
+    overlap. The walk makes one
+    ``scheme.offsets`` call, on the deepest words in code order; a level-k
+    word reads the row of its first descendant, and each level is composed
+    from its parents and its sibling pairs are judged at once.
+
     Raises ``BranchBudgetError`` before any work when the word tree down to
     ``depth`` holds more than ``budget`` words at some level.
     """
@@ -943,6 +981,134 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
             f"separation check needs {total} words at depth {level}, over budget {budget}"
         )
 
+    found = (_box_certificate(system, scheme, kind)
+             if getattr(scheme, "letter_determined", False) else None)
+    all_depths = found is not None
+    holds, worst_ratio, witness = found if all_depths else _walk_certificate(
+        system, scheme, depth, kind)
+    return SeparationReport(
+        kind=kind,
+        depth=depth,
+        holds_at_depth=holds,
+        worst_gap_ratio=float(worst_ratio),
+        witness=witness,
+        all_depths=all_depths,
+    )
+
+
+# most policy rounds, and widening passes, before the box certificate gives up
+_POLICY_ROUNDS = 64
+_WIDEN_ROUNDS = 4
+
+
+def _box_certificate(system, scheme, kind: str):
+    """``(holds, worst_ratio, witness)`` on invariant boxes, or ``None``.
+
+    A box [lo, hi] is the vector v = (-lo, hi), on which the image box
+    under the map x -> A x + o is G v + c, with G = [[A+, A-], [A-, A+]]
+    >= 0 (A = A+ - A-) and c = (-o, o). The hull of a level's image boxes
+    is their componentwise max. The tail box is the fixed point of one
+    period of hulls: each component's maximizing map is a policy, the
+    policy's fixed point is one linear solve, and the policy is improved
+    until no map beats it there (Howard's policy iteration), starting from
+    the policy on the cube of half-width ``sup_norm / (1 - contraction_bound)``.
+    The boxes are then checked, not trusted: the period's hulls, computed
+    in floats from the tail box, must lie inside it, and it is widened by
+    their hull up to ``_WIDEN_ROUNDS`` times. Head boxes are the hulls of
+    their images.
+    """
+    head, period = system.cycle
+    levels = head + period
+    d = system.ambient_dim
+    G, c = [], []
+    for k, offsets in enumerate(_letter_tables(system, scheme, levels), 1):
+        A = system.linear_maps(k)
+        Ap, Am = np.maximum(A, 0.0), np.maximum(-A, 0.0)
+        G.append(np.concatenate([np.concatenate([Ap, Am], axis=2),
+                                 np.concatenate([Am, Ap], axis=2)], axis=1))
+        c.append(np.concatenate([-offsets, offsets], axis=1))
+
+    rows = np.arange(2 * d)
+    tail = range(levels - 1, head - 1, -1)  # 0-based levels, deepest first
+    # the first policy is the hull's on the cube of half-width sup|o| / (1 - a),
+    # which holds every level's attractor
+    cube = np.full(2 * d, scheme.sup_norm() / (1.0 - system.contraction_bound))
+    policy = {k: (G[k] @ cube + c[k]).argmax(axis=0) for k in tail}
+    for _ in range(_POLICY_ROUNDS):
+        Q, r = np.eye(2 * d), np.zeros(2 * d)
+        for k in tail:
+            L = G[k][policy[k], rows]
+            r = L @ r + c[k][policy[k], rows]
+            Q = L @ Q
+        try:
+            v = np.linalg.solve(np.eye(2 * d) - Q, r)
+        except np.linalg.LinAlgError:
+            return None
+        stable, w = True, v
+        for k in tail:
+            U = G[k] @ w + c[k]
+            w = U[policy[k], rows]
+            better = U.max(axis=0) > w
+            if better.any():
+                stable = False
+                policy[k] = np.where(better, U.argmax(axis=0), policy[k])
+        if stable:
+            break
+
+    images = [None] * levels
+    for _ in range(_WIDEN_ROUNDS):
+        # a box of negative width would be empty, and hold no attractor
+        if not (np.isfinite(v).all() and (v[:d] + v[d:] >= 0.0).all()):
+            return None
+        w = v
+        for k in tail:
+            images[k] = U = G[k] @ w + c[k]
+            w = U.max(axis=0)
+        if (w <= v).all():
+            break
+        v = np.maximum(v, w)
+    else:
+        return None
+    w = v
+    for k in reversed(range(head)):
+        images[k] = U = G[k] @ w + c[k]
+        w = U.max(axis=0)
+
+    # touching siblings pass osc only when every box has interior
+    touching_ok = kind == "osc" and bool((v[:d] + v[d:] > 0.0).all())
+    pairs = {len(U): np.triu_indices(len(U), 1) for U in images}
+    holds, worst_ratio, witness = True, np.inf, None
+    for k, U in enumerate(images):
+        lo, hi = -U[:, :d], U[:, d:]
+        i, j = pairs[len(U)]
+        gaps = _signed_gaps(lo[i], hi[i], lo[j], hi[j])
+        hull = U.max(axis=0)
+        diam = math.sqrt(float(np.square(hull[:d] + hull[d:]).sum()))
+        # images in a box of diameter 0 are one point, all gaps 0
+        ratios = gaps / diam if diam > 0 else np.zeros_like(gaps)
+        first = int(np.argmin(ratios))
+        if ratios[first] < worst_ratio:
+            worst_ratio = ratios[first]
+            witness = tuple((1,) * k + (int(x) + 1,) for x in (i[first], j[first]))
+        if (gaps < 0.0 if touching_ok else gaps <= 0.0).any():
+            holds = False
+    return holds, worst_ratio, witness
+
+
+def _letter_tables(system, scheme, levels: int) -> list[np.ndarray]:
+    """Offsets of the words (1, ..., 1, j) of levels 1..levels, one (n_k, d) table each."""
+    sizes = [system.profile.size(k) for k in range(1, levels + 1)]
+    starts = np.cumsum([0] + sizes).tolist()
+    letters = np.ones((starts[-1], levels), dtype=np.min_scalar_type(max(sizes)))
+    for k, n in enumerate(sizes):
+        letters[starts[k]:starts[k + 1], k] = np.arange(1, n + 1)
+    return [offsets[starts[k]:starts[k + 1]] for k, offsets in
+            enumerate(_checked_offsets(scheme, letters, system.ambient_dim))]
+
+
+def _walk_certificate(system, scheme, depth: int, kind: str):
+    """``(holds, worst_ratio, witness)`` of the word tree down to ``depth``,
+    on the unit-cube images."""
     d = system.ambient_dim
     sizes = [system.profile.size(k) for k in range(1, depth + 1)]
     words = np.cumprod([1] + sizes)
@@ -984,11 +1150,4 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
         failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
         if failed.any():
             holds = False
-
-    return SeparationReport(
-        kind=kind,
-        depth=depth,
-        holds_at_depth=holds,
-        worst_gap_ratio=float(worst_ratio),
-        witness=witness,
-    )
+    return holds, worst_ratio, witness

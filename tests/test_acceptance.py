@@ -112,6 +112,7 @@ def test_criterion_4_upper_bound_for_overlapping_systems():
         # the overlap-induced concentration only shows at fine scales, so
         # the ladder starts below the coarse pre-asymptotic plateau
         scales = tuple(2.0**-e for e in range(5, 13))
+        overlapping = 0
         for trial in range(10):
             n = int(rng.integers(2, 4))
             c = rng.uniform(0.1, 0.45, size=n)
@@ -124,14 +125,23 @@ def test_criterion_4_upper_bound_for_overlapping_systems():
             system = qd.SimilarSystem([c])
             scheme = qd.FiniteTranslationSet(vectors=[[o] for o in offsets])
             measure = qd.BernoulliMeasure([p])
+            # the pieces of the attractor, whose hull runs between the maps'
+            # extreme fixed points, overlap in two of the ten trials; the
+            # certificate sees them, and sees the other eight apart
+            fixed = offsets / (1.0 - c)
+            lo, hi = c * fixed.min() + offsets, c * fixed.max() + offsets
+            order = np.argsort(lo)
+            overlap = bool((lo[order][1:] < np.maximum.accumulate(hi[order])[:-1]).any())
+            overlapping += overlap
             osc = qd.check_separation(system, scheme, depth=1, kind="osc")
-            assert not osc.holds_at_depth
+            assert osc.holds_at_depth == (not overlap), trial
             d2 = qd.stationary_dimension(c, p, 2)
             sample = qd.sample_measure(system, scheme, measure, count=10**6,
                                        seed=440 + trial,
                                        target_resolution=min(scales))
             _, est = qd.estimate_dimension(sample, 2, scales)
             assert est.dimension <= min(d2, 1.0) + 0.05, (trial, est.dimension, d2)
+        assert overlapping == 2
 
 
 def _random_contraction_batch(rng, count, d, top=0.9):

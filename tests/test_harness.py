@@ -372,6 +372,7 @@ class TestRunExperiment:
             assert row.method.startswith("closed-form[equality:similar+ssc]")
             assert row.passed
         assert report.meta["separation"][0]["holds_at_depth"] is True
+        assert report.meta["separation"][0]["all_depths"] is True
 
     def test_realizations_rows_and_norm_check(self):
         raw = dict(
@@ -631,12 +632,17 @@ class TestCli:
         assert "0.333333" in out
 
     def test_check_separation_output_pinned(self, capsys):
-        # recorded when the witness was a pair of word objects
+        # recorded when the finite sets were first certified on invariant boxes
         cfg = os.path.join(REPO, "configs", "cantor.json")
         assert cli_main(["check-separation", "--config", cfg, "--depth", "3"]) == 0
         assert capsys.readouterr().out == (
-            "kind=ssc depth=3 holds_at_depth=true worst_gap_ratio=0.333333 "
-            "witness=((2, 1, 1), (2, 1, 2))\n")
+            "kind=ssc depth=3 holds_at_depth=true all_depths=true worst_gap_ratio=0.333333 "
+            "witness=((1,), (2,))\n")
+
+    def test_check_separation_says_when_it_walks(self, capsys):
+        cfg = os.path.join(REPO, "configs", "affine_random_box.json")
+        assert cli_main(["check-separation", "--config", cfg, "--depth", "3"]) == 0
+        assert " all_depths=false " in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [["compare"], ["check-separation", "--depth", "2"]],
                              ids=["compare", "check-separation"])

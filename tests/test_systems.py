@@ -2,6 +2,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import threading
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    cylinder_points,
     project_word,
     random_box_offsets,
     separation_walk,
@@ -940,7 +942,9 @@ class TestSeparation:
         assert check_separation(system, scheme, depth=4, kind="osc").holds_at_depth
 
     def test_overlapping_intervals_witness(self):
-        system = SimilarSystem([[0.5, 0.5]])
+        # the attractor is [0, 0.625], and its images [0, 0.375] and
+        # [0.25, 0.625] overlap
+        system = SimilarSystem([[0.6, 0.6]])
         scheme = FiniteTranslationSet(vectors=[[0.0], [0.25]])
         rep = check_separation(system, scheme, depth=1, kind="osc")
         assert not rep.holds_at_depth
@@ -983,31 +987,33 @@ def report_values(rep):
     return rep.holds_at_depth, rep.worst_gap_ratio, rep.witness
 
 
-class TestSeparationPinned:
-    """Verdicts, worst ratios and witnesses recorded from the per-word certificate."""
+class OffsetsOnly:
+    """A scheme with nothing but ``offsets``: certified by the word-tree walk."""
 
-    CANTOR = {
-        1: (0.3333333333333333, ((1,), (2,))),
-        2: (0.3333333333333333, ((1,), (2,))),
-        3: (0.3333333333333328, ((2, 1, 1), (2, 1, 2))),
-        4: (0.3333333333333318, ((2, 1, 2, 1), (2, 1, 2, 2))),
-        5: (0.3333333333333318, ((2, 1, 2, 1), (2, 1, 2, 2))),
-        6: (0.3333333333333296, ((1, 2, 1, 1, 1, 1), (1, 2, 1, 1, 1, 2))),
-    }
+    def __init__(self, scheme):
+        self.offsets = scheme.offsets
+
+
+class TestSeparationPinned:
+    """Verdicts, worst ratios and witnesses, recorded from the invariant-box
+    certificate for finite sets and from the word-tree walk for random boxes."""
 
     @pytest.mark.parametrize("kind", ["ssc", "osc"])
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_cantor(self, kind, depth):
+        # one level is judged whatever the depth: [0, 1/3] and [2/3, 1] in [0, 1]
         system, scheme, _ = cantor_system()
-        ratio, witness = self.CANTOR[depth]
         rep = check_separation(system, scheme, depth=depth, kind=kind)
-        assert report_values(rep) == (True, pytest.approx(ratio, rel=1e-12), witness)
+        assert report_values(rep) == (True, pytest.approx(0.3333333333333334, rel=1e-12),
+                                      ((1,), (2,)))
+        assert rep.all_depths and rep.depth == depth
 
     @pytest.mark.parametrize("kind", ["ssc", "osc"])
     def test_rotated_similarity(self, kind):
         rep = check_separation(*rotated_similar_system(), depth=5, kind=kind)
-        assert report_values(rep) == (True, pytest.approx(0.01385003838587017, rel=1e-12),
-                                      ((1, 2, 2, 2, 1), (1, 2, 2, 2, 3)))
+        assert report_values(rep) == (True, pytest.approx(0.0500312581401191, rel=1e-12),
+                                      ((1,), (3,)))
+        assert rep.all_depths
 
     @pytest.mark.parametrize("system, scheme, kind, ratio, witness", [
         (AffineSystem([[np.diag([0.45, 0.40]), np.diag([0.42, 0.38]), np.diag([0.40, 0.35])]]),
@@ -1019,29 +1025,29 @@ class TestSeparationPinned:
     def test_random_box_affine(self, system, scheme, kind, ratio, witness):
         rep = check_separation(system, scheme, depth=5, kind=kind)
         assert report_values(rep) == (False, pytest.approx(ratio, rel=1e-12), witness)
+        assert not rep.all_depths
 
     @pytest.mark.parametrize("kind", ["ssc", "osc"])
     def test_level_varying_branching(self, kind):
+        # boxes [0, 0.934], [0, 0.836] and [0, 0.787] by level; at level 2
+        # the images of the third, [0.35, 0.586] and [0.6, 0.836], are 0.014 apart
         system = SimilarSystem([[0.4, 0.4], [0.3, 0.3, 0.3], [0.2, 0.2]])
         scheme = FiniteTranslationSet(vectors=[[0.0], [0.6], [0.35]])
         rep = check_separation(system, scheme, depth=3, kind=kind)
-        assert report_values(rep) == (False, pytest.approx(-0.050000000000000044, rel=1e-12),
+        assert report_values(rep) == (True, pytest.approx(0.016666666666666725, rel=1e-12),
                                       ((1, 2), (1, 3)))
 
     def test_certifies_through_offsets_alone(self):
         system, scheme = rotated_similar_system()
-
-        class OffsetsOnly:
-            def offsets(self, letters):
-                return scheme.offsets(letters)
-
         for kind in ("ssc", "osc"):
-            assert (report_values(check_separation(system, OffsetsOnly(), depth=5, kind=kind))
-                    == report_values(check_separation(system, scheme, depth=5, kind=kind)))
+            assert (separation_values(check_separation(system, OffsetsOnly(scheme), depth=5,
+                                                       kind=kind))
+                    == separation_values(separation_walk(system, scheme, 5, kind)))
 
 
 def separation_values(rep):
-    return rep.kind, rep.depth, rep.holds_at_depth, rep.worst_gap_ratio.hex(), rep.witness
+    return (rep.kind, rep.depth, rep.holds_at_depth, rep.worst_gap_ratio.hex(), rep.witness,
+            rep.all_depths)
 
 
 def random_orthogonal(rng, d):
@@ -1063,7 +1069,7 @@ def separation_cases(draw):
     linear = draw(st.sampled_from(["similar", "similar-rotated", "diagonal", "rotated",
                                    "skewed"]))
     scheme_kind = draw(st.sampled_from(["finite-set", "assignment", "jittered",
-                                        "random-box", "explicit"]))
+                                        "random-box", "explicit", "offsets-only"]))
     head = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 3)))]
     tail = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 2)))]
     budget = draw(st.integers(4, 600))
@@ -1113,11 +1119,15 @@ def separation_cases(draw):
         scheme = FiniteTranslationSet(vectors=vectors, assignment=assignment,
                                       jitter_radius=0.2 if scheme_kind == "jittered" else 0.0)
         scheme = scheme.realize(int(rng.integers(2**31)))
+        if scheme_kind == "offsets-only":
+            scheme = OffsetsOnly(scheme)
     return system, scheme, budget
 
 
 class TestSeparationMatchesWalk:
-    """``check_separation`` against the level-by-level walk of ``oracles.separation_walk``."""
+    """``check_separation`` against the level-by-level walk of ``oracles.separation_walk``
+    wherever it walks: on schemes whose offsets depend on the whole prefix, and
+    on letter-determined ones whose invariant boxes are not found."""
 
     @settings(max_examples=150, deadline=None)
     @given(separation_cases())
@@ -1126,6 +1136,24 @@ class TestSeparationMatchesWalk:
         for depth in range(1, system.profile.depth_within(budget) + 1):
             for kind in ("ssc", "osc"):
                 rep = check_separation(system, scheme, depth=depth, kind=kind, budget=budget)
+                if rep.all_depths:
+                    assert getattr(scheme, "letter_determined", False)
+                else:
+                    assert separation_values(rep) == separation_values(
+                        separation_walk(system, scheme, depth, kind))
+
+    @pytest.mark.parametrize("linear", ["rotated", "skewed"])
+    @pytest.mark.parametrize("scheme", [
+        ExplicitTranslations(complete_table(4)),
+        FiniteTranslationSet(vectors=[[0.0, 0.0], [0.65, 0.1], [0.2, 0.7]],
+                             assignment=ASSIGNMENT),
+    ], ids=["explicit", "assignment"])
+    def test_prefix_keyed_schemes_are_walked(self, linear, scheme):
+        system = rotated_similar_system()[0] if linear == "rotated" else skewed_affine_system()
+        for depth in range(1, 5):
+            for kind in ("ssc", "osc"):
+                rep = check_separation(system, scheme, depth=depth, kind=kind)
+                assert not rep.all_depths
                 assert separation_values(rep) == separation_values(
                     separation_walk(system, scheme, depth, kind))
 
@@ -1158,6 +1186,7 @@ class TestSeparationMatchesWalk:
     def test_peak_memory_within_the_walks(self):
         # a binary depth-17 tree: 131,072 words, under the default budget
         system, scheme, _ = cantor_system()
+        scheme = OffsetsOnly(scheme)
         peaks, reports = [], []
         for certify in (lambda: check_separation(system, scheme, depth=17),
                         lambda: separation_walk(system, scheme, 17, "ssc")):
@@ -1174,29 +1203,29 @@ class TestSeparationMatchesWalk:
 
 class TestSeparationConfigsPinned:
     """The certificate of every shipped config and realization at the depth
-    ``run_experiment`` uses (the deepest tree of at most 4,096 words),
-    recorded from the level-by-level walk. These are the ``separation``
-    entries of ``compare``'s reports."""
+    ``run_experiment`` uses (the deepest tree of at most 4,096 words). These
+    are the ``separation`` entries of ``compare``'s reports. The finite sets
+    are certified for all depths on invariant boxes; the random boxes are
+    walked, with the values the level-by-level walk recorded."""
 
     PINS = [
-        ("affine_finite_gamma", 0, 7, False, "-0x1.c87d3c54fb73bp-3", ((2,), (3,))),
-        ("affine_finite_gamma", 1, 7, False, "-0x1.0ab6ddc93329bp-6", ((2,), (3,))),
-        ("affine_finite_gamma", 2, 7, False, "-0x1.63c96c34c095bp-5", ((2,), (3,))),
-        ("affine_finite_gamma", 3, 7, False, "-0x1.0f31d96c7160ep-2", ((1,), (2,))),
-        ("affine_finite_gamma", 4, 7, False, "-0x1.40cca63daf4bdp-4", ((2,), (3,))),
+        ("affine_finite_gamma", 0, 7, False, "-0x1.4ce45202699f4p-3", ((2,), (3,)), True),
+        ("affine_finite_gamma", 1, 7, True, "0x1.8a4ba9c703760p-4", ((1,), (3,)), True),
+        ("affine_finite_gamma", 2, 7, False, "-0x1.0022532a70263p-4", ((2,), (3,)), True),
+        ("affine_finite_gamma", 3, 7, False, "-0x1.ee14e0d219ad4p-3", ((1,), (2,)), True),
+        ("affine_finite_gamma", 4, 7, False, "-0x1.e287aaf98d616p-4", ((2,), (3,)), True),
         ("affine_random_box", 0, 7, False, "-0x1.b84a3fab2ded4p-3",
-         ((2, 2, 3, 1), (2, 2, 3, 2))),
+         ((2, 2, 3, 1), (2, 2, 3, 2)), False),
         ("affine_random_box", 1, 7, False, "-0x1.b6a9e1a2db9b4p-3",
-         ((3, 2, 1, 1), (3, 2, 1, 2))),
+         ((3, 2, 1, 1), (3, 2, 1, 2)), False),
         ("affine_random_box", 2, 7, False, "-0x1.bcc74ed58f4d5p-3",
-         ((1, 2, 1, 1), (1, 2, 1, 2))),
-        ("affine_random_box", 3, 7, False, "-0x1.f126c3ed8cc5ep-3", ((1, 1), (1, 3))),
-        ("affine_random_box", 4, 7, False, "-0x1.c860271dae8ffp-3", ((3, 3, 1), (3, 3, 2))),
-        ("cantor", 0, 12, True, "0x1.5555555537dcbp-2",
-         ((1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 1), (1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 2, 2))),
-        ("two_level", 0, 12, True, "0x1.5555555467becp-2",
-         ((2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2))),
-        ("uniform", 0, 12, False, "0x0.0p+0", ((1,), (2,))),
+         ((1, 2, 1, 1), (1, 2, 1, 2)), False),
+        ("affine_random_box", 3, 7, False, "-0x1.f126c3ed8cc5ep-3", ((1, 1), (1, 3)), False),
+        ("affine_random_box", 4, 7, False, "-0x1.c860271dae8ffp-3", ((3, 3, 1), (3, 3, 2)),
+         False),
+        ("cantor", 0, 12, True, "0x1.5555555555557p-2", ((1,), (2,)), True),
+        ("two_level", 0, 12, True, "0x1.999999999999ap-2", ((1,), (2,)), True),
+        ("uniform", 0, 12, False, "0x0.0p+0", ((1,), (2,)), True),
     ]
 
     @staticmethod
@@ -1214,14 +1243,129 @@ class TestSeparationConfigsPinned:
             want += [(name, i) for i in range(config.realizations if scheme.randomized else 1)]
         assert [pin[:2] for pin in self.PINS] == want
 
-    @pytest.mark.parametrize("name, realization, depth, holds, ratio, witness", PINS,
-                             ids=[f"{pin[0]}-{pin[1]}" for pin in PINS])
-    def test_config(self, name, realization, depth, holds, ratio, witness):
+    @pytest.mark.parametrize("name, realization, depth, holds, ratio, witness, all_depths",
+                             PINS, ids=[f"{pin[0]}-{pin[1]}" for pin in PINS])
+    def test_config(self, name, realization, depth, holds, ratio, witness, all_depths):
         config, system, scheme = self.build(name)
         assert max(system.profile.depth_within(4096), 1) == depth
         rep = check_separation(system, realize_scheme(scheme, config.seed, realization),
                                depth=depth, kind="ssc")
-        assert separation_values(rep) == ("ssc", depth, holds, ratio, witness)
+        assert separation_values(rep) == ("ssc", depth, holds, ratio, witness, all_depths)
+
+
+@st.composite
+def line_tables(draw):
+    """A 1-D level-varying similarity table with a head and a tail of one or
+    two levels of 2 or 3 maps each, and a finite set of 2 to 4 offsets."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    head, tail = ([rng.uniform(0.05, 0.45, int(m)) for m in rng.integers(2, 4, size=levels)]
+                  for levels in (draw(st.integers(1, 2)), draw(st.integers(1, 2))))
+    vectors = rng.uniform(-0.5, 1.5, size=(int(rng.integers(2, 5)), 1))
+    return SimilarSystem(head, tail=tail), FiniteTranslationSet(vectors=vectors)
+
+
+class TestSeparationBoxes:
+    """The all-depth certificate on invariant boxes, for letter-determined schemes."""
+
+    def test_overlapping_attractor_images_fail(self):
+        # the attractor spans [0, 0.72 / 0.7]; its second and third images,
+        # [0.72, 1.0286] and [0.415, 0.7236], overlap by 0.0036, which the
+        # unit-cube walk missed at every depth up to 11
+        system = SimilarSystem([[0.3, 0.3, 0.3]])
+        scheme = FiniteTranslationSet(vectors=[[0.0], [0.72], [0.415]])
+        for kind in ("ssc", "osc"):
+            rep = check_separation(system, scheme, depth=6, kind=kind)
+            assert (rep.holds_at_depth, rep.all_depths, rep.witness) == (
+                False, True, ((2,), (3,)))
+            assert rep.worst_gap_ratio == pytest.approx(-0.0035714 / 1.0285714, rel=1e-4)
+        letters, points = cylinder_points(system, scheme, 6)
+        assert points[letters[:, 0] == 3].max() > points[letters[:, 0] == 2].min()
+
+    @settings(max_examples=100, deadline=None)
+    @given(line_tables())
+    def test_holds_only_with_disjoint_cylinders(self, case):
+        # where the certificate holds, sibling cylinders of every level down
+        # to head + period + 3 have disjoint point hulls (up to rounding)
+        system, scheme = case
+        head, period = system.cycle
+        depth = head + period + 3
+        letters, points = cylinder_points(system, scheme, depth)
+        sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+        for kind in ("ssc", "osc"):
+            rep = check_separation(system, scheme, depth=1, kind=kind)
+            assert rep.all_depths
+            if not rep.holds_at_depth:
+                continue
+            for k in range(1, depth):
+                x = points[:, 0].reshape(math.prod(sizes[:k - 1]), sizes[k - 1], -1)
+                lo, hi = x.min(axis=2), x.max(axis=2)
+                i, j = np.triu_indices(sizes[k - 1], 1)
+                gaps = np.maximum(lo[:, i] - hi[:, j], lo[:, j] - hi[:, i])
+                assert gaps.min() > -1e-12, (kind, k)
+
+    def test_point_attractor_fails_osc(self):
+        # both maps fix 0.5: touching on boxes without interior is no open set
+        system = SimilarSystem([[0.4, 0.4]])
+        scheme = FiniteTranslationSet(vectors=[[0.3], [0.3]])
+        for kind in ("ssc", "osc"):
+            rep = check_separation(system, scheme, depth=3, kind=kind)
+            assert (rep.holds_at_depth, rep.worst_gap_ratio, rep.witness, rep.all_depths) == (
+                False, 0.0, ((1,), (2,)), True)
+
+    def test_expanding_box_map_is_walked(self):
+        # rotated by 45 degrees, 0.9 x the unit square's box is 1.27 x as wide:
+        # no invariant box exists, so the tree is walked as for other schemes
+        system = SimilarSystem([[0.9, 0.9]], ambient_dim=2,
+                               rotations=[[rotation(np.pi / 4), rotation(np.pi / 4)]])
+        scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [1.0, 0.0]])
+        rep = check_separation(system, scheme, depth=3)
+        assert not rep.all_depths
+        assert separation_values(rep) == separation_values(
+            separation_walk(system, scheme, 3, "ssc"))
+
+    def test_letter_tables_come_from_offsets(self):
+        # level k's table is read off the words (1, ..., 1, j) alone
+        system, scheme, _ = cantor_system()
+        seen = []
+
+        class Recording:
+            letter_determined = True
+
+            def offsets(self, letters):
+                seen.append(letters.tolist())
+                return scheme.offsets(letters)
+
+            def sup_norm(self):
+                return scheme.sup_norm()
+
+        assert separation_values(check_separation(system, Recording(), depth=9)) == \
+            separation_values(check_separation(system, scheme, depth=9))
+        assert seen == [[[1], [2]]]
+
+    def test_letter_determined_schemes(self):
+        assert FiniteTranslationSet(vectors=[[0.0], [1.0]]).letter_determined
+        assert FiniteTranslationSet(vectors=[[0.0], [1.0]], jitter_radius=0.1).letter_determined
+        assert not FiniteTranslationSet(vectors=[[0.0], [1.0]],
+                                        assignment={(1,): 2}).letter_determined
+        for scheme in (ExplicitTranslations({(1,): [0.0]}),
+                       RandomBoxTranslations(low=[0.0], high=[1.0], seed=0)):
+            assert not getattr(scheme, "letter_determined", False)
+
+    @pytest.mark.parametrize("system, cycle", [
+        (SimilarSystem([[0.3, 0.3]]), (0, 1)),
+        (SimilarSystem([[0.3, 0.3], [0.2, 0.2]]), (0, 2)),
+        (SimilarSystem([[0.3, 0.3]], tail=[[0.2, 0.2], [0.1, 0.1]]), (1, 2)),
+        (SimilarSystem([[0.3, 0.3]], tail=[[0.2, 0.2], [0.1, 0.1]], ambient_dim=2,
+                       rotations=[[rotation(0.1), rotation(0.2)]] * 2,
+                       rotations_tail=[[rotation(0.3), rotation(0.4)]] * 3), (2, 6)),
+        (skewed_affine_system(), (0, 1)),
+        (AffineSystem([[np.eye(2) * 0.5] * 2] * 3, tail=[[np.eye(2) * 0.4] * 2]), (3, 1)),
+    ])
+    def test_cycle(self, system, cycle):
+        assert system.cycle == cycle
+        head, period = cycle
+        for k in range(head + 1, head + 2 * period + 1):
+            assert np.array_equal(system.linear_maps(k), system.linear_maps(k + period))
 
 
 def points_digest(sample):
