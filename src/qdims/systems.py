@@ -950,9 +950,11 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     every pair of cylinders apart at every depth (Hutchinson, Indiana Univ.
     Math. J. 30, 1981). The head and one period of levels are judged, with
     the word (1, ..., 1, j) standing for every level-k word ending in j.
-    Touching passes ``osc`` only on boxes of positive width. When no such
-    boxes are found (the box map of some rotated tables expands), the
-    scheme is walked as the others are.
+    Touching passes ``osc`` only on boxes of positive width, so a touching
+    attractor that lies in a hyperplane (a box of width 0 on some axis)
+    fails ``osc`` even where a thickened box would show that it holds. When
+    no invariant boxes are found (the box map of some rotated tables
+    expands), the scheme is walked as the others are.
 
     Other schemes are walked down to ``depth``: a word's basic set is the
     image of the unit cube [0, 1]^d under its composed map, which nothing
@@ -996,9 +998,12 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     )
 
 
-# most policy rounds, and widening passes, before the box certificate gives up
+# most policy rounds, and widening passes, before the box certificate gives
+# up; the solved box can miss its float hulls by an ulp, and closing that
+# took up to 8 passes on random contracting tables, while an expanding box
+# map never closes
 _POLICY_ROUNDS = 64
-_WIDEN_ROUNDS = 4
+_WIDEN_ROUNDS = 16
 
 
 def _box_certificate(system, scheme, kind: str):

@@ -265,16 +265,13 @@ def _moment_sums(groups, q: float, sampled: bool = False):
     segment below it, so the value depends on s alone, never on the s asked
     before. The entropy form weighs each row down to a number once.
 
-    Every evaluation forms each word's exponent from the read-only
+    Every evaluation forms each word's exponent afresh from the read-only
     prefix rows, ``_SUM_BLOCK`` words at a time, into one scratch the size of
     the largest group, then takes the group's max, exp and sum over the whole
     group. Groups of at most one block are packed once into one buffer, so a
-    pass over many small groups makes a few numpy calls per group. When no
-    group is larger, that part keeps its ``(1-q) slope`` and ``base`` rows
-    for the segment last asked for, so a later s on the same segment costs
-    ``t = slope * s + base`` alone, with the same bits. Beyond the groups'
-    own arrays, memory is O(largest group + one block), plus the packed
-    small groups (and their two rows when they are all there is).
+    pass over many small groups makes a few numpy calls per group. Beyond the
+    groups' own arrays, memory is O(largest group + one block), plus the
+    packed small groups.
     """
     prefix, log_p = zip(*groups)
     d = len(prefix[0])
@@ -321,51 +318,32 @@ def _moment_sums(groups, q: float, sampled: bool = False):
         parts.append(pack(small))
     scratch = np.empty(max(len(lp) for _, lp, *_ in parts))
     base = np.empty(min(_SUM_BLOCK, len(scratch)))
-    # when every group is small, the packed part's slope and base rows on the
-    # segment at kept_lo; beside a large group they would raise the peak
-    packed_only = len(small) == len(log_p)
-    kept = np.empty((2, len(parts[0][1]) if packed_only else 0))
-    kept_lo = None
-
-    def coefficients(pre, lp, lo: int, at, slope, base) -> None:
-        """``slope`` and ``base`` of the words ``at`` on the segment at ``lo``,
-        both scaled by 1 - q, with ``scale log p`` added to ``base``; the
-        slope is formed twice, into ``base`` first, so one block buffer serves."""
-        below = pre[lo - 1, at] if lo else 0.0
-        if lo < d:
-            np.subtract(pre[lo, at], below, out=base)
-            np.subtract(below, np.multiply(base, lo, out=base), out=base)
-        else:
-            base.fill(0.0)
-        base *= 1.0 - q
-        base += np.multiply(lp[at], scale, out=slope)
-        if lo < d:
-            np.subtract(pre[lo, at], below, out=slope)
-        else:
-            np.divide(pre[-1, at], d, out=slope)
-        slope *= 1.0 - q
 
     def exponents(pre, lp, lo: int, s: float) -> np.ndarray:
         """``(1-q) svf_log(s) + scale log p`` of the part's words, in scratch.
 
-        The ops are those of ``t = slope * s + base``. A packed part alone
-        keeps its coefficients while s stays on one segment; other parts form
-        them again, a block at a time.
+        The ops are those of ``t = slope * s + base`` with ``slope`` and
+        ``base`` scaled by 1 - q and ``scale log p`` added to ``base``; the
+        slope is formed twice, into ``base`` first, so one block buffer serves.
         """
-        nonlocal kept_lo
         t = scratch[:len(lp)]
-        if packed_only:
-            if kept_lo != lo:
-                coefficients(pre, lp, lo, slice(None), *kept)
-                kept_lo = lo
-            np.multiply(kept[0], s, out=t)
-            t += kept[1]
-            return t
         for a in range(0, len(lp), _SUM_BLOCK):
             at = slice(a, a + _SUM_BLOCK)
             tb = t[at]
             bb = base[:len(tb)]
-            coefficients(pre, lp, lo, at, tb, bb)
+            below = pre[lo - 1, at] if lo else 0.0
+            if lo < d:
+                np.subtract(pre[lo, at], below, out=bb)
+                np.subtract(below, np.multiply(bb, lo, out=bb), out=bb)
+            else:
+                bb.fill(0.0)
+            bb *= 1.0 - q
+            bb += np.multiply(lp[at], scale, out=tb)
+            if lo < d:
+                np.subtract(pre[lo, at], below, out=tb)
+            else:
+                np.divide(pre[-1, at], d, out=tb)
+            tb *= 1.0 - q
             tb *= s
             tb += bb
         return t

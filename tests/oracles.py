@@ -327,32 +327,40 @@ def separation_walk(system, scheme, depth, kind):
     )
 
 
-def cylinder_points(system, scheme, depth):
-    """``(letters, points)``: every word w of length ``depth`` in code order,
-    as rows of letters, and the point f_w(x0) of each.
+def cylinder_points(system, scheme, depth, start=0):
+    """``(letters, points)``: every word w of levels ``start + 1`` to
+    ``start + depth`` in code order, as rows of letters, and the point
+    f_w(x0) of each.
 
-    x0 is the point of the address 1, 1, 1, ... from level ``depth + 1``: the
-    fixed point of one tail period of letter-1 maps, so ``depth`` must lie
-    past the system's head. f_w(x0) is then a point of the cylinder of w.
-    Each word's map is composed level by level, x -> M (A x + o) + t.
+    x0 is the point of the address 1, 1, 1, ... from level
+    ``start + depth + 1``: the fixed point of one tail period of letter-1
+    maps, so ``start + depth`` must lie past the system's head. Each word's
+    map is composed level by level, x -> M (A x + o) + t, with the offsets
+    the word (1, ..., 1, w) reads at those levels. f_w(x0) is then a point
+    of the cylinder of w; for ``start > 0`` that cylinder lies in the
+    attractor of levels ``start + 1`` onward when the scheme's offsets
+    depend on the level and last letter alone.
     """
     head, period = system.cycle
-    if depth < head:
-        raise ValueError(f"depth {depth} lies inside the head of {head} levels")
+    end = start + depth
+    if end < head:
+        raise ValueError(f"level {end} lies inside the head of {head} levels")
     d = system.ambient_dim
     M, t = np.eye(d), np.zeros(d)
-    ones = np.ones((1, depth + period), dtype=np.int64)
+    ones = np.ones((1, end + period), dtype=np.int64)
     for level, offsets in enumerate(scheme.offsets(ones), 1):
-        if level > depth:
+        if level > end:
             t = t + M @ offsets[0]
             M = M @ system.linear_maps(level)[0]
     x0 = np.linalg.solve(np.eye(d) - M, t)
 
-    sizes = [system.profile.size(k) for k in range(1, depth + 1)]
+    sizes = [system.profile.size(k) for k in range(start + 1, end + 1)]
     letters = np.array(list(itertools.product(*(range(1, n + 1) for n in sizes))))
+    padded = np.hstack([np.ones((len(letters), start), dtype=letters.dtype), letters])
     M = np.broadcast_to(np.eye(d), (len(letters), d, d))
     t = np.zeros((len(letters), d))
-    for level, offsets in enumerate(scheme.offsets(letters), 1):
-        t = t + np.einsum("nij,nj->ni", M, offsets)
-        M = M @ system.linear_maps(level)[letters[:, level - 1] - 1]
+    for level, offsets in enumerate(scheme.offsets(padded), 1):
+        if level > start:
+            t = t + np.einsum("nij,nj->ni", M, offsets)
+            M = M @ system.linear_maps(level)[letters[:, level - start - 1] - 1]
     return letters, t + np.einsum("nij,j->ni", M, x0)

@@ -1055,6 +1055,53 @@ def random_orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
+def random_table(rng, linear, d, head, tail, high):
+    """A system of ``head`` and ``tail`` levels of m maps in d dimensions,
+    contracting by 0.05 to ``high`` along each axis: similarities with or
+    without orthogonal parts, diagonal maps with mixed signs, rotated
+    diagonal maps or skewed maps (orthogonal x diagonal x orthogonal)."""
+    def scales(m):
+        return rng.uniform(0.05, high, size=(m, d))
+
+    def level(m):
+        if linear == "diagonal":
+            return [np.diag(s * rng.choice([-1.0, 1.0], d)) for s in scales(m)]
+        if linear == "rotated":
+            return [random_orthogonal(rng, d) @ np.diag(s) for s in scales(m)]
+        return [random_orthogonal(rng, d) @ np.diag(s) @ random_orthogonal(rng, d)
+                for s in scales(m)]
+
+    if linear.startswith("similar"):
+        rotations = {}
+        if linear == "similar-rotated":
+            rotations = {"rotations": [[random_orthogonal(rng, d) for _ in range(m)]
+                                       for m in head],
+                         "rotations_tail": [[random_orthogonal(rng, d) for _ in range(m)]
+                                            for m in tail]}
+        return SimilarSystem([rng.uniform(0.05, high, m) for m in head],
+                             tail=[rng.uniform(0.05, high, m) for m in tail],
+                             ambient_dim=d, **rotations)
+    return AffineSystem([level(m) for m in head], tail=[level(m) for m in tail])
+
+
+def assert_sibling_cylinders_apart(system, scheme):
+    """At each level k of the head and one period, map j sends the
+    level-(k+1) attractor into its image box, so where the box certificate
+    holds, the points of sibling cylinders of level k, read in level k's own
+    coordinates (``cylinder_points`` from ``start = k - 1``), have axis-aligned
+    hulls that do not overlap (up to rounding)."""
+    head, period = system.cycle
+    for start in range(head + period):
+        letters, points = cylinder_points(system, scheme, head + period + 1 - start,
+                                          start=start)
+        n = system.profile.size(start + 1)
+        lo, hi = (np.array([f(points[letters[:, 0] == j], axis=0) for j in range(1, n + 1)])
+                  for f in (np.min, np.max))
+        i, j = np.triu_indices(n, 1)
+        apart = np.maximum(lo[i] - hi[j], lo[j] - hi[i]).max(axis=1)
+        assert apart.min() > -1e-12 * (1.0 + np.abs(points).max()), start + 1
+
+
 @st.composite
 def separation_cases(draw):
     """``(system, scheme, budget)``: a level-varying table and a translation scheme.
@@ -1073,30 +1120,7 @@ def separation_cases(draw):
     head = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 3)))]
     tail = [int(m) for m in rng.integers(2, 5, size=draw(st.integers(1, 2)))]
     budget = draw(st.integers(4, 600))
-
-    def scales(m):
-        return rng.uniform(0.05, 0.95, size=(m, d))
-
-    def level(m):
-        if linear == "diagonal":
-            return [np.diag(s * rng.choice([-1.0, 1.0], d)) for s in scales(m)]
-        if linear == "rotated":
-            return [random_orthogonal(rng, d) @ np.diag(s) for s in scales(m)]
-        return [random_orthogonal(rng, d) @ np.diag(s) @ random_orthogonal(rng, d)
-                for s in scales(m)]
-
-    if linear.startswith("similar"):
-        rotations = {}
-        if linear == "similar-rotated":
-            rotations = {"rotations": [[random_orthogonal(rng, d) for _ in range(m)]
-                                       for m in head],
-                         "rotations_tail": [[random_orthogonal(rng, d) for _ in range(m)]
-                                            for m in tail]}
-        system = SimilarSystem([rng.uniform(0.05, 0.95, m) for m in head],
-                               tail=[rng.uniform(0.05, 0.95, m) for m in tail],
-                               ambient_dim=d, **rotations)
-    else:
-        system = AffineSystem([level(m) for m in head], tail=[level(m) for m in tail])
+    system = random_table(rng, linear, d, head, tail, 0.95)
 
     depth = system.profile.depth_within(budget)
     sizes = [system.profile.size(k) for k in range(1, depth + 1)]
@@ -1264,6 +1288,20 @@ def line_tables(draw):
     return SimilarSystem(head, tail=tail), FiniteTranslationSet(vectors=vectors)
 
 
+@st.composite
+def box_tables(draw):
+    """A finite set with one offset in [-0.5, 1.5]^d per letter, on a table
+    in d = 1..3 with a head and a tail of one or two levels of 2 or 3 maps
+    contracting by 0.05 to 0.45 along each axis, whose box map contracts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    d = draw(st.integers(1, 3))
+    linear = draw(st.sampled_from(["similar-rotated", "diagonal", "rotated", "skewed"]))
+    head = [int(m) for m in rng.integers(2, 4, size=draw(st.integers(1, 2)))]
+    tail = [int(m) for m in rng.integers(2, 4, size=draw(st.integers(1, 2)))]
+    system = random_table(rng, linear, d, head, tail, 0.45)
+    return system, FiniteTranslationSet(vectors=rng.uniform(-0.5, 1.5, size=(3, d)))
+
+
 class TestSeparationBoxes:
     """The all-depth certificate on invariant boxes, for letter-determined schemes."""
 
@@ -1303,6 +1341,18 @@ class TestSeparationBoxes:
                 gaps = np.maximum(lo[:, i] - hi[:, j], lo[:, j] - hi[:, i])
                 assert gaps.min() > -1e-12, (kind, k)
 
+    @settings(max_examples=100, deadline=None)
+    @given(box_tables())
+    def test_holds_only_with_sibling_cylinders_apart(self, case):
+        # rotated, skewed and mixed-sign tables in d = 1..3, checked level
+        # by level in each level's own coordinates
+        system, scheme = case
+        for kind in ("ssc", "osc"):
+            rep = check_separation(system, scheme, depth=1, kind=kind)
+            assert rep.all_depths
+            if rep.holds_at_depth:
+                assert_sibling_cylinders_apart(system, scheme)
+
     def test_point_attractor_fails_osc(self):
         # both maps fix 0.5: touching on boxes without interior is no open set
         system = SimilarSystem([[0.4, 0.4]])
@@ -1311,6 +1361,33 @@ class TestSeparationBoxes:
             rep = check_separation(system, scheme, depth=3, kind=kind)
             assert (rep.holds_at_depth, rep.worst_gap_ratio, rep.witness, rep.all_depths) == (
                 False, 0.0, ((1,), (2,)), True)
+
+    def test_flat_touching_attractor_fails_osc(self):
+        # the attractor is [0, 1] x {0} and its halves touch at (0.5, 0); OSC
+        # holds (a box thickened in y is invariant too), but the invariant box
+        # has no interior, so the verdict is the conservative one
+        system = SimilarSystem([[0.5, 0.5]], ambient_dim=2)
+        scheme = FiniteTranslationSet(vectors=[[0.0, 0.0], [0.5, 0.0]])
+        rep = check_separation(system, scheme, depth=3, kind="osc")
+        assert (rep.holds_at_depth, rep.worst_gap_ratio, rep.all_depths) == (False, 0.0, True)
+
+    def test_widening_closes_the_float_hulls(self):
+        # the solved tail box of this diagonal table misses its own float
+        # hulls by ulps, and is widened 7 times before they lie inside it
+        ratios = [[[-0.6295708486062012, -0.18626755710654141],
+                   [0.06411751485331704, -0.11787222723948712]],
+                  [[0.7193644548564823, 0.13024881380447673],
+                   [-0.06209885419038455, 0.5845709214490491],
+                   [-0.39743201755397384, -0.8426780461747365],
+                   [0.29338412716361856, -0.8195337580409437]]]
+        system = AffineSystem([[np.diag(r) for r in ratios[0]]],
+                              tail=[[np.diag(r) for r in ratios[1]]])
+        scheme = FiniteTranslationSet(vectors=[[-0.059659375300983086, 0.17263080291649757],
+                                               [0.5322902136279193, 0.06835247880120776],
+                                               [1.360278632171792, 0.7964053697758366],
+                                               [-0.10216687820111492, 1.0254882658189226]])
+        rep = check_separation(system, scheme, depth=1)
+        assert (rep.holds_at_depth, rep.witness, rep.all_depths) == (False, ((1, 1), (1, 2)), True)
 
     def test_expanding_box_map_is_walked(self):
         # rotated by 45 degrees, 0.9 x the unit square's box is 1.27 x as wide:
