@@ -22,7 +22,7 @@ from qdims import (
     FiniteTranslationSet,
     SimilarSystem,
     check_separation,
-    estimate_dimension,
+    estimate_spectrum,
     sample_measure,
     stationary_dimension,
 )
@@ -60,7 +60,7 @@ def main() -> int:
         d_q = stationary_dimension(c, p, args.q)
         sample = sample_measure(system, scheme, measure, count=args.samples,
                                 seed=args.seed + trial, target_resolution=min(scales))
-        _, est = estimate_dimension(sample, args.q, scales)
+        [(_, est)] = estimate_spectrum(sample, (args.q,), scales)
         excess = est.dimension - min(d_q, 1.0)
         worst = max(worst, excess)
         print(f"trial {trial}: n={len(c)} osc={str(osc.holds_at_depth).lower()} "

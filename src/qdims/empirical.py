@@ -44,7 +44,6 @@ __all__ = [
     "ScaleRecord",
     "SpectrumEstimate",
     "fit_dimension",
-    "estimate_dimension",
     "estimate_spectrum",
     "default_scales",
     "write_spectrum_csv",
@@ -188,10 +187,6 @@ class MeshAccumulator:
     def masses(self) -> np.ndarray:
         self._fold()
         return self._sums
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses().sum())
 
     def __len__(self):
         return len(self.cells())
@@ -520,12 +515,6 @@ def estimate_spectrum(sample, q_values, scales=None):
     q before any binning.
     """
     return _stream_spectrum([(0, sample.points, None, sample.weights)], q_values, scales)
-
-
-def estimate_dimension(sample, q: float, scales=None):
-    """Records plus fit for one moment order."""
-    [result] = estimate_spectrum(sample, (q,), scales)
-    return result
 
 
 def write_spectrum_csv(records: list[ScaleRecord], path) -> None:

@@ -8,8 +8,8 @@ conditions certified elsewhere. This module computes those exponents three
 ways: exactly for every similarity table, as the root of one period's log
 moment sum (``product_dimension``; ``stationary_dimension`` is its one-level
 case), by truncated cut-set limits, and, for affine tables, by one level-sum
-solver built on the singular value function, whose one-level case
-(``stationary_affine_dimension``) is the only affine case that admits q = 1.
+solver built on the singular value function, whose stationary case is the
+only affine case that admits q = 1.
 
 Every solver finds the root of an increasing function of s built from moment
 sums, and they share one core: ``_moment_sums`` evaluates the moment sums
@@ -58,7 +58,6 @@ __all__ = [
     "product_dimension",
     "cutset_dimension",
     "affine_series_dimension",
-    "stationary_affine_dimension",
     "clamp_dimension",
 ]
 
@@ -68,7 +67,8 @@ Q_ONE_TOL = 1e-6
 XTOL_STATIONARY = 1e-6
 XTOL_TRUNCATED = 1e-3
 
-ENUMERATION_CAP = 2**24
+# words in the deepest level an affine solve enumerates; a deeper depth is sampled or refused
+ENUMERATION_CAP = 2**20
 
 # words in the deepest level of one block of _level_spectra
 _BLOCK_WORDS = 2**16
@@ -593,8 +593,7 @@ def _near_integer_guard(root: float, diag: dict) -> float:
 
 
 def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
-                            q: float, depth: int | None = None,
-                            level_cap: int = 2**20, sampling: bool = False,
+                            q: float, depth: int | None = None, sampling: bool = False,
                             sample_size: int = 10**6, seed: int = 0) -> CriticalExponents:
     """Critical exponent from the level sums of an affine table, q >= 1.
 
@@ -611,10 +610,10 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     the deepest level's sum alone, a bound from superadditivity, is kept as
     the ``single_level_root`` diagnostic.
 
-    Exhaustive enumeration is used while the tree fits under ``level_cap``
-    words; beyond that the per-level sums are estimated by importance
-    sampling under the measure when ``sampling`` is set, and the Monte Carlo
-    error is carried in the diagnostics.
+    The levels are enumerated down to ``depth`` (by default the deepest one
+    within ``ENUMERATION_CAP`` words); a deeper ``depth`` has its per-level
+    sums estimated by importance sampling under the measure when ``sampling``
+    is set, and the diagnostics carry the sample size.
 
     The enumerated spectra are reused: a solve on the same system and measure
     objects, at the same depth and first kept level, takes the read-only
@@ -634,14 +633,13 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
                          f"table and measure; got {q}")
     if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
-    cap = min(level_cap, ENUMERATION_CAP)
-    enum_depth = system.profile.depth_within(cap, depth)
+    enum_depth = system.profile.depth_within(ENUMERATION_CAP, depth)
     if enum_depth < 2:
         raise BranchBudgetError("enumeration cap too small for even two levels")
     sampled = depth is not None and depth > enum_depth
     if sampled and not sampling:
         raise BranchBudgetError(
-            f"depth {depth} needs more than {cap} words; enable sampling to estimate"
+            f"depth {depth} needs more than {ENUMERATION_CAP} words; enable sampling to estimate"
         )
     if sampled and entropy:
         raise ValueError("the q = 1 entropy rate needs every word; it is not sampled")
@@ -680,10 +678,3 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     root = _near_integer_guard(root, diag)
     return CriticalExponents(q=q, lower=root, upper=root,
                              method="affine-k-limit", diagnostics=diag)
-
-
-def stationary_affine_dimension(matrices, probs, q: float,
-                                level_cap: int = 2**20) -> CriticalExponents:
-    """:func:`affine_series_dimension` for one repeated affine level, q >= 1."""
-    return affine_series_dimension(AffineSystem([matrices]), BernoulliMeasure([probs]), q,
-                                   level_cap=level_cap)

@@ -56,8 +56,9 @@ def cantor_setup():
 def cantor_fits(cantor_setup):
     _, _, _, sample = cantor_setup
     scales = tuple(2.0**-e for e in range(4, 13))
-    return {q: qd.estimate_dimension(sample, q, scales)[1]
-            for q in (0.5, 1.0, 2.0, 3.0)}
+    q_values = (0.5, 1.0, 2.0, 3.0)
+    return {q: fit for q, (_, fit) in zip(q_values,
+                                          qd.estimate_spectrum(sample, q_values, scales))}
 
 
 def test_criterion_1_stationary_closed_form():
@@ -100,8 +101,8 @@ def test_criterion_3_empirical_vs_theory_under_ssc(cantor_setup, cantor_fits):
         sample = qd.sample_measure(system, scheme, measure, count=10**6, seed=17,
                                    target_resolution=2.0**-12)
         scales = tuple(2.0**-e for e in range(4, 13))
-        for q in (0.5, 1.0, 2.0, 3.0):
-            _, est = qd.estimate_dimension(sample, q, scales)
+        q_values = (0.5, 1.0, 2.0, 3.0)
+        for q, (_, est) in zip(q_values, qd.estimate_spectrum(sample, q_values, scales)):
             assert abs(est.dimension - 1.0) < 0.05, (q, est.dimension)
 
 
@@ -139,7 +140,7 @@ def test_criterion_4_upper_bound_for_overlapping_systems():
             sample = qd.sample_measure(system, scheme, measure, count=10**6,
                                        seed=440 + trial,
                                        target_resolution=min(scales))
-            _, est = qd.estimate_dimension(sample, 2, scales)
+            [(_, est)] = qd.estimate_spectrum(sample, (2,), scales)
             assert est.dimension <= min(d2, 1.0) + 0.05, (trial, est.dimension, d2)
         assert overlapping == 2
 
@@ -216,16 +217,18 @@ def test_criterion_6_stationary_affine_solver():
                     hi = mid
             return 0.5 * (lo + hi)
 
+        system, measure = qd.AffineSystem([mats]), qd.BernoulliMeasure([p])
         for q in (1.0, 1.5, 2.0):
-            ce = qd.stationary_affine_dimension(mats, p, q)
+            ce = qd.affine_series_dimension(system, measure, q)
             assert abs(ce.value - oracle(q)) < 1e-4, (q, ce.value, oracle(q))
 
         # scalar family reduces to the similarity closed form
         c = np.array([0.45, 0.3])
         ps = np.array([0.6, 0.4])
         scalar = [c[0] * np.eye(2), c[1] * np.eye(2)]
+        system, measure = qd.AffineSystem([scalar]), qd.BernoulliMeasure([ps])
         for q in (1.0, 1.5, 2.0):
-            ce = qd.stationary_affine_dimension(scalar, ps, q)
+            ce = qd.affine_series_dimension(system, measure, q)
             assert abs(ce.value - qd.stationary_dimension(c, ps, q)) < 1e-6
 
 
@@ -237,7 +240,7 @@ def test_criterion_7_randomized_translations():
         system = qd.AffineSystem([mats])
         assert system.contraction_bound < 0.5
         measure = qd.BernoulliMeasure([p])
-        d2 = qd.stationary_affine_dimension(mats, p, 2).value
+        d2 = qd.affine_series_dimension(system, measure, 2).value
         target = min(d2, 2.0)
         scales = tuple(2.0**-e for e in range(5, 13))
 
@@ -245,7 +248,7 @@ def test_criterion_7_randomized_translations():
             scheme = qd.RandomBoxTranslations(low=[0, 0], high=[1, 1], seed=1000 + i)
             sample = qd.sample_measure(system, scheme, measure, count=10**6,
                                        seed=i, target_resolution=min(scales))
-            _, est = qd.estimate_dimension(sample, 2, scales)
+            [(_, est)] = qd.estimate_spectrum(sample, (2,), scales)
             assert abs(est.dimension - target) < 0.1, ("box", i, est.dimension, target)
 
         base = qd.FiniteTranslationSet(vectors=[[0.0, 0.0], [0.5, 0.3], [0.25, 0.6]],
@@ -254,7 +257,7 @@ def test_criterion_7_randomized_translations():
             scheme = base.realize(5000 + i)
             sample = qd.sample_measure(system, scheme, measure, count=10**6,
                                        seed=100 + i, target_resolution=min(scales))
-            _, est = qd.estimate_dimension(sample, 2, scales)
+            [(_, est)] = qd.estimate_spectrum(sample, (2,), scales)
             assert abs(est.dimension - target) < 0.1, ("gamma", i, est.dimension, target)
 
 
@@ -275,7 +278,9 @@ def test_criterion_8_monotonicity(cantor_fits):
             assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:])), (c, p, vals)
         # stationary affine battery over its supported q range
         mats = [np.diag([0.45, 0.3]), np.diag([0.4, 0.25])]
-        vals = [qd.stationary_affine_dimension(mats, [0.5, 0.5], q, level_cap=2**14).value
+        system = qd.AffineSystem([mats])
+        measure = qd.BernoulliMeasure([[0.5, 0.5]])
+        vals = [qd.affine_series_dimension(system, measure, q, depth=14).value
                 for q in (1.0, 1.5, 2.0, 3.0, 4.0)]
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
         # fitted spectrum on the weighted Cantor measure, within twice fit error

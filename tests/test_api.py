@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import types
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,9 @@ MODULES = ["codespace", "empirical", "harness", "singular", "systems", "theory"]
 REMOVED = {
     "codespace": ["scale_cut_set", "CutSet", "cylinder_mass", "is_prefix_free",
                   "common_prefix", "EMPTY_WORD", "COVER_TOL", "Word", "DEFAULT_MAX_DEPTH"],
-    "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL"],
-    "theory": ["lq_spectrum"],
+    "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL",
+                  "estimate_dimension"],
+    "theory": ["lq_spectrum", "stationary_affine_dimension"],
     "singular": ["within_envelope", "SingularSpectrum", "singular_values",
                  "singular_value_function", "word_product", "word_spectrum"],
     "systems": ["project_word"],
@@ -30,7 +32,20 @@ REMOVED_MEMBERS = [
     ("codespace", "Word", "is_prefix_of"),
     ("theory", "CriticalExponents", "bracket_width"),
     ("systems", "SimilarSystem", "ratio_product"),
+    ("empirical", "MeshAccumulator", "total_mass"),
 ]
+# (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP
+REMOVED_PARAMETERS = [
+    ("theory", "affine_series_dimension", "level_cap"),
+]
+# what the package namespace re-exports: the names that README's quick start,
+# the acceptance tests, the scripts and perfbench reach as qdims.<name>
+EXPORTS = {
+    "AffineSystem", "BernoulliMeasure", "ExperimentConfig", "ExplicitTranslations",
+    "FiniteTranslationSet", "MeshAccumulator", "RandomBoxTranslations", "SimilarSystem",
+    "affine_series_dimension", "check_separation", "cutset_dimension", "estimate_spectrum",
+    "product_dimension", "sample_measure", "stationary_dimension",
+}
 
 
 def _module(name):
@@ -52,6 +67,12 @@ def test_package_reexports_are_public_in_their_module():
         assert name in home.__all__, f"qdims.{name} is not in {obj.__module__}.__all__"
 
 
+def test_package_reexports_only_the_used_names():
+    public = {name for name, obj in vars(qdims).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == EXPORTS
+
+
 @pytest.mark.parametrize("module_name, name",
                          [(m, n) for m, names in REMOVED.items() for n in names])
 def test_removed_names_are_gone(module_name, name):
@@ -63,6 +84,12 @@ def test_removed_names_are_gone(module_name, name):
 def test_removed_members_are_gone(module_name, owner, member):
     # a member of a removed class is gone with it
     assert not hasattr(getattr(_module(module_name), owner, None), member)
+
+
+@pytest.mark.parametrize("module_name, function, parameter", REMOVED_PARAMETERS)
+def test_removed_parameters_are_gone(module_name, function, parameter):
+    fn = getattr(_module(module_name), function)
+    assert parameter not in inspect.signature(fn).parameters
 
 
 @pytest.mark.parametrize("scheme", ["ExplicitTranslations", "RandomBoxTranslations",
@@ -94,3 +121,16 @@ def test_depth_cap_error_carries_depth_only():
 def test_sample_error_is_a_value_error():
     # callers that caught the loader's ValueError keep working
     assert issubclass(qdims.errors.SampleError, ValueError)
+
+
+def test_readme_quick_start_runs_as_written(capsys):
+    # the block is read from README itself, so the package cannot drop a name it uses
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Quick start (library)", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    d2, fit = namespace["d2"], namespace["fit"]
+    assert str(d2).startswith("0.42781")
+    assert capsys.readouterr().out == f"{d2} {fit.dimension}\n"
+    assert abs(fit.dimension - d2) < 0.05

@@ -13,7 +13,6 @@ from qdims.empirical import (
     MeshAccumulator,
     ball_moment_integral,
     default_scales,
-    estimate_dimension,
     estimate_spectrum,
     fit_dimension,
     write_fit_csv,
@@ -55,7 +54,7 @@ class TestMeshAccumulator:
         s = uniform_sample(5000, d=2, seed=3)
         for r in (0.25, 0.03125, 2.0**-9):
             acc = MeshAccumulator.from_sample(s, r)
-            assert acc.total_mass == pytest.approx(1.0, abs=1e-12)
+            assert acc.masses().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_coarsen_matches_direct_binning(self):
         s = uniform_sample(20_000, d=2, seed=4)
@@ -88,7 +87,7 @@ class TestMeshAccumulator:
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
         acc = MeshAccumulator.from_points(pts, w, r)
-        assert acc.total_mass == pytest.approx(1.0, abs=1e-12)
+        assert acc.masses().sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError, match=r"point 1 \[nan\] is not finite"):
@@ -340,21 +339,18 @@ class TestScaleRecordsAndFit:
 
     def test_point_mass_dimension_zero(self):
         s = point_sample([[0.37]] * 64)
-        for q in (0.5, 2.0):
-            _, est = estimate_dimension(s, q, default_scales())
+        for _, est in estimate_spectrum(s, (0.5, 2.0), default_scales()):
             assert abs(est.dimension) <= 0.01
 
     def test_uniform_1d_dimension(self):
         s = uniform_sample(10**6, d=1, seed=8)
-        for q in (0.5, 1.0, 2.0):
-            _, est = estimate_dimension(s, q, default_scales())
+        for _, est in estimate_spectrum(s, (0.5, 1.0, 2.0), default_scales()):
             assert est.dimension == pytest.approx(1.0, abs=0.05)
 
     def test_uniform_2d_dimension(self):
         s = uniform_sample(10**6, d=2, seed=9)
         scales = tuple(2.0**-e for e in range(3, 9))
-        for q in (1.0, 2.0):
-            _, est = estimate_dimension(s, q, scales)
+        for _, est in estimate_spectrum(s, (1.0, 2.0), scales):
             assert est.dimension == pytest.approx(2.0, abs=0.05)
 
     def test_fitted_dimension_monotone_on_weighted_cantor(self):
@@ -364,7 +360,7 @@ class TestScaleRecordsAndFit:
         s = sample_measure(system, scheme, measure, count=300_000, seed=11,
                            target_resolution=2.0**-11)
         scales = tuple(2.0**-e for e in range(4, 12))
-        fits = [estimate_dimension(s, q, scales)[1] for q in (0.5, 1.0, 2.0, 3.0)]
+        fits = [fit for _, fit in estimate_spectrum(s, (0.5, 1.0, 2.0, 3.0), scales)]
         for a, b in zip(fits, fits[1:]):
             slack = 2 * (a.stderr + b.stderr)
             assert b.dimension <= a.dimension + slack
@@ -420,7 +416,7 @@ class TestEstimateSpectrum:
         spectrum = estimate_spectrum(s, q_values, scales)
         assert len(spectrum) == len(q_values)
         for q, (records, est) in zip(q_values, spectrum):
-            ref_records, ref_est = estimate_dimension(s, q, scales)
+            [(ref_records, ref_est)] = estimate_spectrum(s, (q,), scales)
             assert records == ref_records
             assert est == ref_est
 
@@ -470,7 +466,7 @@ class TestEstimateSpectrum:
         with pytest.raises(InsufficientScalesError):
             estimate_spectrum(s, (2.0,), ())
         with pytest.raises(InsufficientScalesError):
-            estimate_dimension(s, 2.0, [])
+            estimate_spectrum(s, (2.0,), [])
 
     def test_repeated_scale_rejected(self):
         s = uniform_sample(20_000, seed=15)

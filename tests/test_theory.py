@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qdims.codespace import BernoulliMeasure
 from qdims.errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
 from qdims.singular import svf_log
 from qdims import theory
-from qdims.harness import theoretical_exponents
+from qdims.harness import ExperimentConfig, build_system_and_measure, theoretical_exponents
 from qdims.systems import AffineSystem, SimilarSystem
 from qdims.theory import (
     _level_spectra,
@@ -28,11 +29,11 @@ from qdims.theory import (
     clamp_dimension,
     cutset_dimension,
     product_dimension,
-    stationary_affine_dimension,
     stationary_dimension,
 )
 
 LOG2, LOG3 = np.log(2), np.log(3)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestStationaryDimension:
@@ -508,13 +509,13 @@ class TestAffineSeriesDimension:
         p = np.array([0.5, 0.5])
         system = AffineSystem([[c[0] * np.eye(2), c[1] * np.eye(2)]])
         measure = BernoulliMeasure([p])
-        ce = affine_series_dimension(system, measure, 2, level_cap=2**16)
+        ce = affine_series_dimension(system, measure, 2, depth=16)
         assert ce.value == pytest.approx(stationary_dimension(c, p, 2), abs=1e-5)
 
     def test_mixed_diagonal_family_against_dp_oracle(self):
         system = AffineSystem([[np.diag([0.5, 0.25]), np.diag([0.25, 0.5])]])
         measure = BernoulliMeasure([[0.5, 0.5]])
-        ce = affine_series_dimension(system, measure, 2, level_cap=2**16)
+        ce = affine_series_dimension(system, measure, 2, depth=16)
         # oracle: exact per-level sums by dynamic programming over letter
         # counts, rate extrapolated over a deep ladder
         ks = np.arange(60, 121)
@@ -555,8 +556,7 @@ class TestAffineSeriesDimension:
         # the bisected value and bracket recorded from the separate stationary
         # solver this one replaced stay within xtol = 1e-8 of it
         system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
-        ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0,
-                                     level_cap=2**16)
+        ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0, depth=16)
         assert ce.value == 1.2922386439811122
         assert ce.diagnostics["bracket"] == (1.2922386389811122, 1.292238648981112)
         assert ce.diagnostics["mode"] == "entropy"
@@ -564,19 +564,19 @@ class TestAffineSeriesDimension:
         assert abs(ce.value - bisected) <= 1e-8
         assert ce.diagnostics["bracket"][0] <= hi and lo <= ce.diagnostics["bracket"][1]
 
-    def test_q_one_is_not_sampled(self):
+    def test_q_one_is_not_sampled(self, monkeypatch):
+        monkeypatch.setattr(theory, "ENUMERATION_CAP", 2**10)
         system = AffineSystem([[np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]])
         with pytest.raises(ValueError):
             affine_series_dimension(system, BernoulliMeasure([[0.6, 0.4]]), 1.0, depth=18,
-                                    level_cap=2**10, sampling=True, sample_size=1_000)
+                                    sampling=True, sample_size=1_000)
 
     def test_single_level_root_only_for_stationary_inputs(self):
         mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
         measure = BernoulliMeasure([[0.6, 0.4]])
-        stationary = affine_series_dimension(AffineSystem([mats]), measure, 2,
-                                             level_cap=2**12)
+        stationary = affine_series_dimension(AffineSystem([mats]), measure, 2, depth=12)
         varying = affine_series_dimension(AffineSystem([mats, mats[::-1]]), measure, 2,
-                                          level_cap=2**12)
+                                          depth=12)
         assert stationary.diagnostics["single_level_root"] >= stationary.value - 1e-6
         assert "single_level_root" not in varying.diagnostics
 
@@ -587,24 +587,25 @@ class TestAffineSeriesDimension:
         even = [0.25 * np.eye(1), 0.25 * np.eye(1)]
         system = AffineSystem([odd, even])
         measure = BernoulliMeasure([[0.5, 0.5]])
-        ce = affine_series_dimension(system, measure, 2, level_cap=2**16)
+        ce = affine_series_dimension(system, measure, 2, depth=16)
         assert ce.value == pytest.approx(2 / 3, abs=2e-3)
 
     def test_within_bracket_of_stationary_solver(self):
         mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
         system = AffineSystem([mats])
         measure = BernoulliMeasure([[0.6, 0.4]])
-        series = affine_series_dimension(system, measure, 2, level_cap=2**16)
-        stat = stationary_affine_dimension(mats, [0.6, 0.4], 2, level_cap=2**16)
+        series = affine_series_dimension(system, measure, 2, depth=16)
+        stat = affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([[0.6, 0.4]]), 2,
+                                       depth=16)
         assert abs(series.value - stat.value) < 0.02
 
-    def test_sampled_mode_tracks_exact(self):
+    def test_sampled_mode_tracks_exact(self, monkeypatch):
         mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
         system = AffineSystem([mats])
         measure = BernoulliMeasure([[0.5, 0.5]])
-        exact = affine_series_dimension(system, measure, 2, level_cap=2**16)
-        sampled = affine_series_dimension(system, measure, 2, depth=18,
-                                          level_cap=2**10, sampling=True,
+        exact = affine_series_dimension(system, measure, 2, depth=16)
+        monkeypatch.setattr(theory, "ENUMERATION_CAP", 2**10)
+        sampled = affine_series_dimension(system, measure, 2, depth=18, sampling=True,
                                           sample_size=40_000, seed=1)
         assert sampled.diagnostics["mode"] == "sampled"
         assert abs(sampled.value - exact.value) < 0.05
@@ -613,13 +614,14 @@ class TestAffineSeriesDimension:
         system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
         measure = BernoulliMeasure([[0.5, 0.5]])
         with pytest.raises(BranchBudgetError):
-            affine_series_dimension(system, measure, 2, depth=30, level_cap=2**10)
+            affine_series_dimension(system, measure, 2, depth=30)
 
-    def test_budget_error_below_two_levels(self):
+    def test_budget_error_below_two_levels(self, monkeypatch):
+        monkeypatch.setattr(theory, "ENUMERATION_CAP", 3)
         mats = [np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]
         measure = BernoulliMeasure([[0.5, 0.5]])
         with pytest.raises(BranchBudgetError):
-            affine_series_dimension(AffineSystem([mats]), measure, 2, level_cap=3)
+            affine_series_dimension(AffineSystem([mats]), measure, 2)
 
 
 def rotation(theta):
@@ -863,10 +865,10 @@ BENCH_LEVELS = [
 ]
 
 
-def test_affine_solve_memory_is_kept_spectra_plus_one_block():
-    # the kept levels 6..12 hold 19 MB of spectra, and the level sums add one
-    # level of scratch (24 MB traced peak); building each level whole, the
-    # unused deepest-level sums and per-evaluation temporaries took 57 MB
+def test_affine_solve_memory_is_kept_spectra_plus_one_block(spectra_builds):
+    # the solve builds and keeps the spectra of levels 6..12 (18.2 MiB); past
+    # them the build and each evaluation of the level sums hold about one
+    # level of scratch (22.3 and 23.2 MiB traced peaks)
     system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
                                                                      [0.2, 0.3, 0.5]])
     tracemalloc.start()
@@ -875,8 +877,11 @@ def test_affine_solve_memory_is_kept_spectra_plus_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ce.diagnostics["depth"] == 12
-    assert peak < 45e6
+    spectra = theory._shared_level_spectra(system, measure, 12, 6)
+    kept = sum(array.nbytes for arrays in spectra.values() for array in arrays)
+    largest = max(len(log_p) for _, log_p in spectra.values())
+    assert spectra_builds == [(12, 6, None)] and ce.diagnostics["depth"] == 12
+    assert peak < kept + largest * 8 + 2**21
 
 
 def test_q3_solve_past_the_kept_spectra_takes_one_level_and_one_block(spectra_builds):
@@ -911,6 +916,43 @@ def test_depth_12_affine_solve_takes_five_evaluations(monkeypatch):
     assert probes[:2] == [1.0, 2.0] and len(probes) == 5 and 0.0 not in probes
 
 
+class TestAffineBitsPinned:
+    """Roots and brackets of the default-bound affine solves, pinned as ``float.hex``.
+
+    The default enumeration bound fixes the depth K and the window, so these
+    show that a change to the bound leaves every root's bits where they were.
+    """
+
+    @pytest.mark.parametrize("q, value, bracket", [
+        (1.5, "0x1.12939486d423cp+0", ("0x1.12730cce3c55dp+0", "0x1.12b41c3f6bf1ap+0")),
+        (3.0, "0x1.037fb80e661abp+0", ("0x1.03649ca47687ap+0", "0x1.039ad37855adcp+0")),
+    ])
+    def test_bench_levels(self, q, value, bracket):
+        ce = affine_series_dimension(AffineSystem(BENCH_LEVELS),
+                                     BernoulliMeasure([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), q)
+        assert ce.value.hex() == value
+        assert tuple(b.hex() for b in ce.diagnostics["bracket"]) == bracket
+        assert ce.diagnostics["depth"] == 12 and ce.diagnostics["window"] == (6, 12)
+
+    # both affine configs share one table and measure, so one set of pins
+    CONFIG_PINS = {
+        1.0: ("0x1.3e43c20148ab3p+0", ("0x1.3e43c1ebcf1c5p+0", "0x1.3e43c216c23a1p+0")),
+        1.5: ("0x1.3e04be1b23bdep+0", ("0x1.3e04bd6755aafp+0", "0x1.3e04becef1d0cp+0")),
+        2.0: ("0x1.3dc61d4dba631p+0", ("0x1.3dc61ce25a86fp+0", "0x1.3dc61db91a3f3p+0")),
+        3.0: ("0x1.3d4a3138ea3cap+0", ("0x1.3d4a30cd89390p+0", "0x1.3d4a31a44b403p+0")),
+    }
+
+    @pytest.mark.parametrize("name", ["affine_finite_gamma", "affine_random_box"])
+    def test_affine_configs(self, name):
+        config = ExperimentConfig.from_file(CONFIGS / f"{name}.json")
+        system, measure = build_system_and_measure(config)
+        for q, (value, bracket) in self.CONFIG_PINS.items():
+            ce = theoretical_exponents(system, measure, q)
+            assert ce.value.hex() == value, q
+            assert tuple(b.hex() for b in ce.diagnostics["bracket"]) == bracket, q
+            assert ce.diagnostics["depth"] == 12
+
+
 class TestSharedSpectra:
     """Every q of one (system, measure) reuses one exhaustive build of its spectra."""
 
@@ -928,15 +970,17 @@ class TestSharedSpectra:
             assert ce == theoretical_exponents(*self.bench_table(), ce.q)
         assert len(spectra_builds) == 3
 
-    def test_another_key_or_the_sampled_path_builds_again(self, spectra_builds):
+    def test_another_key_or_the_sampled_path_builds_again(self, monkeypatch, spectra_builds):
         other = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
         # 216 words at depth 6, so depth 8 under this cap is sampled
-        sampled = {"depth": 8, "level_cap": 216, "sampling": True, "sample_size": 400}
+        sampled = {"depth": 8, "sampling": True, "sample_size": 400}
         calls = [(TABLE_MEASURE, {"depth": 6}), (TABLE_MEASURE, {"depth": 6}),
                  (other, {"depth": 6}), (other, {"depth": 5}), (other, {"depth": 5}),
                  (other, sampled), (other, sampled)]
-        for measure, kwargs in calls:
-            affine_series_dimension(PLANAR_TABLE, measure, 2.0, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(theory, "ENUMERATION_CAP", 216)
+            for measure, kwargs in calls:
+                affine_series_dimension(PLANAR_TABLE, measure, 2.0, **kwargs)
         assert spectra_builds == [(6, 3, None), (6, 3, None), (5, 2, None),
                                   (8, 4, 400), (8, 4, 400)]
         # the sampled solves freed the kept depth-5 spectra and kept none of their own
@@ -1064,8 +1108,7 @@ class TestAffineSolverPinned:
     ], ids=["q_one", "single_level_root"])
     def test_stationary_extras_match_recorded_values(self, q, value, bracket, single,
                                                      bisected, bisected_bracket, xtol):
-        ce = affine_series_dimension(self.STATIONARY, self.STATIONARY_MEASURE, q,
-                                     level_cap=2**14)
+        ce = affine_series_dimension(self.STATIONARY, self.STATIONARY_MEASURE, q, depth=14)
         assert ce.value == value
         assert ce.diagnostics["bracket"] == bracket
         assert ce.diagnostics["depth"] == 14
@@ -1107,13 +1150,15 @@ class TestStationaryAffineDimension:
         p = np.array([0.6, 0.4])
         mats = [c[0] * np.eye(2), c[1] * np.eye(2)]
         for q in (1.0, 1.5, 2.0):
-            ce = stationary_affine_dimension(mats, p, q, level_cap=2**18)
+            ce = affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([p]), q,
+                                         depth=18)
             assert ce.value == pytest.approx(stationary_dimension(c, p, q), abs=1e-6)
 
     def test_dominant_diagonal_factorized_oracle(self):
         mats = [np.diag(self.T[0]), np.diag(self.T[1])]
         for q in (1.5, 2.0):
-            ce = stationary_affine_dimension(mats, self.P, q, level_cap=2**18)
+            ce = affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([self.P]), q,
+                                         depth=18)
             assert ce.value == pytest.approx(
                 dominant_diagonal_oracle(self.T, self.P, q), abs=1e-4
             )
@@ -1125,7 +1170,8 @@ class TestStationaryAffineDimension:
         chi1 = float((self.P * np.log(self.T[:, 0])).sum())
         chi2 = float((self.P * np.log(self.T[:, 1])).sum())
         expect = 1.0 + (ent - chi1) / chi2
-        ce = stationary_affine_dimension(mats, self.P, 1.0, level_cap=2**18)
+        ce = affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([self.P]), 1.0,
+                                     depth=18)
         assert ce.value == pytest.approx(expect, abs=1e-4)
 
     def test_envelope_sandwich(self):
@@ -1134,7 +1180,7 @@ class TestStationaryAffineDimension:
         system = AffineSystem([mats])
         tops = [singular_values(T).values[0] for T in mats]
         bots = [singular_values(T).values[-1] for T in mats]
-        ce = stationary_affine_dimension(mats, p, 2, level_cap=2**16)
+        ce = affine_series_dimension(system, BernoulliMeasure([p]), 2, depth=16)
         hi = stationary_dimension(tops, p, 2)
         lo = stationary_dimension(bots, p, 2)
         assert lo - 1e-6 <= ce.value <= hi + 1e-6
@@ -1142,7 +1188,7 @@ class TestStationaryAffineDimension:
     def test_rejects_q_below_one(self):
         mats = [np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]
         with pytest.raises(ValueError):
-            stationary_affine_dimension(mats, [0.5, 0.5], 0.5)
+            affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([[0.5, 0.5]]), 0.5)
 
 
 class TestNearIntegerGuard:
@@ -1180,6 +1226,7 @@ class TestMonotonicity:
     def test_affine_exponents_nonincreasing_in_q(self):
         mats = [np.diag([0.45, 0.3]), np.diag([0.4, 0.25])]
         p = [0.5, 0.5]
-        vals = [stationary_affine_dimension(mats, p, q, level_cap=2**14).value
+        vals = [affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([p]), q,
+                                        depth=14).value
                 for q in (1.0, 1.5, 2.0, 3.0, 4.0)]
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
