@@ -91,6 +91,13 @@ def _list(name: str, value, optional: bool = False):
     raise ConfigError(f"{name} must be a list, got {value!r}")
 
 
+def _object(name: str, value) -> dict:
+    """A copy of ``value`` if it is a JSON object; else ``ConfigError``."""
+    if isinstance(value, dict):
+        return dict(value)
+    raise ConfigError(f"{name} must be an object, got {value!r}")
+
+
 def _scale_sizes(name: str, sizes) -> tuple[float, ...]:
     """``sizes`` as a tuple; ``ConfigError`` naming ``name`` unless all are finite and positive.
 
@@ -129,6 +136,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        raw = _object("config", raw)
         try:
             version = _integer("schema_version", raw.get("schema_version", 1))
             if version != 1:
@@ -171,9 +179,9 @@ class ExperimentConfig:
             if tolerance is not None and not 0.0 <= tolerance < float("inf"):
                 raise ConfigError(f"tolerance must be finite and non-negative, got {tolerance}")
             return cls(
-                system=dict(raw["system"]),
-                translations=dict(raw["translations"]),
-                measure=dict(raw["measure"]),
+                system=_object("system", raw["system"]),
+                translations=_object("translations", raw["translations"]),
+                measure=_object("measure", raw["measure"]),
                 q_values=q_values,
                 scales=scales_t,
                 samples=samples,
@@ -188,8 +196,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
         return {

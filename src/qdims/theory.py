@@ -18,18 +18,18 @@ distinct level of a similarity period, per cut-set scale or per kept affine
 level, each word entering as the prefix sums of its log singular values (a
 similarity ratio c is the one row ``log c``); ``_root_of_increasing`` closes
 a sign-change bracket by Illinois and Dekker steps, to adjacent floats at
-``xtol=0``, probing s = 0 only when the root lies below its first probe;
-``_level_spectra`` enumerates or samples the affine words.
+``xtol=0``, probing s = 1 first and s = 0 only when the root lies below it;
+``_level_spectra`` enumerates the affine words.
 
 The affine spectra do not depend on q, so every q of one table reuses one
 exhaustive build: ``_shared_level_spectra`` keeps the last one, read-only, in
 a module-level slot keyed on the system and measure objects (``is``), the
 depth and the first kept level. A build for another key frees it first, and
 ``_release_level_spectra`` frees it before and after the harness's q loop,
-which ``compare`` and ``qdims theory`` share. A sampled solve frees it as well
-and keeps nothing. ``_moment_sums`` reads every word straight from the
-spectra at each evaluation and keeps no per-word copy, so past the spectra a
-solve holds one level of scratch, one block and the packed small levels.
+which ``compare`` and ``qdims theory`` share. ``_moment_sums`` reads every
+word straight from the spectra at each evaluation and keeps no per-word copy,
+so past the spectra a solve holds one level of scratch, one block and the
+packed small levels.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers (cut set and affine) substitute the sign of the growth
@@ -67,8 +67,11 @@ Q_ONE_TOL = 1e-6
 XTOL_STATIONARY = 1e-6
 XTOL_TRUNCATED = 1e-3
 
-# words in the deepest level an affine solve enumerates; a deeper depth is sampled or refused
+# words in the deepest level an affine solve enumerates; a deeper depth is refused
 ENUMERATION_CAP = 2**20
+
+# words in the cut set of one scale of a cut-set solve; the default grid stops below it
+CUTSET_WORD_CAP = 250_000
 
 # words in the deepest level of one block of _level_spectra
 _BLOCK_WORDS = 2**16
@@ -191,13 +194,13 @@ def _envelope_trend(values: np.ndarray, mode: str) -> float:
     return float(agg(second) - agg(first))
 
 
-def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
+def _root_of_increasing(f, xtol: float, cap: float = 512.0):
     """Root of a continuous increasing function on s >= 0, with its bracket.
 
-    Probes ``hi0`` first and doubles ``hi`` (``lo`` follows) until f turns
-    positive. Only if f(hi0) > 0 is 0 probed, as ``lo``, and f(0) >= 0
+    Probes s = 1 first and doubles ``hi`` (``lo`` follows) until f turns
+    positive. Only if f(1) > 0 is 0 probed, as ``lo``, and f(0) >= 0
     returns 0 with the bracket ``(0, 0)``; an increasing f is at most 0 on
-    [0, hi0] when f(hi0) <= 0, so a root past ``hi0`` costs no probe at 0. It
+    [0, 1] when f(1) <= 0, so a root past 1 costs no probe at 0. It
     then closes the bracket ``f(lo) <= 0 < f(hi)`` by Illinois steps (Dowell and
     Jarratt, BIT 11, 1971) aimed ``xtol/2`` beyond the estimate, away from the
     end that moved last, and held that far inside (one float spacing at
@@ -207,7 +210,7 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     could end more than two evaluations behind plain bisection. Stops at
     width ``xtol`` or adjacent floats.
     """
-    hi = hi0
+    hi = 1.0
     if (f_hi := f(hi)) > 0.0:
         lo, f_lo = 0.0, f(0.0)
         if f_lo >= 0.0:
@@ -247,17 +250,15 @@ def _root_of_increasing(f, xtol: float, hi0: float = 1.0, cap: float = 512.0):
     return float(0.5 * (lo + hi)), (float(lo), float(hi))
 
 
-def _moment_sums(groups, q: float, sampled: bool = False):
+def _moment_sums(groups, q: float):
     """Log moment sums of word groups, one value per group, as a function of s.
 
     Each group is ``(prefix, log_p)``: the ``(d, n)`` prefix sums of its words'
     log singular values, row m - 1 holding ``svf_log`` at s = m, and the
     ``(n,)`` log masses; a similarity ratio c enters as the one row ``log c``.
     The returned function maps s to ``log sum_u svf(T_u, s)**(1-q) p_u**q`` per
-    group. Sampled words were drawn from the measure, so their sum is
-    estimated as the log mean of ``svf(T_u, s)**(1-q) p_u**(q-1)``. At q = 1,
-    where the sums vanish, it maps s to their derivative in q instead, the
-    entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
+    group. At q = 1, where the sums vanish, it maps s to their derivative in
+    q instead, the entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
 
     On a segment [m - 1, m] with m <= d, ``svf_log`` is ``base + s * slope``
     with ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` (``P_0
@@ -298,9 +299,6 @@ def _moment_sums(groups, q: float, sampled: bool = False):
 
         return entropy_sums
 
-    scale = q - 1.0 if sampled else q
-    log_n = np.log([len(lp) for lp in log_p]) if sampled else 0.0
-
     def pack(ids):
         """``(prefix, log_p, ids, starts, spans)`` of the groups ``ids`` end to end."""
         edges = np.cumsum([0] + [len(log_p[i]) for i in ids]).tolist()
@@ -320,10 +318,10 @@ def _moment_sums(groups, q: float, sampled: bool = False):
     base = np.empty(min(_SUM_BLOCK, len(scratch)))
 
     def exponents(pre, lp, lo: int, s: float) -> np.ndarray:
-        """``(1-q) svf_log(s) + scale log p`` of the part's words, in scratch.
+        """``(1-q) svf_log(s) + q log p`` of the part's words, in scratch.
 
         The ops are those of ``t = slope * s + base`` with ``slope`` and
-        ``base`` scaled by 1 - q and ``scale log p`` added to ``base``; the
+        ``base`` scaled by 1 - q and ``q log p`` added to ``base``; the
         slope is formed twice, into ``base`` first, so one block buffer serves.
         """
         t = scratch[:len(lp)]
@@ -338,7 +336,7 @@ def _moment_sums(groups, q: float, sampled: bool = False):
             else:
                 bb.fill(0.0)
             bb *= 1.0 - q
-            bb += np.multiply(lp[at], scale, out=tb)
+            bb += np.multiply(lp[at], q, out=tb)
             if lo < d:
                 np.subtract(pre[lo, at], below, out=tb)
             else:
@@ -360,7 +358,7 @@ def _moment_sums(groups, q: float, sampled: bool = False):
                 t[at] -= m
             np.exp(t, out=t)
             totals[ids] = [np.add.reduce(t[at]) for at in spans]
-        return np.log(totals) + tops - log_n
+        return np.log(totals) + tops
 
     return sums
 
@@ -371,29 +369,31 @@ def _moment_sums(groups, q: float, sampled: bool = False):
 
 
 def _default_r_grid(system: SimilarSystem, measure: BernoulliMeasure,
-                    max_words: int, n_scales: int = 12, shrink: float = 0.55):
+                    n_scales: int = 12, shrink: float = 0.55):
     r = 0.8 * system.c_lower
     grids = []
     for _ in range(n_scales):
         try:
-            logs = scale_cut_set_masses(system.ratio_schedule, measure, r, budget=max_words)
+            logs = scale_cut_set_masses(system.ratio_schedule, measure, r,
+                                        budget=CUTSET_WORD_CAP)
         except BranchBudgetError:
             break
         grids.append((r, logs))
-        if len(logs[0]) * shrink ** -2.5 > max_words:
+        if len(logs[0]) * shrink ** -2.5 > CUTSET_WORD_CAP:
             break
         r *= shrink
     return grids
 
 
 def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
-                     r_grid=None, max_words: int = 250_000) -> CriticalExponents:
+                     r_grid=None) -> CriticalExponents:
     """Critical exponents straight from cut-set moment sums over a scale grid.
 
     Evaluates ``sum_u c_u**(s(1-q)) p_u**q`` over the cut set at every grid
     scale and solves for s against the growth trend across scales: for q > 1 a
     growing sequence means s is too large. Accepts q = 0, where the sums
-    count contraction only and the root is the support's box exponent.
+    count contraction only and the root is the support's box exponent. Each
+    scale's cut set holds at most ``CUTSET_WORD_CAP`` words.
     """
     if not 0 <= q < np.inf:
         raise ValueError(f"q must be nonnegative and finite, got {q}")
@@ -401,7 +401,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
 
     if r_grid is None:
-        grids = _default_r_grid(system, measure, max_words)
+        grids = _default_r_grid(system, measure)
     else:
         grids = []
         for r in sorted(set(float(r) for r in r_grid), reverse=True):
@@ -410,7 +410,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
                     f"grid scale {r} must lie in (0, c_lower={system.c_lower})"
                 )
             grids.append((r, scale_cut_set_masses(system.ratio_schedule, measure, r,
-                                                  budget=max_words)))
+                                                  budget=CUTSET_WORD_CAP)))
     if len(grids) < 4:
         raise InsufficientScalesError(
             f"only {len(grids)} usable cut-set scales under the word budget"
@@ -443,32 +443,28 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 # ---------------------------------------------------------------------------
 
 
-def _extend(state, maps, terms, rescale, letters=None):
+def _extend(state, maps, terms, rescale):
     """The words one level below ``state``, a ``(prods, carried, log_scale)`` triple.
 
-    With ``letters`` unset every word takes every map of the level, parent-major
-    with the newest letter varying fastest; otherwise word i takes map
-    ``letters[i]``. ``terms`` holds each letter's ``[log p, log |det|]``, added
-    to ``carried``. The products are kept entry-major, ``(d, d, words)``, and
-    ``rescale`` divides each by the power of two of its largest entry, carried
-    in ``log_scale``. Every step acts on each word alone, so a block of words
-    extends to the bits of the same words in the whole level.
+    Every word takes every map of the level, parent-major with the newest
+    letter varying fastest. ``terms`` holds each letter's
+    ``[log p, log |det|]``, added to ``carried``. The products are kept
+    entry-major, ``(d, d, words)``, and ``rescale`` divides each by the power
+    of two of its largest entry, carried in ``log_scale``. Every step acts on
+    each word alone, so a block of words extends to the bits of the same
+    words in the whole level.
     """
     prods, carried, log_scale = state
     d, n = prods.shape[0], prods.shape[-1]
     right = maps.transpose(1, 2, 0)
-    if letters is None:
-        parents, carried = carried, np.empty((2, n, len(maps)))
-        for l in range(len(maps)):
-            np.add(parents, terms[:, l, None], out=carried[:, :, l])
-        carried = carried.reshape(2, -1)
-        log_scale = np.repeat(log_scale, len(maps)) if np.ndim(log_scale) else log_scale
-    else:
-        right = right[:, :, None, letters]
-        carried = carried + terms[:, letters]
-    nxt, tmp = np.empty((d, d, n, right.shape[2])), np.empty(n)
+    parents, carried = carried, np.empty((2, n, len(maps)))
+    for l in range(len(maps)):
+        np.add(parents, terms[:, l, None], out=carried[:, :, l])
+    carried = carried.reshape(2, -1)
+    log_scale = np.repeat(log_scale, len(maps)) if np.ndim(log_scale) else log_scale
+    nxt, tmp = np.empty((d, d, n, len(maps))), np.empty(n)
     # letter l of parent u lands at u*m + l: one strided column per letter
-    for i, j, t, l in np.ndindex(d, d, d, right.shape[2]):
+    for i, j, t, l in np.ndindex(d, d, d, len(maps)):
         np.multiply(prods[i, t], right[t, j, l], out=tmp if t else nxt[i, j, :, l])
         if t:
             nxt[i, j, :, l] += tmp
@@ -481,16 +477,14 @@ def _extend(state, maps, terms, rescale, letters=None):
 
 
 def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
-                   keep_from: int, size: int | None = None, seed: int = 0):
+                   keep_from: int):
     """Prefix sums of log singular values and log masses of words, per kept level.
 
     Level k maps to ``(prefix, log_p)``, row m - 1 of the ``(d, words)``
     ``prefix`` holding ``log(sigma_1 ... sigma_m)`` (``svf_log`` at s = m).
-    With ``size`` unset every word is enumerated, parent-major with the newest
-    letter varying fastest; otherwise ``size`` words are drawn from the
-    measure, one letter per row and level, each level's letters drawn for all
-    rows at once in level order. The last row sums the letters' log |det|,
-    carried beside ``log_p``; the rest come from the word products.
+    Every word is enumerated, parent-major with the newest letter varying
+    fastest. The last row sums the letters' log |det|, carried beside
+    ``log_p``; the rest come from the word products.
 
     Each level is tabulated once: its maps, their ``[log p, log |det|]`` and
     whether to rescale. ``floor``, the sum of the levels' least letter log
@@ -498,12 +492,11 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     -256 log 2 are products rescaled (see ``_extend``). Enumeration first
     grows a stem, the levels above which one stem word has at most
     ``_BLOCK_WORDS`` descendants in the deepest level; then contiguous blocks
-    of stem words (of sampled rows, below an empty stem) run down the
-    remaining levels one block at a time, each block's deepest level holding
-    about ``_BLOCK_WORDS`` words, and write their slices of every kept level.
-    Since ``_extend`` acts on each word alone, the bits do not depend on the
-    block size, and memory is the kept spectra plus one block (and, when
-    sampled, one byte per row and level for the letters).
+    of stem words run down the remaining levels one block at a time, each
+    block's deepest level holding about ``_BLOCK_WORDS`` words, and write
+    their slices of every kept level. Since ``_extend`` acts on each word
+    alone, the bits do not depend on the block size, and memory is the kept
+    spectra plus one block.
     """
     d = system.ambient_dim
     table, floor = [], 0.0
@@ -514,17 +507,10 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
         floor = -np.log(2.0) if rescale else floor
         table.append((maps, np.array([measure.log_probs(k), np.linalg.slogdet(maps)[1]]),
                       rescale))
-    if size is None:
-        letters, widths = None, [1]
-        for maps, _, _ in table:
-            widths.append(widths[-1] * len(maps))
-        stem = next(k for k, n in enumerate(widths) if widths[-1] // n <= _BLOCK_WORDS)
-    else:
-        rng = np.random.default_rng(seed)
-        dtype = np.min_scalar_type(max(len(maps) for maps, _, _ in table) - 1)
-        letters = [rng.choice(len(maps), size=size, p=measure.probs(k)).astype(dtype)
-                   for k, (maps, _, _) in enumerate(table, start=1)]
-        widths, stem = [size] * (depth + 1), 0
+    widths = [1]
+    for maps, _, _ in table:
+        widths.append(widths[-1] * len(maps))
+    stem = next(k for k, n in enumerate(widths) if widths[-1] // n <= _BLOCK_WORDS)
     out = {k: (np.empty((d, widths[k])), np.empty(widths[k]))
            for k in range(keep_from, depth + 1)}
 
@@ -533,8 +519,7 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
         log_singular_prefix(prods.T, carried[1], log_scale, out=out[k][0][:, at])
         out[k][1][at] = carried[0]
 
-    state = (np.broadcast_to(np.eye(d)[:, :, None], (d, d, widths[0])),
-             np.broadcast_to(np.zeros((2, 1)), (2, widths[0])), 0.0)
+    state = (np.eye(d)[:, :, None], np.zeros((2, 1)), 0.0)
     for k in range(1, stem + 1):
         state = _extend(state, *table[k - 1])
         if k >= keep_from:
@@ -546,7 +531,7 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
         block = (prods[:, :, at], carried[:, at],
                  log_scale[at] if np.ndim(log_scale) else log_scale)
         for k in range(stem + 1, depth + 1):
-            block = _extend(block, *table[k - 1], None if letters is None else letters[k - 1][at])
+            block = _extend(block, *table[k - 1])
             if k >= keep_from:
                 fan = widths[k] // widths[stem]
                 keep(k, block, slice(a * fan, (a + step) * fan))
@@ -593,8 +578,7 @@ def _near_integer_guard(root: float, diag: dict) -> float:
 
 
 def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
-                            q: float, depth: int | None = None, sampling: bool = False,
-                            sample_size: int = 10**6, seed: int = 0) -> CriticalExponents:
+                            q: float, depth: int | None = None) -> CriticalExponents:
     """Critical exponent from the level sums of an affine table, q >= 1.
 
     For q > 1 the level-k sum ``A_k(s) = sum_u svf(T_u, s)**(1-q) p_u**q``
@@ -611,20 +595,17 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     the ``single_level_root`` diagnostic.
 
     The levels are enumerated down to ``depth`` (by default the deepest one
-    within ``ENUMERATION_CAP`` words); a deeper ``depth`` has its per-level
-    sums estimated by importance sampling under the measure when ``sampling``
-    is set, and the diagnostics carry the sample size.
+    within ``ENUMERATION_CAP`` words); a deeper ``depth`` is refused.
 
     The enumerated spectra are reused: a solve on the same system and measure
     objects, at the same depth and first kept level, takes the read-only
     spectra the last solve kept instead of building them (any q > 1 shares
     them; q = 1 keeps the deepest level only). A solve with another key frees
     them before it builds, so at most one table's spectra are held; the
-    harness's q loop frees them before it starts and when it ends. A sampled
-    solve frees them too, and its own spectra are never kept. Each evaluation
-    of the level sums reads the spectra in place, so past them a solve holds
-    only the scratch of ``_moment_sums``: one level, one block of words and
-    the levels of at most one block, packed.
+    harness's q loop frees them before it starts and when it ends. Each
+    evaluation of the level sums reads the spectra in place, so past them a
+    solve holds only the scratch of ``_moment_sums``: one level, one block of
+    words and the levels of at most one block, packed.
     """
     stationary = system.stationary and measure.stationary
     entropy = abs(q - 1.0) < Q_ONE_TOL
@@ -633,26 +614,16 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
                          f"table and measure; got {q}")
     if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
-    enum_depth = system.profile.depth_within(ENUMERATION_CAP, depth)
-    if enum_depth < 2:
+    K = system.profile.depth_within(ENUMERATION_CAP, depth)
+    if K < 2:
         raise BranchBudgetError("enumeration cap too small for even two levels")
-    sampled = depth is not None and depth > enum_depth
-    if sampled and not sampling:
-        raise BranchBudgetError(
-            f"depth {depth} needs more than {ENUMERATION_CAP} words; enable sampling to estimate"
-        )
-    if sampled and entropy:
-        raise ValueError("the q = 1 entropy rate needs every word; it is not sampled")
-    K = depth if sampled else enum_depth
+    if depth is not None and depth > K:
+        raise BranchBudgetError(f"depth {depth} needs more than {ENUMERATION_CAP} words")
     keep_from = K if entropy else max(2, K // 2)
-    if sampled:
-        _release_level_spectra()
-        spectra = _level_spectra(system, measure, K, keep_from, size=sample_size, seed=seed)
-    else:
-        spectra = _shared_level_spectra(system, measure, K, keep_from)
+    spectra = _shared_level_spectra(system, measure, K, keep_from)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
-    kept = _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
+    kept = _moment_sums([spectra[k] for k in sorted(spectra)], q)
 
     def per_level(s: float) -> float:
         # the deepest level alone: the q = 1 rate and the stationary single-level root
@@ -666,12 +637,10 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     diag = {
         "depth": int(K),
         "bracket": bracket,
-        "mode": "sampled" if sampled else "entropy" if entropy else "exact",
+        "mode": "entropy" if entropy else "exact",
     }
     if not entropy:
         diag["window"] = (int(keep_from), int(K))
-    if sampled:
-        diag["sample_size"] = sample_size
     if stationary and not entropy:
         single, _ = _root_of_increasing(per_level, xtol)
         diag["single_level_root"] = float(single)

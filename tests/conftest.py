@@ -13,12 +13,12 @@ def _no_kept_spectra():
 
 @pytest.fixture
 def spectra_builds(monkeypatch):
-    """``(depth, keep_from, size)`` of every ``_level_spectra`` build in the test."""
+    """``(depth, keep_from)`` of every ``_level_spectra`` build in the test."""
     builds, build = [], theory._level_spectra
 
-    def counted(system, measure, depth, keep_from, size=None, seed=0):
-        builds.append((depth, keep_from, size))
-        return build(system, measure, depth, keep_from, size=size, seed=seed)
+    def counted(system, measure, depth, keep_from):
+        builds.append((depth, keep_from))
+        return build(system, measure, depth, keep_from)
 
     monkeypatch.setattr(theory, "_level_spectra", counted)
     return builds

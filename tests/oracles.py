@@ -78,11 +78,11 @@ def write_sample_rows(path, points, weights):
             writer.writerow([*map(repr, row), repr(weight)])
 
 
-def group_moment_sum(prefix, log_p, q, s, sampled=False):
+def group_moment_sum(prefix, log_p, q, s):
     """``log sum_u svf(T_u, s)**(1-q) p_u**q`` of one word group (q != 1).
 
     Each word's exponent takes the float steps of ``theory._moment_sums``:
-    ``(slope * (1-q)) * s + (base * (1-q) + scale * log p)`` on the segment
+    ``(slope * (1-q)) * s + (base * (1-q) + q * log p)`` on the segment
     of s. Their exponentials, shifted by the top one, are added by one
     ``np.sum`` over the group's own array.
     """
@@ -94,10 +94,9 @@ def group_moment_sum(prefix, log_p, q, s, sampled=False):
         base = below - slope * lo
     else:
         slope, base = prefix[-1] / d, np.zeros(len(log_p))
-    t = slope * (1.0 - q) * s + (base * (1.0 - q) + log_p * (q - 1.0 if sampled else q))
+    t = slope * (1.0 - q) * s + (base * (1.0 - q) + log_p * q)
     top = t.max()
-    log_n = np.log(len(log_p)) if sampled else 0.0
-    return np.log(np.sum(np.exp(t - top))) + top - log_n
+    return np.log(np.sum(np.exp(t - top))) + top
 
 
 def word_masses(measure, depth):

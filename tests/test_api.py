@@ -34,9 +34,14 @@ REMOVED_MEMBERS = [
     ("systems", "SimilarSystem", "ratio_product"),
     ("empirical", "MeshAccumulator", "total_mass"),
 ]
-# (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP
+# (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP,
+# it enumerates every word, and the cut-set solver's word bound is CUTSET_WORD_CAP
 REMOVED_PARAMETERS = [
     ("theory", "affine_series_dimension", "level_cap"),
+    ("theory", "affine_series_dimension", "sampling"),
+    ("theory", "affine_series_dimension", "sample_size"),
+    ("theory", "affine_series_dimension", "seed"),
+    ("theory", "cutset_dimension", "max_words"),
 ]
 # what the package namespace re-exports: the names that README's quick start,
 # the acceptance tests, the scripts and perfbench reach as qdims.<name>

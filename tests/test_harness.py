@@ -80,6 +80,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"system": {}, "translations": {}, "measure": {}})
 
+    @pytest.mark.parametrize("section", ["system", "translations", "measure"])
+    def test_section_that_is_not_an_object_rejected(self, section):
+        # dict() would take a list of pairs, and an empty list as an empty section
+        with pytest.raises(ConfigError, match=rf"^{section} must be an object, got \[\]$"):
+            ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **{section: []}))
+
     def test_bad_schema_version(self):
         raw = dict(CANTOR_CONFIG, schema_version=99)
         with pytest.raises(ConfigError):
@@ -686,6 +692,25 @@ class TestCli:
         assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["theory", "sample", "compare"])
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read {path}: No such file or directory"),
+        ('{"a":', "{path} is not valid JSON: Expecting value: line 1 column 6 (char 5)"),
+        ("[1, 2]", "config must be an object, got [1, 2]"),
+        (json.dumps(dict(CANTOR_CONFIG, system=3)), "system must be an object, got 3"),
+    ], ids=["missing-file", "invalid-json", "top-level-list", "system-number"])
+    def test_unusable_config_file_exits_with_message(self, tmp_path, capsys, command, text,
+                                                     message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert cli_main([command, "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message.format(path=path)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["theory", "sample"])
     def test_mismatched_branching_exits_with_message(self, tmp_path, capsys, command):

@@ -208,18 +208,17 @@ class TestMomentSums:
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 3), n=st.integers(1, 40), seed=st.integers(0, 2**16),
            q=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]),
-           s=st.floats(0.0, 6.0), sampled=st.booleans())
-    def test_ratio_column_matches_spectrum_of_scaled_isometry(self, d, n, seed, q, s,
-                                                              sampled):
+           s=st.floats(0.0, 6.0))
+    def test_ratio_column_matches_spectrum_of_scaled_isometry(self, d, n, seed, q, s):
         # svf(c O, s) = c**s for every s >= 0: the prefix sums m log c of the
         # d equal singular values of c O and the one row log c give the same sums
         rng = np.random.default_rng(seed)
         log_c = np.log(rng.uniform(0.05, 0.95, n))
         p = rng.uniform(0.1, 1.0, n)
         log_p = np.log(p / p.sum())
-        row = _moment_sums([(log_c[None], log_p)], q, sampled)
+        row = _moment_sums([(log_c[None], log_p)], q)
         prefix = np.cumsum(np.repeat(log_c[None], d, axis=0), axis=0)
-        spectrum = _moment_sums([(prefix, log_p)], q, sampled)
+        spectrum = _moment_sums([(prefix, log_p)], q)
         np.testing.assert_allclose(row(s), spectrum(s), rtol=0, atol=1e-11)
 
 
@@ -237,19 +236,19 @@ class TestMomentSumsDependOnSAlone:
     @settings(max_examples=80, deadline=None)
     @given(d=st.integers(1, 3), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
            seed=st.integers(0, 2**16), q=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-           sampled=st.booleans(), order=st.permutations(GRID))
+           order=st.permutations(GRID))
     def test_any_evaluation_order_gives_the_floats_of_fresh_calls(self, d, sizes, seed, q,
-                                                                  sampled, order):
+                                                                  order):
         rng = np.random.default_rng(seed)
         groups = [random_spectrum(rng, d, n) for n in sizes]
-        sums = _moment_sums(groups, q, sampled)
+        sums = _moment_sums(groups, q)
         for s in order:
-            assert np.array_equal(sums(s), _moment_sums(groups, q, sampled)(s))
+            assert np.array_equal(sums(s), _moment_sums(groups, q)(s))
 
     @settings(max_examples=15, deadline=None)
     @given(d=st.integers(1, 3), count=st.integers(1, 12), seed=st.integers(0, 2**16),
-           q=st.sampled_from([0.5, 2.0, 3.0]), sampled=st.booleans())
-    def test_packing_keeps_each_groups_bits(self, d, count, seed, q, sampled):
+           q=st.sampled_from([0.5, 2.0, 3.0]))
+    def test_packing_keeps_each_groups_bits(self, d, count, seed, q):
         # cut-set-sized groups packed into one buffer, and one group past a
         # block; each group's top word has prefix rows 0 and log p 0, so its
         # exponent is exactly 0 and log(total) keeps the total's last bit
@@ -262,13 +261,13 @@ class TestMomentSumsDependOnSAlone:
             prefix, log_p = random_spectrum(rng, d, n)
             top = int(rng.integers(n + 1))
             groups.append((np.insert(prefix, top, 0.0, axis=1), np.insert(log_p, top, 0.0)))
-        together = _moment_sums(groups, q, sampled)
-        alone = [_moment_sums([g], q, sampled) for g in groups]
+        together = _moment_sums(groups, q)
+        alone = [_moment_sums([g], q) for g in groups]
         for s in self.GRID:
             assert together(s).tolist() == [sums(s)[0] for sums in alone]
             # a group alone takes the sum path of a packed one, so each group
             # is also held to one sum over its own exponents
-            assert together(s).tolist() == [group_moment_sum(*g, q, s, sampled) for g in groups]
+            assert together(s).tolist() == [group_moment_sum(*g, q, s) for g in groups]
 
 
 class TestProductDimension:
@@ -564,13 +563,6 @@ class TestAffineSeriesDimension:
         assert abs(ce.value - bisected) <= 1e-8
         assert ce.diagnostics["bracket"][0] <= hi and lo <= ce.diagnostics["bracket"][1]
 
-    def test_q_one_is_not_sampled(self, monkeypatch):
-        monkeypatch.setattr(theory, "ENUMERATION_CAP", 2**10)
-        system = AffineSystem([[np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]])
-        with pytest.raises(ValueError):
-            affine_series_dimension(system, BernoulliMeasure([[0.6, 0.4]]), 1.0, depth=18,
-                                    sampling=True, sample_size=1_000)
-
     def test_single_level_root_only_for_stationary_inputs(self):
         mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
         measure = BernoulliMeasure([[0.6, 0.4]])
@@ -590,27 +582,8 @@ class TestAffineSeriesDimension:
         ce = affine_series_dimension(system, measure, 2, depth=16)
         assert ce.value == pytest.approx(2 / 3, abs=2e-3)
 
-    def test_within_bracket_of_stationary_solver(self):
-        mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
-        system = AffineSystem([mats])
-        measure = BernoulliMeasure([[0.6, 0.4]])
-        series = affine_series_dimension(system, measure, 2, depth=16)
-        stat = affine_series_dimension(AffineSystem([mats]), BernoulliMeasure([[0.6, 0.4]]), 2,
-                                       depth=16)
-        assert abs(series.value - stat.value) < 0.02
-
-    def test_sampled_mode_tracks_exact(self, monkeypatch):
-        mats = [np.diag([0.45, 0.3]), np.diag([0.35, 0.4])]
-        system = AffineSystem([mats])
-        measure = BernoulliMeasure([[0.5, 0.5]])
-        exact = affine_series_dimension(system, measure, 2, depth=16)
-        monkeypatch.setattr(theory, "ENUMERATION_CAP", 2**10)
-        sampled = affine_series_dimension(system, measure, 2, depth=18, sampling=True,
-                                          sample_size=40_000, seed=1)
-        assert sampled.diagnostics["mode"] == "sampled"
-        assert abs(sampled.value - exact.value) < 0.05
-
-    def test_budget_error_without_sampling_flag(self):
+    def test_depth_past_enumeration_cap_is_refused(self):
+        # 2**30 words at depth 30, past ENUMERATION_CAP
         system = AffineSystem([[np.diag([0.4, 0.3]), np.diag([0.3, 0.4])]])
         measure = BernoulliMeasure([[0.5, 0.5]])
         with pytest.raises(BranchBudgetError):
@@ -713,64 +686,15 @@ class TestLevelSpectra:
             words = list(itertools.product(*(range(1, n + 1) for n in [2, 3, 2][:k])))
             assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
 
-    def test_sampled_spectra_match_svd_of_the_drawn_words(self):
-        system = self.random_table(np.random.default_rng(3), 2, [2, 3])
-        measure = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
-        spectra = _level_spectra(system, measure, 5, keep_from=2, size=200, seed=11)
-        # the same draws, one letter per row and level, in level order
-        rng = np.random.default_rng(11)
-        letters = np.array([rng.choice(system.profile.size(k), size=200, p=measure.probs(k))
-                            for k in range(1, 6)]).T + 1
-        for k, (prefix, log_p) in spectra.items():
-            words = [tuple(row[:k]) for row in letters]
-            assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
-            want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
-            assert np.allclose(log_p, want, rtol=0, atol=1e-12)
-
-    # recorded from the index-gather version of _level_spectra, as log
-    # singular values: rows 0, 1, 2 and 499 of the depth-6 draws (size 500,
-    # seed 4), then the column sums and the row-index-weighted sums of all
-    # 500 rows; compared through their prefix sums
-    SAMPLED = {
-        3: ([[-3.0365542680742457, -3.7297014486341906], [-3.256910788729424, -4.059864032885461],
-             [-2.600050684950902, -3.4320478743471203], [-3.0365542680742457, -3.7297014486341906]],
-            [-2.525728644308255, -1.7147984280919266, -2.6310891599660815, -2.525728644308255],
-            [-1476.7219296832875, -1819.2745340729173], -1196.8477899810575,
-            [-368638.4498748912, -454639.74684695], -297386.6571866797),
-        4: ([[-4.303624943985255, -5.5637235619349985], [-4.151946131355749, -5.256504769607314],
-             [-3.6498728094495805, -4.481869998845799], [-4.303624943985255, -5.5637235619349985]],
-            [-3.2188758248682006, -2.9187712324178627, -4.240527072400182, -3.2188758248682006],
-            [-2071.652599047015, -2529.3575263946836], -1706.9874828383158,
-            [-517350.7115471249, -632653.918683908], -423475.7195075813),
-        5: ([[-5.2199156758594105, -6.480014293809154], [-4.952294438709577, -6.563997478455018],
-             [-4.566163541323735, -5.398160730719953], [-5.2199156758594105, -6.480014293809154]],
-            [-4.135166556742355, -3.4295968561838537, -5.156817804274337, -4.135166556742355],
-            [-2554.1847135144267, -3043.216673565318], -2047.1425023159172,
-            [-637467.9248826898, -760094.6053507752], -509878.8795688784),
-        6: ([[-6.5725297008654735, -8.228493058014907], [-5.834578210209868, -7.773389786302907],
-             [-5.799098112975984, -7.266318948279521], [-6.2697378003580875, -7.529836418307831]],
-            [-4.828313737302301, -4.63356966050979, -5.8499649848342825, -5.744604469176456],
-            [-3154.5399028516413, -3729.8171995111375], -2572.1535679144777,
-            [-786434.8090450559, -930751.5278187738], -642707.648837026),
-    }
-
-    def test_deep_sampled_spectra_survive_repeated_rescaling(self):
-        # sigma_1 of a depth-600 word is at most 0.25**600 (about 1e-361), so the
-        # products must be rescaled; the floor of 600 log 0.2 crosses -256 log 2
-        # five times
-        rng = np.random.default_rng(5)
-        levels = [[rotation(t) @ np.diag([0.25, 0.2]) @ rotation(u) for t, u in
-                   rng.uniform(-np.pi, np.pi, (2, 2))] for _ in range(3)]
-        system, depth = AffineSystem(levels), 600
-        measure = BernoulliMeasure([[0.5, 0.5]] * 3)
-        assert depth * np.log(0.2) < -5 * 256 * np.log(2)
-        spectra = _level_spectra(system, measure, depth, keep_from=depth - 1, size=12, seed=3)
-        rng = np.random.default_rng(3)
-        letters = np.array([rng.choice(2, size=12, p=measure.probs(k))
-                            for k in range(1, depth + 1)]).T + 1
+    def test_enumerated_spectra_survive_repeated_rescaling(self):
+        # the products are rescaled at levels 2, 4, 6 and 8; unrescaled, sigma_1
+        # of a depth-8 word is subnormal (at most 4.3e-321) and of a depth-9 word 0
+        system, measure = rescaling_table()
+        spectra = _level_spectra(system, measure, 9, keep_from=5)
+        assert sorted(spectra) == [5, 6, 7, 8, 9]
         for k, (prefix, _) in spectra.items():
-            want = [np.cumsum(word_spectrum(system, tuple(row[:k])).log_values)
-                    for row in letters]
+            want = [np.cumsum(word_spectrum(system, w).log_values)
+                    for w in itertools.product((1, 2), repeat=k)]
             assert np.isfinite(prefix).all()
             assert np.abs(prefix - np.array(want).T).max() < 1e-9
 
@@ -785,33 +709,13 @@ class TestLevelSpectra:
         want = [letter[list(w)].sum() for w in itertools.product(range(2), repeat=8)]
         assert np.abs(spectra[8][0][1] - want).max() < 1e-12
 
-    def test_sampling_repeats_for_a_seed(self):
-        first = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
-        again = _level_spectra(self.SYSTEM, self.MEASURE, 6, keep_from=3, size=500, seed=4)
-        assert sorted(first) == sorted(again) == [3, 4, 5, 6]
-        index = np.arange(500)
-        for k in first:
-            assert first[k][0].shape == (2, 500)
-            assert np.array_equal(first[k][0], again[k][0])
-            assert np.array_equal(first[k][1], again[k][1])
-            # recorded values: a change in the draws or in the products fails
-            prefix, log_p = first[k]
-            rows, masses, sums, mass_sum, weighted, mass_weighted = self.SAMPLED[k]
-            rows_at = [0, 1, 2, 499]
-            assert np.allclose(prefix[:, rows_at], np.cumsum(rows, axis=1).T, rtol=0, atol=1e-12)
-            assert np.array_equal(log_p[rows_at], masses)
-            assert np.allclose(prefix.sum(axis=1), np.cumsum(sums), rtol=1e-12, atol=0)
-            assert log_p.sum() == pytest.approx(mass_sum, rel=1e-12)
-            assert np.allclose(prefix @ index, np.cumsum(weighted), rtol=1e-12, atol=0)
-            assert index @ log_p == pytest.approx(mass_weighted, rel=1e-12)
 
-
-def deep_rescaling_table():
-    """The depth-600 table of ``test_deep_sampled_spectra_survive_repeated_rescaling``."""
-    rng = np.random.default_rng(5)
-    levels = [[rotation(t) @ np.diag([0.25, 0.2]) @ rotation(u) for t, u in
-               rng.uniform(-np.pi, np.pi, (2, 2))] for _ in range(3)]
-    return AffineSystem(levels), BernoulliMeasure([[0.5, 0.5]] * 3)
+def rescaling_table():
+    """Two rotated maps with singular values near 1e-40: the floor of
+    ``_level_spectra`` falls by about 92 a level, past -256 log 2 every two."""
+    mats = [rotation(0.4) @ np.diag([1e-40, 5e-41]) @ rotation(1.3),
+            rotation(-1.0) @ np.diag([9e-41, 6e-41]) @ rotation(0.2)]
+    return AffineSystem([mats]), BernoulliMeasure([[0.6, 0.4]])
 
 
 class TestBlockInvariance:
@@ -820,9 +724,9 @@ class TestBlockInvariance:
     WHOLE = 2**62  # one block holds the whole tree
 
     @staticmethod
-    def spectra_for(monkeypatch, block, *args, **kwargs):
+    def spectra_for(monkeypatch, block, *args):
         monkeypatch.setattr(theory, "_BLOCK_WORDS", block)
-        return _level_spectra(*args, **kwargs)
+        return _level_spectra(*args)
 
     def assert_equal(self, got, want):
         assert sorted(got) == sorted(want)
@@ -834,9 +738,7 @@ class TestBlockInvariance:
     CASES = {
         "enumerated-d2": lambda: (PLANAR_TABLE, TABLE_MEASURE, 7, 2),
         "enumerated-d3": lambda: (SPATIAL_TABLE, TABLE_MEASURE, 6, 3),
-        "sampled-d2": lambda: (PLANAR_TABLE, TABLE_MEASURE, 6, 3, 500, 4),
-        "sampled-d3": lambda: (SPATIAL_TABLE, TABLE_MEASURE, 5, 1, 300, 2),
-        "sampled-rescaled": lambda: (*deep_rescaling_table(), 600, 595, 12, 3),
+        "enumerated-rescaled": lambda: (*rescaling_table(), 9, 5),
     }
 
     @pytest.mark.parametrize("block", [1, 7, 2**16])
@@ -847,13 +749,12 @@ class TestBlockInvariance:
         self.assert_equal(self.spectra_for(monkeypatch, block, *args), whole)
 
     def test_default_blocks_split_a_large_tree(self, monkeypatch):
-        # 93,312 words at depth 13 and 70,000 sampled rows: both exceed one block
+        # 93,312 words at depth 13 exceed one block
         assert theory._BLOCK_WORDS == 2**16
-        for args in [(PLANAR_TABLE, TABLE_MEASURE, 13, 11),
-                     (PLANAR_TABLE, TABLE_MEASURE, 3, 2, 70_000, 8)]:
-            blocked = _level_spectra(*args)
-            assert len(blocked[args[2]][1]) > 2**16
-            self.assert_equal(blocked, self.spectra_for(monkeypatch, self.WHOLE, *args))
+        args = (PLANAR_TABLE, TABLE_MEASURE, 13, 11)
+        blocked = _level_spectra(*args)
+        assert len(blocked[13][1]) > 2**16
+        self.assert_equal(blocked, self.spectra_for(monkeypatch, self.WHOLE, *args))
 
 
 # two alternating levels of three rotated (non-diagonal) maps, at depth 12 (531,441 words)
@@ -880,7 +781,7 @@ def test_affine_solve_memory_is_kept_spectra_plus_one_block(spectra_builds):
     spectra = theory._shared_level_spectra(system, measure, 12, 6)
     kept = sum(array.nbytes for arrays in spectra.values() for array in arrays)
     largest = max(len(log_p) for _, log_p in spectra.values())
-    assert spectra_builds == [(12, 6, None)] and ce.diagnostics["depth"] == 12
+    assert spectra_builds == [(12, 6)] and ce.diagnostics["depth"] == 12
     assert peak < kept + largest * 8 + 2**21
 
 
@@ -898,7 +799,7 @@ def test_q3_solve_past_the_kept_spectra_takes_one_level_and_one_block(spectra_bu
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spectra_builds == [(12, 6, None)] and ce.diagnostics["window"] == (6, 12)
+    assert spectra_builds == [(12, 6)] and ce.diagnostics["window"] == (6, 12)
     assert peak < largest * 8 + 2**20
 
 
@@ -964,33 +865,24 @@ class TestSharedSpectra:
     def test_every_q_of_one_table_builds_once(self, spectra_builds):
         system, measure = self.bench_table()
         got = [theoretical_exponents(system, measure, q) for q in (1.5, 3.0)]
-        assert spectra_builds == [(12, 6, None)]
+        assert spectra_builds == [(12, 6)]
         # the same results from objects the slot has never seen
         for ce in got:
             assert ce == theoretical_exponents(*self.bench_table(), ce.q)
         assert len(spectra_builds) == 3
 
-    def test_another_key_or_the_sampled_path_builds_again(self, monkeypatch, spectra_builds):
+    def test_another_key_builds_again(self, spectra_builds):
         other = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
-        # 216 words at depth 6, so depth 8 under this cap is sampled
-        sampled = {"depth": 8, "sampling": True, "sample_size": 400}
-        calls = [(TABLE_MEASURE, {"depth": 6}), (TABLE_MEASURE, {"depth": 6}),
-                 (other, {"depth": 6}), (other, {"depth": 5}), (other, {"depth": 5}),
-                 (other, sampled), (other, sampled)]
-        with monkeypatch.context() as patch:
-            patch.setattr(theory, "ENUMERATION_CAP", 216)
-            for measure, kwargs in calls:
-                affine_series_dimension(PLANAR_TABLE, measure, 2.0, **kwargs)
-        assert spectra_builds == [(6, 3, None), (6, 3, None), (5, 2, None),
-                                  (8, 4, 400), (8, 4, 400)]
-        # the sampled solves freed the kept depth-5 spectra and kept none of their own
-        assert theory._kept_spectra is None
+        for measure, depth in [(TABLE_MEASURE, 6), (TABLE_MEASURE, 6), (other, 6),
+                               (other, 5), (other, 5)]:
+            affine_series_dimension(PLANAR_TABLE, measure, 2.0, depth=depth)
+        assert spectra_builds == [(6, 3), (6, 3), (5, 2)]
         # q = 1 keeps the deepest level only, so it shares nothing with q = 2
         system = AffineSystem([PLANAR_TABLE.linear_maps(2)])
         measure = BernoulliMeasure([[0.2, 0.3, 0.5]])
         for q in (2.0, 1.0, 1.0):
             affine_series_dimension(system, measure, q, depth=6)
-        assert spectra_builds[5:] == [(6, 3, None), (6, 6, None)]
+        assert spectra_builds[3:] == [(6, 3), (6, 6)]
 
     def test_kept_arrays_are_read_only(self, spectra_builds):
         affine_series_dimension(PLANAR_TABLE, TABLE_MEASURE, 2.0, depth=6)
@@ -1007,38 +899,34 @@ def log_values(prefix):
     return np.diff(prefix, axis=0, prepend=0.0).T
 
 
-def direct_level_sum(prefix, log_p, s, q, sampled):
+def direct_level_sum(prefix, log_p, s, q):
     """The level sum straight from ``svf_log``, as a log-sum-exp."""
-    terms = (1.0 - q) * svf_log(log_values(prefix), s) + (q - 1.0 if sampled else q) * log_p
+    terms = (1.0 - q) * svf_log(log_values(prefix), s) + q * log_p
     top = terms.max()
-    total = np.log(np.exp(terms - top).sum()) + top
-    return total - np.log(len(log_p)) if sampled else total
+    return np.log(np.exp(terms - top).sum()) + top
 
 
 class TestLevelSums:
     S_GRID = (0.0, 0.3, 1.0, 1.5, 2.0, 2.5, 3.0, 7.0)
 
     @staticmethod
-    def spectra(system, sampled):
-        if sampled:
-            return _level_spectra(system, TABLE_MEASURE, 5, keep_from=2, size=300, seed=2)
+    def spectra(system):
         return _level_spectra(system, TABLE_MEASURE, 4, keep_from=2)
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["enumerated", "sampled"])
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
-    def test_segment_sums_match_direct_logsumexp(self, system, sampled):
-        spectra = self.spectra(system, sampled)
+    def test_segment_sums_match_direct_logsumexp(self, system):
+        spectra = self.spectra(system)
         for q in (1.5, 3.0):
-            sums = _moment_sums([spectra[k] for k in sorted(spectra)], q, sampled)
+            sums = _moment_sums([spectra[k] for k in sorted(spectra)], q)
             for s in self.S_GRID:
-                want = [direct_level_sum(*spectra[k], s, q, sampled) for k in sorted(spectra)]
+                want = [direct_level_sum(*spectra[k], s, q) for k in sorted(spectra)]
                 assert np.allclose(sums(s), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
     def test_sweeping_segments_up_and_down_repeats_floats(self, system):
         # every s takes one segment (an integer the one below it), so its
         # value cannot depend on the s evaluated before it
-        spectra = self.spectra(system, False)
+        spectra = self.spectra(system)
         grid = (0.0, 0.3, 0.7, 1.0, 1.2, 1.8, 2.0, 2.4, 2.9, 3.0, 3.5, 7.0)
         groups = [spectra[k] for k in sorted(spectra)]
         sums = _moment_sums(groups, 2.0)
@@ -1050,7 +938,7 @@ class TestLevelSums:
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
     def test_entropy_rate_matches_direct_form(self, system):
-        prefix, log_p = self.spectra(system, False)[4]
+        prefix, log_p = self.spectra(system)[4]
         w = np.exp(log_p)
         sums = _moment_sums([(prefix, log_p)], 1.0)
         for s in self.S_GRID:
