@@ -98,6 +98,14 @@ def _object(name: str, value) -> dict:
     raise ConfigError(f"{name} must be an object, got {value!r}")
 
 
+def _required(name: str, section: dict, key: str):
+    """``section[key]``; ``ConfigError`` naming the key when the section lacks it."""
+    try:
+        return section[key]
+    except KeyError:
+        raise ConfigError(f"{name} is missing required key {key!r}") from None
+
+
 def _scale_sizes(name: str, sizes) -> tuple[float, ...]:
     """``sizes`` as a tuple; ``ConfigError`` naming ``name`` unless all are finite and positive.
 
@@ -227,7 +235,7 @@ def build_system(config: ExperimentConfig):
     kind = section.get("kind")
     if kind == "similar":
         return SimilarSystem(
-            ratios=_list("system.ratios", section["ratios"]),
+            ratios=_list("system.ratios", _required("system", section, "ratios")),
             tail=_list("system.tail", section.get("tail"), optional=True),
             ambient_dim=_integer("system.dim", section.get("dim", 1)),
             rotations=_list("system.rotations", section.get("rotations"), optional=True),
@@ -235,7 +243,8 @@ def build_system(config: ExperimentConfig):
                                  optional=True),
         )
     if kind == "affine":
-        return AffineSystem(matrices=_list("system.matrices", section["matrices"]),
+        matrices = _required("system", section, "matrices")
+        return AffineSystem(matrices=_list("system.matrices", matrices),
                             tail=_list("system.tail", section.get("tail"), optional=True))
     raise ConfigError(f"unknown system kind {kind!r}")
 
@@ -243,7 +252,7 @@ def build_system(config: ExperimentConfig):
 @_config_errors()
 def build_measure(config: ExperimentConfig) -> BernoulliMeasure:
     section = config.measure
-    return BernoulliMeasure(_list("measure.p", section["p"]),
+    return BernoulliMeasure(_list("measure.p", _required("measure", section, "p")),
                             tail=_list("measure.tail", section.get("tail"), optional=True))
 
 
@@ -270,7 +279,8 @@ def build_scheme(config: ExperimentConfig, system):
     kind = section.get("kind")
     d = system.ambient_dim
     if kind == "explicit":
-        table = {_parse_prefix_key(k): v for k, v in section["table"].items()}
+        table = _object("translations.table", _required("translations", section, "table"))
+        table = {_parse_prefix_key(k): v for k, v in table.items()}
         scheme = ExplicitTranslations(table=table)
         dims = {len(v) for v in scheme.table.values()}
         if dims and dims != {d}:
@@ -278,7 +288,9 @@ def build_scheme(config: ExperimentConfig, system):
         return scheme
     if kind == "random-box":
         seed = _integer("translations.seed", section.get("seed", config.seed))
-        scheme = RandomBoxTranslations(low=section["low"], high=section["high"], seed=seed)
+        scheme = RandomBoxTranslations(low=_required("translations", section, "low"),
+                                       high=_required("translations", section, "high"),
+                                       seed=seed)
         if scheme.dim != d:
             raise ConfigError(f"random box must have dimension {d}")
         return scheme
@@ -286,9 +298,9 @@ def build_scheme(config: ExperimentConfig, system):
         assignment = section.get("assignment")
         if assignment is not None:
             assignment = {_parse_prefix_key(k): _integer(f"assignment[{k!r}]", v)
-                          for k, v in assignment.items()}
+                          for k, v in _object("translations.assignment", assignment).items()}
         scheme = FiniteTranslationSet(
-            vectors=section["vectors"],
+            vectors=_required("translations", section, "vectors"),
             assignment=assignment,
             jitter_radius=_number("translations.jitter_radius",
                                   section.get("jitter_radius", 0.0)),

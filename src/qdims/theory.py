@@ -72,6 +72,9 @@ ENUMERATION_CAP = 2**20
 
 # words in the cut set of one scale of a cut-set solve; the default grid stops below it
 CUTSET_WORD_CAP = 250_000
+# the default cut-set grid: at most this many scales, each this factor below the last
+CUTSET_SCALES = 12
+CUTSET_SHRINK = 0.55
 
 # words in the deepest level of one block of _level_spectra
 _BLOCK_WORDS = 2**16
@@ -368,20 +371,19 @@ def _moment_sums(groups, q: float):
 # ---------------------------------------------------------------------------
 
 
-def _default_r_grid(system: SimilarSystem, measure: BernoulliMeasure,
-                    n_scales: int = 12, shrink: float = 0.55):
+def _default_r_grid(system: SimilarSystem, measure: BernoulliMeasure):
     r = 0.8 * system.c_lower
     grids = []
-    for _ in range(n_scales):
+    for _ in range(CUTSET_SCALES):
         try:
             logs = scale_cut_set_masses(system.ratio_schedule, measure, r,
                                         budget=CUTSET_WORD_CAP)
         except BranchBudgetError:
             break
         grids.append((r, logs))
-        if len(logs[0]) * shrink ** -2.5 > CUTSET_WORD_CAP:
+        if len(logs[0]) * CUTSET_SHRINK ** -2.5 > CUTSET_WORD_CAP:
             break
-        r *= shrink
+        r *= CUTSET_SHRINK
     return grids
 
 

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 from oracles import translation, write_sample_rows
 
-from qdims import empirical, harness, systems, theory
+from qdims import cli, empirical, harness, systems, theory
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
 from qdims.empirical import MeshAccumulator
@@ -214,10 +216,26 @@ class TestBuilders:
         ("translations", {"kind": "finite-set", "vectors": [[0.0], [2 / 3]],
                           "jitter_radius": -1},
          "jitter_radius must be finite and non-negative, got -1.0"),
-    ], ids=["measure-sum", "system-ratio", "negative-jitter"])
+        ("translations", {"kind": "finite-set", "vectors": [[0.0], [2 / 3]], "assignment": 3},
+         "translations.assignment must be an object, got 3"),
+        ("translations", {"kind": "finite-set"},
+         "translations is missing required key 'vectors'"),
+        ("translations", {"kind": "random-box", "low": [0.0]},
+         "translations is missing required key 'high'"),
+        ("translations", {"kind": "explicit"}, "translations is missing required key 'table'"),
+        ("translations", {"kind": "explicit", "table": [[0.0]]},
+         "translations.table must be an object, got [[0.0]]"),
+        ("system", {"kind": "similar", "dim": 1}, "system is missing required key 'ratios'"),
+        ("system", {"kind": "affine"}, "system is missing required key 'matrices'"),
+        ("measure", {"tail": [[0.5, 0.5]]}, "measure is missing required key 'p'"),
+    ], ids=["measure-sum", "system-ratio", "negative-jitter", "assignment-number",
+            "no-vectors", "no-high", "no-table", "table-list", "no-ratios", "no-matrices",
+            "no-p"])
     def test_constructor_rejection_is_a_config_error(self, tmp_path, capsys, field, section,
                                                      message):
-        # the constructor's ValueError, with its message; each section is built in turn
+        # the constructor's ValueError, or a missing or malformed field, with
+        # its message; each section is built in turn, by compare and, where it
+        # builds the section, by check-separation
         raw = dict(CANTOR_CONFIG, **{field: section})
         cfg = ExperimentConfig.from_dict(raw)
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -225,10 +243,11 @@ class TestBuilders:
             build_scheme(cfg, build_system(cfg))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == [path]
+        for command in ["compare"] + (["check-separation"] if field != "measure" else []):
+            assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+            assert list(tmp_path.iterdir()) == [path]
 
 
     @pytest.mark.parametrize("field, override", [
@@ -671,6 +690,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "1..64" in err
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        cli._parser.cache_clear()
+        with mock.patch.object(argparse.ArgumentParser, "__init__", autospec=True,
+                               side_effect=argparse.ArgumentParser.__init__) as init:
+            assert cli_main(["theory", "--config", cfg]) == 0
+            assert cli_main(["check-separation", "--config", cfg, "--depth", "2"]) == 0
+            with pytest.raises(SystemExit):
+                cli_main(["theory"])
+            assert cli_main(["theory", "--config", cfg, "--q", "2"]) == 0
+        # the subcommand parsers are built with the top-level one
+        assert [c.kwargs.get("prog") for c in init.call_args_list].count("qdims") == 1
+
+    @pytest.mark.parametrize("command", ["theory", "compare"])
+    def test_parser_after_usage_error_and_help_runs_as_a_first_call(self, tmp_path, capsys,
+                                                                    command):
+        cfg = self._write_config(tmp_path)
+
+        def run(name):
+            out = tmp_path / name
+            assert cli_main([command, "--config", cfg, "--q", "2", "--out", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return capsys.readouterr().out.replace(str(out), "OUT"), files
+
+        def exit_code(argv):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv)
+            return exc.value.code, capsys.readouterr()
+
+        cli._parser.cache_clear()
+        first = run("first")
+        helps = [exit_code(["--help"]), exit_code([command, "--help"])]
+        code, usage = exit_code([command, "--q", "2"])
+        assert code == 2 and usage.out == "" and "--config" in usage.err
+        assert [exit_code(["--help"]), exit_code([command, "--help"])] == helps
+        assert [code for code, _ in helps] == [0, 0] and helps[1][1].out.startswith(
+            f"usage: qdims {command} ")
+        assert run("again") == first and first[1]
 
     def test_gap_kind_is_not_a_choice(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -1221,7 +1279,65 @@ class TestSpectraRelease:
             assert len(spectra_builds) == passes and theory._kept_spectra is None
 
 
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(REPO, "scripts", "bench_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestScripts:
+    def test_bench_pairs_summary(self):
+        bench_pairs = _bench_pairs()
+        walls = [(0.0072, 0.0056), (0.0070, 0.0057), (0.0075, 0.0075), (0.0069, 0.0071),
+                 (0.0074, 0.0055)]
+        parent = [dict.fromkeys(bench_pairs.METRICS, 1.0) | {"wall_s": a} for a, _ in walls]
+        change = [dict.fromkeys(bench_pairs.METRICS, 1.0) | {"wall_s": b} for _, b in walls]
+        table = bench_pairs.summarize(parent, change)
+        assert list(table) == ["setup_s", "wall_s", "cpu_s", "peak_rss_mb"]
+        # quartiles of 0.0069, 0.0070, 0.0072, 0.0074, 0.0075 by the exclusive method
+        assert table["wall_s"] == {"parent_median": 0.0072, "change_median": 0.0057,
+                                   "parent_iqr": pytest.approx(0.00745 - 0.00695),
+                                   "wins": 3, "pairs": 5}
+        # equal runs are ties, which count for neither side
+        assert table["cpu_s"] == {"parent_median": 1.0, "change_median": 1.0,
+                                  "parent_iqr": 0.0, "wins": 0, "pairs": 5}
+
+    def test_bench_pairs_alternates_and_stops_on_a_failed_check(self, tmp_path):
+        # stand-in checkouts: perfbench/run.py logs its side and prints the
+        # result line stored beside it
+        log = tmp_path / "order.log"
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in _bench_pairs().METRICS}
+        for side in ("parent", "change"):
+            bench = tmp_path / side / "perfbench"
+            bench.mkdir(parents=True)
+            (bench / "run.py").write_text(
+                f"open({str(log)!r}, 'a').write({side!r} + ' ')\n"
+                f"print(open({str(bench / 'result.json')!r}).read())\n")
+
+        def run(change_correct):
+            for side, correct in (("parent", True), ("change", change_correct)):
+                (tmp_path / side / "perfbench" / "result.json").write_text(json.dumps(
+                    {"correct": correct, "attempted": 4, "failed": int(not correct),
+                     "metrics": metrics}))
+            log.write_text("")
+            return subprocess.run(
+                [sys.executable, os.path.join(REPO, "scripts", "bench_pairs.py"),
+                 str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
+                 "--pairs", "3", "--seconds", "1"],
+                capture_output=True, text=True, timeout=60)
+
+        proc = run(change_correct=True)
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_text().split() == ["parent", "change", "change", "parent",
+                                           "parent", "change"]
+        assert proc.stdout.splitlines()[-1].split() == ["peak_rss_mb", "1", "1", "0", "0",
+                                                        "of", "3"]
+        proc = run(change_correct=False)
+        assert proc.returncode == 1 and "1 of 4 checks failed" in proc.stderr
+        assert proc.stdout == "" and log.read_text().split() == ["parent", "change"]
+
     def test_script_overrides_are_checked_like_the_config_file(self, tmp_path):
         script = os.path.join(REPO, "scripts", "random_translation_study.py")
         proc = subprocess.run([sys.executable, script, "--realizations", "0",
