@@ -230,9 +230,10 @@ def _parser() -> argparse.ArgumentParser:
     p_sep = sub.add_parser("check-separation", help="separation certificate")
     common(p_sep)
     p_sep.add_argument("--depth", type=int, default=5,
-                       help="depth of the word-tree walk, for schemes whose offsets depend "
-                            "on more than the level and letter; others are certified for "
-                            "all depths")
+                       help="levels 1..N judged by the word-tree walk, for schemes whose "
+                            "offsets depend on more than the level and letter; its verdict "
+                            "covers those levels only, and others are certified for all "
+                            "depths")
     p_sep.add_argument("--kind", choices=["ssc", "osc"], default="ssc")
     p_sep.set_defaults(func=_cmd_check_separation)
     return parser

@@ -20,14 +20,15 @@ import numbers
 from dataclasses import dataclass, field
 
 from .codespace import BernoulliMeasure
-from .empirical import _stream_spectrum, default_scales
-from .errors import BranchBudgetError, ConfigError
+from .empirical import _CELL_LIMIT, _stream_spectrum, default_scales
+from .errors import BranchBudgetError, ConfigError, InsufficientScalesError
 from .systems import (
     AffineSystem,
     ExplicitTranslations,
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    _attractor_radius,
     _sample_stream,
     check_separation,
 )
@@ -89,6 +90,11 @@ def _list(name: str, value, optional: bool = False):
     if isinstance(value, (list, tuple)) or (optional and value is None):
         return value
     raise ConfigError(f"{name} must be a list, got {value!r}")
+
+
+def _numbers(name: str, value) -> tuple[float, ...]:
+    """``value`` as a tuple of floats; ``ConfigError`` unless it is a list of numbers."""
+    return tuple(_number(f"{name}[{i}]", x) for i, x in enumerate(_list(name, value)))
 
 
 def _object(name: str, value) -> dict:
@@ -164,12 +170,11 @@ class ExperimentConfig:
                     raise ConfigError(f"scales.base {base!r} to the powers -{lo}..-{hi} "
                                       f"overflows") from None
             else:
-                scales_t = tuple(_number(f"scales[{i}]", s)
-                                 for i, s in enumerate(_list("scales", scales)))
+                scales_t = _numbers("scales", scales)
             if not scales_t:
                 raise ConfigError("scales must be a non-empty list of positive sizes")
             scales_t = _scale_sizes("scales", scales_t)
-            q_values = tuple(_number(f"q[{i}]", q) for i, q in enumerate(_list("q", raw["q"])))
+            q_values = _numbers("q", raw["q"])
             if not q_values or not all(0 < q < float("inf") for q in q_values):
                 raise ConfigError("q grid must be a non-empty list of positive finite entries")
             samples = _integer("samples", raw.get("samples", 100_000))
@@ -288,9 +293,10 @@ def build_scheme(config: ExperimentConfig, system):
         return scheme
     if kind == "random-box":
         seed = _integer("translations.seed", section.get("seed", config.seed))
-        scheme = RandomBoxTranslations(low=_required("translations", section, "low"),
-                                       high=_required("translations", section, "high"),
-                                       seed=seed)
+        scheme = RandomBoxTranslations(
+            low=_numbers("translations.low", _required("translations", section, "low")),
+            high=_numbers("translations.high", _required("translations", section, "high")),
+            seed=seed)
         if scheme.dim != d:
             raise ConfigError(f"random box must have dimension {d}")
         return scheme
@@ -348,11 +354,11 @@ _RANDOM_CLAIMS = {
 def claim_for(system, scheme, q: float, ssc_holds: bool) -> str:
     """Label which kind of statement backs the theory/empirical comparison.
 
-    A similarity system with a strong-separation certificate gets a plain
-    equality claim; randomized translations get an almost-sure equality claim
-    in their supported q range (finite translation sets additionally need
-    every operator norm below one half); anything else only supports the
-    upper-bound direction.
+    A similarity system gets a plain equality claim when ``ssc_holds``, a
+    strong-separation report with ``holds_at_depth`` and ``all_depths``;
+    randomized translations get an almost-sure equality claim in their
+    supported q range (finite translation sets additionally need every
+    operator norm below one half); anything else only the upper bound.
     """
     if system.kind == "similar" and ssc_holds:
         return "equality:similar+ssc"
@@ -391,6 +397,15 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
     system, measure = build_system_and_measure(config)
     base_scheme = build_scheme(config, system)
 
+    # every sampled coordinate lies within R of the origin, so a finest scale
+    # that puts R past the 2**61 cells binning can key is refused before any
+    # solve; R bounds the points, and is not their extent
+    radius = _attractor_radius(system, base_scheme)
+    if radius / min(config.scales) > _CELL_LIMIT:
+        raise InsufficientScalesError(
+            f"scale {min(config.scales)!r} is too fine: sampled points may lie up to "
+            f"{radius!r} from the origin, beyond 2**61 cells of that side")
+
     theory = _exponents_by_q(system, measure, config.q_values)
 
     n_real = config.realizations if base_scheme.randomized else 1
@@ -416,7 +431,7 @@ def run_experiment(config: ExperimentConfig) -> ComparisonReport:
                 "depth": sep.depth,
                 "all_depths": sep.all_depths,
             })
-            ssc_holds = sep.holds_at_depth
+            ssc_holds = sep.holds_at_depth and sep.all_depths
         except BranchBudgetError:
             separations.append({"realization": i, "holds_at_depth": None})
             ssc_holds = False

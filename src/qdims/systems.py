@@ -28,6 +28,7 @@ immutable; sampling is deterministic given a seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -67,6 +68,8 @@ _SAMPLE_CHUNK_ROWS = 16384
 _CSV_BLOCK_ROWS = 4096
 # most words of the projected word table, whatever the chunk size
 _WORD_TABLE_ROWS = 2**16
+# most words at one level of the tree that ``check_separation`` may walk
+SEPARATION_WORD_CAP = 200_000
 
 
 def _prefix(key) -> tuple[int, ...]:
@@ -257,6 +260,9 @@ class ExplicitTranslations:
     def __post_init__(self):
         norm = {_prefix(key): np.asarray(vec, dtype=float).ravel()
                 for key, vec in self.table.items()}
+        for key, vec in norm.items():
+            if not np.isfinite(vec).all():
+                raise ValueError(f"translation of prefix {key} must be finite, got {vec.tolist()}")
         object.__setattr__(self, "table", norm)
 
     kind = "explicit"
@@ -299,6 +305,8 @@ class RandomBoxTranslations:
     def __post_init__(self):
         lo = _read_only(np.asarray(self.low, dtype=float).ravel().copy())
         hi = _read_only(np.asarray(self.high, dtype=float).ravel().copy())
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("box bounds must be finite")
         if lo.shape != hi.shape or np.any(hi < lo):
             raise ValueError("box bounds must align with low <= high")
         object.__setattr__(self, "low", lo)
@@ -362,6 +370,8 @@ class FiniteTranslationSet:
         vecs = np.asarray(self.vectors, dtype=float)
         if vecs.ndim != 2 or vecs.shape[0] < 1:
             raise ValueError("vectors must form a (tau, d) array")
+        if not np.isfinite(vecs).all():
+            raise ValueError("translation vectors must be finite")
         if not 0.0 <= self.jitter_radius < np.inf:
             raise ValueError(f"jitter_radius must be finite and non-negative, "
                              f"got {self.jitter_radius!r}")
@@ -898,9 +908,9 @@ def load_sample_csv(path) -> AttractorSample:
 @dataclass(frozen=True)
 class SeparationReport:
     """Separation certificate: for every depth when ``all_depths``, else
-    down to ``depth`` only, and then not a proof.
+    for levels 1..``depth`` only.
 
-    ``depth`` is the depth asked for. A "holds" on boxes is conservative:
+    ``depth`` is the depth asked for. A verdict on boxes is conservative:
     a failed check means the boxes meet, not that the pieces do.
     """
 
@@ -912,16 +922,6 @@ class SeparationReport:
     all_depths: bool = False
 
 
-def _parallelepiped_diameters(M: np.ndarray) -> np.ndarray:
-    # diameter of the image of the unit cube under each matrix of an (m, d, d) stack
-    d = M.shape[-1]
-    best = np.zeros(len(M))
-    for signs in _iter_product((-1.0, 1.0), repeat=d - 1):
-        v = M[:, :, 0] + sum(s * M[:, :, j + 1] for j, s in enumerate(signs))
-        best = np.maximum(best, np.sqrt((v * v).sum(axis=-1)))
-    return best
-
-
 def _signed_gaps(lo1, hi1, lo2, hi2) -> np.ndarray:
     # positive: Euclidean distance between the boxes; negative: they overlap
     # on every axis by at least |value| (so the interiors intersect)
@@ -931,43 +931,28 @@ def _signed_gaps(lo1, hi1, lo2, hi2) -> np.ndarray:
                     sep.max(axis=-1))
 
 
-def check_separation(system, scheme, depth: int, kind: str = "ssc",
-                     budget: int = 200_000) -> SeparationReport:
-    """Certify a separation condition on boxes around the basic sets.
+def check_separation(system, scheme, depth: int, kind: str = "ssc") -> SeparationReport:
+    """Certify a separation condition on image boxes of a box that holds the attractor.
 
-    At every level each pair of sibling boxes is judged against the
-    diameter of their parent's box: ``ssc`` needs a positive gap, ``osc``
-    allows touching, and ``worst_gap_ratio`` is the smallest gap over that
-    diameter, negative for overlapping boxes. The witness is the first pair
-    attaining it in (level, parent, pair) order, as two tuples of letters.
-    Boxes are axis-aligned, so for rotated or skewed maps they are larger
-    than the images they bound and a "holds" is conservative.
+    One judge reads every level: each gap between sibling boxes is divided
+    by the diameter of the hull of their parent's child boxes; ``ssc``
+    needs a positive gap, and ``osc`` passes touching boxes only when the
+    reference box has interior. ``worst_gap_ratio`` is the smallest ratio,
+    negative for overlapping boxes, and the witness the first pair attaining
+    it in (level, parent, pair) order. A failed check means the boxes meet.
 
     A ``letter_determined`` scheme is certified for all depths
-    (``all_depths``), whatever ``depth`` asks: boxes B_k with
-    f_kj(B_{k+1}) inside B_k for every map j contain the level-k attractor,
-    so sibling images f_ki(B_{k+1}), f_kj(B_{k+1}) that do not meet keep
-    every pair of cylinders apart at every depth (Hutchinson, Indiana Univ.
-    Math. J. 30, 1981). The head and one period of levels are judged, with
-    the word (1, ..., 1, j) standing for every level-k word ending in j.
-    Touching passes ``osc`` only on boxes of positive width, so a touching
-    attractor that lies in a hyperplane (a box of width 0 on some axis)
-    fails ``osc`` even where a thickened box would show that it holds. When
-    no invariant boxes are found (the box map of some rotated tables
-    expands), the scheme is walked as the others are.
-
-    Other schemes are walked down to ``depth``: a word's basic set is the
-    image of the unit cube [0, 1]^d under its composed map, which nothing
-    makes invariant, so a "holds" there is not a proof. Walked, ratios
-    [[0.3, 0.3, 0.3]] with offsets 0 / 0.72 / 0.415 by last letter hold at
-    depths 1 to 11, although the second and third attractor images
-    overlap. The walk makes one
-    ``scheme.offsets`` call, on the deepest words in code order; a level-k
-    word reads the row of its first descendant, and each level is composed
-    from its parents and its sibling pairs are judged at once.
+    (``all_depths``), whatever ``depth`` asks, on invariant boxes
+    (``_invariant_boxes``), one word (1, ..., 1, j) per letter of the head
+    and one period. Other schemes, and those whose box map expands (some
+    rotated tables), are walked down to ``depth`` on the images of the cube
+    of half-width R = ``sup_norm() / (1 - contraction_bound)``, which holds
+    every shifted attractor; a walked "holds" is true of levels
+    1..``depth`` only. The walk makes one ``scheme.offsets`` call, on the
+    deepest words in code order.
 
     Raises ``BranchBudgetError`` before any work when the word tree down to
-    ``depth`` holds more than ``budget`` words at some level.
+    ``depth`` holds more than ``SEPARATION_WORD_CAP`` words at some level.
     """
     kind = kind.lower()
     if kind not in ("ssc", "osc"):
@@ -975,27 +960,75 @@ def check_separation(system, scheme, depth: int, kind: str = "ssc",
     if depth < 1 or depth > MAX_DEPTH:
         raise ValueError(f"depth must lie in 1..{MAX_DEPTH}")
 
-    fits = system.profile.depth_within(budget, depth)
+    fits = system.profile.depth_within(SEPARATION_WORD_CAP, depth)
     if fits < depth:
         level = fits + 1
         total = math.prod(system.profile.size(k) for k in range(1, level + 1))
-        raise BranchBudgetError(
-            f"separation check needs {total} words at depth {level}, over budget {budget}"
-        )
+        raise BranchBudgetError(f"separation check needs {total} words at depth {level}, "
+                                f"over budget {SEPARATION_WORD_CAP}")
 
-    found = (_box_certificate(system, scheme, kind)
+    found = (_invariant_boxes(system, scheme)
              if getattr(scheme, "letter_determined", False) else None)
-    all_depths = found is not None
-    holds, worst_ratio, witness = found if all_depths else _walk_certificate(
-        system, scheme, depth, kind)
+    if found is not None:
+        levels, interior = found
+    else:
+        radius = _attractor_radius(system, scheme)
+        levels, interior = _walk_boxes(system, scheme, depth, radius), radius > 0.0
+    holds, worst_ratio, (k, parent, pair) = _judge(levels, system.ambient_dim, kind, interior)
+    sizes = [system.profile.size(j) for j in range(1, k + 2)]
+    codes = parent * sizes[-1] + np.array(pair)
     return SeparationReport(
         kind=kind,
         depth=depth,
         holds_at_depth=holds,
         worst_gap_ratio=float(worst_ratio),
-        witness=witness,
-        all_depths=all_depths,
+        witness=tuple(tuple(word) for word in _code_letters(codes, sizes).tolist()),
+        all_depths=found is not None,
     )
+
+
+def _attractor_radius(system, scheme) -> float:
+    """R = sup|o| / (1 - a), a bound on the norm of every point of every
+    shifted attractor: a series of offsets under products of norm <= a^j."""
+    return scheme.sup_norm() / (1.0 - system.contraction_bound)
+
+
+@functools.cache
+def _sibling_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of n siblings, made once per n: ``np.triu_indices``
+    takes longer than judging a small level."""
+    return tuple(_read_only(x) for x in np.triu_indices(n, 1))
+
+
+def _hull_diameters(U: np.ndarray, d: int) -> np.ndarray:
+    """``(parents, 1)`` diameters of the hulls of each parent's child boxes,
+    inf for a hull of diameter 0: its images are one point, with gaps 0."""
+    # the children's elementwise max; numpy's max over axis 1 of a (parents,
+    # n, 2d) stack is several times slower for small n
+    hull = functools.reduce(np.maximum, U.transpose(1, 0, 2))
+    diam = np.sqrt(np.square(hull[:, :d] + hull[:, d:]).sum(axis=1, keepdims=True))
+    return np.where(diam > 0.0, diam, np.inf)
+
+
+def _judge(levels, d: int, kind: str, interior: bool):
+    """``(holds, worst_ratio, (level, parent, (i, j)))`` of ``check_separation``
+    on ``levels``, one ``(parents, n, 2d)`` array per level from level 1 (0
+    here): the boxes [lo, hi] of each parent's n children, as (-lo, hi).
+    ``interior``: the reference box has interior."""
+    touching_ok = kind == "osc" and interior
+    holds, worst_ratio, at = True, np.inf, None
+    for k, U in enumerate(levels):
+        i, j = _sibling_pairs(U.shape[1])
+        gaps = _signed_gaps(-U[:, i, :d], U[:, i, d:], -U[:, j, :d], U[:, j, d:])
+        ratios = gaps / _hull_diameters(U, d)
+        first = int(np.argmin(ratios))
+        if ratios.flat[first] < worst_ratio:
+            worst_ratio = ratios.flat[first]
+            parent, pair = divmod(first, len(i))
+            at = (k, parent, (int(i[pair]), int(j[pair])))
+        if (gaps < 0.0 if touching_ok else gaps <= 0.0).any():
+            holds = False
+    return holds, worst_ratio, at
 
 
 # most policy rounds, and widening passes, before the box certificate gives
@@ -1006,8 +1039,14 @@ _POLICY_ROUNDS = 64
 _WIDEN_ROUNDS = 16
 
 
-def _box_certificate(system, scheme, kind: str):
-    """``(holds, worst_ratio, witness)`` on invariant boxes, or ``None``.
+def _invariant_boxes(system, scheme):
+    """``(levels, interior)`` for ``_judge``, or None when no invariant box is found.
+
+    ``levels`` holds one ``(1, n_k, 2d)`` array of images f_kj(B_{k+1}) per
+    level of the head and one period. Boxes with f_kj(B_{k+1}) inside B_k
+    hold the level-k attractor (Hutchinson, Indiana Univ. Math. J. 30,
+    1981), so disjoint sibling images keep cylinders apart at every depth.
+    ``interior``: the tail box has positive width on every axis.
 
     A box [lo, hi] is the vector v = (-lo, hi), on which the image box
     under the map x -> A x + o is G v + c, with G = [[A+, A-], [A-, A+]]
@@ -1035,9 +1074,9 @@ def _box_certificate(system, scheme, kind: str):
 
     rows = np.arange(2 * d)
     tail = range(levels - 1, head - 1, -1)  # 0-based levels, deepest first
-    # the first policy is the hull's on the cube of half-width sup|o| / (1 - a),
-    # which holds every level's attractor
-    cube = np.full(2 * d, scheme.sup_norm() / (1.0 - system.contraction_bound))
+    # the first policy is the hull's on the cube of half-width R, which
+    # holds every level's attractor
+    cube = np.full(2 * d, _attractor_radius(system, scheme))
     policy = {k: (G[k] @ cube + c[k]).argmax(axis=0) for k in tail}
     for _ in range(_POLICY_ROUNDS):
         Q, r = np.eye(2 * d), np.zeros(2 * d)
@@ -1078,26 +1117,7 @@ def _box_certificate(system, scheme, kind: str):
     for k in reversed(range(head)):
         images[k] = U = G[k] @ w + c[k]
         w = U.max(axis=0)
-
-    # touching siblings pass osc only when every box has interior
-    touching_ok = kind == "osc" and bool((v[:d] + v[d:] > 0.0).all())
-    pairs = {len(U): np.triu_indices(len(U), 1) for U in images}
-    holds, worst_ratio, witness = True, np.inf, None
-    for k, U in enumerate(images):
-        lo, hi = -U[:, :d], U[:, d:]
-        i, j = pairs[len(U)]
-        gaps = _signed_gaps(lo[i], hi[i], lo[j], hi[j])
-        hull = U.max(axis=0)
-        diam = math.sqrt(float(np.square(hull[:d] + hull[d:]).sum()))
-        # images in a box of diameter 0 are one point, all gaps 0
-        ratios = gaps / diam if diam > 0 else np.zeros_like(gaps)
-        first = int(np.argmin(ratios))
-        if ratios[first] < worst_ratio:
-            worst_ratio = ratios[first]
-            witness = tuple((1,) * k + (int(x) + 1,) for x in (i[first], j[first]))
-        if (gaps < 0.0 if touching_ok else gaps <= 0.0).any():
-            holds = False
-    return holds, worst_ratio, witness
+    return [U[None] for U in images], bool((v[:d] + v[d:] > 0.0).all())
 
 
 def _letter_tables(system, scheme, levels: int) -> list[np.ndarray]:
@@ -1111,19 +1131,15 @@ def _letter_tables(system, scheme, levels: int) -> list[np.ndarray]:
             enumerate(_checked_offsets(scheme, letters, system.ambient_dim))]
 
 
-def _walk_certificate(system, scheme, depth: int, kind: str):
-    """``(holds, worst_ratio, witness)`` of the word tree down to ``depth``,
-    on the unit-cube images."""
+def _walk_boxes(system, scheme, depth: int, radius: float):
+    """Boxes t -+ radius |M| 1 of the images of the cube [-radius, radius]^d
+    under each word's map x -> M x + t, as one ``(parents, n_k, 2d)`` array
+    of vectors (-lo, hi) per level 1..``depth``."""
     d = system.ambient_dim
     sizes = [system.profile.size(k) for k in range(1, depth + 1)]
     words = np.cumprod([1] + sizes)
-    pairs = {n: np.triu_indices(n, 1) for n in set(sizes)}
     # the deepest words in code order
     letters = _code_letters(np.arange(words[-1]), sizes)
-
-    holds = True
-    worst_ratio = np.inf
-    witness = None
     # the map x -> M x + t of every word of the current level, in word order
     M = np.eye(d)[None]
     t = np.zeros((1, d))
@@ -1134,25 +1150,8 @@ def _walk_certificate(system, scheme, depth: int, kind: str):
         # copy is contiguous, since numpy's `@` may pick another kernel, with
         # other rounding, for strided operands
         offsets = np.ascontiguousarray(offsets[::fan])
-        parent_diam = _parallelepiped_diameters(M)
         M = np.repeat(M, n, axis=0)
         t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
         M = M @ np.tile(system.linear_maps(k + 1), (parents, 1, 1))
-        # axis-aligned box of each child's image of the unit cube, by parent
-        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
-        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
-        i, j = pairs[n]
-        gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
-        ratios = np.full_like(gaps, np.inf)
-        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
-        first = int(np.argmin(ratios))
-        if ratios.flat[first] < worst_ratio:
-            worst_ratio = ratios.flat[first]
-            parent, pair = divmod(first, len(i))
-            witness = tuple(tuple(int(x) for x in letters[(parent * n + c[pair]) * fan, :k + 1])
-                            for c in (i, j))
-        # osc allows touching siblings; ssc needs a positive gap
-        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
-        if failed.any():
-            holds = False
-    return holds, worst_ratio, witness
+        yield (np.stack([-t, t], axis=1)
+               + radius * np.abs(M).sum(axis=2)[:, None]).reshape(parents, n, 2 * d)

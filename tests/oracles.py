@@ -252,16 +252,6 @@ def word_spectrum(system, letters) -> SingularSpectrum:
     return SingularSpectrum(values=np.exp(logs), log_values=logs)
 
 
-def _parallelepiped_diameters(M):
-    # diameter of the image of the unit cube under each matrix of an (m, d, d) stack
-    d = M.shape[-1]
-    best = np.zeros(len(M))
-    for signs in itertools.product((-1.0, 1.0), repeat=d - 1):
-        v = M[:, :, 0] + sum(s * M[:, :, j + 1] for j, s in enumerate(signs))
-        best = np.maximum(best, np.sqrt((v * v).sum(axis=-1)))
-    return best
-
-
 def _signed_gaps(lo1, hi1, lo2, hi2):
     # positive: Euclidean distance between the boxes; negative: they overlap
     # on every axis by at least |value| (so the interiors intersect)
@@ -272,14 +262,19 @@ def _signed_gaps(lo1, hi1, lo2, hi2):
 
 
 def separation_walk(system, scheme, depth, kind):
-    """``check_separation``'s report by the level-by-level walk it replaced.
+    """``check_separation``'s report by a level-by-level walk.
 
     Each level asks ``scheme.offsets`` for every word of that level, keeps
     all of its levels' offsets, composes ``(n, d, d)`` matrix stacks with
-    ``@`` and judges that level's sibling pairs on their own. The arguments
+    ``@`` and judges that level's sibling pairs on their own. Each word's
+    piece is bounded by the box of its map's image of the cube of
+    half-width R = sup|o| / (1 - a), t -+ R |M| 1, and each gap is divided
+    by the diameter of the hull of the parent's child boxes (0 where that
+    diameter is 0). Touching boxes pass ``osc`` when R > 0. The arguments
     are taken as valid and the word tree as within budget.
     """
     d = system.ambient_dim
+    radius = scheme.sup_norm() / (1.0 - system.contraction_bound)
     holds = True
     worst_ratio = np.inf
     witness = None
@@ -292,28 +287,29 @@ def separation_walk(system, scheme, depth, kind):
     for level in range(1, depth + 1):
         maps = system.linear_maps(level)
         n = len(maps)
-        parent_diam = _parallelepiped_diameters(M)
         child = np.tile(np.arange(1, n + 1), len(words))
         words = np.column_stack([np.repeat(words, n, axis=0), child])
         *_, offsets = scheme.offsets(words)
         M = np.repeat(M, n, axis=0)
         t = np.repeat(t, n, axis=0) + (M @ offsets[:, :, None])[:, :, 0]
         M = M @ maps[child - 1]
-        # axis-aligned box of each child's image of the unit cube, by parent
-        lo = (t + np.minimum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
-        hi = (t + np.maximum(M, 0.0).sum(axis=2)).reshape(-1, n, d)
+        # axis-aligned box of each child's image of the cube, by parent
+        half = radius * np.abs(M).sum(axis=2)
+        lo = (t - half).reshape(-1, n, d)
+        hi = (t + half).reshape(-1, n, d)
         i, j = np.triu_indices(n, 1)
         gaps = _signed_gaps(lo[:, i], hi[:, i], lo[:, j], hi[:, j])
-        ratios = np.full_like(gaps, np.inf)
-        np.divide(gaps, parent_diam[:, None], out=ratios, where=parent_diam[:, None] > 0)
+        diam = np.sqrt(np.square(hi.max(axis=1) - lo.min(axis=1)).sum(axis=1))
+        ratios = np.zeros_like(gaps)
+        np.divide(gaps, diam[:, None], out=ratios, where=diam[:, None] > 0)
         first = int(np.argmin(ratios))
         if ratios.flat[first] < worst_ratio:
             worst_ratio = ratios.flat[first]
             parent, pair = divmod(first, len(i))
             witness = (tuple(words[parent * n + i[pair]].tolist()),
                        tuple(words[parent * n + j[pair]].tolist()))
-        # osc allows touching siblings; ssc needs a positive gap
-        failed = gaps < 0.0 if kind == "osc" else gaps <= 0.0
+        # ssc needs a positive gap; osc allows touching boxes of a cube with interior
+        failed = gaps < 0.0 if kind == "osc" and radius > 0 else gaps <= 0.0
         if failed.any():
             holds = False
 

@@ -42,6 +42,7 @@ REMOVED_PARAMETERS = [
     ("theory", "affine_series_dimension", "sample_size"),
     ("theory", "affine_series_dimension", "seed"),
     ("theory", "cutset_dimension", "max_words"),
+    ("systems", "check_separation", "budget"),
 ]
 # what the package namespace re-exports: the names that README's quick start,
 # the acceptance tests, the scripts and perfbench reach as qdims.<name>

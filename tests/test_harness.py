@@ -18,7 +18,7 @@ from qdims import cli, empirical, harness, systems, theory
 from qdims.cli import main as cli_main
 from qdims.codespace import BernoulliMeasure
 from qdims.empirical import MeshAccumulator
-from qdims.errors import ConfigError, SampleError
+from qdims.errors import ConfigError, InsufficientScalesError, SampleError
 from qdims.harness import (
     REPORT_HEADER,
     ComparisonReport,
@@ -42,6 +42,7 @@ from qdims.systems import (
     FiniteTranslationSet,
     RandomBoxTranslations,
     SimilarSystem,
+    _sample_stream,
     _write_csv_blocks,
     load_sample_csv,
     sample_measure,
@@ -228,9 +229,20 @@ class TestBuilders:
         ("system", {"kind": "similar", "dim": 1}, "system is missing required key 'ratios'"),
         ("system", {"kind": "affine"}, "system is missing required key 'matrices'"),
         ("measure", {"tail": [[0.5, 0.5]]}, "measure is missing required key 'p'"),
+        ("translations", {"kind": "finite-set", "vectors": [[0.0], [None]]},
+         "translation vectors must be finite"),
+        ("translations", {"kind": "explicit", "table": {"1": [0.0], "2": None}},
+         "translation of prefix (2,) must be finite, got [nan]"),
+        ("translations", {"kind": "random-box", "low": [float("nan")], "high": [1.0]},
+         "box bounds must be finite"),
+        ("translations", {"kind": "random-box", "low": {"a": 1}, "high": [1.0]},
+         "translations.low must be a list, got {'a': 1}"),
+        ("translations", {"kind": "random-box", "low": [0.0], "high": ["1"]},
+         "translations.high[0] must be a number, got '1'"),
     ], ids=["measure-sum", "system-ratio", "negative-jitter", "assignment-number",
             "no-vectors", "no-high", "no-table", "table-list", "no-ratios", "no-matrices",
-            "no-p"])
+            "no-p", "null-vector", "null-table-entry", "nan-low", "low-object",
+            "high-string"])
     def test_constructor_rejection_is_a_config_error(self, tmp_path, capsys, field, section,
                                                      message):
         # the constructor's ValueError, or a missing or malformed field, with
@@ -399,6 +411,41 @@ class TestRunExperiment:
         assert report.meta["separation"][0]["holds_at_depth"] is True
         assert report.meta["separation"][0]["all_depths"] is True
 
+    @pytest.mark.parametrize("assignment", [None, {"1": 1}], ids=["plain", "no-op-assignment"])
+    def test_overlapping_pieces_claim_no_equality(self, assignment):
+        # the second and third pieces overlap; the no-op assignment makes the
+        # scheme prefix-keyed, so it is walked, and a walk's "holds" would
+        # cover only levels 1..depth in any case
+        translations = {"kind": "finite-set", "vectors": [[0.0], [0.72], [0.415]]}
+        if assignment is not None:
+            translations["assignment"] = assignment
+        raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1, "ratios": [[0.3] * 3]},
+                   translations=translations, measure={"p": [[1 / 3] * 3]}, q=[2],
+                   samples=200_000)
+        report = run_experiment(ExperimentConfig.from_dict(raw))
+        [row] = report.rows
+        assert row.method == "closed-form[upper-bound]"
+        [sep] = report.meta["separation"]
+        assert (sep["holds_at_depth"], sep["all_depths"]) == (False, assignment is None)
+
+    def test_walked_holds_backs_no_equality_claim(self):
+        # pieces in [0, 0.111] and [0.9, 1]: the invariant boxes hold for
+        # every depth; with a no-op assignment the same set is walked, and
+        # its cube images [-0.1, 0.1] and [0.8, 1] hold at the walked levels only
+        methods = {}
+        for assignment in (None, {"1": 1}):
+            translations = {"kind": "finite-set", "vectors": [[0.0], [0.9]]}
+            if assignment is not None:
+                translations["assignment"] = assignment
+            raw = dict(CANTOR_CONFIG, system={"kind": "similar", "dim": 1, "ratios": [[0.1] * 2]},
+                       translations=translations, q=[2], samples=20_000)
+            report = run_experiment(ExperimentConfig.from_dict(raw))
+            [sep] = report.meta["separation"]
+            assert sep["holds_at_depth"]
+            methods[sep["all_depths"]] = report.rows[0].method
+        assert methods == {True: "closed-form[equality:similar+ssc]",
+                           False: "closed-form[upper-bound]"}
+
     def test_realizations_rows_and_norm_check(self):
         raw = dict(
             CANTOR_CONFIG,
@@ -534,6 +581,19 @@ class TestStreamingInvariance:
                     paths = emit_report(run_experiment(cfg), tmp_path / f"{chunk_rows}-{fold_rows}")
                 outputs.add(tuple(Path(paths[key]).read_bytes() for key in ("csv", "text")))
         assert len(outputs) == 1
+
+
+def _streamed_binning_error(config):
+    """The message of the binning error that ``run_experiment``'s first
+    realization meets when it streams its sample into the config's scales."""
+    system, measure = build_system_and_measure(config)
+    scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
+    _, blocks = _sample_stream(system, scheme, measure, count=config.samples,
+                               depth=config.depth, seed=config.seed,
+                               target_resolution=min(config.scales))
+    with pytest.raises(InsufficientScalesError) as exc:
+        empirical._stream_spectrum(blocks, config.q_values, config.scales)
+    return str(exc.value)
 
 
 class TestCli:
@@ -1069,17 +1129,47 @@ class TestCli:
                                 f"cells of that side\n")
 
     def test_compare_scale_too_fine_exits_with_message(self, tmp_path, capsys):
+        # the Cantor points lie within R = (2/3) / (1 - 1/3), about 1, of the origin
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(CANTOR_CONFIG, samples=2000,
                                         scales={"base": 2, "min_exp": 4, "max_exp": 70})))
         out = tmp_path / "out"
         assert cli_main(["compare", "--config", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert re.fullmatch(rf"error: scale {re.escape(repr(2.0**-70))} is too fine: row "
-                            rf"\d+ \[\S+\] lies beyond 2\*\*61 cells of that side\n",
-                            captured.err)
+        assert captured.out == "" and captured.err == (
+            f"error: scale {2.0**-70!r} is too fine: sampled points may lie up to "
+            f"{(2 / 3) / (1 - 1 / 3)!r} from the origin, beyond 2**61 cells of that side\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("max_exp, refused", [(60, False), (61, True), (70, True)])
+    def test_compare_refuses_a_scale_too_fine_before_any_solve(self, tmp_path, capsys,
+                                                               monkeypatch, max_exp, refused):
+        # the points lie within R = (0.65 + 0.35) / (1 - 0.45) = 1.82 of the
+        # origin; R / 2**-61 is past 2**61 cells, though no point need be
+        raw = dict(ExperimentConfig.from_file(
+            os.path.join(REPO, "configs", "affine_finite_gamma.json")).to_dict(),
+            samples=1000, scales={"base": 2, "min_exp": 4, "max_exp": max_exp})
+        config = ExperimentConfig.from_dict(raw)
+        system = build_system(config)
+        radius = build_scheme(config, system).sup_norm() / (1.0 - system.contraction_bound)
+        assert radius == pytest.approx(1.0 / 0.55, rel=1e-15)
+
+        def unsolved(*args):
+            raise AssertionError("a theory solve ran")
+
+        monkeypatch.setattr(harness, "theoretical_exponents", unsolved)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        if not refused:
+            with pytest.raises(AssertionError, match="a theory solve ran"):
+                cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "out")])
+            return
+        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: scale {2.0**-max_exp!r} is too fine: sampled points may lie up to "
+            f"{radius!r} from the origin, beyond 2**61 cells of that side\n")
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("overrides, line", [
         ({"scales": {"base": 2, "min_exp": 4, "max_exp": 70}},
@@ -1089,17 +1179,16 @@ class TestCli:
         ({"scales": FAR_SCALES},
          "scale 4.3324718812520757e-19 is too fine: row 17210 [0.9996443838078118]"),
     ], ids=["max_exp-70", "word-table", "per-row"])
-    def test_compare_scale_too_fine_names_the_first_far_row(self, tmp_path, capsys,
-                                                             overrides, line):
-        # at depth 10 the sample is word counts, and the far row is named in
-        # the word order of points.csv: 1 + the counts of the earlier words;
-        # deeper, the first far row lies in the second chunk
+    def test_streamed_sample_names_the_first_far_row(self, overrides, line):
+        # compare refuses these scales before it samples; the binning of the
+        # sample it would stream still names the first far row. At depth 10
+        # the sample is word counts, and the far row is named in the word
+        # order of points.csv: 1 + the counts of the earlier words; deeper,
+        # the first far row lies in the second chunk
         with open(os.path.join(REPO, "configs", "cantor.json")) as fh:
             raw = dict(json.load(fh), **overrides)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(raw))
-        assert cli_main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: {line} lies beyond 2**61 cells of that side\n"
+        assert _streamed_binning_error(ExperimentConfig.from_dict(raw)) == (
+            f"{line} lies beyond 2**61 cells of that side")
 
     def test_compare_on_cantor_bins_each_drawn_word_once(self, tmp_path, capsys, monkeypatch):
         fed = []
@@ -1175,10 +1264,9 @@ class TestCli:
         for fit, (_, est) in zip(fits, spectrum, strict=True):
             assert abs(fit - est.dimension) <= 1e-12
 
-    def test_compare_names_the_far_row_of_the_sampled_file(self, tmp_path, capsys):
-        cfg, _ = self._counted_cantor(tmp_path, depth=10, scales=FAR_SCALES)
-        assert cli_main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        compared = capsys.readouterr().err
+    def test_streamed_sample_names_the_far_row_of_its_file(self, tmp_path, capsys):
+        cfg, config = self._counted_cantor(tmp_path, depth=10, scales=FAR_SCALES)
+        compared = f"error: {_streamed_binning_error(config)}\n"
         assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert cli_main(["estimate", str(tmp_path / "points.csv"),
@@ -1279,9 +1367,9 @@ class TestSpectraRelease:
             assert len(spectra_builds) == passes and theory._kept_spectra is None
 
 
-def _bench_pairs():
+def _script(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_pairs", os.path.join(REPO, "scripts", "bench_pairs.py"))
+        name, os.path.join(REPO, "scripts", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1289,7 +1377,7 @@ def _bench_pairs():
 
 class TestScripts:
     def test_bench_pairs_summary(self):
-        bench_pairs = _bench_pairs()
+        bench_pairs = _script("bench_pairs")
         walls = [(0.0072, 0.0056), (0.0070, 0.0057), (0.0075, 0.0075), (0.0069, 0.0071),
                  (0.0074, 0.0055)]
         parent = [dict.fromkeys(bench_pairs.METRICS, 1.0) | {"wall_s": a} for a, _ in walls]
@@ -1308,7 +1396,7 @@ class TestScripts:
         # stand-in checkouts: perfbench/run.py logs its side and prints the
         # result line stored beside it
         log = tmp_path / "order.log"
-        metrics = {name: {"value": 1.0, "unit": "s"} for name in _bench_pairs().METRICS}
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in _script("bench_pairs").METRICS}
         for side in ("parent", "change"):
             bench = tmp_path / side / "perfbench"
             bench.mkdir(parents=True)
@@ -1337,6 +1425,38 @@ class TestScripts:
         proc = run(change_correct=False)
         assert proc.returncode == 1 and "1 of 4 checks failed" in proc.stderr
         assert proc.stdout == "" and log.read_text().split() == ["parent", "change"]
+
+    def test_report_digests_name_each_differing_report(self):
+        differences = _script("report_digests").differences
+        want = {"cantor": {"report.csv": "c1", "report.txt": "t1"},
+                "uniform": {"report.csv": "c2", "report.txt": "t2"}}
+        assert differences(want, want) == []
+        # a changed digest, a config only one side has, and a missing report
+        got = {"cantor": {"report.csv": "c1", "report.txt": "t9"},
+               "two_level": {"report.csv": "c3", "report.txt": "t3"},
+               "uniform": {"report.csv": "c2"}}
+        assert differences(want, got) == ["cantor/report.txt", "two_level/report.csv",
+                                          "two_level/report.txt", "uniform/report.txt"]
+
+    def test_report_digests_check_exits_nonzero_on_a_difference(self, capsys, monkeypatch):
+        # stand-in digests: no compare runs
+        script = _script("report_digests")
+        with open(os.path.join(REPO, "scripts", "report_digests.json")) as fh:
+            stored = json.load(fh)
+        names = sorted(name[:-5] for name in os.listdir(os.path.join(REPO, "configs"))
+                       if name.endswith(".json"))
+        assert sorted(stored) == names
+        assert all(sorted(reports) == ["report.csv", "report.txt"]
+                   for reports in stored.values())
+        digests = {name: dict(reports) for name, reports in stored.items()}
+        monkeypatch.setattr(script, "config_digests",
+                            lambda path: digests[os.path.basename(path)[:-5]])
+        path = os.path.join(REPO, "scripts", "report_digests.json")
+        assert script.main(["--check", path]) == 0
+        assert json.loads(capsys.readouterr().out) == stored
+        digests["cantor"]["report.txt"] = "0" * 64
+        assert script.main(["--check", path]) == 1
+        assert capsys.readouterr().err == "differs: cantor/report.txt\n"
 
     def test_script_overrides_are_checked_like_the_config_file(self, tmp_path):
         script = os.path.join(REPO, "scripts", "random_translation_study.py")
