@@ -3,15 +3,18 @@
 
 Usage:
   python scripts/bench_pairs.py PARENT CHANGE --workload cantor_spectrum --pairs 10 --seconds 8
+  python scripts/bench_pairs.py PARENT CHANGE --workload all --pairs 10 --seconds 4
 
 Runs ``perfbench/run.py`` of each checkout, from inside that checkout, one
 child process at a time. Pair i runs the parent first when i is even and
 the change first when i is odd, so a slow spell of the host does not fall
-on one side. Each pair prints the end-to-end metrics of both runs; the end
-prints, per metric, both medians, the parent's interquartile range (IQR,
-from ``statistics.quantiles(values, n=4)``) and in how many pairs the
-change read better (ties count for neither side). Exits 1 as soon as a run
-fails or reports ``correct: false``.
+on one side. ``--workload all`` makes one ``run.py --workload all`` call
+per side per pair. Each pair prints the end-to-end metrics of both runs,
+one line per workload; the end prints one table per workload with, per
+metric, both medians, the parent's interquartile range (IQR, from
+``statistics.quantiles(values, n=4)``) and in how many pairs the change
+read better (ties count for neither side). Exits 1 as soon as a run fails
+or reports ``correct: false`` on any workload.
 """
 
 import argparse
@@ -30,18 +33,24 @@ class RunError(RuntimeError):
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """Metric name -> value of one ``perfbench/run.py`` run in ``checkout``."""
+    """Workload name -> metric name -> value of one ``perfbench/run.py`` run in
+    ``checkout``; ``all`` runs every workload, and ``run.py`` then prints one
+    result per workload, keyed by its name."""
     cmd = [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RunError(f"{checkout}: exit code {proc.returncode}\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    if not result["correct"]:
-        raise RunError(f"{checkout}: {result['failed']} of {result['attempted']} "
-                       f"checks failed")
-    return {name: result["metrics"][name]["value"] for name in METRICS}
+    results = json.loads(lines[-1])
+    if workload != "all":
+        results = {workload: results}
+    for name, result in results.items():
+        if not result["correct"]:
+            raise RunError(f"{checkout}: {name}: {result['failed']} of "
+                           f"{result['attempted']} checks failed")
+    return {name: {metric: result["metrics"][metric]["value"] for metric in METRICS}
+            for name, result in results.items()}
 
 
 def summarize(parent: list[dict], change: list[dict]) -> dict:
@@ -80,6 +89,7 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for the parent's IQR")
 
+    # each side's runs, one {workload: metrics} per pair
     parent, change = [], []
     try:
         for i in range(args.pairs):
@@ -87,16 +97,21 @@ def main(argv=None) -> int:
             for checkout, runs in (sides if i % 2 == 0 else sides[::-1]):
                 runs.append(run_once(checkout, args.workload, args.seed, args.seconds))
             first = "parent" if i % 2 == 0 else "change"
-            print(f"pair {i} ({first} first): parent {_format(parent[-1])} | "
-                  f"change {_format(change[-1])}", flush=True)
+            for name in parent[-1]:
+                print(f"pair {i} ({first} first) {name}: parent {_format(parent[-1][name])} "
+                      f"| change {_format(change[-1][name])}", flush=True)
     except RunError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    print(f"{'metric':12s} {'parent':>11s} {'change':>11s} {'parent IQR':>11s} "
-          f"{'change wins':>11s}")
-    for name, row in summarize(parent, change).items():
-        print(f"{name:12s} {row['parent_median']:11.6g} {row['change_median']:11.6g} "
-              f"{row['parent_iqr']:11.6g} {row['wins']:>5d} of {row['pairs']}")
+    for name in parent[0]:
+        print(f"{name}:")
+        print(f"{'metric':12s} {'parent':>11s} {'change':>11s} {'parent IQR':>11s} "
+              f"{'change wins':>11s}")
+        table = summarize([run[name] for run in parent], [run[name] for run in change])
+        for metric, row in table.items():
+            print(f"{metric:12s} {row['parent_median']:11.6g} "
+                  f"{row['change_median']:11.6g} {row['parent_iqr']:11.6g} "
+                  f"{row['wins']:>5d} of {row['pairs']}")
     return 0
 
 

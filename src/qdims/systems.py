@@ -556,10 +556,14 @@ def _code_letters(codes: np.ndarray, sizes) -> np.ndarray:
 
 
 def _checked_offsets(scheme, letters: np.ndarray, d: int):
-    for offs in scheme.offsets(letters):
+    """``scheme.offsets(letters)``, level by level, refusing a wrong shape and
+    any offset that is not finite."""
+    for k, offs in enumerate(scheme.offsets(letters), start=1):
         if offs.shape != (len(letters), d):
             raise ValueError(f"translation scheme yields offsets of shape {offs.shape}, "
                              f"not ({len(letters)}, {d}) for a {d}-dimensional system")
+        if not np.isfinite(offs).all():
+            raise ValueError(f"translation scheme yields non-finite offsets at level {k}")
         yield offs
 
 

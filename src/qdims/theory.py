@@ -14,12 +14,14 @@ only affine case that admits q = 1.
 Every solver finds the root of an increasing function of s built from moment
 sums, and they share one core: ``_moment_sums`` evaluates the moment sums
 (or at q = 1 their entropy form) of word groups at once, one group per
-distinct level of a similarity period, per cut-set scale or per kept affine
-level, each word entering as the prefix sums of its log singular values (a
-similarity ratio c is the one row ``log c``); ``_root_of_increasing`` closes
-a sign-change bracket by Illinois and Dekker steps, to adjacent floats at
-``xtol=0``, probing s = 1 first and s = 0 only when the root lies below it;
-``_level_spectra`` enumerates the affine words.
+distinct level of a similarity period, per cut-set scale, per kept affine
+level or per affine level's letters, each word entering as the prefix sums
+of its log singular values (a similarity ratio c is the one row ``log c``);
+``_root_of_increasing`` closes a sign-change bracket by Illinois and Dekker
+steps, to adjacent floats at ``xtol=0``, probing s = 1 first and s = 0 only
+when the root lies below it; ``_level_spectra`` enumerates the affine
+words, whose level sums are needed only for 0 < s < d: at s = 0 and s >= d
+they are products of per-level letter sums (``_product_level_sums``).
 
 The affine spectra do not depend on q, so every q of one table reuses one
 exhaustive build: ``_shared_level_spectra`` keeps the last one, read-only, in
@@ -267,7 +269,9 @@ def _moment_sums(groups, q: float):
     with ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` (``P_0
     = 0``); on [d, inf) it is ``s * P_d / d``. An integer s = m >= 1 takes the
     segment below it, so the value depends on s alone, never on the s asked
-    before. The entropy form weighs each row down to a number once.
+    before. Through 0 and past d ``base`` is 0, and the exponents are formed
+    without it, to the same bits. The entropy form weighs each row down to a
+    number once.
 
     Every evaluation forms each word's exponent afresh from the read-only
     prefix rows, ``_SUM_BLOCK`` words at a time, into one scratch the size of
@@ -326,6 +330,8 @@ def _moment_sums(groups, q: float):
         The ops are those of ``t = slope * s + base`` with ``slope`` and
         ``base`` scaled by 1 - q and ``q log p`` added to ``base``; the
         slope is formed twice, into ``base`` first, so one block buffer serves.
+        On the segments through 0 and past d, where ``base`` is 0, ``base``
+        is ``q log p`` alone: half the ops, and the same bits.
         """
         t = scratch[:len(lp)]
         for a in range(0, len(lp), _SUM_BLOCK):
@@ -333,13 +339,14 @@ def _moment_sums(groups, q: float):
             tb = t[at]
             bb = base[:len(tb)]
             below = pre[lo - 1, at] if lo else 0.0
-            if lo < d:
+            if 0 < lo < d:
                 np.subtract(pre[lo, at], below, out=bb)
                 np.subtract(below, np.multiply(bb, lo, out=bb), out=bb)
+                bb *= 1.0 - q
+                bb += np.multiply(lp[at], q, out=tb)
             else:
-                bb.fill(0.0)
-            bb *= 1.0 - q
-            bb += np.multiply(lp[at], q, out=tb)
+                # base is +-0 through 0 and past d, and +-0 + x = x
+                np.multiply(lp[at], q, out=bb)
             if lo < d:
                 np.subtract(pre[lo, at], below, out=tb)
             else:
@@ -572,6 +579,24 @@ def _release_level_spectra() -> None:
     _kept_spectra = None
 
 
+def _product_level_sums(system: AffineSystem, measure: BernoulliMeasure, depth: int,
+                        q: float):
+    """Log level sums of levels 1..``depth`` as products of per-level letter sums,
+    as a function of s; they are the level sums at s = 0 and s >= d only.
+
+    There ``svf(T, s) = |det T|**(s/d)``, and |det| and p multiply along a
+    word (Falconer, Math. Proc. Camb. Phil. Soc. 103, 1988), so the level-k
+    sum is the product of the letter sums of levels 1..k. Level k enters
+    ``_moment_sums`` as a similarity level of ratios ``|det T_kj|**(1/d)``,
+    the one row ``log |det T_kj| / d``, and the log level sums are the
+    cumulative sums of its group sums.
+    """
+    d = system.ambient_dim
+    letters = _moment_sums([(np.linalg.slogdet(system.linear_maps(k))[1][None] / d,
+                             measure.log_probs(k)) for k in range(1, depth + 1)], q)
+    return lambda s: np.cumsum(letters(s))
+
+
 def _near_integer_guard(root: float, diag: dict) -> float:
     if abs(root - round(root)) < 1e-9 and root > 0:
         diag["near_integer"] = True
@@ -597,7 +622,10 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     the ``single_level_root`` diagnostic.
 
     The levels are enumerated down to ``depth`` (by default the deepest one
-    within ``ENUMERATION_CAP`` words); a deeper ``depth`` is refused.
+    within ``ENUMERATION_CAP`` words); a deeper ``depth`` is refused. The
+    enumerated spectra serve 0 < s < d only: at s = 0 and s >= d every level
+    sum is a product of per-level letter sums (``_product_level_sums``), so
+    on planar tables the root finder's probe at s = 2 reads no spectra.
 
     The enumerated spectra are reused: a solve on the same system and measure
     objects, at the same depth and first kept level, takes the read-only
@@ -625,7 +653,14 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     spectra = _shared_level_spectra(system, measure, K, keep_from)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
-    kept = _moment_sums([spectra[k] for k in sorted(spectra)], q)
+    enumerated = _moment_sums([spectra[k] for k in sorted(spectra)], q)
+    products = _product_level_sums(system, measure, K, q)
+
+    def kept(s: float) -> np.ndarray:
+        """Log level sums of the kept levels at s."""
+        if s == 0.0 or s >= system.ambient_dim:
+            return products(s)[keep_from - 1:]
+        return enumerated(s)
 
     def per_level(s: float) -> float:
         # the deepest level alone: the q = 1 rate and the stationary single-level root

@@ -81,10 +81,12 @@ def write_sample_rows(path, points, weights):
 def group_moment_sum(prefix, log_p, q, s):
     """``log sum_u svf(T_u, s)**(1-q) p_u**q`` of one word group (q != 1).
 
-    Each word's exponent takes the float steps of ``theory._moment_sums``:
-    ``(slope * (1-q)) * s + (base * (1-q) + q * log p)`` on the segment
-    of s. Their exponentials, shifted by the top one, are added by one
-    ``np.sum`` over the group's own array.
+    Each word's exponent is the general-segment formula ``(slope * (1-q)) *
+    s + (base * (1-q) + q * log p)`` on the segment of s, with ``base =
+    below - slope * lo``, on every segment: also through 0 and past d,
+    where ``theory._moment_sums`` leaves the zero base out. Their
+    exponentials, shifted by the top one, are added by one ``np.sum`` over
+    the group's own array.
     """
     d = len(prefix)
     lo = min(max(math.ceil(s) - 1, 0), d)
@@ -97,6 +99,23 @@ def group_moment_sum(prefix, log_p, q, s):
     t = slope * (1.0 - q) * s + (base * (1.0 - q) + log_p * q)
     top = t.max()
     return np.log(np.sum(np.exp(t - top))) + top
+
+
+def group_entropy_sum(prefix, log_p, s):
+    """``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)`` of one word group, the
+    q = 1 form: the p-weighted prefix rows on the general segment formula,
+    ``base + s * slope`` with ``base = below - slope * lo``."""
+    d = len(prefix)
+    w = np.exp(log_p)
+    pre = [w @ row for row in prefix]
+    lo = min(max(math.ceil(s) - 1, 0), d)
+    below = pre[lo - 1] if lo else 0.0
+    if lo < d:
+        slope = pre[lo] - below
+        base = below - slope * lo
+    else:
+        slope, base = pre[-1] / d, 0.0
+    return w @ log_p - (base + s * slope)
 
 
 def word_masses(measure, depth):

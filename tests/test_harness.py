@@ -329,14 +329,15 @@ class TestTheorySelection:
         with pytest.raises(ConfigError):
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
 
-    # recorded with the Illinois-Dekker root finder on prefix-sum spectra; each
-    # row keeps the bisected value and bracket recorded while stationary affine
-    # tables had a solver of their own, which the new root must stay within
-    # xtol of
+    # recorded with the Illinois-Dekker root finder on prefix-sum spectra, q = 1
+    # and 1.5 with the level sums at s = 0 and s >= d as per-level products;
+    # each row keeps the bisected value and bracket recorded while stationary
+    # affine tables had a solver of their own, which the new root must stay
+    # within xtol of
     @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket, xtol", [
-        (1.0, 1.2432214024671964, (1.2432213974671964, 1.2432214074671963),
+        (1.0, 1.2432214049671844, (1.2432214024671722, 1.2432214074671963),
          1.2432214058935642, (1.243221402168274, 1.2432214096188545), 1e-8),
-        (1.5, 1.2422598663576916, (1.2422598244935832, 1.2422599082217998),
+        (1.5, 1.2422598663576916, (1.242259824493583, 1.2422599082218),
          1.242259830236435, (1.2422598004341125, 1.2422598600387573), 1e-7),
         (2.0, 1.241304236866551, (1.241304211866488, 1.241304261866614),
          1.2413042485713959, (1.2413042187690735, 1.2413042783737183), 1e-7),
@@ -354,6 +355,13 @@ class TestTheorySelection:
         assert ce.diagnostics["bracket"] == bracket
         assert abs(value - bisected) <= xtol
         assert bracket[0] <= bisected_bracket[1] and bisected_bracket[0] <= bracket[1]
+        if q in self.ENUMERATED:
+            old, (lo, hi) = self.ENUMERATED[q]
+            assert abs(value - old) <= xtol and bracket[0] <= hi and lo <= bracket[1]
+
+    # the values and brackets recorded with every level sum enumerated
+    ENUMERATED = {1.0: (1.2432214024671964, (1.2432213974671964, 1.2432214074671963)),
+                  1.5: (1.2422598663576916, (1.2422598244935832, 1.2422599082217998))}
 
 
 class TestClaims:
@@ -1392,39 +1400,79 @@ class TestScripts:
         assert table["cpu_s"] == {"parent_median": 1.0, "change_median": 1.0,
                                   "parent_iqr": 0.0, "wins": 0, "pairs": 5}
 
-    def test_bench_pairs_alternates_and_stops_on_a_failed_check(self, tmp_path):
-        # stand-in checkouts: perfbench/run.py logs its side and prints the
-        # result line stored beside it
-        log = tmp_path / "order.log"
-        metrics = {name: {"value": 1.0, "unit": "s"} for name in _script("bench_pairs").METRICS}
+    @staticmethod
+    def stub_checkouts(tmp_path, log):
+        """Stand-in checkouts whose perfbench/run.py logs its side and workload
+        and prints the result line stored beside it."""
         for side in ("parent", "change"):
             bench = tmp_path / side / "perfbench"
             bench.mkdir(parents=True)
             (bench / "run.py").write_text(
-                f"open({str(log)!r}, 'a').write({side!r} + ' ')\n"
+                "import sys\n"
+                "workload = sys.argv[sys.argv.index('--workload') + 1]\n"
+                f"open({str(log)!r}, 'a').write({side!r} + ':' + workload + ' ')\n"
                 f"print(open({str(bench / 'result.json')!r}).read())\n")
 
+    @staticmethod
+    def run_pairs(tmp_path, workload, results):
+        """bench_pairs on the stub checkouts, ``results[side]`` the line each prints."""
+        for side, result in results.items():
+            (tmp_path / side / "perfbench" / "result.json").write_text(json.dumps(result))
+        (tmp_path / "order.log").write_text("")
+        return subprocess.run(
+            [sys.executable, os.path.join(REPO, "scripts", "bench_pairs.py"),
+             str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", workload,
+             "--pairs", "3", "--seconds", "1"],
+            capture_output=True, text=True, timeout=60)
+
+    @staticmethod
+    def stub_result(correct=True, wall=1.0):
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in _script("bench_pairs").METRICS}
+        metrics["wall_s"] = {"value": wall, "unit": "s"}
+        return {"correct": correct, "attempted": 4, "failed": int(not correct),
+                "metrics": metrics}
+
+    def test_bench_pairs_alternates_and_stops_on_a_failed_check(self, tmp_path):
+        log = tmp_path / "order.log"
+        self.stub_checkouts(tmp_path, log)
+
         def run(change_correct):
-            for side, correct in (("parent", True), ("change", change_correct)):
-                (tmp_path / side / "perfbench" / "result.json").write_text(json.dumps(
-                    {"correct": correct, "attempted": 4, "failed": int(not correct),
-                     "metrics": metrics}))
-            log.write_text("")
-            return subprocess.run(
-                [sys.executable, os.path.join(REPO, "scripts", "bench_pairs.py"),
-                 str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
-                 "--pairs", "3", "--seconds", "1"],
-                capture_output=True, text=True, timeout=60)
+            return self.run_pairs(tmp_path, "w", {"parent": self.stub_result(),
+                                                  "change": self.stub_result(change_correct)})
 
         proc = run(change_correct=True)
         assert proc.returncode == 0, proc.stderr
-        assert log.read_text().split() == ["parent", "change", "change", "parent",
-                                           "parent", "change"]
+        assert log.read_text().split() == ["parent:w", "change:w", "change:w", "parent:w",
+                                           "parent:w", "change:w"]
         assert proc.stdout.splitlines()[-1].split() == ["peak_rss_mb", "1", "1", "0", "0",
                                                         "of", "3"]
         proc = run(change_correct=False)
         assert proc.returncode == 1 and "1 of 4 checks failed" in proc.stderr
-        assert proc.stdout == "" and log.read_text().split() == ["parent", "change"]
+        assert proc.stdout == "" and log.read_text().split() == ["parent:w", "change:w"]
+
+    def test_bench_pairs_all_runs_every_workload_in_one_call_per_side(self, tmp_path):
+        # run.py --workload all prints one object keyed by workload
+        log = tmp_path / "order.log"
+        self.stub_checkouts(tmp_path, log)
+        parent = {"a": self.stub_result(wall=2.0), "b": self.stub_result(wall=3.0)}
+        change = {"a": self.stub_result(wall=1.5), "b": self.stub_result(wall=3.5)}
+        proc = self.run_pairs(tmp_path, "all", {"parent": parent, "change": change})
+        assert proc.returncode == 0, proc.stderr
+        assert log.read_text().split() == ["parent:all", "change:all", "change:all",
+                                           "parent:all", "parent:all", "change:all"]
+        lines = proc.stdout.splitlines()
+        assert [line.split()[:4] for line in lines[:2]] == [
+            ["pair", "0", "(parent", "first)"]] * 2
+        assert [line.split()[4] for line in lines[:6]] == ["a:", "b:"] * 3
+        # one table per workload: a name line, a header and one row per metric
+        tables = lines[6:]
+        assert len(tables) == 2 * (2 + 4) and (tables[0], tables[6]) == ("a:", "b:")
+        assert tables[3].split() == ["wall_s", "2", "1.5", "0", "3", "of", "3"]
+        assert tables[9].split() == ["wall_s", "3", "3.5", "0", "0", "of", "3"]
+        # a failed check on one workload names it
+        change["b"] = self.stub_result(correct=False)
+        proc = self.run_pairs(tmp_path, "all", {"parent": parent, "change": change})
+        assert proc.returncode == 1 and "b: 1 of 4 checks failed" in proc.stderr
 
     def test_report_digests_name_each_differing_report(self):
         differences = _script("report_digests").differences

@@ -158,6 +158,20 @@ class CountingOffsets:
         return self.scheme.sup_norm()
 
 
+class NaNOffsets:
+    """A scheme whose offsets at level ``bad`` are NaN, the rest those of ``scheme``."""
+
+    def __init__(self, scheme, bad):
+        self.scheme, self.bad = scheme, bad
+
+    def offsets(self, letters):
+        for k, offs in enumerate(self.scheme.offsets(letters), start=1):
+            yield np.full_like(offs, np.nan) if k == self.bad else offs
+
+    def sup_norm(self):
+        return self.scheme.sup_norm()
+
+
 class TestSystems:
     def test_similar_requires_contracting_ratios(self):
         with pytest.raises(ValueError):
@@ -953,6 +967,15 @@ class TestSeparation:
         with pytest.raises(BranchBudgetError, match="needs 16 words at depth 4"):
             check_separation(system, Untouchable(), depth=5)
         assert check_separation(system, scheme, depth=3).depth == 3
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_non_finite_offsets_name_their_level(self, bad):
+        # a NaN ratio beats no worst one, so the judge would record no witness
+        system, scheme, measure = cantor_system()
+        with pytest.raises(ValueError, match=f"non-finite offsets at level {bad}"):
+            check_separation(system, NaNOffsets(scheme, bad), depth=3)
+        with pytest.raises(ValueError, match=f"non-finite offsets at level {bad}"):
+            sample_measure(system, NaNOffsets(scheme, bad), measure, count=100, depth=3)
 
     def test_depth_validation(self):
         system, scheme, _ = cantor_system()

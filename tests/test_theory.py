@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
     bisect_increasing,
+    group_entropy_sum,
     group_moment_sum,
     singular_values,
     word_product,
@@ -268,6 +269,52 @@ class TestMomentSumsDependOnSAlone:
             # a group alone takes the sum path of a packed one, so each group
             # is also held to one sum over its own exponents
             assert together(s).tolist() == [group_moment_sum(*g, q, s) for g in groups]
+
+    @settings(max_examples=12, deadline=None)
+    @given(d=st.integers(1, 3),
+           sizes=st.lists(st.integers(1, 3 * theory._SUM_BLOCK), min_size=1, max_size=3),
+           seed=st.integers(0, 2**16), q=st.sampled_from([0.5, 1.0, 2.5]),
+           low=st.floats(0.0, 1.0, exclude_min=True), past=st.floats(0.0, 4.0, exclude_min=True))
+    def test_base_free_segments_keep_the_general_formulas_bits(self, d, sizes, seed, q, low,
+                                                               past):
+        # through 0 and past d the exponents are formed without their zero
+        # base; the general segment formula, base and all, gives the same bits
+        rng = np.random.default_rng(seed)
+        groups = [random_spectrum(rng, d, n) for n in sizes]
+        sums = _moment_sums(groups, q)
+        for s in (low, d + past):
+            want = ([group_entropy_sum(*g, s) for g in groups] if q == 1.0
+                    else [group_moment_sum(*g, q, s) for g in groups])
+            assert sums(s).tolist() == want
+
+
+def random_table(rng, d, period):
+    """``(system, measure)``: ``period`` levels of 2 or 3 random d x d maps of
+    norm 0.2..0.9, and random letter masses."""
+    maps, probs = [], []
+    for _ in range(period):
+        n = int(rng.integers(2, 4))
+        level = rng.normal(size=(n, d, d))
+        maps.append([m * rng.uniform(0.2, 0.9) / np.linalg.norm(m, 2) for m in level])
+        p = rng.uniform(0.1, 1.0, n)
+        probs.append(p / p.sum())
+    return AffineSystem(maps), BernoulliMeasure(probs)
+
+
+class TestProductLevelSums:
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), period=st.sampled_from([1, 2]), seed=st.integers(0, 2**16),
+           q=st.sampled_from([1.0, 1.5, 3.0]))
+    def test_products_match_the_enumerated_sums(self, d, period, seed, q):
+        # at s = 0 and s >= d, svf(T, s) = |det T|**(s/d); relative 1e-12,
+        # with the same floor near a log sum of 0
+        system, measure = random_table(np.random.default_rng(seed), d, period)
+        spectra = _level_spectra(system, measure, 6, keep_from=3)
+        enumerated = _moment_sums([spectra[k] for k in sorted(spectra)], q)
+        products = theory._product_level_sums(system, measure, 6, q)
+        for s in (0.0, d, d + 0.5, 2.0 * d):
+            np.testing.assert_allclose(products(s)[2:], enumerated(s), rtol=1e-12,
+                                       atol=1e-12)
 
 
 class TestProductDimension:
@@ -551,14 +598,16 @@ class TestAffineSeriesDimension:
             affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
 
     def test_q_one_on_a_stationary_table_matches_recorded_value(self):
-        # recorded with the Illinois-Dekker root finder on prefix-sum spectra;
-        # the bisected value and bracket recorded from the separate stationary
-        # solver this one replaced stay within xtol = 1e-8 of it
+        # recorded with the level sums at s = 0 and s >= d as per-level
+        # products; the value recorded with every level sum enumerated, and the
+        # bisected value and bracket recorded from the separate stationary
+        # solver this one replaced, stay within xtol = 1e-8 of it
         system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
         ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0, depth=16)
-        assert ce.value == 1.2922386439811122
-        assert ce.diagnostics["bracket"] == (1.2922386389811122, 1.292238648981112)
+        assert ce.value == 1.292238643981113
+        assert ce.diagnostics["bracket"] == (1.2922386389811142, 1.2922386489811122)
         assert ce.diagnostics["mode"] == "entropy"
+        assert abs(ce.value - 1.2922386439811122) <= 1e-8
         bisected, (lo, hi) = 1.2922386415302753, (1.292238637804985, 1.2922386452555656)
         assert abs(ce.value - bisected) <= 1e-8
         assert ce.diagnostics["bracket"][0] <= hi and lo <= ce.diagnostics["bracket"][1]
@@ -817,6 +866,23 @@ def test_depth_12_affine_solve_takes_five_evaluations(monkeypatch):
     assert probes[:2] == [1.0, 2.0] and len(probes) == 5 and 0.0 not in probes
 
 
+def test_bench_levels_q15_reads_the_spectra_below_d_only(monkeypatch):
+    # the root finder probes 1, then 2 = d, where the level sums are
+    # per-level products; 4 of its 5 evaluations read the enumerated spectra
+    calls, moment_sums = [], theory._moment_sums
+
+    def counted(groups, q):
+        sums, rows = moment_sums(groups, q), len(groups[0][0])
+        return lambda s: calls.append((rows, s)) or sums(s)
+
+    monkeypatch.setattr(theory, "_moment_sums", counted)
+    affine_series_dimension(AffineSystem(BENCH_LEVELS),
+                            BernoulliMeasure([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), 1.5)
+    enumerated = [s for rows, s in calls if rows == 2]
+    assert len(enumerated) == 4 and all(0.0 < s < 2.0 for s in enumerated)
+    assert [s for rows, s in calls if rows == 1] == [2.0]
+
+
 class TestAffineBitsPinned:
     """Roots and brackets of the default-bound affine solves, pinned as ``float.hex``.
 
@@ -835,12 +901,20 @@ class TestAffineBitsPinned:
         assert tuple(b.hex() for b in ce.diagnostics["bracket"]) == bracket
         assert ce.diagnostics["depth"] == 12 and ce.diagnostics["window"] == (6, 12)
 
-    # both affine configs share one table and measure, so one set of pins
+    # both affine configs share one table and measure, so one set of pins;
+    # q = 1 and 1.5 recorded with the level sums at s = 0 and s >= d as
+    # per-level products
     CONFIG_PINS = {
-        1.0: ("0x1.3e43c20148ab3p+0", ("0x1.3e43c1ebcf1c5p+0", "0x1.3e43c216c23a1p+0")),
-        1.5: ("0x1.3e04be1b23bdep+0", ("0x1.3e04bd6755aafp+0", "0x1.3e04becef1d0cp+0")),
+        1.0: ("0x1.3e43c20c056f4p+0", ("0x1.3e43c20148a46p+0", "0x1.3e43c216c23a1p+0")),
+        1.5: ("0x1.3e04be1b23bdep+0", ("0x1.3e04bd6755aaep+0", "0x1.3e04becef1d0dp+0")),
         2.0: ("0x1.3dc61d4dba631p+0", ("0x1.3dc61ce25a86fp+0", "0x1.3dc61db91a3f3p+0")),
         3.0: ("0x1.3d4a3138ea3cap+0", ("0x1.3d4a30cd89390p+0", "0x1.3d4a31a44b403p+0")),
+    }
+    # the pins recorded with every level sum enumerated, and their xtol: the
+    # roots stay within it and the brackets meet
+    ENUMERATED_PINS = {
+        1.0: ("0x1.3e43c20148ab3p+0", ("0x1.3e43c1ebcf1c5p+0", "0x1.3e43c216c23a1p+0"), 1e-8),
+        1.5: ("0x1.3e04be1b23bdep+0", ("0x1.3e04bd6755aafp+0", "0x1.3e04becef1d0cp+0"), 1e-7),
     }
 
     @pytest.mark.parametrize("name", ["affine_finite_gamma", "affine_random_box"])
@@ -852,6 +926,11 @@ class TestAffineBitsPinned:
             assert ce.value.hex() == value, q
             assert tuple(b.hex() for b in ce.diagnostics["bracket"]) == bracket, q
             assert ce.diagnostics["depth"] == 12
+            if q in self.ENUMERATED_PINS:
+                old, (lo, hi), xtol = self.ENUMERATED_PINS[q]
+                assert abs(ce.value - float.fromhex(old)) <= xtol, q
+                assert (ce.diagnostics["bracket"][0] <= float.fromhex(hi)
+                        and float.fromhex(lo) <= ce.diagnostics["bracket"][1]), q
 
 
 class TestSharedSpectra:
@@ -982,13 +1061,14 @@ class TestAffineSolverPinned:
         self.assert_near_bisection(ce, bisected, bisected_bracket, 1e-3)
 
     # one repeated level of two non-diagonal maps, roots between 1 and 2;
-    # values recorded with the Illinois-Dekker root finder on prefix-sum spectra
+    # values recorded with the Illinois-Dekker root finder on prefix-sum spectra,
+    # q = 1 with the level sums at s = 0 and s >= d as per-level products
     STATIONARY = AffineSystem([[rotation(np.pi / 6) @ np.diag([0.8, 0.5]),
                                 np.array([[0.6, 0.2], [0.1, 0.7]])]])
     STATIONARY_MEASURE = BernoulliMeasure([[0.6, 0.4]])
 
     @pytest.mark.parametrize("q, value, bracket, single, bisected, bisected_bracket, xtol", [
-        (1.0, 1.539859866747121, (1.539859861747121, 1.5398598717471208), None,
+        (1.0, 1.5398598667471208, (1.5398598617471209, 1.5398598717471208), None,
          1.539859864860773, (1.5398598611354828, 1.5398598685860634), 1e-8),
         (2.0, 1.461082506275953, (1.461082481274168, 1.461082531277738),
          1.487274131380421,
@@ -1005,6 +1085,9 @@ class TestAffineSolverPinned:
         if single is not None:
             # bisected: 1.4872741401195526
             assert abs(single - 1.4872741401195526) <= xtol
+        else:
+            # recorded with every level sum enumerated
+            assert abs(ce.value - 1.539859866747121) <= xtol
 
 
 def dominant_diagonal_oracle(t, p, q, s_hi=2.0):
