@@ -26,9 +26,7 @@ from .errors import (
     InsufficientScalesError,
     SampleError,
 )
-# theoretical_exponents stays importable here: the benchmark's trace sites look
-# it up on qdims.cli
-from .harness import (  # noqa: F401
+from .harness import (
     ExperimentConfig,
     _exponents_by_q,
     _scale_sizes,
@@ -38,19 +36,8 @@ from .harness import (  # noqa: F401
     emit_report,
     realize_scheme,
     run_experiment,
-    theoretical_exponents,
 )
-# load_sample_csv, sample_measure and save_sample_csv stay importable here: the
-# benchmark's trace sites look them up on qdims.cli
-from .systems import (  # noqa: F401
-    _read_csv_blocks,
-    _sample_stream,
-    _write_csv_blocks,
-    check_separation,
-    load_sample_csv,
-    sample_measure,
-    save_sample_csv,
-)
+from .systems import _read_csv_blocks, _sample_stream, _write_csv_blocks, check_separation
 from .theory import clamp_dimension
 
 
@@ -199,21 +186,25 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def config_command(name, help, func, options, out_default=None):
+        # only the options that func reads; _load_config applies those it finds
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--q", default=None, help="comma-separated q list override")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the pass/fail tolerance")
-        p.add_argument("--out", default=out_default, help="output directory")
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if "q" in options:
+            p.add_argument("--q", default=None, help="comma-separated q list override")
+        if "tolerance" in options:
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the pass/fail tolerance")
+        if "out" in options:
+            p.add_argument("--out", default=out_default, help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p_theory = sub.add_parser("theory", help="compute critical exponents only")
-    common(p_theory)
-    p_theory.set_defaults(func=_cmd_theory)
-
-    p_sample = sub.add_parser("sample", help="draw and export attractor points")
-    common(p_sample, out_default="out")
-    p_sample.set_defaults(func=_cmd_sample)
+    config_command("theory", "compute critical exponents only", _cmd_theory, ("q", "out"))
+    config_command("sample", "draw and export attractor points", _cmd_sample,
+                   ("seed", "out"), out_default="out")
 
     p_est = sub.add_parser("estimate", help="dimension spectrum from a sample CSV")
     p_est.add_argument("sample", help="headerless CSV of x_1,...,x_d,weight rows")
@@ -223,19 +214,16 @@ def _parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", default=None, help="output directory")
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_cmp = sub.add_parser("compare", help="full theory-vs-empirical pipeline")
-    common(p_cmp, out_default="out")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_sep = sub.add_parser("check-separation", help="separation certificate")
-    common(p_sep)
+    config_command("compare", "full theory-vs-empirical pipeline", _cmd_compare,
+                   ("seed", "q", "tolerance", "out"), out_default="out")
+    p_sep = config_command("check-separation", "separation certificate",
+                           _cmd_check_separation, ("seed",))
     p_sep.add_argument("--depth", type=int, default=5,
                        help="levels 1..N judged by the word-tree walk, for schemes whose "
                             "offsets depend on more than the level and letter; its verdict "
                             "covers those levels only, and others are certified for all "
                             "depths")
     p_sep.add_argument("--kind", choices=["ssc", "osc"], default="ssc")
-    p_sep.set_defaults(func=_cmd_check_separation)
     return parser
 
 

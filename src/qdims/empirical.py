@@ -384,13 +384,16 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
 def _records(pyramid, n: int, q: float) -> list[ScaleRecord]:
     # coarse to fine
     out = []
+    entropy = abs(q - 1.0) < 1e-12
     for r, acc in reversed(pyramid):
         cells = len(acc)
         occupancy = n / max(cells, 1)
-        value = acc.entropy() if abs(q - 1.0) < 1e-12 else acc.moment(q)
+        value = acc.entropy() if entropy else acc.moment(q)
+        # a moment sum that underflows to 0 (or overflows) has no logarithm to fit
+        usable = entropy or 0.0 < value < np.inf
         out.append(ScaleRecord(q=q, r=r, value=value, cells=cells,
                                occupancy=occupancy,
-                               included=occupancy >= OCCUPANCY_MIN))
+                               included=usable and occupancy >= OCCUPANCY_MIN))
     return out
 
 
@@ -441,7 +444,7 @@ def fit_dimension(records: list[ScaleRecord], q: float | None = None) -> Spectru
     usable.sort(key=lambda rec: -rec.r)
     if len(usable) < 4:
         raise InsufficientScalesError(
-            f"need at least 4 usable scales, have {len(usable)}"
+            f"q={q:g}: need at least 4 usable scales, have {len(usable)}"
         )
     x, y = _fit_xy(usable, q)
     local = (y[1:] - y[:-1]) / (x[1:] - x[:-1])

@@ -160,8 +160,8 @@ class ExperimentConfig:
                 scales_t = default_scales()
             elif isinstance(scales, dict):
                 base = _number("scales.base", scales.get("base", 2))
-                lo = _integer("min_exp", scales["min_exp"])
-                hi = _integer("max_exp", scales["max_exp"])
+                lo = _integer("scales.min_exp", _required("scales", scales, "min_exp"))
+                hi = _integer("scales.max_exp", _required("scales", scales, "max_exp"))
                 if not 0.0 < base < math.inf:
                     raise ConfigError(f"scales.base must be finite and positive, got {base!r}")
                 try:
@@ -548,17 +548,17 @@ def render_report_text(report: ComparisonReport) -> str:
     return "\n".join(out)
 
 
-def emit_report(report: ComparisonReport, out_dir, stem: str = "report") -> dict:
-    """Write the CSV and text renderings; byte output is deterministic."""
+def emit_report(report: ComparisonReport, out_dir) -> dict:
+    """Write ``report.csv`` and ``report.txt`` to ``out_dir``; byte output is deterministic."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
+    csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w", newline="") as fh:
         fh.write(render_report_csv(report))
     paths["csv"] = csv_path
-    txt_path = os.path.join(out_dir, f"{stem}.txt")
+    txt_path = os.path.join(out_dir, "report.txt")
     with open(txt_path, "w", newline="") as fh:
         fh.write(render_report_text(report))
     paths["text"] = txt_path

@@ -140,7 +140,8 @@ def _period_root(levels, q: float) -> float:
                      / (w @ [pk @ lc for pk, lc in zip(p, log_c)]))
     sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], q)
     sign = 1.0 if q > 1.0 else -1.0
-    bound = ((w @ [np.log(np.sum(pk**q)) for pk in p])
+    # log sum p**q from the logs, which stays finite where every p**q underflows
+    bound = ((w @ [np.logaddexp.reduce(q * lp) for lp in log_p])
              / ((q - 1.0) * (w @ [lc.max() for lc in log_c])))
     root, _ = _root_of_increasing(lambda d: sign * float(w @ sums(d)), xtol=0.0,
                                   cap=2.0 * max(1.0, float(bound)))

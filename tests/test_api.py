@@ -1,5 +1,6 @@
 """The public surface: module ``__all__`` lists, package re-exports, removed names."""
 
+import argparse
 import importlib
 import inspect
 import types
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qdims
+from qdims import cli
 
 MODULES = ["codespace", "empirical", "harness", "singular", "systems", "theory"]
 
@@ -35,7 +37,8 @@ REMOVED_MEMBERS = [
     ("empirical", "MeshAccumulator", "total_mass"),
 ]
 # (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP,
-# it enumerates every word, and the cut-set solver's word bound is CUTSET_WORD_CAP
+# it enumerates every word, the cut-set solver's word bound is CUTSET_WORD_CAP, and
+# a report is always written as report.csv and report.txt
 REMOVED_PARAMETERS = [
     ("theory", "affine_series_dimension", "level_cap"),
     ("theory", "affine_series_dimension", "sampling"),
@@ -43,6 +46,7 @@ REMOVED_PARAMETERS = [
     ("theory", "affine_series_dimension", "seed"),
     ("theory", "cutset_dimension", "max_words"),
     ("systems", "check_separation", "budget"),
+    ("harness", "emit_report", "stem"),
 ]
 # what the package namespace re-exports: the names that README's quick start,
 # the acceptance tests, the scripts and perfbench reach as qdims.<name>
@@ -140,3 +144,21 @@ def test_readme_quick_start_runs_as_written(capsys):
     assert str(d2).startswith("0.42781")
     assert capsys.readouterr().out == f"{d2} {fit.dimension}\n"
     assert abs(fit.dimension - d2) < 0.05
+
+
+def test_readme_cli_synopsis_lists_each_subcommands_options():
+    # the synopsis is read from README, so the parser and the docs cannot drift apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        prog, command, *words = line.split()
+        assert prog == "qdims"
+        options = (word.lstrip("[") for word in words)
+        listed[command] = {word for word in options if word.startswith("--")}
+    [commands] = [action.choices for action in cli._parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    parsed = {name: {option for action in parser._actions for option in action.option_strings
+                     if option not in ("-h", "--help")}
+              for name, parser in commands.items()}
+    assert parsed == listed

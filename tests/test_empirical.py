@@ -468,6 +468,21 @@ class TestEstimateSpectrum:
         with pytest.raises(InsufficientScalesError):
             estimate_spectrum(s, (2.0,), [])
 
+    def test_moment_sums_that_underflow_are_left_out_of_the_fit(self):
+        # at q = 200 every cell of side 2**-6 or less has mass**q below the
+        # smallest float; the fit uses the five coarser scales
+        s = uniform_sample(40_000, seed=21)
+        [(records, est)] = estimate_spectrum(s, (200.0,), tuple(2.0**-e for e in range(1, 9)))
+        assert [rec.value > 0.0 for rec in records] == [True] * 5 + [False] * 3
+        assert [rec.included for rec in records] == [True] * 5 + [False] * 3
+        assert est == fit_dimension(records[:5], 200.0) and est.n_scales == 5
+
+    def test_moment_sums_that_all_underflow_name_their_q(self):
+        s = uniform_sample(40_000, seed=21)
+        with pytest.raises(InsufficientScalesError,
+                           match=r"^q=3000: need at least 4 usable scales, have 0$"):
+            estimate_spectrum(s, (2.0, 3000.0), tuple(2.0**-e for e in range(1, 9)))
+
     def test_repeated_scale_rejected(self):
         s = uniform_sample(20_000, seed=15)
         with pytest.raises(InsufficientScalesError, match="more than once"):

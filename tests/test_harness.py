@@ -131,14 +131,22 @@ class TestConfig:
         ("realizations", {"realizations": True}),
         ("depth", {"depth": 7.9}),
         ("seed", {"seed": 7.7}),
-        ("min_exp", {"scales": {"base": 2, "min_exp": 4.5, "max_exp": 10}}),
-        ("max_exp", {"scales": {"base": 2, "min_exp": 4, "max_exp": 10.5}}),
+        ("scales.min_exp", {"scales": {"base": 2, "min_exp": 4.5, "max_exp": 10}}),
+        ("scales.max_exp", {"scales": {"base": 2, "min_exp": 4, "max_exp": 10.5}}),
         ("schema_version", {"schema_version": 1.5}),
-    ], ids=lambda value: value if isinstance(value, str) else "")
+    ], ids=lambda value: value.rpartition(".")[2] if isinstance(value, str) else "")
     def test_non_integral_integer_field_rejected(self, field, override):
         # int() would truncate each of these silently
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)} must be an integer"):
             ExperimentConfig.from_dict(dict(CANTOR_CONFIG, **override))
+
+    @pytest.mark.parametrize("key", ["min_exp", "max_exp"])
+    def test_scales_without_an_exponent_rejected(self, key):
+        scales = {"base": 2, "min_exp": 4, "max_exp": 10}
+        del scales[key]
+        with pytest.raises(ConfigError,
+                           match=rf"^scales is missing required key '{key}'$"):
+            ExperimentConfig.from_dict(dict(CANTOR_CONFIG, scales=scales))
 
     @pytest.mark.parametrize("field, override", [
         ("q[0]", {"q": ["a"]}),
@@ -255,8 +263,9 @@ class TestBuilders:
             build_scheme(cfg, build_system(cfg))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        for command in ["compare"] + (["check-separation"] if field != "measure" else []):
-            assert cli_main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        for argv in [["compare", "--out", str(tmp_path)]] + (
+                [["check-separation"]] if field != "measure" else []):
+            assert cli_main(argv + ["--config", str(path)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"config error: {message}") and err.count("\n") == 1
             assert list(tmp_path.iterdir()) == [path]
@@ -744,8 +753,8 @@ class TestCli:
                    translations={"kind": "explicit", "table": {"1": [0], "2": [0.667]}})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
-        out = tmp_path / "out"
-        assert cli_main(argv + ["--config", str(path), "--out", str(out)]) == 2
+        out = ["--out", str(tmp_path / "out")] if argv[0] == "compare" else []
+        assert cli_main(argv + ["--config", str(path)] + out) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: no translation stored for prefix (1, 1)\n"
@@ -797,6 +806,79 @@ class TestCli:
         assert [code for code, _ in helps] == [0, 0] and helps[1][1].out.startswith(
             f"usage: qdims {command} ")
         assert run("again") == first and first[1]
+
+    @pytest.mark.parametrize("command, option", [
+        ("theory", "--seed"), ("theory", "--tolerance"), ("sample", "--q"),
+        ("sample", "--tolerance"), ("check-separation", "--q"),
+        ("check-separation", "--tolerance"), ("check-separation", "--out"),
+    ])
+    def test_option_the_command_does_not_read_is_a_usage_error(self, tmp_path, capsys,
+                                                                 command, option):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        # "1" reads as a seed, a q list and a tolerance alike
+        argv = [command, "--config", cfg, option, str(out) if option == "--out" else "1"]
+        if command != "check-separation":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"unrecognized arguments: {option} " in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, config, option, values", [
+        ("theory", "cantor", "--config", ("cantor", "other")),
+        ("theory", "cantor", "--q", ("2", "3")),
+        ("theory", "cantor", "--out", (None, "RUN/out")),
+        ("sample", "cantor", "--config", ("cantor", "other")),
+        ("sample", "cantor", "--seed", ("0", "1")),
+        ("sample", "cantor", "--out", ("RUN/a", "RUN/b")),
+        ("compare", "cantor", "--config", ("cantor", "other")),
+        ("compare", "cantor", "--seed", ("0", "1")),
+        ("compare", "cantor", "--q", ("2", "3")),
+        ("compare", "cantor", "--tolerance", ("0", "1")),
+        ("compare", "cantor", "--out", ("RUN/a", "RUN/b")),
+        ("check-separation", "cantor", "--config", ("cantor", "other")),
+        ("check-separation", "affine_finite_gamma", "--seed", ("0", "1")),
+        ("check-separation", "cantor", "--depth", ("2", "3")),
+        ("check-separation", "cantor", "--kind", ("ssc", "osc")),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_each_option_changes_what_the_command_prints_or_writes(self, tmp_path, capsys,
+                                                                    command, config, option,
+                                                                    values):
+        # "cantor" and "other" are written here, and differ in ratios and
+        # weights; other names are configs/*.json
+        configs = {"cantor": CANTOR_CONFIG,
+                   "other": dict(CANTOR_CONFIG, measure={"p": [[0.5, 0.5]]},
+                                 system={"kind": "similar", "dim": 1,
+                                         "ratios": [[0.25, 0.25]]})}
+        for name, raw in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+
+        def config_path(name):
+            local = tmp_path / f"{name}.json"
+            return str(local if name in configs else os.path.join(REPO, "configs", local.name))
+
+        def run(index, value):
+            # stdout and the files written, with the run's own directory as RUN
+            run_dir = tmp_path / str(index)
+            run_dir.mkdir()
+            options = {"--config": config,
+                       "--out": "RUN/out" if command in ("sample", "compare") else None,
+                       option: value}
+            argv = [command]
+            for name, arg in options.items():
+                if arg is not None:
+                    arg = config_path(arg) if name == "--config" else arg
+                    argv += [name, arg.replace("RUN", str(run_dir))]
+            assert cli_main(argv) == 0
+            files = {p.relative_to(run_dir).as_posix(): p.read_bytes()
+                     for p in sorted(run_dir.rglob("*")) if p.is_file()}
+            return capsys.readouterr().out.replace(str(run_dir), "RUN"), files
+
+        first, second = (run(i, value) for i, value in enumerate(values))
+        assert first != second
 
     def test_gap_kind_is_not_a_choice(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -980,6 +1062,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert message in captured.err
+        assert not out.exists()
+
+    def test_estimate_q_whose_moment_sums_underflow_exits_with_message(self, tmp_path,
+                                                                        capsys):
+        # every cell's mass**3000 is below the smallest float at scales 2**-4..2**-10
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert cli_main(["estimate", str(tmp_path / "points.csv"), "--q", "2,3000",
+                         "--scales", "4:10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q=3000: need at least 4 usable scales, have 0\n"
         assert not out.exists()
 
     def test_repeated_config_scales_exit_with_message(self, tmp_path, capsys):
@@ -1506,30 +1602,7 @@ class TestScripts:
         assert script.main(["--check", path]) == 1
         assert capsys.readouterr().err == "differs: cantor/report.txt\n"
 
-    def test_script_overrides_are_checked_like_the_config_file(self, tmp_path):
-        script = os.path.join(REPO, "scripts", "random_translation_study.py")
-        proc = subprocess.run([sys.executable, script, "--realizations", "0",
-                               "--out", str(tmp_path)],
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode != 0
-        assert "ConfigError: samples and realizations must be at least 1" in proc.stderr
-        assert "UnboundLocalError" not in proc.stderr
-        assert list(tmp_path.iterdir()) == []
-
-    # smoke runs: an API change that breaks a script fails here; the rows'
-    # verdicts depend on the sample size and are not checked
-    def test_cantor_comparison_writes_both_reports(self, tmp_path):
-        script = os.path.join(REPO, "scripts", "cantor_comparison.py")
-        proc = subprocess.run([sys.executable, script, "--samples", "20000",
-                               "--out", str(tmp_path)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "cantor.csv", "cantor.txt", "uniform.csv", "uniform.txt"]
-        for name in ("cantor", "uniform"):
-            rows = parse_report_csv(tmp_path / f"{name}.csv")
-            assert [row.q for row in rows] == [0.5, 1.0, 2.0, 3.0]
-
+    # a smoke run: an API change that breaks the script fails here
     def test_overlap_upper_bound_runs(self, tmp_path):
         script = os.path.join(REPO, "scripts", "overlap_upper_bound.py")
         proc = subprocess.run([sys.executable, script, "--trials", "1", "--samples", "20000"],

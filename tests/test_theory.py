@@ -105,6 +105,13 @@ class TestStationaryDimension:
         got = stationary_dimension([0.9995, 0.9995], [0.5, 0.5], 2.0)
         assert got == pytest.approx(LOG2 / -np.log(0.9995), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("q", [3000.0, 1e6])
+    def test_large_q_where_every_p_to_the_q_underflows(self, q):
+        # equal ratios: the root is log sum p**q / ((q - 1) log c) exactly
+        c, p = 1 / 3, np.array([0.75, 0.25])
+        want = np.logaddexp.reduce(q * np.log(p)) / ((q - 1) * np.log(c))
+        assert stationary_dimension([c, c], p, q) == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_slow_contraction_brackets_past_512_to_adjacent_floats(self):
         # log 2 / -log 0.999: the bracket doubles to 1024, and the bisection
         # ends on adjacent floats rather than at a tolerance
