@@ -28,6 +28,7 @@ from .errors import (
 )
 from .harness import (
     ExperimentConfig,
+    _config_object,
     _exponents_by_q,
     _scale_sizes,
     build_scheme,
@@ -69,18 +70,15 @@ def _parse_scales(text: str) -> tuple[float, ...]:
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config)
-    updates = {}
+    raw = _config_object(args.config)
+    # an option replaces its file field before the one from_dict judges them all
     if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
+        raw["seed"] = args.seed
     if getattr(args, "q", None):
-        updates["q"] = list(_parse_q_list(args.q))
+        raw["q"] = list(_parse_q_list(args.q))
     if getattr(args, "tolerance", None) is not None:
-        updates["tolerance"] = args.tolerance
-    if updates:
-        # through from_dict, so overrides get the same checks as the file
-        config = ExperimentConfig.from_dict({**config.to_dict(), **updates})
-    return config
+        raw["tolerance"] = args.tolerance
+    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_theory(args) -> int:
@@ -115,9 +113,10 @@ def _cmd_sample(args) -> int:
                                   target_resolution=min(config.scales))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "points.csv")
-    # rows are written as their blocks are drawn; a failed draw leaves no file
+    # rows are written as they are drawn: a failed draw leaves no file, a failed open no change
+    fh = open(path, "w", newline="")
     try:
-        with open(path, "w", newline="") as fh:
+        with fh:
             _write_csv_blocks(fh, blocks)
     except BaseException:
         os.remove(path)

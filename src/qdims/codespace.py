@@ -22,6 +22,7 @@ from .errors import BranchBudgetError, DepthCapError
 
 __all__ = [
     "PROB_SUM_TOL",
+    "Q_ONE_TOL",
     "TIE_TOL",
     "MAX_DEPTH",
     "LevelSchedule",
@@ -31,6 +32,9 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-12
+# |q - 1| under which the (1-q) exponents degenerate: the theory, the claim
+# and the estimator all take their entropy forms there
+Q_ONE_TOL = 1e-6
 # relative gap under which a cumulative ratio counts as tied with the scale
 TIE_TOL = 1e-12
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codespace import Q_ONE_TOL
 from .errors import InsufficientScalesError
 
 __all__ = [
@@ -277,7 +278,7 @@ def ball_moment_integral(sample, r: float, q: float, max_queries: int = 20_000,
             mass += float(w[block][within].sum())
         values[out_i] = mass
 
-    if abs(q - 1.0) < 1e-12:
+    if abs(q - 1.0) < Q_ONE_TOL:
         ok = values > 0
         excluded = int((~ok).sum())
         total_w = q_weights[ok].sum()
@@ -384,7 +385,7 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
 def _records(pyramid, n: int, q: float) -> list[ScaleRecord]:
     # coarse to fine
     out = []
-    entropy = abs(q - 1.0) < 1e-12
+    entropy = abs(q - 1.0) < Q_ONE_TOL
     for r, acc in reversed(pyramid):
         cells = len(acc)
         occupancy = n / max(cells, 1)
@@ -414,14 +415,11 @@ class SpectrumEstimate:
 
 
 def _fit_xy(records: list[ScaleRecord], q: float):
-    xs, ys = [], []
-    for rec in records:
-        if abs(q - 1.0) < 1e-12:
-            xs.append(np.log(rec.r))
-            ys.append(rec.value)
-        else:
-            xs.append((q - 1.0) * np.log(rec.r))
-            ys.append(np.log(rec.value))
+    if abs(q - 1.0) < Q_ONE_TOL:
+        xy = [(np.log(rec.r), rec.value) for rec in records]
+    else:
+        xy = [((q - 1.0) * np.log(rec.r), np.log(rec.value)) for rec in records]
+    xs, ys = zip(*xy)
     return np.asarray(xs), np.asarray(ys)
 
 

@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-from .codespace import BernoulliMeasure
+from .codespace import Q_ONE_TOL, BernoulliMeasure
 from .empirical import _CELL_LIMIT, _stream_spectrum, default_scales
 from .errors import BranchBudgetError, ConfigError, InsufficientScalesError
 from .systems import (
@@ -33,7 +33,6 @@ from .systems import (
     check_separation,
 )
 from .theory import (
-    Q_ONE_TOL,
     CriticalExponents,
     _release_level_spectra,
     affine_series_dimension,
@@ -209,29 +208,19 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(_config_object(path))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "system": self.system,
-            "translations": self.translations,
-            "measure": self.measure,
-            "q": list(self.q_values),
-            "scales": list(self.scales),
-            "samples": self.samples,
-            "depth": self.depth,
-            "seed": self.seed,
-            "realizations": self.realizations,
-            "tolerance": self.tolerance,
-        }
+
+def _config_object(path) -> dict:
+    """The JSON object of the config file at ``path``, not yet judged by ``from_dict``."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    return _object("config", raw)
 
 
 @_config_errors()

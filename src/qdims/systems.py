@@ -454,10 +454,9 @@ class AttractorSample:
     """Weighted point cloud standing in for the projected measure.
 
     Raises ``ValueError`` unless every point and weight is finite, every
-    weight is non-negative and the weights sum to 1 (``_check_weight_total``);
-    the message names the first row (1-based) with a non-finite value or a
-    negative weight. Writable inputs are copied; read-only float arrays are
-    kept as they are.
+    weight is non-negative (``_row_fault`` names the first row that is not)
+    and the weights sum to 1 (``_check_weight_total``). Writable inputs are
+    copied; read-only float arrays are kept as they are.
     """
 
     points: np.ndarray
@@ -471,12 +470,8 @@ class AttractorSample:
         w = np.asarray(self.weights, dtype=float).ravel()
         if len(w) != len(pts):
             raise ValueError("weights must align with points")
-        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
-            finite = np.isfinite(pts).all(axis=1) & np.isfinite(w)
-            raise ValueError(f"row {np.argmin(finite) + 1} holds a non-finite value")
-        if (w < 0.0).any():
-            row = np.argmax(w < 0.0)
-            raise ValueError(f"row {row + 1} has negative weight {float(w[row])!r}")
+        if fault := _row_fault(pts, w):
+            raise ValueError(fault)
         _check_weight_total(_exact_sum(w))
         object.__setattr__(self, "points", _read_only(pts.copy() if pts.flags.writeable else pts))
         object.__setattr__(self, "weights", _read_only(w.copy() if w.flags.writeable else w))
@@ -793,6 +788,18 @@ def _check_weight_total(total: int) -> None:
         raise ValueError(f"weights sum to {value!r}, not 1 within {WEIGHT_SUM_TOL}")
 
 
+def _row_fault(points: np.ndarray, weights: np.ndarray, start: int = 0) -> str | None:
+    """The first row with a non-finite value, else the first with a negative
+    weight, named counting from ``start + 1``; None when every row is sound."""
+    if not (np.isfinite(points).all() and np.isfinite(weights).all()):
+        finite = np.isfinite(points).all(axis=1) & np.isfinite(weights)
+        return f"row {start + np.argmin(finite) + 1} holds a non-finite value"
+    if (weights < 0.0).any():
+        row = np.argmax(weights < 0.0)
+        return f"row {start + row + 1} has negative weight {float(weights[row])!r}"
+    return None
+
+
 def _parse_lines(lines) -> np.ndarray:
     with warnings.catch_warnings():
         # a block of blank lines parses to no rows, not to numpy's warning
@@ -866,14 +873,9 @@ def _read_csv_blocks(path):
                 raise SampleError(f"cannot read sample {path}: row {start + 1}: expected "
                                   f"{width} columns, got {rows.shape[1]}")
             width = rows.shape[1]
-            if not np.isfinite(rows).all():
-                row = start + np.argmin(np.isfinite(rows).all(axis=1)) + 1
-                raise SampleError(f"{path}: row {row} holds a non-finite value")
             weights = rows[:, -1]
-            if (weights < 0.0).any():
-                row = np.argmax(weights < 0.0)
-                raise SampleError(f"{path}: row {start + row + 1} has negative weight "
-                                  f"{float(weights[row])!r}")
+            if fault := _row_fault(rows[:, :-1], weights, start):
+                raise SampleError(f"{path}: {fault}")
             total = _exact_sum(weights, total)
             yield start, rows[:, :-1], None, weights
             start += len(rows)

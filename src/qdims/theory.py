@@ -47,14 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codespace import BernoulliMeasure, scale_cut_set_masses
+from .codespace import Q_ONE_TOL, BernoulliMeasure, scale_cut_set_masses
 from .errors import BranchBudgetError, IndeterminateTrendError, InsufficientScalesError
 # svf_log is re-exported: the benchmark's trace sites reach it as qdims.theory.svf_log
 from .singular import batched_log_singular_values, log_singular_prefix, svf_log  # noqa: F401
 from .systems import AffineSystem, SimilarSystem
 
 __all__ = [
-    "Q_ONE_TOL",
     "CriticalExponents",
     "stationary_dimension",
     "product_dimension",
@@ -62,9 +61,6 @@ __all__ = [
     "affine_series_dimension",
     "clamp_dimension",
 ]
-
-# the (1-q) exponents degenerate near q = 1; route to the entropy forms there
-Q_ONE_TOL = 1e-6
 
 XTOL_STATIONARY = 1e-6
 XTOL_TRUNCATED = 1e-3
@@ -150,16 +146,9 @@ def _period_root(levels, q: float) -> float:
 
 def stationary_dimension(ratios, probs, q: float) -> float:
     """Critical exponent for one repeated similarity level: the period root
-    (``_period_root``) of a period of one level."""
-    c = np.asarray(ratios, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if c.shape != p.shape or c.ndim != 1:
-        raise ValueError("ratios and probs must be 1-D vectors of equal length")
-    if np.any(c <= 0) or np.any(c >= 1):
-        raise ValueError("ratios must lie strictly in (0, 1)")
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probs must be strictly positive and sum to 1")
-    return _period_root([(c, p)], q)
+    of ``SimilarSystem([ratios])`` with ``BernoulliMeasure([probs])``, whose
+    constructors check the inputs."""
+    return product_dimension(SimilarSystem([ratios]), BernoulliMeasure([probs]), q).lower
 
 
 def product_dimension(system: SimilarSystem, measure: BernoulliMeasure,

@@ -35,6 +35,7 @@ REMOVED_MEMBERS = [
     ("theory", "CriticalExponents", "bracket_width"),
     ("systems", "SimilarSystem", "ratio_product"),
     ("empirical", "MeshAccumulator", "total_mass"),
+    ("harness", "ExperimentConfig", "to_dict"),
 ]
 # (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP,
 # it enumerates every word, the cut-set solver's word bound is CUTSET_WORD_CAP, and
@@ -109,6 +110,13 @@ def test_translation_schemes_share_one_protocol(scheme):
     for member in ("kind", "randomized", "realize", "offsets", "sup_norm"):
         assert hasattr(cls, member), f"{scheme} lacks {member}"
     assert not hasattr(cls, "translation")
+
+
+def test_q_one_threshold_has_one_owner():
+    # the theory, the claim and the estimator switch to q = 1 at one threshold
+    codespace = _module("codespace")
+    for name in ("theory", "harness", "empirical"):
+        assert _module(name).Q_ONE_TOL is codespace.Q_ONE_TOL
 
 
 def test_depth_cap_is_a_constant():

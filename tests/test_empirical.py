@@ -304,6 +304,10 @@ class TestBallIntegral:
         res = ball_moment_integral(s, r, 1)
         assert res.value == pytest.approx(np.log(2 * r), abs=0.05)
 
+    def test_q_within_q_one_tol_takes_the_log_form(self):
+        s = point_sample([[0.0], [0.05], [1.0]])
+        assert ball_moment_integral(s, 0.1, 1.0 + 1e-7) == ball_moment_integral(s, 0.1, 1.0)
+
 
 class TestScaleRecordsAndFit:
     def test_exact_power_law(self):
@@ -419,6 +423,15 @@ class TestEstimateSpectrum:
             [(ref_records, ref_est)] = estimate_spectrum(s, (q,), scales)
             assert records == ref_records
             assert est == ref_est
+
+    def test_q_within_q_one_tol_of_one_is_fitted_as_q_one(self):
+        # the theory and the claim take q = 1 + 1e-7 as q = 1, and so does the fit
+        sample = sample_measure(SimilarSystem([[1 / 3, 1 / 3]]),
+                                FiniteTranslationSet(vectors=[[0.0], [2 / 3]]),
+                                BernoulliMeasure([[0.75, 0.25]]), count=20_000, seed=3)
+        (records, est), (near_records, near_est) = estimate_spectrum(sample, [1.0, 1.0 + 1e-7])
+        assert [dataclasses.replace(rec, q=1.0) for rec in near_records] == records
+        assert dataclasses.replace(near_est, q=1.0) == est
 
     def test_bins_once_for_dyadic_scales(self, monkeypatch):
         fed = []

@@ -703,6 +703,26 @@ class TestCli:
         assert written == [systems._SAMPLE_CHUNK_ROWS]
         assert not (tmp_path / "points.csv").exists()
 
+    @pytest.mark.parametrize("existing", [b"0.5,1.0\n", None], ids=["existing", "missing"])
+    def test_sample_leaves_a_file_it_could_not_open_as_it_was(self, tmp_path, monkeypatch,
+                                                              existing):
+        cfg = self._write_config(tmp_path)
+        points = tmp_path / "points.csv"
+        if existing is not None:
+            points.write_bytes(existing)
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        # the open's own error, not os.remove's FileNotFoundError
+        with pytest.raises(PermissionError):
+            cli_main(["sample", "--config", cfg, "--out", str(tmp_path)])
+        if existing is None:
+            assert not points.exists()
+        else:
+            assert points.read_bytes() == existing
+
     def test_estimate_with_a_zero_weight_point(self, tmp_path, capsys):
         # the zero-weight point sits alone in its cell at every scale
         n = 20_000
@@ -1029,6 +1049,23 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
 
+    def test_options_replace_their_file_fields_before_the_one_validation(self, tmp_path,
+                                                                        capsys):
+        # each field is refused in the file, and each option replaces it unjudged
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(CANTOR_CONFIG, q=[-1], seed=-1, tolerance=-1)))
+        args = argparse.Namespace(config=str(path), seed=4, q="2", tolerance=0.1)
+        with mock.patch.object(ExperimentConfig, "from_dict",
+                               wraps=ExperimentConfig.from_dict) as judged:
+            config = cli._load_config(args)
+        assert judged.call_count == 1
+        assert (config.q_values, config.seed, config.tolerance) == ((2.0,), 4, 0.1)
+        out = tmp_path / "out"
+        assert cli_main(["compare", "--config", str(path), "--q", "2", "--seed", "4",
+                         "--tolerance", "0.1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("q=2: theory=")
+        assert (out / "report.csv").exists()
+
     @pytest.mark.parametrize("command, q", [("theory", "-1"), ("compare", "0,-1")])
     def test_invalid_q_override_exits_with_message(self, tmp_path, capsys, command, q):
         cfg = self._write_config(tmp_path)
@@ -1250,9 +1287,9 @@ class TestCli:
                                                                monkeypatch, max_exp, refused):
         # the points lie within R = (0.65 + 0.35) / (1 - 0.45) = 1.82 of the
         # origin; R / 2**-61 is past 2**61 cells, though no point need be
-        raw = dict(ExperimentConfig.from_file(
-            os.path.join(REPO, "configs", "affine_finite_gamma.json")).to_dict(),
-            samples=1000, scales={"base": 2, "min_exp": 4, "max_exp": max_exp})
+        with open(os.path.join(REPO, "configs", "affine_finite_gamma.json")) as fh:
+            raw = dict(json.load(fh), samples=1000,
+                       scales={"base": 2, "min_exp": 4, "max_exp": max_exp})
         config = ExperimentConfig.from_dict(raw)
         system = build_system(config)
         radius = build_scheme(config, system).sup_norm() / (1.0 - system.contraction_bound)
@@ -1601,6 +1638,14 @@ class TestScripts:
         digests["cantor"]["report.txt"] = "0" * 64
         assert script.main(["--check", path]) == 1
         assert capsys.readouterr().err == "differs: cantor/report.txt\n"
+
+    # the affine configs (about 1.5 s and 4.5 s) are checked by the script's --check run
+    @pytest.mark.parametrize("name", ["cantor", "uniform", "two_level"])
+    def test_compare_reports_match_the_stored_digests(self, name):
+        script = _script("report_digests")
+        with open(os.path.join(REPO, "scripts", "report_digests.json")) as fh:
+            stored = json.load(fh)[name]
+        assert script.config_digests(os.path.join(REPO, "configs", f"{name}.json")) == stored
 
     # a smoke run: an API change that breaks the script fails here
     def test_overlap_upper_bound_runs(self, tmp_path):

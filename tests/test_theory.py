@@ -89,6 +89,26 @@ class TestStationaryDimension:
         with pytest.raises(ValueError, match="finite"):
             stationary_dimension([1 / 3, 1 / 3], [0.75, 0.25], q)
 
+    @pytest.mark.parametrize("ratios, probs", [
+        ([0.5, 0.5], [0.5, 0.5 + 1e-10]),
+        ([0.5], [1.0]),
+        ([0.5, 0.25], [0.5, 0.25, 0.25]),
+        ([0.5, 1.0], [0.5, 0.5]),
+        ([0.5, 0.5], [1.0, 0.0]),
+    ], ids=["sum-off-by-1e-10", "one-map", "lengths-differ", "ratio-one", "zero-prob"])
+    def test_refuses_what_the_table_constructors_refuse(self, ratios, probs):
+        with pytest.raises(ValueError):
+            product_dimension(SimilarSystem([ratios]), BernoulliMeasure([probs]), 2.0)
+        with pytest.raises(ValueError):
+            stationary_dimension(ratios, probs, 2.0)
+
+    @pytest.mark.parametrize("ratios, probs, q", [
+        ([1 / 3, 1 / 3], [0.5, 0.5], 2), ([0.5, 0.25], [0.5, 0.5], 2),
+        ([0.25, 0.5], [0.5, 0.5], 1)])
+    def test_is_the_product_root_of_its_one_level_table(self, ratios, probs, q):
+        ce = product_dimension(SimilarSystem([ratios]), BernoulliMeasure([probs]), q)
+        assert stationary_dimension(ratios, probs, q) == ce.lower == ce.upper
+
     def test_near_one_routes_to_entropy_form(self):
         c, p = [0.3, 0.45], [0.4, 0.6]
         d1 = stationary_dimension(c, p, 1.0)
