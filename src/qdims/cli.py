@@ -30,6 +30,7 @@ from .harness import (
     ExperimentConfig,
     _config_object,
     _exponents_by_q,
+    _q_grid,
     _scale_sizes,
     build_scheme,
     build_system,
@@ -43,13 +44,11 @@ from .theory import clamp_dimension
 
 
 def _parse_q_list(text: str) -> tuple[float, ...]:
+    """The numbers of ``--q``, not yet judged: ``harness._q_grid`` holds the rule."""
     try:
-        q_values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(f"--q must be comma-separated numbers, got {text!r}") from None
-    if not q_values or not all(0 < q < float("inf") for q in q_values):
-        raise ConfigError(f"--q needs one or more positive finite entries, got {text!r}")
-    return q_values
 
 
 def _parse_scales(text: str) -> tuple[float, ...]:
@@ -127,7 +126,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    q_values = _parse_q_list(args.q) if args.q else (0.5, 1.0, 2.0, 3.0)
+    q_values = _q_grid(_parse_q_list(args.q)) if args.q else (0.5, 1.0, 2.0, 3.0)
     scales = _parse_scales(args.scales) if args.scales is not None else None
     all_records = []
     fits = []

@@ -349,9 +349,9 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
     step above the scale below it, are planned before any block is read, and
     each block is binned into each of them as it comes; the other scales
     coarsen the scale below by exact cell-index arithmetic. ``None`` means
-    the default scales; an empty sequence, a repeated size, or a finest size
-    too small for a row's coordinates (``_check_cell_range``) raises
-    ``InsufficientScalesError``.
+    the default scales; an empty sequence, a repeated size (sizes within a
+    relative 1e-9 are one size), or a finest size too small for a row's
+    coordinates (``_check_cell_range``) raises ``InsufficientScalesError``.
 
     A counted block bins each point once, with the mass ``counts * weights``
     of the rows it stands for, and adds those rows to the row count.
@@ -359,10 +359,12 @@ def _scale_pyramid(blocks, scales) -> tuple[int, list[tuple[float, MeshAccumulat
     scales = sorted(default_scales() if scales is None else scales)
     if not scales:
         raise InsufficientScalesError("no scales given")
-    repeated = [a for a, b in zip(scales, scales[1:]) if a == b]
-    if repeated:
-        raise InsufficientScalesError(f"scale size {repeated[0]!r} appears more than once")
     factors = [None] + [cur / prev for prev, cur in zip(scales, scales[1:])]
+    # a factor within 1e-9 of 1 would coarsen by 1 and leave log r where it was
+    repeated = [r for r, factor in zip(scales, factors[1:]) if factor - 1.0 < 1e-9]
+    if repeated:
+        raise InsufficientScalesError(f"scale size {repeated[0]!r} appears more than once "
+                                      f"(within a relative 1e-9)")
     base_scales = [r for r, factor in zip(scales, factors)
                    if factor is None or abs(factor - round(factor)) >= 1e-9]
     count, bases = 0, None

@@ -122,6 +122,20 @@ def _scale_sizes(name: str, sizes) -> tuple[float, ...]:
     return tuple(sizes)
 
 
+def _q_grid(values) -> tuple[float, ...]:
+    """``values`` as a tuple; ``ConfigError`` unless there is at least one q and
+    every q is positive and finite.
+
+    The config's ``q``, which ``--q`` of the config commands replaces, and the
+    ``--q`` option of ``qdims estimate`` share this rule and its message.
+    """
+    bad = [q for q in values if not 0.0 < q < math.inf]
+    if bad or not values:
+        got = repr(bad[0]) if bad else "none"
+        raise ConfigError(f"q must be one or more positive finite numbers, got {got}")
+    return tuple(values)
+
+
 @contextlib.contextmanager
 def _config_errors():
     """Raise a constructor's ``ValueError`` as ``ConfigError`` with its message."""
@@ -173,9 +187,7 @@ class ExperimentConfig:
             if not scales_t:
                 raise ConfigError("scales must be a non-empty list of positive sizes")
             scales_t = _scale_sizes("scales", scales_t)
-            q_values = _numbers("q", raw["q"])
-            if not q_values or not all(0 < q < float("inf") for q in q_values):
-                raise ConfigError("q grid must be a non-empty list of positive finite entries")
+            q_values = _q_grid(_numbers("q", raw["q"]))
             samples = _integer("samples", raw.get("samples", 100_000))
             realizations = _integer("realizations", raw.get("realizations", 1))
             if samples < 1 or realizations < 1:

@@ -12,9 +12,10 @@ Stacks of 2x2 matrices, the shape every planar level table produces, take a
 closed form instead of a batched LAPACK SVD: the largest singular value is a
 sum of two hypotenuses, which stays accurate when the two values nearly tie,
 and the smallest follows from the determinant. Larger matrices use LAPACK.
-``log_singular_prefix`` returns the prefix sums of the log singular values
-(``svf_log`` at the integers) and takes the log-determinant from its caller,
-so a 2x2 stack needs only the largest value.
+``log_singular_prefix`` returns the prefix sums of the leading d - 1 log
+singular values (``svf_log`` at s = 1..d - 1); the sum of all d is the
+log-determinant, which its caller holds, so a 2x2 stack needs only the
+largest value.
 """
 
 from __future__ import annotations
@@ -72,30 +73,30 @@ def batched_log_singular_values(mats: np.ndarray) -> np.ndarray:
 
 def log_singular_prefix(mats: np.ndarray, log_det: np.ndarray, log_scale=0.0,
                         out: np.ndarray | None = None) -> np.ndarray:
-    """Prefix sums ``log(sigma_1 * ... * sigma_m)``, m = 1..d, of ``exp(log_scale) * mats``.
+    """Prefix sums ``log(sigma_1 * ... * sigma_m)``, m = 1..d - 1, of ``exp(log_scale) * mats``.
 
-    Returns one row per m, shape ``(d,) + mats.shape[:-2]``: contiguous rows of
-    a new array, or ``out`` (of that shape) written in place. The
-    last row is the caller's ``log_det``, which a product's factors give more
+    Returns one row per m, shape ``(d - 1,) + mats.shape[:-2]``: contiguous
+    rows of a new array, or ``out`` (of that shape) written in place. The sum
+    for m = d is the caller's ``log_det``, which a product's factors give more
     exactly than any factorization of the product, so only the leading d - 1
     values are computed: ``sigma_1`` alone by the closed form of
     :func:`batched_log_singular_values` for 2x2 stacks (the caller keeps it
-    in [2**-256, 2**256]), a batched SVD otherwise. Row d - 1 is raised where
-    needed so the increments, the log singular values, stay nonincreasing.
+    in [2**-256, 2**256]), a batched SVD otherwise. The last row is raised
+    where needed so the increments, the log singular values with
+    ``log sigma_d = log_det - row``, stay nonincreasing.
     """
     d = mats.shape[-1]
     if out is None:
-        out = np.empty((d,) + mats.shape[:-2])
+        out = np.empty((d - 1,) + mats.shape[:-2])
     if d == 2:
         np.log(_top_and_det(mats, det=False)[0], out=out[0])
     elif d > 2:
         logs = np.log(np.linalg.svd(mats, compute_uv=False)[..., :-1])
-        out[:-1] = np.moveaxis(np.cumsum(logs, axis=-1), -1, 0)
+        out[:] = np.moveaxis(np.cumsum(logs, axis=-1), -1, 0)
     if np.any(log_scale):
-        out[:-1] += np.multiply.outer(np.arange(1.0, d), log_scale)
-    out[-1] = log_det
+        out += np.multiply.outer(np.arange(1.0, d), log_scale)
     if d > 1:
-        np.maximum(out[-2], 0.5 * (out[-1] + out[-3] if d > 2 else out[-1]), out=out[-2])
+        np.maximum(out[-1], 0.5 * (log_det + out[-2] if d > 2 else log_det), out=out[-1])
     return out
 
 

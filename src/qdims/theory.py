@@ -15,23 +15,27 @@ Every solver finds the root of an increasing function of s built from moment
 sums, and they share one core: ``_moment_sums`` evaluates the moment sums
 (or at q = 1 their entropy form) of word groups at once, one group per
 distinct level of a similarity period, per cut-set scale, per kept affine
-level or per affine level's letters, each word entering as the prefix sums
-of its log singular values (a similarity ratio c is the one row ``log c``);
-``_root_of_increasing`` closes a sign-change bracket by Illinois and Dekker
-steps, to adjacent floats at ``xtol=0``, probing s = 1 first and s = 0 only
-when the root lies below it; ``_level_spectra`` enumerates the affine
-words, whose level sums are needed only for 0 < s < d: at s = 0 and s >= d
-they are products of per-level letter sums (``_product_level_sums``).
+level or per affine level's letters. A group is given by per-level letter
+tables ``(log p, log x)``: a word's log mass and its log x (log |det| of an
+affine word, log c of a similarity ratio c) are sums over its letters, and
+an affine word adds the stored prefix sums of its leading log singular
+values. ``_root_of_increasing`` closes a sign-change bracket by Illinois and
+Dekker steps, to adjacent floats at ``xtol=0``, probing s = 1 first and s = 0
+only when the root lies below it. ``_level_spectra`` enumerates the affine
+words and keeps their prefix rows P_1..P_{d-1}, which the level sums need
+only for 0 < s < d: at s = 0 and s >= d they are products of per-level
+letter sums (``_product_level_sums``).
 
-The affine spectra do not depend on q, so every q of one table reuses one
-exhaustive build: ``_shared_level_spectra`` keeps the last one, read-only, in
-a module-level slot keyed on the system and measure objects (``is``), the
-depth and the first kept level. A build for another key frees it first, and
-``_release_level_spectra`` frees it before and after the harness's q loop,
-which ``compare`` and ``qdims theory`` share. ``_moment_sums`` reads every
-word straight from the spectra at each evaluation and keeps no per-word copy,
-so past the spectra a solve holds one level of scratch, one block and the
-packed small levels.
+The affine spectra do not depend on q, so every q of one table, q = 1
+included, reuses one exhaustive build: ``_shared_level_spectra`` keeps the
+last one, read-only, in a module-level slot keyed on the system and measure
+objects (``is``), the depth and the first kept level. A build for another key
+frees it first, and ``_release_level_spectra`` frees it before and after the
+harness's q loop, which ``compare`` and ``qdims theory`` share.
+``_moment_sums`` forms every word's exponent afresh at each evaluation, from
+the letter tables and the read-only rows, and keeps no per-word copy, so past
+the kept rows a solve holds one level of scratch, one block and the packed
+small levels.
 
 Boundedness of a limsup/liminf cannot be decided numerically, so the
 truncated solvers (cut set and affine) substitute the sign of the growth
@@ -42,6 +46,7 @@ tighter tolerances.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +139,7 @@ def _period_root(levels, q: float) -> float:
     if abs(q - 1.0) < Q_ONE_TOL:
         return float((w @ [pk @ lp for pk, lp in zip(p, log_p)])
                      / (w @ [pk @ lc for pk, lc in zip(p, log_c)]))
-    sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], q)
+    sums = _moment_sums([[(lp, lc)] for lc, lp in zip(log_c, log_p)], q)
     sign = 1.0 if q > 1.0 else -1.0
     # log sum p**q from the logs, which stays finite where every p**q underflows
     bound = ((w @ [np.logaddexp.reduce(q * lp) for lp in log_p])
@@ -245,119 +250,156 @@ def _root_of_increasing(f, xtol: float, cap: float = 512.0):
     return float(0.5 * (lo + hi)), (float(lo), float(hi))
 
 
-def _moment_sums(groups, q: float):
+def _word_sums(levels) -> np.ndarray:
+    """One value per word of ``levels`` (one array of letter values per
+    level): the sum of its letters' values, added level by level, parent-major
+    with the last level varying fastest."""
+    out = levels[0]
+    for values in levels[1:]:
+        out = np.add.outer(out, values).ravel()
+    return out
+
+
+def _moment_sums(groups, q: float, rows=None):
     """Log moment sums of word groups, one value per group, as a function of s.
 
-    Each group is ``(prefix, log_p)``: the ``(d, n)`` prefix sums of its words'
-    log singular values, row m - 1 holding ``svf_log`` at s = m, and the
-    ``(n,)`` log masses; a similarity ratio c enters as the one row ``log c``.
-    The returned function maps s to ``log sum_u svf(T_u, s)**(1-q) p_u**q`` per
-    group. At q = 1, where the sums vanish, it maps s to their derivative in
-    q instead, the entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``.
+    A group is its letter tables, one ``(log_p, log_x)`` per level 1..k, and
+    its words are every choice of one letter per level, parent-major with the
+    last level varying fastest. A word's log mass and its P_d = log(sigma_1
+    ... sigma_d) are the sums of its letters' ``log_p`` and ``log_x``: log
+    |det| for an affine word, log c for a similarity ratio c (d = 1). ``rows``
+    holds, per group, the ``(d - 1, n)`` prefix sums P_1..P_{d-1} of its
+    words' log singular values (row m - 1 holding ``svf_log`` at s = m); with
+    none, d = 1. The returned function maps s to ``log sum_u svf(T_u,
+    s)**(1-q) p_u**q`` per group. At q = 1, where the sums vanish, it maps s
+    to their derivative in q instead, the entropy form ``sum_u p_u log p_u -
+    sum_u p_u log svf(T_u, s)``.
 
-    On a segment [m - 1, m] with m <= d, ``svf_log`` is ``base + s * slope``
-    with ``slope = P_m - P_{m-1}`` and ``base = P_{m-1} - (m - 1) slope`` (``P_0
-    = 0``); on [d, inf) it is ``s * P_d / d``. An integer s = m >= 1 takes the
-    segment below it, so the value depends on s alone, never on the s asked
-    before. Through 0 and past d ``base`` is 0, and the exponents are formed
-    without it, to the same bits. The entropy form weighs each row down to a
-    number once.
+    ``svf_log`` at s is ``sum_m w_m P_m``: on a segment [m - 1, m] with m <=
+    d, ``(m - s) P_{m-1} + (s - m + 1) P_m`` (``P_0 = 0``), and on [d, inf)
+    ``(s / d) P_d``. An integer s = m >= 1 takes the segment below it, so the
+    value depends on s alone, never on the s asked before. The entropy form
+    weighs each P_m down to a number once, over the head and tail halves
+    below.
 
-    Every evaluation forms each word's exponent afresh from the read-only
-    prefix rows, ``_SUM_BLOCK`` words at a time, into one scratch the size of
-    the largest group, then takes the group's max, exp and sum over the whole
-    group. Groups of at most one block are packed once into one buffer, so a
-    pass over many small groups makes a few numpy calls per group. Beyond the
-    groups' own arrays, memory is O(largest group + one block), plus the
-    packed small groups.
+    Every evaluation forms each letter's term ``(log_x (1-q)) w_d + q log_p``
+    (at d = 1 the word's whole exponent). A group of k >= 2 levels splits at
+    h = k // 2: the sums H over its head words (levels 1..h) and T over its
+    tail words (levels h+1..k) are formed from the terms, and their outer sum
+    is written straight into one scratch the size of the largest group. The
+    stored rows, scaled by ``(1-q) w_m``, are added ``_SUM_BLOCK`` words at a
+    time, and each group's max, exp and sum are taken over the whole group.
+    Groups of at most one block are packed once into one part, their letter
+    tables end to end, so a pass over many small one-level groups makes a few
+    numpy calls in all. Beyond the groups' own arrays, memory is O(largest
+    group + one block), plus the packed small groups' tables and H and T.
     """
-    prefix, log_p = zip(*groups)
-    d = len(prefix[0])
+    d = 1 if rows is None else len(rows[0]) + 1
+    groups = [list(levels) for levels in groups]
+    sizes = [math.prod(len(log_p) for log_p, _ in levels) for levels in groups]
 
-    def segment(s: float) -> int:
-        # lo of the segment [lo, lo + 1] (of [d, inf) at lo = d) that s is taken on
-        return min(max(int(np.ceil(s)) - 1, 0), d)
+    def weights(s: float) -> dict:
+        """``{m: w_m}`` of ``svf_log`` at s, on the segment s is taken on."""
+        lo = min(max(math.ceil(s) - 1, 0), d)
+        if lo == d:
+            return {d: s / d}
+        return {lo: lo + 1 - s, lo + 1: s - lo} if lo else {1: s}
+
+    def halves(levels):
+        """The head (levels 1..k // 2) and tail (the rest) of a group."""
+        return levels[:len(levels) // 2], levels[len(levels) // 2:]
 
     if abs(q - 1.0) < Q_ONE_TOL:
-        w = [np.exp(lp) for lp in log_p]
-        ent = np.array([wi @ lp for wi, lp in zip(w, log_p)])
-        # one column per group
-        pre = np.array([[wi @ row for row in p] for wi, p in zip(w, prefix)]).T
+        ent, pre = [], []
+        for i, levels in enumerate(groups):
+            head, tail = halves(levels)
+            # an empty head is one word of mass 1 whose values are 0
+            h_p, h_x = map(_word_sums, zip(*head)) if head else (np.zeros(1), np.zeros(1))
+            t_p, t_x = map(_word_sums, zip(*tail))
+            e_h, e_t = np.exp(h_p), np.exp(t_p)
+
+            def mean(h_v, t_v):
+                # sum_u p_u (h_v + t_v) over the head x tail words
+                return (e_h @ h_v) * e_t.sum() + e_h.sum() * (e_t @ t_v)
+
+            ent.append(mean(h_p, t_p))
+            stored = [] if rows is None else [e_h @ row.reshape(len(e_h), -1) @ e_t
+                                              for row in rows[i]]
+            pre.append(stored + [mean(h_x, t_x)])
+        ent, pre = np.array(ent), np.array(pre).T  # one column per group
 
         def entropy_sums(s: float) -> np.ndarray:
-            lo = segment(s)
-            below = pre[lo - 1] if lo else 0.0
-            if lo < d:
-                slope = pre[lo] - below
-                base = below - slope * lo
-            else:
-                slope, base = pre[-1] / d, np.zeros(len(ent))
-            return ent - (base + s * slope)
+            return ent - sum(w * pre[m - 1] for m, w in weights(s).items())
 
         return entropy_sums
 
     def pack(ids):
-        """``(prefix, log_p, ids, starts, spans)`` of the groups ``ids`` end to end."""
-        edges = np.cumsum([0] + [len(log_p[i]) for i in ids]).tolist()
-        if len(ids) == 1:
-            pre, lp = prefix[ids[0]], log_p[ids[0]]
+        """The part of the groups ``ids`` end to end: their letter tables and plans."""
+        levels = [level for i in ids for level in groups[i]]
+        if len(levels) == 1:
+            log_p, log_x = levels[0]
         else:
-            pre = np.concatenate([prefix[i] for i in ids], axis=1)
-            lp = np.concatenate([log_p[i] for i in ids])
-        return pre, lp, ids, edges[:-1], [slice(a, b) for a, b in zip(edges, edges[1:])]
+            log_p = np.concatenate([lp for lp, _ in levels])
+            log_x = np.concatenate([lx for _, lx in levels])
+        words = list(itertools.accumulate((sizes[i] for i in ids), initial=0))
+        edges = itertools.pairwise(itertools.accumulate((len(lp) for lp, _ in levels),
+                                                        initial=0))
+        plans = []
+        for i, a, b in zip(ids, words, words[1:]):
+            spans = [slice(*next(edges)) for _ in groups[i]]
+            plans.append((i, slice(a, b), *halves(spans)))
+        # one-level groups lay their letters out as their words: terms go to scratch
+        direct = all(len(groups[i]) == 1 for i in ids)
+        return log_p, log_x, ids, words, plans, direct
 
     # each group longer than a block alone, the rest packed into one part
-    small = [i for i, lp in enumerate(log_p) if len(lp) <= _SUM_BLOCK]
-    parts = [pack([i]) for i, lp in enumerate(log_p) if len(lp) > _SUM_BLOCK]
+    small = [i for i, n in enumerate(sizes) if n <= _SUM_BLOCK]
+    parts = [pack([i]) for i, n in enumerate(sizes) if n > _SUM_BLOCK]
     if small:
         parts.append(pack(small))
-    scratch = np.empty(max(len(lp) for _, lp, *_ in parts))
-    base = np.empty(min(_SUM_BLOCK, len(scratch)))
+    scratch = np.empty(max(words[-1] for _, _, _, words, _, _ in parts))
+    terms = np.empty(max([len(lp) for lp, *_, direct in parts if not direct], default=0))
+    block = np.empty(min(_SUM_BLOCK, max(len(scratch), len(terms))))
 
-    def exponents(pre, lp, lo: int, s: float) -> np.ndarray:
-        """``(1-q) svf_log(s) + q log p`` of the part's words, in scratch.
-
-        The ops are those of ``t = slope * s + base`` with ``slope`` and
-        ``base`` scaled by 1 - q and ``q log p`` added to ``base``; the
-        slope is formed twice, into ``base`` first, so one block buffer serves.
-        On the segments through 0 and past d, where ``base`` is 0, ``base``
-        is ``q log p`` alone: half the ops, and the same bits.
-        """
-        t = scratch[:len(lp)]
-        for a in range(0, len(lp), _SUM_BLOCK):
+    def exponents(part, w_d: float, scaled) -> np.ndarray:
+        """``(1-q) svf_log(s) + q log p`` of the part's words, in scratch."""
+        log_p, log_x, _, words, plans, direct = part
+        t = scratch[:words[-1]]
+        c = t if direct else terms[:len(log_p)]
+        for a in range(0, len(log_p), _SUM_BLOCK):
             at = slice(a, a + _SUM_BLOCK)
-            tb = t[at]
-            bb = base[:len(tb)]
-            below = pre[lo - 1, at] if lo else 0.0
-            if 0 < lo < d:
-                np.subtract(pre[lo, at], below, out=bb)
-                np.subtract(below, np.multiply(bb, lo, out=bb), out=bb)
-                bb *= 1.0 - q
-                bb += np.multiply(lp[at], q, out=tb)
-            else:
-                # base is +-0 through 0 and past d, and +-0 + x = x
-                np.multiply(lp[at], q, out=bb)
-            if lo < d:
-                np.subtract(pre[lo, at], below, out=tb)
-            else:
-                np.divide(pre[-1, at], d, out=tb)
-            tb *= 1.0 - q
-            tb *= s
-            tb += bb
+            cb = c[at]
+            np.multiply(log_x[at], 1.0 - q, out=cb)
+            cb *= w_d
+            cb += np.multiply(log_p[at], q, out=block[:len(cb)])
+        for i, at, head, tail in plans:
+            if head:
+                h, tl = _word_sums([c[x] for x in head]), _word_sums([c[x] for x in tail])
+                np.add.outer(h, tl, out=t[at].reshape(len(h), len(tl)))
+            elif not direct:
+                t[at] = c[tail[0]]
+            for m, coef in scaled:
+                row, tg = rows[i][m - 1], t[at]
+                for a in range(0, len(tg), _SUM_BLOCK):
+                    tb = tg[a:a + _SUM_BLOCK]
+                    tb += np.multiply(row[a:a + _SUM_BLOCK], coef, out=block[:len(tb)])
         return t
 
     def sums(s: float) -> np.ndarray:
-        lo = segment(s)
-        tops, totals = np.empty(len(log_p)), np.empty(len(log_p))
-        for pre, lp, ids, starts, spans in parts:
-            t = exponents(pre, lp, lo, s)
+        w = weights(s)
+        w_d = w.pop(d, 0.0)
+        scaled = [(m, (1.0 - q) * wm) for m, wm in w.items() if wm]
+        tops, totals = np.empty(len(groups)), np.empty(len(groups))
+        for part in parts:
+            t = exponents(part, w_d, scaled)
+            _, _, ids, words, plans, _ = part
             # max is exact in any order; each sum runs on its group's view, as on
             # the group alone (reduceat would sum sequentially, with other bits)
-            tops[ids] = top = np.maximum.reduceat(t, starts)
-            for at, m in zip(spans, top):
+            tops[ids] = top = np.maximum.reduceat(t, words[:-1])
+            for (_, at, _, _), m in zip(plans, top):
                 t[at] -= m
             np.exp(t, out=t)
-            totals[ids] = [np.add.reduce(t[at]) for at in spans]
+            totals[ids] = [np.add.reduce(t[at]) for _, at, _, _ in plans]
         return np.log(totals) + tops
 
     return sums
@@ -417,7 +459,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 
     # for q >= 1 the upper-envelope root is the lower exponent; for q < 1 the
     # trend falls (flipped for the root finder) and the roles swap
-    seq = _moment_sums([(log_c[None], log_p) for _, (log_c, log_p) in grids], q)
+    seq = _moment_sums([[(log_p, log_c)] for _, (log_c, log_p) in grids], q)
     rising = q > 1 or abs(q - 1.0) < Q_ONE_TOL
     sign = 1.0 if rising else -1.0
     roots = [_root_of_increasing(lambda s, m=mode: sign * _envelope_trend(seq(s), m), xtol)
@@ -442,24 +484,21 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
 # ---------------------------------------------------------------------------
 
 
-def _extend(state, maps, terms, rescale):
-    """The words one level below ``state``, a ``(prods, carried, log_scale)`` triple.
+def _extend(state, maps, letters, rescale):
+    """The words one level below ``state``, a ``(prods, log_det, log_scale)`` triple.
 
     Every word takes every map of the level, parent-major with the newest
-    letter varying fastest. ``terms`` holds each letter's
-    ``[log p, log |det|]``, added to ``carried``. The products are kept
-    entry-major, ``(d, d, words)``, and ``rescale`` divides each by the power
-    of two of its largest entry, carried in ``log_scale``. Every step acts on
-    each word alone, so a block of words extends to the bits of the same
-    words in the whole level.
+    letter varying fastest. ``letters`` holds each letter's ``[log p, log
+    |det|]``; its log |det| is added to the parent's ``log_det``. The
+    products are kept entry-major, ``(d, d, words)``, and ``rescale`` divides
+    each by the power of two of its largest entry, carried in ``log_scale``.
+    Every step acts on each word alone, so a block of words extends to the
+    bits of the same words in the whole level.
     """
-    prods, carried, log_scale = state
+    prods, log_det, log_scale = state
     d, n = prods.shape[0], prods.shape[-1]
     right = maps.transpose(1, 2, 0)
-    parents, carried = carried, np.empty((2, n, len(maps)))
-    for l in range(len(maps)):
-        np.add(parents, terms[:, l, None], out=carried[:, :, l])
-    carried = carried.reshape(2, -1)
+    log_det = np.add.outer(log_det, letters[1]).ravel()
     log_scale = np.repeat(log_scale, len(maps)) if np.ndim(log_scale) else log_scale
     nxt, tmp = np.empty((d, d, n, len(maps))), np.empty(n)
     # letter l of parent u lands at u*m + l: one strided column per letter
@@ -472,30 +511,32 @@ def _extend(state, maps, terms, rescale):
         _, exps = np.frexp(np.abs(prods).max(axis=(0, 1)))
         prods *= np.ldexp(1.0, -exps)
         log_scale = log_scale + exps * np.log(2.0)
-    return prods, carried, log_scale
+    return prods, log_det, log_scale
 
 
 def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
                    keep_from: int):
-    """Prefix sums of log singular values and log masses of words, per kept level.
+    """Prefix rows of the log singular values of every kept level's words,
+    and the letter table of every level.
 
-    Level k maps to ``(prefix, log_p)``, row m - 1 of the ``(d, words)``
-    ``prefix`` holding ``log(sigma_1 ... sigma_m)`` (``svf_log`` at s = m).
-    Every word is enumerated, parent-major with the newest letter varying
-    fastest. The last row sums the letters' log |det|, carried beside
-    ``log_p``; the rest come from the word products.
+    Returns ``(rows, letters)``. ``rows[k]``, for k = ``keep_from``..``depth``,
+    is the ``(d - 1, words)`` array whose row m - 1 holds ``log(sigma_1 ...
+    sigma_m)`` (``svf_log`` at s = m) of every level-k word, parent-major with
+    the newest letter varying fastest. ``letters[k - 1]`` is level k's ``[log
+    p, log |det|]``, one column per letter: a word's log mass and its P_d =
+    log |det| are the sums of its letters' values (Falconer, Math. Proc. Camb.
+    Phil. Soc. 103, 1988), which ``_moment_sums`` forms at each evaluation.
 
-    Each level is tabulated once: its maps, their ``[log p, log |det|]`` and
-    whether to rescale. ``floor``, the sum of the levels' least letter log
-    singular value, bounds every log sigma_1 from below; only under
-    -256 log 2 are products rescaled (see ``_extend``). Enumeration first
-    grows a stem, the levels above which one stem word has at most
-    ``_BLOCK_WORDS`` descendants in the deepest level; then contiguous blocks
-    of stem words run down the remaining levels one block at a time, each
-    block's deepest level holding about ``_BLOCK_WORDS`` words, and write
-    their slices of every kept level. Since ``_extend`` acts on each word
-    alone, the bits do not depend on the block size, and memory is the kept
-    spectra plus one block.
+    Each level is tabulated once: its maps, its letters and whether to
+    rescale. ``floor``, the sum of the levels' least letter log singular
+    value, bounds every log sigma_1 from below; only under -256 log 2 are
+    products rescaled (see ``_extend``). Enumeration first grows a stem, the
+    levels above which one stem word has at most ``_BLOCK_WORDS``
+    descendants in the deepest level; then contiguous blocks of stem words
+    run down the remaining levels one block at a time, each block's deepest
+    level holding about ``_BLOCK_WORDS`` words, and write their slices of
+    every kept level. Since ``_extend`` acts on each word alone, the bits do
+    not depend on the block size, and memory is the kept rows plus one block.
     """
     d = system.ambient_dim
     table, floor = [], 0.0
@@ -510,15 +551,13 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     for maps, _, _ in table:
         widths.append(widths[-1] * len(maps))
     stem = next(k for k, n in enumerate(widths) if widths[-1] // n <= _BLOCK_WORDS)
-    out = {k: (np.empty((d, widths[k])), np.empty(widths[k]))
-           for k in range(keep_from, depth + 1)}
+    rows = {k: np.empty((d - 1, widths[k])) for k in range(keep_from, depth + 1)}
 
     def keep(k, state, at):
-        prods, carried, log_scale = state
-        log_singular_prefix(prods.T, carried[1], log_scale, out=out[k][0][:, at])
-        out[k][1][at] = carried[0]
+        prods, log_det, log_scale = state
+        log_singular_prefix(prods.T, log_det, log_scale, out=rows[k][:, at])
 
-    state = (np.eye(d)[:, :, None], np.zeros((2, 1)), 0.0)
+    state = (np.eye(d)[:, :, None], np.zeros(1), 0.0)
     for k in range(1, stem + 1):
         state = _extend(state, *table[k - 1])
         if k >= keep_from:
@@ -526,15 +565,15 @@ def _level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth: int,
     step = max(1, _BLOCK_WORDS * widths[stem] // widths[-1])
     for a in range(0, widths[stem], step):
         at = slice(a, a + step)
-        prods, carried, log_scale = state
-        block = (prods[:, :, at], carried[:, at],
+        prods, log_det, log_scale = state
+        block = (prods[:, :, at], log_det[at],
                  log_scale[at] if np.ndim(log_scale) else log_scale)
         for k in range(stem + 1, depth + 1):
             block = _extend(block, *table[k - 1])
             if k >= keep_from:
                 fan = widths[k] // widths[stem]
                 keep(k, block, slice(a * fan, (a + step) * fan))
-    return out
+    return rows, [letters for _, letters, _ in table]
 
 
 # the last exhaustive spectra: (system, measure, (depth, keep_from), spectra) or None
@@ -556,9 +595,9 @@ def _shared_level_spectra(system: AffineSystem, measure: BernoulliMeasure, depth
             return spectra
     _kept_spectra = None
     spectra = _level_spectra(system, measure, depth, keep_from)
-    for arrays in spectra.values():
-        for array in arrays:
-            array.flags.writeable = False
+    rows, letters = spectra
+    for array in [*rows.values(), *letters]:
+        array.flags.writeable = False
     _kept_spectra = (system, measure, (depth, keep_from), spectra)
     return spectra
 
@@ -569,22 +608,19 @@ def _release_level_spectra() -> None:
     _kept_spectra = None
 
 
-def _product_level_sums(system: AffineSystem, measure: BernoulliMeasure, depth: int,
-                        q: float):
-    """Log level sums of levels 1..``depth`` as products of per-level letter sums,
-    as a function of s; they are the level sums at s = 0 and s >= d only.
+def _product_level_sums(letters, d: int, q: float):
+    """Log level sums of levels 1..k as products of per-level letter sums, as
+    a function of s, from the ``[log p, log |det|]`` letter tables of levels
+    1..k; they are the level sums at s = 0 and s >= d only.
 
     There ``svf(T, s) = |det T|**(s/d)``, and |det| and p multiply along a
-    word (Falconer, Math. Proc. Camb. Phil. Soc. 103, 1988), so the level-k
-    sum is the product of the letter sums of levels 1..k. Level k enters
-    ``_moment_sums`` as a similarity level of ratios ``|det T_kj|**(1/d)``,
-    the one row ``log |det T_kj| / d``, and the log level sums are the
-    cumulative sums of its group sums.
+    word, so the level-k sum is the product of the letter sums of levels
+    1..k. Level k enters ``_moment_sums`` as a similarity level of ratios
+    ``|det T_kj|**(1/d)``, the one letter value ``log |det T_kj| / d``, and
+    the log level sums are the cumulative sums of its group sums.
     """
-    d = system.ambient_dim
-    letters = _moment_sums([(np.linalg.slogdet(system.linear_maps(k))[1][None] / d,
-                             measure.log_probs(k)) for k in range(1, depth + 1)], q)
-    return lambda s: np.cumsum(letters(s))
+    levels = _moment_sums([[(log_p, log_det / d)] for log_p, log_det in letters], q)
+    return lambda s: np.cumsum(levels(s))
 
 
 def _near_integer_guard(root: float, diag: dict) -> float:
@@ -617,13 +653,14 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
     sum is a product of per-level letter sums (``_product_level_sums``), so
     on planar tables the root finder's probe at s = 2 reads no spectra.
 
-    The enumerated spectra are reused: a solve on the same system and measure
-    objects, at the same depth and first kept level, takes the read-only
-    spectra the last solve kept instead of building them (any q > 1 shares
-    them; q = 1 keeps the deepest level only). A solve with another key frees
-    them before it builds, so at most one table's spectra are held; the
+    The enumerated spectra, the prefix rows P_1..P_{d-1} of levels
+    ``max(2, K // 2)``..K and the letter tables of levels 1..K, are reused: a
+    solve on the same system and measure objects, at the same depth, takes
+    the read-only spectra the last solve kept instead of building them (every
+    q shares them; q = 1 reads the deepest level). A solve with another key
+    frees them before it builds, so at most one table's spectra are held; the
     harness's q loop frees them before it starts and when it ends. Each
-    evaluation of the level sums reads the spectra in place, so past them a
+    evaluation of the level sums reads the rows in place, so past them a
     solve holds only the scratch of ``_moment_sums``: one level, one block of
     words and the levels of at most one block, packed.
     """
@@ -639,12 +676,13 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
         raise BranchBudgetError("enumeration cap too small for even two levels")
     if depth is not None and depth > K:
         raise BranchBudgetError(f"depth {depth} needs more than {ENUMERATION_CAP} words")
-    keep_from = K if entropy else max(2, K // 2)
-    spectra = _shared_level_spectra(system, measure, K, keep_from)
+    keep_from = max(2, K // 2)
+    rows, letters = _shared_level_spectra(system, measure, K, keep_from)
+    levels = sorted(rows)
     xtol = ((1e-8 if entropy else 1e-7) if stationary
             else XTOL_STATIONARY if system.stationary else XTOL_TRUNCATED)
-    enumerated = _moment_sums([spectra[k] for k in sorted(spectra)], q)
-    products = _product_level_sums(system, measure, K, q)
+    enumerated = _moment_sums([letters[:k] for k in levels], q, [rows[k] for k in levels])
+    products = _product_level_sums(letters, system.ambient_dim, q)
 
     def kept(s: float) -> np.ndarray:
         """Log level sums of the kept levels at s."""
@@ -658,7 +696,7 @@ def affine_series_dimension(system: AffineSystem, measure: BernoulliMeasure,
 
     def rate(s: float) -> float:
         """Slope in k of the fitted log level sums."""
-        return float(np.polyfit(sorted(spectra), kept(s), 1)[0])
+        return float(np.polyfit(levels, kept(s), 1)[0])
 
     root, bracket = _root_of_increasing(per_level if entropy else rate, xtol)
     diag = {

@@ -78,44 +78,43 @@ def write_sample_rows(path, points, weights):
             writer.writerow([*map(repr, row), repr(weight)])
 
 
-def group_moment_sum(prefix, log_p, q, s):
-    """``log sum_u svf(T_u, s)**(1-q) p_u**q`` of one word group (q != 1).
+def svf_weights(d, s):
+    """``{m: w_m}`` with ``svf_log`` at s equal to ``sum_m w_m P_m``, P_m the
+    prefix sums of d log singular values (P_0 = 0): on the segment [m - 1, m]
+    that s is taken on (an integer s = m >= 1 takes the one below it),
+    ``(m - s) P_{m-1} + (s - m + 1) P_m``, and past d ``(s / d) P_d``."""
+    lo = min(max(math.ceil(s) - 1, 0), d)
+    if lo == d:
+        return {d: s / d}
+    return {lo: lo + 1 - s, lo + 1: s - lo} if lo else {1: s}
 
-    Each word's exponent is the general-segment formula ``(slope * (1-q)) *
-    s + (base * (1-q) + q * log p)`` on the segment of s, with ``base =
-    below - slope * lo``, on every segment: also through 0 and past d,
-    where ``theory._moment_sums`` leaves the zero base out. Their
-    exponentials, shifted by the top one, are added by one ``np.sum`` over
-    the group's own array.
+
+def group_moment_sum(prefix, log_p, q, s):
+    """``log sum_u svf(T_u, s)**(1-q) p_u**q`` of one word group (q != 1),
+    in the operation order of ``theory._moment_sums`` on a one-level group.
+
+    ``prefix`` holds the ``(d, n)`` prefix sums P_1..P_d of the words' log
+    singular values. Each word's exponent starts as its letter term
+    ``(P_d (1-q)) w_d + log p q``, and ``P_m ((1-q) w_m)`` is added for each
+    m < d of nonzero weight, in increasing m. Their exponentials, shifted by
+    the top one, are added by one ``np.sum`` over the group's own array.
     """
     d = len(prefix)
-    lo = min(max(math.ceil(s) - 1, 0), d)
-    below = prefix[lo - 1] if lo else 0.0
-    if lo < d:
-        slope = prefix[lo] - below
-        base = below - slope * lo
-    else:
-        slope, base = prefix[-1] / d, np.zeros(len(log_p))
-    t = slope * (1.0 - q) * s + (base * (1.0 - q) + log_p * q)
+    w = svf_weights(d, s)
+    t = (prefix[-1] * (1.0 - q)) * w.pop(d, 0.0) + log_p * q
+    for m, wm in w.items():
+        if wm:
+            t = t + prefix[m - 1] * ((1.0 - q) * wm)
     top = t.max()
     return np.log(np.sum(np.exp(t - top))) + top
 
 
 def group_entropy_sum(prefix, log_p, s):
     """``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)`` of one word group, the
-    q = 1 form: the p-weighted prefix rows on the general segment formula,
-    ``base + s * slope`` with ``base = below - slope * lo``."""
-    d = len(prefix)
+    q = 1 form: the p-weighted prefix rows, weighed by ``svf_weights``."""
     w = np.exp(log_p)
-    pre = [w @ row for row in prefix]
-    lo = min(max(math.ceil(s) - 1, 0), d)
-    below = pre[lo - 1] if lo else 0.0
-    if lo < d:
-        slope = pre[lo] - below
-        base = below - slope * lo
-    else:
-        slope, base = pre[-1] / d, 0.0
-    return w @ log_p - (base + s * slope)
+    pre = [row @ w for row in prefix]
+    return w @ log_p - sum(wm * pre[m - 1] for m, wm in svf_weights(len(prefix), s).items())
 
 
 def word_masses(measure, depth):

@@ -500,3 +500,13 @@ class TestEstimateSpectrum:
         s = uniform_sample(20_000, seed=15)
         with pytest.raises(InsufficientScalesError, match="more than once"):
             estimate_spectrum(s, (2.0,), (0.25, 0.25, 0.125, 0.0625, 0.03125, 0.015625))
+
+    def test_scales_within_a_relative_1e9_are_one_scale(self):
+        # the two finest sizes are one ulp apart: the second would coarsen the
+        # first by a factor of 1, with the same log r and a 0/0 local slope
+        s = uniform_sample(20_000, seed=15)
+        scales = (0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625, 0.003906250000000001)
+        assert scales[-1] > scales[-2]
+        with pytest.raises(InsufficientScalesError,
+                           match=r"^scale size 0\.00390625 appears more than once"):
+            estimate_spectrum(s, (2.0,), scales)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -338,19 +339,18 @@ class TestTheorySelection:
         with pytest.raises(ConfigError):
             theoretical_exponents(system, BernoulliMeasure([[0.5, 0.5]]), 1.0)
 
-    # recorded with the Illinois-Dekker root finder on prefix-sum spectra, q = 1
-    # and 1.5 with the level sums at s = 0 and s >= d as per-level products;
-    # each row keeps the bisected value and bracket recorded while stationary
+    # recorded with the Illinois-Dekker root finder, with the level sums formed
+    # from the letter tables and the stored rows P_1; each row keeps the bisected value and bracket recorded while stationary
     # affine tables had a solver of their own, which the new root must stay
     # within xtol of
     @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket, xtol", [
-        (1.0, 1.2432214049671844, (1.2432214024671722, 1.2432214074671963),
+        (1.0, 1.2432214049670827, (1.2432214024670825, 1.2432214074670827),
          1.2432214058935642, (1.243221402168274, 1.2432214096188545), 1e-8),
-        (1.5, 1.2422598663576916, (1.242259824493583, 1.2422599082218),
+        (1.5, 1.2422598663576934, (1.2422598244935854, 1.2422599082218015),
          1.242259830236435, (1.2422598004341125, 1.2422598600387573), 1e-7),
-        (2.0, 1.241304236866551, (1.241304211866488, 1.241304261866614),
+        (2.0, 1.2413042368665521, (1.2413042118664894, 1.241304261866615),
          1.2413042485713959, (1.2413042187690735, 1.2413042783737183), 1e-7),
-        (3.0, 1.2394133342697722, (1.2394133092686594, 1.2394133592708847),
+        (3.0, 1.239413334269773, (1.2394133092686603, 1.2394133592708858),
          1.2394133508205414, (1.239413321018219, 1.2394133806228638), 1e-7),
     ], ids=["1.0-1.2432214058935642-bracket0", "1.5-1.242259830236435-bracket1",
             "2.0-1.2413042485713959-bracket2", "3.0-1.2394133508205414-bracket3"])
@@ -1134,6 +1134,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "more than once" in err
+
+    def test_scales_within_a_relative_1e9_exit_with_message(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        rng = np.random.default_rng(3)
+        write_sample_rows(points, rng.random((2000, 1)), np.full(2000, 1 / 2000))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["estimate", str(points), "--q", "2", "--scales",
+                             "0.0625,0.03125,0.015625,0.0078125,0.00390625,"
+                             "0.003906250000000001", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: scale size 0.00390625 appears more than once")
+        assert not out.exists()
+
+    def test_q_override_file_q_and_estimate_q_share_one_message(self, tmp_path, capsys):
+        cfg = os.path.join(REPO, "configs", "cantor.json")
+        with open(cfg) as fh:
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(dict(json.load(fh), q=[-1])))
+        points = tmp_path / "points.csv"
+        points.write_text("0.25,0.5\n0.75,0.5\n")
+        out = tmp_path / "out"
+        errs = []
+        for argv in (["theory", "--config", cfg, "--q", "-1"],
+                     ["theory", "--config", str(bad)],
+                     ["estimate", str(points), "--q", "-1"]):
+            assert cli_main(argv + ["--out", str(out)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == ["config error: q must be one or more positive finite numbers, "
+                        "got -1.0\n"] * 3
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["theory", "--q", "a"],

@@ -220,7 +220,7 @@ class TestMomentSums:
     @pytest.mark.parametrize("q", [0.0, 0.5, 2.0])
     def test_matches_per_group_log_sum(self, q):
         log_c, log_p = self.groups()
-        sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], q)
+        sums = _moment_sums([[(lp, lc)] for lc, lp in zip(log_c, log_p)], q)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.log(np.sum(np.exp(s * (1 - q) * lc + q * lp)))
                     for lc, lp in zip(log_c, log_p)]
@@ -228,7 +228,7 @@ class TestMomentSums:
 
     def test_q_one_gives_entropy_form(self):
         log_c, log_p = self.groups()
-        sums = _moment_sums([(lc[None], lp) for lc, lp in zip(log_c, log_p)], 1.0)
+        sums = _moment_sums([[(lp, lc)] for lc, lp in zip(log_c, log_p)], 1.0)
         for s in (0.0, 0.4, 1.0, 2.5):
             want = [np.exp(lp) @ lp - s * (np.exp(lp) @ lc) for lc, lp in zip(log_c, log_p)]
             np.testing.assert_allclose(sums(s), want, rtol=0, atol=1e-12)
@@ -239,14 +239,15 @@ class TestMomentSums:
            s=st.floats(0.0, 6.0))
     def test_ratio_column_matches_spectrum_of_scaled_isometry(self, d, n, seed, q, s):
         # svf(c O, s) = c**s for every s >= 0: the prefix sums m log c of the
-        # d equal singular values of c O and the one row log c give the same sums
+        # d equal singular values of c O and the one letter value log c give
+        # the same sums
         rng = np.random.default_rng(seed)
         log_c = np.log(rng.uniform(0.05, 0.95, n))
         p = rng.uniform(0.1, 1.0, n)
         log_p = np.log(p / p.sum())
-        row = _moment_sums([(log_c[None], log_p)], q)
+        row = _moment_sums([[(log_p, log_c)]], q)
         prefix = np.cumsum(np.repeat(log_c[None], d, axis=0), axis=0)
-        spectrum = _moment_sums([(prefix, log_p)], q)
+        spectrum = spectrum_sums([(prefix, log_p)], q)
         np.testing.assert_allclose(row(s), spectrum(s), rtol=0, atol=1e-11)
 
 
@@ -255,6 +256,29 @@ def random_spectrum(rng, d, n):
     log_sv = -np.sort(-np.log(rng.uniform(0.05, 0.95, (d, n))), axis=0)
     p = rng.uniform(0.1, 1.0, n)
     return np.cumsum(log_sv, axis=0), np.log(p / p.sum())
+
+
+def spectrum_sums(groups, q):
+    """``_moment_sums`` of ``(prefix, log_p)`` groups, each one level whose
+    letters are its words: ``(log_p, P_d)`` letters and rows P_1..P_{d-1}."""
+    return _moment_sums([[(log_p, prefix[-1])] for prefix, log_p in groups], q,
+                        [prefix[:-1] for prefix, _ in groups])
+
+
+def level_sums(spectra, q):
+    """``_moment_sums`` of the kept levels of ``_level_spectra``'s ``(rows, letters)``."""
+    rows, letters = spectra
+    return _moment_sums([letters[:k] for k in sorted(rows)], q, [rows[k] for k in sorted(rows)])
+
+
+def word_table(spectra, k):
+    """``(prefix, log_p)`` of every level-k word of ``(rows, letters)``, spelled
+    out word by word: the stored rows, then P_d and log p as sums of the
+    word's letters' values."""
+    rows, letters = spectra
+    words = itertools.product(*(range(table.shape[1]) for table in letters[:k]))
+    sums = np.array([sum(letters[j][:, a] for j, a in enumerate(w)) for w in words])
+    return np.vstack([rows[k], sums[:, 1]]), sums[:, 0]
 
 
 class TestMomentSumsDependOnSAlone:
@@ -269,9 +293,9 @@ class TestMomentSumsDependOnSAlone:
                                                                   order):
         rng = np.random.default_rng(seed)
         groups = [random_spectrum(rng, d, n) for n in sizes]
-        sums = _moment_sums(groups, q)
+        sums = spectrum_sums(groups, q)
         for s in order:
-            assert np.array_equal(sums(s), _moment_sums(groups, q)(s))
+            assert np.array_equal(sums(s), spectrum_sums(groups, q)(s))
 
     @settings(max_examples=15, deadline=None)
     @given(d=st.integers(1, 3), count=st.integers(1, 12), seed=st.integers(0, 2**16),
@@ -289,8 +313,8 @@ class TestMomentSumsDependOnSAlone:
             prefix, log_p = random_spectrum(rng, d, n)
             top = int(rng.integers(n + 1))
             groups.append((np.insert(prefix, top, 0.0, axis=1), np.insert(log_p, top, 0.0)))
-        together = _moment_sums(groups, q)
-        alone = [_moment_sums([g], q) for g in groups]
+        together = spectrum_sums(groups, q)
+        alone = [spectrum_sums([g], q) for g in groups]
         for s in self.GRID:
             assert together(s).tolist() == [sums(s)[0] for sums in alone]
             # a group alone takes the sum path of a packed one, so each group
@@ -302,14 +326,14 @@ class TestMomentSumsDependOnSAlone:
            sizes=st.lists(st.integers(1, 3 * theory._SUM_BLOCK), min_size=1, max_size=3),
            seed=st.integers(0, 2**16), q=st.sampled_from([0.5, 1.0, 2.5]),
            low=st.floats(0.0, 1.0, exclude_min=True), past=st.floats(0.0, 4.0, exclude_min=True))
-    def test_base_free_segments_keep_the_general_formulas_bits(self, d, sizes, seed, q, low,
-                                                               past):
-        # through 0 and past d the exponents are formed without their zero
-        # base; the general segment formula, base and all, gives the same bits
+    def test_groups_of_many_blocks_keep_the_oracles_bits(self, d, sizes, seed, q, low, past):
+        # the letter terms and the stored rows are formed a block at a time;
+        # through 0, inside (0, d] and past d each word's exponent has the
+        # bits of the one-level oracle's
         rng = np.random.default_rng(seed)
         groups = [random_spectrum(rng, d, n) for n in sizes]
-        sums = _moment_sums(groups, q)
-        for s in (low, d + past):
+        sums = spectrum_sums(groups, q)
+        for s in (low, low * d, d + past):
             want = ([group_entropy_sum(*g, s) for g in groups] if q == 1.0
                     else [group_moment_sum(*g, q, s) for g in groups])
             assert sums(s).tolist() == want
@@ -337,8 +361,8 @@ class TestProductLevelSums:
         # with the same floor near a log sum of 0
         system, measure = random_table(np.random.default_rng(seed), d, period)
         spectra = _level_spectra(system, measure, 6, keep_from=3)
-        enumerated = _moment_sums([spectra[k] for k in sorted(spectra)], q)
-        products = theory._product_level_sums(system, measure, 6, q)
+        enumerated = level_sums(spectra, q)
+        products = theory._product_level_sums(spectra[1], d, q)
         for s in (0.0, d, d + 0.5, 2.0 * d):
             np.testing.assert_allclose(products(s)[2:], enumerated(s), rtol=1e-12,
                                        atol=1e-12)
@@ -625,14 +649,14 @@ class TestAffineSeriesDimension:
             affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 0.5)
 
     def test_q_one_on_a_stationary_table_matches_recorded_value(self):
-        # recorded with the level sums at s = 0 and s >= d as per-level
-        # products; the value recorded with every level sum enumerated, and the
+        # recorded with the level sums formed from the letter tables and the
+        # stored rows; the value recorded with every level sum enumerated, and the
         # bisected value and bracket recorded from the separate stationary
         # solver this one replaced, stay within xtol = 1e-8 of it
         system = AffineSystem([[np.diag([0.8, 0.25]), np.diag([0.75, 0.2])]])
         ce = affine_series_dimension(system, BernoulliMeasure([[0.5, 0.5]]), 1.0, depth=16)
-        assert ce.value == 1.292238643981113
-        assert ce.diagnostics["bracket"] == (1.2922386389811142, 1.2922386489811122)
+        assert ce.value == 1.2922386439811213
+        assert ce.diagnostics["bracket"] == (1.2922386389811213, 1.2922386489811213)
         assert ce.diagnostics["mode"] == "entropy"
         assert abs(ce.value - 1.2922386439811122) <= 1e-8
         bisected, (lo, hi) = 1.2922386415302753, (1.292238637804985, 1.2922386452555656)
@@ -708,16 +732,24 @@ class TestLevelSpectra:
     def test_enumeration_matches_direct_svd(self):
         for system in (PLANAR_TABLE, SPATIAL_TABLE):
             d = system.ambient_dim
-            spectra = _level_spectra(system, self.MEASURE, 3, keep_from=1)
-            assert sorted(spectra) == [1, 2, 3]
-            for k, (prefix, log_p) in spectra.items():
+            rows, letters = _level_spectra(system, self.MEASURE, 3, keep_from=1)
+            assert sorted(rows) == [1, 2, 3] and len(letters) == 3
+            for k, prefix in rows.items():
                 sizes = [system.profile.size(j) for j in range(1, k + 1)]
                 words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
-                assert prefix.shape == (d, len(words)) and prefix.flags.c_contiguous
+                assert prefix.shape == (d - 1, len(words)) and prefix.flags.c_contiguous
                 direct = np.log([np.linalg.svd(word_product(system, w),
                                                compute_uv=False) for w in words])
-                assert np.allclose(prefix, np.cumsum(direct, axis=1).T, rtol=0, atol=1e-12)
-                assert np.exp(log_p).sum() == pytest.approx(1.0, abs=1e-12)
+                assert np.allclose(prefix, np.cumsum(direct, axis=1).T[:-1], rtol=0, atol=1e-12)
+
+    def test_letters_are_each_levels_log_masses_and_log_dets(self):
+        rows, letters = _level_spectra(PLANAR_TABLE, self.MEASURE, 4, keep_from=2)
+        for k, table in enumerate(letters, start=1):
+            maps = PLANAR_TABLE.linear_maps(k)
+            assert table.shape == (2, len(maps))
+            assert np.array_equal(table[0], self.MEASURE.log_probs(k))
+            assert np.array_equal(table[1], np.linalg.slogdet(maps)[1])
+            assert np.exp(table[0]).sum() == pytest.approx(1.0, abs=1e-12)
 
     @staticmethod
     def random_table(rng, d, sizes, special=()):
@@ -732,10 +764,10 @@ class TestLevelSpectra:
 
     @staticmethod
     def direct_prefix(system, words):
-        """``np.cumsum`` of the direct SVD logs, one row per prefix length."""
+        """``np.cumsum`` of the direct SVD logs, one row per prefix length 1..d - 1."""
         logs = np.log([np.linalg.svd(word_product(system, w), compute_uv=False)
                        for w in words])
-        return np.cumsum(logs, axis=1).T
+        return np.cumsum(logs, axis=1).T[:-1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_enumerated_spectra_match_svd_of_word_products(self, seed):
@@ -746,44 +778,49 @@ class TestLevelSpectra:
         system = self.random_table(rng, 2, [3, 2, 3, 2], special=[reflection, near_tie])
         assert np.linalg.det(reflection) < 0
         measure = BernoulliMeasure([[0.2, 0.3, 0.5], [0.6, 0.4]])
-        spectra = _level_spectra(system, measure, 4, keep_from=1)
-        for k, (prefix, log_p) in spectra.items():
+        rows, _ = _level_spectra(system, measure, 4, keep_from=1)
+        for k, prefix in rows.items():
             words = list(itertools.product(*(range(1, n + 1) for n in [3, 2, 3, 2][:k])))
             assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
-            want = [sum(measure.log_probs(j + 1)[a - 1] for j, a in enumerate(w)) for w in words]
-            assert np.allclose(log_p, want, rtol=0, atol=1e-12)
 
     def test_enumerated_3x3_spectra_match_svd_of_word_products(self):
         system = self.random_table(np.random.default_rng(7), 3, [2, 3, 2])
         measure = BernoulliMeasure([[0.6, 0.4], [0.2, 0.3, 0.5]])
-        spectra = _level_spectra(system, measure, 3, keep_from=2)
-        assert sorted(spectra) == [2, 3]
-        for k, (prefix, _) in spectra.items():
+        rows, _ = _level_spectra(system, measure, 3, keep_from=2)
+        assert sorted(rows) == [2, 3]
+        for k, prefix in rows.items():
             words = list(itertools.product(*(range(1, n + 1) for n in [2, 3, 2][:k])))
+            assert prefix.shape == (2, len(words))
             assert np.abs(prefix - self.direct_prefix(system, words)).max() < 1e-12
 
     def test_enumerated_spectra_survive_repeated_rescaling(self):
         # the products are rescaled at levels 2, 4, 6 and 8; unrescaled, sigma_1
         # of a depth-8 word is subnormal (at most 4.3e-321) and of a depth-9 word 0
         system, measure = rescaling_table()
-        spectra = _level_spectra(system, measure, 9, keep_from=5)
-        assert sorted(spectra) == [5, 6, 7, 8, 9]
-        for k, (prefix, _) in spectra.items():
-            want = [np.cumsum(word_spectrum(system, w).log_values)
+        rows, _ = _level_spectra(system, measure, 9, keep_from=5)
+        assert sorted(rows) == [5, 6, 7, 8, 9]
+        for k, prefix in rows.items():
+            want = [np.cumsum(word_spectrum(system, w).log_values)[:-1]
                     for w in itertools.product((1, 2), repeat=k)]
             assert np.isfinite(prefix).all()
             assert np.abs(prefix - np.array(want).T).max() < 1e-9
 
-    def test_log_det_is_the_sum_of_letter_log_dets(self):
+    def test_level_sums_at_d_take_log_det_from_the_letters(self):
         # per-letter condition 1e4: the depth-8 products reach condition 1e32,
-        # where a*d - b*c of the product cancels to noise or to zero
+        # where a*d - b*c of the product cancels to noise or to zero; at s = d
+        # svf is |det|, whose log is the sum of the letters' log |det|
         mats = [rotation(0.3) @ np.diag([0.6, 0.6e-4]) @ rotation(1.1),
                 rotation(-0.8) @ np.diag([0.5, 0.5e-4]) @ rotation(0.4)]
         letter = np.linalg.slogdet(np.array(mats))[1]
         spectra = _level_spectra(AffineSystem([mats]), BernoulliMeasure([[0.5, 0.5]]), 8,
                                  keep_from=8)
-        want = [letter[list(w)].sum() for w in itertools.product(range(2), repeat=8)]
-        assert np.abs(spectra[8][0][1] - want).max() < 1e-12
+        log_det = np.array([letter[list(w)].sum() for w in itertools.product(range(2), repeat=8)])
+        # the stored row keeps log sigma_2 = log |det| - P_1 at most log sigma_1
+        assert (2.0 * spectra[0][8][0] >= log_det).all()
+        for q in (1.5, 3.0):
+            terms = (1.0 - q) * log_det + q * 8 * np.log(0.5)
+            want = np.log(np.exp(terms - terms.max()).sum()) + terms.max()
+            assert level_sums(spectra, q)(2.0)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def rescaling_table():
@@ -805,11 +842,12 @@ class TestBlockInvariance:
         return _level_spectra(*args)
 
     def assert_equal(self, got, want):
-        assert sorted(got) == sorted(want)
-        for k in want:
-            assert got[k][0].flags.c_contiguous
-            assert np.array_equal(got[k][0], want[k][0])
-            assert np.array_equal(got[k][1], want[k][1])
+        (rows, letters), (want_rows, want_letters) = got, want
+        assert sorted(rows) == sorted(want_rows)
+        for k in want_rows:
+            assert rows[k].flags.c_contiguous
+            assert np.array_equal(rows[k], want_rows[k])
+        assert all(np.array_equal(a, b) for a, b in zip(letters, want_letters, strict=True))
 
     CASES = {
         "enumerated-d2": lambda: (PLANAR_TABLE, TABLE_MEASURE, 7, 2),
@@ -829,7 +867,7 @@ class TestBlockInvariance:
         assert theory._BLOCK_WORDS == 2**16
         args = (PLANAR_TABLE, TABLE_MEASURE, 13, 11)
         blocked = _level_spectra(*args)
-        assert len(blocked[13][1]) > 2**16
+        assert blocked[0][13].shape[1] > 2**16
         self.assert_equal(blocked, self.spectra_for(monkeypatch, self.WHOLE, *args))
 
 
@@ -843,9 +881,9 @@ BENCH_LEVELS = [
 
 
 def test_affine_solve_memory_is_kept_spectra_plus_one_block(spectra_builds):
-    # the solve builds and keeps the spectra of levels 6..12 (18.2 MiB); past
+    # the solve builds and keeps the rows P_1 of levels 6..12 (6.1 MiB); past
     # them the build and each evaluation of the level sums hold about one
-    # level of scratch (22.3 and 23.2 MiB traced peaks)
+    # level of scratch (9.7 and 10.6 MiB traced peaks)
     system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
                                                                      [0.2, 0.3, 0.5]])
     tracemalloc.start()
@@ -854,21 +892,21 @@ def test_affine_solve_memory_is_kept_spectra_plus_one_block(spectra_builds):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    spectra = theory._shared_level_spectra(system, measure, 12, 6)
-    kept = sum(array.nbytes for arrays in spectra.values() for array in arrays)
-    largest = max(len(log_p) for _, log_p in spectra.values())
+    rows, _ = theory._shared_level_spectra(system, measure, 12, 6)
+    kept = sum(row.nbytes for row in rows.values())
+    largest = max(row.shape[1] for row in rows.values())
     assert spectra_builds == [(12, 6)] and ce.diagnostics["depth"] == 12
     assert peak < kept + largest * 8 + 2**21
 
 
 def test_q3_solve_past_the_kept_spectra_takes_one_level_and_one_block(spectra_builds):
-    # each evaluation forms the exponents from the kept spectra into one
-    # scratch the size of the deepest level; a (2, n) base/slope copy per
-    # level would take 12 MiB more
+    # each evaluation forms the exponents from the letters and the kept rows
+    # into one scratch the size of the deepest level; per-word copies of the
+    # words' log p and log |det| sums would take 12.2 MiB more
     system, measure = AffineSystem(BENCH_LEVELS), BernoulliMeasure([[0.5, 0.3, 0.2],
                                                                      [0.2, 0.3, 0.5]])
-    spectra = theory._shared_level_spectra(system, measure, 12, 6)
-    largest = max(len(log_p) for _, log_p in spectra.values())
+    rows, _ = theory._shared_level_spectra(system, measure, 12, 6)
+    largest = max(row.shape[1] for row in rows.values())
     tracemalloc.start()
     try:
         ce = affine_series_dimension(system, measure, 3.0)
@@ -898,16 +936,16 @@ def test_bench_levels_q15_reads_the_spectra_below_d_only(monkeypatch):
     # per-level products; 4 of its 5 evaluations read the enumerated spectra
     calls, moment_sums = [], theory._moment_sums
 
-    def counted(groups, q):
-        sums, rows = moment_sums(groups, q), len(groups[0][0])
-        return lambda s: calls.append((rows, s)) or sums(s)
+    def counted(groups, q, rows=None):
+        sums = moment_sums(groups, q, rows)
+        return lambda s: calls.append((rows is not None, s)) or sums(s)
 
     monkeypatch.setattr(theory, "_moment_sums", counted)
     affine_series_dimension(AffineSystem(BENCH_LEVELS),
                             BernoulliMeasure([[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]), 1.5)
-    enumerated = [s for rows, s in calls if rows == 2]
+    enumerated = [s for stored, s in calls if stored]
     assert len(enumerated) == 4 and all(0.0 < s < 2.0 for s in enumerated)
-    assert [s for rows, s in calls if rows == 1] == [2.0]
+    assert [s for stored, s in calls if not stored] == [2.0]
 
 
 class TestAffineBitsPinned:
@@ -918,7 +956,7 @@ class TestAffineBitsPinned:
     """
 
     @pytest.mark.parametrize("q, value, bracket", [
-        (1.5, "0x1.12939486d423cp+0", ("0x1.12730cce3c55dp+0", "0x1.12b41c3f6bf1ap+0")),
+        (1.5, "0x1.12939486d423cp+0", ("0x1.12730cce3c55ep+0", "0x1.12b41c3f6bf19p+0")),
         (3.0, "0x1.037fb80e661abp+0", ("0x1.03649ca47687ap+0", "0x1.039ad37855adcp+0")),
     ])
     def test_bench_levels(self, q, value, bracket):
@@ -928,14 +966,14 @@ class TestAffineBitsPinned:
         assert tuple(b.hex() for b in ce.diagnostics["bracket"]) == bracket
         assert ce.diagnostics["depth"] == 12 and ce.diagnostics["window"] == (6, 12)
 
-    # both affine configs share one table and measure, so one set of pins;
-    # q = 1 and 1.5 recorded with the level sums at s = 0 and s >= d as
-    # per-level products
+    # both affine configs share one table and measure, so one set of pins,
+    # recorded with the level sums formed from the letter tables and the
+    # stored rows P_1
     CONFIG_PINS = {
-        1.0: ("0x1.3e43c20c056f4p+0", ("0x1.3e43c20148a46p+0", "0x1.3e43c216c23a1p+0")),
-        1.5: ("0x1.3e04be1b23bdep+0", ("0x1.3e04bd6755aaep+0", "0x1.3e04becef1d0dp+0")),
-        2.0: ("0x1.3dc61d4dba631p+0", ("0x1.3dc61ce25a86fp+0", "0x1.3dc61db91a3f3p+0")),
-        3.0: ("0x1.3d4a3138ea3cap+0", ("0x1.3d4a30cd89390p+0", "0x1.3d4a31a44b403p+0")),
+        1.0: ("0x1.3e43c20c0552ap+0", ("0x1.3e43c201488b2p+0", "0x1.3e43c216c21a1p+0")),
+        1.5: ("0x1.3e04be1b23be6p+0", ("0x1.3e04bd6755ab9p+0", "0x1.3e04becef1d14p+0")),
+        2.0: ("0x1.3dc61d4dba636p+0", ("0x1.3dc61ce25a875p+0", "0x1.3dc61db91a3f8p+0")),
+        3.0: ("0x1.3d4a3138ea3cep+0", ("0x1.3d4a30cd89394p+0", "0x1.3d4a31a44b408p+0")),
     }
     # the pins recorded with every level sum enumerated, and their xtol: the
     # roots stay within it and the brackets meet
@@ -983,21 +1021,30 @@ class TestSharedSpectra:
                                (other, 5), (other, 5)]:
             affine_series_dimension(PLANAR_TABLE, measure, 2.0, depth=depth)
         assert spectra_builds == [(6, 3), (6, 3), (5, 2)]
-        # q = 1 keeps the deepest level only, so it shares nothing with q = 2
+        # q = 1 reads the deepest level of the build that q = 2 keeps
         system = AffineSystem([PLANAR_TABLE.linear_maps(2)])
         measure = BernoulliMeasure([[0.2, 0.3, 0.5]])
         for q in (2.0, 1.0, 1.0):
             affine_series_dimension(system, measure, q, depth=6)
-        assert spectra_builds[3:] == [(6, 3), (6, 6)]
+        assert spectra_builds[3:] == [(6, 3)]
+
+    def test_q_one_and_q_two_of_the_affine_config_share_one_build(self, spectra_builds):
+        config = ExperimentConfig.from_file(CONFIGS / "affine_finite_gamma.json")
+        system, measure = build_system_and_measure(config)
+        for q in (1.0, 2.0):
+            affine_series_dimension(system, measure, q)
+        assert spectra_builds == [(12, 6)]
 
     def test_kept_arrays_are_read_only(self, spectra_builds):
         affine_series_dimension(PLANAR_TABLE, TABLE_MEASURE, 2.0, depth=6)
-        spectra = theory._shared_level_spectra(PLANAR_TABLE, TABLE_MEASURE, 6, 3)
-        assert len(spectra_builds) == 1 and sorted(spectra) == [3, 4, 5, 6]
-        for prefix, log_p in spectra.values():
-            assert not prefix.flags.writeable and not log_p.flags.writeable
+        rows, letters = theory._shared_level_spectra(PLANAR_TABLE, TABLE_MEASURE, 6, 3)
+        assert len(spectra_builds) == 1 and sorted(rows) == [3, 4, 5, 6] and len(letters) == 6
+        for array in [*rows.values(), *letters]:
+            assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            spectra[6][0][0, 0] = 0.0
+            rows[6][0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            letters[0][1, 0] = 0.0
 
 
 def log_values(prefix):
@@ -1023,9 +1070,10 @@ class TestLevelSums:
     def test_segment_sums_match_direct_logsumexp(self, system):
         spectra = self.spectra(system)
         for q in (1.5, 3.0):
-            sums = _moment_sums([spectra[k] for k in sorted(spectra)], q)
+            sums = level_sums(spectra, q)
             for s in self.S_GRID:
-                want = [direct_level_sum(*spectra[k], s, q) for k in sorted(spectra)]
+                want = [direct_level_sum(*word_table(spectra, k), s, q)
+                        for k in sorted(spectra[0])]
                 assert np.allclose(sums(s), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
@@ -1034,22 +1082,71 @@ class TestLevelSums:
         # value cannot depend on the s evaluated before it
         spectra = self.spectra(system)
         grid = (0.0, 0.3, 0.7, 1.0, 1.2, 1.8, 2.0, 2.4, 2.9, 3.0, 3.5, 7.0)
-        groups = [spectra[k] for k in sorted(spectra)]
-        sums = _moment_sums(groups, 2.0)
+        sums = level_sums(spectra, 2.0)
         up = [sums(s) for s in grid]
         down = [sums(s) for s in grid[::-1]][::-1]
-        fresh = [_moment_sums(groups, 2.0)(s) for s in grid]
+        fresh = [level_sums(spectra, 2.0)(s) for s in grid]
         for a, b, c in zip(up, down, fresh):
             assert np.array_equal(a, b) and np.array_equal(a, c)
 
     @pytest.mark.parametrize("system", [PLANAR_TABLE, SPATIAL_TABLE], ids=["d2", "d3"])
     def test_entropy_rate_matches_direct_form(self, system):
-        prefix, log_p = self.spectra(system)[4]
+        spectra = self.spectra(system)
+        prefix, log_p = word_table(spectra, 4)
         w = np.exp(log_p)
-        sums = _moment_sums([(prefix, log_p)], 1.0)
+        sums = level_sums(spectra, 1.0)
         for s in self.S_GRID:
             want = (w @ log_p - w @ svf_log(log_values(prefix), s)) / 4
-            assert sums(s)[0] / 4 == pytest.approx(want, rel=0, abs=1e-12)
+            assert sums(s)[-1] / 4 == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def explicit_words(system, measure, k):
+    """``(log_values, log_p)`` of every level-k word, one by one: the ``(n, d)``
+    log singular values of the oracle's word products and the logs of the
+    products of the words' letter masses."""
+    sizes = [system.profile.size(j) for j in range(1, k + 1)]
+    words = list(itertools.product(*(range(1, n + 1) for n in sizes)))
+    return (np.array([word_spectrum(system, w).log_values for w in words]),
+            np.log([math.prod(measure.probs(j)[a - 1] for j, a in enumerate(w, 1))
+                    for w in words]))
+
+
+def explicit_level_sum(log_values, log_p, q, s):
+    """``log sum_u svf(T_u, s)**(1-q) p_u**q`` over the words, or at q = 1
+    the entropy form ``sum_u p_u log p_u - sum_u p_u log svf(T_u, s)``."""
+    log_svf = svf_log(log_values, s)
+    if q == 1.0:
+        p = np.exp(log_p)
+        return p @ log_p - p @ log_svf
+    terms = (1.0 - q) * log_svf + q * log_p
+    return np.log(np.exp(terms - terms.max()).sum()) + terms.max()
+
+
+class TestLevelSumsMatchWordProducts:
+    """The level sums that ``_moment_sums`` forms from the letter tables and the
+    stored rows equal the per-word sums of oracle products, within 1e-12
+    relative, at one s inside each segment [0, 1], ..., [d - 1, d], [d, inf)."""
+
+    CASES = {
+        "d2-level-varying": lambda: (PLANAR_TABLE, TABLE_MEASURE, 5, 3),
+        "d3-level-varying": lambda: (SPATIAL_TABLE, TABLE_MEASURE, 4, 2),
+        "d2-stationary": lambda: (AffineSystem([PLANAR_TABLE.linear_maps(2)]),
+                                  BernoulliMeasure([[0.2, 0.3, 0.5]]), 4, 2),
+        "d3-stationary": lambda: (AffineSystem([SPATIAL_TABLE.linear_maps(2)]),
+                                  BernoulliMeasure([[0.2, 0.3, 0.5]]), 4, 2),
+        "rescaled": lambda: (*rescaling_table(), 9, 5),
+    }
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kept_levels_match_the_explicit_word_sums(self, case, q):
+        system, measure, depth, keep_from = self.CASES[case]()
+        spectra = _level_spectra(system, measure, depth, keep_from)
+        sums = level_sums(spectra, q)
+        words = [explicit_words(system, measure, k) for k in sorted(spectra[0])]
+        for s in [m + 0.4 for m in range(system.ambient_dim + 1)]:
+            want = [explicit_level_sum(*level, q, s) for level in words]
+            np.testing.assert_allclose(sums(s), want, rtol=1e-12, atol=0)
 
 
 class TestAffineSolverPinned:
@@ -1076,7 +1173,7 @@ class TestAffineSolverPinned:
     @pytest.mark.parametrize("q, value, bracket, bisected, bisected_bracket", [
         (1.5, 1.0792959056481228, (1.078799696677636, 1.0797921146186096),
          1.07958984375, (1.0791015625, 1.080078125)),
-        (3.0, 1.0201658004058554, (1.0196805401388727, 1.0206510606728383),
+        (3.0, 1.0201658004058554, (1.0196805401388724, 1.0206510606728383),
          1.02001953125, (1.01953125, 1.0205078125)),
     ], ids=["1.5-1.07958984375-bracket0", "3.0-1.02001953125-bracket1"])
     def test_depth_8_matches_recorded_values(self, q, value, bracket, bisected,
@@ -1088,17 +1185,17 @@ class TestAffineSolverPinned:
         self.assert_near_bisection(ce, bisected, bisected_bracket, 1e-3)
 
     # one repeated level of two non-diagonal maps, roots between 1 and 2;
-    # values recorded with the Illinois-Dekker root finder on prefix-sum spectra,
-    # q = 1 with the level sums at s = 0 and s >= d as per-level products
+    # values recorded with the Illinois-Dekker root finder, with the level sums
+    # formed from the letter tables and the stored rows
     STATIONARY = AffineSystem([[rotation(np.pi / 6) @ np.diag([0.8, 0.5]),
                                 np.array([[0.6, 0.2], [0.1, 0.7]])]])
     STATIONARY_MEASURE = BernoulliMeasure([[0.6, 0.4]])
 
     @pytest.mark.parametrize("q, value, bracket, single, bisected, bisected_bracket, xtol", [
-        (1.0, 1.5398598667471208, (1.5398598617471209, 1.5398598717471208), None,
+        (1.0, 1.5398598667471197, (1.5398598617471198, 1.5398598717471197), None,
          1.539859864860773, (1.5398598611354828, 1.5398598685860634), 1e-8),
-        (2.0, 1.461082506275953, (1.461082481274168, 1.461082531277738),
-         1.487274131380421,
+        (2.0, 1.4610825062759534, (1.461082481274168, 1.4610825312777387),
+         1.4872741313804214,
          1.461082547903061, (1.4610825181007385, 1.4610825777053833), 1e-7),
     ], ids=["q_one", "single_level_root"])
     def test_stationary_extras_match_recorded_values(self, q, value, bracket, single,
