@@ -113,7 +113,7 @@ def _cmd_sample(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "points.csv")
     # rows are written as they are drawn: a failed draw leaves no file, a failed open no change
-    fh = open(path, "w", newline="")
+    fh = open(path, "wb")
     try:
         with fh:
             _write_csv_blocks(fh, blocks)

@@ -716,44 +716,221 @@ def _counted_rows(counts: np.ndarray, size: int):
                                       side="right")
 
 
+def _halves(a):
+    """``(high, low)`` with ``high + low == a`` exactly, each half at most 26
+    bits wide (Veltkamp's split), so the product of two halves is exact."""
+    c = (2.0**27 + 1) * a
+    high = c - (c - a)
+    return high, a - high
+
+
+# exact tables of the float formatter: 10**j as doubles (exact up to 10**22)
+# and their halves, 2**s, 10**k and 5**j as integers, and the four ASCII
+# digits of each 0 <= i < 10**4 as one uint32
+_POW10 = np.array([float(10**j) for j in range(23)])
+_POW10_HALVES = _halves(_POW10)
+_POW2 = np.array([float(2**s) for s in range(64)])
+_INT_POW10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_POW5 = np.array([5**j for j in range(23)], dtype=np.int64)
+_DIGITS2 = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint8).reshape(100, 2)
+_DIGITS4 = np.concatenate(np.broadcast_arrays(_DIGITS2[:, None], _DIGITS2[None, :]), axis=2)
+_DIGITS4 = _DIGITS4.view(np.uint32).ravel()
+# a value's text lies in a row of _TEXT_WIDTH bytes, with its decimal point
+# (if any) at byte _POINT and at least two free bytes after it
+_TEXT_WIDTH = 48
+_POINT = 19
+
+
+def _scaled(a: np.ndarray, j: np.ndarray):
+    """``(hi, lo)`` with ``hi + lo == a * 10**j`` exactly (Dekker's product)."""
+    hi = a * _POW10[j]
+    ah, al = _halves(a)
+    ph, pl = _POW10_HALVES[0][j], _POW10_HALVES[1][j]
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _shortest_digits(a: np.ndarray):
+    """``(c, ndig, decpt, exact)``: the shortest round-trip digits of each ``a >= 0``.
+
+    Where ``exact`` holds, ``repr(a)`` has the ``ndig`` leading digits of the
+    17-digit integer ``c`` (the others are zeros) and ``a`` reads back from
+    ``0.ddd * 10**decpt``. That is so for every ``a`` in (1e-6, 2**53) but
+    the ties between two shortest strings and the powers of two (whose
+    rounding interval is lopsided); those, zeros and the values outside the
+    domain are not ``exact``.
+    """
+    exact = (a > 1e-6) & (a < 2.0**53)
+    a = np.where(exact, a, 1.0)
+    # P = a * 10**j in [1e16, 1e17) as hi + lo; log10 may miss by one
+    j = 16 - np.floor(np.log10(a)).astype(np.int64)
+    np.clip(j, 1, 22, out=j)
+    hi, lo = _scaled(a, j)
+    step = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    step = step.astype(np.int64) - ((hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    if step.any():
+        j += step
+        hi, lo = _scaled(a, j)
+    # P = whole + part / 2**s: a = m * 2**(e - 53) makes P * 2**s = 2 m 5**j,
+    # and half an ulp of a exactly 5**j units
+    mantissa, e = np.frexp(a)
+    m = (mantissa * 2.0**53).astype(np.int64)
+    s = 54 - e - j
+    floor_lo = np.floor(lo)
+    whole = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    part = ((lo - floor_lo) * _POW2[s]).astype(np.int64)
+    half = _POW5[j]
+    # [low, high]: the integers within half an ulp of P. Its ends, (2 m +- 1)
+    # 5**j units, are odd, so they are integers only where s = 0 (P = 10 m,
+    # ends 10 m +- 5), and no multiple of 10 lies on them: repr's rule that
+    # the ends read back as a only for even m changes no digit here
+    below, above = part - half, part + half
+    low = whole - (-below >> s)
+    high = whole + (above >> s)
+    # t: the most trailing zeros of an integer in [low, high]
+    t = np.zeros(len(a), dtype=np.int64)
+    for k in range(1, 18):
+        fits = (high // _INT_POW10[k]) * _INT_POW10[k] >= low
+        if not fits.any():
+            break
+        t += fits
+    # the multiple of 10**t nearest P; both in [low, high] only a few units from P
+    step = _INT_POW10[t]
+    down = (whole // step) * step
+    down_fits, up_fits = down >= low, down + step <= high
+    gap_down = (np.minimum(whole - down, 64) << s) + part
+    gap_up = (np.minimum(down + step - whole, 64) << s) - part
+    c = down + (up_fits & (~down_fits | (gap_up < gap_down))) * step
+    exact &= ~(down_fits & up_fits & (gap_up == gap_down)) & (m != 2**52)
+    carry = c >= 10**17
+    c[carry] //= 10
+    return c, 17 - t + carry, 17 - j + carry, exact
+
+
+def _put_digits(words: np.ndarray, value: np.ndarray, skip: int = 0) -> None:
+    """Write the decimal digits of each ``value``, zero-padded to fill the
+    uint32 columns of ``words``, leaving the first ``skip`` columns as they are."""
+    for k in range(words.shape[1] - 1, skip, -1):
+        high = value // 10**4
+        words[:, k] = _DIGITS4[value - high * 10**4]
+        value = high
+    words[:, skip] = _DIGITS4[value % 10**4]
+
+
+def _float_texts(x: np.ndarray):
+    """``(text, start, end)`` with ``text[i, start[i]:end[i]]`` the bytes of ``repr(x[i])``.
+
+    ``text`` has ``_TEXT_WIDTH`` bytes per value and ``end <= _TEXT_WIDTH - 2``.
+    Values that ``_shortest_digits`` leaves out go to ``repr``, once per
+    distinct bit pattern.
+    """
+    c, ndig, decpt, exact = _shortest_digits(np.abs(x))
+    # repr's layout: fixed notation for -4 < decpt <= 16, else d.ddde-XX;
+    # point digits come before the decimal point (at least one, a 0 if none)
+    sci = decpt < -3
+    point = np.where(sci, 1, decpt)
+    unit = _INT_POW10[17 - np.clip(point, 0, 17)]
+    whole = c // unit
+    frac = c - whole * unit
+    text = np.empty((len(x), _TEXT_WIDTH), dtype=np.uint8)
+    words = text.view(np.uint32)
+    start = _POINT - np.maximum(point, 1)
+    # 10 * whole at bytes 0..19, with its last digit overwritten by the
+    # point; the columns before every text stay unwritten
+    _put_digits(words[:, :5], whole * 10, skip=int(start.min()) // 4)
+    text[:, _POINT] = ord(".")
+    # the fraction left-aligned in bytes 20..39: frac * 10**(3 + point),
+    # as its leading 4 digits and its other 16
+    lift = 3 + point
+    cut = _INT_POW10[np.clip(16 - lift, 0, 17)]
+    head = frac // cut
+    words[:, 5] = _DIGITS4[head * _INT_POW10[np.clip(lift - 16, 0, 17)]]
+    _put_digits(words[:, 6:10], (frac - head * cut) * _INT_POW10[np.minimum(lift, 16)])
+    end = _POINT + 1 + np.where(sci, ndig - 1, np.maximum(ndig - decpt, 1))
+    neg = np.signbit(x)
+    start -= neg
+    text[np.flatnonzero(neg), start[neg]] = ord("-")
+    if (rows := np.flatnonzero(sci & exact)).size:
+        # one digit drops the point: 1e-05, not 1.e-05
+        at = end[rows] - (ndig[rows] == 1)
+        power = 1 - decpt[rows]
+        for k, char in enumerate((ord("e"), ord("-"), ord("0") + power // 10,
+                                  ord("0") + power % 10)):
+            text[rows, at + k] = char
+        end[rows] = at + 4
+    if (rows := np.flatnonzero(~exact)).size:
+        bits, which = np.unique(x[rows].view(np.uint64), return_inverse=True)
+        texts = [repr(v).encode() for v in bits.view(np.float64).tolist()]
+        table = np.zeros((len(texts), _TEXT_WIDTH), dtype=np.uint8)
+        for row, value in zip(table, texts):
+            row[:len(value)] = np.frombuffer(value, dtype=np.uint8)
+        text[rows] = table[which]
+        start[rows] = 0
+        end[rows] = np.array([len(value) for value in texts])[which]
+    return text, start, end
+
+
+def _csv_rows(points: np.ndarray, weights: np.ndarray) -> bytes:
+    """The ``save_sample_csv`` bytes of the rows ``points`` and ``weights``."""
+    rows, d = points.shape
+    # distinct by bits, so -0.0 and 0.0 keep their own text
+    bits, inverse = np.unique(weights.view(np.uint64), return_inverse=True)
+    text, start, end = _float_texts(np.concatenate([points.ravel(), bits.view(np.float64)]))
+    # a comma after each coordinate and a line end after each weight
+    cut = rows * d
+    at = np.arange(len(text))
+    text[at, end] = ord(",")
+    text[at[cut:], end[cut:]] = ord("\r")
+    text[at[cut:], end[cut:] + 1] = ord("\n")
+    end[:cut] += 1
+    end[cut:] += 2
+    # each row's texts in order, squeezed row-major into the rows' bytes
+    index = np.column_stack([np.arange(cut).reshape(rows, d), cut + inverse])
+    lo, hi = int(start.min()), int(end.max())
+    offset = np.arange(lo, hi, dtype=np.uint8) - start.astype(np.uint8)[index, None]
+    return text[index, lo:hi][offset < (end - start).astype(np.uint8)[index, None]].tobytes()
+
+
 def save_sample_csv(sample: AttractorSample, path) -> None:
     """Headerless rows x_1,...,x_d,weight in canonical (generation) order.
 
     The bytes are those ``csv.writer`` writes for ``repr`` of every value:
     fields joined by ``","`` and every row ended by ``"\\r\\n"``. Rows are
-    formatted and written by ``_write_csv_blocks``, so memory does not grow
-    with the sample.
+    formatted by ``_write_csv_blocks`` without a ``repr`` call per value,
+    and written as bytes, so neither the locale's encoding nor the sample's
+    size changes the file or the memory it takes.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         _write_csv_blocks(fh, [(0, sample.points, None, sample.weights)])
 
 
 def _write_csv_blocks(fh, blocks) -> None:
     """Write the rows of ``(start, points, counts, weights)`` blocks as ``save_sample_csv`` does.
 
-    A block's rows are ``points[i]`` repeated ``counts[i]`` times (once each
-    when ``counts`` is None), written ``_CSV_BLOCK_ROWS`` at a time. Each
-    row's text depends on that row alone, so a sample written in any split
-    has the same bytes. The coordinates of a counted block are formatted
-    once per point, and each distinct weight once per block written.
+    ``fh`` is a binary file. A block's rows are ``points[i]`` repeated
+    ``counts[i]`` times (once each when ``counts`` is None). Each row's text
+    depends on that row alone, so a sample written in any split has the
+    same bytes.
+
+    The lines of ``_CSV_BLOCK_ROWS`` points at a time are formatted in
+    numpy by ``_float_texts``, each distinct weight once: the shortest
+    round-trip digits of a value come from exact integer arithmetic
+    (``_shortest_digits``), and the few values outside that method's domain
+    from ``repr``. Each value's text is laid out in one byte buffer, which
+    is squeezed into the lines' bytes. A counted block's point has its line
+    formatted once and written as many times as it was drawn, at most
+    ``_CSV_BLOCK_ROWS`` rows per write, so memory stays bounded by the
+    block size.
     """
     for _, points, counts, weights in blocks:
-        if counts is None:
-            pieces = (slice(start, start + _CSV_BLOCK_ROWS)
-                      for start in range(0, len(weights), _CSV_BLOCK_ROWS))
-        else:
-            pieces = (which for _, which in _counted_rows(counts, _CSV_BLOCK_ROWS))
-            point_texts = list(map(",".join, zip(*(map(repr, col) for col in points.T.tolist()))))
-        for rows in pieces:
+        for start in range(0, len(weights), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            text = _csv_rows(points[rows], weights[rows])
             if counts is None:
-                columns = [map(repr, col) for col in points[rows].T.tolist()]
-            else:
-                columns = [map(point_texts.__getitem__, rows.tolist())]
-            # distinct by bits, so -0.0 and 0.0 keep their own text
-            bits, which = np.unique(weights[rows].view(np.uint64), return_inverse=True)
-            texts = [repr(w) for w in bits.view(np.float64).tolist()]
-            columns.append(map(texts.__getitem__, which.tolist()))
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+                fh.write(text)
+                continue
+            for line, count in zip(text.splitlines(keepends=True), counts[rows].tolist()):
+                for done in range(0, count, _CSV_BLOCK_ROWS):
+                    fh.write(line * min(count - done, _CSV_BLOCK_ROWS))
 
 
 def _exact_sum(w: np.ndarray, total: int = 0) -> int:

@@ -1398,6 +1398,29 @@ class TestCli:
         assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_affine_sample_bytes_match_the_per_row_writer(self, tmp_path, capsys):
+        # 40,000 rows of 2-D points with jittered offsets: the depth-14 tree
+        # is drawn row by row, in two full sampling chunks and a short one
+        with open(os.path.join(REPO, "configs", "affine_finite_gamma.json")) as fh:
+            raw = dict(json.load(fh), samples=40_000)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        config = ExperimentConfig.from_dict(raw)
+        system, measure = build_system_and_measure(config)
+        scheme = realize_scheme(build_scheme(config, system), config.seed, 0)
+        meta, blocks = _sample_stream(system, scheme, measure, count=config.samples,
+                                      depth=config.depth, seed=config.seed,
+                                      target_resolution=min(config.scales))
+        assert meta["depth"] == 14
+        chunk = systems._SAMPLE_CHUNK_ROWS
+        assert [(counts, len(w)) for _, _, counts, w in blocks] == [
+            (None, chunk), (None, chunk), (None, 40_000 - 2 * chunk)]
+        sample = sample_measure(system, scheme, measure, count=config.samples, seed=config.seed,
+                                target_resolution=min(config.scales))
+        write_sample_rows(tmp_path / "want.csv", sample.points, sample.weights)
+        assert cli_main(["sample", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def _counted_cantor(self, tmp_path, **overrides):
         # cantor.json at 1e5 points: the depth-10 tree's 1,024 words fit the
         # word table, so compare bins word counts and sample writes each
@@ -1653,16 +1676,16 @@ class TestScripts:
                                           "two_level/report.txt", "uniform/report.txt"]
 
     def test_report_digests_check_exits_nonzero_on_a_difference(self, capsys, monkeypatch):
-        # stand-in digests: no compare runs
+        # stand-in digests: no compare or sample runs
         script = _script("report_digests")
         with open(os.path.join(REPO, "scripts", "report_digests.json")) as fh:
             stored = json.load(fh)
         names = sorted(name[:-5] for name in os.listdir(os.path.join(REPO, "configs"))
                        if name.endswith(".json"))
         assert sorted(stored) == names
-        assert all(sorted(reports) == ["report.csv", "report.txt"]
-                   for reports in stored.values())
-        digests = {name: dict(reports) for name, reports in stored.items()}
+        assert all(sorted(files) == ["points.csv", "report.csv", "report.txt"]
+                   for files in stored.values())
+        digests = {name: dict(files) for name, files in stored.items()}
         monkeypatch.setattr(script, "config_digests",
                             lambda path: digests[os.path.basename(path)[:-5]])
         path = os.path.join(REPO, "scripts", "report_digests.json")

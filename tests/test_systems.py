@@ -727,6 +727,46 @@ class TestWordCounts:
         assert abs(counts[1] - 100) <= 50 and abs(counts[3] - 100) <= 50
 
 
+def float_texts(values):
+    """The texts ``systems._float_texts`` gives ``values``, as str."""
+    text, start, end = systems._float_texts(np.array(values, dtype=float))
+    return [bytes(row[a:b]).decode() for row, a, b in zip(text, start, end)]
+
+
+# zeros and subnormals, powers of two (lopsided rounding intervals), the
+# domain's ends (1e-6 and 2**53), repr's switches of layout at 1e-4 and
+# 1e16, a tie between two shortest strings and decimals that do not round-trip
+# in 16 digits
+FLOAT_EDGES = [
+    0.0, 5e-324, 2.0**-1022, *(2.0**k for k in range(-21, 54)), 2.0**53 - 1, 2.0**53 + 2,
+    1e16, 9999999999999998.0, 1e-4, 1e-05, 9.999999999999999e-05, 1e-6,
+    1.0000000000000002e-06, 155353250393888.125, 0.1, 0.3, 1 / 3, 2 / 3, 123456.0, 1e15,
+]
+
+
+class TestFloatTexts:
+    @pytest.mark.parametrize("value", FLOAT_EDGES, ids=repr)
+    def test_edge_values_read_as_repr(self, value):
+        assert float_texts([value, -value]) == [repr(value), repr(-value)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_any_finite_values_read_as_repr(self, values):
+        # a list, so that no value's text depends on the others formatted with it
+        assert float_texts(values) == list(map(repr, values))
+
+    def test_repr_is_left_only_the_documented_values(self):
+        # ties between two shortest strings need few bits after the point,
+        # so they are rare below 1e8 (and 17% of the values in [1e15, 2**53))
+        rng = np.random.default_rng(0)
+        values = np.concatenate([rng.random(1000), rng.normal(size=1000) * 1e3,
+                                 10.0 ** rng.uniform(-5.9, 7.9, 1000)])
+        assert systems._shortest_digits(np.abs(values))[3].all()
+        # zeros and the domain's ends, a tie and a power of two
+        for value in (0.0, 1e-6, 2.0**53, 155353250393888.125, 0.125):
+            assert not systems._shortest_digits(np.array([value]))[3].any()
+
+
 class TestSampleCsv:
     def test_round_trip(self, tmp_path):
         system, scheme, measure = cantor_system()
