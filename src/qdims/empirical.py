@@ -40,8 +40,6 @@ from .errors import InsufficientScalesError
 __all__ = [
     "OCCUPANCY_MIN",
     "MeshAccumulator",
-    "BallMomentResult",
-    "ball_moment_integral",
     "ScaleRecord",
     "SpectrumEstimate",
     "fit_dimension",
@@ -67,20 +65,6 @@ def _check_q(q) -> None:
         raise ValueError(f"q must be finite, got {q}")
 
 
-def _pack_keys(cells: np.ndarray) -> np.ndarray | None:
-    """Injective int64 key per cell index vector, or None if out of range."""
-    d = cells.shape[1]
-    bits = 62 // d
-    offset = np.int64(1) << (bits - 1)
-    shifted = cells + offset
-    if shifted.min() < 0 or shifted.max() >= (np.int64(1) << bits):
-        return None
-    key = np.zeros(len(cells), dtype=np.int64)
-    for axis in range(d):
-        key = (key << bits) | shifted[:, axis]
-    return key
-
-
 class MeshAccumulator:
     """Sparse multi-scale mass grid over mesh cubes of side ``r``.
 
@@ -102,8 +86,8 @@ class MeshAccumulator:
     """
 
     def __init__(self, r: float, ambient_dim: int):
-        if r <= 0:
-            raise ValueError(f"mesh scale must be positive, got {r}")
+        if not 0 < r < np.inf:
+            raise ValueError(f"mesh scale must be positive and finite, got {r}")
         self.r = float(r)
         self.ambient_dim = int(ambient_dim)
         self._pending: list[tuple[np.ndarray, np.ndarray]] = []
@@ -112,17 +96,10 @@ class MeshAccumulator:
         self._sums = np.empty(0)
 
     @classmethod
-    def from_points(cls, points, weights, r: float) -> "MeshAccumulator":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        acc = cls(r, pts.shape[1])
-        acc.add(pts, np.asarray(weights, dtype=float))
-        return acc
-
-    @classmethod
     def from_sample(cls, sample, r: float) -> "MeshAccumulator":
-        return cls.from_points(sample.points, sample.weights, r)
+        acc = cls(r, sample.ambient_dim)
+        acc.add(sample.points, sample.weights)
+        return acc
 
     def add(self, points: np.ndarray, weights: np.ndarray) -> None:
         pts = np.asarray(points, dtype=float)
@@ -212,82 +189,6 @@ class MeshAccumulator:
         """``sum m log m`` over the cells, with ``0 log 0 = 0`` for zero-mass cells."""
         m = self.masses()
         return float((m * np.log(m, out=np.zeros_like(m), where=m > 0.0)).sum())
-
-
-@dataclass(frozen=True)
-class BallMomentResult:
-    value: float
-    queries: int
-    excluded: int
-
-
-def ball_moment_integral(sample, r: float, q: float, max_queries: int = 20_000,
-                         seed: int = 0) -> BallMomentResult:
-    """Monte Carlo ball-measure integral ``int nu(B(x,r))**(q-1) dnu(x)``.
-
-    Neighbor masses come from a spatial hash with cell size ``r`` and a
-    3**d-cell neighborhood scan with exact distance filtering. At q = 1 the
-    integrand is ``log nu(B(x,r))``; query points with empty balls are
-    excluded from the mean and counted in the result.
-    """
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
-    pts = sample.points
-    w = sample.weights
-    n, d = pts.shape
-
-    idx = np.floor(pts / r).astype(np.int64)
-    key = _pack_keys(idx)
-    if key is None:
-        raise ValueError("points too spread out for the spatial hash at this scale")
-    order = np.argsort(key, kind="stable")
-    sorted_keys = key[order]
-    uniq_keys, starts = np.unique(sorted_keys, return_index=True)
-    bounds = np.append(starts, n)
-
-    if n > max_queries:
-        rng = np.random.default_rng(seed)
-        q_idx = rng.choice(n, size=max_queries, p=w, replace=True)
-        q_weights = np.full(max_queries, 1.0 / max_queries)
-    else:
-        q_idx = np.arange(n)
-        q_weights = w
-
-    bits = 62 // d
-    offsets = np.stack(np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    # keys are positional in the packed word, so a neighbor's key is the
-    # point's key plus a fixed per-offset shift
-    axis_scales = (np.int64(1) << (bits * np.arange(d - 1, -1, -1))).astype(np.int64)
-    neighbor_shift = offsets.astype(np.int64) @ axis_scales
-
-    r2 = r * r
-    values = np.empty(len(q_idx))
-    excluded = 0
-    for out_i, i in enumerate(q_idx):
-        target_keys = key[i] + neighbor_shift
-        pos = np.searchsorted(uniq_keys, target_keys)
-        ok = pos < len(uniq_keys)
-        ok[ok] = uniq_keys[pos[ok]] == target_keys[ok]
-        mass = 0.0
-        x = pts[i]
-        for h in pos[ok]:
-            block = order[bounds[h]: bounds[h + 1]]
-            diff = pts[block] - x
-            within = (diff * diff).sum(axis=1) <= r2
-            mass += float(w[block][within].sum())
-        values[out_i] = mass
-
-    if abs(q - 1.0) < Q_ONE_TOL:
-        ok = values > 0
-        excluded = int((~ok).sum())
-        total_w = q_weights[ok].sum()
-        if total_w == 0:
-            raise ValueError("every query ball was empty")
-        val = float((q_weights[ok] * np.log(values[ok])).sum() / total_w)
-    else:
-        val = float((q_weights * values ** (q - 1.0)).sum())
-    return BallMomentResult(value=val, queries=len(q_idx), excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,8 @@ def _sample_stream(system, scheme, measure: BernoulliMeasure, count: int,
     if not measure.profile.matches(system.profile):
         raise ValueError("measure branching does not match the system")
     resolution = target_resolution if target_resolution is not None else 2.0**-12
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"target resolution must be positive and finite, got {resolution}")
     if depth is None:
         depth = default_sampling_depth(system, scheme, resolution)
     a = system.contraction_bound

@@ -426,8 +426,8 @@ def _default_r_grid(system: SimilarSystem, measure: BernoulliMeasure):
     return grids
 
 
-def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
-                     r_grid=None) -> CriticalExponents:
+def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure,
+                     q: float) -> CriticalExponents:
     """Critical exponents straight from cut-set moment sums over a scale grid.
 
     Evaluates ``sum_u c_u**(s(1-q)) p_u**q`` over the cut set at every grid
@@ -441,17 +441,7 @@ def cutset_dimension(system: SimilarSystem, measure: BernoulliMeasure, q: float,
     stationary = system.ratio_schedule.stationary and measure.stationary
     xtol = XTOL_STATIONARY if stationary else XTOL_TRUNCATED
 
-    if r_grid is None:
-        grids = _default_r_grid(system, measure)
-    else:
-        grids = []
-        for r in sorted(set(float(r) for r in r_grid), reverse=True):
-            if not 0.0 < r < system.c_lower:
-                raise ValueError(
-                    f"grid scale {r} must lie in (0, c_lower={system.c_lower})"
-                )
-            grids.append((r, scale_cut_set_masses(system.ratio_schedule, measure, r,
-                                                  budget=CUTSET_WORD_CAP)))
+    grids = _default_r_grid(system, measure)
     if len(grids) < 4:
         raise InsufficientScalesError(
             f"only {len(grids)} usable cut-set scales under the word budget"

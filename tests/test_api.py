@@ -19,7 +19,7 @@ REMOVED = {
     "codespace": ["scale_cut_set", "CutSet", "cylinder_mass", "is_prefix_free",
                   "common_prefix", "EMPTY_WORD", "COVER_TOL", "Word", "DEFAULT_MAX_DEPTH"],
     "empirical": ["moment_sum", "entropy_sum", "scale_records", "MASS_TOL",
-                  "estimate_dimension"],
+                  "estimate_dimension", "ball_moment_integral", "BallMomentResult"],
     "theory": ["lq_spectrum", "stationary_affine_dimension"],
     "singular": ["within_envelope", "SingularSpectrum", "singular_values",
                  "singular_value_function", "word_product", "word_spectrum"],
@@ -35,17 +35,20 @@ REMOVED_MEMBERS = [
     ("theory", "CriticalExponents", "bracket_width"),
     ("systems", "SimilarSystem", "ratio_product"),
     ("empirical", "MeshAccumulator", "total_mass"),
+    ("empirical", "MeshAccumulator", "from_points"),
     ("harness", "ExperimentConfig", "to_dict"),
 ]
 # (module, function, parameter): the affine solver's one word bound is ENUMERATION_CAP,
-# it enumerates every word, the cut-set solver's word bound is CUTSET_WORD_CAP, and
-# a report is always written as report.csv and report.txt
+# it enumerates every word, the cut-set solver's word bound is CUTSET_WORD_CAP and
+# its grid is always the default one, and a report is always written as report.csv
+# and report.txt
 REMOVED_PARAMETERS = [
     ("theory", "affine_series_dimension", "level_cap"),
     ("theory", "affine_series_dimension", "sampling"),
     ("theory", "affine_series_dimension", "sample_size"),
     ("theory", "affine_series_dimension", "seed"),
     ("theory", "cutset_dimension", "max_words"),
+    ("theory", "cutset_dimension", "r_grid"),
     ("systems", "check_separation", "budget"),
     ("harness", "emit_report", "stem"),
 ]

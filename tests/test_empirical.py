@@ -11,7 +11,6 @@ from qdims import empirical
 from qdims.codespace import BernoulliMeasure
 from qdims.empirical import (
     MeshAccumulator,
-    ball_moment_integral,
     default_scales,
     estimate_spectrum,
     fit_dimension,
@@ -86,12 +85,17 @@ class TestMeshAccumulator:
         pts = rng.normal(scale=3.0, size=(n, d))
         w = rng.uniform(0.1, 1.0, size=n)
         w /= w.sum()
-        acc = MeshAccumulator.from_points(pts, w, r)
+        acc = MeshAccumulator.from_sample(point_sample(pts, w), r)
         assert acc.masses().sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf])
+    def test_scale_must_be_positive_and_finite(self, r):
+        with pytest.raises(ValueError, match="mesh scale must be positive and finite"):
+            MeshAccumulator(r, 1)
 
     def test_non_finite_points_rejected(self):
         with pytest.raises(ValueError, match=r"point 1 \[nan\] is not finite"):
-            MeshAccumulator.from_points([[0.1], [np.nan], [np.inf]], [0.2, 0.3, 0.5], 0.25)
+            MeshAccumulator(0.25, 1).add([[0.1], [np.nan], [np.inf]], [0.2, 0.3, 0.5])
         acc = MeshAccumulator(0.5, 2)
         with pytest.raises(ValueError, match=r"point 2 \[0.0, -inf\]"):
             acc.add(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, -np.inf]]), np.full(3, 1 / 3))
@@ -99,12 +103,12 @@ class TestMeshAccumulator:
 
     def test_points_beyond_the_packed_range_rejected(self):
         limit = 2.0**61
-        acc = MeshAccumulator.from_points([[-limit * 0.25], [(limit - 1024) * 0.25]],
-                                          [0.5, 0.5], 0.25)
+        acc = MeshAccumulator(0.25, 1)
+        acc.add([[-limit * 0.25], [(limit - 1024) * 0.25]], [0.5, 0.5])
         assert acc.cells().ravel().tolist() == [-2**61, 2**61 - 1024]
         for far in (limit * 0.25, -(limit + 2048) * 0.25):
             with pytest.raises(ValueError, match="point 1 .* beyond 2\\*\\*61 cells"):
-                MeshAccumulator.from_points([[0.0], [far]], [0.5, 0.5], 0.25)
+                MeshAccumulator(0.25, 1).add([[0.0], [far]], [0.5, 0.5])
 
     def test_weights_must_match_the_point_rows(self):
         # taken as given, these blocks would lose the cell of 0.3 and shift
@@ -175,13 +179,14 @@ class TestBinningOracle:
         assert coarse.masses().tobytes() == coarse_masses.tobytes()
 
     def test_zero_weight_cell_is_kept(self):
-        acc = MeshAccumulator.from_points([[0.1], [0.6], [0.7]], [0.0, 0.5, 0.5], 0.25)
+        acc = MeshAccumulator.from_sample(point_sample([[0.1], [0.6], [0.7]], [0.0, 0.5, 0.5]),
+                                          0.25)
         assert acc.cells().ravel().tolist() == [0, 2]
         assert acc.masses().tolist() == [0.0, 1.0]
 
     def test_zero_mass_cell_adds_nothing_to_entropy(self):
-        acc = MeshAccumulator.from_points([[0.1], [0.6], [0.7], [0.9]],
-                                          [0.0, 0.25, 0.25, 0.5], 0.25)
+        acc = MeshAccumulator.from_sample(
+            point_sample([[0.1], [0.6], [0.7], [0.9]], [0.0, 0.25, 0.25, 0.5]), 0.25)
         assert acc.masses().tolist() == [0.0, 0.5, 0.5]
         assert acc.entropy() == 2 * (0.5 * np.log(0.5))
 
@@ -276,37 +281,6 @@ class TestMomentSums:
         s = uniform_sample(10**6, seed=2)
         assert MeshAccumulator.from_sample(s, 2.0**-7).entropy() == pytest.approx(
             -7 * np.log(2), rel=0.02)
-
-
-class TestBallIntegral:
-    def test_point_mass(self):
-        s = point_sample([[0.5]] * 4)
-        for q in (0.5, 2.0, 3.0):
-            res = ball_moment_integral(s, 0.1, q)
-            assert res.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_distant_points(self):
-        s = point_sample([[0.0], [1.0]])
-        res = ball_moment_integral(s, 0.2, 2)
-        assert res.value == pytest.approx(0.5, abs=1e-12)
-
-    def test_uniform_interior_oracle(self):
-        # int nu(B(x,r)) dnu = 2r - r**2 for Lebesgue on [0,1]
-        s = uniform_sample(20_000, seed=5)
-        r = 0.01
-        res = ball_moment_integral(s, r, 2)
-        assert res.value == pytest.approx(2 * r - r * r, rel=0.05)
-        assert res.excluded == 0
-
-    def test_q_one_log_form(self):
-        s = uniform_sample(20_000, seed=6)
-        r = 0.01
-        res = ball_moment_integral(s, r, 1)
-        assert res.value == pytest.approx(np.log(2 * r), abs=0.05)
-
-    def test_q_within_q_one_tol_takes_the_log_form(self):
-        s = point_sample([[0.0], [0.05], [1.0]])
-        assert ball_moment_integral(s, 0.1, 1.0 + 1e-7) == ball_moment_integral(s, 0.1, 1.0)
 
 
 class TestScaleRecordsAndFit:

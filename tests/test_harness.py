@@ -1695,6 +1695,26 @@ class TestScripts:
         assert script.main(["--check", path]) == 1
         assert capsys.readouterr().err == "differs: cantor/report.txt\n"
 
+    def test_stored_unreached_names_are_src_functions(self):
+        with open(os.path.join(REPO, "scripts", "reach.json")) as fh:
+            stored = json.load(fh)
+        assert stored == sorted(set(stored))
+        assert set(stored) <= set(_script("reach").functions().values())
+
+    def test_reach_check_exits_nonzero_on_a_new_unreached_name(self, capsys, monkeypatch):
+        # stand-in names: no entry point runs
+        script = _script("reach")
+        path = os.path.join(REPO, "scripts", "reach.json")
+        with open(path) as fh:
+            stored = json.load(fh)
+        names = list(stored)
+        monkeypatch.setattr(script, "unreached", lambda: names)
+        assert script.main(["--check", path]) == 0
+        assert json.loads(capsys.readouterr().out) == stored
+        names.append("qdims.empirical:fit_dimension")
+        assert script.main(["--check", path]) == 1
+        assert capsys.readouterr().err == "unreached: qdims.empirical:fit_dimension\n"
+
     # the affine configs (about 1.5 s and 4.5 s) are checked by the script's --check run
     @pytest.mark.parametrize("name", ["cantor", "uniform", "two_level"])
     def test_compare_reports_match_the_stored_digests(self, name):

@@ -444,6 +444,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="depth must be at least 1"):
             sample_measure(system, scheme, measure, count=10, depth=depth)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_target_resolution_rejected(self, resolution):
+        system, scheme, measure = cantor_system()
+        with mock.patch.object(systems, "_sample_blocks") as blocks, \
+                pytest.raises(ValueError, match="resolution must be positive and finite"):
+            sample_measure(system, scheme, measure, count=10, target_resolution=resolution)
+        blocks.assert_not_called()
+
     def test_point_mass_degenerate(self):
         # two identical maps with identical translations: one fixed point
         system = SimilarSystem([[0.5, 0.5]])
